@@ -147,12 +147,20 @@ class ClassFunction:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict) -> "ClassFunction":
+        _require_table(mapping, "class function")
         return cls(n, {parse_partition(k): parse_exact(v) for k, v in mapping.items()})
 
 
 def exact_obj(v):
     v = Fraction(v)
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _require_table(mapping, what: str) -> None:
+    if not isinstance(mapping, dict):
+        raise DomainError(
+            f"a {what} must be a {{partition: value}} table, not {type(mapping).__name__}"
+        )
 
 
 def parse_exact(v):
@@ -252,7 +260,8 @@ class IrrDecomposition:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict) -> "IrrDecomposition":
-        return cls(n, {parse_partition(k): int(v) for k, v in mapping.items()})
+        _require_table(mapping, "decomposition")
+        return cls(n, {parse_partition(k): parse_exact(v) for k, v in mapping.items()})
 
 
 def decompose(f: ClassFunction) -> IrrDecomposition:

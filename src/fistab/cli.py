@@ -32,6 +32,10 @@ from .partitions import parse_partition
 MAX_N_ENV = "FISTAB_MAX_N"
 
 
+class UsageError(Exception):
+    """Flags that parse but cannot be used together (exit 64)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -221,7 +225,25 @@ def cmd_fit_dimpoly(args):
     }
 
 
+def _reject_foreign_bounds_flags(args) -> None:
+    # each mode reads only its own flags; any other would be silently ignored
+    if args.fisharp:
+        mode, own = "--fisharp", ()
+    elif args.page is not None:
+        mode, own = "--page", ("page", "p", "q")
+    else:
+        mode, own = "the abutment bound (no --page or --fisharp)", ("degenerates_at",)
+    foreign = [
+        "--" + flag.replace("_", "-")
+        for flag in ("page", "p", "q", "degenerates_at")
+        if flag not in own and getattr(args, flag) is not None
+    ]
+    if foreign:
+        raise UsageError(f"{mode} does not use {', '.join(foreign)}")
+
+
 def cmd_bounds(args):
+    _reject_foreign_bounds_flags(args)
     params = bounds_mod.BoundParams(args.alpha, args.beta)
     head = {"alpha": str(params.alpha), "beta": str(params.beta), "i": args.i}
     if args.fisharp:
@@ -261,6 +283,8 @@ def _desk_cap(k: int) -> int:
 
 def cmd_os_scan(args):
     k = args.k
+    if k < 0 or args.a_max < 0:
+        raise DomainError("--k and --a-max must be nonnegative")
     if args.n_min < 1 or args.n_max < args.n_min:
         raise DomainError("need 1 <= n-min <= n-max")
     cap = _desk_cap(k)
@@ -465,6 +489,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"fistab: internal consistency failure: {exc}", file=sys.stderr)
         return 2
+    except UsageError as exc:
+        print(f"fistab: error: {exc}", file=sys.stderr)
+        return 64
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
 

@@ -101,21 +101,26 @@ class FISequence:
             "entries": {str(n): self.entries[n].to_mapping() for n in self},
         }
 
+    @staticmethod
+    def _tables(payload) -> dict:
+        """The {n: table} part of a JSON sequence {"entries": {n: table}}."""
+        entries = payload.get("entries") if isinstance(payload, dict) else None
+        if not isinstance(entries, dict):
+            raise DomainError('a sequence must be a mapping {"entries": {"<n>": table}}')
+        try:
+            return {int(n): table for n, table in entries.items()}
+        except ValueError as exc:
+            raise DomainError(f"sequence levels must be integers: {exc}") from exc
+
     @classmethod
     def decompositions_from_mapping(cls, payload: dict) -> "FISequence":
-        entries = {
-            int(n): IrrDecomposition.from_mapping(int(n), table)
-            for n, table in payload["entries"].items()
-        }
-        return cls(entries)
+        tables = cls._tables(payload)
+        return cls({n: IrrDecomposition.from_mapping(n, t) for n, t in tables.items()})
 
     @classmethod
     def characters_from_mapping(cls, payload: dict) -> "FISequence":
-        entries = {
-            int(n): ClassFunction.from_mapping(int(n), table)
-            for n, table in payload["entries"].items()
-        }
-        return cls(entries)
+        tables = cls._tables(payload)
+        return cls({n: ClassFunction.from_mapping(n, t) for n, t in tables.items()})
 
 
 @dataclass

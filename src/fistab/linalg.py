@@ -1,80 +1,114 @@
 """Exact linear algebra over the rationals.
 
-Rank computations use fraction-free elimination on integer rows (each
-reduction step is a cross-multiplication followed by a gcd division), so
-injectivity and surjectivity verdicts are exact.  The dense solver works
-over Fraction and reports inconsistency and free columns explicitly.
+Rank computations use fraction-free elimination on sparse integer rows
+(each reduction step is a cross-multiplication, and each residue is divided
+by its gcd), so injectivity and surjectivity verdicts are exact.  The dense
+solver works over Fraction and reports inconsistency and free columns
+explicitly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
-
-
-def _normalize_int_row(row: list[int]) -> list[int] | None:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g == 0:
-        return None
-    if g > 1:
-        row = [x // g for x in row]
-    lead = next(x for x in row if x)
-    if lead < 0:
-        row = [-x for x in row]
-    return row
 
 
 class IntRowBasis:
     """Incremental echelon basis for integer row vectors.
 
-    Rows are kept integral: a candidate is reduced against each pivot row
-    by cross-multiplication and re-normalized by its gcd, so no fractions
-    ever appear.
+    Rows are sparse {column: coefficient} mappings kept integral: a
+    candidate is reduced by cross-multiplication against the pivot rows
+    whose pivot columns it touches, in insertion order, and the residue is
+    divided by its gcd and made positive at its first nonzero column, so
+    no fractions ever appear.  Each stored row is zero on the pivots of
+    all earlier rows, so eliminating one row can only bring in pivots of
+    later ones, and the pending pivots are kept in a heap.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[int]] = []
+        self.sparse_rows: list[dict[int, int]] = []
         self.pivots: list[int] = []
+        self._row_of_pivot: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
 
-    def reduce(self, vector) -> list[int] | None:
-        """Residue of vector modulo the current span, or None if it lies
-        in the span (up to scaling)."""
-        v = [int(x) for x in vector]
-        if len(v) != self.width:
-            raise ValueError(f"expected width {self.width}, got {len(v)}")
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                a, b = row[p], v[p]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        return _normalize_int_row(v)
+    @property
+    def rows(self) -> list[list[int]]:
+        """The stored rows as dense lists."""
+        dense = []
+        for row in self.sparse_rows:
+            out = [0] * self.width
+            for c, x in row.items():
+                out[c] = x
+            dense.append(out)
+        return dense
+
+    def _as_sparse(self, vector) -> dict[int, int]:
+        if isinstance(vector, Mapping):
+            v = {c: int(x) for c, x in vector.items() if x}
+            if v and (min(v) < 0 or max(v) >= self.width):
+                raise ValueError(f"column index outside 0..{self.width - 1}")
+            return v
+        dense = [int(x) for x in vector]
+        if len(dense) != self.width:
+            raise ValueError(f"expected width {self.width}, got {len(dense)}")
+        return {c: x for c, x in enumerate(dense) if x}
+
+    def reduce(self, vector) -> dict[int, int] | None:
+        """Residue of vector (a {column: value} mapping or a dense
+        sequence) modulo the current span, or None if it lies in the span
+        (up to scaling)."""
+        v = self._as_sparse(vector)
+        row_of = self._row_of_pivot
+        pending = [row_of[c] for c in v if c in row_of]
+        heapify(pending)
+        while pending:
+            r = heappop(pending)
+            p = self.pivots[r]
+            b = v.get(p)
+            if not b:  # cancelled, or already eliminated via a duplicate entry
+                continue
+            row = self.sparse_rows[r]
+            a = row[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                v = {c: a * x for c, x in v.items()}
+            for c, y in row.items():
+                x = v.get(c)
+                if x is None:
+                    v[c] = -b * y
+                    later = row_of.get(c)
+                    if later is not None:
+                        heappush(pending, later)
+                else:
+                    x -= b * y
+                    if x:
+                        v[c] = x
+                    else:
+                        del v[c]
+        if not v:
+            return None
+        g = gcd(*v.values())
+        if v[min(v)] < 0:
+            g = -g
+        return v if g == 1 else {c: x // g for c, x in v.items()}
 
     def insert(self, vector) -> bool:
         """Add vector to the span; True if it increased the rank."""
         residue = self.reduce(vector)
         if residue is None:
             return False
-        self.rows.append(residue)
-        self.pivots.append(next(i for i, x in enumerate(residue) if x))
+        pivot = min(residue)
+        self._row_of_pivot[pivot] = len(self.sparse_rows)
+        self.sparse_rows.append(residue)
+        self.pivots.append(pivot)
         return True
-
-
-def int_rank(rows) -> int:
-    """Exact rank of a matrix given as an iterable of integer rows."""
-    basis = None
-    for row in rows:
-        if basis is None:
-            basis = IntRowBasis(len(row))
-        basis.insert(row)
-    return 0 if basis is None else basis.rank
 
 
 def solve_exact(rows, rhs):
@@ -113,29 +147,3 @@ def solve_exact(rows, rhs):
     for c, i in pivot_of_col.items():
         solution[c] = m[i][ncols]
     return solution, free, True
-
-
-def mat_mul_columns(a_cols, b_cols):
-    """Compose two linear maps given as lists of sparse columns
-    ({row index: coefficient}); returns the columns of a o b."""
-    out = []
-    for col in b_cols:
-        acc: dict[int, int] = {}
-        for j, coeff in col.items():
-            for i, entry in a_cols[j].items():
-                val = acc.get(i, 0) + coeff * entry
-                if val:
-                    acc[i] = val
-                else:
-                    acc.pop(i, None)
-        out.append(acc)
-    return out
-
-
-def columns_to_dense(cols, nrows):
-    """Sparse columns to a dense row-major matrix of ints."""
-    mat = [[0] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            mat[i][j] = v
-    return mat

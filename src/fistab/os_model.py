@@ -16,6 +16,7 @@ coinvariant maps) is exact.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -150,8 +151,12 @@ def check_permutation(perm) -> tuple[int, ...]:
 
 
 def _apply_perm(perm, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    mapped = tuple(normalize_edge(perm[a - 1], perm[b - 1]) for a, b in mono)
-    return _straighten(mapped)
+    # perm is a checked permutation, so each image is a valid edge
+    mapped = []
+    for a, b in mono:
+        x, y = perm[a - 1], perm[b - 1]
+        mapped.append((x, y) if x < y else (y, x))
+    return _straighten(tuple(mapped))
 
 
 def action_columns(perm, k: int) -> list[dict[int, int]]:
@@ -232,48 +237,50 @@ def fi_map(n: int, k: int):
 # changing any rank verdict.
 
 
+@lru_cache(maxsize=None)
+def _transposition_columns(n: int, k: int, t: int, p: int) -> tuple[array, array, array]:
+    """The action of the transposition (t p) on the degree-k basis on n
+    points, as compressed sparse columns: column j holds the entries
+    rows[ptr[j]:ptr[j+1]] with values vals[ptr[j]:ptr[j+1]].
+
+    Flat arrays rather than one dict per column: most columns hold a
+    single +-1, and every orbit sum of a scan reuses these columns.
+    """
+    perm = list(range(1, n + 1))
+    perm[t - 1], perm[p - 1] = p, t
+    cols = action_columns(perm, k)
+    ptr = array("l", itertools.accumulate(map(len, cols), initial=0))
+    rows = array("l", [i for col in cols for i in col])
+    vals = array("q", [x for col in cols for x in col.values()])
+    return ptr, rows, vals
+
+
 class _OrbitSummer:
     """Sums a vector over the subgroup permuting points first..n.
 
     Built as a chain of coset sums: the sum over the group on m points is
     (identity + transpositions into the new point) applied to the sum over
-    m-1 points, so only O(m^2) sparse column maps are ever needed.
+    m-1 points, so only O(m^2) sparse column maps are ever needed.  Those
+    come from the transposition-action cache, so summers for every a and
+    for adjacent n in a scan share them.
     """
 
     def __init__(self, n: int, k: int, first: int):
-        self.levels = []
-        for new_point in range(first + 1, n + 1):
-            level = []
-            for t in range(first, new_point):
-                perm = list(range(1, n + 1))
-                perm[t - 1], perm[new_point - 1] = perm[new_point - 1], perm[t - 1]
-                level.append(action_columns(tuple(perm), k))
-            self.levels.append(level)
-
-    @staticmethod
-    def _apply(cols, vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for j, c in vec.items():
-            for i, e in cols[j].items():
-                val = out.get(i, 0) + c * e
-                if val:
-                    out[i] = val
-                else:
-                    del out[i]
-        return out
+        self.levels = [
+            [_transposition_columns(n, k, t, new_point) for t in range(first, new_point)]
+            for new_point in range(first + 1, n + 1)
+        ]
 
     def sum_over_group(self, vec: dict[int, int]) -> dict[int, int]:
         v = dict(vec)
         for level in self.levels:
             acc = dict(v)
-            for cols in level:
-                for i, val in self._apply(cols, v).items():
-                    new = acc.get(i, 0) + val
-                    if new:
-                        acc[i] = new
-                    else:
-                        del acc[i]
-            v = acc
+            for ptr, rows, vals in level:
+                for j, c in v.items():
+                    for idx in range(ptr[j], ptr[j + 1]):
+                        i = rows[idx]
+                        acc[i] = acc.get(i, 0) + c * vals[idx]
+            v = {i: x for i, x in acc.items() if x}
         return v
 
 
@@ -294,7 +301,7 @@ def invariant_dimension(n: int, a: int, k: int) -> int:
     return int(d)
 
 
-def _invariant_rows(n: int, a: int, k: int, target: int) -> list[list[int]]:
+def _invariant_rows(n: int, a: int, k: int, target: int) -> list[dict[int, int]]:
     """Integer basis of the invariants at level n, from orbit sums of
     basis monomials; stops as soon as the known dimension is reached."""
     dim = betti(n, k)
@@ -303,13 +310,9 @@ def _invariant_rows(n: int, a: int, k: int, target: int) -> list[list[int]]:
     summer = _OrbitSummer(n, k, a + 1)
     rows = IntRowBasis(dim)
     for j in range(dim):
-        vec = summer.sum_over_group({j: 1})
-        dense = [0] * dim
-        for i, v in vec.items():
-            dense[i] = v
-        rows.insert(dense)
+        rows.insert(summer.sum_over_group({j: 1}))
         if rows.rank == target:
-            return rows.rows
+            return rows.sparse_rows
     raise ConsistencyError(
         f"orbit sums span {rows.rank} dimensions, expected {target} "
         f"(n={n}, a={a}, k={k})"
@@ -351,18 +354,13 @@ def coinvariant_report(n: int, a: int, k: int) -> CoinvariantReport:
     d_dst = invariant_dimension(n + 1, a, k)
     src_rows = _invariant_rows(n, a, k, d_src)
 
-    dim_dst = betti(n + 1, k)
     index_dst = _basis_index(n + 1, k)
     src_basis = nbc_basis(n, k)
     summer = _OrbitSummer(n + 1, k, a + 1)
-    image = IntRowBasis(dim_dst)
+    image = IntRowBasis(betti(n + 1, k))
     for row in src_rows:
-        pushed = {index_dst[src_basis[j]]: v for j, v in enumerate(row) if v}
-        averaged = summer.sum_over_group(pushed)
-        dense = [0] * dim_dst
-        for i, v in averaged.items():
-            dense[i] = v
-        image.insert(dense)
+        pushed = {index_dst[src_basis[j]]: v for j, v in row.items()}
+        image.insert(summer.sum_over_group(pushed))
     rank = image.rank
     return CoinvariantReport(
         n=n,

@@ -21,9 +21,9 @@ from fistab.fi_analysis import (
     weight_of,
 )
 from fistab.induction import induced_character, m_module, wreath_invariant_dim
-from fistab.linalg import mat_mul_columns
 from fistab.os_model import action_columns, betti, character, coinvariant_report, decomposition
 from fistab.partitions import dimension, partitions
+from linalg_helpers import mat_mul_columns
 
 
 def _check(label, budget_seconds, body):

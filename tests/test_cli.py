@@ -227,3 +227,51 @@ def test_config_file_boolean(capsys, tmp_path):
     cfg.write_text("graded-dims=1,1\ni=0\nn-max=3\n")
     payload = run_json(capsys, "wreath-scan", "--config", str(cfg))
     assert payload["invariant_dims"] == {"0": 1, "1": 1, "2": 1, "3": 1}
+
+
+def _one_line_error(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("fistab: ") and "Traceback" not in err
+
+
+def test_sequence_schema_errors_exit_1(capsys):
+    bad = [
+        "[]",
+        '"entries"',
+        "{}",
+        '{"entries": [1]}',
+        '{"entries": {"x": {}}}',
+        '{"entries": {"2": null}}',
+        '{"entries": {"2": {"2": "x"}}}',
+        '{"entries": {"2": {"2": 1.5}, "3": {"3": 1}}}',
+    ]
+    for entries in bad:
+        code, out, err = run(capsys, "stability-scan", "--entries", entries)
+        assert code == 1 and not out and _one_line_error(err), (entries, err)
+        code, out, err = run(
+            capsys, "fit-charpoly", "--entries", entries, "--degree-bound", "1"
+        )
+        assert code == 1 and not out and _one_line_error(err), (entries, err)
+    code, _, err = run(capsys, "decompose", "--n", "2", "--values", "[1, 2]")
+    assert code == 1 and _one_line_error(err)
+
+
+def test_os_scan_rejects_negative_degree(capsys):
+    for flags in (("--k", "-1"), ("--k", "1", "--a-max", "-1")):
+        code, out, err = run(capsys, "os-scan", "--n-min", "2", "--n-max", "4", *flags)
+        assert code == 1 and not out and _one_line_error(err)
+        assert "nonnegative" in err
+
+
+def test_bounds_flags_of_another_mode_are_usage_errors(capsys):
+    head = ("bounds", "--alpha", "0", "--beta", "1", "--i", "1")
+    for extra in (
+        ("--fisharp", "--page", "4", "--p", "2", "--q", "1"),
+        ("--fisharp", "--degenerates-at", "3"),
+        ("--page", "4", "--p", "2", "--q", "1", "--degenerates-at", "3"),
+        ("--p", "2"),
+    ):
+        code, out, err = run(capsys, *head, *extra)
+        assert code == 64 and not out, extra
+        assert err.strip().splitlines() == [err.strip()] and "error:" in err
+    assert run(capsys, *head, "--fisharp")[0] == 0

@@ -1,8 +1,12 @@
+import math
 import random
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fistab.linalg import IntRowBasis, columns_to_dense, int_rank, mat_mul_columns, solve_exact
+from fistab.linalg import IntRowBasis, solve_exact
+from linalg_helpers import columns_to_dense, dense_echelon_rows, int_rank, mat_mul_columns
 
 
 def _fraction_rank(rows):
@@ -64,6 +68,34 @@ def test_row_basis_reduce_detects_span(mat):
         c = rng.randint(-3, 3)
         combo = [x + c * y for x, y in zip(combo, row)]
     assert basis.reduce(combo) is None
+
+
+@given(matrices)
+@settings(max_examples=150, deadline=None)
+def test_row_basis_sparse_and_dense_inputs_agree(mat):
+    dense = IntRowBasis(len(mat[0]))
+    sparse = IntRowBasis(len(mat[0]))
+    for row in mat:
+        as_dict = {c: x for c, x in enumerate(row) if x}
+        assert dense.insert(row) == sparse.insert(as_dict)
+    assert dense.rank == sparse.rank == _fraction_rank(mat)
+    assert dense.pivots == sparse.pivots
+    assert dense.rows == sparse.rows == dense_echelon_rows(mat)
+    # stored rows are primitive, positive at their pivot, and zero on the
+    # pivots of every earlier row
+    for idx, (row, p) in enumerate(zip(sparse.rows, sparse.pivots)):
+        assert math.gcd(*row) == 1 and row[p] > 0
+        assert not any(row[:p])
+        assert all(row[q] == 0 for q in sparse.pivots[:idx])
+
+
+def test_row_basis_rejects_out_of_range_input():
+    basis = IntRowBasis(3)
+    with pytest.raises(ValueError):
+        basis.insert([1, 2])
+    with pytest.raises(ValueError):
+        basis.insert({3: 1})
+    assert basis.insert({0: 0, 2: -4}) and basis.rows == [[0, 0, 1]]
 
 
 def test_solve_exact_unique_system():
