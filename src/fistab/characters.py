@@ -1,9 +1,11 @@
 """Exact character theory of symmetric groups over the rationals.
 
-Irreducible characters are evaluated by the Murnaghan-Nakayama rule with
-memoization on (shape, remaining cycles); all arithmetic is exact, so
-multiplicity integrality checks are meaningful.  All functions here are
-pure and the caches are safe to share across threads.
+Irreducible characters are evaluated by the Murnaghan-Nakayama rule,
+iteratively over shapes.  The class sizes and the integer character
+table of each S_n are cached; inner products and multiplicities are
+integer dot products with one exact division by n!, so integrality checks
+are meaningful.  All functions here are pure and the caches are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .errors import ConsistencyError, DomainError
 from .partitions import (
     Partition,
     centralizer_order,
     check_partition,
-    class_size,
     dimension,
     format_partition,
     parse_partition,
@@ -25,50 +27,45 @@ from .partitions import (
 )
 
 
-def _beta_set(lam: Partition) -> tuple[int, ...]:
-    # First-column hook lengths: strictly decreasing, one per row.
-    m = len(lam)
-    return tuple(lam[i] + (m - 1 - i) for i in range(m))
+def _beads(lam: Partition, count: int) -> int:
+    """The beta-set of lam on `count` beads as a bit mask: row i, padding
+    with empty rows, puts a bead at lam_i + count - 1 - i."""
+    lam = lam + (0,) * (count - len(lam))
+    return sum(1 << (part + count - 1 - i) for i, part in enumerate(lam))
 
 
-def _from_beta_set(beta) -> Partition:
-    beta = sorted(beta, reverse=True)
-    m = len(beta)
-    parts = [beta[i] - (m - 1 - i) for i in range(m)]
-    return tuple(p for p in parts if p > 0)
+def _mn_column(mu: Partition, within: Partition | None = None) -> dict[int, int]:
+    """chi_lam(mu) for every shape lam of |mu|, or every lam inside
+    `within`, as {_beads(lam, count): value}; count, |mu| or len(within),
+    leaves a bead for every row.
 
-
-@lru_cache(maxsize=None)
-def rim_hook_removals(lam: Partition, length: int) -> tuple[tuple[int, Partition], ...]:
-    """All ways to remove a rim hook of the given length from lam.
-
-    Returns pairs (sign, remaining shape) where sign = (-1)**(leg length).
-    In beta-set terms a rim hook removal replaces a first-column hook
-    length b by b - length, provided the result is nonnegative and not
-    already present; the leg length counts the beta elements jumped over.
+    The Murnaghan-Nakayama rule read upwards: from the empty shape, one
+    rim hook is added per cycle, last cycle first.  Adding a hook of
+    length l moves a bead b to a free b + l, with sign (-1)**(beads
+    jumped).  A shape outside `within` never grows into it, so it is
+    dropped.  A loop, not a recursion, so thousands of cycles are fine.
     """
-    beta = _beta_set(lam)
-    present = set(beta)
-    out = []
-    for idx, b in enumerate(beta):
-        target = b - length
-        if target < 0 or target in present:
-            continue
-        leg = sum(1 for c in beta if target < c < b)
-        new_beta = beta[:idx] + (target,) + beta[idx + 1 :]
-        out.append(((-1) ** leg, _from_beta_set(new_beta)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _mn(lam: Partition, cycles: tuple[int, ...]) -> int:
-    if not cycles:
-        return 1
-    length, rest = cycles[0], cycles[1:]
-    total = 0
-    for sign, smaller in rim_hook_removals(lam, length):
-        total += sign * _mn(smaller, rest)
-    return total
+    count = sum(mu) if within is None else len(within)
+    top = None if within is None else _beads(within, count)
+    shapes = {(1 << count) - 1: 1}
+    for length in reversed(mu):
+        grown: dict[int, int] = {}
+        for mask, value in shapes.items():
+            movable = mask & ~(mask >> length)  # beads b with b + length free
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                new = mask ^ low ^ (low << length)
+                # inside `within`: never more beads at or above t than it has
+                if top is not None and any(
+                    (new >> t).bit_count() > (top >> t).bit_count()
+                    for t in range(low.bit_length(), low.bit_length() + length)
+                ):
+                    continue
+                jumped = (mask & ((low << length) - (low << 1))).bit_count()
+                grown[new] = grown.get(new, 0) + (-value if jumped % 2 else value)
+        shapes = {m: v for m, v in grown.items() if v}
+    return shapes
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -79,7 +76,36 @@ def mn_character(lam: Partition, mu: Partition) -> int:
         raise DomainError(
             f"shape {lam!r} and cycle type {mu!r} index different symmetric groups"
         )
-    return _mn(lam, mu)
+    return _mn_column(mu, lam).get(_beads(lam, len(lam)), 0)
+
+
+@lru_cache(maxsize=None)
+def class_sizes(n: int) -> tuple[int, ...]:
+    """Sizes of the conjugacy classes of S_n, in partitions(n) order."""
+    order = factorial(n)
+    return tuple(order // centralizer_order(mu) for mu in partitions(n))
+
+
+@lru_cache(maxsize=None)
+def character_table(n: int) -> dict[Partition, tuple[int, ...]]:
+    """Integer character table of S_n: each irreducible's values on the
+    classes in partitions(n) order, one Murnaghan-Nakayama pass per class.
+    The dict is shared by every caller and must not be mutated."""
+    columns = [_mn_column(mu) for mu in partitions(n)]
+    table = {}
+    for lam in partitions(n):
+        key = _beads(lam, n)
+        table[lam] = tuple(col.get(key, 0) for col in columns)
+    return table
+
+
+def as_multiplicity(value: Fraction, what: str) -> int:
+    """value as a nonnegative int.  Anything else means an averaged
+    function was not the character of a representation, an upstream bug,
+    reported as ConsistencyError("<what> <value>")."""
+    if value.denominator != 1 or value < 0:
+        raise ConsistencyError(f"{what} {value}")
+    return int(value)
 
 
 class ClassFunction:
@@ -164,6 +190,8 @@ def _require_table(mapping, what: str) -> None:
 
 
 def parse_exact(v):
+    if isinstance(v, bool):  # JSON true/false, which Fraction reads as 1/0
+        raise DomainError(f"not an exact rational: {v!r}")
     try:
         f = Fraction(v)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -174,8 +202,8 @@ def parse_exact(v):
 @lru_cache(maxsize=None)
 def irreducible_character(lam: Partition) -> ClassFunction:
     lam = check_partition(lam)
-    n = sum(lam)
-    return ClassFunction(n, {mu: _mn(lam, mu) for mu in partitions(n)})
+    n, key = sum(lam), _beads(lam, len(lam))
+    return ClassFunction(n, {mu: _mn_column(mu, lam).get(key, 0) for mu in partitions(n)})
 
 
 def trivial_character(n: int) -> ClassFunction:
@@ -192,7 +220,10 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
         raise DomainError(
             f"inner product needs matching groups, got S_{f.n} and S_{g.n}"
         )
-    total = sum(class_size(mu) * Fraction(f.values[mu]) * g.values[mu] for mu in f.values)
+    fv, gv = f.values, g.values
+    total = sum(
+        size * fv[mu] * gv[mu] for size, mu in zip(class_sizes(f.n), partitions(f.n))
+    )
     return Fraction(total, factorial(f.n))
 
 
@@ -249,11 +280,11 @@ class IrrDecomposition:
         return sum(m * dimension(lam) for lam, m in self.mult.items())
 
     def character(self) -> ClassFunction:
-        values = {mu: 0 for mu in partitions(self.n)}
+        table = character_table(self.n)
+        values = [0] * len(partitions(self.n))
         for lam, m in self.mult.items():
-            for mu in values:
-                values[mu] += m * _mn(lam, mu)
-        return ClassFunction(self.n, values)
+            values = [v + m * x for v, x in zip(values, table[lam])]
+        return ClassFunction(self.n, dict(zip(partitions(self.n), values)))
 
     def to_mapping(self) -> dict[str, int]:
         return {format_partition(lam): m for lam, m in self.items()}
@@ -271,17 +302,40 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
     a negative or non-integer multiplicity means f was not the character
     of an actual representation and signals an upstream bug.
     """
+    n = f.n
+    weighted = [size * f.values[mu] for size, mu in zip(class_sizes(n), partitions(n))]
     mult = {}
-    for lam in partitions(f.n):
-        m = inner_product(f, irreducible_character(lam))
-        if m.denominator != 1 or m < 0:
-            raise ConsistencyError(
-                f"not a representation character: multiplicity of "
-                f"{format_partition(lam) or '()'} is {m}"
-            )
+    for lam, row in character_table(n).items():
+        m = as_multiplicity(
+            Fraction(sum(map(mul, weighted, row)), factorial(n)),
+            f"not a representation character: multiplicity of "
+            f"{format_partition(lam) or '()'} is",
+        )
         if m:
-            mult[lam] = int(m)
-    return IrrDecomposition(f.n, mult)
+            mult[lam] = m
+    return IrrDecomposition(n, mult)
+
+
+def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
+    """Restrict f from S_n to S_a x S_b, the second factor permuting the
+    last b = n - a points, and average over S_b.
+
+    For a character this is the character of the S_b-invariants as an
+    S_a-representation; a = 0 gives the S_n-invariants and reads only the
+    class sizes of S_n.
+    """
+    n = f.n
+    if not 0 <= a <= n:
+        raise DomainError(f"need 0 <= a <= {n}, got a={a}")
+    b = n - a
+    values = {}
+    for nu in partitions(a):
+        total = sum(
+            size * f.values[tuple(sorted(nu + mu2, reverse=True))]
+            for size, mu2 in zip(class_sizes(b), partitions(b))
+        )
+        values[nu] = Fraction(total, factorial(b))
+    return ClassFunction(a, values)
 
 
 def regular_character(n: int) -> ClassFunction:
@@ -289,23 +343,3 @@ def regular_character(n: int) -> ClassFunction:
     values = {mu: 0 for mu in partitions(n)}
     values[(1,) * n if n else ()] = factorial(n)
     return ClassFunction(n, values)
-
-
-def restriction_inner_product(
-    f: ClassFunction, g: ClassFunction, h: ClassFunction
-) -> Fraction:
-    """Inner product of Res_{S_a x S_b} f with g (x) h, for |f| = |g|+|h|.
-
-    Classes of the product group are pairs of cycle types; the restricted
-    value at (mu1, mu2) is f evaluated at the merged cycle type.
-    """
-    a, b = g.n, h.n
-    if f.n != a + b:
-        raise DomainError("sizes must satisfy f.n == g.n + h.n")
-    total = Fraction(0)
-    for mu1 in partitions(a):
-        for mu2 in partitions(b):
-            merged = tuple(sorted(mu1 + mu2, reverse=True))
-            weight = Fraction(1, centralizer_order(mu1) * centralizer_order(mu2))
-            total += weight * Fraction(f.values[merged]) * g.values[mu1] * h.values[mu2]
-    return total

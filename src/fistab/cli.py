@@ -214,6 +214,8 @@ def cmd_fit_charpoly(args):
 def cmd_fit_dimpoly(args):
     payload = _load_json(args, "dims")
     try:
+        if any(isinstance(v, bool) for v in payload.values()):
+            raise TypeError("true/false is not a dimension")
         dims = {int(k): int(v) for k, v in payload.items()}
     except (ValueError, TypeError, AttributeError) as exc:
         raise DomainError(f"dimension table must map integers to integers: {exc}") from exc
@@ -240,6 +242,8 @@ def _reject_foreign_bounds_flags(args) -> None:
     ]
     if foreign:
         raise UsageError(f"{mode} does not use {', '.join(foreign)}")
+    if args.page is not None and (args.p is None or args.q is None):
+        raise UsageError("--page needs --p and --q")
 
 
 def cmd_bounds(args):
@@ -249,8 +253,6 @@ def cmd_bounds(args):
     if args.fisharp:
         return {**head, "fisharp_degree": bounds_mod.fisharp_degree(params, args.i)}
     if args.page is not None:
-        if args.p is None or args.q is None:
-            raise DomainError("--page needs --p and --q")
         st = bounds_mod.page_stability(params, (args.p, args.q), args.page)
         head.update({"page": args.page, "p": args.p, "q": args.q})
     else:

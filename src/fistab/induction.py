@@ -4,77 +4,41 @@ products with symmetric quotient."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
-
 from .characters import (
     ClassFunction,
     IrrDecomposition,
+    as_multiplicity,
     decompose,
     inner_product,
     irreducible_character,
+    restrict_and_average,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .fi_analysis import pad
 from .partitions import (
     Partition,
+    centralizer_order,
     check_partition,
-    class_size,
-    cycle_counts,
     dimension,
     partitions,
 )
 
 
-def _cycle_splits(mu: Partition, a: int):
-    """Split the cycle multiset of mu into a piece of total size a and its
-    complement, weighting each split by the number of ways to pick the
-    actual cycles: prod_l C(Z_l, j_l)."""
-    lengths = sorted(cycle_counts(mu).items())
-
-    def gen(idx, remaining, chosen, weight):
-        if idx == len(lengths):
-            if remaining == 0:
-                yield weight, chosen
-            return
-        length, count = lengths[idx]
-        for j in range(min(count, remaining // length) + 1):
-            yield from gen(
-                idx + 1,
-                remaining - length * j,
-                chosen + [(length, j)],
-                weight * comb(count, j),
-            )
-
-    yield from gen(0, a, [], 1)
-
-
 def induced_character(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     """Character of Ind from S_a x S_b to S_{a+b} of f (x) g.
 
-    The value at a class mu is the sum over ways to split the cycles of mu
-    between the two factors, each split weighted by the number of cycle
-    choices realizing it.
+    The class mu meets S_a x S_b in the classes (mu1, mu2) that split its
+    cycles between the two factors; each adds f(mu1) g(mu2) weighted by
+    z_mu / (z_mu1 z_mu2), the number of ways to pick which cycles of one
+    permutation of type mu go to the first factor.
     """
-    a, b = f.n, g.n
-    n = a + b
-    values = {}
-    for mu in partitions(n):
-        counts = cycle_counts(mu)
-        total = 0
-        for weight, chosen in _cycle_splits(mu, a):
-            mu1 = tuple(
-                sorted((l for l, j in chosen for _ in range(j)), reverse=True)
-            )
-            remaining = dict(counts)
-            for l, j in chosen:
-                remaining[l] -= j
-            mu2 = tuple(
-                sorted((l for l, c in remaining.items() for _ in range(c)), reverse=True)
-            )
-            total += weight * f.values[mu1] * g.values[mu2]
-        values[mu] = total
-    return ClassFunction(n, values)
+    values = dict.fromkeys(partitions(f.n + g.n), 0)
+    for mu1 in partitions(f.n):
+        for mu2 in partitions(g.n):
+            mu = tuple(sorted(mu1 + mu2, reverse=True))
+            weight = centralizer_order(mu) // (centralizer_order(mu1) * centralizer_order(mu2))
+            values[mu] += weight * f.values[mu1] * g.values[mu2]
+    return ClassFunction(f.n + g.n, values)
 
 
 def horizontal_strip_extensions(lam: Partition, n: int) -> list[Partition]:
@@ -135,19 +99,7 @@ def coinvariants_as_sa(V: IrrDecomposition, a: int) -> IrrDecomposition:
     character is the average of V's character over that subgroup; the
     result is decomposed as an S_a-representation.
     """
-    n = V.n
-    if not 0 <= a <= n:
-        raise DomainError(f"need 0 <= a <= {n}, got a={a}")
-    b = n - a
-    chi = V.character()
-    values = {}
-    for nu in partitions(a):
-        total = Fraction(0)
-        for mu2 in partitions(b):
-            merged = tuple(sorted(nu + mu2, reverse=True))
-            total += class_size(mu2) * Fraction(chi.values[merged])
-        values[nu] = total / factorial(b)
-    return decompose(ClassFunction(a, values))
+    return decompose(restrict_and_average(V.character(), a))
 
 
 def _cycle_trace_coeffs(graded_dims, length: int, cap: int) -> list[int]:
@@ -214,11 +166,9 @@ def wreath_invariant_dim(graded_dims, n: int, i: int) -> int:
     graded tensor power; equivalently the i-th Betti number of the wreath
     product of the underlying group with S_n."""
     chi = kunneth_power(graded_dims, n, i)
-    total = sum(class_size(mu) * Fraction(v) for mu, v in chi.values.items())
-    mult = Fraction(total, factorial(n))
-    if mult.denominator != 1 or mult < 0:
-        raise ConsistencyError(f"invariant dimension came out as {mult}")
-    return int(mult)
+    return as_multiplicity(
+        restrict_and_average(chi, 0).dimension(), "invariant dimension came out as"
+    )
 
 
 def wreath_twisted_dim(graded_dims, lam: Partition, n: int, i: int) -> int:
@@ -228,7 +178,6 @@ def wreath_twisted_dim(graded_dims, lam: Partition, n: int, i: int) -> int:
     by that irreducible.  lam = () recovers wreath_invariant_dim."""
     mu = pad(check_partition(lam), n)
     chi = kunneth_power(graded_dims, n, i)
-    mult = inner_product(chi, irreducible_character(mu))
-    if mult.denominator != 1 or mult < 0:
-        raise ConsistencyError(f"twisted multiplicity came out as {mult}")
-    return int(mult)
+    return as_multiplicity(
+        inner_product(chi, irreducible_character(mu)), "twisted multiplicity came out as"
+    )

@@ -20,12 +20,17 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
-from .characters import ClassFunction, IrrDecomposition, decompose
+from .characters import (
+    ClassFunction,
+    IrrDecomposition,
+    as_multiplicity,
+    decompose,
+    restrict_and_average,
+)
 from .errors import ConsistencyError, DomainError
 from .linalg import IntRowBasis
-from .partitions import Partition, check_partition, class_size, partitions
+from .partitions import Partition, check_partition, partitions
 
 Edge = tuple  # (a, b) with 1 <= a < b
 Monomial = tuple  # edges with strictly increasing second indices
@@ -287,18 +292,8 @@ class _OrbitSummer:
 def invariant_dimension(n: int, a: int, k: int) -> int:
     """dim of the subspace fixed by the subgroup permuting the last n-a
     points, by averaging the character over that subgroup."""
-    if not 0 <= a <= n:
-        raise DomainError(f"need 0 <= a <= {n}, got a={a}")
-    chi = character(n, k)
-    b = n - a
-    total = Fraction(0)
-    for mu2 in partitions(b):
-        merged = tuple(sorted(mu2 + (1,) * a, reverse=True))
-        total += class_size(mu2) * Fraction(chi.values[merged])
-    d = total / factorial(b)
-    if d.denominator != 1:
-        raise ConsistencyError(f"invariant dimension came out as {d}")
-    return int(d)
+    d = restrict_and_average(character(n, k), a).dimension()
+    return as_multiplicity(d, "invariant dimension came out as")
 
 
 def _invariant_rows(n: int, a: int, k: int, target: int) -> list[dict[int, int]]:
@@ -348,9 +343,7 @@ def coinvariant_report(n: int, a: int, k: int) -> CoinvariantReport:
     averaging projector at level n+1, restricted to the invariants at
     level n; injectivity and surjectivity are decided by integer rank.
     """
-    if not 0 <= a <= n:
-        raise DomainError(f"need 0 <= a <= {n}, got a={a}")
-    d_src = invariant_dimension(n, a, k)
+    d_src = invariant_dimension(n, a, k)  # rejects a outside 0..n
     d_dst = invariant_dimension(n + 1, a, k)
     src_rows = _invariant_rows(n, a, k, d_src)
 

@@ -1,13 +1,16 @@
 """Character theory tests.
 
 The heavyweight oracle here rebuilds the full character table of S_n
-(n <= 5) without the recursive rule: permutation characters of coset
-actions are counted by brute force, and irreducible characters are peeled
-off top-down in lexicographic order, which refines dominance.
+(n <= 5) without the Murnaghan-Nakayama rule: permutation characters of
+coset actions are counted by brute force, and irreducible characters are
+peeled off top-down in lexicographic order, which refines dominance.  Up
+to n = 12 the table is also checked against the recursive form of the
+rule kept in character_oracles.py.
 """
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,16 +18,21 @@ from hypothesis import given, settings, strategies as st
 from fistab.characters import (
     ClassFunction,
     IrrDecomposition,
+    as_multiplicity,
+    character_table,
+    class_sizes,
     decompose,
     inner_product,
     irreducible_character,
     mn_character,
     regular_character,
+    restrict_and_average,
     sign_character,
     trivial_character,
 )
 from fistab.errors import ConsistencyError, DomainError
-from fistab.partitions import dimension, partitions
+from fistab.partitions import class_size, dimension, partitions
+from character_oracles import mn, restriction_inner_product
 
 
 def _cycle_type(perm):
@@ -84,6 +92,18 @@ def test_character_table_against_coset_oracle(n):
             assert chi.values[mu] == mn_character(lam, mu), (lam, mu)
 
 
+@pytest.mark.parametrize("n", range(0, 13))
+def test_character_table_against_recursive_oracle(n):
+    # the whole-table pass and the pass restricted to shapes inside one
+    # lam both agree with the recursive rule
+    table = character_table(n)
+    assert list(table) == list(partitions(n))
+    assert class_sizes(n) == tuple(class_size(mu) for mu in partitions(n))
+    for lam, row in table.items():
+        assert row == tuple(mn(lam, mu) for mu in partitions(n)), lam
+        assert irreducible_character(lam).values == dict(zip(partitions(n), row)), lam
+
+
 def test_mn_character_examples():
     for n in range(1, 7):
         for mu in partitions(n):
@@ -112,13 +132,42 @@ def test_sign_character_values():
             assert chi.values[mu] == (-1) ** (n - len(mu))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_row_orthogonality(n):
+    sizes, table = class_sizes(n), character_table(n)
     chars = {lam: irreducible_character(lam) for lam in partitions(n)}
     for lam, chi_a in chars.items():
         for nu, chi_b in chars.items():
             expected = 1 if lam == nu else 0
             assert inner_product(chi_a, chi_b) == expected
+            integer = sum(s * x * y for s, x, y in zip(sizes, table[lam], table[nu]))
+            assert integer == expected * factorial(n)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_restrict_and_average_against_restriction_oracle(n):
+    # multiplicity of nu in the S_{n-a}-average of chi_lam is the inner
+    # product of the restriction with chi_nu (x) trivial
+    for lam in partitions(n):
+        chi = irreducible_character(lam)
+        for a in range(0, n + 1):
+            averaged = restrict_and_average(chi, a)
+            triv = trivial_character(n - a)
+            for nu in partitions(a):
+                chi_nu = irreducible_character(nu)
+                expected = restriction_inner_product(chi, chi_nu, triv)
+                assert inner_product(averaged, chi_nu) == expected, (lam, a, nu)
+    with pytest.raises(DomainError):
+        restrict_and_average(trivial_character(n), n + 1)
+
+
+def test_as_multiplicity_accepts_only_nonnegative_integers():
+    assert as_multiplicity(Fraction(3), "dimension came out as") == 3
+    assert as_multiplicity(Fraction(0), "dimension came out as") == 0
+    with pytest.raises(ConsistencyError, match="^dimension came out as -1$"):
+        as_multiplicity(Fraction(-1), "dimension came out as")
+    with pytest.raises(ConsistencyError, match="^dimension came out as 1/2$"):
+        as_multiplicity(Fraction(1, 2), "dimension came out as")
 
 
 def test_inner_product_requires_matching_group():

@@ -44,6 +44,14 @@ def test_character_single_value(capsys):
     assert payload["value"] == 2
 
 
+def test_character_of_a_class_with_many_cycles(capsys):
+    identity = "+".join(["1"] * 1200)
+    for lam, value in (("1200", 1), ("1199+1", 1199)):
+        code, out, err = run(capsys, "character", "--lam", lam, "--mu", identity)
+        assert code == 0 and not err
+        assert json.loads(out)["value"] == value
+
+
 def test_character_whole_class_function(capsys):
     payload = run_json(capsys, "character", "--lam", "2+1")
     assert payload["values"] == {"1+1+1": 2, "2+1": 0, "3": -1}
@@ -185,6 +193,9 @@ def test_bad_user_input_exits_1(capsys):
     assert code == 1 and "JSON" in err
     code, _, err = run(capsys, "fit-dimpoly", "--dims", '{"a": 1}', "--degree-bound", "1")
     assert code == 1
+    dims = '{"2": true, "3": 2, "4": 3}'  # read as 1, a line would fit
+    code, out, err = run(capsys, "fit-dimpoly", "--dims", dims, "--degree-bound", "1")
+    assert code == 1 and not out and _one_line_error(err)
     code, _, err = run(capsys, "kunneth", "--graded-dims", "1,x", "--n", "2", "--i", "1")
     assert code == 1
 
@@ -244,6 +255,7 @@ def test_sequence_schema_errors_exit_1(capsys):
         '{"entries": {"2": null}}',
         '{"entries": {"2": {"2": "x"}}}',
         '{"entries": {"2": {"2": 1.5}, "3": {"3": 1}}}',
+        '{"entries": {"2": {"2": true}, "3": {"3": true}}}',
     ]
     for entries in bad:
         code, out, err = run(capsys, "stability-scan", "--entries", entries)
@@ -270,6 +282,8 @@ def test_bounds_flags_of_another_mode_are_usage_errors(capsys):
         ("--fisharp", "--degenerates-at", "3"),
         ("--page", "4", "--p", "2", "--q", "1", "--degenerates-at", "3"),
         ("--p", "2"),
+        ("--page", "4"),
+        ("--page", "4", "--p", "2"),
     ):
         code, out, err = run(capsys, *head, *extra)
         assert code == 64 and not out, extra

@@ -18,7 +18,6 @@ from fistab.characters import (
     IrrDecomposition,
     decompose,
     irreducible_character,
-    restriction_inner_product,
     sign_character,
     trivial_character,
 )
@@ -34,6 +33,7 @@ from fistab.induction import (
     wreath_twisted_dim,
 )
 from fistab.partitions import dimension, partitions
+from character_oracles import restriction_inner_product
 
 
 def _cycle_type(perm):

@@ -11,7 +11,9 @@ import random
 
 import pytest
 
-from fistab.errors import DomainError
+from fistab import os_model
+from fistab.characters import trivial_character
+from fistab.errors import ConsistencyError, DomainError
 from fistab.fi_analysis import length_of, quotient_betti, unpadded_table, weight_of
 from fistab.linalg import IntRowBasis
 from fistab.os_model import (
@@ -293,6 +295,14 @@ def test_invariant_dimension_examples():
     assert invariant_dimension(4, 4, 1) == betti(4, 1)
     with pytest.raises(DomainError):
         invariant_dimension(3, 4, 1)
+
+
+def test_invariant_dimension_rejects_a_negative_average(monkeypatch):
+    # a broken character whose invariants come out as -1 is an internal
+    # failure, not a dimension
+    monkeypatch.setattr(os_model, "character", lambda n, k: -1 * trivial_character(n))
+    with pytest.raises(ConsistencyError, match="invariant dimension came out as -1"):
+        invariant_dimension(4, 1, 1)
 
 
 def test_coinvariant_report_degree_zero_is_bijective():
