@@ -27,9 +27,10 @@ from .characters import (
     mn_character,
 )
 from .errors import ConsistencyError, DomainError
-from .partitions import parse_partition
+from .partitions import parse_partition, partition_count
 
 MAX_N_ENV = "FISTAB_MAX_N"
+MAX_CLASSES = 10**4  # classes in one whole-character report
 
 
 class UsageError(Exception):
@@ -160,6 +161,11 @@ def cmd_character(args):
             "mu": list(mu),
             "value": mn_character(lam, mu),
         }
+    if partition_count(n, cap=MAX_CLASSES) > MAX_CLASSES:
+        raise DomainError(
+            f"S_{n} has more than {MAX_CLASSES} conjugacy classes; "
+            "pass --mu for a single character value"
+        )
     chi = irreducible_character(lam)
     return {"lam": list(lam), "n": n, "values": chi.to_mapping()}
 
@@ -214,11 +220,12 @@ def cmd_fit_charpoly(args):
 def cmd_fit_dimpoly(args):
     payload = _load_json(args, "dims")
     try:
-        if any(isinstance(v, bool) for v in payload.values()):
-            raise TypeError("true/false is not a dimension")
-        dims = {int(k): int(v) for k, v in payload.items()}
+        dims = {int(k): v for k, v in payload.items()}
     except (ValueError, TypeError, AttributeError) as exc:
         raise DomainError(f"dimension table must map integers to integers: {exc}") from exc
+    for v in dims.values():
+        if type(v) is not int:  # JSON integers only: no floats, strings or true/false
+            raise DomainError(f"dimension table must map integers to integers, got {v!r}")
     poly = fi_analysis.fit_dim_polynomial(dims, args.degree_bound)
     return {
         "points": {str(n): dims[n] for n in sorted(dims)},

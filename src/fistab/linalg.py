@@ -3,7 +3,7 @@
 Rank computations use fraction-free elimination on sparse integer rows
 (each reduction step is a cross-multiplication, and each residue is divided
 by its gcd), so injectivity and surjectivity verdicts are exact.  The dense
-solver works over Fraction and reports inconsistency and free columns
+solver eliminates the same way and reports inconsistency and free columns
 explicitly.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 class IntRowBasis:
@@ -111,14 +111,29 @@ class IntRowBasis:
         return True
 
 
+def _integer_row(values) -> list[int]:
+    # clear denominators; a rational row and its integer multiple have
+    # the same zero pattern and the same solutions
+    fracs = [x if isinstance(x, int) else Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs]
+
+
 def solve_exact(rows, rhs):
-    """Solve A x = b over the rationals by Gaussian elimination.
+    """Solve A x = b over the rationals by Gauss-Jordan elimination.
 
     Returns (solution, free_columns, consistent).  When the system is
     consistent, free columns are assigned zero; `solution` is None when it
     is inconsistent.
+
+    Elimination is fraction-free: rows (with their right-hand side) are
+    cleared of denominators, each reduction is a cross-multiplication, and
+    each row is divided by its gcd.  Every row stays a nonzero multiple of
+    the row elimination over Fraction would hold, so the pivots (the first
+    nonzero row of each column) and the verdicts are the same; the only
+    fractions are the final rhs/pivot quotients.
     """
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    m = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
     if not m:
         return [], [], True
     ncols = len(m[0]) - 1
@@ -129,12 +144,17 @@ def solve_exact(rows, rhs):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if i == r or not b:
+                continue
+            g = gcd(p, b)
+            a, b = p // g, b // g
+            row = [a * x - b * y for x, y in zip(row, prow)]
+            g = gcd(*row)
+            m[i] = [x // g for x in row] if g > 1 else row
         pivot_of_col[c] = r
         r += 1
         if r == len(m):
@@ -145,5 +165,5 @@ def solve_exact(rows, rhs):
     free = [c for c in range(ncols) if c not in pivot_of_col]
     solution = [Fraction(0)] * ncols
     for c, i in pivot_of_col.items():
-        solution[c] = m[i][ncols]
+        solution[c] = Fraction(m[i][ncols], m[i][c])
     return solution, free, True

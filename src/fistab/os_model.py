@@ -30,7 +30,7 @@ from .characters import (
 )
 from .errors import ConsistencyError, DomainError
 from .linalg import IntRowBasis
-from .partitions import Partition, check_partition, partitions
+from .partitions import Partition, cycle_counts, partitions
 
 Edge = tuple  # (a, b) with 1 <= a < b
 Monomial = tuple  # edges with strictly increasing second indices
@@ -62,11 +62,6 @@ def nbc_basis(n: int, k: int) -> tuple[Monomial, ...]:
 @lru_cache(maxsize=None)
 def _basis_index(n: int, k: int) -> dict[Monomial, int]:
     return {mono: j for j, mono in enumerate(nbc_basis(n, k))}
-
-
-def betti(n: int, k: int) -> int:
-    """dim of the degree-k cohomology on n points."""
-    return len(nbc_basis(n, k))
 
 
 def _canonical_sort(edges: tuple) -> tuple[int, tuple | None]:
@@ -186,34 +181,66 @@ def action_matrix(perm, k: int):
     return mat
 
 
-def class_representative(mu: Partition) -> tuple[int, ...]:
-    """A permutation with the given cycle type, cycles on consecutive
-    blocks of points."""
-    mu = check_partition(mu)
-    perm: list[int] = []
-    start = 1
-    for part in mu:
-        perm.extend(range(start + 1, start + part))
-        perm.append(start)
-        start += part
-    return tuple(perm)
+def _mobius(d: int) -> int:
+    result, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if d > 1 else result
+
+
+def _poly_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def _graded_trace(mu: Partition) -> tuple[int, ...]:
+    """(chi_0(g), chi_1(g), ...) for g of cycle type mu, where chi_k is the
+    character on the degree-k cohomology.
+
+    Lehrer's product formula (J. London Math. Soc. 1987), with m_r the
+    number of r-cycles of g:
+
+        sum_k chi_k(g) (-t)^k
+            = prod_r prod_{j < m_r} (sum_{d | r} mu(d) t^(r - r/d) - j r t^r).
+    """
+    series = [1]
+    for r, m in cycle_counts(mu).items():
+        base = [0] * (r + 1)
+        for d in range(1, r + 1):
+            if r % d == 0:
+                base[r - r // d] += _mobius(d)
+        for j in range(m):
+            factor = list(base)
+            factor[r] -= j * r
+            series = _poly_mul(series, factor)
+    return tuple(-c if k % 2 else c for k, c in enumerate(series))
+
+
+def _trace_in_degree(mu: Partition, k: int) -> int:
+    series = _graded_trace(mu)
+    return series[k] if 0 <= k < len(series) else 0
+
+
+def betti(n: int, k: int) -> int:
+    """dim of the degree-k cohomology on n points: e_k(1, 2, ..., n-1),
+    the degree-k character at the identity."""
+    return _trace_in_degree((1,) * n, k)
 
 
 @lru_cache(maxsize=None)
 def character(n: int, k: int) -> ClassFunction:
-    """Character of S_n on the degree-k cohomology, one trace per class."""
-    basis = nbc_basis(n, k)
-    values = {}
-    for mu in partitions(n):
-        perm = class_representative(mu)
-        trace = 0
-        for mono in basis:
-            for image, coeff in _apply_perm(perm, mono):
-                if image == mono:
-                    trace += coeff
-                    break
-        values[mu] = trace
-    return ClassFunction(n, values)
+    """Character of S_n on the degree-k cohomology, in closed form."""
+    return ClassFunction(n, {mu: _trace_in_degree(mu, k) for mu in partitions(n)})
 
 
 @lru_cache(maxsize=None)
@@ -263,16 +290,20 @@ def _transposition_columns(n: int, k: int, t: int, p: int) -> tuple[array, array
 class _OrbitSummer:
     """Sums a vector over the subgroup permuting points first..n.
 
-    Built as a chain of coset sums: the sum over the group on m points is
-    (identity + transpositions into the new point) applied to the sum over
-    m-1 points, so only O(m^2) sparse column maps are ever needed.  Those
-    come from the transposition-action cache, so summers for every a and
-    for adjacent n in a scan share them.
+    Built as a chain of coset sums: the sum over the group on points
+    first..m is sum_t c_t applied to the sum over first..m-1, with coset
+    representatives c_m = 1 and c_t = s_t s_(t+1) ... s_(m-1) for the
+    adjacent transpositions s_t = (t t+1).  Applying them right to left
+    (y <- s_t y) visits every c_t v with one sparse column map per step,
+    so only the n - first adjacent transposition actions are ever built;
+    they come from the transposition-action cache, shared by the summers
+    for every a and for adjacent n in a scan.
     """
 
     def __init__(self, n: int, k: int, first: int):
+        adjacent = {t: _transposition_columns(n, k, t, t + 1) for t in range(first, n)}
         self.levels = [
-            [_transposition_columns(n, k, t, new_point) for t in range(first, new_point)]
+            [adjacent[t] for t in range(new_point - 1, first - 1, -1)]
             for new_point in range(first + 1, n + 1)
         ]
 
@@ -280,11 +311,16 @@ class _OrbitSummer:
         v = dict(vec)
         for level in self.levels:
             acc = dict(v)
+            y = v
             for ptr, rows, vals in level:
-                for j, c in v.items():
+                z: dict[int, int] = {}
+                for j, c in y.items():
                     for idx in range(ptr[j], ptr[j + 1]):
                         i = rows[idx]
-                        acc[i] = acc.get(i, 0) + c * vals[idx]
+                        x = c * vals[idx]
+                        z[i] = z.get(i, 0) + x
+                        acc[i] = acc.get(i, 0) + x
+                y = z
             v = {i: x for i, x in acc.items() if x}
         return v
 

@@ -64,6 +64,32 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(sorted(gen(n, n)))
 
 
+def partition_count(n: int, cap: int | None = None) -> int:
+    """p(n), the number of partitions of n (the number of conjugacy
+    classes of S_n), by Euler's pentagonal number recurrence
+
+        p(m) = sum_{j >= 1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)).
+
+    With a cap, the recurrence stops at the first m <= n with p(m) > cap
+    and returns p(m); p is nondecreasing, so then p(n) > cap too.
+    """
+    if n < 0:
+        return 0
+    p = [1]
+    for m in range(1, n + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            term = p[m - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= m:
+                term += p[m - j * (3 * j + 1) // 2]
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+        if cap is not None and total > cap:
+            break
+    return p[-1]
+
+
 def cycle_counts(mu: Partition) -> dict[int, int]:
     """Map cycle length l to the number of l-cycles in the class mu."""
     counts: dict[int, int] = {}

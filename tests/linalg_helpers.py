@@ -1,8 +1,9 @@
 """Matrix helpers used only by the tests: rank of a dense integer
-matrix, a dense reference for IntRowBasis, and composition and
+matrix, a dense reference for IntRowBasis, composition and
 densification of sparse column maps ({row index: coefficient} per
-column)."""
+column), and the Fraction elimination solve_exact is checked against."""
 
+from fractions import Fraction
 from math import gcd
 
 from fistab.linalg import IntRowBasis
@@ -64,3 +65,39 @@ def columns_to_dense(cols, nrows):
         for i, v in col.items():
             mat[i][j] = v
     return mat
+
+
+def fraction_solve(rows, rhs):
+    """Gauss-Jordan elimination over Fraction, the reference for
+    solve_exact: the first nonzero row of each column is the pivot, its
+    row is scaled to a leading 1 and the column is cleared everywhere
+    else.  Returns (solution, free_columns, consistent) like solve_exact."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    if not m:
+        return [], [], True
+    ncols = len(m[0]) - 1
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == len(m):
+            break
+    for i in range(r, len(m)):
+        if m[i][ncols]:
+            return None, [], False
+    free = [c for c in range(ncols) if c not in pivot_of_col]
+    solution = [Fraction(0)] * ncols
+    for c, i in pivot_of_col.items():
+        solution[c] = m[i][ncols]
+    return solution, free, True

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import fistab
 from fistab.cli import main
 
 
@@ -196,6 +201,9 @@ def test_bad_user_input_exits_1(capsys):
     dims = '{"2": true, "3": 2, "4": 3}'  # read as 1, a line would fit
     code, out, err = run(capsys, "fit-dimpoly", "--dims", dims, "--degree-bound", "1")
     assert code == 1 and not out and _one_line_error(err)
+    dims = '{"2": 2.9, "3": "3", "4": 4}'  # read as 2 and 3, a line would fit
+    code, out, err = run(capsys, "fit-dimpoly", "--dims", dims, "--degree-bound", "1")
+    assert code == 1 and not out and _one_line_error(err)
     code, _, err = run(capsys, "kunneth", "--graded-dims", "1,x", "--n", "2", "--i", "1")
     assert code == 1
 
@@ -289,3 +297,16 @@ def test_bounds_flags_of_another_mode_are_usage_errors(capsys):
         assert code == 64 and not out, extra
         assert err.strip().splitlines() == [err.strip()] and "error:" in err
     assert run(capsys, *head, "--fisharp")[0] == 0
+
+
+def test_whole_character_of_a_huge_group_is_refused_quickly():
+    # p(100) is about 1.9e8 classes: the report is refused before any is
+    # enumerated, in a fresh interpreter so that a hang fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    for lam in ("100", "33", "10000000+1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fistab.cli", "character", "--lam", lam],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 1 and not proc.stdout, lam
+        assert _one_line_error(proc.stderr) and "--mu" in proc.stderr

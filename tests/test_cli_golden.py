@@ -3,7 +3,9 @@
 "Same behaviour" for this package means the suite passes and the reports
 below keep every byte: each case's stdout is hashed and compared with the
 sha256 recorded before the integer character-table core replaced the
-recursive Murnaghan-Nakayama evaluation.  A deliberate change of a report
+recursive Murnaghan-Nakayama evaluation (the two os-scan cases at the desk
+caps: before the closed-form characters replaced the trace on the NBC
+basis).  A deliberate change of a report
 updates the table; print the current digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -64,6 +66,9 @@ CASES = (
     "os-scan --n-min 2 --n-max 7 --k 3",
     "kunneth --graded-dims 1,2 --n 12 --i 3 --decompose",
     "wreath-scan --graded-dims 1,2 --i 2 --n-max 20",
+    # os-scan at the desk caps, as the benchmark runs it
+    "os-scan --n-min 2 --n-max 10 --k 2 --a-max 3",
+    "os-scan --n-min 2 --n-max 8 --k 3 --a-max 3",
 )
 FORMATS = ("json", "text", "csv")
 
@@ -188,6 +193,18 @@ DIGESTS = {
         '18263a8986c4a41697f1cb1bf9b761ae5a148d7df800e4fd8d9a3e8a7af65335',
     ('wreath-scan --graded-dims 1,2 --i 2 --n-max 20', 'csv'):
         '7d621fbc12260b737dd8c53e04ba7369b8e6a5a891b2835fadef03661ff5f172',
+    ('os-scan --n-min 2 --n-max 10 --k 2 --a-max 3', 'json'):
+        'd53fe7f4943a305e365ef0bc3abde025ef615ec72e086eb2447786c4f827119b',
+    ('os-scan --n-min 2 --n-max 10 --k 2 --a-max 3', 'text'):
+        'cc0dae6ffce80481ec3459d2ad309401f929ef33f584884b723bce008ff3c344',
+    ('os-scan --n-min 2 --n-max 10 --k 2 --a-max 3', 'csv'):
+        '327cf5042e0ac5c6172f37b8bbc7928684ad6ba581c687d5dae7bbc6009c169a',
+    ('os-scan --n-min 2 --n-max 8 --k 3 --a-max 3', 'json'):
+        '690ece186e4cc0f27859b01130d58dffa980b5d5155d4a64deeea24dc1073cf0',
+    ('os-scan --n-min 2 --n-max 8 --k 3 --a-max 3', 'text'):
+        '7500025ab331a07044a59e4a0a7af9d3edffc1688308b650ed1f3b2d00bcb157',
+    ('os-scan --n-min 2 --n-max 8 --k 3 --a-max 3', 'csv'):
+        '625a75bab22168ebf36b75460f3d71ad41c786719a5347c77ef36a785438b09a',
 }
 
 

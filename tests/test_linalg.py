@@ -6,26 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fistab.linalg import IntRowBasis, solve_exact
-from linalg_helpers import columns_to_dense, dense_echelon_rows, int_rank, mat_mul_columns
+from linalg_helpers import (
+    columns_to_dense,
+    dense_echelon_rows,
+    fraction_solve,
+    int_rank,
+    mat_mul_columns,
+)
 
 
 def _fraction_rank(rows):
-    # straightforward Gaussian elimination over Fraction, as the oracle
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    # straightforward Gaussian elimination over Fraction, as the oracle:
+    # with a zero right-hand side every column without a pivot is free
+    if not rows:
+        return 0
+    _, free, _ = fraction_solve(rows, [0] * len(rows))
+    return len(rows[0]) - len(free)
 
 
 def test_int_rank_small_cases():
@@ -121,6 +117,67 @@ def test_solve_exact_rational_entries():
     )
     assert consistent and not free
     assert solution == [Fraction(-4), Fraction(3)]
+
+
+INTEGER_ENTRIES = st.integers(-4, 4)
+RATIONAL_ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def linear_systems(draw, kind, entries):
+    """(rows, rhs) of a random system that is, by construction, uniquely
+    solvable, underdetermined (consistent, with free columns),
+    inconsistent, or anything at all."""
+    def row(width):
+        return [draw(entries) for _ in range(width)]
+
+    def times(mat, x):
+        return [sum(a * b for a, b in zip(r, x)) for r in mat]
+
+    if kind == "any":
+        ncols = draw(st.integers(1, 5))
+        mat = [row(ncols) for _ in range(draw(st.integers(0, 5)))]
+        return mat, row(len(mat))
+    if kind == "unique":
+        # lower unitriangular times upper triangular with a nonzero
+        # diagonal, rows shuffled: invertible
+        size = draw(st.integers(1, 5))
+        nonzero = entries.filter(bool)
+        lower = [row(i) + [1] + [0] * (size - i - 1) for i in range(size)]
+        upper = [[0] * i + [draw(nonzero)] + row(size - i - 1) for i in range(size)]
+        mat = [[sum(lower[i][t] * upper[t][j] for t in range(size)) for j in range(size)]
+               for i in range(size)]
+        return draw(st.permutations(mat)), row(size)
+    ncols = draw(st.integers(2, 5))
+    nrows = draw(st.integers(1, ncols - 1))
+    mat = [row(ncols) for _ in range(nrows)]
+    rhs = times(mat, row(ncols))  # consistent
+    if kind == "underdetermined":
+        return mat, rhs
+    # inconsistent: a combination of the rows with a shifted right-hand side
+    weights = row(nrows)
+    combined = [sum(w * r[j] for w, r in zip(weights, mat)) for j in range(ncols)]
+    target = sum(w * b for w, b in zip(weights, rhs)) + draw(entries.filter(bool))
+    at = draw(st.integers(0, nrows))
+    return mat[:at] + [combined] + mat[at:], rhs[:at] + [target] + rhs[at:]
+
+
+@pytest.mark.parametrize("entries", [INTEGER_ENTRIES, RATIONAL_ENTRIES], ids=["int", "rational"])
+@pytest.mark.parametrize("kind", ["unique", "underdetermined", "inconsistent", "any"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_exact_matches_fraction_elimination(kind, entries, data):
+    rows, rhs = data.draw(linear_systems(kind, entries))
+    solution, free, consistent = result = solve_exact(rows, rhs)
+    assert result == fraction_solve(rows, rhs)
+    if kind == "unique":
+        assert consistent and not free
+    elif kind == "underdetermined":
+        assert consistent and free
+    elif kind == "inconsistent":
+        assert not consistent and solution is None
+    if consistent:
+        assert [sum(a * x for a, x in zip(r, solution)) for r in rows] == list(rhs)
 
 
 def test_sparse_column_composition():

@@ -1,8 +1,9 @@
 """Tests for the braid-arrangement cohomology model.
 
 Independent oracles: the Poincare product prod_j (1 + j t) for Betti
-numbers, direct fixed-pair counting for the degree-one character, the
-defining relations of the algebra for the straightening map, and the
+numbers, the trace on the NBC basis and direct fixed-pair counting for
+the characters, brute-force group sums for the orbit sums, the defining
+relations of the algebra for the straightening map, and the
 representation axiom for the action matrices.
 """
 
@@ -17,12 +18,12 @@ from fistab.errors import ConsistencyError, DomainError
 from fistab.fi_analysis import length_of, quotient_betti, unpadded_table, weight_of
 from fistab.linalg import IntRowBasis
 from fistab.os_model import (
+    _OrbitSummer,
     _transposition_columns,
     action_columns,
     action_matrix,
     betti,
     character,
-    class_representative,
     coinvariant_report,
     decomposition,
     fi_map,
@@ -33,6 +34,7 @@ from fistab.os_model import (
 )
 from fistab.partitions import partitions
 from linalg_helpers import mat_mul_columns
+from os_oracles import brute_orbit_sum, class_representative, full_nbc_trace, nbc_trace_character
 
 
 def poincare_coefficients(n):
@@ -60,6 +62,7 @@ def test_nbc_dimension_matches_poincare_product(n):
     for k in range(0, n + 2):
         expected = coeffs[k] if k < len(coeffs) else 0
         assert betti(n, k) == expected
+        assert len(nbc_basis(n, k)) == expected
 
 
 def test_nbc_monomials_have_increasing_seconds():
@@ -190,6 +193,32 @@ def test_trace_is_a_class_function(n, k):
         cols = action_columns(conj, k)
         trace = sum(cols[j].get(j, 0) for j in range(len(cols)))
         assert trace == chi.values[mu]
+
+
+# every degree up to n = 7; the top degrees at n = 8, 9 cost minutes of
+# straightening (run `python tests/os_oracles.py 9` for them)
+@pytest.mark.parametrize("n", range(0, 10))
+def test_closed_form_character_matches_nbc_trace(n):
+    for mu, values in nbc_trace_character(n, None if n <= 7 else 4).items():
+        for k, v in enumerate(values):
+            assert character(n, k).values[mu] == v, (n, k, mu)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stable_flat_trace_matches_whole_basis_trace(n):
+    for mu, values in nbc_trace_character(n).items():
+        assert values == [full_nbc_trace(n, k, mu) for k in range(n)], mu
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_sum_matches_brute_force_group_sum(n):
+    # sums are linear, so agreement on every basis vector is agreement
+    for k in range(0, 4):
+        for a in range(0, n + 1):
+            summer = _OrbitSummer(n, k, a + 1)
+            for j in range(betti(n, k)):
+                got = summer.sum_over_group({j: 1})
+                assert got == brute_orbit_sum(n, k, a + 1, {j: 1}), (n, k, a, j)
 
 
 def _fixed_pair_count(perm):

@@ -15,6 +15,7 @@ from fistab.partitions import (
     dimension,
     format_partition,
     parse_partition,
+    partition_count,
     partitions,
 )
 
@@ -39,6 +40,17 @@ PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
 def test_partition_counts():
     for n, expected in enumerate(PARTITION_COUNTS):
         assert len(partitions(n)) == expected
+
+
+def test_partition_count_by_pentagonal_recurrence():
+    for n in range(0, 26):
+        assert partition_count(n) == len(partitions(n))
+    assert partition_count(-1) == 0
+    assert partition_count(100) == 190569292
+    assert (partition_count(32), partition_count(33)) == (8349, 10143)
+    # a cap stops at the first count above it
+    assert partition_count(10**12, cap=10**4) == 10143
+    assert partition_count(32, cap=10**4) == 8349
 
 
 def test_partitions_are_sorted_lexicographically():
