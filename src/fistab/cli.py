@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bounds as bounds_mod
 from . import fi_analysis, induction, os_model
@@ -137,6 +138,15 @@ def _load_json(args, inline_attr: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON input: {exc}") from exc
+
+
+def _fraction(text: str) -> Fraction:
+    # argparse turns only TypeError/ValueError into a usage error, and
+    # Fraction("1/0") raises ZeroDivisionError
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _graded_dims(text: str) -> tuple[int, ...]:
@@ -368,7 +378,14 @@ def cmd_kunneth(args):
 # parser assembly
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later one: callers must not mutate it.  Reuse is safe because
+    `parse_args` returns a fresh namespace and no argument has a mutable
+    default.  Subcommands carry no handler: `main` looks `cmd_<name>` up
+    on every call, so a handler rebound after the first call (a profiler,
+    a tracer) still takes effect."""
     parser = _Parser(prog="fistab", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the report to this path instead of stdout")
@@ -380,52 +397,44 @@ def build_parser() -> _Parser:
     p = sub.add_parser("character", parents=[common], help="irreducible character values")
     p.add_argument("--lam", required=True, help="shape, e.g. 3+2")
     p.add_argument("--mu", help="cycle type; omit for the whole class function")
-    p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("decompose", parents=[common], help="decompose a class function")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--values", help="inline JSON {cycle type: value}")
     p.add_argument("--input", help="path to the JSON class function")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("m-module", parents=[common], help="free-module level decomposition")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", help="inducing shape, e.g. 2+1")
     p.add_argument("--regular", type=int, help="induce from the full group algebra of S_m")
-    p.set_defaults(func=cmd_m_module)
 
     p = sub.add_parser("stability-scan", parents=[common], help="detect uniform stability")
     p.add_argument("--entries", help="inline JSON sequence of decompositions")
     p.add_argument("--input", help="path to the JSON sequence")
-    p.set_defaults(func=cmd_stability_scan)
 
     p = sub.add_parser("fit-charpoly", parents=[common], help="fit a character polynomial")
     p.add_argument("--entries", help="inline JSON sequence of class functions")
     p.add_argument("--input", help="path to the JSON sequence")
     p.add_argument("--degree-bound", type=int, required=True)
-    p.set_defaults(func=cmd_fit_charpoly)
 
     p = sub.add_parser("fit-dimpoly", parents=[common], help="fit a dimension polynomial")
     p.add_argument("--dims", help="inline JSON {n: dimension}")
     p.add_argument("--input", help="path to the JSON dimensions")
     p.add_argument("--degree-bound", type=int, required=True)
-    p.set_defaults(func=cmd_fit_dimpoly)
 
     p = sub.add_parser("bounds", parents=[common], help="stability-bound arithmetic")
-    p.add_argument("--alpha", type=Fraction, required=True)
-    p.add_argument("--beta", type=Fraction, required=True)
+    p.add_argument("--alpha", type=_fraction, required=True)
+    p.add_argument("--beta", type=_fraction, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--page", type=int, help="page number r >= 3 for entry bounds")
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--fisharp", action="store_true", help="generation-degree variant")
     p.add_argument("--degenerates-at", type=int, help="known degeneration page")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("table1", parents=[common], help="headline bounds per example family")
     p.add_argument("--row", required=True, choices=bounds_mod.TABLE1_ROWS)
     p.add_argument("--i", type=int, required=True)
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("os-scan", parents=[common], help="configuration-space model scan")
     p.add_argument("--n-min", type=int, required=True)
@@ -433,21 +442,18 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a-max", type=int, default=3)
     p.add_argument("--allow-large", action="store_true", help="ignore desk-scale caps")
-    p.set_defaults(func=cmd_os_scan)
 
     p = sub.add_parser("wreath-scan", parents=[common], help="wreath-product Betti scan")
     p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n-min", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_wreath_scan)
 
     p = sub.add_parser("kunneth", parents=[common], help="graded tensor-power character")
     p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--decompose", action="store_true")
-    p.set_defaults(func=cmd_kunneth)
 
     return parser
 
@@ -489,7 +495,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.error("a subcommand is required")
-        payload = args.func(args)
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        payload = handler(args)
         _emit(payload, args)
         return 0
     except (DomainError, OSError) as exc:

@@ -17,6 +17,7 @@ from .partitions import (
     check_partition,
     cycle_counts,
     format_partition,
+    partition_count,
     partitions,
 )
 
@@ -196,6 +197,17 @@ def _monomials(degree_bound: int) -> list[tuple[tuple[int, int], ...]]:
     return sorted(out, key=lambda m: (sum(l * e for l, e in m), m))
 
 
+def _monomial_count(degree_bound: int, cap: int) -> int:
+    # one monomial per partition of each weighted degree d <= degree_bound;
+    # the sum stops at the first total above cap
+    total = 0
+    for d in range(degree_bound + 1):
+        total += partition_count(d, cap=cap)
+        if total > cap:
+            break
+    return total
+
+
 def monomial_label(mono: tuple[tuple[int, int], ...]) -> str:
     if not mono:
         return "1"
@@ -293,6 +305,13 @@ def fit_char_polynomial(seq: FISequence, degree_bound: int) -> CharPolynomial:
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
+    # rank <= rows < columns: more monomials than class values never fit uniquely
+    values = sum(partition_count(n) for n in seq)
+    if _monomial_count(degree_bound, cap=values) > values:
+        raise DomainError(
+            f"window does not determine the monomials of weighted degree <= {degree_bound}: "
+            f"there are more of them than its {values} class values"
+        )
     monos = _monomials(degree_bound)
     rows, rhs = [], []
     for n in seq:

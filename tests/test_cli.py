@@ -1,11 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import fistab
-from fistab.cli import main
+from fistab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -179,6 +181,14 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64
     code, _, err = run(capsys)
     assert code == 64
+    # Fraction("2/0") raises ZeroDivisionError, which argparse does not catch
+    for alpha, beta, bad in (("x", "2", "--alpha"), ("1/0", "2", "--alpha"),
+                             ("1", "x", "--beta"), ("1", "2/0", "--beta")):
+        code, out, err = run(capsys, "bounds", "--alpha", alpha, "--beta", beta, "--i", "3")
+        assert code == 64 and not out and "Traceback" not in err, (alpha, beta)
+        value = alpha if bad == "--alpha" else beta
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"fistab bounds: error: argument {bad}: invalid Fraction value: {value!r}"]
 
 
 def test_domain_error_exits_1(capsys):
@@ -310,3 +320,58 @@ def test_whole_character_of_a_huge_group_is_refused_quickly():
         )
         assert proc.returncode == 1 and not proc.stdout, lam
         assert _one_line_error(proc.stderr) and "--mu" in proc.stderr
+
+
+def test_unfittable_character_polynomial_is_refused_quickly():
+    # more monomials than class values: Σ_{d <= 50} p(d) = 1 295 971 of
+    # them for the 5 values of S_2 and S_3, refused before any is built
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    entries = json.dumps({"entries": {
+        "2": {"1+1": 1, "2": 1}, "3": {"1+1+1": 1, "2+1": 1, "3": 1},
+    }})
+    for bound in ("24", "50", "1000000000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fistab.cli", "fit-charpoly", "--entries", entries,
+             "--degree-bound", bound],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 1 and not proc.stdout, bound
+        assert _one_line_error(proc.stderr) and "does not determine" in proc.stderr
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_forgets_the_previous_request(tmp_path, monkeypatch):
+    # each request omits flags the one before it set; in one process it
+    # must print what it prints in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+    report = tmp_path / "report.json"
+    bounds = ["bounds", "--alpha", "1", "--beta", "2", "--i", "3"]
+    scan = ["os-scan", "--n-min", "2", "--n-max", "4", "--k", "1"]
+    table = ["table1", "--row", "moduli", "--i", "2"]
+    sequence = [
+        bounds + ["--fisharp"], bounds,
+        scan + ["--a-max", "0"], scan,
+        table + ["--format", "text"], table,
+        table + ["--out", str(report)], table,
+        bounds[:4] + ["2/0"] + bounds[5:], bounds,
+    ]
+    in_process = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 0, 0, 0, 0, 64, 0]
+    written = report.read_text()
+    report.unlink()
+
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    for argv, got in zip(sequence, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fistab.cli", *argv], capture_output=True, text=True, env=env,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert report.read_text() == written and json.loads(written)["N"] == 12

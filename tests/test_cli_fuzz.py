@@ -1,0 +1,171 @@
+"""`main()` driven in-process with random argv, inline JSON, config files
+and input files.
+
+Whatever it is given, `main` must return 0, 1, 2 or 64, let no exception
+escape, print no traceback, and write its `--out` reports only where it
+is told to (here: inside the test's temporary directory, which is also
+the working directory).  Integers stay <= 6, so no request is large.
+"""
+
+import io
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fistab.bounds import TABLE1_ROWS
+from fistab.cli import main
+
+INTEGERS = st.one_of(st.integers(0, 6), st.integers(1, 4), st.integers(-2, 6)).map(str)
+PARTITIONS = st.sampled_from(
+    ("1", "2", "3", "2+1", "1+1+1", "3+1", "2+2", "", "+", "0", "-1", "2+x", "1+2", "3++1", "1.5")
+)
+FRACTIONS = st.one_of(
+    st.tuples(st.integers(-1, 6), st.integers(1, 3)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.integers(-1, 6).map(lambda p: f"{p}/0"),
+    st.sampled_from(("0", "1", "x", "1/x", "1e3", "1.5", "-1")),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from((1.5, 2.0)),
+    st.sampled_from(("1", "x", "2+1", "1/2", "")),
+)
+KEYS = st.sampled_from(("1", "2", "3", "4", "1+1", "2+1", "1+1+1", "x", "", "entries", "window"))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=8,
+)
+# near-valid inputs reach deeper than random ones
+KNOWN_JSON = st.sampled_from((
+    '{"1+1+1": 3, "2+1": 1, "3": 0}',
+    '{"1+1": 1, "2": 1}',
+    '{"2": 1, "3": 3, "4": 6, "5": 10}',
+    '{"entries": {"2": {"2": 1}, "3": {"2+1": 1, "3": 1}, "4": {"3+1": 1, "4": 1}}}',
+    '{"entries": {"2": {"1+1": 1, "2": 1}, "3": {"1+1+1": 1, "2+1": 1, "3": 1}}}',
+    '{"entries": {"2": {"1+1": 1, "2": 1}, "4": {"4": 1}}}',
+    '{"window": [2, 3], "entries": {"2": {"2": 1}}}',
+    "", "not json", "{", "[1, 2", '{"2": 1,}', "NaN", "1e999",
+))
+JSON_TEXT = st.one_of(KNOWN_JSON, JSON_VALUES.map(json.dumps))
+GRADED_DIMS = st.sampled_from(("1", "1,2", "1,1,1", "0", "1,x", "", ",", "-1,2", "2,0,1"))
+# paths relative to the working directory, which is the temporary one
+PATHS = st.one_of(
+    st.sampled_from(("report.txt", "input.json", "fuzz.cfg")),
+    st.sampled_from(("missing/report.txt", ".")),
+)
+
+FLAG_VALUES = {
+    "--format": st.sampled_from(("json", "text", "csv", "xml")),
+    "--lam": PARTITIONS,
+    "--mu": PARTITIONS,
+    "--n": INTEGERS,
+    "--regular": INTEGERS,
+    "--values": JSON_TEXT,
+    "--entries": JSON_TEXT,
+    "--dims": JSON_TEXT,
+    "--degree-bound": INTEGERS,
+    "--alpha": FRACTIONS,
+    "--beta": FRACTIONS,
+    "--i": INTEGERS,
+    "--page": INTEGERS,
+    "--p": INTEGERS,
+    "--q": INTEGERS,
+    "--degenerates-at": INTEGERS,
+    "--row": st.sampled_from(TABLE1_ROWS + ("nope",)),
+    "--n-min": INTEGERS,
+    "--n-max": INTEGERS,
+    "--k": INTEGERS,
+    "--a-max": INTEGERS,
+    "--graded-dims": GRADED_DIMS,
+    "--out": PATHS,
+    "--input": PATHS,
+    "--config": PATHS,
+}
+SWITCHES = ("--fisharp", "--allow-large", "--decompose")
+# subcommand -> (required flags, optional groups of flags given together);
+# switches take no value
+FLAGS = {
+    "character": (("--lam",), (("--mu",),)),
+    "decompose": (("--n",), (("--values",), ("--input",))),
+    "m-module": (("--n",), (("--lam",), ("--regular",))),
+    "stability-scan": ((), (("--entries",), ("--input",))),
+    "fit-charpoly": (("--degree-bound",), (("--entries",), ("--input",))),
+    "fit-dimpoly": (("--degree-bound",), (("--dims",), ("--input",))),
+    "bounds": (("--alpha", "--beta", "--i"),
+               (("--page", "--p", "--q"), ("--fisharp",), ("--degenerates-at",))),
+    "table1": (("--row", "--i"), ()),
+    "os-scan": (("--n-min", "--n-max", "--k"), (("--a-max",), ("--allow-large",))),
+    "wreath-scan": (("--graded-dims", "--i", "--n-max"), (("--n-min",),)),
+    "kunneth": (("--graded-dims", "--n", "--i"), (("--decompose",),)),
+}
+SUBCOMMANDS = tuple(FLAGS)
+COMMON = ("--out", "--format", "--config")
+ANY_TOKEN = st.one_of(
+    st.sampled_from(SUBCOMMANDS + tuple(FLAG_VALUES) + SWITCHES + ("--help", "--")),
+    INTEGERS, PARTITIONS, FRACTIONS, JSON_TEXT, PATHS,
+)
+
+
+@st.composite
+def argvs(draw):
+    """Mostly well-formed requests: a subcommand, most of its required
+    flags, some optional ones, values of roughly the right kind; now and
+    then a value of the wrong kind or a stray token."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    required, optional = FLAGS[command]
+    flags = [f for f in required if draw(st.integers(0, 9))]
+    flags += [f for group in optional if draw(st.integers(0, 2)) == 0 for f in group]
+    flags += [f for f in COMMON if draw(st.integers(0, 5)) == 0]
+    flags = draw(st.permutations(flags))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag not in SWITCHES:
+            argv.append(draw(ANY_TOKEN if draw(st.integers(0, 19)) == 0 else FLAG_VALUES[flag]))
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(ANY_TOKEN))
+    return argv
+
+
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from([f[2:] for f in (*FLAG_VALUES, *SWITCHES)]),
+              st.one_of(INTEGERS, PARTITIONS, FRACTIONS, st.sampled_from(("true", "false", ""))))
+    .map("=".join),
+    st.sampled_from(("# comment", "", "no equals sign", "=1", "out=report.txt")),
+)
+
+
+def _listing(path):
+    return sorted(os.listdir(path))
+
+
+def check_main(argv, config, input_json, where):
+    (where / "fuzz.cfg").write_text("\n".join(config) + "\n")
+    (where / "input.json").write_text(input_json)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2, 64), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code != 0:
+        assert not out.getvalue(), argv
+
+
+def test_main_survives_random_requests(tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    outside = {p: _listing(p) for p in (tmp_path, tmp_path.parent)}
+
+    @settings(
+        max_examples=300, deadline=2000, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(argv=argvs(), config=st.lists(CONFIG_LINES, max_size=4), input_json=JSON_TEXT)
+    def fuzz(argv, config, input_json):
+        check_main(argv, config, input_json, work)
+
+    fuzz()
+    assert {p: _listing(p) for p in outside} == outside

@@ -16,6 +16,8 @@ from fistab.fi_analysis import (
     unpad,
     unpadded_table,
     weight_of,
+    _monomial_count,
+    _monomials,
 )
 from fistab.induction import m_module
 from fistab.partitions import binomial, partitions
@@ -201,6 +203,13 @@ def test_fit_reports_undetermined_monomials():
     seq = FISequence({1: trivial_character(1), 2: trivial_character(2)})
     with pytest.raises(DomainError, match="does not determine"):
         fit_char_polynomial(seq, 4)
+
+
+def test_monomials_are_counted_without_enumerating_them():
+    # the up-front refusal compares this count with the class values
+    for bound in range(12):
+        assert _monomial_count(bound, cap=10**6) == len(_monomials(bound))
+    assert _monomial_count(10**9, cap=100) > 100
 
 
 def test_char_polynomial_metadata():
