@@ -23,6 +23,7 @@ from .partitions import (
     dimension,
     format_partition,
     parse_partition,
+    partition_count,
     partitions,
 )
 
@@ -116,11 +117,17 @@ class ClassFunction:
     def __init__(self, n: int, values: dict):
         self.n = int(n)
         vals = {check_partition(k): v for k, v in values.items()}
-        expected = set(partitions(self.n))
-        if set(vals) != expected:
+        if self.n < 0:
+            partitions(self.n)  # refuses a negative n
+        # count the classes before enumerating them: a table of the wrong
+        # size is refused without building p(n) partitions
+        if (
+            partition_count(self.n, cap=len(vals)) != len(vals)
+            or set(vals) != set(partitions(self.n))
+        ):
             raise DomainError(
                 f"class function on S_{self.n} must be defined on exactly "
-                f"the {len(expected)} cycle types"
+                f"the {partition_count(self.n)} cycle types"
             )
         self.values = vals
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Rank computations use fraction-free elimination on sparse integer rows
-(each reduction step is a cross-multiplication, and each residue is divided
-by its gcd), so injectivity and surjectivity verdicts are exact.  The dense
-solver eliminates the same way and reports inconsistency and free columns
+`IntRowBasis` computes exact ranks by fraction-free elimination on sparse
+integer rows: each reduction step is a cross-multiplication, and each
+residue is divided by its gcd.  The dense solver behind the polynomial
+fits eliminates the same way and reports inconsistency and free columns
 explicitly.
 """
 

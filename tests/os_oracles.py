@@ -10,8 +10,8 @@ rewrites three edges on the same three points, so straightening keeps the
 flat.  `nbc_trace` takes the basis to trace over, so the tests check the
 restriction to stable flats against the whole basis.
 
-`brute_orbit_sum` sums g v over every g of the group permuting points
-first..n, one permutation at a time.
+`quotient_coinvariant_report` decides the coinvariant maps from the
+definition of coinvariants as a quotient, by integer rank on the NBC basis.
 
 The top degrees are the costly part of the trace (every class fixes the
 one-block flat, with (n-1)! monomials); the full comparison with the
@@ -19,13 +19,27 @@ closed form, every class and every degree up to N points, runs as
 
     PYTHONPATH=src python tests/os_oracles.py N
 
-(at N = 9 about two minutes and 2.7 GB of straightening cache).
+(at N = 9 about two minutes and 2.7 GB of straightening cache), and the
+coinvariant maps with k <= 4 and a <= 5 (n + 1 <= 11 for k <= 2, 10 for
+k = 3, 9 for k = 4) are compared with `coinvariant_report` by
+
+    PYTHONPATH=src python tests/os_oracles.py
 """
 
+import copy
 import itertools
 import sys
+from functools import lru_cache
 
-from fistab.os_model import _straighten, character, nbc_basis
+from fistab.linalg import IntRowBasis
+from fistab.os_model import (
+    _straighten,
+    action_columns,
+    betti,
+    character,
+    coinvariant_report,
+    nbc_basis,
+)
 from fistab.partitions import Partition, partitions
 
 
@@ -119,22 +133,69 @@ def full_nbc_trace(n: int, k: int, mu: Partition) -> int:
     return nbc_trace(class_representative(mu), nbc_basis(n, k))
 
 
-def brute_orbit_sum(n: int, k: int, first: int, vec: dict[int, int]) -> dict[int, int]:
-    """sum over g permuting points first..n of g applied to vec."""
-    basis = nbc_basis(n, k)
-    index = {mono: j for j, mono in enumerate(basis)}
-    total: dict[int, int] = {}
-    fixed = tuple(range(1, first))
-    for moved in itertools.permutations(range(first, n + 1)):
-        perm = fixed + moved
-        for j, c in vec.items():
-            for mono, x in image(perm, basis[j]).items():
-                total[index[mono]] = total.get(index[mono], 0) + c * x
-    return {i: x for i, x in total.items() if x}
+@lru_cache(maxsize=2)  # a scan over n needs levels n and n + 1
+def coinvariant_relations(m: int, a: int, k: int) -> IntRowBasis:
+    """Echelon basis of W_m, the span of (s - 1) e_j over the NBC monomials
+    e_j of degree k on m points and the adjacent transpositions s of the
+    points a+1..m.  They generate the group permuting those points, and
+    (gh - 1) v = (g - 1) h v + (h - 1) v, so W_m is the span of every
+    (g - 1) v and the coinvariants are the quotient V_m / W_m."""
+    relations = []
+    for t in range(a + 1, m):
+        perm = list(range(1, m + 1))
+        perm[t - 1], perm[t] = t + 1, t
+        for j, col in enumerate(action_columns(perm, k)):
+            if len(col) == 1 and min(col) < j:
+                continue  # s e_j = +-e_i, so (s - 1) e_i gave this relation
+            relation = dict(col)
+            relation[j] = relation.get(j, 0) - 1
+            relations.append(relation)
+    # shortest first: most are e_j' -+ e_j and keep the echelon rows short
+    relations.sort(key=len)
+    span = IntRowBasis(betti(m, k))
+    for relation in relations:
+        span.insert(relation)
+    return span
 
 
-if __name__ == "__main__":
-    for n in range(int(sys.argv[1]) + 1):
+def quotient_coinvariant_report(n: int, a: int, k: int) -> tuple[bool, bool, int, int]:
+    """(injective, surjective, d_src, d_dst) of the map from V_n / W_n to
+    V_(n+1) / W_(n+1) that sends each NBC monomial to the same monomial one
+    level up: d = betti - rank W, and the rank of the map is
+    rank(W_(n+1) + image of V_n) - rank W_(n+1)."""
+    d_src = betti(n, k) - coinvariant_relations(n, a, k).rank
+    span = copy.deepcopy(coinvariant_relations(n + 1, a, k))
+    relations = span.rank
+    d_dst = betti(n + 1, k) - relations
+    index = {mono: j for j, mono in enumerate(nbc_basis(n + 1, k))}
+    for mono in nbc_basis(n, k):
+        span.insert({index[mono]: 1})
+    rank = span.rank - relations
+    return rank == d_src, rank == d_dst, d_src, d_dst
+
+
+def coinvariant_cases(n_max_of_k: dict[int, int], a_max: int):
+    """(n, a, k) for each k of the table, a <= a_max and
+    max(a, 1) <= n <= n_max_of_k[k]."""
+    for k, n_max in n_max_of_k.items():
+        for a in range(a_max + 1):
+            for n in range(max(a, 1), n_max + 1):
+                yield n, a, k
+
+
+def _check_coinvariants() -> int:
+    cases = list(coinvariant_cases({0: 10, 1: 10, 2: 10, 3: 9, 4: 8}, 5))
+    bad = []
+    for n, a, k in cases:
+        r = coinvariant_report(n, a, k)
+        if quotient_coinvariant_report(n, a, k) != (r.injective, r.surjective, *r.dims):
+            bad.append((n, a, k))
+    print(f"{len(cases)} coinvariant maps, mismatches {bad}")
+    return 1 if bad else 0
+
+
+def _check_characters(n_max: int) -> int:
+    for n in range(n_max + 1):
         table = nbc_trace_character(n)
         bad = [
             (mu, k) for mu, values in table.items() for k, v in enumerate(values)
@@ -142,4 +203,9 @@ if __name__ == "__main__":
         ]
         print(f"n={n}: {len(table)} classes, degrees 0..{max(n - 1, 0)}, mismatches {bad}")
         if bad:
-            sys.exit(1)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_check_characters(int(sys.argv[1])) if sys.argv[1:] else _check_coinvariants())

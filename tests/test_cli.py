@@ -339,6 +339,23 @@ def test_unfittable_character_polynomial_is_refused_quickly():
         assert _one_line_error(proc.stderr) and "does not determine" in proc.stderr
 
 
+def test_class_function_table_of_the_wrong_size_is_refused_quickly():
+    # p(60) = 966 467 and p(100) = 190 569 292 classes: an empty table is
+    # refused by counting them, before any is enumerated
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    for argv, count in (
+        (["decompose", "--n", "60", "--values", "{}"], "966467"),
+        (["fit-charpoly", "--degree-bound", "1",
+          "--entries", '{"entries":{"100":{}}}'], "190569292"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fistab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 1 and not proc.stdout, argv
+        assert _one_line_error(proc.stderr) and f"exactly the {count} cycle types" in proc.stderr
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -5,8 +5,9 @@ below keep every byte: each case's stdout is hashed and compared with the
 sha256 recorded before the integer character-table core replaced the
 recursive Murnaghan-Nakayama evaluation (the two os-scan cases at the desk
 caps: before the closed-form characters replaced the trace on the NBC
-basis).  A deliberate change of a report
-updates the table; print the current digests with
+basis; the two past the caps: before the coinvariant verdicts were read
+off the dimensions instead of integer ranks).  A deliberate change of a
+report updates the table; print the current digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -69,6 +70,9 @@ CASES = (
     # os-scan at the desk caps, as the benchmark runs it
     "os-scan --n-min 2 --n-max 10 --k 2 --a-max 3",
     "os-scan --n-min 2 --n-max 8 --k 3 --a-max 3",
+    # os-scan past the desk caps, as the benchmark runs it
+    "os-scan --n-min 2 --n-max 12 --k 2 --a-max 3 --allow-large",
+    "os-scan --n-min 2 --n-max 9 --k 3 --a-max 3 --allow-large",
 )
 FORMATS = ("json", "text", "csv")
 
@@ -205,6 +209,18 @@ DIGESTS = {
         '7500025ab331a07044a59e4a0a7af9d3edffc1688308b650ed1f3b2d00bcb157',
     ('os-scan --n-min 2 --n-max 8 --k 3 --a-max 3', 'csv'):
         '625a75bab22168ebf36b75460f3d71ad41c786719a5347c77ef36a785438b09a',
+    ('os-scan --n-min 2 --n-max 12 --k 2 --a-max 3 --allow-large', 'json'):
+        '5f78b7bb6b8e2ab39a30cac8d700aa1db7a019ab4b2579599344c1792309a1c5',
+    ('os-scan --n-min 2 --n-max 12 --k 2 --a-max 3 --allow-large', 'text'):
+        '824fb142f613706f91ca6d4a5219ec49a79ef6754ce7a59db377cd800c96ae0b',
+    ('os-scan --n-min 2 --n-max 12 --k 2 --a-max 3 --allow-large', 'csv'):
+        '11bd82c5aafe1bc6b56268dee15a48e35d3fcc4071d3505194385ee609ab972e',
+    ('os-scan --n-min 2 --n-max 9 --k 3 --a-max 3 --allow-large', 'json'):
+        '3fb037f70bbffa96d093005414858e63452439e87493d8bee476ada73322e571',
+    ('os-scan --n-min 2 --n-max 9 --k 3 --a-max 3 --allow-large', 'text'):
+        'cd328e4618fc3b780863c11083e76ac94cdf66fab2218dff0890e2e16e8df04a',
+    ('os-scan --n-min 2 --n-max 9 --k 3 --a-max 3 --allow-large', 'csv'):
+        'e7e3151d431d8244da2074c9547c39a614c9f264108f8f73fb03e9d67b9757ff',
 }
 
 

@@ -2,7 +2,8 @@
 
 Independent oracles: the Poincare product prod_j (1 + j t) for Betti
 numbers, the trace on the NBC basis and direct fixed-pair counting for
-the characters, brute-force group sums for the orbit sums, the defining
+the characters, the quotient definition of coinvariants for the
+coinvariant maps, the defining
 relations of the algebra for the straightening map, and the
 representation axiom for the action matrices.
 """
@@ -18,8 +19,6 @@ from fistab.errors import ConsistencyError, DomainError
 from fistab.fi_analysis import length_of, quotient_betti, unpadded_table, weight_of
 from fistab.linalg import IntRowBasis
 from fistab.os_model import (
-    _OrbitSummer,
-    _transposition_columns,
     action_columns,
     action_matrix,
     betti,
@@ -34,7 +33,13 @@ from fistab.os_model import (
 )
 from fistab.partitions import partitions
 from linalg_helpers import mat_mul_columns
-from os_oracles import brute_orbit_sum, class_representative, full_nbc_trace, nbc_trace_character
+from os_oracles import (
+    class_representative,
+    coinvariant_cases,
+    full_nbc_trace,
+    nbc_trace_character,
+    quotient_coinvariant_report,
+)
 
 
 def poincare_coefficients(n):
@@ -211,17 +216,6 @@ def test_stable_flat_trace_matches_whole_basis_trace(n):
         assert values == [full_nbc_trace(n, k, mu) for k in range(n)], mu
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_orbit_sum_matches_brute_force_group_sum(n):
-    # sums are linear, so agreement on every basis vector is agreement
-    for k in range(0, 4):
-        for a in range(0, n + 1):
-            summer = _OrbitSummer(n, k, a + 1)
-            for j in range(betti(n, k)):
-                got = summer.sum_over_group({j: 1})
-                assert got == brute_orbit_sum(n, k, a + 1, {j: 1}), (n, k, a, j)
-
-
 def _fixed_pair_count(perm):
     n = len(perm)
     count = 0
@@ -390,20 +384,6 @@ def test_coinvariant_report_zero_spaces():
     assert r.dims == (0, 0)
 
 
-def test_transposition_columns_decode_to_action_columns():
-    for n in range(2, 7):
-        for k in range(0, 4):
-            for t, p in itertools.combinations(range(1, n + 1), 2):
-                ptr, rows, vals = _transposition_columns(n, k, t, p)
-                decoded = [
-                    dict(zip(rows[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]))
-                    for j in range(len(ptr) - 1)
-                ]
-                perm = list(range(1, n + 1))
-                perm[t - 1], perm[p - 1] = p, t
-                assert decoded == action_columns(perm, k), (n, k, t, p)
-
-
 # (k, a) -> (injective, surjective, d_src, d_dst) of coinvariant_report(n, a, k)
 # for n = max(a, 1), ..., 7, recorded from the earlier implementation
 # (dense echelon basis, action columns rebuilt for every orbit summer)
@@ -476,3 +456,11 @@ def test_coinvariant_verdicts_match_recorded_table():
         for n, want in enumerate(rows, start=max(a, 1)):
             r = coinvariant_report(n, a, k)
             assert (r.injective, r.surjective, *r.dims) == want, (n, a, k)
+
+
+# every k <= 4, a <= 5, n <= 6; `python tests/os_oracles.py` runs k <= 2 to
+# n = 10, k = 3 to n = 9 and k = 4 to n = 8
+@pytest.mark.parametrize("n,a,k", list(coinvariant_cases({k: 6 for k in range(5)}, 5)))
+def test_coinvariant_report_matches_quotient_definition(n, a, k):
+    r = coinvariant_report(n, a, k)
+    assert quotient_coinvariant_report(n, a, k) == (r.injective, r.surjective, *r.dims)
