@@ -51,6 +51,7 @@ from .induction import (
     m_module,
     m_regular,
     wreath_invariant_dim,
+    wreath_invariant_series,
     wreath_twisted_dim,
 )
 from .os_model import (

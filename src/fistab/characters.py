@@ -125,9 +125,12 @@ class ClassFunction:
             partition_count(self.n, cap=len(vals)) != len(vals)
             or set(vals) != set(partitions(self.n))
         ):
+            # the message counts the classes only up to a cap: the exact
+            # p(n) of a large n costs seconds and has hundreds of digits
+            count = partition_count(self.n, cap=10**9)
+            which = f"exactly the {count}" if count <= 10**9 else "all of its more than 10^9"
             raise DomainError(
-                f"class function on S_{self.n} must be defined on exactly "
-                f"the {partition_count(self.n)} cycle types"
+                f"class function on S_{self.n} must be defined on {which} cycle types"
             )
         self.values = vals
 

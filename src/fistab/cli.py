@@ -344,10 +344,8 @@ def cmd_wreath_scan(args):
     dims = _graded_dims(args.graded_dims)
     if args.n_min < 0 or args.n_max < args.n_min:
         raise DomainError("need 0 <= n-min <= n-max")
-    values = {
-        n: induction.wreath_invariant_dim(dims, n, args.i)
-        for n in range(args.n_min, args.n_max + 1)
-    }
+    series = induction.wreath_invariant_series(dims, args.n_max, args.i)
+    values = {n: series[n] for n in range(args.n_min, args.n_max + 1)}
     start = max(args.n_min, 2 * args.i)
     tail = [values[n] for n in range(start, args.n_max + 1)]
     return {

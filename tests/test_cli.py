@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import fistab
@@ -341,19 +342,36 @@ def test_unfittable_character_polynomial_is_refused_quickly():
 
 def test_class_function_table_of_the_wrong_size_is_refused_quickly():
     # p(60) = 966 467 and p(100) = 190 569 292 classes: an empty table is
-    # refused by counting them, before any is enumerated
+    # refused by counting them, before any is enumerated; past 10^9 classes
+    # the message stops counting (p(100000) has 346 digits)
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
-    for argv, count in (
-        (["decompose", "--n", "60", "--values", "{}"], "966467"),
+    for argv, phrase in (
+        (["decompose", "--n", "60", "--values", "{}"], "exactly the 966467"),
         (["fit-charpoly", "--degree-bound", "1",
-          "--entries", '{"entries":{"100":{}}}'], "190569292"),
+          "--entries", '{"entries":{"100":{}}}'], "exactly the 190569292"),
+        (["decompose", "--n", "100000", "--values", "{}"], "more than 10^9"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "fistab.cli", *argv],
             capture_output=True, text=True, env=env, timeout=10,
         )
         assert proc.returncode == 1 and not proc.stdout, argv
-        assert _one_line_error(proc.stderr) and f"exactly the {count} cycle types" in proc.stderr
+        assert _one_line_error(proc.stderr) and f"{phrase} cycle types" in proc.stderr
+
+
+def test_wreath_scan_reaches_far_past_the_class_sums():
+    # one series pass: n = 60 (beyond 10 s as p(n) class sums) and a
+    # million degree-one classes, each in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    for dims, i, n_max, stable in (("1,2", 2, 60, 1), ("1,1000000", 3, 200, comb(10**6, 3))):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fistab.cli", "wreath-scan", "--graded-dims", dims,
+             "--i", str(i), "--n-max", str(n_max)],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 0 and not proc.stderr, dims
+        report = json.loads(proc.stdout)
+        assert report["invariant_dims"][str(n_max)] == stable and report["constant_on_tail"]
 
 
 def test_parser_is_built_once():

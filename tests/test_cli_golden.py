@@ -6,8 +6,10 @@ sha256 recorded before the integer character-table core replaced the
 recursive Murnaghan-Nakayama evaluation (the two os-scan cases at the desk
 caps: before the closed-form characters replaced the trace on the NBC
 basis; the two past the caps: before the coinvariant verdicts were read
-off the dimensions instead of integer ranks).  A deliberate change of a
-report updates the table; print the current digests with
+off the dimensions instead of integer ranks; the two wreath-scan cases at
+the end: before the graded-symmetric power series replaced the class
+sums).  A deliberate change of a report updates the table; print the
+current digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -73,6 +75,10 @@ CASES = (
     # os-scan past the desk caps, as the benchmark runs it
     "os-scan --n-min 2 --n-max 12 --k 2 --a-max 3 --allow-large",
     "os-scan --n-min 2 --n-max 9 --k 3 --a-max 3 --allow-large",
+    # wreath-scan as the benchmark runs it, and with zero gaps and an odd
+    # multiplicity above 1
+    "wreath-scan --graded-dims 1,2 --i 2 --n-max 30",
+    "wreath-scan --graded-dims 1,0,3,1 --i 4 --n-min 3 --n-max 16",
 )
 FORMATS = ("json", "text", "csv")
 
@@ -221,6 +227,18 @@ DIGESTS = {
         'cd328e4618fc3b780863c11083e76ac94cdf66fab2218dff0890e2e16e8df04a',
     ('os-scan --n-min 2 --n-max 9 --k 3 --a-max 3 --allow-large', 'csv'):
         'e7e3151d431d8244da2074c9547c39a614c9f264108f8f73fb03e9d67b9757ff',
+    ('wreath-scan --graded-dims 1,2 --i 2 --n-max 30', 'json'):
+        '1644001b20a75e1b261b2bf805893a7d74bde468407c260cbb951b6026632b75',
+    ('wreath-scan --graded-dims 1,2 --i 2 --n-max 30', 'text'):
+        '0b5b78fda1534f6936804b0d909008c8599190665c79c1384e6ed7bd1cb03ae8',
+    ('wreath-scan --graded-dims 1,2 --i 2 --n-max 30', 'csv'):
+        'bb56c31732ae5e3d9c338ede5937cbd6cd4fd4b0d43f2d99754f8ea5a64f264e',
+    ('wreath-scan --graded-dims 1,0,3,1 --i 4 --n-min 3 --n-max 16', 'json'):
+        '17d5fba8bee71f8c72af4e68c5899dc7235b60a4e0554a0db16e1a8c98ebea97',
+    ('wreath-scan --graded-dims 1,0,3,1 --i 4 --n-min 3 --n-max 16', 'text'):
+        '164b21ee1ba05a24550a58147972f6f7bf8cfd2cb0ffec3d47173afb48c0c4cf',
+    ('wreath-scan --graded-dims 1,0,3,1 --i 4 --n-min 3 --n-max 16', 'csv'):
+        'b299fa7cffe905f50536f78b7a88324b39ec1b2dd555e86acdc01152ae82c4bc',
 }
 
 

@@ -9,7 +9,7 @@ That brute force is what froze the sign convention in the implementation.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -30,6 +30,7 @@ from fistab.induction import (
     m_module,
     m_regular,
     wreath_invariant_dim,
+    wreath_invariant_series,
     wreath_twisted_dim,
 )
 from fistab.partitions import dimension, partitions
@@ -295,6 +296,80 @@ def test_wreath_invariant_constant_in_stable_range():
         for i in range(0, 3):
             values = {n: wreath_invariant_dim(dims, n, i) for n in range(2 * i, 9)}
             assert len(set(values.values())) == 1, (dims, i, values)
+
+
+@pytest.mark.parametrize("dims", [
+    (1,), (1, 1), (1, 2), (1, 0, 1), (1, 3, 2), (1, 0, 3, 1),
+    (1, 2, 0, 0), (1, 0, 0, 2), (1, 1, 1, 1, 1), (1, 4, 0, 1, 0),
+])
+def test_wreath_series_matches_class_sum_average(dims):
+    # the graded-symmetric power series against the Kunneth character
+    # averaged over the p(n) classes, for i <= 4 and n <= 12 and graded
+    # dimensions with zero gaps, odd and even multiplicities above 1 and
+    # trailing zeros
+    for i in range(5):
+        series = wreath_invariant_series(dims, 12, i)
+        assert len(series) == 13
+        for n, value in enumerate(series):
+            assert value == wreath_twisted_dim(dims, (), n, i), (dims, n, i)
+            assert wreath_invariant_dim(dims, n, i) == value
+
+
+def _monomial_counts(dims, n, i_max):
+    """Basis monomials of the n-th graded-symmetric power by total degree:
+    multisets of n classes in which no odd-degree class repeats."""
+    letters = [(g, c) for g, d in enumerate(dims) for c in range(d)]
+    counts = [0] * (i_max + 1)
+    for word in itertools.combinations_with_replacement(letters, n):
+        odd = [letter for letter in word if letter[0] % 2]
+        degree = sum(letter[0] for letter in word)
+        if len(set(odd)) == len(odd) and degree <= i_max:
+            counts[degree] += 1
+    return counts
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (1, 0, 2), (1, 1, 1), (1, 0, 1, 1)])
+def test_wreath_series_counts_graded_symmetric_monomials(dims):
+    series = {i: wreath_invariant_series(dims, 60, i) for i in range(5)}
+    for n in range(61):
+        counts = _monomial_counts(dims, n, 4)
+        assert [series[i][n] for i in range(5)] == counts, (dims, n)
+
+
+def _fold_one_class_at_a_time(dims, n_max, i):
+    # one factor (1 + x t^g) per odd class, 1/(1 - x t^g) per even class
+    c = [[0] * (i + 1) for _ in range(n_max + 1)]
+    c[0][0] = 1
+    for g, d in enumerate(dims):
+        for _ in range(d):
+            sizes = range(n_max, 0, -1) if g % 2 else range(1, n_max + 1)
+            for s in sizes:
+                for t in range(g, i + 1):
+                    c[s][t] += c[s - 1][t - g]
+    return [row[i] for row in c]
+
+
+def test_wreath_series_binomial_fold_at_large_multiplicity():
+    dims = (1, 50, 0, 7)
+    for i in range(7):
+        assert wreath_invariant_series(dims, 20, i) == _fold_one_class_at_a_time(dims, 20, i)
+    # a million classes: exterior and symmetric squares and cubes
+    big = 10**6
+    assert wreath_invariant_series((1, big), 5, 3) == [0, 0, 0] + [comb(big, 3)] * 3
+    assert wreath_invariant_series((1, 0, big), 3, 4) == [0, 0, comb(big + 1, 2), comb(big + 1, 2)]
+
+
+def test_wreath_series_domain_errors():
+    # the graded dimensions are checked before n and i, with the messages
+    # of kunneth_power
+    for fn in (wreath_invariant_series, wreath_invariant_dim):
+        with pytest.raises(DomainError, match="must start with 1"):
+            fn((2, 1), -1, 1)
+        with pytest.raises(DomainError, match="must be nonnegative: "):
+            fn((1, -1), 3, 1)
+        for n, i in ((-1, 1), (3, -1)):
+            with pytest.raises(DomainError, match="^n and i must be nonnegative$"):
+                fn((1, 2), n, i)
 
 
 def test_wreath_twisted_multiplicities():
