@@ -14,10 +14,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import prod
+from operator import mul
 
 from . import bounds as bounds_mod
 from . import fi_analysis, induction, os_model
@@ -28,10 +30,12 @@ from .characters import (
     mn_character,
 )
 from .errors import ConsistencyError, DomainError
-from .partitions import parse_partition, partition_count
+from .fi_analysis import _monomial_count
+from .partitions import parse_partition, partition_counts
 
-MAX_N_ENV = "FISTAB_MAX_N"
-MAX_CLASSES = 10**4  # classes in one whole-character report
+# the most estimated work a request may take without --allow-large, in ns
+# of a 2-vCPU x86-64 host (see _admit)
+WORK_BUDGET = 3 * 10**9
 
 
 class UsageError(Exception):
@@ -157,6 +161,104 @@ def _graded_dims(text: str) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
+# the work budget
+#
+# Each subcommand whose work grows without bound estimates it before it
+# starts, from counts alone: no partition is enumerated to decide whether
+# to start.  An estimate is a sum of counts, each times the measured cost
+# of one of its units, in ns.  _PAIR_NS is one (class, shape) pair of the
+# Murnaghan-Nakayama loops, in a whole character or in a character table
+# together with one decomposition against it.
+_PAIR_NS = 1200
+_FIT_NS = 125  # one (row, monomial, pivot) step of a character-polynomial fit
+_SOLVE_NS = 80  # one (row, column, pivot) step of the fit-dimpoly solves
+_CYCLE_NS = 150  # one (class, cycle, degree, graded dimension) step of kunneth
+_AVERAGE_NS = 1000  # one (class of S_a, class of S_b) term of an S_b-average
+_STRIP_NS = 3000  # one horizontal strip (one constituent) of m-module
+_HOOK_NS = 3  # one of the (n + 1)^2 steps of a hook-length dimension on n boxes
+_FOLD_NS = 50  # one (cell, binomial weight) step of the wreath series
+_ENTRY_NS = 2000  # one reported value of a wreath scan
+
+
+def _seconds(ns: int) -> str:
+    return "more than 1000 s" if ns > 10**12 else f"about {ns / 10**9:.3g} s"
+
+
+def _admit(args, estimate, n: int = 0, alternative: str = "") -> None:
+    """Refuse the request with a DomainError when its estimated work is
+    over WORK_BUDGET, unless --allow-large is given.
+
+    p(0), ..., p(n) are counted first, and only up to the budget, so a
+    request on a huge S_n is refused before anything else is counted;
+    estimate(p) then turns the list of counts into nanoseconds.  A
+    negative n is refused by the computation itself.
+    """
+    if args.allow_large or n < 0:
+        return
+    p = partition_counts(n, cap=WORK_BUDGET)
+    if len(p) <= n:
+        why = f"S_{n} has more than {WORK_BUDGET} conjugacy classes"
+    else:
+        work = estimate(p)
+        if work <= WORK_BUDGET:
+            return
+        why = f"estimated work {_seconds(work)}"
+    raise DomainError(
+        f"{args.command}: {why}, over the work budget of {WORK_BUDGET / 10**9:g} s; "
+        f"pass {alternative}--allow-large to run it anyway"
+    )
+
+
+def _shapes_inside(lam) -> int:
+    """Number of partitions nu inside lam (nu_i <= lam_i), row by row."""
+    if not lam:
+        return 1
+    ends = [1] * (lam[0] + 1)  # ends[v]: choices of the rows so far, the last of length v
+    for row in lam[1:]:
+        ends = list(accumulate(reversed(ends)))[::-1][: row + 1]
+    return sum(ends)
+
+
+def _fit_work(rows: int, degree_bound: int) -> int:
+    # Gauss-Jordan elimination: a pivot per monomial, each clearing every
+    # row; a fit with more monomials than rows is refused before it starts
+    monomials = _monomial_count(degree_bound, cap=rows)
+    return 0 if monomials > rows else _FIT_NS * rows * monomials**2
+
+
+def _table_work(p, levels) -> int:
+    return _PAIR_NS * sum(p[n] ** 2 for n in levels)
+
+
+def _strips(lam, n: int) -> int:
+    """Number of horizontal strips of n - |lam| boxes on lam, or more: each
+    row below a longer one grows by at most the difference (the last row
+    is new), so exactly this many once the first row can take the rest."""
+    if n < sum(lam):
+        return 0
+    rows = (*lam, 0)
+    return prod(rows[i - 1] - rows[i] + 1 for i in range(1, len(rows)))
+
+
+def _strip_ns(n: int) -> int:
+    return _STRIP_NS + _HOOK_NS * (n + 1) ** 2
+
+
+def _series_work(dims, n_max: int, i: int) -> int:
+    # the series folds each degree g <= i with d_g > 0 into a table of
+    # min(n_max, i) + 1 rows by i + 1 columns, one binomial weight per class
+    # count j <= min(n_max, i // g) (and j <= d_g for odd g); then it
+    # reports n_max + 1 values
+    s_max = min(n_max, i)
+    weights = sum(
+        min(s_max, i // g, d if g % 2 else s_max) + 1
+        for g, d in enumerate(dims[1 : i + 1], 1)
+        if d
+    )
+    return _FOLD_NS * (s_max + 1) * (i + 1) * max(weights, 1) + _ENTRY_NS * (n_max + 1)
+
+
+# --------------------------------------------------------------------------
 # subcommand handlers
 
 
@@ -171,11 +273,9 @@ def cmd_character(args):
             "mu": list(mu),
             "value": mn_character(lam, mu),
         }
-    if partition_count(n, cap=MAX_CLASSES) > MAX_CLASSES:
-        raise DomainError(
-            f"S_{n} has more than {MAX_CLASSES} conjugacy classes; "
-            "pass --mu for a single character value"
-        )
+    _admit(
+        args, lambda p: _PAIR_NS * p[n] * _shapes_inside(lam), n, "--mu for a single value or "
+    )
     chi = irreducible_character(lam)
     return {"lam": list(lam), "n": n, "values": chi.to_mapping()}
 
@@ -183,6 +283,7 @@ def cmd_character(args):
 def cmd_decompose(args):
     payload = _load_json(args, "values")
     chi = ClassFunction.from_mapping(args.n, payload)
+    _admit(args, lambda p: _table_work(p, [args.n]), args.n)
     dec = decompose(chi)
     return {
         "n": args.n,
@@ -196,10 +297,15 @@ def cmd_m_module(args):
         raise DomainError("give exactly one of --lam or --regular")
     if args.lam is not None:
         lam = parse_partition(args.lam)
+        _admit(args, lambda p: _strips(lam, args.n) * _strip_ns(args.n))
         dec = induction.m_module(lam, args.n)
         head = {"lam": list(lam)}
     else:
-        dec = induction.m_regular(args.regular, args.n)
+        # sum over lam of m of the strips of lam: sum_{a+b=m} p(a) p(b) of them
+        # once n >= 2m (every lower row free), and fewer below
+        m = args.regular
+        _admit(args, lambda p: sum(map(mul, p, reversed(p))) * _strip_ns(args.n), m)
+        dec = induction.m_regular(m, args.n)
         head = {"m": args.regular}
     return {
         **head,
@@ -219,6 +325,8 @@ def cmd_stability_scan(args):
 def cmd_fit_charpoly(args):
     payload = _load_json(args, "entries")
     seq = fi_analysis.FISequence.characters_from_mapping(payload)
+    rows = sum(len(seq[n].values) for n in seq)
+    _admit(args, lambda p: _fit_work(rows, args.degree_bound))
     poly = fi_analysis.fit_char_polynomial(seq, args.degree_bound)
     return {
         "window": list(seq.window),
@@ -236,7 +344,11 @@ def cmd_fit_dimpoly(args):
     for v in dims.values():
         if type(v) is not int:  # JSON integers only: no floats, strings or true/false
             raise DomainError(f"dimension table must map integers to integers, got {v!r}")
-    poly = fi_analysis.fit_dim_polynomial(dims, args.degree_bound)
+    d = args.degree_bound
+    # one solve per candidate degree e <= d, (e + 1)^3 steps each; fewer than
+    # d + 2 points are refused before any
+    _admit(args, lambda p: 0 if len(dims) < d + 2 else _SOLVE_NS * ((d + 1) * (d + 2) // 2) ** 2)
+    poly = fi_analysis.fit_dim_polynomial(dims, d)
     return {
         "points": {str(n): dims[n] for n in sorted(dims)},
         "degree_bound": args.degree_bound,
@@ -290,29 +402,26 @@ def cmd_table1(args):
     return bounds_mod.table1_row(args.row, args.i).to_mapping()
 
 
-def _desk_cap(k: int) -> int:
-    env = os.environ.get(MAX_N_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise DomainError(f"{MAX_N_ENV} must be an integer, got {env!r}") from exc
-    return 10 if k <= 2 else 8
-
-
 def cmd_os_scan(args):
     k = args.k
     if k < 0 or args.a_max < 0:
         raise DomainError("--k and --a-max must be nonnegative")
     if args.n_min < 1 or args.n_max < args.n_min:
         raise DomainError("need 1 <= n-min <= n-max")
-    cap = _desk_cap(k)
-    if args.n_max > cap and not args.allow_large:
-        raise DomainError(
-            f"n-max {args.n_max} exceeds the desk-scale cap {cap} for k={k}; "
-            f"pass --allow-large or set {MAX_N_ENV} to override"
-        )
     window = range(args.n_min, args.n_max + 1)
+    a_top = min(args.a_max, args.n_max - 1)  # no coinvariant map starts at a >= n-max
+
+    def work(p):
+        # a table and a decomposition per level, the fit over every class of
+        # the window, and two S_b-averages per coinvariant map
+        total = _table_work(p, window)
+        if args.n_max > args.n_min:
+            total += _fit_work(sum(p[n] for n in window), 2 * k)
+        return total + 2 * _AVERAGE_NS * sum(
+            p[a] * p[n - a] for a in range(a_top + 1) for n in window if n >= a
+        )
+
+    _admit(args, work, args.n_max)
     decs = {n: os_model.decomposition(n, k) for n in window}
     payload = {
         "k": k,
@@ -330,7 +439,7 @@ def cmd_os_scan(args):
         except DomainError as exc:
             payload["character_polynomial"] = {"error": str(exc)}
     coinv = {}
-    for a in range(0, args.a_max + 1):
+    for a in range(0, a_top + 1):
         rows = {}
         for n in range(max(args.n_min, a), args.n_max):
             rows[str(n)] = os_model.coinvariant_report(n, a, k).to_mapping()
@@ -344,6 +453,7 @@ def cmd_wreath_scan(args):
     dims = _graded_dims(args.graded_dims)
     if args.n_min < 0 or args.n_max < args.n_min:
         raise DomainError("need 0 <= n-min <= n-max")
+    _admit(args, lambda p: _series_work(dims, args.n_max, args.i))
     series = induction.wreath_invariant_series(dims, args.n_max, args.i)
     values = {n: series[n] for n in range(args.n_min, args.n_max + 1)}
     start = max(args.n_min, 2 * args.i)
@@ -360,11 +470,20 @@ def cmd_wreath_scan(args):
 
 def cmd_kunneth(args):
     dims = _graded_dims(args.graded_dims)
-    chi = induction.kunneth_power(dims, args.n, args.i)
+    n, i = args.n, args.i
+
+    def work(p):
+        # per class, one polynomial product per cycle: at most i + 1 degrees
+        # times min(i + 1, len(dims)) graded dimensions
+        total = _CYCLE_NS * p[n] * n * (i + 1) * min(i + 1, len(dims))
+        return total + _table_work(p, [n]) if args.decompose else total
+
+    _admit(args, work, n)
+    chi = induction.kunneth_power(dims, n, i)
     payload = {
         "graded_dims": list(dims),
-        "n": args.n,
-        "i": args.i,
+        "n": n,
+        "i": i,
         "character": chi.to_mapping(),
     }
     if args.decompose:
@@ -390,18 +509,24 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--format", choices=("json", "text", "csv"), default="json", help="report format"
     )
+    large = _Parser(add_help=False)
+    large.add_argument(
+        "--allow-large",
+        action="store_true",
+        help=f"run past the work budget ({WORK_BUDGET / 10**9:g} s of estimated work)",
+    )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("character", parents=[common], help="irreducible character values")
+    p = sub.add_parser("character", parents=[common, large], help="irreducible character values")
     p.add_argument("--lam", required=True, help="shape, e.g. 3+2")
     p.add_argument("--mu", help="cycle type; omit for the whole class function")
 
-    p = sub.add_parser("decompose", parents=[common], help="decompose a class function")
+    p = sub.add_parser("decompose", parents=[common, large], help="decompose a class function")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--values", help="inline JSON {cycle type: value}")
     p.add_argument("--input", help="path to the JSON class function")
 
-    p = sub.add_parser("m-module", parents=[common], help="free-module level decomposition")
+    p = sub.add_parser("m-module", parents=[common, large], help="free-module level decomposition")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", help="inducing shape, e.g. 2+1")
     p.add_argument("--regular", type=int, help="induce from the full group algebra of S_m")
@@ -410,12 +535,12 @@ def build_parser() -> _Parser:
     p.add_argument("--entries", help="inline JSON sequence of decompositions")
     p.add_argument("--input", help="path to the JSON sequence")
 
-    p = sub.add_parser("fit-charpoly", parents=[common], help="fit a character polynomial")
+    p = sub.add_parser("fit-charpoly", parents=[common, large], help="fit a character polynomial")
     p.add_argument("--entries", help="inline JSON sequence of class functions")
     p.add_argument("--input", help="path to the JSON sequence")
     p.add_argument("--degree-bound", type=int, required=True)
 
-    p = sub.add_parser("fit-dimpoly", parents=[common], help="fit a dimension polynomial")
+    p = sub.add_parser("fit-dimpoly", parents=[common, large], help="fit a dimension polynomial")
     p.add_argument("--dims", help="inline JSON {n: dimension}")
     p.add_argument("--input", help="path to the JSON dimensions")
     p.add_argument("--degree-bound", type=int, required=True)
@@ -434,20 +559,19 @@ def build_parser() -> _Parser:
     p.add_argument("--row", required=True, choices=bounds_mod.TABLE1_ROWS)
     p.add_argument("--i", type=int, required=True)
 
-    p = sub.add_parser("os-scan", parents=[common], help="configuration-space model scan")
+    p = sub.add_parser("os-scan", parents=[common, large], help="configuration-space model scan")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a-max", type=int, default=3)
-    p.add_argument("--allow-large", action="store_true", help="ignore desk-scale caps")
 
-    p = sub.add_parser("wreath-scan", parents=[common], help="wreath-product Betti scan")
+    p = sub.add_parser("wreath-scan", parents=[common, large], help="wreath-product Betti scan")
     p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n-min", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
 
-    p = sub.add_parser("kunneth", parents=[common], help="graded tensor-power character")
+    p = sub.add_parser("kunneth", parents=[common, large], help="graded tensor-power character")
     p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, required=True)

@@ -18,6 +18,7 @@ from .partitions import (
     cycle_counts,
     format_partition,
     partition_count,
+    partition_counts,
     partitions,
 )
 
@@ -199,13 +200,9 @@ def _monomials(degree_bound: int) -> list[tuple[tuple[int, int], ...]]:
 
 def _monomial_count(degree_bound: int, cap: int) -> int:
     # one monomial per partition of each weighted degree d <= degree_bound;
-    # the sum stops at the first total above cap
-    total = 0
-    for d in range(degree_bound + 1):
-        total += partition_count(d, cap=cap)
-        if total > cap:
-            break
-    return total
+    # counting stops at the first p(d) > cap, so a result above cap is
+    # only a lower bound
+    return sum(partition_counts(degree_bound, cap=cap))
 
 
 def monomial_label(mono: tuple[tuple[int, int], ...]) -> str:
@@ -378,6 +375,8 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
     remaining point must then match exactly, so at least degree_bound + 2
     points are required to leave one held out at the top degree.
     """
+    if degree_bound < 0:
+        raise DomainError("degree bound must be nonnegative")
     points = sorted((int(n), int(v)) for n, v in dims.items())
     if len(points) < degree_bound + 2:
         raise DomainError(

@@ -67,20 +67,26 @@ def horizontal_strip_extensions(lam: Partition, n: int) -> list[Partition]:
     boxes = n - sum(lam)
     if boxes < 0:
         return []
+    # Row i >= 1 (the last one a new row, lam_l = 0) takes a length v with
+    # lam_{i-1} >= v >= lam_i, a choice only below a longer row; the first
+    # row takes the boxes left over, so every partial choice extends to a
+    # strip.  Loops, not a recursion, so thousands of rows are fine.
     rows = list(lam) + [0]
-    out: list[Partition] = []
-
-    def build(i, remaining, prefix):
-        if i == len(rows):
-            if remaining == 0:
-                out.append(tuple(p for p in prefix if p))
-            return
+    corners = [i for i in range(1, len(rows)) if rows[i - 1] > rows[i]]
+    partial = [((), boxes)]
+    for i in corners:
         lo = rows[i]
-        hi = min(rows[i - 1] if i > 0 else lo + remaining, lo + remaining)
-        for v in range(lo, hi + 1):
-            build(i + 1, remaining - (v - lo), prefix + [v])
-
-    build(0, boxes, [])
+        partial = [
+            (grown + (v,), left - (v - lo))
+            for grown, left in partial
+            for v in range(lo, min(rows[i - 1], lo + left) + 1)
+        ]
+    out = []
+    for grown, left in partial:
+        mu = [rows[0] + left, *rows[1:]]
+        for i, v in zip(corners, grown):
+            mu[i] = v
+        out.append(tuple(p for p in mu if p))
     return sorted(out)
 
 
@@ -101,12 +107,12 @@ def m_regular(m: int, n: int) -> IrrDecomposition:
     its total dimension is n!/(n-m)! once n >= m."""
     if m < 0 or n < 0:
         raise DomainError("m and n must be nonnegative")
-    out = IrrDecomposition(n, {})
+    mult: dict[Partition, int] = {}
     for lam in partitions(m):
         d = dimension(lam)
-        block = m_module(lam, n)
-        out = out + IrrDecomposition(n, {mu: d * c for mu, c in block.mult.items()})
-    return out
+        for mu in horizontal_strip_extensions(lam, n):
+            mult[mu] = mult.get(mu, 0) + d
+    return IrrDecomposition(n, mult)
 
 
 def coinvariants_as_sa(V: IrrDecomposition, a: int) -> IrrDecomposition:
@@ -196,10 +202,8 @@ def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:
         d = dims[g]
         if not d:
             continue
-        ways = [
-            comb(d, j) if g % 2 else comb(d + j - 1, j)
-            for j in range(min(s_max, i // g) + 1)
-        ]
+        top = min(s_max, i // g, d if g % 2 else s_max)  # C(d, j) = 0 for j > d
+        ways = [comb(d, j) if g % 2 else comb(d + j - 1, j) for j in range(top + 1)]
         folded = [[0] * (i + 1) for _ in range(s_max + 1)]
         for s, row in enumerate(c):
             for t, x in enumerate(row):

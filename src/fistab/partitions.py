@@ -64,18 +64,16 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(sorted(gen(n, n)))
 
 
-def partition_count(n: int, cap: int | None = None) -> int:
-    """p(n), the number of partitions of n (the number of conjugacy
-    classes of S_n), by Euler's pentagonal number recurrence
+def partition_counts(n: int, cap: int | None = None) -> list[int]:
+    """[p(0), p(1), ..., p(n)], the numbers of partitions (the numbers of
+    conjugacy classes of S_m), by Euler's pentagonal number recurrence
 
         p(m) = sum_{j >= 1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)).
 
-    With a cap, the recurrence stops at the first m <= n with p(m) > cap
-    and returns p(m); p is nondecreasing, so then p(n) > cap too.
+    With a cap, the list ends at the first m <= n with p(m) > cap; p is
+    nondecreasing, so every later count is above the cap too.
     """
-    if n < 0:
-        return 0
-    p = [1]
+    p = [1] if n >= 0 else []
     for m in range(1, n + 1):
         total, j = 0, 1
         while j * (3 * j - 1) // 2 <= m:
@@ -87,7 +85,13 @@ def partition_count(n: int, cap: int | None = None) -> int:
         p.append(total)
         if cap is not None and total > cap:
             break
-    return p[-1]
+    return p
+
+
+def partition_count(n: int, cap: int | None = None) -> int:
+    """p(n), or with a cap the first p(m) > cap for m <= n (then p(n) >
+    cap too); 0 for negative n."""
+    return partition_counts(n, cap)[-1] if n >= 0 else 0
 
 
 def cycle_counts(mu: Partition) -> dict[int, int]:

@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import fistab
-from fistab.cli import build_parser, main
+from fistab.cli import _shapes_inside, _strips, build_parser, main
+from fistab.induction import horizontal_strip_extensions
+from fistab.partitions import partition_counts, partitions
 
 
 def run(capsys, *argv):
@@ -141,12 +144,46 @@ def test_os_scan_small_window(capsys):
     assert payload["coinvariants"]["0"]["3"]["injective"] is True
 
 
-def test_os_scan_respects_desk_cap(capsys, monkeypatch):
-    code, _, err = run(capsys, "os-scan", "--n-min", "2", "--n-max", "11", "--k", "1")
-    assert code == 1 and "desk-scale cap" in err
-    monkeypatch.setenv("FISTAB_MAX_N", "11")
-    code, out, _ = run(capsys, "os-scan", "--n-min", "9", "--n-max", "11", "--k", "0")
-    assert code == 0
+def test_os_scan_respects_the_work_budget(capsys, monkeypatch):
+    # the fit of 272 monomials over the 371 classes of S_2..S_13 is
+    # estimated over the budget; --allow-large runs it
+    scan = ("os-scan", "--n-min", "2", "--n-max", "13", "--k", "6", "--a-max", "0")
+    monkeypatch.setenv("FISTAB_MAX_N", "100")  # no longer read
+    code, out, err = run(capsys, *scan)
+    assert code == 1 and not out and _one_line_error(err)
+    assert "work budget" in err and "--allow-large" in err
+    payload = run_json(capsys, *scan, "--allow-large")
+    assert payload["character_polynomial"]["weighted_degree"] == 12
+    monkeypatch.setenv("FISTAB_MAX_N", "1")
+    assert run(capsys, "os-scan", "--n-min", "9", "--n-max", "11", "--k", "0")[0] == 0
+
+
+def test_os_scan_a_max_past_the_window(capsys):
+    # no coinvariant map starts at a >= n-max: a huge --a-max costs nothing
+    scan = ("os-scan", "--n-min", "2", "--n-max", "4", "--k", "1", "--a-max")
+    assert run(capsys, *scan, "1000000000") == run(capsys, *scan, "3")
+
+
+def test_work_estimate_counts():
+    # the counts behind the work budget, against enumeration
+    for n in range(0, 9):
+        for lam in partitions(n):
+            inside = sum(
+                1 for k in range(n + 1) for nu in partitions(k)
+                if len(nu) <= len(lam) and all(a <= b for a, b in zip(nu, lam))
+            )
+            assert _shapes_inside(lam) == inside, lam
+            for level in range(n - 1, 2 * n + 2):
+                strips = len(horizontal_strip_extensions(lam, level))
+                # exact once the first row can take every box left over
+                if level - n >= (lam[0] if lam else 0):
+                    assert _strips(lam, level) == strips, (lam, level)
+                else:
+                    assert _strips(lam, level) >= strips, (lam, level)
+    for m in range(0, 9):
+        p = partition_counts(m)
+        every = sum(len(horizontal_strip_extensions(lam, 2 * m)) for lam in partitions(m))
+        assert sum(a * b for a, b in zip(p, reversed(p))) == every, m
 
 
 def test_os_scan_degree_three(capsys):
@@ -154,8 +191,8 @@ def test_os_scan_degree_three(capsys):
         capsys, "os-scan", "--n-min", "4", "--n-max", "6", "--k", "3", "--a-max", "0"
     )
     assert payload["betti"] == {"4": 6, "5": 50, "6": 225}
-    code, _, err = run(capsys, "os-scan", "--n-min", "4", "--n-max", "9", "--k", "3")
-    assert code == 1 and "desk-scale cap" in err
+    code, _, err = run(capsys, "os-scan", "--n-min", "4", "--n-max", "30", "--k", "3")
+    assert code == 1 and "work budget" in err
 
 
 def test_wreath_scan(capsys):
@@ -215,6 +252,9 @@ def test_bad_user_input_exits_1(capsys):
     dims = '{"2": 2.9, "3": "3", "4": 4}'  # read as 2 and 3, a line would fit
     code, out, err = run(capsys, "fit-dimpoly", "--dims", dims, "--degree-bound", "1")
     assert code == 1 and not out and _one_line_error(err)
+    dims = '{"2": 1, "3": 2, "4": 3}'
+    code, out, err = run(capsys, "fit-dimpoly", "--dims", dims, "--degree-bound", "-5")
+    assert code == 1 and not out and "degree bound must be nonnegative" in err
     code, _, err = run(capsys, "kunneth", "--graded-dims", "1,x", "--n", "2", "--i", "1")
     assert code == 1
 
@@ -311,16 +351,43 @@ def test_bounds_flags_of_another_mode_are_usage_errors(capsys):
 
 
 def test_whole_character_of_a_huge_group_is_refused_quickly():
-    # p(100) is about 1.9e8 classes: the report is refused before any is
-    # enumerated, in a fresh interpreter so that a hang fails the test
+    # p(100) is about 1.9e8 classes and 6+5+5+4+4+3+3+2 has 1692 shapes
+    # inside it, each evaluated on the 8349 classes of S_32: the report is
+    # refused before any class is enumerated, in a fresh interpreter so
+    # that a hang fails the test
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
-    for lam in ("100", "33", "10000000+1"):
+    for lam in ("100", "6+5+5+4+4+3+3+2", "10000000+1"):
         proc = subprocess.run(
             [sys.executable, "-m", "fistab.cli", "character", "--lam", lam],
             capture_output=True, text=True, env=env, timeout=10,
         )
         assert proc.returncode == 1 and not proc.stdout, lam
         assert _one_line_error(proc.stderr) and "--mu" in proc.stderr
+
+
+def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
+    # each of these ran for more than 10 s, or never returned, before the
+    # work budget; each is refused in a fresh interpreter within 1 s
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    dims = tmp_path / "dims.json"
+    dims.write_text(json.dumps({str(n): factorial(n) for n in range(120)}))
+    for argv in (
+        "kunneth --graded-dims 1,2 --n 40 --i 3 --decompose",
+        "wreath-scan --graded-dims 1,2 --i 2 --n-max 10000000",
+        "m-module --regular 40 --n 80",
+        "os-scan --n-min 2 --n-max 30 --k 3",
+        f"fit-dimpoly --input {dims} --degree-bound 118",
+        "character --lam 6+5+5+4+4+3+3+2",
+    ):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "fistab.cli", *argv.split()],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 1 and not proc.stdout, argv
+        assert _one_line_error(proc.stderr) and "--allow-large" in proc.stderr, argv
+        assert elapsed < 1.0, (argv, elapsed)
 
 
 def test_unfittable_character_polynomial_is_refused_quickly():

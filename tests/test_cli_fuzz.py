@@ -4,7 +4,10 @@ and input files.
 Whatever it is given, `main` must return 0, 1, 2 or 64, let no exception
 escape, print no traceback, and write its `--out` reports only where it
 is told to (here: inside the test's temporary directory, which is also
-the working directory).  Integers stay <= 6, so no request is large.
+the working directory).  Integers reach 10^6, so many requests are over
+the work budget and must be refused at once; a request that passes
+--allow-large (on the command line or in its config file) keeps them
+<= 6, so that it stays small.
 """
 
 import io
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 from fistab.bounds import TABLE1_ROWS
 from fistab.cli import main
 
-INTEGERS = st.one_of(st.integers(0, 6), st.integers(1, 4), st.integers(-2, 6)).map(str)
+SMALL_INTEGERS = st.one_of(st.integers(0, 6), st.integers(1, 4), st.integers(-2, 6)).map(str)
+WIDE_INTEGERS = st.one_of(SMALL_INTEGERS, st.integers(7, 10**6).map(str))
 PARTITIONS = st.sampled_from(
     ("1", "2", "3", "2+1", "1+1+1", "3+1", "2+2", "", "+", "0", "-1", "2+x", "1+2", "3++1", "1.5")
 )
@@ -56,85 +60,87 @@ PATHS = st.one_of(
     st.sampled_from(("missing/report.txt", ".")),
 )
 
+INTEGER_FLAGS = (
+    "--n", "--regular", "--degree-bound", "--i", "--page", "--p", "--q",
+    "--degenerates-at", "--n-min", "--n-max", "--k", "--a-max",
+)
 FLAG_VALUES = {
     "--format": st.sampled_from(("json", "text", "csv", "xml")),
     "--lam": PARTITIONS,
     "--mu": PARTITIONS,
-    "--n": INTEGERS,
-    "--regular": INTEGERS,
     "--values": JSON_TEXT,
     "--entries": JSON_TEXT,
     "--dims": JSON_TEXT,
-    "--degree-bound": INTEGERS,
     "--alpha": FRACTIONS,
     "--beta": FRACTIONS,
-    "--i": INTEGERS,
-    "--page": INTEGERS,
-    "--p": INTEGERS,
-    "--q": INTEGERS,
-    "--degenerates-at": INTEGERS,
     "--row": st.sampled_from(TABLE1_ROWS + ("nope",)),
-    "--n-min": INTEGERS,
-    "--n-max": INTEGERS,
-    "--k": INTEGERS,
-    "--a-max": INTEGERS,
     "--graded-dims": GRADED_DIMS,
     "--out": PATHS,
     "--input": PATHS,
     "--config": PATHS,
 }
-SWITCHES = ("--fisharp", "--allow-large", "--decompose")
+LARGE = "--allow-large"
+SWITCHES = ("--fisharp", LARGE, "--decompose")
 # subcommand -> (required flags, optional groups of flags given together);
 # switches take no value
 FLAGS = {
-    "character": (("--lam",), (("--mu",),)),
-    "decompose": (("--n",), (("--values",), ("--input",))),
-    "m-module": (("--n",), (("--lam",), ("--regular",))),
+    "character": (("--lam",), (("--mu",), (LARGE,))),
+    "decompose": (("--n",), (("--values",), ("--input",), (LARGE,))),
+    "m-module": (("--n",), (("--lam",), ("--regular",), (LARGE,))),
     "stability-scan": ((), (("--entries",), ("--input",))),
-    "fit-charpoly": (("--degree-bound",), (("--entries",), ("--input",))),
-    "fit-dimpoly": (("--degree-bound",), (("--dims",), ("--input",))),
+    "fit-charpoly": (("--degree-bound",), (("--entries",), ("--input",), (LARGE,))),
+    "fit-dimpoly": (("--degree-bound",), (("--dims",), ("--input",), (LARGE,))),
     "bounds": (("--alpha", "--beta", "--i"),
                (("--page", "--p", "--q"), ("--fisharp",), ("--degenerates-at",))),
     "table1": (("--row", "--i"), ()),
-    "os-scan": (("--n-min", "--n-max", "--k"), (("--a-max",), ("--allow-large",))),
-    "wreath-scan": (("--graded-dims", "--i", "--n-max"), (("--n-min",),)),
-    "kunneth": (("--graded-dims", "--n", "--i"), (("--decompose",),)),
+    "os-scan": (("--n-min", "--n-max", "--k"), (("--a-max",), (LARGE,))),
+    "wreath-scan": (("--graded-dims", "--i", "--n-max"), (("--n-min",), (LARGE,))),
+    "kunneth": (("--graded-dims", "--n", "--i"), (("--decompose",), (LARGE,))),
 }
 SUBCOMMANDS = tuple(FLAGS)
 COMMON = ("--out", "--format", "--config")
-ANY_TOKEN = st.one_of(
-    st.sampled_from(SUBCOMMANDS + tuple(FLAG_VALUES) + SWITCHES + ("--help", "--")),
-    INTEGERS, PARTITIONS, FRACTIONS, JSON_TEXT, PATHS,
-)
 
 
 @st.composite
-def argvs(draw):
-    """Mostly well-formed requests: a subcommand, most of its required
-    flags, some optional ones, values of roughly the right kind; now and
-    then a value of the wrong kind or a stray token."""
+def requests(draw):
+    """(argv, config lines).  Mostly well-formed requests: a subcommand,
+    most of its required flags, some optional ones, values of roughly the
+    right kind; now and then a value of the wrong kind or a stray token.
+    One request in four may pass --allow-large and draws integers <= 6;
+    the others never pass it and draw integers up to 10^6."""
+    large = draw(st.integers(0, 3)) == 0
+    integers = SMALL_INTEGERS if large else WIDE_INTEGERS
+    switches = SWITCHES if large else tuple(s for s in SWITCHES if s != LARGE)
+    values = {**FLAG_VALUES, **dict.fromkeys(INTEGER_FLAGS, integers)}
+    any_token = st.one_of(
+        st.sampled_from(SUBCOMMANDS + tuple(values) + switches + ("--help", "--")),
+        integers, PARTITIONS, FRACTIONS, JSON_TEXT, PATHS,
+    )
     command = draw(st.sampled_from(SUBCOMMANDS))
     required, optional = FLAGS[command]
     flags = [f for f in required if draw(st.integers(0, 9))]
-    flags += [f for group in optional if draw(st.integers(0, 2)) == 0 for f in group]
+    flags += [
+        f for group in optional
+        if (large or LARGE not in group) and draw(st.integers(0, 2)) == 0
+        for f in group
+    ]
     flags += [f for f in COMMON if draw(st.integers(0, 5)) == 0]
     flags = draw(st.permutations(flags))
     argv = [command]
     for flag in flags:
         argv.append(flag)
         if flag not in SWITCHES:
-            argv.append(draw(ANY_TOKEN if draw(st.integers(0, 19)) == 0 else FLAG_VALUES[flag]))
+            argv.append(draw(any_token if draw(st.integers(0, 19)) == 0 else values[flag]))
     if draw(st.integers(0, 4)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(ANY_TOKEN))
-    return argv
-
-
-CONFIG_LINES = st.one_of(
-    st.tuples(st.sampled_from([f[2:] for f in (*FLAG_VALUES, *SWITCHES)]),
-              st.one_of(INTEGERS, PARTITIONS, FRACTIONS, st.sampled_from(("true", "false", ""))))
-    .map("=".join),
-    st.sampled_from(("# comment", "", "no equals sign", "=1", "out=report.txt")),
-)
+        argv.insert(draw(st.integers(0, len(argv))), draw(any_token))
+    config_lines = st.one_of(
+        st.tuples(st.sampled_from([f[2:] for f in (*values, *switches)]),
+                  st.one_of(integers, PARTITIONS, FRACTIONS,
+                            st.sampled_from(("true", "false", ""))))
+        .map("=".join),
+        st.sampled_from(("# comment", "", "no equals sign", "=1", "out=report.txt")),
+    )
+    return argv, draw(st.lists(config_lines, max_size=4))
 
 
 def _listing(path):
@@ -163,9 +169,9 @@ def test_main_survives_random_requests(tmp_path, monkeypatch):
         max_examples=300, deadline=2000, derandomize=True, database=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
     )
-    @given(argv=argvs(), config=st.lists(CONFIG_LINES, max_size=4), input_json=JSON_TEXT)
-    def fuzz(argv, config, input_json):
-        check_main(argv, config, input_json, work)
+    @given(request=requests(), input_json=JSON_TEXT)
+    def fuzz(request, input_json):
+        check_main(*request, input_json, work)
 
     fuzz()
     assert {p: _listing(p) for p in outside} == outside

@@ -118,6 +118,23 @@ def test_horizontal_strip_extensions():
     assert horizontal_strip_extensions((2,), 4) == [(2, 2), (3, 1), (4,)]
     assert horizontal_strip_extensions((2, 1), 3) == [(2, 1)]
     assert horizontal_strip_extensions((3,), 2) == []
+    # against the interlacing condition, checked on every partition of n
+    for n in range(0, 9):
+        for lam in (lam for k in range(n + 1) for lam in partitions(k)):
+            want = [mu for mu in partitions(n) if _interlaces(mu, lam)]
+            assert horizontal_strip_extensions(lam, n) == want, (lam, n)
+    # a column of 3000 boxes: no recursion through its rows
+    column = horizontal_strip_extensions((1,) * 3000, 3001)
+    assert column == [(1,) * 3001, (2,) + (1,) * 2999]
+
+
+def _interlaces(mu, lam):
+    # mu_1 >= lam_1 >= mu_2 >= lam_2 >= ..., both padded with zeros
+    size = len(lam) + 1
+    mu, lam = mu + (0,) * (size - len(mu)), lam + (0,) * (size - len(lam))
+    return len(mu) == size and all(
+        mu[i] >= lam[i] and (i + 1 == size or lam[i] >= mu[i + 1]) for i in range(size)
+    )
 
 
 def test_m_module_examples():

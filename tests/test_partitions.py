@@ -16,6 +16,7 @@ from fistab.partitions import (
     format_partition,
     parse_partition,
     partition_count,
+    partition_counts,
     partitions,
 )
 
@@ -51,6 +52,9 @@ def test_partition_count_by_pentagonal_recurrence():
     # a cap stops at the first count above it
     assert partition_count(10**12, cap=10**4) == 10143
     assert partition_count(32, cap=10**4) == 8349
+    assert partition_counts(25) == [len(partitions(n)) for n in range(26)]
+    assert partition_counts(-1) == []
+    assert partition_counts(10**12, cap=10) == [1, 1, 2, 3, 5, 7, 11]
 
 
 def test_partitions_are_sorted_lexicographically():
