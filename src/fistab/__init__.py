@@ -47,6 +47,7 @@ from .fi_analysis import (
 from .induction import (
     coinvariants_as_sa,
     induced_character,
+    kunneth_decomposition,
     kunneth_power,
     m_module,
     m_regular,

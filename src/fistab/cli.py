@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import prod
+from math import comb, perm, prod
 from operator import mul
 
 from . import bounds as bounds_mod
@@ -31,7 +31,7 @@ from .characters import (
 )
 from .errors import ConsistencyError, DomainError
 from .fi_analysis import _monomial_count
-from .partitions import parse_partition, partition_counts
+from .partitions import dimension, parse_partition, partition_counts
 
 # the most estimated work a request may take without --allow-large, in ns
 # of a 2-vCPU x86-64 host (see _admit)
@@ -172,10 +172,10 @@ def _graded_dims(text: str) -> tuple[int, ...]:
 _PAIR_NS = 1200
 _FIT_NS = 125  # one (row, monomial, pivot) step of a character-polynomial fit
 _SOLVE_NS = 80  # one (row, column, pivot) step of the fit-dimpoly solves
-_CYCLE_NS = 150  # one (class, cycle, degree, graded dimension) step of kunneth
+_CYCLE_NS = 150  # one (class, cycle, stored degree, graded dimension) step of kunneth
 _AVERAGE_NS = 1000  # one (class of S_a, class of S_b) term of an S_b-average
-_STRIP_NS = 3000  # one horizontal strip (one constituent) of m-module
-_HOOK_NS = 3  # one of the (n + 1)^2 steps of a hook-length dimension on n boxes
+_STRIP_NS = 3000  # one horizontal strip (one constituent) of a Pieri sum
+_ROW_NS = 500  # one row of lam per strip of m-module --lam
 _FOLD_NS = 50  # one (cell, binomial weight) step of the wreath series
 _ENTRY_NS = 2000  # one reported value of a wreath scan
 
@@ -240,8 +240,11 @@ def _strips(lam, n: int) -> int:
     return prod(rows[i - 1] - rows[i] + 1 for i in range(1, len(rows)))
 
 
-def _strip_ns(n: int) -> int:
-    return _STRIP_NS + _HOOK_NS * (n + 1) ** 2
+def _strip_pairs(p, m: int) -> int:
+    """Pairs (lam of m, horizontal strip on lam) at any level: the strips
+    of one lam grow with the level up to their number at level 2m, and
+    over all lam of m those number sum_{a+b=m} p(a) p(b)."""
+    return sum(map(mul, p[: m + 1], reversed(p[: m + 1])))
 
 
 def _series_work(dims, n_max: int, i: int) -> int:
@@ -297,21 +300,21 @@ def cmd_m_module(args):
         raise DomainError("give exactly one of --lam or --regular")
     if args.lam is not None:
         lam = parse_partition(args.lam)
-        _admit(args, lambda p: _strips(lam, args.n) * _strip_ns(args.n))
+        _admit(args, lambda p: _strips(lam, args.n) * (_STRIP_NS + _ROW_NS * len(lam)))
         dec = induction.m_module(lam, args.n)
         head = {"lam": list(lam)}
+        dim = comb(args.n, sum(lam)) * dimension(lam)
     else:
-        # sum over lam of m of the strips of lam: sum_{a+b=m} p(a) p(b) of them
-        # once n >= 2m (every lower row free), and fewer below
         m = args.regular
-        _admit(args, lambda p: sum(map(mul, p, reversed(p))) * _strip_ns(args.n), m)
+        _admit(args, lambda p: _STRIP_NS * _strip_pairs(p, m), m)
         dec = induction.m_regular(m, args.n)
         head = {"m": args.regular}
+        dim = perm(args.n, m)
     return {
         **head,
         "n": args.n,
         "decomposition": dec.to_mapping(),
-        "dimension": dec.dimension(),
+        "dimension": dim,
     }
 
 
@@ -472,11 +475,24 @@ def cmd_kunneth(args):
     dims = _graded_dims(args.graded_dims)
     n, i = args.n, args.i
 
+    # the nonzero graded dimensions up to degree i: after j cycles the
+    # trace polynomial of a class stores at most min(i + 1, terms^j) degrees
+    terms = sum(1 for d in dims[: i + 1] if d)
+
+    def traces(p, m):
+        # the trace polynomial of each cycle length, then per class of S_m
+        # one sparse polynomial product per cycle
+        return _CYCLE_NS * m * (min(len(dims), i + 1) + p[m] * min(i + 1, terms**m) * terms)
+
     def work(p):
-        # per class, one polynomial product per cycle: at most i + 1 degrees
-        # times min(i + 1, len(dims)) graded dimensions
-        total = _CYCLE_NS * p[n] * n * (i + 1) * min(i + 1, len(dims))
-        return total + _table_work(p, [n]) if args.decompose else total
+        if not args.decompose:
+            return traces(p, n)
+        # the degree-i part of V_+^m for each m <= min(n, i): its traces,
+        # the table of S_m, and the Pieri strips of its constituents
+        small = range(min(n, i) + 1)
+        return traces(p, n) + _table_work(p, small) + sum(
+            traces(p, m) + _STRIP_NS * _strip_pairs(p, m) for m in small
+        )
 
     _admit(args, work, n)
     chi = induction.kunneth_power(dims, n, i)
@@ -487,7 +503,7 @@ def cmd_kunneth(args):
         "character": chi.to_mapping(),
     }
     if args.decompose:
-        payload["decomposition"] = decompose(chi).to_mapping()
+        payload["decomposition"] = induction.kunneth_decomposition(dims, n, i).to_mapping()
     return payload
 
 

@@ -15,6 +15,18 @@ g-th Betti number their dimensions are the coefficients of x^n t^i in
 That series gives wreath_invariant_dim for every n at once; the
 class-sum route through kunneth_power stays for the twisted
 multiplicities of wreath_twisted_dim.
+
+The irreducible decomposition of the tensor power needs no character
+table of S_n either.  Splitting V = 1 + V_+ into degree 0 and positive
+degrees, a pure tensor of V^(x)n is a choice of the m factors that lie in
+V_+, so degree i of V^(x)n is a sum of free modules
+
+    sum_{m <= min(n, i)} Ind_{S_m x S_{n-m}}^{S_n} (W_m (x) 1) = sum M(W_m)_n
+
+with W_m the degree-i part of V_+^(x)m, Koszul signs included (Church,
+Ellenberg and Farb, *FI-modules and stability for representations of
+symmetric groups*, 2015).  kunneth_decomposition decomposes each W_m
+over S_m and induces by the Pieri rule, as m_module does.
 """
 
 from __future__ import annotations
@@ -126,30 +138,40 @@ def coinvariants_as_sa(V: IrrDecomposition, a: int) -> IrrDecomposition:
     return decompose(restrict_and_average(V.character(), a))
 
 
-def _cycle_trace_coeffs(graded_dims, length: int, cap: int) -> list[int]:
-    # Trace of one length-l cycle on the l-fold graded tensor rotation, as
-    # a polynomial in the total degree: a degree-g class contributes
-    # (-1)**(g*(l-1)) dim H^g in degree g*l.  Odd-degree classes rotated
-    # by an even-length cycle pick up the sign.
-    coeffs = [0] * (cap + 1)
-    for g, d in enumerate(graded_dims):
-        deg = g * length
-        if deg > cap:
-            break
-        sign = -1 if (g % 2 == 1 and length % 2 == 0) else 1
-        coeffs[deg] += sign * d
-    return coeffs
-
-
-def _poly_mul(p: list[int], q: list[int], cap: int) -> list[int]:
-    out = [0] * (cap + 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                if i + j > cap:
-                    break
-                out[i + j] += x * y
+def _poly_mul(p: dict[int, int], q: dict[int, int], cap: int) -> dict[int, int]:
+    """Product of two sparse polynomials {degree: coefficient} up to degree
+    cap.  Only the terms stored in either factor are visited; q must list
+    its degrees in increasing order."""
+    out: dict[int, int] = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            if a + b > cap:
+                break
+            out[a + b] = out.get(a + b, 0) + x * y
     return out
+
+
+def _class_traces(dims, n: int, i: int) -> dict[Partition, int]:
+    # The trace at each cycle type of S_n on total degree i of the n-fold
+    # graded tensor power factors over the cycles.  A length-l cycle
+    # rotates l tensor factors; a degree-g class contributes
+    # (-1)**(g*(l-1)) d_g in degree g*l, so odd-degree classes rotated by
+    # an even-length cycle pick up the sign.
+    cycle = {
+        length: {
+            g * length: -d if g % 2 and not length % 2 else d
+            for g, d in enumerate(dims[: i // length + 1])
+            if d
+        }
+        for length in range(1, n + 1)
+    }
+    values = {}
+    for mu in partitions(n):
+        poly = {0: 1}
+        for length in mu:
+            poly = _poly_mul(poly, cycle[length], i)
+        values[mu] = poly.get(i, 0)
+    return values
 
 
 def _check_graded_dims(graded_dims) -> tuple[int, ...]:
@@ -167,22 +189,36 @@ def kunneth_power(graded_dims, n: int, i: int) -> ClassFunction:
     """Character of S_n on total degree i of the n-fold graded tensor
     power of a space with the given Betti numbers.
 
-    The trace at a permutation factors over its cycles; each cycle of
-    length l contributes the signed trace polynomial from
-    _cycle_trace_coeffs.  The sign rule was frozen against a basis-level
+    The trace at a permutation is a product over its cycles (see
+    _class_traces).  The sign rule was frozen against a basis-level
     brute force with explicit Koszul signs (see the test suite) and is the
     convention used throughout this package.
     """
     dims = _check_graded_dims(graded_dims)
     if n < 0 or i < 0:
         raise DomainError("n and i must be nonnegative")
-    values = {}
-    for mu in partitions(n):
-        poly = [1] + [0] * i
-        for length in mu:
-            poly = _poly_mul(poly, _cycle_trace_coeffs(dims, length, i), i)
-        values[mu] = poly[i]
-    return ClassFunction(n, values)
+    return ClassFunction(n, _class_traces(dims, n, i))
+
+
+def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
+    """Irreducible decomposition of total degree i of the n-fold graded
+    tensor power: the free modules M(W_m) of the module docstring, each
+    W_m decomposed over S_m and induced up to S_n by the Pieri rule.
+    Equal to decompose(kunneth_power(graded_dims, n, i)), its test
+    oracle, without the character table of S_n."""
+    dims = _check_graded_dims(graded_dims)
+    if n < 0 or i < 0:
+        raise DomainError("n and i must be nonnegative")
+    positive = (0, *dims[1:])
+    mult: dict[Partition, int] = {}
+    for m in range(min(n, i) + 1):
+        w = _class_traces(positive, m, i)
+        if not w[(1,) * m]:
+            continue
+        for rho, c in decompose(ClassFunction(m, w)).mult.items():
+            for lam in horizontal_strip_extensions(rho, n):
+                mult[lam] = mult.get(lam, 0) + c
+    return IrrDecomposition(n, mult)
 
 
 def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:

@@ -204,17 +204,14 @@ def _graded_trace(mu: Partition) -> tuple[int, ...]:
         sum_k chi_k(g) (-t)^k
             = prod_r prod_{j < m_r} (sum_{d | r} mu(d) t^(r - r/d) - j r t^r).
     """
-    series = [1]
+    n = sum(mu)
+    series = {0: 1}
     for r, m in cycle_counts(mu).items():
-        base = [0] * (r + 1)
-        for d in range(1, r + 1):
-            if r % d == 0:
-                base[r - r // d] += _mobius(d)
+        # one term per divisor d of r, in rising degree r - r/d < r
+        base = {r - r // d: _mobius(d) for d in range(1, r + 1) if r % d == 0}
         for j in range(m):
-            factor = list(base)
-            factor[r] -= j * r
-            series = _poly_mul(series, factor, len(series) - 1 + r)
-    return tuple(-c if k % 2 else c for k, c in enumerate(series))
+            series = _poly_mul(series, {**base, r: -j * r} if j else base, n)
+    return tuple(-series.get(k, 0) if k % 2 else series.get(k, 0) for k in range(n + 1))
 
 
 def _trace_in_degree(mu: Partition, k: int) -> int:

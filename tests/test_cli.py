@@ -9,9 +9,9 @@ from math import comb, factorial
 from pathlib import Path
 
 import fistab
-from fistab.cli import _shapes_inside, _strips, build_parser, main
+from fistab.cli import _shapes_inside, _strip_pairs, _strips, build_parser, main
 from fistab.induction import horizontal_strip_extensions
-from fistab.partitions import partition_counts, partitions
+from fistab.partitions import dimension, parse_partition, partition_counts, partitions
 
 
 def run(capsys, *argv):
@@ -87,6 +87,22 @@ def test_m_module(capsys):
     assert payload["decomposition"] == {"2+2": 1, "3+1": 1, "4": 1}
     payload = run_json(capsys, "m-module", "--regular", "2", "--n", "3")
     assert payload["dimension"] == 6
+
+
+def test_m_module_dimension_is_the_sum_over_constituents(capsys):
+    # the reported closed forms C(n, |lam|) dim(lam) and n!/(n-m)!
+    def summed(payload):
+        dec = payload["decomposition"]
+        return sum(m * dimension(parse_partition(lam)) for lam, m in dec.items())
+
+    for n in range(0, 9):
+        for size in range(0, 6):
+            for lam in partitions(size):
+                flag = "+".join(map(str, lam)) or "()"
+                payload = run_json(capsys, "m-module", "--lam", flag, "--n", str(n))
+                assert payload["dimension"] == summed(payload), (lam, n)
+            payload = run_json(capsys, "m-module", "--regular", str(size), "--n", str(n))
+            assert payload["dimension"] == summed(payload), (size, n)
 
 
 def test_m_module_flag_exclusivity(capsys):
@@ -181,9 +197,13 @@ def test_work_estimate_counts():
                 else:
                     assert _strips(lam, level) >= strips, (lam, level)
     for m in range(0, 9):
-        p = partition_counts(m)
-        every = sum(len(horizontal_strip_extensions(lam, 2 * m)) for lam in partitions(m))
-        assert sum(a * b for a, b in zip(p, reversed(p))) == every, m
+        p = partition_counts(m + 3)  # longer than needed, as in kunneth
+        for level in range(m, 2 * m + 1):
+            every = sum(len(horizontal_strip_extensions(lam, level)) for lam in partitions(m))
+            if level == 2 * m:
+                assert _strip_pairs(p, m) == every, m
+            else:
+                assert _strip_pairs(p, m) >= every, (m, level)
 
 
 def test_os_scan_degree_three(capsys):
@@ -372,7 +392,7 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
     dims = tmp_path / "dims.json"
     dims.write_text(json.dumps({str(n): factorial(n) for n in range(120)}))
     for argv in (
-        "kunneth --graded-dims 1,2 --n 40 --i 3 --decompose",
+        "kunneth --graded-dims 1,2 --n 60 --i 3 --decompose",
         "wreath-scan --graded-dims 1,2 --i 2 --n-max 10000000",
         "m-module --regular 40 --n 80",
         "os-scan --n-min 2 --n-max 30 --k 3",
@@ -388,6 +408,20 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
         assert proc.returncode == 1 and not proc.stdout, argv
         assert _one_line_error(proc.stderr) and "--allow-large" in proc.stderr, argv
         assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_kunneth_decomposition_without_the_table_of_s_n_is_admitted():
+    # refused before the free-module route: p(40)^2 = 1.4e9 MN pairs
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fistab.cli", "kunneth", "--graded-dims", "1,2",
+         "--n", "40", "--i", "3", "--decompose"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0 and not proc.stderr
+    report = json.loads(proc.stdout)
+    dim = sum(m * dimension(parse_partition(lam)) for lam, m in report["decomposition"].items())
+    assert dim == report["character"]["+".join(["1"] * 40)] == 2**3 * comb(40, 3)
 
 
 def test_unfittable_character_polynomial_is_refused_quickly():

@@ -26,6 +26,7 @@ from fistab.induction import (
     coinvariants_as_sa,
     horizontal_strip_extensions,
     induced_character,
+    kunneth_decomposition,
     kunneth_power,
     m_module,
     m_regular,
@@ -293,11 +294,27 @@ def test_kunneth_identity_counts_compositions():
             assert kunneth_power(dims, n, i).dimension() == count
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [(1,), (1, 1), (1, 2), (1, 0, 1), (1, 0, 3), (1, 1, 1), (1, 3, 0, 2),
+     (1, 0, 0, 1), (1, 2, 1, 2, 1), (1, 1, 0, 0, 2)],
+)
+def test_kunneth_decomposition_matches_decomposed_character(dims):
+    # free modules induced from S_m by Pieri against the S_n character
+    # table, including i >= n, zero entries, odd and even degrees
+    for n in range(0, 10):
+        for i in range(0, 7):
+            oracle = decompose(kunneth_power(dims, n, i))
+            assert kunneth_decomposition(dims, n, i) == oracle, (dims, n, i)
+
+
 def test_kunneth_rejects_disconnected_input():
-    with pytest.raises(DomainError):
-        kunneth_power((2, 1), 3, 1)
-    with pytest.raises(DomainError):
-        kunneth_power((), 3, 1)
+    for f in (kunneth_power, kunneth_decomposition):
+        for dims, n, i in (
+            ((2, 1), 3, 1), ((), 3, 1), ((1, -1), 3, 1), ((1,), -1, 0), ((1,), 2, -1),
+        ):
+            with pytest.raises(DomainError):
+                f(dims, n, i)
 
 
 def test_wreath_invariant_examples():
