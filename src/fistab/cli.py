@@ -121,7 +121,16 @@ def render(payload, fmt: str) -> str:
 
 
 def _emit(payload, args) -> None:
-    report = render(payload, args.format)
+    # a reported integer may have any number of digits; the interpreter's
+    # cap on int-to-str conversion (CPython 3.10.7+) is meant for parsed input
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        report = render(payload, args.format)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report)
@@ -176,6 +185,7 @@ _CYCLE_NS = 150  # one (class, cycle, stored degree, graded dimension) step of k
 _AVERAGE_NS = 1000  # one (class of S_a, class of S_b) term of an S_b-average
 _STRIP_NS = 3000  # one horizontal strip (one constituent) of a Pieri sum
 _ROW_NS = 500  # one row of lam per strip of m-module --lam
+_HOOK_NS = 3  # one of the (|lam| + 1)^2 steps of the hook-length dimension of lam
 _FOLD_NS = 50  # one (cell, binomial weight) step of the wreath series
 _ENTRY_NS = 2000  # one reported value of a wreath scan
 
@@ -233,11 +243,15 @@ def _table_work(p, levels) -> int:
 def _strips(lam, n: int) -> int:
     """Number of horizontal strips of n - |lam| boxes on lam, or more: each
     row below a longer one grows by at most the difference (the last row
-    is new), so exactly this many once the first row can take the rest."""
-    if n < sum(lam):
+    is new), so exactly this many once the first row can take the rest.
+    Fewer boxes than such rows bound the count by C(boxes + rows, boxes)."""
+    boxes = n - sum(lam)
+    if boxes < 0:
         return 0
     rows = (*lam, 0)
-    return prod(rows[i - 1] - rows[i] + 1 for i in range(1, len(rows)))
+    widths = [rows[i - 1] - rows[i] for i in range(1, len(rows)) if rows[i - 1] > rows[i]]
+    count = prod(w + 1 for w in widths)
+    return min(count, comb(boxes + len(widths), boxes)) if boxes < len(widths) else count
 
 
 def _strip_pairs(p, m: int) -> int:
@@ -300,7 +314,11 @@ def cmd_m_module(args):
         raise DomainError("give exactly one of --lam or --regular")
     if args.lam is not None:
         lam = parse_partition(args.lam)
-        _admit(args, lambda p: _strips(lam, args.n) * (_STRIP_NS + _ROW_NS * len(lam)))
+        _admit(
+            args,
+            lambda p: _strips(lam, args.n) * (_STRIP_NS + _ROW_NS * len(lam))
+            + _HOOK_NS * (sum(lam) + 1) ** 2,
+        )
         dec = induction.m_module(lam, args.n)
         head = {"lam": list(lam)}
         dim = comb(args.n, sum(lam)) * dimension(lam)

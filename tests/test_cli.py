@@ -8,6 +8,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import comb, factorial
 from pathlib import Path
 
+import pytest
+
 import fistab
 from fistab.cli import _shapes_inside, _strip_pairs, _strips, build_parser, main
 from fistab.induction import horizontal_strip_extensions
@@ -105,6 +107,24 @@ def test_m_module_dimension_is_the_sum_over_constituents(capsys):
             assert payload["dimension"] == summed(payload), (size, n)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str cap")
+def test_m_module_dimension_past_the_int_to_str_digit_cap(capsys):
+    # dim of the 60 x 60 square has more digits than the default cap on
+    # int-to-str conversion (4300); every format prints it in full
+    square = "+".join(["60"] * 60)
+    runs = [run(capsys, "m-module", "--lam", square, "--n", "3600", "--format", fmt)
+            for fmt in ("json", "text", "csv")]
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(dimension((60,) * 60))
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert len(digits) > 4300
+    for code, out, err in runs:
+        assert code == 0 and digits in out, err
+
+
 def test_m_module_flag_exclusivity(capsys):
     code, _, err = run(capsys, "m-module", "--n", "4")
     assert code == 1
@@ -196,6 +216,10 @@ def test_work_estimate_counts():
                     assert _strips(lam, level) == strips, (lam, level)
                 else:
                     assert _strips(lam, level) >= strips, (lam, level)
+    # few boxes on many rows: C(boxes + rows, boxes), not 2^31
+    staircase = tuple(range(30, 0, -1))
+    assert [_strips(staircase, 465 + b) for b in range(3)] == [1, 31, 496]
+    assert [len(horizontal_strip_extensions(staircase, 465 + b)) for b in range(3)] == [1, 31, 466]
     for m in range(0, 9):
         p = partition_counts(m + 3)  # longer than needed, as in kunneth
         for level in range(m, 2 * m + 1):
@@ -398,6 +422,8 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
         "os-scan --n-min 2 --n-max 30 --k 3",
         f"fit-dimpoly --input {dims} --degree-bound 118",
         "character --lam 6+5+5+4+4+3+3+2",
+        "m-module --lam 200000 --n 200000",
+        "m-module --lam " + "+".join(["1"] * 50000) + " --n 50001",
     ):
         start = time.perf_counter()
         proc = subprocess.run(
