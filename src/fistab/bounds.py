@@ -6,6 +6,12 @@ stability type of the starting page; the functions here propagate them
 through later pages to the abutment, exactly, with a final ceiling to
 integer degree bounds.  Negative intermediate values are clamped to zero
 since degrees are nonnegative by definition.
+
+Every bound is the page-entry bound of page_stability.  The filtration
+quotient at p_filt in total degree i has frozen by page i + 2, where it is
+the entry (p_filt, i - p_filt).  With 2*alpha <= beta both of its bounds
+are non-increasing in p_filt (a step adds alpha - beta <= 0), so the
+quotient at p_filt = 0 is the worst one and bounds the abutment.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -64,6 +71,12 @@ def _clamp_ceil(x) -> int:
     return max(0, math.ceil(x))
 
 
+def _entry_bound(params: BoundParams, p: int, q: int, r: int) -> StabilityType:
+    a, b = params.alpha, params.beta
+    surj = a * p + b * q
+    return StabilityType(_clamp_ceil(surj + (b - a) * r + (a - 2 * b)), _clamp_ceil(surj))
+
+
 def page_stability(params: BoundParams, pq: tuple[int, int], r: int) -> StabilityType:
     """Stability type of the (p, q) entry on page r >= 3:
     injectivity <= alpha*p + beta*q + (beta-alpha)*r + (alpha-2*beta),
@@ -74,10 +87,7 @@ def page_stability(params: BoundParams, pq: tuple[int, int], r: int) -> Stabilit
         raise DomainError(f"first-quadrant position required, got {(p, q)}")
     if r < 3:
         raise DomainError(f"page bounds start at r = 3, got r = {r}")
-    a, b = params.alpha, params.beta
-    inj = a * p + b * q + (b - a) * r + (a - 2 * b)
-    surj = a * p + b * q
-    return StabilityType(_clamp_ceil(inj), _clamp_ceil(surj))
+    return _entry_bound(params, p, q, r)
 
 
 def einfty_stability(params: BoundParams, i: int, p_filt: int) -> StabilityType:
@@ -85,11 +95,7 @@ def einfty_stability(params: BoundParams, i: int, p_filt: int) -> StabilityType:
     filtration p_filt, read off the page where the entry freezes."""
     if not 0 <= p_filt <= i:
         raise DomainError(f"need 0 <= p_filt <= {i}, got {p_filt}")
-    a, b = params.alpha, params.beta
-    q = i - p_filt
-    inj = a * p_filt + b * q + (b - a) * (i + 2) + (a - 2 * b)
-    surj = a * p_filt + b * q
-    return StabilityType(_clamp_ceil(inj), _clamp_ceil(surj))
+    return _entry_bound(params, p_filt, i - p_filt, i + 2)
 
 
 def abutment_stability(
@@ -105,14 +111,11 @@ def abutment_stability(
     params.require_ratio()
     if i < 0:
         raise DomainError(f"cohomological degree must be nonnegative, got {i}")
-    a, b = params.alpha, params.beta
-    if degenerates_at is None:
-        inj = (2 * b - a) * i - a
-    else:
-        if degenerates_at < 3:
-            raise DomainError("degeneration page must be at least 3")
-        inj = b * i + (b - a) * degenerates_at + (a - 2 * b)
-    return StabilityType(_clamp_ceil(inj), _clamp_ceil(b * i))
+    if degenerates_at is not None and degenerates_at < 3:
+        raise DomainError("degeneration page must be at least 3")
+    # 2*alpha <= beta makes both bounds non-increasing in p_filt, so the
+    # quotient at p_filt = 0 is the worst; at r = i + 2: ((2b-a)i - a, b i)
+    return _entry_bound(params, 0, i, degenerates_at or i + 2)
 
 
 def fisharp_degree(params: BoundParams, i: int) -> int:
@@ -126,45 +129,32 @@ def fisharp_degree(params: BoundParams, i: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The summary table: one row per family of spaces/groups.  Each row stores
-# the printed headline bound N together with the weight and stability type
-# its derivation rests on; derived_N = weight + max(inj, surj) and
-# length <= weight + 1, char degree <= weight.
+# the printed headline bound N and the weight, both per unit of the degree
+# i, and the stability type at i that the derivation rests on;
+# derived_N = weight + max(inj, surj) and length <= weight + 1, char
+# degree <= weight.
 
-TABLE1_ROWS = (
-    "config_surface_closed",
-    "config_surface_boundary",
-    "config_surface_open",
-    "moduli",
-    "pmod_surface_boundary",
-    "pmod_highdim",
-    "pmod_highdim_boundary",
-    "bpdiff",
-)
+_SURFACES = BoundParams(1, 2)
+_FIBRATION_OVER_BASE = BoundParams(0, 2)
+_HIGH_DIM = BoundParams(0, 1)
 
 
-def _row_data(example: str, i: int) -> tuple[int, int, StabilityType]:
-    """(table N, weight, stability type) for one row at degree i."""
-    surfaces = BoundParams(1, 2)
-    fibration_over_base = BoundParams(0, 2)
-    high_dim = BoundParams(0, 1)
-    if example == "config_surface_closed":
-        # Degeneration at page 3 sharpens the injectivity bound.
-        return 5 * i, 2 * i, abutment_stability(surfaces, i, degenerates_at=3)
-    if example == "config_surface_open":
-        return 5 * i, 2 * i, abutment_stability(surfaces, i)
-    if example == "config_surface_boundary":
-        return 4 * i, 2 * i, StabilityType(0, fisharp_degree(surfaces, i))
-    if example == "moduli":
-        return 6 * i, 2 * i, abutment_stability(fibration_over_base, i)
-    if example == "pmod_surface_boundary":
-        return 4 * i, 2 * i, StabilityType(0, fisharp_degree(fibration_over_base, i))
-    if example == "pmod_highdim":
-        return 3 * i, i, abutment_stability(high_dim, i)
-    if example == "pmod_highdim_boundary":
-        return 2 * i, i, StabilityType(0, fisharp_degree(high_dim, i))
-    if example == "bpdiff":
-        return 3 * i, i, abutment_stability(high_dim, i)
-    raise DomainError(f"unknown table row {example!r}; choose from {TABLE1_ROWS}")
+def _fisharp_type(params: BoundParams):
+    return lambda i: StabilityType(0, fisharp_degree(params, i))
+
+
+_TABLE1 = {
+    # Degeneration at page 3 sharpens the injectivity bound.
+    "config_surface_closed": (5, 2, partial(abutment_stability, _SURFACES, degenerates_at=3)),
+    "config_surface_boundary": (4, 2, _fisharp_type(_SURFACES)),
+    "config_surface_open": (5, 2, partial(abutment_stability, _SURFACES)),
+    "moduli": (6, 2, partial(abutment_stability, _FIBRATION_OVER_BASE)),
+    "pmod_surface_boundary": (4, 2, _fisharp_type(_FIBRATION_OVER_BASE)),
+    "pmod_highdim": (3, 1, partial(abutment_stability, _HIGH_DIM)),
+    "pmod_highdim_boundary": (2, 1, _fisharp_type(_HIGH_DIM)),
+    "bpdiff": (3, 1, partial(abutment_stability, _HIGH_DIM)),
+}
+TABLE1_ROWS = tuple(_TABLE1)
 
 
 @dataclass(frozen=True)
@@ -203,11 +193,14 @@ def table1_row(example: str, i: int) -> Table1Row:
     """
     if i < 0:
         raise DomainError(f"cohomological degree must be nonnegative, got {i}")
-    table_n, weight, stype = _row_data(example, i)
+    if example not in _TABLE1:
+        raise DomainError(f"unknown table row {example!r}; choose from {TABLE1_ROWS}")
+    n_per_degree, weight_per_degree, stability = _TABLE1[example]
+    weight, stype = weight_per_degree * i, stability(i)
     return Table1Row(
         example=example,
         i=i,
-        N=table_n,
+        N=n_per_degree * i,
         length_bound=weight + 1,
         char_degree_bound=weight,
         weight=weight,

@@ -183,8 +183,7 @@ class ClassFunction:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict) -> "ClassFunction":
-        _require_table(mapping, "class function")
-        return cls(n, {parse_partition(k): parse_exact(v) for k, v in mapping.items()})
+        return cls(n, _parse_table(mapping, "class function"))
 
 
 def exact_obj(v):
@@ -192,11 +191,27 @@ def exact_obj(v):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def _require_table(mapping, what: str) -> None:
+def unique_keys(triples, what: str) -> dict:
+    """{key: value} from (raw key, key, value) triples, refusing two raw
+    keys that read as one key ("1+2" and "2+1", or "2" and "02"): with a
+    plain dict the last value would silently win."""
+    table, raw_of = {}, {}
+    for raw, key, value in triples:
+        if key in raw_of:
+            raise DomainError(f"{what} gives one key twice: {raw_of[key]!r} and {raw!r}")
+        raw_of[key] = raw
+        table[key] = value
+    return table
+
+
+def _parse_table(mapping, what: str) -> dict:
     if not isinstance(mapping, dict):
         raise DomainError(
             f"a {what} must be a {{partition: value}} table, not {type(mapping).__name__}"
         )
+    return unique_keys(
+        ((k, parse_partition(k), parse_exact(v)) for k, v in mapping.items()), what
+    )
 
 
 def parse_exact(v):
@@ -301,8 +316,7 @@ class IrrDecomposition:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict) -> "IrrDecomposition":
-        _require_table(mapping, "decomposition")
-        return cls(n, {parse_partition(k): parse_exact(v) for k, v in mapping.items()})
+        return cls(n, _parse_table(mapping, "decomposition"))
 
 
 def decompose(f: ClassFunction) -> IrrDecomposition:

@@ -28,6 +28,7 @@ from .characters import (
     decompose,
     irreducible_character,
     mn_character,
+    unique_keys,
 )
 from .errors import ConsistencyError, DomainError
 from .fi_analysis import _monomial_count
@@ -138,6 +139,10 @@ def _emit(payload, args) -> None:
         sys.stdout.write(report)
 
 
+def _unique_object(pairs) -> dict:
+    return unique_keys(((k, k, v) for k, v in pairs), "JSON object")
+
+
 def _load_json(args, inline_attr: str):
     inline = getattr(args, inline_attr, None)
     if inline is not None:
@@ -148,7 +153,7 @@ def _load_json(args, inline_attr: str):
     else:
         raise DomainError(f"provide --{inline_attr.replace('_', '-')} or --input")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_object)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON input: {exc}") from exc
 
@@ -359,9 +364,10 @@ def cmd_fit_charpoly(args):
 def cmd_fit_dimpoly(args):
     payload = _load_json(args, "dims")
     try:
-        dims = {int(k): v for k, v in payload.items()}
+        points = [(k, int(k), v) for k, v in payload.items()]
     except (ValueError, TypeError, AttributeError) as exc:
         raise DomainError(f"dimension table must map integers to integers: {exc}") from exc
+    dims = unique_keys(points, "dimension table")
     for v in dims.values():
         if type(v) is not int:  # JSON integers only: no floats, strings or true/false
             raise DomainError(f"dimension table must map integers to integers, got {v!r}")

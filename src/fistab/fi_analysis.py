@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import ClassFunction, IrrDecomposition, exact_obj
+from .characters import ClassFunction, IrrDecomposition, exact_obj, unique_keys
 from .errors import DomainError
 from .linalg import solve_exact
 from .partitions import (
@@ -110,9 +110,10 @@ class FISequence:
         if not isinstance(entries, dict):
             raise DomainError('a sequence must be a mapping {"entries": {"<n>": table}}')
         try:
-            return {int(n): table for n, table in entries.items()}
+            levels = [(n, int(n), table) for n, table in entries.items()]
         except ValueError as exc:
             raise DomainError(f"sequence levels must be integers: {exc}") from exc
+        return unique_keys(levels, "sequence")
 
     @classmethod
     def decompositions_from_mapping(cls, payload: dict) -> "FISequence":
@@ -183,19 +184,17 @@ def detect_stability(seq: FISequence) -> StabilityReport:
 # monomial is sum l*m_l.
 
 
+def _monomial_key(mono) -> tuple:
+    # weighted degree, then lexicographic
+    return (sum(l * e for l, e in mono), mono)
+
+
 def _monomials(degree_bound: int) -> list[tuple[tuple[int, int], ...]]:
-    # Exponent vectors as sorted tuples of (cycle length, exponent),
-    # enumerated by weighted degree then lexicographically.
-    out = []
-
-    def gen(min_length, budget, acc):
-        out.append(tuple(acc))
-        for length in range(min_length, budget + 1):
-            for exp in range(1, budget // length + 1):
-                gen(length + 1, budget - length * exp, acc + [(length, exp)])
-
-    gen(1, degree_bound, [])
-    return sorted(out, key=lambda m: (sum(l * e for l, e in m), m))
+    # Exponent vectors as sorted tuples of (cycle length, exponent): the
+    # cycle counts of one partition of each weighted degree d <= degree_bound.
+    degrees = range(degree_bound + 1)
+    monos = (tuple(sorted(cycle_counts(mu).items())) for d in degrees for mu in partitions(d))
+    return sorted(monos, key=_monomial_key)
 
 
 def _monomial_count(degree_bound: int, cap: int) -> int:
@@ -268,9 +267,7 @@ class CharPolynomial:
             return "CharPolynomial(0)"
         body = " + ".join(
             f"{c}*{monomial_label(m)}" if c != 1 or not m else monomial_label(m)
-            for m, c in sorted(
-                self.coeffs.items(), key=lambda kv: (sum(l * e for l, e in kv[0]), kv[0])
-            )
+            for m, c in sorted(self.coeffs.items(), key=lambda kv: _monomial_key(kv[0]))
         )
         return f"CharPolynomial({body})"
 
@@ -281,9 +278,7 @@ class CharPolynomial:
                 "exponents": {str(l): e for l, e in mono},
                 "coefficient": exact_obj(c),
             }
-            for mono, c in sorted(
-                self.coeffs.items(), key=lambda kv: (sum(l * e for l, e in kv[0]), kv[0])
-            )
+            for mono, c in sorted(self.coeffs.items(), key=lambda kv: _monomial_key(kv[0]))
         ]
         return {
             "terms": terms,

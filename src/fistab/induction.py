@@ -12,9 +12,9 @@ g-th Betti number their dimensions are the coefficients of x^n t^i in
     prod_{g even} (1 - x t^g)^(-d_g) * prod_{g odd} (1 + x t^g)^(d_g)
 
 (Macdonald, *The Poincare polynomial of a symmetric product*, 1962).
-That series gives wreath_invariant_dim for every n at once; the
-class-sum route through kunneth_power stays for the twisted
-multiplicities of wreath_twisted_dim.
+That series gives wreath_invariant_dim for every n at once; the twisted
+multiplicities of wreath_twisted_dim are read off kunneth_decomposition
+below.
 
 The irreducible decomposition of the tensor power needs no character
 table of S_n either.  Splitting V = 1 + V_+ into degree 0 and positive
@@ -37,10 +37,7 @@ from math import comb
 from .characters import (
     ClassFunction,
     IrrDecomposition,
-    as_multiplicity,
     decompose,
-    inner_product,
-    irreducible_character,
     restrict_and_average,
 )
 from .errors import DomainError
@@ -174,7 +171,7 @@ def _class_traces(dims, n: int, i: int) -> dict[Partition, int]:
     return values
 
 
-def _check_graded_dims(graded_dims) -> tuple[int, ...]:
+def _check_graded_dims(graded_dims, n: int, i: int) -> tuple[int, ...]:
     dims = tuple(int(d) for d in graded_dims)
     if not dims or dims[0] != 1:
         raise DomainError(
@@ -182,6 +179,8 @@ def _check_graded_dims(graded_dims) -> tuple[int, ...]:
         )
     if any(d < 0 for d in dims):
         raise DomainError(f"graded dimensions must be nonnegative: {dims!r}")
+    if n < 0 or i < 0:
+        raise DomainError("n and i must be nonnegative")
     return dims
 
 
@@ -194,9 +193,7 @@ def kunneth_power(graded_dims, n: int, i: int) -> ClassFunction:
     brute force with explicit Koszul signs (see the test suite) and is the
     convention used throughout this package.
     """
-    dims = _check_graded_dims(graded_dims)
-    if n < 0 or i < 0:
-        raise DomainError("n and i must be nonnegative")
+    dims = _check_graded_dims(graded_dims, n, i)
     return ClassFunction(n, _class_traces(dims, n, i))
 
 
@@ -206,9 +203,7 @@ def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
     W_m decomposed over S_m and induced up to S_n by the Pieri rule.
     Equal to decompose(kunneth_power(graded_dims, n, i)), its test
     oracle, without the character table of S_n."""
-    dims = _check_graded_dims(graded_dims)
-    if n < 0 or i < 0:
-        raise DomainError("n and i must be nonnegative")
+    dims = _check_graded_dims(graded_dims, n, i)
     positive = (0, *dims[1:])
     mult: dict[Partition, int] = {}
     for m in range(min(n, i) + 1):
@@ -228,9 +223,7 @@ def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:
     # folded into the table c[s][t] in one step: j of its d_g classes add
     # x^j t^(g j) in C(d_g, j) ways when g is odd (sets) and in
     # C(d_g + j - 1, j) ways when g is even (multisets).
-    dims = _check_graded_dims(graded_dims)
-    if n < 0 or i < 0:
-        raise DomainError("n and i must be nonnegative")
+    dims = _check_graded_dims(graded_dims, n, i)
     s_max = min(n, i)
     c = [[0] * (i + 1) for _ in range(s_max + 1)]
     c[0][0] = 1
@@ -279,10 +272,8 @@ def wreath_twisted_dim(graded_dims, lam: Partition, n: int, i: int) -> int:
     """Multiplicity of the irreducible with padded shape lam[n] in total
     degree i of the n-fold graded tensor power; by transfer this is the
     dimension of the wreath-product cohomology with coefficients twisted
-    by that irreducible.  lam = () recovers wreath_invariant_dim through
-    the class sum, and is its test oracle."""
-    mu = pad(check_partition(lam), n)
-    chi = kunneth_power(graded_dims, n, i)
-    return as_multiplicity(
-        inner_product(chi, irreducible_character(mu)), "twisted multiplicity came out as"
-    )
+    by that irreducible, read off kunneth_decomposition.  lam = ()
+    recovers wreath_invariant_dim through the free modules rather than the
+    series, and is its test oracle."""
+    mu = pad(lam, n)  # first: a shape too large for n is refused before the dimensions
+    return kunneth_decomposition(graded_dims, n, i).multiplicity(mu)

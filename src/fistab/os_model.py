@@ -124,13 +124,6 @@ class OSElement:
     degree: int
     coeffs: dict
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OSElement)
-            and (self.n, self.degree) == (other.n, other.degree)
-            and self.coeffs == other.coeffs
-        )
-
 
 def straighten(edges, n: int) -> OSElement:
     """NBC expansion of the wedge of the given generators inside the

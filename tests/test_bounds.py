@@ -69,6 +69,28 @@ def test_einfty_below_abutment_bound():
                 assert st.surj <= bound.surj
 
 
+GRID = [Fraction(x) for x in ("0", "1/3", "1/2", "1", "3/2", "2", "5/2", "3", "7/3", "4")]
+
+
+def test_abutment_is_the_worst_quotient_and_a_page_entry():
+    # every bound is one entry formula: the abutment is the E-infinity
+    # quotient at p_filt = 0, the largest over p_filt, and with a
+    # degeneration page r the (0, i) entry on page r
+    for alpha in GRID:
+        for beta in (b for b in GRID if 2 * alpha <= b):
+            params = BoundParams(alpha, beta)
+            for i in range(12):
+                bound = abutment_stability(params, i)
+                quotients = [einfty_stability(params, i, p) for p in range(i + 1)]
+                assert bound == quotients[0], (alpha, beta, i)
+                assert bound.inj == max(q.inj for q in quotients)
+                assert bound.surj == max(q.surj for q in quotients)
+                for r in range(3, 10):
+                    assert abutment_stability(params, i, degenerates_at=r) == page_stability(
+                        params, (0, i), r
+                    ), (alpha, beta, i, r)
+
+
 def test_einfty_validates_filtration():
     with pytest.raises(DomainError):
         einfty_stability(BoundParams(0, 1), 2, 3)

@@ -371,6 +371,28 @@ def test_sequence_schema_errors_exit_1(capsys):
     assert code == 1 and _one_line_error(err)
 
 
+def test_tables_that_give_one_key_twice_are_refused(capsys):
+    # two keys that read as one partition, level or point, or one key
+    # written twice in the JSON text: the last value must not silently win
+    cases = [
+        (("decompose", "--n", "3", "--values", '{"1+1+1": 3, "1+2": 5, "2+1": 1, "3": 0}'),
+         "'1+2' and '2+1'"),
+        (("decompose", "--n", "2", "--values", '{"2": 1, "2": 0, "1+1": 0}'), "'2' and '2'"),
+        (("fit-dimpoly", "--dims", '{"01": 9, "1": 1, "2": 2, "3": 3}', "--degree-bound", "1"),
+         "'01' and '1'"),
+        (("stability-scan", "--entries",
+          '{"entries": {"2": {"2": 1}, "02": {"2": 1}, "3": {"3": 1}}}'), "'2' and '02'"),
+        (("stability-scan", "--entries",
+          '{"entries": {"2": {"2": 1}, "3": {"3": 1, "2+1": 0, "1+2": 1}}}'), "'2+1' and '1+2'"),
+        (("fit-charpoly", "--degree-bound", "0", "--entries",
+          '{"entries": {"2": {"2": 1, "1+1": 1}, "02": {"2": 1, "1+1": 1}}}'), "'2' and '02'"),
+    ]
+    for argv, keys in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and _one_line_error(err), (argv, err)
+        assert "gives one key twice: " + keys in err, (argv, err)
+
+
 def test_os_scan_rejects_negative_degree(capsys):
     for flags in (("--k", "-1"), ("--k", "1", "--a-max", "-1")):
         code, out, err = run(capsys, "os-scan", "--n-min", "2", "--n-max", "4", *flags)

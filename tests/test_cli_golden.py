@@ -8,7 +8,9 @@ caps: before the closed-form characters replaced the trace on the NBC
 basis; the two past the caps: before the coinvariant verdicts were read
 off the dimensions instead of integer ranks; the two wreath-scan cases at
 the end: before the graded-symmetric power series replaced the class
-sums).  A deliberate change of a report updates the table; print the
+sums; the seven other table1 rows and the last two bounds cases: before
+the page, E-infinity and abutment bounds became one entry formula and
+Table 1 became a data table).  A deliberate change of a report updates the table; print the
 current digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -79,6 +81,17 @@ CASES = (
     # multiplicity above 1
     "wreath-scan --graded-dims 1,2 --i 2 --n-max 30",
     "wreath-scan --graded-dims 1,0,3,1 --i 4 --n-min 3 --n-max 16",
+    # every other table1 row, and the bounds paths that share one entry
+    # formula: an abutment sharpened at a later page and a zero alpha at i=0
+    "table1 --row config_surface_closed --i 3",
+    "table1 --row config_surface_boundary --i 3",
+    "table1 --row config_surface_open --i 3",
+    "table1 --row pmod_surface_boundary --i 3",
+    "table1 --row pmod_highdim --i 3",
+    "table1 --row pmod_highdim_boundary --i 3",
+    "table1 --row bpdiff --i 3",
+    "bounds --alpha 1/3 --beta 1 --i 4 --degenerates-at 5",
+    "bounds --alpha 0 --beta 2 --i 0",
 )
 FORMATS = ("json", "text", "csv")
 
@@ -239,6 +252,60 @@ DIGESTS = {
         '164b21ee1ba05a24550a58147972f6f7bf8cfd2cb0ffec3d47173afb48c0c4cf',
     ('wreath-scan --graded-dims 1,0,3,1 --i 4 --n-min 3 --n-max 16', 'csv'):
         'b299fa7cffe905f50536f78b7a88324b39ec1b2dd555e86acdc01152ae82c4bc',
+    ('table1 --row config_surface_closed --i 3', 'json'):
+        'ca04ceeea78fce380c218851f0497ece00b13a94b3fe8e4fff646c5116368704',
+    ('table1 --row config_surface_closed --i 3', 'text'):
+        '0f92a075555205d03694360ec7475fa25d58b650242a5c90ab96b25112d45259',
+    ('table1 --row config_surface_closed --i 3', 'csv'):
+        'fbe9c1ad978e270a9aaefb02e7c7427634624fed20377cae26f0f457abc06edc',
+    ('table1 --row config_surface_boundary --i 3', 'json'):
+        '0ad357b1a7299adeab0c94a557327f801f3d8b8276544eac3f1097051c5914b0',
+    ('table1 --row config_surface_boundary --i 3', 'text'):
+        '1c8beb96432799b78de77fc7993068f6f3ff7ae3cd7168bf17cd807fc497577c',
+    ('table1 --row config_surface_boundary --i 3', 'csv'):
+        '4ba80717068d8b3049e859db3d65498c0dd82a7e6ccd429ca14881d4fe0d1fbc',
+    ('table1 --row config_surface_open --i 3', 'json'):
+        '0197681b8bf8eed83253fbd3cd390ef69d2158b08f4cdd180ff6bf4fc65fa2bf',
+    ('table1 --row config_surface_open --i 3', 'text'):
+        '532466b10b546e0e722ff5b15e8e263399a687a4adcf62278cc4ecbb9f4088c5',
+    ('table1 --row config_surface_open --i 3', 'csv'):
+        'c65a1497367c578e7486823f94088f4b5e1e1eb1832a48a55bda2d693851824c',
+    ('table1 --row pmod_surface_boundary --i 3', 'json'):
+        'f81eb4eaa5e9f1daf3ec606e572d68730e3b2106dc6018b9e049d96ce4efac7b',
+    ('table1 --row pmod_surface_boundary --i 3', 'text'):
+        'c9991709c6e7579bb3c3b6c8d61aaecb7ea842defd36da901c37873a57180eb3',
+    ('table1 --row pmod_surface_boundary --i 3', 'csv'):
+        '6987d7f6f7cf76a1bcb58ecd285290081f241cf942ed1afacdadf3ea2b5238e9',
+    ('table1 --row pmod_highdim --i 3', 'json'):
+        '22ef5f6e8bbd724e1e42a938a1f06c9fc4e79769cd09236755f3dac0112e51ff',
+    ('table1 --row pmod_highdim --i 3', 'text'):
+        'e7eef49534ab326ef9ee9b56cfb7341347753543d3a124bac2822b0608047a3e',
+    ('table1 --row pmod_highdim --i 3', 'csv'):
+        '3f5ef073c0caf85f698eaf4d97a17795e7b868def316f86e3ac82c83d2888737',
+    ('table1 --row pmod_highdim_boundary --i 3', 'json'):
+        '9538415f8150858a63c79b839a46c4a6a2ebd64507800274335d259776b686e4',
+    ('table1 --row pmod_highdim_boundary --i 3', 'text'):
+        '9eb86b418250d9107e2265c2953bb2af97307219a4e9040c163bb5d489b6af85',
+    ('table1 --row pmod_highdim_boundary --i 3', 'csv'):
+        '9001d5685f395fc61b09e87fe4ded6f13c7cd68e73bec792f658cceae4efbca0',
+    ('table1 --row bpdiff --i 3', 'json'):
+        '39a151fa37c5db28af32df9721f23610ae605718b1b01e27889569404c00a011',
+    ('table1 --row bpdiff --i 3', 'text'):
+        '033c402162a43b1168ffde22860d7aaaa6aef5f0f9807bbaa01c16540c4c18b3',
+    ('table1 --row bpdiff --i 3', 'csv'):
+        '4537e20156fcf9a298c76d7141a6497853c494ed63a5e6b02a11c3c6e8965e5f',
+    ('bounds --alpha 1/3 --beta 1 --i 4 --degenerates-at 5', 'json'):
+        '128db3c296ce3d37ecc9b04bd4952a27777ced1d5b1fb0d169fd5b18d422d598',
+    ('bounds --alpha 1/3 --beta 1 --i 4 --degenerates-at 5', 'text'):
+        '5b6509f36183b91905871355b3269ac59709b1c72098617a59466e03b2da4741',
+    ('bounds --alpha 1/3 --beta 1 --i 4 --degenerates-at 5', 'csv'):
+        'e823fca977b7dc32f511d8f8dff0c5306a9cecf694e957801b9c706d82db6f84',
+    ('bounds --alpha 0 --beta 2 --i 0', 'json'):
+        '4d395b8f82cf5e3d760ff2a203db5f8bfec59376222b88ce4b6b2436a5a7a246',
+    ('bounds --alpha 0 --beta 2 --i 0', 'text'):
+        '57181a814fcc3b770382adea33b26b364032de546db293126a847fd8e3cd6184',
+    ('bounds --alpha 0 --beta 2 --i 0', 'csv'):
+        'c80a68f3b2fe97b607e42fe0d22ddcd767cbf80529f813c3214015e8b2f619d1',
 }
 
 

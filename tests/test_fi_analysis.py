@@ -206,9 +206,14 @@ def test_fit_reports_undetermined_monomials():
 
 
 def test_monomials_are_counted_without_enumerating_them():
-    # the up-front refusal compares this count with the class values
-    for bound in range(12):
-        assert _monomial_count(bound, cap=10**6) == len(_monomials(bound))
+    # the up-front refusal compares this count with the class values; the
+    # enumeration lists each monomial once, by weighted degree and then
+    # lexicographically
+    for bound in range(13):
+        monos = _monomials(bound)
+        assert len(set(monos)) == len(monos) == _monomial_count(bound, cap=10**6)
+        assert monos == sorted(monos, key=lambda m: (sum(l * e for l, e in m), m))
+        assert all(sum(l * e for l, e in m) <= bound for m in monos)
     assert _monomial_count(10**9, cap=100) > 100
 
 

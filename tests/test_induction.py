@@ -17,11 +17,13 @@ from fistab.characters import (
     ClassFunction,
     IrrDecomposition,
     decompose,
+    inner_product,
     irreducible_character,
     sign_character,
     trivial_character,
 )
 from fistab.errors import DomainError
+from fistab.fi_analysis import pad
 from fistab.induction import (
     coinvariants_as_sa,
     horizontal_strip_extensions,
@@ -340,12 +342,14 @@ def test_wreath_series_matches_class_sum_average(dims):
     # the graded-symmetric power series against the Kunneth character
     # averaged over the p(n) classes, for i <= 4 and n <= 12 and graded
     # dimensions with zero gaps, odd and even multiplicities above 1 and
-    # trailing zeros
+    # trailing zeros; the free-module route of wreath_twisted_dim agrees too
     for i in range(5):
         series = wreath_invariant_series(dims, 12, i)
         assert len(series) == 13
         for n, value in enumerate(series):
-            assert value == wreath_twisted_dim(dims, (), n, i), (dims, n, i)
+            class_sum = inner_product(kunneth_power(dims, n, i), trivial_character(n))
+            assert value == class_sum, (dims, n, i)
+            assert wreath_twisted_dim(dims, (), n, i) == value
             assert wreath_invariant_dim(dims, n, i) == value
 
 
@@ -394,9 +398,9 @@ def test_wreath_series_binomial_fold_at_large_multiplicity():
 
 
 def test_wreath_series_domain_errors():
-    # the graded dimensions are checked before n and i, with the messages
-    # of kunneth_power
-    for fn in (wreath_invariant_series, wreath_invariant_dim):
+    # the graded dimensions are checked before n and i, with one set of
+    # messages
+    for fn in (wreath_invariant_series, wreath_invariant_dim, kunneth_power, kunneth_decomposition):
         with pytest.raises(DomainError, match="must start with 1"):
             fn((2, 1), -1, 1)
         with pytest.raises(DomainError, match="must be nonnegative: "):
@@ -410,13 +414,19 @@ def test_wreath_twisted_multiplicities():
     # the empty shape recovers the invariant dimension
     for n in range(1, 7):
         assert wreath_twisted_dim((1, 2), (), n, 1) == wreath_invariant_dim((1, 2), n, 1)
-    # twisted multiplicities agree with a full decomposition
-    chi = kunneth_power((1, 2), 4, 2)
-    dec = decompose(chi)
-    for lam in [(), (1,), (2,), (1, 1)]:
-        from fistab.fi_analysis import pad
-
-        assert wreath_twisted_dim((1, 2), lam, 4, 2) == dec.multiplicity(pad(lam, 4))
+    # twisted multiplicities agree with a full decomposition of the class
+    # sums; a shape too large to pad to n is refused
+    for dims in [(1, 2), (1, 1, 1), (1, 0, 3), (1, 2, 1, 1), (1, 3, 2)]:
+        for n in range(8):
+            for i in range(6):
+                dec = decompose(kunneth_power(dims, n, i))
+                for lam in [(), (1,), (2,), (1, 1), (2, 1)]:
+                    if n < sum(lam) + (lam[0] if lam else 0):
+                        with pytest.raises(DomainError, match="cannot pad"):
+                            wreath_twisted_dim(dims, lam, n, i)
+                        continue
+                    expected = dec.multiplicity(pad(lam, n))
+                    assert wreath_twisted_dim(dims, lam, n, i) == expected, (dims, lam, n, i)
     # the degree-one piece of a wedge of two circles is two copies of the
     # permutation action, so the standard-shape multiplicity is 2 stably
     for n in range(2, 8):
