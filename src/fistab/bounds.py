@@ -17,7 +17,6 @@ quotient at p_filt = 0 is the worst one and bounds the abutment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -36,19 +35,35 @@ class StabilityType(NamedTuple):
         return max(self.inj, self.surj)
 
 
-@dataclass(frozen=True)
 class BoundParams:
     """The page-level constants: injectivity degree <= beta*q and
-    surjectivity degree <= alpha*p + beta*q on the starting page."""
+    surjectivity degree <= alpha*p + beta*q on the starting page.
+    Immutable; equal and hashed by (alpha, beta)."""
 
-    alpha: Fraction
-    beta: Fraction
+    __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha, beta):
         object.__setattr__(self, "alpha", Fraction(alpha))
         object.__setattr__(self, "beta", Fraction(beta))
         if self.alpha < 0 or self.beta < 0:
             raise DomainError(f"constants must be nonnegative: {self}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.beta) == (other.alpha, other.beta)
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(alpha={self.alpha!r}, beta={self.beta!r})"
 
     def require_ratio(self) -> None:
         # The page-propagation argument needs 2*alpha <= beta.
@@ -157,8 +172,7 @@ _TABLE1 = {
 TABLE1_ROWS = tuple(_TABLE1)
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     example: str
     i: int
     N: int

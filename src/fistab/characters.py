@@ -219,7 +219,8 @@ def parse_exact(v):
         raise DomainError(f"not an exact rational: {v!r}")
     try:
         f = Fraction(v)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        # OverflowError: JSON Infinity and 1e999 read as an infinite float
         raise DomainError(f"not an exact rational: {v!r}") from exc
     return int(f) if f.denominator == 1 else f
 

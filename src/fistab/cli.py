@@ -22,7 +22,6 @@ from math import comb, perm, prod
 from operator import mul
 
 from . import bounds as bounds_mod
-from . import fi_analysis, induction, os_model
 from .characters import (
     ClassFunction,
     decompose,
@@ -31,7 +30,6 @@ from .characters import (
     unique_keys,
 )
 from .errors import ConsistencyError, DomainError
-from .fi_analysis import _monomial_count
 from .partitions import dimension, parse_partition, partition_counts
 
 # the most estimated work a request may take without --allow-large, in ns
@@ -143,19 +141,36 @@ def _unique_object(pairs) -> dict:
     return unique_keys(((k, k, v) for k, v in pairs), "JSON object")
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_json(args, inline_attr: str):
     inline = getattr(args, inline_attr, None)
     if inline is not None:
         text = inline
     elif getattr(args, "input", None):
-        with open(args.input) as fh:
-            text = fh.read()
+        text = _read_text(args.input)
     else:
         raise DomainError(f"provide --{inline_attr.replace('_', '-')} or --input")
     try:
         return json.loads(text, object_pairs_hook=_unique_object)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON input: {exc}") from exc
+    except RecursionError:
+        raise DomainError("malformed JSON input: nested too deeply") from None
+    except DomainError:
+        raise
+    except ValueError:
+        # the interpreter's cap on int-from-str conversion (CPython 3.10.7+)
+        # bounds parse time; it is kept, and a longer literal refused
+        raise DomainError(
+            f"JSON input has an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _fraction(text: str) -> Fraction:
@@ -237,6 +252,8 @@ def _shapes_inside(lam) -> int:
 def _fit_work(rows: int, degree_bound: int) -> int:
     # Gauss-Jordan elimination: a pivot per monomial, each clearing every
     # row; a fit with more monomials than rows is refused before it starts
+    from .fi_analysis import _monomial_count
+
     monomials = _monomial_count(degree_bound, cap=rows)
     return 0 if monomials > rows else _FIT_NS * rows * monomials**2
 
@@ -315,6 +332,8 @@ def cmd_decompose(args):
 
 
 def cmd_m_module(args):
+    from . import induction
+
     if (args.lam is None) == (args.regular is None):
         raise DomainError("give exactly one of --lam or --regular")
     if args.lam is not None:
@@ -342,6 +361,8 @@ def cmd_m_module(args):
 
 
 def cmd_stability_scan(args):
+    from . import fi_analysis
+
     payload = _load_json(args, "entries")
     seq = fi_analysis.FISequence.decompositions_from_mapping(payload)
     report = fi_analysis.detect_stability(seq)
@@ -349,6 +370,8 @@ def cmd_stability_scan(args):
 
 
 def cmd_fit_charpoly(args):
+    from . import fi_analysis
+
     payload = _load_json(args, "entries")
     seq = fi_analysis.FISequence.characters_from_mapping(payload)
     rows = sum(len(seq[n].values) for n in seq)
@@ -362,6 +385,8 @@ def cmd_fit_charpoly(args):
 
 
 def cmd_fit_dimpoly(args):
+    from . import fi_analysis
+
     payload = _load_json(args, "dims")
     try:
         points = [(k, int(k), v) for k, v in payload.items()]
@@ -430,6 +455,8 @@ def cmd_table1(args):
 
 
 def cmd_os_scan(args):
+    from . import fi_analysis, os_model
+
     k = args.k
     if k < 0 or args.a_max < 0:
         raise DomainError("--k and --a-max must be nonnegative")
@@ -477,6 +504,8 @@ def cmd_os_scan(args):
 
 
 def cmd_wreath_scan(args):
+    from . import induction
+
     dims = _graded_dims(args.graded_dims)
     if args.n_min < 0 or args.n_max < args.n_min:
         raise DomainError("need 0 <= n-min <= n-max")
@@ -496,6 +525,8 @@ def cmd_wreath_scan(args):
 
 
 def cmd_kunneth(args):
+    from . import induction
+
     dims = _graded_dims(args.graded_dims)
     n, i = args.n, args.i
 
@@ -631,19 +662,18 @@ def _apply_config(argv: list[str]) -> list[str]:
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2 :]
     flags: list[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line (want key=value): {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    flags.append(f"--{key}")
-            else:
-                flags.extend((f"--{key}", value))
+    for raw in _read_text(path).split("\n"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"bad config line (want key=value): {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if value.lower() in ("true", "false"):
+            if value.lower() == "true":
+                flags.append(f"--{key}")
+        else:
+            flags.extend((f"--{key}", value))
     if not rest:
         raise DomainError("--config given without a subcommand")
     return rest[:1] + flags + rest[1:]

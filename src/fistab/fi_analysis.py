@@ -1,11 +1,10 @@
-"""Analysis of sequences of S_n-representations: padded partitions,
-weight and length statistics, uniform-stability detection over a window,
-character polynomials in cycle-count statistics, and integer-valued
-dimension polynomials."""
+"""Analysis of sequences of S_n-representations: unpadding, weight and
+length statistics of padded partitions, uniform-stability detection over
+a window, character polynomials in cycle-count statistics, and
+integer-valued dimension polynomials."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import ClassFunction, IrrDecomposition, exact_obj, unique_keys
@@ -17,22 +16,11 @@ from .partitions import (
     check_partition,
     cycle_counts,
     format_partition,
+    pad as pad,  # re-exported as fistab.fi_analysis.pad
     partition_count,
     partition_counts,
     partitions,
 )
-
-
-def pad(lam: Partition, n: int) -> Partition:
-    """The partition (n - |lam|, lam_1, ..., lam_l) of n."""
-    lam = check_partition(lam)
-    size = sum(lam)
-    first = lam[0] if lam else 0
-    if n < size + first:
-        raise DomainError(f"cannot pad {lam!r} to {n}: need n >= {size + first}")
-    if n == 0:
-        return ()
-    return (n - size,) + lam
 
 
 def unpad(mu: Partition) -> Partition:
@@ -126,11 +114,31 @@ class FISequence:
         return cls({n: ClassFunction.from_mapping(n, t) for n, t in tables.items()})
 
 
-@dataclass
 class StabilityReport:
-    window: tuple[int, int]
-    stable_from: int | None
-    stable_table: dict[Partition, int]
+    """Where a window's unpadded multiplicity tables stop changing."""
+
+    __slots__ = ("window", "stable_from", "stable_table")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self, window: tuple[int, int], stable_from: int | None, stable_table: dict[Partition, int]
+    ):
+        self.window = window
+        self.stable_from = stable_from
+        self.stable_table = stable_table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.window, self.stable_from, self.stable_table) == (
+            other.window, other.stable_from, other.stable_table
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(window={self.window!r}, stable_from={self.stable_from!r}, "
+            f"stable_table={self.stable_table!r})"
+        )
 
     @property
     def stabilized(self) -> bool:

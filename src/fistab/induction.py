@@ -41,12 +41,12 @@ from .characters import (
     restrict_and_average,
 )
 from .errors import DomainError
-from .fi_analysis import pad
 from .partitions import (
     Partition,
     centralizer_order,
     check_partition,
     dimension,
+    pad,
     partitions,
 )
 

@@ -17,9 +17,9 @@ action are the explicit model they are checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .characters import (
     ClassFunction,
@@ -116,8 +116,7 @@ def _straighten(edges: tuple) -> tuple[tuple[Monomial, int], ...]:
     return tuple(sorted(result.items()))
 
 
-@dataclass(frozen=True)
-class OSElement:
+class OSElement(NamedTuple):
     """Sparse exact vector in one graded piece of the algebra."""
 
     n: int
@@ -249,8 +248,7 @@ def invariant_dimension(n: int, a: int, k: int) -> int:
     return as_multiplicity(d, "invariant dimension came out as")
 
 
-@dataclass(frozen=True)
-class CoinvariantReport:
+class CoinvariantReport(NamedTuple):
     n: int
     a: int
     degree: int

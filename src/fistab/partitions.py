@@ -43,6 +43,18 @@ def format_partition(p: Partition) -> str:
     return "+".join(str(x) for x in p)
 
 
+def pad(lam: Partition, n: int) -> Partition:
+    """The partition (n - |lam|, lam_1, ..., lam_l) of n."""
+    lam = check_partition(lam)
+    size = sum(lam)
+    first = lam[0] if lam else 0
+    if n < size + first:
+        raise DomainError(f"cannot pad {lam!r} to {n}: need n >= {size + first}")
+    if n == 0:
+        return ()
+    return (n - size,) + lam
+
+
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in lexicographic order.

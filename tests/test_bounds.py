@@ -24,6 +24,27 @@ def test_bound_params_validation():
         page_stability(BoundParams(2, 3), (0, 0), 3)  # needs 2*alpha <= beta
 
 
+def test_bound_params_is_an_immutable_value():
+    params = BoundParams(Fraction(1, 2), 2)
+    assert repr(params) == "BoundParams(alpha=Fraction(1, 2), beta=Fraction(2, 1))"
+    assert params == BoundParams(0.5, 2) and hash(params) == hash(BoundParams(0.5, 2))
+    assert params != BoundParams(1, 2) and params != (Fraction(1, 2), 2)
+    with pytest.raises(AttributeError):
+        params.alpha = Fraction(0)
+    with pytest.raises(AttributeError):
+        del params.beta
+    with pytest.raises(DomainError, match=r"BoundParams\(alpha=Fraction\(-1, 2\)"):
+        BoundParams(Fraction(-1, 2), 2)
+    row = table1_row("moduli", 2)
+    assert repr(row) == (
+        "Table1Row(example='moduli', i=2, N=12, length_bound=5, char_degree_bound=4, "
+        "weight=4, stability_type=StabilityType(inj=8, surj=4), derived_N=12)"
+    )
+    assert row == table1_row("moduli", 2)
+    with pytest.raises(AttributeError):
+        row.i = 3
+
+
 def test_page_stability_examples():
     assert page_stability(BoundParams(1, 2), (0, 0), 3) == StabilityType(0, 0)
     assert page_stability(BoundParams(0, 1), (2, 1), 4) == StabilityType(3, 1)

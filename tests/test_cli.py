@@ -348,6 +348,37 @@ def _one_line_error(err):
     return len(lines) == 1 and lines[0].startswith("fistab: ") and "Traceback" not in err
 
 
+def test_unreadable_numbers_and_files_exit_1(capsys, tmp_path):
+    # an infinite float, a file that is not UTF-8, an integer literal past
+    # the interpreter's digit cap and deep nesting: one line each, no traceback
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    long_int = "1" * 5000
+    cases = [
+        (["decompose", "--n", "2", "--values", '{"1+1": Infinity, "2": 0}'],
+         "not an exact rational: inf"),
+        (["stability-scan", "--entries", '{"entries": {"2": {"2": -Infinity}}}'],
+         "not an exact rational: -inf"),
+        (["fit-charpoly", "--degree-bound", "0",
+          "--entries", '{"entries": {"2": {"2": 1e999, "1+1": 1}}}'],
+         "not an exact rational: inf"),
+        (["decompose", "--n", "2", "--input", str(bad)], "is not UTF-8 text"),
+        (["decompose", "--n", "2", "--config", str(bad)], "is not UTF-8 text"),
+        (["decompose", "--n", "2", "--values", f'{{"1+1": {long_int}, "2": 0}}'], "digits"),
+        (["stability-scan", "--entries", f'{{"entries": {{"2": {{"2": {long_int}}}}}}}'],
+         "digits"),
+        (["fit-dimpoly", "--degree-bound", "0", "--dims", f'{{"2": {long_int}}}'], "digits"),
+        (["decompose", "--n", "2", "--values", "[" * 100000], "nested too deeply"),
+    ]
+    long_input = tmp_path / "long.json"
+    long_input.write_text(f'{{"1+1": 1, "2": {long_int}}}')
+    cases.append((["decompose", "--n", "2", "--input", str(long_input)], "digits"))
+    for argv, phrase in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and _one_line_error(err), argv
+        assert phrase in err, (argv, err)
+
+
 def test_sequence_schema_errors_exit_1(capsys):
     bad = [
         "[]",

@@ -4,10 +4,12 @@ and input files.
 Whatever it is given, `main` must return 0, 1, 2 or 64, let no exception
 escape, print no traceback, and write its `--out` reports only where it
 is told to (here: inside the test's temporary directory, which is also
-the working directory).  Integers reach 10^6, so many requests are over
-the work budget and must be refused at once; a request that passes
---allow-large (on the command line or in its config file) keeps them
-<= 6, so that it stays small.
+the working directory).  JSON values include infinities, 1e999 and an
+integer literal past the interpreter's 4300-digit cap, and one of the
+files it may read is not UTF-8.  Integers reach 10^6, so many requests
+are over the work budget and must be refused at once; a request that
+passes --allow-large (on the command line or in its config file) keeps
+them <= 6, so that it stays small.
 """
 
 import io
@@ -32,7 +34,8 @@ FRACTIONS = st.one_of(
     st.sampled_from(("0", "1", "x", "1/x", "1e3", "1.5", "-1")),
 )
 SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from((1.5, 2.0)),
+    st.none(), st.booleans(), st.integers(-3, 6),
+    st.sampled_from((1.5, 2.0, float("inf"), float("-inf"))),
     st.sampled_from(("1", "x", "2+1", "1/2", "")),
 )
 KEYS = st.sampled_from(("1", "2", "3", "4", "1+1", "2+1", "1+1+1", "x", "", "entries", "window"))
@@ -52,11 +55,24 @@ KNOWN_JSON = st.sampled_from((
     '{"window": [2, 3], "entries": {"2": {"2": 1}}}',
     "", "not json", "{", "[1, 2", '{"2": 1,}', "NaN", "1e999",
 ))
-JSON_TEXT = st.one_of(KNOWN_JSON, JSON_VALUES.map(json.dumps))
+# values json.dumps cannot write, set into near-valid tables as literal text
+LITERALS = st.sampled_from(("Infinity", "-Infinity", "NaN", "1e999", "7" * 5000))
+LITERAL_JSON = st.builds(
+    str.replace,
+    st.sampled_from((
+        '{"1+1": VALUE, "2": 0}',
+        '{"entries": {"2": {"2": VALUE}}}',
+        '{"entries": {"2": {"1+1": 1, "2": VALUE}}}',
+        '{"2": VALUE, "3": 3, "4": 6}',
+    )),
+    st.just("VALUE"),
+    LITERALS,
+)
+JSON_TEXT = st.one_of(KNOWN_JSON, JSON_VALUES.map(json.dumps), LITERAL_JSON)
 GRADED_DIMS = st.sampled_from(("1", "1,2", "1,1,1", "0", "1,x", "", ",", "-1,2", "2,0,1"))
 # paths relative to the working directory, which is the temporary one
 PATHS = st.one_of(
-    st.sampled_from(("report.txt", "input.json", "fuzz.cfg")),
+    st.sampled_from(("report.txt", "input.json", "fuzz.cfg", "latin1.bin")),
     st.sampled_from(("missing/report.txt", ".")),
 )
 
@@ -150,6 +166,7 @@ def _listing(path):
 def check_main(argv, config, input_json, where):
     (where / "fuzz.cfg").write_text("\n".join(config) + "\n")
     (where / "input.json").write_text(input_json)
+    (where / "latin1.bin").write_bytes("# café\nn=2\n".encode("latin-1"))  # not UTF-8
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))

@@ -7,6 +7,7 @@ from fistab.fi_analysis import (
     CharPolynomial,
     FISequence,
     IntPolynomial,
+    StabilityReport,
     detect_stability,
     fit_char_polynomial,
     fit_dim_polynomial,
@@ -140,6 +141,19 @@ def test_detect_stability_not_stabilized():
     assert not report.stabilized
     assert report.stable_from is None
     assert report.to_mapping()["note"] == "not stabilized in window"
+
+
+def test_stability_report_is_a_mutable_record():
+    report = detect_stability(FISequence({n: m_module((1,), n) for n in range(1, 7)}))
+    assert repr(report) == (
+        "StabilityReport(window=(1, 6), stable_from=2, stable_table={(1,): 1, (): 1})"
+    )
+    assert report == StabilityReport((1, 6), 2, {(): 1, (1,): 1})
+    assert report != StabilityReport((1, 6), None, {(): 1, (1,): 1})
+    report.stable_from = None
+    assert not report.stabilized
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_detect_stability_window_too_short():

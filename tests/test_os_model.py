@@ -336,6 +336,19 @@ def test_coinvariant_report_degree_zero_is_bijective():
             assert r.injective and r.surjective and r.dims == (1, 1)
 
 
+def test_reports_and_elements_are_immutable_records():
+    r = coinvariant_report(4, 1, 1)
+    assert repr(r) == (
+        "CoinvariantReport(n=4, a=1, degree=1, injective=True, surjective=True, dims=(2, 2))"
+    )
+    assert r == coinvariant_report(4, 1, 1) and hash(r) == hash(coinvariant_report(4, 1, 1))
+    el = straighten([(1, 2), (2, 3)], 3)
+    assert repr(el) == "OSElement(n=3, degree=2, coeffs={((1, 2), (2, 3)): Fraction(1, 1)})"
+    for record, field in ((r, "n"), (el, "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_coinvariant_report_full_average_degree_one():
     for n in range(2, 7):
         r = coinvariant_report(n, 0, 1)
