@@ -204,6 +204,10 @@ _SOLVE_NS = 80  # one (row, column, pivot) step of the fit-dimpoly solves
 _CYCLE_NS = 150  # one (class, cycle, stored degree, graded dimension) step of kunneth
 _AVERAGE_NS = 1000  # one (class of S_a, class of S_b) term of an S_b-average
 _STRIP_NS = 3000  # one horizontal strip (one constituent) of a Pieri sum
+_LEVEL_NS = 60000  # one level of an os-scan report: Betti number, stability, rendering
+_REPORT_NS = 30000  # one coinvariant verdict of os-scan, rendering included
+_TERM_NS = 2000  # one (W_m, j) term of a free-module invariant dimension
+_LEHRER_NS = 6000  # one (class, point) step of Lehrer's product for a character
 _ROW_NS = 500  # one row of lam per strip of m-module --lam
 _HOOK_NS = 3  # one of the (|lam| + 1)^2 steps of the hook-length dimension of lam
 _FOLD_NS = 50  # one (cell, binomial weight) step of the wreath series
@@ -260,6 +264,13 @@ def _fit_work(rows: int, degree_bound: int) -> int:
 
 def _table_work(p, levels) -> int:
     return _PAIR_NS * sum(p[n] ** 2 for n in levels)
+
+
+def _maps(n_min: int, n_max: int, a_top: int) -> int:
+    """Number of coinvariant maps os-scan reports: at each level n of
+    n_min..n_max-1, one per a <= min(a_top, n)."""
+    c = min(max(a_top, n_min), n_max)  # levels below c have n + 1 of them
+    return (c * (c + 1) - n_min * (n_min + 1)) // 2 + (n_max - c) * (a_top + 1)
 
 
 def _strips(lam, n: int) -> int:
@@ -464,31 +475,41 @@ def cmd_os_scan(args):
         raise DomainError("need 1 <= n-min <= n-max")
     window = range(args.n_min, args.n_max + 1)
     a_top = min(args.a_max, args.n_max - 1)  # no coinvariant map starts at a >= n-max
+    top = min(2 * k, args.n_max)
+    fit = 0 < args.n_max - args.n_min < 2 * k  # see os_model.character_polynomial
 
     def work(p):
-        # a table and a decomposition per level, the fit over every class of
-        # the window, and two S_b-averages per coinvariant map
-        total = _table_work(p, window)
-        if args.n_max > args.n_min:
-            total += _fit_work(sum(p[n] for n in window), 2 * k)
-        return total + 2 * _AVERAGE_NS * sum(
-            p[a] * p[n - a] for a in range(a_top + 1) for n in window if n >= a
+        # the tables of S_m for the W_m, k < m <= 2k, with their characters
+        # and averages; the Pieri strips of their constituents at each level
+        # of the peel and of the window; a report per level and per
+        # coinvariant map, each map with the terms of two free-module
+        # counts; and on a short window the characters and their fit
+        ms = range(k + 1, top + 1)
+        total = (
+            _table_work(p, ms)
+            + _STRIP_NS * (len(ms) + len(window)) * sum(_strip_pairs(p, m) for m in ms)
+            + _LEVEL_NS * len(window)
+            + _maps(args.n_min, args.n_max, a_top)
+            * (_REPORT_NS + 2 * _TERM_NS * sum(min(a_top, m) + 1 for m in ms))
         )
+        if fit:
+            total += _LEHRER_NS * sum(n * p[n] for n in window)
+            total += _fit_work(sum(p[n] for n in window), 2 * k)
+        return total
 
-    _admit(args, work, args.n_max)
-    decs = {n: os_model.decomposition(n, k) for n in window}
+    _admit(args, work, args.n_max if fit else top)
+    decs = {n: os_model.free_decomposition(n, k) for n in window}
     payload = {
         "k": k,
         "window": [args.n_min, args.n_max],
-        "betti": {str(n): os_model.betti(n, k) for n in window},
+        "betti": {str(n): os_model.free_betti(n, k) for n in window},
         "decompositions": {str(n): decs[n].to_mapping() for n in window},
     }
     if args.n_max > args.n_min:
         seq = fi_analysis.FISequence(decs)
         payload["stability"] = fi_analysis.detect_stability(seq).to_mapping()
-        chars = fi_analysis.FISequence({n: os_model.character(n, k) for n in window})
         try:
-            poly = fi_analysis.fit_char_polynomial(chars, 2 * k)
+            poly = os_model.character_polynomial(args.n_min, args.n_max, k)
             payload["character_polynomial"] = poly.to_mapping()
         except DomainError as exc:
             payload["character_polynomial"] = {"error": str(exc)}

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from .characters import ClassFunction, IrrDecomposition, exact_obj, unique_keys
 from .errors import DomainError
-from .linalg import solve_exact
 from .partitions import (
     Partition,
     binomial,
@@ -312,6 +311,8 @@ def fit_char_polynomial(seq: FISequence, degree_bound: int) -> CharPolynomial:
             f"window does not determine the monomials of weighted degree <= {degree_bound}: "
             f"there are more of them than its {values} class values"
         )
+    from .linalg import solve_exact  # here, so a process that never fits never loads it
+
     monos = _monomials(degree_bound)
     rows, rhs = [], []
     for n in seq:
@@ -380,6 +381,8 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
+    from .linalg import solve_exact
+
     points = sorted((int(n), int(v)) for n, v in dims.items())
     if len(points) < degree_bound + 2:
         raise DomainError(

@@ -26,7 +26,8 @@ V_+, so degree i of V^(x)n is a sum of free modules
 with W_m the degree-i part of V_+^(x)m, Koszul signs included (Church,
 Ellenberg and Farb, *FI-modules and stability for representations of
 symmetric groups*, 2015).  kunneth_decomposition decomposes each W_m
-over S_m and induces by the Pieri rule, as m_module does.
+over S_m and induces by the Pieri rule: free_module_sum, which m_module,
+m_regular and os-scan's decompositions also call.
 """
 
 from __future__ import annotations
@@ -99,6 +100,18 @@ def horizontal_strip_extensions(lam: Partition, n: int) -> list[Partition]:
     return sorted(out)
 
 
+def free_module_sum(generators: dict[int, IrrDecomposition], n: int) -> IrrDecomposition:
+    """Level n of the sum of free modules M(W_m) over {m: W_m}: by the
+    Pieri rule each constituent rho of W_m adds its multiplicity to every
+    horizontal-strip extension of rho with n boxes (none when n < m)."""
+    mult: dict[Partition, int] = {}
+    for w in generators.values():
+        for rho, c in w.mult.items():
+            for lam in horizontal_strip_extensions(rho, n):
+                mult[lam] = mult.get(lam, 0) + c
+    return IrrDecomposition(n, mult)
+
+
 def m_module(lam: Partition, n: int) -> IrrDecomposition:
     """Level n of the free module induced from the irreducible of shape
     lam: zero below |lam|, and by the Pieri rule one copy of each
@@ -106,9 +119,8 @@ def m_module(lam: Partition, n: int) -> IrrDecomposition:
     lam = check_partition(lam)
     if n < 0:
         raise DomainError(f"level must be nonnegative, got {n}")
-    if n < sum(lam):
-        return IrrDecomposition(n, {})
-    return IrrDecomposition(n, {mu: 1 for mu in horizontal_strip_extensions(lam, n)})
+    m = sum(lam)
+    return free_module_sum({m: IrrDecomposition(m, {lam: 1})}, n)
 
 
 def m_regular(m: int, n: int) -> IrrDecomposition:
@@ -116,12 +128,8 @@ def m_regular(m: int, n: int) -> IrrDecomposition:
     its total dimension is n!/(n-m)! once n >= m."""
     if m < 0 or n < 0:
         raise DomainError("m and n must be nonnegative")
-    mult: dict[Partition, int] = {}
-    for lam in partitions(m):
-        d = dimension(lam)
-        for mu in horizontal_strip_extensions(lam, n):
-            mult[mu] = mult.get(mu, 0) + d
-    return IrrDecomposition(n, mult)
+    regular = IrrDecomposition(m, {lam: dimension(lam) for lam in partitions(m)})
+    return free_module_sum({m: regular}, n)
 
 
 def coinvariants_as_sa(V: IrrDecomposition, a: int) -> IrrDecomposition:
@@ -205,15 +213,12 @@ def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
     oracle, without the character table of S_n."""
     dims = _check_graded_dims(graded_dims, n, i)
     positive = (0, *dims[1:])
-    mult: dict[Partition, int] = {}
+    generators = {}
     for m in range(min(n, i) + 1):
         w = _class_traces(positive, m, i)
-        if not w[(1,) * m]:
-            continue
-        for rho, c in decompose(ClassFunction(m, w)).mult.items():
-            for lam in horizontal_strip_extensions(rho, n):
-                mult[lam] = mult.get(lam, 0) + c
-    return IrrDecomposition(n, mult)
+        if w[(1,) * m]:
+            generators[m] = decompose(ClassFunction(m, w))
+    return free_module_sum(generators, n)
 
 
 def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:

@@ -9,9 +9,21 @@ and every product rewrites into it through the quadratic relation
     w[a,c] ^ w[b,c] = w[a,b] ^ w[b,c] - w[a,b] ^ w[a,c]      (a < b < c)
 
 together with anticommutativity and square-zero.  Symmetric groups act by
-relabeling points.  The characters come from Lehrer's closed form and the
-coinvariant verdicts from the dimensions it gives; the NBC basis and the
-action are the explicit model they are checked against.
+relabeling points.  The characters come from Lehrer's closed form; the NBC
+basis and the action are the explicit model they are checked against.
+
+What os-scan reports comes from the free-module decomposition of the
+cohomology, sum_m M(W_m) (see the section above free_generator): by
+Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, so W_m is peeled off the
+tables of S_m for m <= 2k once per (m, k), and every level n is a Pieri
+sum (free_decomposition), its Betti number sum_m C(n, m) dim W_m
+(free_betti), its coinvariant dimensions a sum over the W_m
+(coinvariant_report), and the character polynomial sum_m sum_{nu |- m}
+chi_{W_m}(nu) prod_l C(Z_l, m_l(nu)) on every window of at least 2k + 1
+levels, where the exact fit is unique and equal to it
+(character_polynomial).  So os-scan builds no character table of S_n for
+n > 2k.  decomposition, betti, character and invariant_dimension compute
+the same numbers from the characters of S_n and are the test oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 from .characters import (
@@ -29,7 +42,8 @@ from .characters import (
     restrict_and_average,
 )
 from .errors import DomainError
-from .induction import _poly_mul
+from .fi_analysis import CharPolynomial, FISequence, fit_char_polynomial
+from .induction import _poly_mul, free_module_sum
 from .partitions import Partition, cycle_counts, partitions
 
 Edge = tuple  # (a, b) with 1 <= a < b
@@ -213,8 +227,15 @@ def _trace_in_degree(mu: Partition, k: int) -> int:
 
 def betti(n: int, k: int) -> int:
     """dim of the degree-k cohomology on n points: e_k(1, 2, ..., n-1),
-    the degree-k character at the identity."""
-    return _trace_in_degree((1,) * n, k)
+    the degree-k character at the identity (Lehrer's product there is
+    prod_{j < n} (1 + j t)), kept only up to degree k."""
+    if k < 0 or k > max(n - 1, 0):
+        return 0
+    e = [1] + [0] * k
+    for v in range(1, n):
+        for j in range(min(k, v), 0, -1):
+            e[j] += v * e[j - 1]
+    return e[k]
 
 
 @lru_cache(maxsize=None)
@@ -243,9 +264,130 @@ def fi_map(n: int, k: int):
 
 def invariant_dimension(n: int, a: int, k: int) -> int:
     """dim of the subspace fixed by the subgroup permuting the last n-a
-    points, by averaging the character over that subgroup."""
+    points, by averaging the character over that subgroup; the test
+    oracle of the free-module count that coinvariant_report uses."""
     d = restrict_and_average(character(n, k), a).dimension()
     return as_multiplicity(d, "invariant dimension came out as")
+
+
+# ---------------------------------------------------------------------------
+# The free-module decomposition.  The cohomology of the configuration
+# spaces of an open manifold, here C, is an FI#-module, hence at every
+# level n a sum of free modules
+#
+#     H^k(Conf_n(C)) = sum_m Ind_{S_m x S_{n-m}}^{S_n} (W_m (x) 1) = sum_m M(W_m)_n
+#
+# (Church-Ellenberg-Farb, FI-modules and stability for representations of
+# symmetric groups, Duke 2015).  Lehrer-Solomon (On the action of the
+# symmetric group on the cohomology of the complement of its reflecting
+# hyperplanes, J. Algebra 1986) give H^k as the sum, over the cycle types
+# lam of S_n with n - len(lam) = k, of a character of the centralizer of
+# a permutation of type lam induced up to S_n; it is trivial on the
+# permutations of the fixed points.  So each summand is free, induced
+# from the c cycles of length >= 2, which cover m = k + c points with
+# 1 <= c <= k: W_m = 0 unless k + 1 <= m <= 2k (only W_0 for k = 0), and
+# everything os-scan reports comes from the tables of S_m for m <= 2k.
+
+
+@lru_cache(maxsize=None)
+def free_generator(m: int, k: int) -> IrrDecomposition:
+    """W_m of the decomposition above: level m of the degree-k cohomology
+    less the Pieri sums of W_0, ..., W_(m-1) at level m.  A negative
+    difference would mean the cohomology is not a sum of free modules."""
+    if not betti(m, k):  # then every W_j with j <= m vanishes too
+        return IrrDecomposition(m, {})
+    below = free_module_sum({j: free_generator(j, k) for j in range(m)}, m).mult
+    here = decomposition(m, k).mult
+    mult = {
+        lam: as_multiplicity(
+            here.get(lam, 0) - below.get(lam, 0), f"multiplicity of {lam} in W_{m} came out as"
+        )
+        for lam in {**here, **below}
+    }
+    return IrrDecomposition(m, mult)
+
+
+def _free_generators(n: int, k: int) -> dict[int, IrrDecomposition]:
+    # the nonzero W_m that reach level n
+    gens = {m: free_generator(m, k) for m in range(min(n, 2 * k) + 1)}
+    return {m: w for m, w in gens.items() if w}
+
+
+def free_decomposition(n: int, k: int) -> IrrDecomposition:
+    """decomposition(n, k), its test oracle, as the Pieri sum of the W_m:
+    no character table of S_n, only those of S_m for m <= min(n, 2k)."""
+    return free_module_sum(_free_generators(n, k), n)
+
+
+def free_betti(n: int, k: int) -> int:
+    """betti(n, k), its test oracle, as the dimension of the free sum:
+    sum_m C(n, m) dim W_m, the invariants of the trivial subgroup."""
+    return _free_invariant_dimension(n, n, k)
+
+
+def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
+    """The polynomial of weighted degree <= 2k that fit_char_polynomial
+    fits to the degree-k characters on the window n_min..n_max.
+
+    On a window with n_max - n_min >= 2k it is read off the W_m: the
+    trace of a permutation sigma on M(W_m)_n sums chi_{W_m}(sigma|_A) over
+    the m-sets A that sigma maps to themselves, and sigma|_A has cycle
+    type nu for prod_l C(Z_l(sigma), m_l(nu)) of them, so
+
+        chi(sigma) = sum_{m <= 2k} sum_{nu |- m} chi_{W_m}(nu) prod_l C(Z_l, m_l(nu)),
+
+    a polynomial in the fit's own binomial basis, true at every level.
+    The fit is unique there, so it returns this polynomial.  Take an exponent vector nu of
+    weight w <= 2k: the class with exactly the cycles of nu lies at level
+    n = w, and at every level n >= w + 2k + 1 the class of nu plus one
+    cycle of length n - w > 2k, which no monomial of weighted degree
+    <= 2k reads, so the monomials take the same values there as on nu.
+    If w >= n_min the window holds n = w (w <= 2k < n_max); if w < n_min
+    it holds n_max >= n_min + 2k >= w + 2k + 1.  The monomial of nu is 1
+    at nu and 0 at every nu' with fewer cycles of some length, so on
+    these points the monomials form a unitriangular matrix, and the rows
+    of the fit have full column rank.
+
+    A shorter window goes to fit_char_polynomial itself, so it fails with
+    the fit's own message where the window does not determine the
+    polynomial: at (k, n_min, n_max) = (2, 4, 5), (3, 5, 7), (3, 6, 7)
+    and (3, 7, 8), for example, although n_max >= 2k + 1.
+    """
+    if n_max - n_min < 2 * k:
+        chars = FISequence({n: character(n, k) for n in range(n_min, n_max + 1)})
+        return fit_char_polynomial(chars, 2 * k)
+    coeffs = {}
+    for m, w in _free_generators(n_max, k).items():
+        for nu, value in w.character().values.items():
+            coeffs[tuple(sorted(cycle_counts(nu).items()))] = value
+    return CharPolynomial(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _free_fixed_dims(m: int, k: int) -> tuple[int, ...]:
+    # entry j: dim of the vectors of W_m fixed by the subgroup permuting
+    # its last m - j points
+    chi = free_generator(m, k).character()
+    return tuple(
+        as_multiplicity(
+            restrict_and_average(chi, j).dimension(), f"invariant dimension of W_{m} came out as"
+        )
+        for j in range(m + 1)
+    )
+
+
+def _free_invariant_dimension(n: int, a: int, k: int) -> int:
+    # On M(W_m)_n the subgroup S_(n-a) permuting the last n - a points has
+    # one orbit of m-sets A per choice of the j = |A meets 1..a| points of A
+    # among the first a (j >= m - (n - a), so the rest fits), and the
+    # stabilizer of A permutes its other m - j points.
+    if not 0 <= a <= n:
+        raise DomainError(f"need 0 <= a <= {n}, got a={a}")
+    return sum(
+        comb(a, j) * _free_fixed_dims(m, k)[j]
+        for m in _free_generators(n, k)
+        for j in range(max(0, m - n + a), min(a, m) + 1)
+    )
 
 
 class CoinvariantReport(NamedTuple):
@@ -277,10 +419,11 @@ def coinvariant_report(n: int, a: int, k: int) -> CoinvariantReport:
     of symmetric groups, Duke 2015).  On a free module the coinvariant map
     comes from an injective map of orbit sets, so it is split injective:
     always injective, and surjective exactly when both sides have the same
-    dimension.  Both dimensions come from the closed-form character.
+    dimension.  Both dimensions are counted on the free modules M(W_m),
+    and invariant_dimension is their test oracle.
     """
-    d_src = invariant_dimension(n, a, k)  # rejects a outside 0..n
-    d_dst = invariant_dimension(n + 1, a, k)
+    d_src = _free_invariant_dimension(n, a, k)  # rejects a outside 0..n
+    d_dst = _free_invariant_dimension(n + 1, a, k)
     return CoinvariantReport(
         n=n,
         a=a,

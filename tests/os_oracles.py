@@ -13,6 +13,11 @@ restriction to stable flats against the whole basis.
 `quotient_coinvariant_report` decides the coinvariant maps from the
 definition of coinvariants as a quotient, by integer rank on the NBC basis.
 
+`table_route_scan` is the `os-scan` report built the way it was before
+the free-module route: every level decomposed against the character
+table of S_n, the character polynomial fitted to the characters of the
+window, and the coinvariant dimensions averaged off the characters.
+
 The top degrees are the costly part of the trace (every class fixes the
 one-block flat, with (n-1)! monomials); the full comparison with the
 closed form, every class and every degree up to N points, runs as
@@ -21,7 +26,11 @@ closed form, every class and every degree up to N points, runs as
 
 (at N = 9 about two minutes and 2.7 GB of straightening cache), and the
 coinvariant maps with k <= 4 and a <= 5 (n + 1 <= 11 for k <= 2, 10 for
-k = 3, 9 for k = 4) are compared with `coinvariant_report` by
+k = 3, 9 for k = 4) are compared with `coinvariant_report`, and the
+free-module route with the table route at every level n <= 14 for k <= 3
+and n <= 11 for k = 4 (decompositions, Betti numbers, every invariant
+dimension, and the polynomial of the window 1..n when it holds 2k + 1
+levels), by
 
     PYTHONPATH=src python tests/os_oracles.py
 """
@@ -31,13 +40,21 @@ import itertools
 import sys
 from functools import lru_cache
 
+from fistab.errors import DomainError
+from fistab.fi_analysis import FISequence, detect_stability, fit_char_polynomial
 from fistab.linalg import IntRowBasis
 from fistab.os_model import (
+    _free_invariant_dimension,
     _straighten,
     action_columns,
     betti,
     character,
+    character_polynomial,
     coinvariant_report,
+    decomposition,
+    free_betti,
+    free_decomposition,
+    invariant_dimension,
     nbc_basis,
 )
 from fistab.partitions import Partition, partitions
@@ -183,6 +200,67 @@ def coinvariant_cases(n_max_of_k: dict[int, int], a_max: int):
                 yield n, a, k
 
 
+def table_route_scan(n_min: int, n_max: int, k: int, a_max: int = 3) -> dict:
+    """The payload of `os-scan --n-min n_min --n-max n_max --k k --a-max
+    a_max` from the character tables of every S_n of the window."""
+    window = range(n_min, n_max + 1)
+    decs = {n: decomposition(n, k) for n in window}
+    payload = {
+        "k": k,
+        "window": [n_min, n_max],
+        "betti": {str(n): character(n, k).dimension() for n in window},
+        "decompositions": {str(n): decs[n].to_mapping() for n in window},
+    }
+    if n_max > n_min:
+        payload["stability"] = detect_stability(FISequence(decs)).to_mapping()
+        chars = FISequence({n: character(n, k) for n in window})
+        try:
+            payload["character_polynomial"] = fit_char_polynomial(chars, 2 * k).to_mapping()
+        except DomainError as exc:
+            payload["character_polynomial"] = {"error": str(exc)}
+    coinv = {}
+    for a in range(min(a_max, n_max - 1) + 1):
+        rows = {}
+        for n in range(max(n_min, a), n_max):
+            d_src, d_dst = invariant_dimension(n, a, k), invariant_dimension(n + 1, a, k)
+            rows[str(n)] = {
+                "n": n, "a": a, "degree": k, "injective": True,
+                "surjective": d_src == d_dst, "dims": [d_src, d_dst],
+            }
+        if rows:
+            coinv[str(a)] = rows
+    payload["coinvariants"] = coinv
+    return payload
+
+
+def free_route_mismatches(n: int, k: int) -> list[str]:
+    """What the free-module route at level n gets wrong against the
+    character table of S_n: the decomposition, the Betti number, the
+    invariant dimension for some a, or the polynomial of the window 1..n
+    when it holds 2k + 1 levels."""
+    bad = []
+    if free_decomposition(n, k) != decomposition(n, k):
+        bad.append("decomposition")
+    if free_betti(n, k) != betti(n, k):
+        bad.append("betti")
+    bad += [
+        f"invariants a={a}" for a in range(n + 1)
+        if _free_invariant_dimension(n, a, k) != invariant_dimension(n, a, k)
+    ]
+    if n - 1 >= 2 * k:
+        chars = FISequence({m: character(m, k) for m in range(1, n + 1)})
+        if character_polynomial(1, n, k) != fit_char_polynomial(chars, 2 * k):
+            bad.append("polynomial")
+    return bad
+
+
+def _check_free_modules() -> int:
+    cases = [(n, k) for k in range(5) for n in range(1, (14 if k <= 3 else 11) + 1)]
+    bad = [(n, k, what) for n, k in cases for what in free_route_mismatches(n, k)]
+    print(f"{len(cases)} levels through the free modules, mismatches {bad}")
+    return 1 if bad else 0
+
+
 def _check_coinvariants() -> int:
     cases = list(coinvariant_cases({0: 10, 1: 10, 2: 10, 3: 9, 4: 8}, 5))
     bad = []
@@ -208,4 +286,6 @@ def _check_characters(n_max: int) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(_check_characters(int(sys.argv[1])) if sys.argv[1:] else _check_coinvariants())
+    if sys.argv[1:]:
+        sys.exit(_check_characters(int(sys.argv[1])))
+    sys.exit(_check_free_modules() | _check_coinvariants())

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import fistab
-from fistab.cli import _shapes_inside, _strip_pairs, _strips, build_parser, main
+from fistab import os_model
+from fistab.cli import _maps, _shapes_inside, _strip_pairs, _strips, build_parser, main
 from fistab.induction import horizontal_strip_extensions
 from fistab.partitions import dimension, parse_partition, partition_counts, partitions
 
@@ -228,6 +229,12 @@ def test_work_estimate_counts():
                 assert _strip_pairs(p, m) == every, m
             else:
                 assert _strip_pairs(p, m) >= every, (m, level)
+    # the coinvariant maps (a, n) of an os-scan, a <= a_top < n_max
+    for n_min in range(1, 8):
+        for n_max in range(n_min, 12):
+            for a_top in range(n_max):
+                maps = [(a, n) for a in range(a_top + 1) for n in range(max(n_min, a), n_max)]
+                assert _maps(n_min, n_max, a_top) == len(maps), (n_min, n_max, a_top)
 
 
 def test_os_scan_degree_three(capsys):
@@ -235,8 +242,28 @@ def test_os_scan_degree_three(capsys):
         capsys, "os-scan", "--n-min", "4", "--n-max", "6", "--k", "3", "--a-max", "0"
     )
     assert payload["betti"] == {"4": 6, "5": 50, "6": 225}
-    code, _, err = run(capsys, "os-scan", "--n-min", "4", "--n-max", "30", "--k", "3")
+    # a window of fewer than 2k + 1 levels is fitted over every class of
+    # S_39 and S_40
+    code, _, err = run(capsys, "os-scan", "--n-min", "39", "--n-max", "40", "--k", "3")
     assert code == 1 and "work budget" in err
+
+
+def test_os_scan_stays_within_table1_config_surface_open(capsys):
+    # the paper's bounds for the configuration spaces of an open surface,
+    # against computed data: weight <= 2i, character degree <= 2i and
+    # stability from N = 5i, on a window that reaches past 5i
+    for k in range(1, 7):
+        row = run_json(capsys, "table1", "--row", "config_surface_open", "--i", str(k))
+        scan = run_json(
+            capsys, "os-scan", "--n-min", "2", "--n-max", str(5 * k + 2), "--k", str(k),
+            "--a-max", "0",
+        )
+        stable = scan["stability"]
+        weight = max(sum(parse_partition(root)) for root in stable["stable_table"])
+        assert weight <= row["derived"]["weight"] == 2 * k, k
+        degree = scan["character_polynomial"]["weighted_degree"]
+        assert degree <= row["char_degree"] == 2 * k, k
+        assert stable["stabilized"] and stable["stable_from"] <= row["N"] == 5 * k, k
 
 
 def test_wreath_scan(capsys):
@@ -472,7 +499,7 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
         "kunneth --graded-dims 1,2 --n 60 --i 3 --decompose",
         "wreath-scan --graded-dims 1,2 --i 2 --n-max 10000000",
         "m-module --regular 40 --n 80",
-        "os-scan --n-min 2 --n-max 30 --k 3",
+        "os-scan --n-min 2 --n-max 40 --k 12",
         f"fit-dimpoly --input {dims} --degree-bound 118",
         "character --lam 6+5+5+4+4+3+3+2",
         "m-module --lam 200000 --n 200000",
@@ -501,6 +528,46 @@ def test_kunneth_decomposition_without_the_table_of_s_n_is_admitted():
     report = json.loads(proc.stdout)
     dim = sum(m * dimension(parse_partition(lam)) for lam, m in report["decomposition"].items())
     assert dim == report["character"]["+".join(["1"] * 40)] == 2**3 * comb(40, 3)
+
+
+def test_long_os_scan_without_the_tables_of_s_n_is_admitted():
+    # refused before the free-module route: the tables of S_n for n <= 200
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fistab.cli", "os-scan", "--n-min", "2", "--n-max", "200",
+         "--k", "3"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0 and not proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["betti"]["200"] == os_model.betti(200, 3)
+    assert report["stability"]["stable_from"] <= 12
+    assert report["character_polynomial"]["weighted_degree"] == 6
+    assert report["coinvariants"]["3"]["199"]["surjective"] is True
+
+
+def test_os_scan_builds_no_character_table_past_2k():
+    # every table os-scan asks for is one of S_m with m <= 2k, to peel W_m off
+    code = (
+        "import io, json, contextlib\n"
+        "from fistab import characters, cli\n"
+        "seen = []\n"
+        "table = characters.character_table\n"
+        "characters.character_table = lambda n: seen.append(n) or table(n)\n"
+        "for k, lo, hi in [(1, 2, 12), (2, 2, 15), (3, 2, 21), (3, 2, 7), (2, 9, 11)]:\n"
+        "    argv = ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k)]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    assert max(seen, default=0) <= 2 * k, (k, seen)\n"
+        "    seen.clear()\n"
+        "print(json.dumps(sorted(table.cache_info()._asdict().items())))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert dict(json.loads(proc.stdout))["currsize"] <= 6
 
 
 def test_unfittable_character_polynomial_is_refused_quickly():

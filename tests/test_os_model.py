@@ -8,6 +8,8 @@ relations of the algebra for the straightening map, and the
 representation axiom for the action matrices.
 """
 
+import contextlib
+import io
 import itertools
 import random
 
@@ -15,17 +17,27 @@ import pytest
 
 from fistab import os_model
 from fistab.characters import trivial_character
+from fistab.cli import main, render
 from fistab.errors import ConsistencyError, DomainError
-from fistab.fi_analysis import length_of, quotient_betti, unpadded_table, weight_of
+from fistab.fi_analysis import (
+    FISequence,
+    fit_char_polynomial,
+    length_of,
+    quotient_betti,
+    unpadded_table,
+    weight_of,
+)
 from fistab.linalg import IntRowBasis
 from fistab.os_model import (
     action_columns,
     action_matrix,
     betti,
     character,
+    character_polynomial,
     coinvariant_report,
     decomposition,
     fi_map,
+    free_generator,
     invariant_dimension,
     nbc_basis,
     normalize_edge,
@@ -36,9 +48,11 @@ from linalg_helpers import mat_mul_columns
 from os_oracles import (
     class_representative,
     coinvariant_cases,
+    free_route_mismatches,
     full_nbc_trace,
     nbc_trace_character,
     quotient_coinvariant_report,
+    table_route_scan,
 )
 
 
@@ -477,3 +491,56 @@ def test_coinvariant_verdicts_match_recorded_table():
 def test_coinvariant_report_matches_quotient_definition(n, a, k):
     r = coinvariant_report(n, a, k)
     assert quotient_coinvariant_report(n, a, k) == (r.injective, r.surjective, *r.dims)
+
+
+# ---------------------------------------------------------------------------
+# The free-module route of os-scan against the character tables of S_n
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_free_generators_live_between_k_plus_one_and_2k(k):
+    # Lehrer-Solomon: only the cycles of length >= 2 of a permutation with
+    # n - k cycles carry W_m, so k + 1 <= m <= 2k (only W_0 when k = 0)
+    nonzero = [m for m in range(12) if free_generator(m, k)]
+    assert nonzero == ([0] if k == 0 else list(range(k + 1, 2 * k + 1)))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_free_module_route_matches_the_character_tables(k):
+    # decompositions, Betti numbers, every invariant dimension, and the
+    # polynomial of the window 1..n
+    for n in range(12):
+        assert free_route_mismatches(n, k) == [], n
+    with pytest.raises(DomainError, match="need 0 <= a <= 4"):
+        coinvariant_report(4, 5, k)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_closed_form_polynomial_is_the_fit_on_every_long_window(k):
+    for n_min in range(1, 13):
+        for n_max in range(n_min + 2 * k, 13):
+            chars = FISequence({n: character(n, k) for n in range(n_min, n_max + 1)})
+            want = fit_char_polynomial(chars, 2 * k)
+            assert character_polynomial(n_min, n_max, k) == want, (n_min, n_max)
+
+
+def _scan_output(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "k,n_min,n_max",
+    # windows the fit cannot pin down although n_max >= 2k + 1
+    [(2, 4, 5), (3, 5, 7), (3, 6, 7), (3, 7, 8)]
+    # and windows of 2k + 1 levels or more, read off the W_m
+    + [(1, 1, 3), (2, 3, 7), (3, 2, 9), (4, 1, 10)],
+)
+def test_os_scan_prints_the_bytes_of_the_table_route(k, n_min, n_max):
+    payload = table_route_scan(n_min, n_max, k)
+    assert ("error" in payload["character_polynomial"]) == (n_max - n_min < 2 * k)
+    for fmt in ("json", "text", "csv"):
+        argv = ["os-scan", "--n-min", str(n_min), "--n-max", str(n_max), "--k", str(k)]
+        assert _scan_output([*argv, "--format", fmt]) == render(payload, fmt), fmt
