@@ -10,7 +10,6 @@ share across threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
@@ -100,10 +99,10 @@ def character_table(n: int) -> dict[Partition, tuple[int, ...]]:
     return table
 
 
-def as_multiplicity(value: Fraction, what: str) -> int:
-    """value as a nonnegative int.  Anything else means an averaged
-    function was not the character of a representation, an upstream bug,
-    reported as ConsistencyError("<what> <value>")."""
+def as_multiplicity(value, what: str) -> int:
+    """value, an int or a Fraction, as a nonnegative int.  Anything else
+    means an averaged function was not the character of a representation,
+    an upstream bug, reported as ConsistencyError("<what> <value>")."""
     if value.denominator != 1 or value < 0:
         raise ConsistencyError(f"{what} {value}")
     return int(value)
@@ -134,7 +133,7 @@ class ClassFunction:
             )
         self.values = vals
 
-    def __call__(self, mu) -> Fraction | int:
+    def __call__(self, mu):
         mu = check_partition(mu)
         if mu not in self.values:
             raise DomainError(f"{mu!r} is not a cycle type of S_{self.n}")
@@ -187,8 +186,11 @@ class ClassFunction:
 
 
 def exact_obj(v):
-    v = Fraction(v)
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    """An exact number as JSON: an int, or "p/q" in lowest terms."""
+    if type(v) is int:
+        return v
+    p, q = v.as_integer_ratio()
+    return p if q == 1 else f"{p}/{q}"
 
 
 def unique_keys(triples, what: str) -> dict:
@@ -215,8 +217,12 @@ def _parse_table(mapping, what: str) -> dict:
 
 
 def parse_exact(v):
+    if type(v) is int:
+        return v
     if isinstance(v, bool):  # JSON true/false, which Fraction reads as 1/0
         raise DomainError(f"not an exact rational: {v!r}")
+    from fractions import Fraction
+
     try:
         f = Fraction(v)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
@@ -240,8 +246,9 @@ def sign_character(n: int) -> ClassFunction:
     return irreducible_character((1,) * n if n else ())
 
 
-def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """Standard character inner product (1/n!) sum class_size * f * g."""
+def inner_product(f: ClassFunction, g: ClassFunction):
+    """Standard character inner product (1/n!) sum class_size * f * g, as
+    a Fraction."""
     if f.n != g.n:
         raise DomainError(
             f"inner product needs matching groups, got S_{f.n} and S_{g.n}"
@@ -250,6 +257,8 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     total = sum(
         size * fv[mu] * gv[mu] for size, mu in zip(class_sizes(f.n), partitions(f.n))
     )
+    from fractions import Fraction
+
     return Fraction(total, factorial(f.n))
 
 
@@ -327,15 +336,20 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
     a negative or non-integer multiplicity means f was not the character
     of an actual representation and signals an upstream bug.
     """
-    n = f.n
+    n, order = f.n, factorial(f.n)
     weighted = [size * f.values[mu] for size, mu in zip(class_sizes(n), partitions(n))]
     mult = {}
     for lam, row in character_table(n).items():
-        m = as_multiplicity(
-            Fraction(sum(map(mul, weighted, row)), factorial(n)),
-            f"not a representation character: multiplicity of "
-            f"{format_partition(lam) or '()'} is",
-        )
+        total = sum(map(mul, weighted, row))
+        m, rest = divmod(total, order)
+        if rest or m < 0:  # refused, with the exact value in the message
+            from fractions import Fraction
+
+            as_multiplicity(
+                Fraction(total, order),
+                f"not a representation character: multiplicity of "
+                f"{format_partition(lam) or '()'} is",
+            )
         if m:
             mult[lam] = m
     return IrrDecomposition(n, mult)
@@ -352,6 +366,8 @@ def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
     n = f.n
     if not 0 <= a <= n:
         raise DomainError(f"need 0 <= a <= {n}, got a={a}")
+    from fractions import Fraction
+
     b = n - a
     values = {}
     for nu in partitions(a):

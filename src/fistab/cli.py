@@ -11,17 +11,14 @@ Exit codes: 0 success, 1 domain error, 2 internal-consistency failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, perm, prod
 from operator import mul
 
-from . import bounds as bounds_mod
 from .characters import (
     ClassFunction,
     decompose,
@@ -111,6 +108,8 @@ def render(payload, fmt: str) -> str:
     if fmt == "text":
         return "\n".join(render_text(payload)) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for key, value in _flatten(payload):
@@ -173,9 +172,11 @@ def _load_json(args, inline_attr: str):
         ) from None
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
     # argparse turns only TypeError/ValueError into a usage error, and
     # Fraction("1/0") raises ZeroDivisionError
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -439,16 +440,18 @@ def _reject_foreign_bounds_flags(args) -> None:
 
 
 def cmd_bounds(args):
+    from . import bounds
+
     _reject_foreign_bounds_flags(args)
-    params = bounds_mod.BoundParams(args.alpha, args.beta)
+    params = bounds.BoundParams(args.alpha, args.beta)
     head = {"alpha": str(params.alpha), "beta": str(params.beta), "i": args.i}
     if args.fisharp:
-        return {**head, "fisharp_degree": bounds_mod.fisharp_degree(params, args.i)}
+        return {**head, "fisharp_degree": bounds.fisharp_degree(params, args.i)}
     if args.page is not None:
-        st = bounds_mod.page_stability(params, (args.p, args.q), args.page)
+        st = bounds.page_stability(params, (args.p, args.q), args.page)
         head.update({"page": args.page, "p": args.p, "q": args.q})
     else:
-        st = bounds_mod.abutment_stability(
+        st = bounds.abutment_stability(
             params, args.i, degenerates_at=args.degenerates_at
         )
         if args.degenerates_at is not None:
@@ -462,7 +465,9 @@ def cmd_bounds(args):
 
 
 def cmd_table1(args):
-    return bounds_mod.table1_row(args.row, args.i).to_mapping()
+    from . import bounds
+
+    return bounds.table1_row(args.row, args.i).to_mapping()
 
 
 def cmd_os_scan(args):
@@ -587,14 +592,108 @@ def cmd_kunneth(args):
 # parser assembly
 
 
+def _character_flags(p):
+    p.add_argument("--lam", required=True, help="shape, e.g. 3+2")
+    p.add_argument("--mu", help="cycle type; omit for the whole class function")
+
+
+def _decompose_flags(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--values", help="inline JSON {cycle type: value}")
+    p.add_argument("--input", help="path to the JSON class function")
+
+
+def _m_module_flags(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--lam", help="inducing shape, e.g. 2+1")
+    p.add_argument("--regular", type=int, help="induce from the full group algebra of S_m")
+
+
+def _stability_scan_flags(p):
+    p.add_argument("--entries", help="inline JSON sequence of decompositions")
+    p.add_argument("--input", help="path to the JSON sequence")
+
+
+def _fit_charpoly_flags(p):
+    p.add_argument("--entries", help="inline JSON sequence of class functions")
+    p.add_argument("--input", help="path to the JSON sequence")
+    p.add_argument("--degree-bound", type=int, required=True)
+
+
+def _fit_dimpoly_flags(p):
+    p.add_argument("--dims", help="inline JSON {n: dimension}")
+    p.add_argument("--input", help="path to the JSON dimensions")
+    p.add_argument("--degree-bound", type=int, required=True)
+
+
+def _bounds_flags(p):
+    p.add_argument("--alpha", type=_fraction, required=True)
+    p.add_argument("--beta", type=_fraction, required=True)
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--page", type=int, help="page number r >= 3 for entry bounds")
+    p.add_argument("--p", type=int)
+    p.add_argument("--q", type=int)
+    p.add_argument("--fisharp", action="store_true", help="generation-degree variant")
+    p.add_argument("--degenerates-at", type=int, help="known degeneration page")
+
+
+def _table1_flags(p):
+    from .bounds import TABLE1_ROWS
+
+    p.add_argument("--row", required=True, choices=TABLE1_ROWS)
+    p.add_argument("--i", type=int, required=True)
+
+
+def _os_scan_flags(p):
+    p.add_argument("--n-min", type=int, required=True)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--a-max", type=int, default=3)
+
+
+def _wreath_scan_flags(p):
+    p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--n-min", type=int, default=0)
+    p.add_argument("--n-max", type=int, required=True)
+
+
+def _kunneth_flags(p):
+    p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--decompose", action="store_true")
+
+
+# name -> (help, whether it takes --allow-large, adds its own flags), in
+# the order the help lists them
+SUBCOMMANDS = {
+    "character": ("irreducible character values", True, _character_flags),
+    "decompose": ("decompose a class function", True, _decompose_flags),
+    "m-module": ("free-module level decomposition", True, _m_module_flags),
+    "stability-scan": ("detect uniform stability", False, _stability_scan_flags),
+    "fit-charpoly": ("fit a character polynomial", True, _fit_charpoly_flags),
+    "fit-dimpoly": ("fit a dimension polynomial", True, _fit_dimpoly_flags),
+    "bounds": ("stability-bound arithmetic", False, _bounds_flags),
+    "table1": ("headline bounds per example family", False, _table1_flags),
+    "os-scan": ("configuration-space model scan", True, _os_scan_flags),
+    "wreath-scan": ("wreath-product Betti scan", True, _wreath_scan_flags),
+    "kunneth": ("graded tensor-power character", True, _kunneth_flags),
+}
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> _Parser:
-    """The argument parser, built on the first call and shared by every
-    later one: callers must not mutate it.  Reuse is safe because
-    `parse_args` returns a fresh namespace and no argument has a mutable
-    default.  Subcommands carry no handler: `main` looks `cmd_<name>` up
-    on every call, so a handler rebound after the first call (a profiler,
-    a tracer) still takes effect."""
+def build_parser(command: str | None = None) -> _Parser:
+    """The argument parser.  With a subcommand name it holds that
+    subcommand's parser alone, which is all `main` needs for an argv
+    that starts with the name; without one it holds every subcommand's,
+    for help, unknown names and callers that want it whole.  Each is
+    built on the first call and shared by every later one: callers must
+    not mutate it.  Reuse is safe because `parse_args` returns a fresh
+    namespace and no argument has a mutable default.  Subcommands carry
+    no handler: `main` looks `cmd_<name>` up on every call, so a handler
+    rebound after the first call (a profiler, a tracer) still takes
+    effect."""
     parser = _Parser(prog="fistab", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the report to this path instead of stdout")
@@ -607,68 +706,19 @@ def build_parser() -> _Parser:
         action="store_true",
         help=f"run past the work budget ({WORK_BUDGET / 10**9:g} s of estimated work)",
     )
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("character", parents=[common, large], help="irreducible character values")
-    p.add_argument("--lam", required=True, help="shape, e.g. 3+2")
-    p.add_argument("--mu", help="cycle type; omit for the whole class function")
-
-    p = sub.add_parser("decompose", parents=[common, large], help="decompose a class function")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--values", help="inline JSON {cycle type: value}")
-    p.add_argument("--input", help="path to the JSON class function")
-
-    p = sub.add_parser("m-module", parents=[common, large], help="free-module level decomposition")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lam", help="inducing shape, e.g. 2+1")
-    p.add_argument("--regular", type=int, help="induce from the full group algebra of S_m")
-
-    p = sub.add_parser("stability-scan", parents=[common], help="detect uniform stability")
-    p.add_argument("--entries", help="inline JSON sequence of decompositions")
-    p.add_argument("--input", help="path to the JSON sequence")
-
-    p = sub.add_parser("fit-charpoly", parents=[common, large], help="fit a character polynomial")
-    p.add_argument("--entries", help="inline JSON sequence of class functions")
-    p.add_argument("--input", help="path to the JSON sequence")
-    p.add_argument("--degree-bound", type=int, required=True)
-
-    p = sub.add_parser("fit-dimpoly", parents=[common, large], help="fit a dimension polynomial")
-    p.add_argument("--dims", help="inline JSON {n: dimension}")
-    p.add_argument("--input", help="path to the JSON dimensions")
-    p.add_argument("--degree-bound", type=int, required=True)
-
-    p = sub.add_parser("bounds", parents=[common], help="stability-bound arithmetic")
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--beta", type=_fraction, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--page", type=int, help="page number r >= 3 for entry bounds")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--fisharp", action="store_true", help="generation-degree variant")
-    p.add_argument("--degenerates-at", type=int, help="known degeneration page")
-
-    p = sub.add_parser("table1", parents=[common], help="headline bounds per example family")
-    p.add_argument("--row", required=True, choices=bounds_mod.TABLE1_ROWS)
-    p.add_argument("--i", type=int, required=True)
-
-    p = sub.add_parser("os-scan", parents=[common, large], help="configuration-space model scan")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a-max", type=int, default=3)
-
-    p = sub.add_parser("wreath-scan", parents=[common, large], help="wreath-product Betti scan")
-    p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--n-max", type=int, required=True)
-
-    p = sub.add_parser("kunneth", parents=[common, large], help="graded tensor-power character")
-    p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--decompose", action="store_true")
-
+    if command is None:
+        names, shown = SUBCOMMANDS, {}
+    else:
+        # argparse shows the subcommand argument by its metavar in the
+        # usage line and in an invalid-choice error.  Listing every name
+        # keeps the full parser's usage line; that error needs an unknown
+        # name, which never gets this parser.
+        names, shown = (command,), {"metavar": "{" + ",".join(SUBCOMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, **shown)
+    for name in names:
+        help_text, takes_large, add_flags = SUBCOMMANDS[name]
+        parents = [common, large] if takes_large else [common]
+        add_flags(sub.add_parser(name, parents=parents, help=help_text))
     return parser
 
 
@@ -702,9 +752,12 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config(argv)
+        if argv and argv[0] in SUBCOMMANDS:
+            parser = build_parser(argv[0])
+        else:
+            parser = build_parser()
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.error("a subcommand is required")

@@ -199,30 +199,26 @@ def _mobius(d: int) -> int:
     return -result if d > 1 else result
 
 
-@lru_cache(maxsize=None)
-def _graded_trace(mu: Partition) -> tuple[int, ...]:
-    """(chi_0(g), chi_1(g), ...) for g of cycle type mu, where chi_k is the
-    character on the degree-k cohomology.
+def _trace_in_degree(mu: Partition, k: int) -> int:
+    """chi_k(g) for g of cycle type mu, where chi_k is the character on
+    the degree-k cohomology.
 
     Lehrer's product formula (J. London Math. Soc. 1987), with m_r the
     number of r-cycles of g:
 
         sum_k chi_k(g) (-t)^k
-            = prod_r prod_{j < m_r} (sum_{d | r} mu(d) t^(r - r/d) - j r t^r).
+            = prod_r prod_{j < m_r} (sum_{d | r} mu(d) t^(r - r/d) - j r t^r),
+
+    expanded only up to t^k: no factor has a negative degree, so the
+    terms past t^k never reach it.
     """
-    n = sum(mu)
     series = {0: 1}
     for r, m in cycle_counts(mu).items():
         # one term per divisor d of r, in rising degree r - r/d < r
         base = {r - r // d: _mobius(d) for d in range(1, r + 1) if r % d == 0}
         for j in range(m):
-            series = _poly_mul(series, {**base, r: -j * r} if j else base, n)
-    return tuple(-series.get(k, 0) if k % 2 else series.get(k, 0) for k in range(n + 1))
-
-
-def _trace_in_degree(mu: Partition, k: int) -> int:
-    series = _graded_trace(mu)
-    return series[k] if 0 <= k < len(series) else 0
+            series = _poly_mul(series, {**base, r: -j * r} if j else base, k)
+    return -series.get(k, 0) if k % 2 else series.get(k, 0)
 
 
 def betti(n: int, k: int) -> int:

@@ -623,6 +623,7 @@ def test_wreath_scan_reaches_far_past_the_class_sums():
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+    assert build_parser("kunneth") is build_parser("kunneth") is not build_parser()
 
 
 def test_reused_parser_forgets_the_previous_request(tmp_path, monkeypatch):

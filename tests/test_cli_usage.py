@@ -18,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from fistab.cli import main
+from fistab.cli import SUBCOMMANDS, main
 
 USAGE = (
     "usage: fistab [-h]\n"
@@ -108,7 +108,7 @@ def _columns(monkeypatch):
 
 
 def test_every_subcommand_is_covered():
-    assert {argv[0] for argv in HELP if argv[0] != "-h"} == set(VALID)
+    assert {argv[0] for argv in HELP if argv[0] != "-h"} == set(VALID) == set(SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("argv", ERRORS, ids=lambda argv: " ".join(argv) or "(none)")

@@ -230,6 +230,40 @@ def test_stable_flat_trace_matches_whole_basis_trace(n):
         assert values == [full_nbc_trace(n, k, mu) for k in range(n)], mu
 
 
+def _untruncated_lehrer_traces(mu) -> list[int]:
+    """(chi_0(g), chi_1(g), ...) for g of cycle type mu: Lehrer's product
+    multiplied out in full, as dense coefficient lists, with the Moebius
+    function from the primes dividing each d."""
+
+    def moebius(d):
+        primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+        return 0 if any(d % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    series = [1]
+    for r in set(mu):
+        for j in range(mu.count(r)):
+            factor = [0] * (r + 1)
+            for d in range(1, r + 1):
+                if r % d == 0:
+                    factor[r - r // d] += moebius(d)
+            factor[r] -= j * r
+            product = [0] * (len(series) + r)
+            for a, x in enumerate(series):
+                for b, y in enumerate(factor):
+                    product[a + b] += x * y
+            series = product
+    return [(-1) ** k * c for k, c in enumerate(series)]
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_truncated_lehrer_product_matches_the_full_one(n):
+    for mu in partitions(n):
+        full = _untruncated_lehrer_traces(mu)
+        for k in range(n + 2):
+            want = full[k] if k < len(full) else 0
+            assert character(n, k).values[mu] == want, (n, k, mu)
+
+
 def _fixed_pair_count(perm):
     n = len(perm)
     count = 0

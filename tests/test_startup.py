@@ -1,7 +1,8 @@
 """What a fresh interpreter imports to run each subcommand.
 
-Each subcommand imports only the layers it calls, and the package
-resolves its exports on first use.  These tests look at `sys.modules` in
+Each subcommand imports only the layers and standard modules it calls,
+builds the parser of that subcommand alone, and the package resolves its
+exports on first use.  These tests look at `sys.modules` in
 a fresh `sys.executable` after each step; they time nothing.
 """
 
@@ -15,7 +16,9 @@ import fistab
 
 SRC = str(Path(fistab.__file__).parents[1])
 # what the character, kunneth and wreath paths never need
-UNUSED_LAYERS = ("fistab.os_model", "fistab.fi_analysis", "fistab.linalg")
+UNUSED_LAYERS = ("fistab.os_model", "fistab.fi_analysis", "fistab.linalg", "fistab.bounds")
+# standard modules some subcommands load; sys.modules is listed with them
+WATCHED = ("csv", "dataclasses", "fractions")
 KUNNETH = ["kunneth", "--graded-dims", "1,2", "--n", "6", "--i", "3", "--decompose"]
 WREATH = ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-max", "10"]
 OS_SCAN = ["os-scan", "--n-min", "2", "--n-max", "4", "--k", "1"]
@@ -52,42 +55,58 @@ def _fresh(code: str):
     return json.loads(proc.stdout)
 
 
-def _loaded_after(*runs) -> list[str]:
-    """The package modules and `dataclasses` in sys.modules after the
-    parser is built and each argv in `runs` has run through main."""
+def _loaded_after(*runs, full_parser=False) -> list[str]:
+    """The package modules and the WATCHED ones in sys.modules after
+    `fistab.cli` is imported, the parser of every subcommand is built if
+    `full_parser`, and each argv in `runs` has run through main."""
     return _fresh(
         "import json, os, sys\n"
         "import fistab.cli\n"
-        "fistab.cli.build_parser()\n"
+        f"if {full_parser!r}:\n"
+        "    fistab.cli.build_parser()\n"
         f"for argv in {list(runs)!r}:\n"
         "    assert fistab.cli.main([*argv, '--out', os.devnull]) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.startswith('fistab') or m == 'dataclasses')))\n"
+        f"                        if m.startswith('fistab') or m in {WATCHED!r})))\n"
     )
 
 
-def test_building_the_parser_loads_no_computation_layer():
+def test_importing_the_cli_loads_no_computation_layer():
     assert _loaded_after() == [
+        "fistab", "fistab.characters", "fistab.cli", "fistab.errors", "fistab.partitions",
+    ]
+
+
+def test_building_the_parser_loads_no_computation_layer():
+    # the choices of table1 --row are the rows of the bounds module
+    assert _loaded_after(full_parser=True) == [
         "fistab", "fistab.bounds", "fistab.characters", "fistab.cli",
-        "fistab.errors", "fistab.partitions",
+        "fistab.errors", "fistab.partitions", "fractions",
     ]
 
 
 def test_kunneth_and_wreath_scan_load_only_their_layers():
-    for runs in ([KUNNETH], [WREATH], [KUNNETH, WREATH]):
+    text = ["--format", "text"]
+    for runs in ([KUNNETH], [WREATH], [KUNNETH, WREATH], [KUNNETH + text, WREATH + text]):
         loaded = _loaded_after(*runs)
         assert "fistab.induction" in loaded, runs
-        assert not {*UNUSED_LAYERS, "dataclasses"} & set(loaded), (runs, loaded)
+        assert not {*UNUSED_LAYERS, *WATCHED} & set(loaded), (runs, loaded)
 
 
-def test_os_scan_loads_no_dataclasses():
+def test_os_scan_loads_neither_bounds_nor_dataclasses():
     # a window of 2k + 1 levels or more reads its character polynomial off
     # the free modules, so only a shorter one loads linalg for the exact fit
     loaded = _loaded_after(OS_SCAN)
     assert {"fistab.os_model", "fistab.fi_analysis"} <= set(loaded)
-    assert not {"fistab.linalg", "dataclasses"} & set(loaded)
+    assert not {"fistab.linalg", "fistab.bounds", "dataclasses"} & set(loaded)
     loaded = _loaded_after(OS_SCAN_SHORT)
-    assert "fistab.linalg" in loaded and "dataclasses" not in loaded
+    assert "fistab.linalg" in loaded
+    assert not {"fistab.bounds", "dataclasses"} & set(loaded)
+
+
+def test_csv_is_loaded_for_a_csv_report_alone():
+    assert "csv" not in _loaded_after(OS_SCAN, [*KUNNETH, "--format", "text"])
+    assert "csv" in _loaded_after([*KUNNETH, "--format", "csv"])
 
 
 def test_partitions_stays_the_function_after_a_cli_run():
