@@ -17,7 +17,7 @@ import fistab
 SRC = str(Path(fistab.__file__).parents[1])
 # what the character, kunneth and wreath paths never need
 UNUSED_LAYERS = ("fistab.os_model", "fistab.fi_analysis", "fistab.linalg", "fistab.bounds")
-# standard modules some subcommands load; sys.modules is listed with them
+# standard modules listed with the package's: only some subcommands load them
 WATCHED = ("csv", "dataclasses", "fractions")
 KUNNETH = ["kunneth", "--graded-dims", "1,2", "--n", "6", "--i", "3", "--decompose"]
 WREATH = ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-max", "10"]
@@ -86,8 +86,7 @@ def test_building_the_parser_loads_no_computation_layer():
 
 
 def test_kunneth_and_wreath_scan_load_only_their_layers():
-    text = ["--format", "text"]
-    for runs in ([KUNNETH], [WREATH], [KUNNETH, WREATH], [KUNNETH + text, WREATH + text]):
+    for runs in ([KUNNETH], [WREATH], [KUNNETH, WREATH]):
         loaded = _loaded_after(*runs)
         assert "fistab.induction" in loaded, runs
         assert not {*UNUSED_LAYERS, *WATCHED} & set(loaded), (runs, loaded)
