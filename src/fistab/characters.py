@@ -21,6 +21,7 @@ from .partitions import (
     check_partition,
     dimension,
     format_partition,
+    horizontal_strip_extensions,
     parse_partition,
     partition_count,
     partitions,
@@ -355,6 +356,31 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
     return IrrDecomposition(n, mult)
 
 
+def free_module_sum(generators: dict[int, IrrDecomposition], n: int) -> IrrDecomposition:
+    """Level n of the sum of free modules M(W_m) over {m: W_m}: by the
+    Pieri rule each constituent rho of W_m adds its multiplicity to every
+    horizontal-strip extension of rho with n boxes (none when n < m)."""
+    mult: dict[Partition, int] = {}
+    for w in generators.values():
+        for rho, c in w.mult.items():
+            for lam in horizontal_strip_extensions(rho, n):
+                mult[lam] = mult.get(lam, 0) + c
+    return IrrDecomposition(n, mult)
+
+
+def _poly_mul(p: dict[int, int], q: dict[int, int], cap: int) -> dict[int, int]:
+    """Product of two sparse polynomials {degree: coefficient} up to degree
+    cap.  Only the terms stored in either factor are visited; q must list
+    its degrees in increasing order."""
+    out: dict[int, int] = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            if a + b > cap:
+                break
+            out[a + b] = out.get(a + b, 0) + x * y
+    return out
+
+
 def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
     """Restrict f from S_n to S_a x S_b, the second factor permuting the
     last b = n - a points, and average over S_b.
@@ -366,16 +392,20 @@ def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
     n = f.n
     if not 0 <= a <= n:
         raise DomainError(f"need 0 <= a <= {n}, got a={a}")
-    from fractions import Fraction
-
     b = n - a
+    order = factorial(b)
     values = {}
     for nu in partitions(a):
         total = sum(
             size * f.values[tuple(sorted(nu + mu2, reverse=True))]
             for size, mu2 in zip(class_sizes(b), partitions(b))
         )
-        values[nu] = Fraction(total, factorial(b))
+        value, rest = divmod(total, order)
+        if rest:  # only a class function that is not a character gets here
+            from fractions import Fraction
+
+            value = Fraction(total, order)
+        values[nu] = value
     return ClassFunction(a, values)
 
 

@@ -1,0 +1,43 @@
+"""`fistab kunneth`: the character of a graded tensor power, and its
+decomposition."""
+
+from __future__ import annotations
+
+from .. import induction
+from . import _CYCLE_NS, _STRIP_NS, _admit, _graded_dims, _strip_pairs, _table_work
+
+
+def run(args):
+    dims = _graded_dims(args.graded_dims)
+    n, i = args.n, args.i
+
+    # the nonzero graded dimensions up to degree i: after j cycles the
+    # trace polynomial of a class stores at most min(i + 1, terms^j) degrees
+    terms = sum(1 for d in dims[: i + 1] if d)
+
+    def traces(p, m):
+        # the trace polynomial of each cycle length, then per class of S_m
+        # one sparse polynomial product per cycle
+        return _CYCLE_NS * m * (min(len(dims), i + 1) + p[m] * min(i + 1, terms**m) * terms)
+
+    def work(p):
+        if not args.decompose:
+            return traces(p, n)
+        # the degree-i part of V_+^m for each m <= min(n, i): its traces,
+        # the table of S_m, and the Pieri strips of its constituents
+        small = range(min(n, i) + 1)
+        return traces(p, n) + _table_work(p, small) + sum(
+            traces(p, m) + _STRIP_NS * _strip_pairs(p, m) for m in small
+        )
+
+    _admit(args, work, n)
+    chi = induction.kunneth_power(dims, n, i)
+    payload = {
+        "graded_dims": list(dims),
+        "n": n,
+        "i": i,
+        "character": chi.to_mapping(),
+    }
+    if args.decompose:
+        payload["decomposition"] = induction.kunneth_decomposition(dims, n, i).to_mapping()
+    return payload

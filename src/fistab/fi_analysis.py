@@ -5,8 +5,6 @@ integer-valued dimension polynomials."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .characters import ClassFunction, IrrDecomposition, exact_obj, unique_keys
 from .errors import DomainError
 from .partitions import (
@@ -232,14 +230,24 @@ def _monomial_value(mono, counts: dict[int, int]) -> int:
     return val
 
 
+def _exact(c):
+    # an int stays an int, so a polynomial with integer coefficients, such
+    # as every os-scan character polynomial, never loads fractions
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
+    return Fraction(c)
+
+
 class CharPolynomial:
     """A polynomial in the statistics Z_l = number of l-cycles, stored in
-    the integer-valued basis prod_l C(Z_l, m_l)."""
+    the integer-valued basis prod_l C(Z_l, m_l); integer coefficients stay
+    ints, any other is a Fraction."""
 
     def __init__(self, coeffs: dict):
-        self.coeffs = {
-            mono: Fraction(c) for mono, c in coeffs.items() if Fraction(c) != 0
-        }
+        exact = {mono: _exact(c) for mono, c in coeffs.items()}
+        self.coeffs = {mono: c for mono, c in exact.items() if c != 0}
 
     @property
     def weighted_degree(self) -> int:
@@ -256,12 +264,11 @@ class CharPolynomial:
             return 0
         return max((l for mono in self.coeffs for l, _ in mono), default=0)
 
-    def evaluate(self, mu: Partition) -> Fraction:
+    def evaluate(self, mu: Partition):
+        """The value at the class mu: an int, or a Fraction when a
+        coefficient is one."""
         counts = cycle_counts(check_partition(mu))
-        return sum(
-            (c * _monomial_value(mono, counts) for mono, c in self.coeffs.items()),
-            Fraction(0),
-        )
+        return sum(c * _monomial_value(mono, counts) for mono, c in self.coeffs.items())
 
     def as_class_function(self, n: int) -> ClassFunction:
         return ClassFunction(n, {mu: self.evaluate(mu) for mu in partitions(n)})
@@ -340,14 +347,19 @@ def fit_char_polynomial(seq: FISequence, degree_bound: int) -> CharPolynomial:
 class IntPolynomial:
     """Integer-valued polynomial stored in the binomial basis C(T, j)."""
 
-    def __init__(self, coeffs: dict[int, Fraction]):
+    def __init__(self, coeffs: dict):
+        from fractions import Fraction
+
         self.coeffs = {int(j): Fraction(c) for j, c in coeffs.items() if Fraction(c) != 0}
 
     @property
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def evaluate(self, t: int) -> Fraction:
+    def evaluate(self, t: int):
+        """The value at t, as a Fraction."""
+        from fractions import Fraction
+
         return sum(
             (c * binomial(t, j) for j, c in self.coeffs.items()), Fraction(0)
         )

@@ -26,8 +26,8 @@ V_+, so degree i of V^(x)n is a sum of free modules
 with W_m the degree-i part of V_+^(x)m, Koszul signs included (Church,
 Ellenberg and Farb, *FI-modules and stability for representations of
 symmetric groups*, 2015).  kunneth_decomposition decomposes each W_m
-over S_m and induces by the Pieri rule: free_module_sum, which m_module,
-m_regular and os-scan's decompositions also call.
+over S_m and induces by the Pieri rule: characters.free_module_sum, which
+m_module, m_regular and os-scan's decompositions also call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ from math import comb
 from .characters import (
     ClassFunction,
     IrrDecomposition,
+    _poly_mul,
     decompose,
+    free_module_sum,
     restrict_and_average,
 )
 from .errors import DomainError
@@ -67,49 +69,6 @@ def induced_character(f: ClassFunction, g: ClassFunction) -> ClassFunction:
             weight = centralizer_order(mu) // (centralizer_order(mu1) * centralizer_order(mu2))
             values[mu] += weight * f.values[mu1] * g.values[mu2]
     return ClassFunction(f.n + g.n, values)
-
-
-def horizontal_strip_extensions(lam: Partition, n: int) -> list[Partition]:
-    """Partitions mu of n with mu containing lam and mu/lam a horizontal
-    strip (at most one added box per column), i.e. the interlacing
-    condition mu_1 >= lam_1 >= mu_2 >= lam_2 >= ..."""
-    lam = check_partition(lam)
-    boxes = n - sum(lam)
-    if boxes < 0:
-        return []
-    # Row i >= 1 (the last one a new row, lam_l = 0) takes a length v with
-    # lam_{i-1} >= v >= lam_i, a choice only below a longer row; the first
-    # row takes the boxes left over, so every partial choice extends to a
-    # strip.  Loops, not a recursion, so thousands of rows are fine.
-    rows = list(lam) + [0]
-    corners = [i for i in range(1, len(rows)) if rows[i - 1] > rows[i]]
-    partial = [((), boxes)]
-    for i in corners:
-        lo = rows[i]
-        partial = [
-            (grown + (v,), left - (v - lo))
-            for grown, left in partial
-            for v in range(lo, min(rows[i - 1], lo + left) + 1)
-        ]
-    out = []
-    for grown, left in partial:
-        mu = [rows[0] + left, *rows[1:]]
-        for i, v in zip(corners, grown):
-            mu[i] = v
-        out.append(tuple(p for p in mu if p))
-    return sorted(out)
-
-
-def free_module_sum(generators: dict[int, IrrDecomposition], n: int) -> IrrDecomposition:
-    """Level n of the sum of free modules M(W_m) over {m: W_m}: by the
-    Pieri rule each constituent rho of W_m adds its multiplicity to every
-    horizontal-strip extension of rho with n boxes (none when n < m)."""
-    mult: dict[Partition, int] = {}
-    for w in generators.values():
-        for rho, c in w.mult.items():
-            for lam in horizontal_strip_extensions(rho, n):
-                mult[lam] = mult.get(lam, 0) + c
-    return IrrDecomposition(n, mult)
 
 
 def m_module(lam: Partition, n: int) -> IrrDecomposition:
@@ -141,19 +100,6 @@ def coinvariants_as_sa(V: IrrDecomposition, a: int) -> IrrDecomposition:
     result is decomposed as an S_a-representation.
     """
     return decompose(restrict_and_average(V.character(), a))
-
-
-def _poly_mul(p: dict[int, int], q: dict[int, int], cap: int) -> dict[int, int]:
-    """Product of two sparse polynomials {degree: coefficient} up to degree
-    cap.  Only the terms stored in either factor are visited; q must list
-    its degrees in increasing order."""
-    out: dict[int, int] = {}
-    for a, x in p.items():
-        for b, y in q.items():
-            if a + b > cap:
-                break
-            out[a + b] = out.get(a + b, 0) + x * y
-    return out
 
 
 def _class_traces(dims, n: int, i: int) -> dict[Partition, int]:

@@ -16,7 +16,8 @@ What os-scan reports comes from the free-module decomposition of the
 cohomology, sum_m M(W_m) (see the section above free_generator): by
 Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, so W_m is peeled off the
 tables of S_m for m <= 2k once per (m, k), and every level n is a Pieri
-sum (free_decomposition), its Betti number sum_m C(n, m) dim W_m
+sum (free_decomposition, through characters.free_module_sum, which
+induction's free modules call too), its Betti number sum_m C(n, m) dim W_m
 (free_betti), its coinvariant dimensions a sum over the W_m
 (coinvariant_report), and the character polynomial sum_m sum_{nu |- m}
 chi_{W_m}(nu) prod_l C(Z_l, m_l(nu)) on every window of at least 2k + 1
@@ -29,7 +30,6 @@ the same numbers from the characters of S_n and are the test oracles.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -37,13 +37,14 @@ from typing import NamedTuple
 from .characters import (
     ClassFunction,
     IrrDecomposition,
+    _poly_mul,
     as_multiplicity,
     decompose,
+    free_module_sum,
     restrict_and_average,
 )
 from .errors import DomainError
 from .fi_analysis import CharPolynomial, FISequence, fit_char_polynomial
-from .induction import _poly_mul, free_module_sum
 from .partitions import Partition, cycle_counts, partitions
 
 Edge = tuple  # (a, b) with 1 <= a < b
@@ -145,6 +146,8 @@ def straighten(edges, n: int) -> OSElement:
     for a, b in normed:
         if b > n:
             raise DomainError(f"generator {(a, b)} does not fit on {n} points")
+    from fractions import Fraction
+
     coeffs = {m: Fraction(c) for m, c in _straighten(normed)}
     return OSElement(n, len(normed), coeffs)
 

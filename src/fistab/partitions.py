@@ -55,6 +55,37 @@ def pad(lam: Partition, n: int) -> Partition:
     return (n - size,) + lam
 
 
+def horizontal_strip_extensions(lam: Partition, n: int) -> list[Partition]:
+    """Partitions mu of n with mu containing lam and mu/lam a horizontal
+    strip (at most one added box per column), i.e. the interlacing
+    condition mu_1 >= lam_1 >= mu_2 >= lam_2 >= ..."""
+    lam = check_partition(lam)
+    boxes = n - sum(lam)
+    if boxes < 0:
+        return []
+    # Row i >= 1 (the last one a new row, lam_l = 0) takes a length v with
+    # lam_{i-1} >= v >= lam_i, a choice only below a longer row; the first
+    # row takes the boxes left over, so every partial choice extends to a
+    # strip.  Loops, not a recursion, so thousands of rows are fine.
+    rows = list(lam) + [0]
+    corners = [i for i in range(1, len(rows)) if rows[i - 1] > rows[i]]
+    partial = [((), boxes)]
+    for i in corners:
+        lo = rows[i]
+        partial = [
+            (grown + (v,), left - (v - lo))
+            for grown, left in partial
+            for v in range(lo, min(rows[i - 1], lo + left) + 1)
+        ]
+    out = []
+    for grown, left in partial:
+        mu = [rows[0] + left, *rows[1:]]
+        for i, v in zip(corners, grown):
+            mu[i] = v
+        out.append(tuple(p for p in mu if p))
+    return sorted(out)
+
+
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in lexicographic order.

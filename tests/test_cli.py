@@ -12,9 +12,18 @@ import pytest
 
 import fistab
 from fistab import os_model
-from fistab.cli import _maps, _shapes_inside, _strip_pairs, _strips, build_parser, main
-from fistab.induction import horizontal_strip_extensions
-from fistab.partitions import dimension, parse_partition, partition_counts, partitions
+from fistab.cli import build_parser, main
+from fistab.commands import _strip_pairs
+from fistab.commands.character import _shapes_inside
+from fistab.commands.m_module import _strips
+from fistab.commands.os_scan import _lehrer_steps, _maps
+from fistab.partitions import (
+    dimension,
+    horizontal_strip_extensions,
+    parse_partition,
+    partition_counts,
+    partitions,
+)
 
 
 def run(capsys, *argv):
@@ -235,6 +244,13 @@ def test_work_estimate_counts():
             for a_top in range(n_max):
                 maps = [(a, n) for a in range(a_top + 1) for n in range(max(n_min, a), n_max)]
                 assert _maps(n_min, n_max, a_top) == len(maps), (n_min, n_max, a_top)
+    # Lehrer's product: the distinct cycle lengths of every class scanned
+    # for divisors, and k + 1 terms per cycle
+    p = partition_counts(14)
+    for n in range(0, 15):
+        for k in range(0, 4):
+            steps = sum(sum(set(mu)) + (k + 1) * len(mu) for mu in partitions(n))
+            assert _lehrer_steps(p, n, k) == steps, (n, k)
 
 
 def test_os_scan_degree_three(capsys):

@@ -26,7 +26,6 @@ from fistab.errors import DomainError
 from fistab.fi_analysis import pad
 from fistab.induction import (
     coinvariants_as_sa,
-    horizontal_strip_extensions,
     induced_character,
     kunneth_decomposition,
     kunneth_power,
@@ -36,7 +35,7 @@ from fistab.induction import (
     wreath_invariant_series,
     wreath_twisted_dim,
 )
-from fistab.partitions import dimension, partitions
+from fistab.partitions import dimension, horizontal_strip_extensions, partitions
 from character_oracles import restriction_inner_product
 
 

@@ -1,8 +1,8 @@
 """What a fresh interpreter imports to run each subcommand.
 
-Each subcommand imports only the layers and standard modules it calls,
-builds the parser of that subcommand alone, and the package resolves its
-exports on first use.  These tests look at `sys.modules` in
+Each subcommand imports only its own handler module, the layers and the
+standard modules it calls, builds the parser of that subcommand alone,
+and the package resolves its exports on first use.  These tests look at `sys.modules` in
 a fresh `sys.executable` after each step; they time nothing.
 """
 
@@ -18,7 +18,7 @@ SRC = str(Path(fistab.__file__).parents[1])
 # what the character, kunneth and wreath paths never need
 UNUSED_LAYERS = ("fistab.os_model", "fistab.fi_analysis", "fistab.linalg", "fistab.bounds")
 # standard modules listed with the package's: only some subcommands load them
-WATCHED = ("csv", "dataclasses", "fractions")
+WATCHED = ("csv", "dataclasses", "decimal", "fractions", "json")
 KUNNETH = ["kunneth", "--graded-dims", "1,2", "--n", "6", "--i", "3", "--decompose"]
 WREATH = ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-max", "10"]
 OS_SCAN = ["os-scan", "--n-min", "2", "--n-max", "4", "--k", "1"]
@@ -60,28 +60,36 @@ def _loaded_after(*runs, full_parser=False) -> list[str]:
     `fistab.cli` is imported, the parser of every subcommand is built if
     `full_parser`, and each argv in `runs` has run through main."""
     return _fresh(
-        "import json, os, sys\n"
+        "import os, sys\n"
         "import fistab.cli\n"
         f"if {full_parser!r}:\n"
         "    fistab.cli.build_parser()\n"
         f"for argv in {list(runs)!r}:\n"
         "    assert fistab.cli.main([*argv, '--out', os.devnull]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        f"                        if m.startswith('fistab') or m in {WATCHED!r})))\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        f"                if m.startswith('fistab') or m in {WATCHED!r})\n"
+        "import json  # only now: json is WATCHED\n"
+        "print(json.dumps(loaded))\n"
     )
+
+
+def _handlers(loaded) -> list[str]:
+    return [m for m in loaded if m.startswith("fistab.commands.")]
 
 
 def test_importing_the_cli_loads_no_computation_layer():
     assert _loaded_after() == [
-        "fistab", "fistab.characters", "fistab.cli", "fistab.errors", "fistab.partitions",
+        "fistab", "fistab.characters", "fistab.cli", "fistab.commands", "fistab.errors",
+        "fistab.partitions",
     ]
 
 
 def test_building_the_parser_loads_no_computation_layer():
-    # the choices of table1 --row are the rows of the bounds module
+    # the choices of table1 --row are the rows of the bounds module; no
+    # handler module is loaded
     assert _loaded_after(full_parser=True) == [
-        "fistab", "fistab.bounds", "fistab.characters", "fistab.cli",
-        "fistab.errors", "fistab.partitions", "fractions",
+        "decimal", "fistab", "fistab.bounds", "fistab.characters", "fistab.cli",
+        "fistab.commands", "fistab.errors", "fistab.partitions", "fractions",
     ]
 
 
@@ -89,7 +97,9 @@ def test_kunneth_and_wreath_scan_load_only_their_layers():
     for runs in ([KUNNETH], [WREATH], [KUNNETH, WREATH]):
         loaded = _loaded_after(*runs)
         assert "fistab.induction" in loaded, runs
-        assert not {*UNUSED_LAYERS, *WATCHED} & set(loaded), (runs, loaded)
+        # json only for a JSON report, and kunneth's --format is json by default
+        assert not {*UNUSED_LAYERS, *WATCHED} - {"json"} & set(loaded), (runs, loaded)
+    assert _handlers(_loaded_after(KUNNETH)) == ["fistab.commands.kunneth"]
 
 
 def test_os_scan_loads_neither_bounds_nor_dataclasses():
@@ -101,6 +111,31 @@ def test_os_scan_loads_neither_bounds_nor_dataclasses():
     loaded = _loaded_after(OS_SCAN_SHORT)
     assert "fistab.linalg" in loaded
     assert not {"fistab.bounds", "dataclasses"} & set(loaded)
+
+
+def test_a_text_os_scan_loads_only_its_own_code():
+    # a window of 2k + 1 levels: integer characters and averages, so no
+    # fractions (nor decimal, which fractions imports); json is loaded only
+    # to read or write JSON; os_model reads the Pieri sums off characters
+    loaded = _loaded_after([*OS_SCAN, "--format", "text"])
+    assert not {"fractions", "decimal", "json", "fistab.induction"} & set(loaded), loaded
+    assert _handlers(loaded) == ["fistab.commands.os_scan"]
+
+
+def test_running_the_cli_as_a_script_compiles_it_once():
+    # `python -m fistab.cli` runs the module as __main__; a handler module
+    # that imported fistab.cli would compile and load it a second time
+    loaded = _fresh(
+        "import json, os, runpy, sys\n"
+        f"sys.argv = ['fistab', *{OS_SCAN!r}, '--out', os.devnull]\n"
+        "try:\n"
+        "    runpy.run_module('fistab.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fistab'))))\n"
+    )
+    assert "fistab.commands.os_scan" in loaded
+    assert "fistab.cli" not in loaded
 
 
 def test_csv_is_loaded_for_a_csv_report_alone():
