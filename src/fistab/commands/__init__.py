@@ -126,9 +126,10 @@ def _admit(args, estimate, n: int = 0, alternative: str = "") -> None:
 
 
 def _fit_work(rows: int, degree_bound: int) -> int:
-    # building the rows, then Gauss-Jordan elimination: a pivot per
-    # monomial, each clearing every row; a fit with more monomials than
-    # rows is refused before it starts
+    # building the rows, then a dense Gauss-Jordan elimination, a pivot per
+    # monomial clearing every row: an upper bound on solve_exact, which
+    # stops at full column rank; a fit with more monomials than rows is
+    # refused before it starts
     from ..fi_analysis import _monomial_count
 
     monomials = _monomial_count(degree_bound, cap=rows)

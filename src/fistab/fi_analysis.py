@@ -384,12 +384,13 @@ class IntPolynomial:
 
 
 def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial:
-    """Least-degree polynomial in the binomial basis matching the given
-    dimensions, cross-validated on held-out points.
+    """Least-degree polynomial in the binomial basis matching every given
+    dimension exactly.
 
-    For each candidate degree d the fit uses the first d+1 points; every
-    remaining point must then match exactly, so at least degree_bound + 2
-    points are required to leave one held out at the top degree.
+    For each candidate degree d one exact solve runs over all points; it
+    fixes the d+1 coefficients from the first d+1 points and checks the
+    rest by substitution.  At least degree_bound + 2 points are required,
+    so one is always left over to check at the top degree.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
@@ -401,16 +402,12 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
             f"need at least {degree_bound + 2} points to fit and validate "
             f"degree <= {degree_bound}, got {len(points)}"
         )
+    rhs = [v for _, v in points]
     for d in range(degree_bound + 1):
-        fit_pts = points[: d + 1]
-        rows = [[binomial(n, j) for j in range(d + 1)] for n, _ in fit_pts]
-        rhs = [v for _, v in fit_pts]
+        rows = ([binomial(n, j) for j in range(d + 1)] for n, _ in points)
         solution, free, consistent = solve_exact(rows, rhs)
-        if not consistent or free:
-            continue
-        poly = IntPolynomial(dict(enumerate(solution)))
-        if all(poly.evaluate(n) == v for n, v in points[d + 1 :]):
-            return poly
+        if consistent and not free:
+            return IntPolynomial(dict(enumerate(solution)))
     raise DomainError(
         f"no integer-valued polynomial of degree <= {degree_bound} fits the data"
     )

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-`IntRowBasis` computes exact ranks by fraction-free elimination on sparse
-integer rows: each reduction step is a cross-multiplication, and each
-residue is divided by its gcd.  The dense solver behind the polynomial
-fits eliminates the same way and reports inconsistency and free columns
-explicitly.
+`IntRowBasis` is the one elimination: fraction-free, on sparse integer
+rows, where each reduction step is a cross-multiplication and each residue
+is divided by its gcd.  `solve_exact`, behind the polynomial fits, inserts
+the rows of its system into one and stops once every column has a pivot;
+the tests' integer-rank oracle inserts whole matrices.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import mul
 
 
 class IntRowBasis:
@@ -120,50 +121,42 @@ def _integer_row(values) -> list[int]:
 
 
 def solve_exact(rows, rhs):
-    """Solve A x = b over the rationals by Gauss-Jordan elimination.
+    """Solve A x = b over the rationals.
 
     Returns (solution, free_columns, consistent).  When the system is
     consistent, free columns are assigned zero; `solution` is None when it
     is inconsistent.
 
-    Elimination is fraction-free: rows (with their right-hand side) are
-    cleared of denominators, each reduction is a cross-multiplication, and
-    each row is divided by its gcd.  Every row stays a nonzero multiple of
-    the row elimination over Fraction would hold, so the pivots (the first
-    nonzero row of each column) and the verdicts are the same; the only
-    fractions are the final rhs/pivot quotients.
+    The augmented rows, cleared of denominators, go into an IntRowBasis
+    until every column of A has a pivot; a pivot on the right-hand side
+    means no solution.  The pivot columns, and the solution with free
+    columns at zero, do not depend on the order of elimination, so this is
+    Gauss-Jordan elimination's result.  The remaining rows (rows may be a
+    generator, read once and no further than the verdict needs) are only
+    checked by substitution, in integers.
     """
-    m = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
-    if not m:
-        return [], [], True
-    ncols = len(m[0]) - 1
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i, row in enumerate(m):
-            b = row[c]
-            if i == r or not b:
-                continue
-            g = gcd(p, b)
-            a, b = p // g, b // g
-            row = [a * x - b * y for x, y in zip(row, prow)]
-            g = gcd(*row)
-            m[i] = [x // g for x in row] if g > 1 else row
-        pivot_of_col[c] = r
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols]:
+    augmented = (_integer_row([*row, b]) for row, b in zip(rows, rhs))
+    basis = None
+    for v in augmented:
+        if basis is None:
+            basis = IntRowBasis(len(v))
+            ncols = basis.width - 1
+        if basis.insert(v) and basis.pivots[-1] == ncols:
             return None, [], False
-    free = [c for c in range(ncols) if c not in pivot_of_col]
+        if basis.rank == ncols:
+            break
+    if basis is None:
+        return [], [], True
+    # back-substitution: each stored row is zero on the pivots of earlier
+    # rows, so in reverse order every other column it reads is known
     solution = [Fraction(0)] * ncols
-    for c, i in pivot_of_col.items():
-        solution[c] = Fraction(m[i][ncols], m[i][c])
-    return solution, free, True
+    for row, p in zip(reversed(basis.sparse_rows), reversed(basis.pivots)):
+        known = sum(x * solution[c] for c, x in row.items() if c != p and c != ncols)
+        solution[p] = Fraction(row.get(ncols, 0) - known, row[p])
+    den = lcm(*(x.denominator for x in solution))
+    weights = [x.numerator * (den // x.denominator) for x in solution] + [-den]
+    for v in augmented:
+        if sum(map(mul, v, weights)):
+            return None, [], False
+    pivots = set(basis.pivots)
+    return solution, [c for c in range(ncols) if c not in pivots], True

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,7 @@ from fistab.fi_analysis import (
 )
 from fistab.induction import m_module
 from fistab.partitions import binomial, partitions
+from linalg_helpers import fraction_solve
 
 
 @st.composite
@@ -267,6 +270,42 @@ def test_fit_dim_degree_four():
     assert poly.evaluate(10) == e2(10)
     for n, v in dims.items():
         assert poly.evaluate(n) == v
+
+
+def _held_out_fit(dims, degree_bound):
+    # the brute-force route, as the oracle: solve on the first d + 1
+    # points over Fraction, then evaluate the polynomial at the rest
+    points = sorted(dims.items())
+    for d in range(degree_bound + 1):
+        fit = points[: d + 1]
+        rows = [[binomial(n, j) for j in range(d + 1)] for n, _ in fit]
+        solution, free, consistent = fraction_solve(rows, [v for _, v in fit])
+        if not consistent or free:
+            continue
+        poly = IntPolynomial(dict(enumerate(solution)))
+        if all(poly.evaluate(n) == v for n, v in points[d + 1 :]):
+            return poly
+    return None
+
+
+def test_fit_dim_matches_held_out_fit():
+    rng = random.Random(16)
+    for _ in range(300):
+        degree_bound = rng.randint(0, 4)
+        levels = sorted(rng.sample(range(-12, 16), rng.randint(degree_bound + 2, 9)))
+        coeffs = {j: rng.randint(-5, 5) for j in range(rng.randint(0, 5))}
+        dims = {n: sum(c * binomial(n, j) for j, c in coeffs.items()) for n in levels}
+        shape = rng.choice(["exact", "last", "any"])
+        if shape == "last":  # only the last point breaks the fit
+            dims[levels[-1]] += rng.choice([-2, -1, 1, 2])
+        elif shape == "any":
+            dims = {n: rng.randint(-20, 20) for n in levels}
+        try:
+            poly = fit_dim_polynomial(dims, degree_bound)
+        except DomainError as exc:
+            assert "no integer-valued polynomial" in str(exc)
+            poly = None
+        assert poly == _held_out_fit(dims, degree_bound)
 
 
 def test_fit_dim_needs_enough_points():

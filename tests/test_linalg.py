@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fistab.linalg import IntRowBasis, solve_exact
+from fistab.os_model import character_polynomial
+from fistab.partitions import partition_count
 from linalg_helpers import (
     columns_to_dense,
     dense_echelon_rows,
@@ -98,11 +100,13 @@ def test_solve_exact_unique_system():
     solution, free, consistent = solve_exact([[1, 1], [1, -1]], [3, 1])
     assert consistent and not free
     assert solution == [2, 1]
+    assert solve_exact([], []) == ([], [], True)
 
 
 def test_solve_exact_inconsistent_system():
     solution, free, consistent = solve_exact([[1, 1], [2, 2]], [1, 3])
     assert not consistent and solution is None
+    assert solve_exact([[], []], [0, 1]) == (None, [], False)
 
 
 def test_solve_exact_reports_free_columns():
@@ -127,7 +131,8 @@ RATIONAL_ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 def linear_systems(draw, kind, entries):
     """(rows, rhs) of a random system that is, by construction, uniquely
     solvable, underdetermined (consistent, with free columns),
-    inconsistent, or anything at all."""
+    inconsistent, overdetermined (an invertible block, then combinations
+    of its rows that only substitution can check), or anything at all."""
     def row(width):
         return [draw(entries) for _ in range(width)]
 
@@ -138,7 +143,7 @@ def linear_systems(draw, kind, entries):
         ncols = draw(st.integers(1, 5))
         mat = [row(ncols) for _ in range(draw(st.integers(0, 5)))]
         return mat, row(len(mat))
-    if kind == "unique":
+    if kind in ("unique", "overdetermined"):
         # lower unitriangular times upper triangular with a nonzero
         # diagonal, rows shuffled: invertible
         size = draw(st.integers(1, 5))
@@ -147,7 +152,20 @@ def linear_systems(draw, kind, entries):
         upper = [[0] * i + [draw(nonzero)] + row(size - i - 1) for i in range(size)]
         mat = [[sum(lower[i][t] * upper[t][j] for t in range(size)) for j in range(size)]
                for i in range(size)]
-        return draw(st.permutations(mat)), row(size)
+        mat, rhs = draw(st.permutations(mat)), row(size)
+        if kind == "unique":
+            return mat, rhs
+        # every column has a pivot after the block; each extra row is an
+        # integer combination of it, with the same combination of the
+        # right-hand side, or that plus a nonzero shift
+        extra, extra_rhs = [], []
+        for _ in range(draw(st.integers(1, 4))):
+            weights = [draw(st.integers(-3, 3)) for _ in range(size)]
+            extra.append([sum(w * r[j] for w, r in zip(weights, mat)) for j in range(size)])
+            extra_rhs.append(sum(w * b for w, b in zip(weights, rhs)))
+        if draw(st.booleans()):
+            extra_rhs[draw(st.integers(0, len(extra) - 1))] += draw(nonzero)
+        return mat + extra, rhs + extra_rhs
     ncols = draw(st.integers(2, 5))
     nrows = draw(st.integers(1, ncols - 1))
     mat = [row(ncols) for _ in range(nrows)]
@@ -163,7 +181,9 @@ def linear_systems(draw, kind, entries):
 
 
 @pytest.mark.parametrize("entries", [INTEGER_ENTRIES, RATIONAL_ENTRIES], ids=["int", "rational"])
-@pytest.mark.parametrize("kind", ["unique", "underdetermined", "inconsistent", "any"])
+@pytest.mark.parametrize(
+    "kind", ["unique", "underdetermined", "inconsistent", "overdetermined", "any"]
+)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_solve_exact_matches_fraction_elimination(kind, entries, data):
@@ -172,12 +192,30 @@ def test_solve_exact_matches_fraction_elimination(kind, entries, data):
     assert result == fraction_solve(rows, rhs)
     if kind == "unique":
         assert consistent and not free
+    elif kind == "overdetermined":
+        assert not free
     elif kind == "underdetermined":
         assert consistent and free
     elif kind == "inconsistent":
         assert not consistent and solution is None
     if consistent:
         assert [sum(a * x for a, x in zip(r, solution)) for r in rows] == list(rhs)
+
+
+def test_character_fit_stops_inserting_at_full_column_rank(monkeypatch):
+    # os-scan's short-window fit: 30 monomials over the p(29) + p(30)
+    # classes; rows past the 30th pivot are only checked by substitution
+    inserts = []
+    insert = IntRowBasis.insert
+
+    def counted(self, vector):
+        inserts.append((self.rank, self.width))
+        return insert(self, vector)
+
+    monkeypatch.setattr(IntRowBasis, "insert", counted)
+    character_polynomial(29, 30, 3)
+    assert inserts and all(rank < width - 1 for rank, width in inserts)
+    assert len(inserts) < (partition_count(29) + partition_count(30)) // 5
 
 
 def test_sparse_column_composition():
