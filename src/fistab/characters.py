@@ -21,7 +21,7 @@ from .partitions import (
     check_partition,
     dimension,
     format_partition,
-    horizontal_strip_extensions,
+    _strip_extensions,
     parse_partition,
     partition_count,
     partitions,
@@ -115,8 +115,12 @@ class ClassFunction:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: dict):
-        self.n = int(n)
-        vals = {check_partition(k): v for k, v in values.items()}
+        self._take(int(n), {check_partition(k): v for k, v in values.items()})
+
+    def _take(self, n: int, vals: dict) -> None:
+        # the constructor's checks on a table whose keys are partition
+        # tuples already, then the table becomes this function's
+        self.n = n
         if self.n < 0:
             partitions(self.n)  # refuses a negative n
         # count the classes before enumerating them: a table of the wrong
@@ -133,6 +137,16 @@ class ClassFunction:
                 f"class function on S_{self.n} must be defined on {which} cycle types"
             )
         self.values = vals
+
+    @classmethod
+    def _unchecked(cls, n: int, values: dict) -> "ClassFunction":
+        """A class function the package built itself, keyed by exactly
+        the partitions of n: taken as it is, with none of the checks of
+        the constructor.  The dict becomes the new table, so the caller
+        must not keep it."""
+        f = object.__new__(cls)
+        f.n, f.values = n, values
+        return f
 
     def __call__(self, mu):
         mu = check_partition(mu)
@@ -157,19 +171,21 @@ class ClassFunction:
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.n != other.n:
             raise DomainError("cannot add class functions on different groups")
-        return ClassFunction(
+        return ClassFunction._unchecked(
             self.n, {mu: self.values[mu] + other.values[mu] for mu in self.values}
         )
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         if self.n != other.n:
             raise DomainError("cannot subtract class functions on different groups")
-        return ClassFunction(
+        return ClassFunction._unchecked(
             self.n, {mu: self.values[mu] - other.values[mu] for mu in self.values}
         )
 
     def __rmul__(self, scalar) -> "ClassFunction":
-        return ClassFunction(self.n, {mu: scalar * v for mu, v in self.values.items()})
+        return ClassFunction._unchecked(
+            self.n, {mu: scalar * v for mu, v in self.values.items()}
+        )
 
     def dimension(self):
         """Value at the identity class."""
@@ -183,7 +199,10 @@ class ClassFunction:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict) -> "ClassFunction":
-        return cls(n, _parse_table(mapping, "class function"))
+        vals = _parse_table(mapping, "class function")  # parse_partition checked the keys
+        f = object.__new__(cls)
+        f._take(int(n), vals)
+        return f
 
 
 def exact_obj(v):
@@ -236,7 +255,9 @@ def parse_exact(v):
 def irreducible_character(lam: Partition) -> ClassFunction:
     lam = check_partition(lam)
     n, key = sum(lam), _beads(lam, len(lam))
-    return ClassFunction(n, {mu: _mn_column(mu, lam).get(key, 0) for mu in partitions(n)})
+    return ClassFunction._unchecked(
+        n, {mu: _mn_column(mu, lam).get(key, 0) for mu in partitions(n)}
+    )
 
 
 def trivial_character(n: int) -> ClassFunction:
@@ -269,10 +290,15 @@ class IrrDecomposition:
     __slots__ = ("n", "mult")
 
     def __init__(self, n: int, mult: dict | None = None):
-        self.n = int(n)
+        self._take(int(n), ((check_partition(lam), m) for lam, m in (mult or {}).items()))
+
+    def _take(self, n: int, items) -> None:
+        # the constructor's checks on (partition tuple, multiplicity)
+        # pairs, one pair at a time, then the nonzero ones become this
+        # decomposition's
+        self.n = n
         clean: dict[Partition, int] = {}
-        for lam, m in (mult or {}).items():
-            lam = check_partition(lam)
+        for lam, m in items:
             if sum(lam) != self.n:
                 raise DomainError(f"{lam!r} is not a partition of {self.n}")
             if m != int(m) or m < 0:
@@ -280,6 +306,16 @@ class IrrDecomposition:
             if m:
                 clean[lam] = int(m)
         self.mult = clean
+
+    @classmethod
+    def _unchecked(cls, n: int, mult: dict) -> "IrrDecomposition":
+        """A decomposition the package built itself, {partition of n:
+        positive int}: taken as it is, with none of the checks of the
+        constructor.  The dict becomes the new table, so the caller must
+        not keep it."""
+        d = object.__new__(cls)
+        d.n, d.mult = n, mult
+        return d
 
     def __eq__(self, other) -> bool:
         return (
@@ -300,7 +336,7 @@ class IrrDecomposition:
         merged = dict(self.mult)
         for lam, m in other.mult.items():
             merged[lam] = merged.get(lam, 0) + m
-        return IrrDecomposition(self.n, merged)
+        return IrrDecomposition._unchecked(self.n, merged)
 
     def __bool__(self) -> bool:
         return bool(self.mult)
@@ -320,14 +356,17 @@ class IrrDecomposition:
         values = [0] * len(partitions(self.n))
         for lam, m in self.mult.items():
             values = [v + m * x for v, x in zip(values, table[lam])]
-        return ClassFunction(self.n, dict(zip(partitions(self.n), values)))
+        return ClassFunction._unchecked(self.n, dict(zip(partitions(self.n), values)))
 
     def to_mapping(self) -> dict[str, int]:
         return {format_partition(lam): m for lam, m in self.items()}
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict) -> "IrrDecomposition":
-        return cls(n, _parse_table(mapping, "decomposition"))
+        mult = _parse_table(mapping, "decomposition")  # parse_partition checked the keys
+        d = object.__new__(cls)
+        d._take(int(n), mult.items())
+        return d
 
 
 def decompose(f: ClassFunction) -> IrrDecomposition:
@@ -353,7 +392,7 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
             )
         if m:
             mult[lam] = m
-    return IrrDecomposition(n, mult)
+    return IrrDecomposition._unchecked(n, mult)
 
 
 def free_module_sum(generators: dict[int, IrrDecomposition], n: int) -> IrrDecomposition:
@@ -363,9 +402,9 @@ def free_module_sum(generators: dict[int, IrrDecomposition], n: int) -> IrrDecom
     mult: dict[Partition, int] = {}
     for w in generators.values():
         for rho, c in w.mult.items():
-            for lam in horizontal_strip_extensions(rho, n):
+            for lam in _strip_extensions(rho, n):
                 mult[lam] = mult.get(lam, 0) + c
-    return IrrDecomposition(n, mult)
+    return IrrDecomposition._unchecked(n, mult)
 
 
 def _poly_mul(p: dict[int, int], q: dict[int, int], cap: int) -> dict[int, int]:
@@ -406,11 +445,11 @@ def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
 
             value = Fraction(total, order)
         values[nu] = value
-    return ClassFunction(a, values)
+    return ClassFunction._unchecked(a, values)
 
 
 def regular_character(n: int) -> ClassFunction:
     """Character of the regular representation: n! at the identity."""
     values = {mu: 0 for mu in partitions(n)}
     values[(1,) * n if n else ()] = factorial(n)
-    return ClassFunction(n, values)
+    return ClassFunction._unchecked(n, values)

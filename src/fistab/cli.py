@@ -282,15 +282,15 @@ SUBCOMMANDS = {
 @lru_cache(maxsize=None)
 def build_parser(command: str | None = None) -> _Parser:
     """The argument parser.  With a subcommand name it holds that
-    subcommand's parser alone, which is all `main` needs for an argv
-    that starts with the name; without one it holds every subcommand's,
-    for help, unknown names and callers that want it whole.  Each is
-    built on the first call and shared by every later one: callers must
-    not mutate it.  Reuse is safe because `parse_args` returns a fresh
-    namespace and no argument has a mutable default.  Subcommands carry
-    no handler: `main` looks `cmd_<name>` up on every call, so a handler
-    rebound after the first call (a profiler, a tracer) still takes
-    effect."""
+    subcommand's parser alone, also kept as its `command_parser`, which
+    is all `main` needs for an argv that starts with the name; without
+    one it holds every subcommand's, for help, unknown names and callers
+    that want it whole.  Each is built on the first call and shared by
+    every later one: callers must not mutate it.  Reuse is safe because
+    `parse_args` returns a fresh namespace and no argument has a mutable
+    default.  Subcommands carry no handler: `main` looks `cmd_<name>` up
+    on every call, so a handler rebound after the first call (a
+    profiler, a tracer) still takes effect."""
     parser = _Parser(prog="fistab", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the report to this path instead of stdout")
@@ -315,7 +315,10 @@ def build_parser(command: str | None = None) -> _Parser:
     for name in names:
         help_text, takes_large, add_flags = SUBCOMMANDS[name]
         parents = [common, large] if takes_large else [common]
-        add_flags(sub.add_parser(name, parents=parents, help=help_text))
+        command_parser = sub.add_parser(name, parents=parents, help=help_text)
+        add_flags(command_parser)
+    if command is not None:
+        parser.command_parser = command_parser
     return parser
 
 
@@ -347,17 +350,31 @@ def _apply_config(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv as parsed by the full parser, which hands everything after
+    the subcommand name to that subcommand's parser and refuses what it
+    leaves over.  An argv that starts with a name goes straight to that
+    parser, so it is parsed once; the rest (help, no or an unknown name,
+    a leading flag) goes through the full parser."""
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = build_parser(argv[0])
+        args, extras = parser.command_parser.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+        return args
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.command:
+        parser.error("a subcommand is required")
+    return args
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-        if argv and argv[0] in SUBCOMMANDS:
-            parser = build_parser(argv[0])
-        else:
-            parser = build_parser()
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            parser.error("a subcommand is required")
+        args = _parse(argv)
         handler = globals()["cmd_" + args.command.replace("-", "_")]
         payload = handler(args)
         _emit(payload, args)

@@ -84,6 +84,9 @@ _PAIR_NS = 1200
 _FIT_NS = 250  # one (row, monomial, pivot) step of a character-polynomial fit
 _FIT_ROW_NS = 20000  # one row of that fit: its monomial values and its denominators
 _SOLVE_NS = 80  # one (row, column, pivot) step of the fit-dimpoly solves
+_DIM_ROW_NS = 3500  # one point in one fit-dimpoly solve: its row of binomials and its check
+_DIM_COL_NS = 700  # one (point, column) entry of such a row
+_POINT_NS = 4000  # one point of a fit-dimpoly table: read, checked and reported
 _CYCLE_NS = 150  # one (class, cycle, stored degree, graded dimension) step of kunneth
 _STRIP_NS = 3000  # one horizontal strip (one constituent) of a Pieri sum
 _LEVEL_NS = 60000  # one level of an os-scan report: Betti number, stability, rendering

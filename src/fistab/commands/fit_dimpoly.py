@@ -5,7 +5,7 @@ from __future__ import annotations
 from .. import fi_analysis
 from ..characters import unique_keys
 from ..errors import DomainError
-from . import _SOLVE_NS, _admit, _load_json
+from . import _DIM_COL_NS, _DIM_ROW_NS, _POINT_NS, _SOLVE_NS, _admit, _load_json
 
 
 def run(args):
@@ -19,12 +19,25 @@ def run(args):
         if type(v) is not int:  # JSON integers only: no floats, strings or true/false
             raise DomainError(f"dimension table must map integers to integers, got {v!r}")
     d = args.degree_bound
-    # one solve per candidate degree e <= d, (e + 1)^3 steps each; fewer than
-    # d + 2 points are refused before any
-    _admit(args, lambda p: 0 if len(dims) < d + 2 else _SOLVE_NS * ((d + 1) * (d + 2) // 2) ** 2)
+    _admit(args, lambda p: _work(len(dims), d))
     poly = fi_analysis.fit_dim_polynomial(dims, d)
     return {
         "points": {str(n): dims[n] for n in sorted(dims)},
         "degree_bound": args.degree_bound,
         "polynomial": poly.to_mapping(),
     }
+
+
+def _work(points: int, d: int) -> int:
+    """The estimated ns of fitting a table of `points` points with degree
+    bound d and reporting it.  There is one solve per candidate degree
+    e <= d, and each may read every point: a table that only its last
+    point keeps from fitting is checked to the end at every degree.  A
+    solve of degree e builds and checks a row of e + 1 binomials per
+    point, and takes (e + 1)^3 pivot steps at most.  A negative d, or
+    fewer than d + 2 points, is refused before any solve."""
+    if d < 0 or points < d + 2:
+        return 0
+    columns = (d + 1) * (d + 2) // 2  # e + 1 summed over the degrees e <= d
+    rows = points * ((d + 1) * _DIM_ROW_NS + columns * _DIM_COL_NS)
+    return rows + _SOLVE_NS * columns**2 + points * _POINT_NS

@@ -49,7 +49,7 @@ def unpadded_table(V: IrrDecomposition) -> dict[Partition, int]:
     """Multiplicities keyed by the unpadded root of each constituent."""
     table: dict[Partition, int] = {}
     for mu, m in V.mult.items():
-        root = unpad(mu)
+        root = mu[1:]  # unpad(mu) of a constituent, a partition already
         table[root] = table.get(root, 0) + m
     return table
 
@@ -267,11 +267,15 @@ class CharPolynomial:
     def evaluate(self, mu: Partition):
         """The value at the class mu: an int, or a Fraction when a
         coefficient is one."""
-        counts = cycle_counts(check_partition(mu))
+        return self._value(cycle_counts(check_partition(mu)))
+
+    def _value(self, counts: dict[int, int]):
         return sum(c * _monomial_value(mono, counts) for mono, c in self.coeffs.items())
 
     def as_class_function(self, n: int) -> ClassFunction:
-        return ClassFunction(n, {mu: self.evaluate(mu) for mu in partitions(n)})
+        return ClassFunction._unchecked(
+            n, {mu: self._value(cycle_counts(mu)) for mu in partitions(n)}
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CharPolynomial) and self.coeffs == other.coeffs

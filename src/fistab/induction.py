@@ -68,7 +68,7 @@ def induced_character(f: ClassFunction, g: ClassFunction) -> ClassFunction:
             mu = tuple(sorted(mu1 + mu2, reverse=True))
             weight = centralizer_order(mu) // (centralizer_order(mu1) * centralizer_order(mu2))
             values[mu] += weight * f.values[mu1] * g.values[mu2]
-    return ClassFunction(f.n + g.n, values)
+    return ClassFunction._unchecked(f.n + g.n, values)
 
 
 def m_module(lam: Partition, n: int) -> IrrDecomposition:
@@ -79,7 +79,7 @@ def m_module(lam: Partition, n: int) -> IrrDecomposition:
     if n < 0:
         raise DomainError(f"level must be nonnegative, got {n}")
     m = sum(lam)
-    return free_module_sum({m: IrrDecomposition(m, {lam: 1})}, n)
+    return free_module_sum({m: IrrDecomposition._unchecked(m, {lam: 1})}, n)
 
 
 def m_regular(m: int, n: int) -> IrrDecomposition:
@@ -87,7 +87,7 @@ def m_regular(m: int, n: int) -> IrrDecomposition:
     its total dimension is n!/(n-m)! once n >= m."""
     if m < 0 or n < 0:
         raise DomainError("m and n must be nonnegative")
-    regular = IrrDecomposition(m, {lam: dimension(lam) for lam in partitions(m)})
+    regular = IrrDecomposition._unchecked(m, {lam: dimension(lam) for lam in partitions(m)})
     return free_module_sum({m: regular}, n)
 
 
@@ -148,7 +148,7 @@ def kunneth_power(graded_dims, n: int, i: int) -> ClassFunction:
     convention used throughout this package.
     """
     dims = _check_graded_dims(graded_dims, n, i)
-    return ClassFunction(n, _class_traces(dims, n, i))
+    return ClassFunction._unchecked(n, _class_traces(dims, n, i))
 
 
 def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
@@ -163,7 +163,7 @@ def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
     for m in range(min(n, i) + 1):
         w = _class_traces(positive, m, i)
         if w[(1,) * m]:
-            generators[m] = decompose(ClassFunction(m, w))
+            generators[m] = decompose(ClassFunction._unchecked(m, w))
     return free_module_sum(generators, n)
 
 

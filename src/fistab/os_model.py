@@ -240,7 +240,7 @@ def betti(n: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def character(n: int, k: int) -> ClassFunction:
     """Character of S_n on the degree-k cohomology, in closed form."""
-    return ClassFunction(n, {mu: _trace_in_degree(mu, k) for mu in partitions(n)})
+    return ClassFunction._unchecked(n, {mu: _trace_in_degree(mu, k) for mu in partitions(n)})
 
 
 @lru_cache(maxsize=None)

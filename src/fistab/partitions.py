@@ -59,7 +59,12 @@ def horizontal_strip_extensions(lam: Partition, n: int) -> list[Partition]:
     """Partitions mu of n with mu containing lam and mu/lam a horizontal
     strip (at most one added box per column), i.e. the interlacing
     condition mu_1 >= lam_1 >= mu_2 >= lam_2 >= ..."""
-    lam = check_partition(lam)
+    return _strip_extensions(check_partition(lam), n)
+
+
+def _strip_extensions(lam: Partition, n: int) -> list[Partition]:
+    # horizontal_strip_extensions of a lam that is already a partition
+    # tuple, such as a constituent of a decomposition
     boxes = n - sum(lam)
     if boxes < 0:
         return []

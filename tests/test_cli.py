@@ -13,8 +13,9 @@ import pytest
 import fistab
 from fistab import os_model
 from fistab.cli import build_parser, main
-from fistab.commands import _strip_pairs
+from fistab.commands import WORK_BUDGET, _strip_pairs
 from fistab.commands.character import _shapes_inside
+from fistab.commands.fit_dimpoly import _work as _fit_dim_work
 from fistab.commands.m_module import _strips
 from fistab.commands.os_scan import _lehrer_steps, _maps
 from fistab.partitions import (
@@ -251,6 +252,15 @@ def test_work_estimate_counts():
         for k in range(0, 4):
             steps = sum(sum(set(mu)) + (k + 1) * len(mu) for mu in partitions(n))
             assert _lehrer_steps(p, n, k) == steps, (n, k)
+    # fit-dimpoly prices a row per point at every candidate degree and a
+    # report line per point: a table of 10^6 points is over the budget at
+    # any degree bound, the small tables of the examples are far under it,
+    # and a table too short to fit is refused before any solve
+    for d in range(9):
+        assert _fit_dim_work(10**6, d) > WORK_BUDGET, d
+        assert _fit_dim_work(2 * 10**5, d) > _fit_dim_work(10**5, d) > 0, d
+        assert _fit_dim_work(d + 4, d) < WORK_BUDGET // 1000, d
+        assert _fit_dim_work(d + 1, d) == 0, d
 
 
 def test_os_scan_degree_three(capsys):
@@ -511,12 +521,15 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
     dims = tmp_path / "dims.json"
     dims.write_text(json.dumps({str(n): factorial(n) for n in range(120)}))
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({str(n): comb(n + 8, 8) for n in range(10**5)}))
     for argv in (
         "kunneth --graded-dims 1,2 --n 60 --i 3 --decompose",
         "wreath-scan --graded-dims 1,2 --i 2 --n-max 10000000",
         "m-module --regular 40 --n 80",
         "os-scan --n-min 2 --n-max 40 --k 12",
         f"fit-dimpoly --input {dims} --degree-bound 118",
+        f"fit-dimpoly --input {points} --degree-bound 8",  # seconds: a row per point and degree
         "character --lam 6+5+5+4+4+3+3+2",
         "m-module --lam 200000 --n 200000",
         "m-module --lam " + "+".join(["1"] * 50000) + " --n 50001",

@@ -4,7 +4,10 @@ and input files.
 Whatever it is given, `main` must return 0, 1, 2 or 64, let no exception
 escape, print no traceback, and write its `--out` reports only where it
 is told to (here: inside the test's temporary directory, which is also
-the working directory).  JSON values include infinities, 1e999 and an
+the working directory).  It must answer every request with the same bytes
+when it parses the old way (`cli_oracle.parse_twice`), and parse a
+request that starts with a subcommand with that subcommand's parser
+alone.  JSON values include infinities, 1e999 and an
 integer literal past the interpreter's 4300-digit cap, and one of the
 files it may read is not UTF-8.  Integers reach 10^6, so many requests
 are over the work budget and must be refused at once; a request that
@@ -17,6 +20,7 @@ import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 
+from cli_oracle import parse_args_calls, parsed_twice
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -163,17 +167,29 @@ def _listing(path):
     return sorted(os.listdir(path))
 
 
-def check_main(argv, config, input_json, where):
+def _call(argv, config, input_json, where):
+    # (exit code, stdout, stderr) of main, its files written afresh: an
+    # earlier --out may have overwritten them
     (where / "fuzz.cfg").write_text("\n".join(config) + "\n")
     (where / "input.json").write_text(input_json)
     (where / "latin1.bin").write_bytes("# café\nn=2\n".encode("latin-1"))  # not UTF-8
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    assert code in (0, 1, 2, 64), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_main(argv, config, input_json, where):
+    with parse_args_calls() as progs:
+        code, out, err = _call(argv, config, input_json, where)
+    assert code in (0, 1, 2, 64), (argv, code, err)
+    assert "Traceback" not in err, argv
     if code != 0:
-        assert not out.getvalue(), argv
+        assert not out, argv
+    if argv[0] in SUBCOMMANDS:
+        assert "fistab" not in progs, argv
+    with parsed_twice():
+        assert _call(argv, config, input_json, where) == (code, out, err), argv
 
 
 def test_main_survives_random_requests(tmp_path, monkeypatch):

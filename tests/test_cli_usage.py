@@ -5,8 +5,10 @@ subcommand, an unknown one, a flag before the subcommand, `-h` at the
 top and on every subcommand, and a valid call of every subcommand
 followed by a stray argument.  The usage errors are compared as text;
 a help screen is compared by the sha256 of its stdout.  Lines wrap at
-COLUMNS=80.  A deliberate change of the help screens updates the table;
-print the current digests with
+COLUMNS=80.  These calls, and the valid call of every subcommand, give
+the same bytes when `main` parses the old way (`cli_oracle.parse_twice`).
+A deliberate change of the help screens updates the table; print the
+current digests with
 
     PYTHONPATH=src python tests/test_cli_usage.py
 """
@@ -17,6 +19,7 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from cli_oracle import parse_args_calls, parsed_twice
 
 from fistab.cli import SUBCOMMANDS, main
 
@@ -120,6 +123,22 @@ def test_usage_error_bytes(argv):
 def test_help_bytes(argv):
     code, out, err = _run(argv)
     assert (code, err, _digest(out)) == (0, "", HELP[argv])
+
+
+ROUTED = [(sub, *argv) for sub, argv in VALID.items()] + list(ERRORS) + list(HELP)
+
+
+@pytest.mark.parametrize("argv", ROUTED, ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_parse_matches_the_old_route(argv):
+    with parse_args_calls() as progs:
+        once = _run(argv)
+    with parsed_twice():
+        assert _run(argv) == once
+    if argv and argv[0] in SUBCOMMANDS:
+        # the subcommand's own parser alone, never the top of a parser
+        assert "fistab" not in progs
+    else:
+        assert progs == ["fistab"]
 
 
 if __name__ == "__main__":

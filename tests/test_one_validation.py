@@ -1,0 +1,88 @@
+"""Partitions are checked once, where they enter the package.
+
+The public constructors, `from_mapping`, `parse_partition` and the public
+functions check what they are given.  What the package builds itself
+(tables keyed by `partitions(n)`, character-table rows, `decompose`
+results, Pieri sums) goes through `ClassFunction._unchecked` and
+`IrrDecomposition._unchecked` and never reaches `check_partition`
+again.  The count covers every module namespace that binds it.
+"""
+
+import importlib
+import sys
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
+import pytest
+
+from fistab import characters, fi_analysis, induction, os_model
+from fistab.characters import ClassFunction, IrrDecomposition
+from fistab.errors import DomainError
+
+PARTITIONS = importlib.import_module("fistab.partitions")  # fistab.partitions is the function
+
+
+@contextmanager
+def check_partition_calls():
+    """Within the block, the argument of every check_partition call."""
+    calls = []
+    check_partition = PARTITIONS.check_partition
+
+    def counted(parts):
+        calls.append(parts)
+        return check_partition(parts)
+
+    modules = [
+        module for name, module in sorted(sys.modules.items())
+        if name.startswith("fistab.") and getattr(module, "check_partition", None) is check_partition
+    ]
+    assert {PARTITIONS, characters, fi_analysis, induction} <= set(modules)
+    with ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "check_partition", counted))
+        yield calls
+
+
+def test_kunneth_power_checks_no_partition():
+    with check_partition_calls() as calls:
+        induction.kunneth_power((1, 2), 12, 3)
+        induction.kunneth_decomposition((1, 2), 12, 3)
+    assert calls == []
+
+
+def test_free_decomposition_checks_no_partition():
+    # the W_m are cached, and their differences are taken with the
+    # checking constructor, which drops the zero ones: the first call
+    # builds them
+    os_model.free_decomposition(9, 3)
+    with check_partition_calls() as calls:
+        os_model.free_decomposition(9, 3)
+        os_model.character_polynomial(2, 9, 3).as_class_function(9)
+    assert calls == []
+
+
+def test_decompose_of_a_table_built_character_checks_no_partition():
+    rep = IrrDecomposition(6, {(3, 2, 1): 1, (4, 2): 2, (1,) * 6: 1})
+    with check_partition_calls() as calls:
+        chi = rep.character() + characters.regular_character(6)
+        result = characters.decompose(characters.restrict_and_average(chi, 4))
+        fi_analysis.unpadded_table(result)
+    assert calls == []
+    assert characters.decompose(rep.character()) == rep
+
+
+def test_input_tables_are_checked_once():
+    # parse_partition checks each key; the constructor does not again
+    values = {"1+1+1": 3, "2+1": 1, "3": 0}
+    with check_partition_calls() as calls:
+        f = ClassFunction.from_mapping(3, values)
+        d = IrrDecomposition.from_mapping(3, {"2+1": 1, "3": 2})
+    assert sorted(calls) == [[1, 1, 1], [2, 1], [2, 1], [3], [3]]
+    assert f == ClassFunction(3, {(1, 1, 1): 3, (2, 1): 1, (3,): 0})
+    assert d == IrrDecomposition(3, {(2, 1): 1, (3,): 2})
+    with pytest.raises(DomainError, match="must be defined on exactly the 3 cycle types"):
+        ClassFunction.from_mapping(3, {"3": 1})
+    with pytest.raises(DomainError, match="is not a partition of 3"):
+        IrrDecomposition.from_mapping(3, {"2": 1})
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        IrrDecomposition.from_mapping(3, {"3": "1/2"})
