@@ -281,17 +281,16 @@ SUBCOMMANDS = {
 
 @lru_cache(maxsize=None)
 def build_parser(command: str | None = None) -> _Parser:
-    """The argument parser.  With a subcommand name it holds that
-    subcommand's parser alone, also kept as its `command_parser`, which
-    is all `main` needs for an argv that starts with the name; without
-    one it holds every subcommand's, for help, unknown names and callers
-    that want it whole.  Each is built on the first call and shared by
-    every later one: callers must not mutate it.  Reuse is safe because
-    `parse_args` returns a fresh namespace and no argument has a mutable
-    default.  Subcommands carry no handler: `main` looks `cmd_<name>` up
-    on every call, so a handler rebound after the first call (a
-    profiler, a tracer) still takes effect."""
-    parser = _Parser(prog="fistab", description=__doc__)
+    """The argument parser: with a subcommand name, that subcommand's
+    own parser (prog `fistab <name>`), which is all `main` needs for an
+    argv that starts with the name; without one, the parser with every
+    subcommand, for help, unknown names and callers that want it whole.
+    Each is built on the first call and shared by every later one:
+    callers must not mutate it.  Reuse is safe because `parse_args`
+    returns a fresh namespace and no argument has a mutable default.
+    Subcommands carry no handler: `main` looks `cmd_<name>` up on every
+    call, so a handler rebound after the first call (a profiler, a
+    tracer) still takes effect."""
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument(
@@ -303,22 +302,18 @@ def build_parser(command: str | None = None) -> _Parser:
         action="store_true",
         help=f"run past the work budget ({WORK_BUDGET / 10**9:g} s of estimated work)",
     )
-    if command is None:
-        names, shown = SUBCOMMANDS, {}
-    else:
-        # argparse shows the subcommand argument by its metavar in the
-        # usage line and in an invalid-choice error.  Listing every name
-        # keeps the full parser's usage line; that error needs an unknown
-        # name, which never gets this parser.
-        names, shown = (command,), {"metavar": "{" + ",".join(SUBCOMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser, **shown)
-    for name in names:
-        help_text, takes_large, add_flags = SUBCOMMANDS[name]
-        parents = [common, large] if takes_large else [common]
-        command_parser = sub.add_parser(name, parents=parents, help=help_text)
-        add_flags(command_parser)
+
+    def parents(name):
+        return [common, large] if SUBCOMMANDS[name][1] else [common]
+
     if command is not None:
-        parser.command_parser = command_parser
+        parser = _Parser(prog=f"fistab {command}", parents=parents(command))
+        SUBCOMMANDS[command][2](parser)
+        return parser
+    parser = _Parser(prog="fistab", description=__doc__)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    for name, (help_text, _, add_flags) in SUBCOMMANDS.items():
+        add_flags(sub.add_parser(name, parents=parents(name), help=help_text))
     return parser
 
 
@@ -357,10 +352,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser, so it is parsed once; the rest (help, no or an unknown name,
     a leading flag) goes through the full parser."""
     if argv and argv[0] in SUBCOMMANDS:
-        parser = build_parser(argv[0])
-        args, extras = parser.command_parser.parse_known_args(argv[1:])
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
         if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
         return args
     parser = build_parser()

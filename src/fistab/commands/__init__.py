@@ -10,6 +10,7 @@ module after the import (a profiler, a tracer) still takes effect.
 
 from __future__ import annotations
 
+import os
 import sys
 from operator import mul
 
@@ -41,11 +42,14 @@ def _unique_object(pairs) -> dict:
 def _load_json(args, inline_attr: str):
     inline = getattr(args, inline_attr, None)
     if inline is not None:
-        text = inline
+        size = len(inline)
     elif getattr(args, "input", None):
-        text = _read_text(args.input)
+        size = os.stat(args.input).st_size
     else:
         raise DomainError(f"provide --{inline_attr.replace('_', '-')} or --input")
+    if hasattr(args, "allow_large"):  # stability-scan has no override, so no budget
+        _admit(args, lambda p: size * _BYTE_NS)
+    text = inline if inline is not None else _read_text(args.input)
     import json
 
     try:
@@ -81,6 +85,7 @@ def _graded_dims(text: str) -> tuple[int, ...]:
 # Murnaghan-Nakayama loops, in a whole character or in a character table
 # together with one decomposition against it.
 _PAIR_NS = 1200
+_BYTE_NS = 60  # one byte of JSON input: read, parsed and checked by its handler
 _FIT_NS = 250  # one (row, monomial, pivot) step of a character-polynomial fit
 _FIT_ROW_NS = 20000  # one row of that fit: its monomial values and its denominators
 _SOLVE_NS = 80  # one (row, column, pivot) step of the fit-dimpoly solves

@@ -30,11 +30,10 @@ def run(args):
 
 def _work(points: int, d: int) -> int:
     """The estimated ns of fitting a table of `points` points with degree
-    bound d and reporting it.  There is one solve per candidate degree
-    e <= d, and each may read every point: a table that only its last
-    point keeps from fitting is checked to the end at every degree.  A
-    solve of degree e builds and checks a row of e + 1 binomials per
-    point, and takes (e + 1)^3 pivot steps at most.  A negative d, or
+    bound d and reporting it: a solve at every candidate degree e <= d,
+    each reading every point, an upper bound on the one solve the fit
+    runs.  A solve of degree e builds and checks a row of e + 1 binomials
+    per point, and takes (e + 1)^3 pivot steps at most.  A negative d, or
     fewer than d + 2 points, is refused before any solve."""
     if d < 0 or points < d + 2:
         return 0

@@ -391,10 +391,11 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
     """Least-degree polynomial in the binomial basis matching every given
     dimension exactly.
 
-    For each candidate degree d one exact solve runs over all points; it
-    fixes the d+1 coefficients from the first d+1 points and checks the
-    rest by substitution.  At least degree_bound + 2 points are required,
-    so one is always left over to check at the top degree.
+    One exact solve runs over all points at degree e, the bound or one
+    less than the number of distinct levels if smaller; the least-degree
+    fit is its solution, zero top coefficients dropped.  At least
+    degree_bound + 2 points are required, so one is always left over to
+    check at the top degree.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
@@ -406,12 +407,11 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
             f"need at least {degree_bound + 2} points to fit and validate "
             f"degree <= {degree_bound}, got {len(points)}"
         )
-    rhs = [v for _, v in points]
-    for d in range(degree_bound + 1):
-        rows = ([binomial(n, j) for j in range(d + 1)] for n, _ in points)
-        solution, free, consistent = solve_exact(rows, rhs)
-        if consistent and not free:
-            return IntPolynomial(dict(enumerate(solution)))
+    e = min(degree_bound, len({n for n, _ in points}) - 1)
+    rows = ([binomial(n, j) for j in range(e + 1)] for n, _ in points)
+    solution, _, consistent = solve_exact(rows, [v for _, v in points])
+    if consistent:
+        return IntPolynomial(dict(enumerate(solution)))
     raise DomainError(
         f"no integer-valued polynomial of degree <= {degree_bound} fits the data"
     )

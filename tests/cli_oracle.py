@@ -1,12 +1,12 @@
-"""The old way `fistab.cli.main` parsed an argv, kept as the oracle of the
-one it uses now.
+"""argparse's own nested parse, kept as the oracle of the route
+`fistab.cli.main` takes.
 
 `main` hands an argv that starts with a subcommand name straight to that
-subcommand's parser, so argparse parses it once.  It used to hand every
-argv to the parser `build_parser(name)` returns, which scans the argv at
-the top and then passes everything after the name to the subcommand's
-parser, which parses it again; `parse_twice` is that route.  The tests
-run `main` both ways and compare the exit code, stdout and stderr.
+subcommand's own parser, so argparse parses it once.  The full parser,
+`build_parser()`, scans the argv at the top and then passes everything
+after the name to the subcommand's parser, which parses it again;
+`parse_twice` is that route.  The tests run `main` both ways and compare
+the exit code, stdout and stderr.
 """
 
 from contextlib import contextmanager
@@ -16,13 +16,9 @@ from fistab import cli
 
 
 def parse_twice(argv: list[str]):
-    """argv parsed through the top of `build_parser(name)`, or of the
-    full parser when argv does not start with a name; a usage error
-    exits 64 from the parser that finds it."""
-    if argv and argv[0] in cli.SUBCOMMANDS:
-        parser = cli.build_parser(argv[0])
-    else:
-        parser = cli.build_parser()
+    """argv parsed by the full parser; a usage error exits 64 from the
+    parser that finds it."""
+    parser = cli.build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.error("a subcommand is required")

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -12,8 +13,8 @@ import pytest
 
 import fistab
 from fistab import os_model
-from fistab.cli import build_parser, main
-from fistab.commands import WORK_BUDGET, _strip_pairs
+from fistab.cli import SUBCOMMANDS, build_parser, main
+from fistab.commands import WORK_BUDGET, _BYTE_NS, _strip_pairs
 from fistab.commands.character import _shapes_inside
 from fistab.commands.fit_dimpoly import _work as _fit_dim_work
 from fistab.commands.m_module import _strips
@@ -252,10 +253,11 @@ def test_work_estimate_counts():
         for k in range(0, 4):
             steps = sum(sum(set(mu)) + (k + 1) * len(mu) for mu in partitions(n))
             assert _lehrer_steps(p, n, k) == steps, (n, k)
-    # fit-dimpoly prices a row per point at every candidate degree and a
-    # report line per point: a table of 10^6 points is over the budget at
-    # any degree bound, the small tables of the examples are far under it,
-    # and a table too short to fit is refused before any solve
+    # fit-dimpoly prices a row per point at every candidate degree, an
+    # upper bound on its one solve, and a report line per point: a table
+    # of 10^6 points is over the budget at any degree bound, the small
+    # tables of the examples are far under it, and a table too short to
+    # fit is refused before any solve
     for d in range(9):
         assert _fit_dim_work(10**6, d) > WORK_BUDGET, d
         assert _fit_dim_work(2 * 10**5, d) > _fit_dim_work(10**5, d) > 0, d
@@ -523,6 +525,9 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
     dims.write_text(json.dumps({str(n): factorial(n) for n in range(120)}))
     points = tmp_path / "points.json"
     points.write_text(json.dumps({str(n): comb(n + 8, 8) for n in range(10**5)}))
+    large = tmp_path / "large.json"
+    with open(large, "wb") as fh:  # sparse: priced by its size, never read
+        fh.truncate(WORK_BUDGET // _BYTE_NS + 1)
     for argv in (
         "kunneth --graded-dims 1,2 --n 60 --i 3 --decompose",
         "wreath-scan --graded-dims 1,2 --i 2 --n-max 10000000",
@@ -530,6 +535,7 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
         "os-scan --n-min 2 --n-max 40 --k 12",
         f"fit-dimpoly --input {dims} --degree-bound 118",
         f"fit-dimpoly --input {points} --degree-bound 8",  # seconds: a row per point and degree
+        f"fit-dimpoly --input {large} --degree-bound 1",  # seconds to read a table this size
         "character --lam 6+5+5+4+4+3+3+2",
         "m-module --lam 200000 --n 200000",
         "m-module --lam " + "+".join(["1"] * 50000) + " --n 50001",
@@ -653,6 +659,11 @@ def test_wreath_scan_reaches_far_past_the_class_sums():
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
     assert build_parser("kunneth") is build_parser("kunneth") is not build_parser()
+    # a subcommand's parser is its own, not the top of a parser
+    for name in SUBCOMMANDS:
+        parser = build_parser(name)
+        assert parser.prog == f"fistab {name}", name
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions), name
 
 
 def test_reused_parser_forgets_the_previous_request(tmp_path, monkeypatch):

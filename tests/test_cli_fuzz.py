@@ -5,7 +5,7 @@ Whatever it is given, `main` must return 0, 1, 2 or 64, let no exception
 escape, print no traceback, and write its `--out` reports only where it
 is told to (here: inside the test's temporary directory, which is also
 the working directory).  It must answer every request with the same bytes
-when it parses the old way (`cli_oracle.parse_twice`), and parse a
+when the full parser parses it (`cli_oracle.parse_twice`), and parse a
 request that starts with a subcommand with that subcommand's parser
 alone.  JSON values include infinities, 1e999 and an
 integer literal past the interpreter's 4300-digit cap, and one of the

@@ -6,7 +6,7 @@ top and on every subcommand, and a valid call of every subcommand
 followed by a stray argument.  The usage errors are compared as text;
 a help screen is compared by the sha256 of its stdout.  Lines wrap at
 COLUMNS=80.  These calls, and the valid call of every subcommand, give
-the same bytes when `main` parses the old way (`cli_oracle.parse_twice`).
+the same bytes when the full parser parses them (`cli_oracle.parse_twice`).
 A deliberate change of the help screens updates the table; print the
 current digests with
 

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -274,38 +275,64 @@ def test_fit_dim_degree_four():
 
 def _held_out_fit(dims, degree_bound):
     # the brute-force route, as the oracle: solve on the first d + 1
-    # points over Fraction, then evaluate the polynomial at the rest
-    points = sorted(dims.items())
+    # distinct levels over Fraction, then evaluate the polynomial at every
+    # point (a level may be given twice, as 2 and "2")
+    points = sorted((int(n), v) for n, v in dims.items())
     for d in range(degree_bound + 1):
-        fit = points[: d + 1]
+        fit = list(dict(points).items())[: d + 1]
         rows = [[binomial(n, j) for j in range(d + 1)] for n, _ in fit]
         solution, free, consistent = fraction_solve(rows, [v for _, v in fit])
         if not consistent or free:
             continue
         poly = IntPolynomial(dict(enumerate(solution)))
-        if all(poly.evaluate(n) == v for n, v in points[d + 1 :]):
+        if all(poly.evaluate(n) == v for n, v in points):
             return poly
     return None
 
 
 def test_fit_dim_matches_held_out_fit():
     rng = random.Random(16)
-    for _ in range(300):
-        degree_bound = rng.randint(0, 4)
-        levels = sorted(rng.sample(range(-12, 16), rng.randint(degree_bound + 2, 9)))
-        coeffs = {j: rng.randint(-5, 5) for j in range(rng.randint(0, 5))}
+    for _ in range(600):
+        shape = rng.choice(["exact", "last", "any", "low", "duplicate", "clash"])
+        # a low-degree table under a bound of up to 8
+        degree_bound = rng.randint(0, 8 if shape == "low" else 4)
+        levels = sorted(rng.sample(range(-12, 16), rng.randint(degree_bound + 2, 11)))
+        top = rng.randint(0, 2 if shape == "low" else 5)
+        coeffs = {j: rng.randint(-5, 5) for j in range(top)}
         dims = {n: sum(c * binomial(n, j) for j, c in coeffs.items()) for n in levels}
-        shape = rng.choice(["exact", "last", "any"])
         if shape == "last":  # only the last point breaks the fit
             dims[levels[-1]] += rng.choice([-2, -1, 1, 2])
         elif shape == "any":
             dims = {n: rng.randint(-20, 20) for n in levels}
+        elif shape in ("duplicate", "clash"):  # levels given twice, as n and "n"
+            for n in rng.sample(levels, rng.randint(1, len(levels))):
+                dims[str(n)] = dims[n] + (rng.choice([-1, 1]) if shape == "clash" else 0)
         try:
             poly = fit_dim_polynomial(dims, degree_bound)
         except DomainError as exc:
             assert "no integer-valued polynomial" in str(exc)
             poly = None
-        assert poly == _held_out_fit(dims, degree_bound)
+        assert poly == _held_out_fit(dims, degree_bound), (dims, degree_bound)
+
+
+def test_fit_dim_is_one_solve():
+    # one exact solve per fit, whatever degree the fit has or whether it
+    # is refused
+    from fistab import linalg
+
+    tables = [
+        ({n: binomial(n, 4) + n for n in range(12)}, 6),
+        ({n: 7 for n in range(12)}, 8),
+        ({n: 2**n for n in range(12)}, 5),
+        ({**{n: n for n in range(3)}, **{str(n): n for n in range(3)}}, 4),
+    ]
+    for dims, degree_bound in tables:
+        with mock.patch.object(linalg, "solve_exact", wraps=linalg.solve_exact) as solve:
+            try:
+                fit_dim_polynomial(dims, degree_bound)
+            except DomainError:
+                pass
+        assert solve.call_count == 1, (dims, degree_bound)
 
 
 def test_fit_dim_needs_enough_points():
