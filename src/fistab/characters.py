@@ -71,8 +71,11 @@ def _mn_column(mu: Partition, within: Partition | None = None) -> dict[int, int]
 
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Character value of the irreducible indexed by lam at the class mu."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
+    return _mn_value(check_partition(lam), check_partition(mu))
+
+
+def _mn_value(lam: Partition, mu: Partition) -> int:
+    # mn_character of two checked partitions, such as parse_partition returns
     if sum(lam) != sum(mu):
         raise DomainError(
             f"shape {lam!r} and cycle type {mu!r} index different symmetric groups"

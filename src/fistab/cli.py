@@ -44,61 +44,116 @@ def _is_scalar_list(v) -> bool:
     return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
 
 
-def render_text(payload, indent: int = 0) -> list[str]:
-    lines = []
-    pad = " " * indent
+def _text(payload, pad: str, lines: list[str]) -> None:
+    # ints, most of a report's leaves, skip the type tests of the rest
     if isinstance(payload, dict):
-        width = max((len(_key(k)) for k in payload), default=0)
-        for k, v in payload.items():
-            if isinstance(v, dict) or (isinstance(v, list) and not _is_scalar_list(v)):
-                lines.append(f"{pad}{_key(k)}:")
-                lines.extend(render_text(v, indent + 2))
-            elif _is_scalar_list(v):
-                joined = " ".join(_scalar(x) for x in v)
-                lines.append(f"{pad}{_key(k):<{width}}  {joined}")
+        keys = [_key(k) for k in payload]
+        width = max(map(len, keys), default=0)
+        inner = pad + "  "
+        for key, v in zip(keys, payload.values()):
+            if type(v) is int:
+                lines.append(f"{pad}{key:<{width}}  {v}")
+            elif isinstance(v, dict) or (isinstance(v, list) and not _is_scalar_list(v)):
+                lines.append(f"{pad}{key}:")
+                _text(v, inner, lines)
+            elif isinstance(v, list):
+                lines.append(f"{pad}{key:<{width}}  {' '.join(map(_scalar, v))}")
             else:
-                lines.append(f"{pad}{_key(k):<{width}}  {_scalar(v)}")
+                lines.append(f"{pad}{key:<{width}}  {_scalar(v)}")
     elif isinstance(payload, list):
+        inner = pad + "  "
         for item in payload:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
-                lines.extend(render_text(item, indent + 2))
+                _text(item, inner, lines)
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
     else:
         lines.append(f"{pad}{_scalar(payload)}")
-    return lines
 
 
-def _flatten(payload, prefix: str = ""):
-    rows = []
+def _csv_rows(payload, prefix: str, rows: list[tuple[str, str]]) -> None:
+    # prefix is "" at the top and ends with "." below it
     if isinstance(payload, dict):
         for k, v in payload.items():
-            rows.extend(_flatten(v, f"{prefix}{_key(k)}."))
+            if type(v) is int:
+                rows.append((f"{prefix}{_key(k)}", str(v)))
+            else:
+                _csv_rows(v, f"{prefix}{_key(k)}.", rows)
     elif isinstance(payload, list) and not _is_scalar_list(payload):
         for idx, v in enumerate(payload):
-            rows.extend(_flatten(v, f"{prefix}{idx}."))
+            _csv_rows(v, f"{prefix}{idx}.", rows)
     else:
-        key = prefix[:-1] if prefix.endswith(".") else prefix
-        value = " ".join(_scalar(x) for x in payload) if isinstance(payload, list) else _scalar(payload)
-        rows.append((key, value))
-    return rows
+        value = " ".join(map(_scalar, payload)) if isinstance(payload, list) else _scalar(payload)
+        rows.append((prefix[:-1], value))
+
+
+def _json(payload, pad: str, out: list[str], quote) -> None:
+    # json.dumps(payload, indent=2) for the types a report holds
+    if isinstance(payload, str):
+        out.append(quote(payload))
+    elif payload is None:
+        out.append("null")
+    elif payload is True:
+        out.append("true")
+    elif payload is False:
+        out.append("false")
+    elif isinstance(payload, int):
+        out.append(int.__repr__(payload))
+    elif isinstance(payload, dict):
+        if not payload:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in payload.items():
+            if type(v) is int:
+                out.append(f"{sep}{quote(k)}: {v}")
+            else:
+                out.append(f"{sep}{quote(k)}: ")
+                _json(v, inner, out, quote)
+            sep = ",\n" + inner
+        out.append(f"\n{pad}}}")
+    elif isinstance(payload, list):
+        if not payload:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for v in payload:
+            if type(v) is int:
+                out.append(f"{sep}{v}")
+            else:
+                out.append(sep)
+                _json(v, inner, out, quote)
+            sep = ",\n" + inner
+        out.append(f"\n{pad}]")
+    else:
+        raise TypeError(f"Object of type {type(payload).__name__} is not JSON serializable")
 
 
 def render(payload, fmt: str) -> str:
+    """The report in fmt: JSON as json.dumps(payload, indent=2) writes
+    it, aligned text, or one CSV row per scalar or list of scalars, keyed
+    by its dotted path."""
     if fmt == "json":
-        import json
+        from json.encoder import encode_basestring_ascii
 
-        return json.dumps(payload, indent=2) + "\n"
+        out: list[str] = []
+        _json(payload, "", out, encode_basestring_ascii)
+        out.append("\n")
+        return "".join(out)
     if fmt == "text":
-        return "\n".join(render_text(payload)) + "\n"
+        lines: list[str] = []
+        _text(payload, "", lines)
+        return "\n".join(lines) + "\n"
     if fmt == "csv":
         import csv
 
+        rows: list[tuple[str, str]] = []
+        _csv_rows(payload, "", rows)
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for key, value in _flatten(payload):
-            writer.writerow([key, value])
+        csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()
     raise DomainError(f"unknown format {fmt!r}")
 

@@ -28,7 +28,7 @@ def run(args):
             "lam": list(lam),
             "n": n,
             "mu": list(mu),
-            "value": characters.mn_character(lam, mu),
+            "value": characters._mn_value(lam, mu),
         }
     _admit(
         args, lambda p: _PAIR_NS * p[n] * _shapes_inside(lam), n, "--mu for a single value or "

@@ -5,6 +5,9 @@ integer-valued dimension polynomials."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import lcm
+
 from .characters import ClassFunction, IrrDecomposition, exact_obj, unique_keys
 from .errors import DomainError
 from .partitions import (
@@ -391,11 +394,13 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
     """Least-degree polynomial in the binomial basis matching every given
     dimension exactly.
 
-    One exact solve runs over all points at degree e, the bound or one
-    less than the number of distinct levels if smaller; the least-degree
-    fit is its solution, zero top coefficients dropped.  At least
-    degree_bound + 2 points are required, so one is always left over to
-    check at the top degree.
+    The fit is of degree e, the bound or one less than the number of
+    distinct levels if smaller: one exact solve over the points of the
+    first e + 1 distinct levels fixes it, and the least-degree fit is its
+    solution, zero top coefficients dropped.  Every later point is
+    checked against that solution at its own degree, in integers.  At
+    least degree_bound + 2 points are required, so one is always left
+    over to check at the top degree.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
@@ -407,11 +412,21 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
             f"need at least {degree_bound + 2} points to fit and validate "
             f"degree <= {degree_bound}, got {len(points)}"
         )
-    e = min(degree_bound, len({n for n, _ in points}) - 1)
-    rows = ([binomial(n, j) for j in range(e + 1)] for n, _ in points)
-    solution, _, consistent = solve_exact(rows, [v for _, v in points])
+    levels = sorted({n for n, _ in points})
+    e = min(degree_bound, len(levels) - 1)
+    split = bisect_left(points, (levels[e + 1],)) if e + 1 < len(levels) else len(points)
+    head = points[:split]
+    rows = ([binomial(n, j) for j in range(e + 1)] for n, _ in head)
+    solution, _, consistent = solve_exact(rows, [v for _, v in head])
     if consistent:
-        return IntPolynomial(dict(enumerate(solution)))
+        top = max((j for j, c in enumerate(solution) if c), default=-1)
+        den = lcm(*(c.denominator for c in solution[: top + 1]))
+        nums = [c.numerator * (den // c.denominator) for c in solution[: top + 1]]
+        if all(
+            sum(c * binomial(n, j) for j, c in enumerate(nums)) == den * v
+            for n, v in points[split:]
+        ):
+            return IntPolynomial(dict(enumerate(solution)))
     raise DomainError(
         f"no integer-valued polynomial of degree <= {degree_bound} fits the data"
     )

@@ -10,7 +10,6 @@ the tests' integer-rank oracle inserts whole matrices.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
@@ -115,6 +114,10 @@ class IntRowBasis:
 def _integer_row(values) -> list[int]:
     # clear denominators; a rational row and its integer multiple have
     # the same zero pattern and the same solutions
+    if all(isinstance(x, int) for x in values):
+        return values
+    from fractions import Fraction
+
     fracs = [x if isinstance(x, int) else Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in fracs))
     return [x.numerator * (den // x.denominator) for x in fracs]
@@ -124,15 +127,17 @@ def solve_exact(rows, rhs):
     """Solve A x = b over the rationals.
 
     Returns (solution, free_columns, consistent).  When the system is
-    consistent, free columns are assigned zero; `solution` is None when it
-    is inconsistent.
+    consistent, free columns are assigned zero, and each entry of
+    `solution` is an int where it is integral and a Fraction where it is
+    not; `solution` is None when the system is inconsistent.
 
     The augmented rows, cleared of denominators, go into an IntRowBasis
     until every column of A has a pivot; a pivot on the right-hand side
     means no solution.  The pivot columns, and the solution with free
     columns at zero, do not depend on the order of elimination, so this is
-    Gauss-Jordan elimination's result.  The remaining rows (rows may be a
-    generator, read once and no further than the verdict needs) are only
+    Gauss-Jordan elimination's result.  Back-substitution runs in
+    integers over one common denominator.  The remaining rows (rows may be
+    a generator, read once and no further than the verdict needs) are only
     checked by substitution, in integers.
     """
     augmented = (_integer_row([*row, b]) for row, b in zip(rows, rhs))
@@ -147,16 +152,33 @@ def solve_exact(rows, rhs):
             break
     if basis is None:
         return [], [], True
-    # back-substitution: each stored row is zero on the pivots of earlier
-    # rows, so in reverse order every other column it reads is known
-    solution = [Fraction(0)] * ncols
+    # back-substitution, solution[c] = num[c] / den: each stored row is
+    # zero on the pivots of earlier rows, so in reverse order every other
+    # column it reads is known; a pivot that does not divide its residue
+    # scales the common denominator
+    num, den = [0] * ncols, 1
     for row, p in zip(reversed(basis.sparse_rows), reversed(basis.pivots)):
-        known = sum(x * solution[c] for c, x in row.items() if c != p and c != ncols)
-        solution[p] = Fraction(row.get(ncols, 0) - known, row[p])
-    den = lcm(*(x.denominator for x in solution))
-    weights = [x.numerator * (den // x.denominator) for x in solution] + [-den]
+        known = sum(x * num[c] for c, x in row.items() if c != p and c != ncols)
+        t, a = row.get(ncols, 0) * den - known, row[p]
+        if t % a:
+            scale = a // gcd(t, a)
+            num = [x * scale for x in num]
+            den *= scale
+            t *= scale
+        num[p] = t // a
+    weights = num + [-den]
     for v in augmented:
         if sum(map(mul, v, weights)):
             return None, [], False
     pivots = set(basis.pivots)
-    return solution, [c for c in range(ncols) if c not in pivots], True
+    return [_quotient(x, den) for x in num], [c for c in range(ncols) if c not in pivots], True
+
+
+def _quotient(x: int, den: int):
+    # x / den: an int when it divides, else the one Fraction it takes
+    q, r = divmod(x, den)
+    if not r:
+        return q
+    from fractions import Fraction
+
+    return Fraction(x, den)

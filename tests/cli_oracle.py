@@ -1,5 +1,5 @@
-"""argparse's own nested parse, kept as the oracle of the route
-`fistab.cli.main` takes.
+"""Oracles of the routes `fistab.cli` takes: argparse's own nested parse
+and the report renderers as first written.
 
 `main` hands an argv that starts with a subcommand name straight to that
 subcommand's own parser, so argparse parses it once.  The full parser,
@@ -7,12 +7,18 @@ subcommand's own parser, so argparse parses it once.  The full parser,
 after the name to the subcommand's parser, which parses it again;
 `parse_twice` is that route.  The tests run `main` both ways and compare
 the exit code, stdout and stderr.
+
+`render_text` and `flatten` are the recursive text and CSV walks that
+`cli.render` once made, each returning its lines or rows; the render
+tests compare `cli.render` with them, and the JSON report with
+`json.dumps(payload, indent=2)`.
 """
 
 from contextlib import contextmanager
 from unittest import mock
 
 from fistab import cli
+from fistab.cli import _is_scalar_list, _key, _scalar
 
 
 def parse_twice(argv: list[str]):
@@ -46,3 +52,46 @@ def parse_args_calls():
 
     with mock.patch.object(cli._Parser, "parse_args", recorded):
         yield progs
+
+
+def render_text(payload, indent: int = 0) -> list[str]:
+    """The text report's lines, without the final newline."""
+    lines = []
+    pad = " " * indent
+    if isinstance(payload, dict):
+        width = max((len(_key(k)) for k in payload), default=0)
+        for k, v in payload.items():
+            if isinstance(v, dict) or (isinstance(v, list) and not _is_scalar_list(v)):
+                lines.append(f"{pad}{_key(k)}:")
+                lines.extend(render_text(v, indent + 2))
+            elif _is_scalar_list(v):
+                joined = " ".join(_scalar(x) for x in v)
+                lines.append(f"{pad}{_key(k):<{width}}  {joined}")
+            else:
+                lines.append(f"{pad}{_key(k):<{width}}  {_scalar(v)}")
+    elif isinstance(payload, list):
+        for item in payload:
+            if isinstance(item, (dict, list)):
+                lines.append(f"{pad}-")
+                lines.extend(render_text(item, indent + 2))
+            else:
+                lines.append(f"{pad}- {_scalar(item)}")
+    else:
+        lines.append(f"{pad}{_scalar(payload)}")
+    return lines
+
+
+def flatten(payload, prefix: str = ""):
+    """The CSV report's (key, value) rows."""
+    rows = []
+    if isinstance(payload, dict):
+        for k, v in payload.items():
+            rows.extend(flatten(v, f"{prefix}{_key(k)}."))
+    elif isinstance(payload, list) and not _is_scalar_list(payload):
+        for idx, v in enumerate(payload):
+            rows.extend(flatten(v, f"{prefix}{idx}."))
+    else:
+        key = prefix[:-1] if prefix.endswith(".") else prefix
+        value = " ".join(_scalar(x) for x in payload) if isinstance(payload, list) else _scalar(payload)
+        rows.append((key, value))
+    return rows

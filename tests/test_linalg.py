@@ -125,6 +125,12 @@ def test_solve_exact_rational_entries():
 
 INTEGER_ENTRIES = st.integers(-4, 4)
 RATIONAL_ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# every nonzero entry negative, so is every pivot of a triangular system
+NEGATIVE_ENTRIES = st.integers(-9, 0)
+# pairwise unrelated large denominators: the solution's common one is huge
+LARGE_DENOMINATOR_ENTRIES = st.builds(
+    Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)
+)
 
 
 @st.composite
@@ -132,13 +138,23 @@ def linear_systems(draw, kind, entries):
     """(rows, rhs) of a random system that is, by construction, uniquely
     solvable, underdetermined (consistent, with free columns),
     inconsistent, overdetermined (an invertible block, then combinations
-    of its rows that only substitution can check), or anything at all."""
+    of its rows that only substitution can check), uniquely solvable with
+    zero or repeated columns put in anywhere (consistent, with free
+    columns among the pivot ones), or anything at all."""
     def row(width):
         return [draw(entries) for _ in range(width)]
 
     def times(mat, x):
         return [sum(a * b for a, b in zip(r, x)) for r in mat]
 
+    if kind == "free":
+        mat, rhs = draw(linear_systems("unique", entries))
+        columns = [list(c) for c in zip(*mat)]
+        for _ in range(draw(st.integers(1, 3))):
+            source = draw(st.sampled_from(columns))
+            scale = draw(st.sampled_from([0, 1, -2]))
+            columns.insert(draw(st.integers(0, len(columns))), [scale * x for x in source])
+        return [list(r) for r in zip(*columns)], rhs
     if kind == "any":
         ncols = draw(st.integers(1, 5))
         mat = [row(ncols) for _ in range(draw(st.integers(0, 5)))]
@@ -180,9 +196,13 @@ def linear_systems(draw, kind, entries):
     return mat[:at] + [combined] + mat[at:], rhs[:at] + [target] + rhs[at:]
 
 
-@pytest.mark.parametrize("entries", [INTEGER_ENTRIES, RATIONAL_ENTRIES], ids=["int", "rational"])
 @pytest.mark.parametrize(
-    "kind", ["unique", "underdetermined", "inconsistent", "overdetermined", "any"]
+    "entries",
+    [INTEGER_ENTRIES, RATIONAL_ENTRIES, NEGATIVE_ENTRIES, LARGE_DENOMINATOR_ENTRIES],
+    ids=["int", "rational", "negative", "large-denominator"],
+)
+@pytest.mark.parametrize(
+    "kind", ["unique", "underdetermined", "inconsistent", "overdetermined", "free", "any"]
 )
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
@@ -194,12 +214,15 @@ def test_solve_exact_matches_fraction_elimination(kind, entries, data):
         assert consistent and not free
     elif kind == "overdetermined":
         assert not free
-    elif kind == "underdetermined":
+    elif kind in ("underdetermined", "free"):
         assert consistent and free
     elif kind == "inconsistent":
         assert not consistent and solution is None
     if consistent:
         assert [sum(a * x for a, x in zip(r, solution)) for r in rows] == list(rhs)
+        # an int exactly where the entry is integral, else a Fraction
+        for x in solution:
+            assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), solution
 
 
 def test_character_fit_stops_inserting_at_full_column_rank(monkeypatch):

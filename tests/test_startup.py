@@ -122,6 +122,15 @@ def test_a_text_os_scan_loads_only_its_own_code():
     assert _handlers(loaded) == ["fistab.commands.os_scan"]
 
 
+def test_a_short_text_os_scan_fits_in_integers():
+    # a window shorter than 2k + 1 levels fits its character polynomial
+    # through linalg.solve_exact, whose integer system has an integer
+    # solution, so no Fraction is ever built
+    loaded = _loaded_after([*OS_SCAN_SHORT, "--format", "text"])
+    assert "fistab.linalg" in loaded
+    assert not {"fractions", "decimal", "json"} & set(loaded), loaded
+
+
 def test_running_the_cli_as_a_script_compiles_it_once():
     # `python -m fistab.cli` runs the module as __main__; a handler module
     # that imported fistab.cli would compile and load it a second time
