@@ -97,7 +97,6 @@ _STRIP_NS = 3000  # one horizontal strip (one constituent) of a Pieri sum
 _LEVEL_NS = 60000  # one level of an os-scan report: Betti number, stability, rendering
 _REPORT_NS = 30000  # one coinvariant verdict of os-scan, rendering included
 _TERM_NS = 2000  # one (W_m, j) term of a free-module invariant dimension
-_LEHRER_NS = 1000  # one step of Lehrer's product for a character (see os_scan._lehrer_steps)
 _ROW_NS = 500  # one row of lam per strip of m-module --lam
 _HOOK_NS = 3  # one of the (|lam| + 1)^2 steps of the hook-length dimension of lam
 _FOLD_NS = 50  # one (cell, binomial weight) step of the wreath series

@@ -6,7 +6,6 @@ from __future__ import annotations
 from .. import fi_analysis, os_model
 from ..errors import DomainError
 from . import (
-    _LEHRER_NS,
     _LEVEL_NS,
     _REPORT_NS,
     _STRIP_NS,
@@ -25,17 +24,6 @@ def _maps(n_min: int, n_max: int, a_top: int) -> int:
     return (c * (c + 1) - n_min * (n_min + 1)) // 2 + (n_max - c) * (a_top + 1)
 
 
-def _lehrer_steps(p, n: int, k: int) -> int:
-    """Steps of Lehrer's product over the classes of S_n, expanded up to
-    degree k (os_model._trace_in_degree): each distinct cycle length r of
-    a class is scanned for its divisors, r steps, and each cycle multiplies
-    a series of at most k + 1 terms.  p(n - r) classes have a cycle of
-    length r, and p(n - jc) have c or more cycles of length j."""
-    lengths = sum(r * p[n - r] for r in range(1, n + 1))
-    cycles = sum(p[n - j * c] for j in range(1, n + 1) for c in range(1, n // j + 1))
-    return lengths + (k + 1) * cycles
-
-
 def run(args):
     k = args.k
     if k < 0 or args.a_max < 0:
@@ -52,7 +40,7 @@ def run(args):
         # and averages; the Pieri strips of their constituents at each level
         # of the peel and of the window; a report per level and per
         # coinvariant map, each map with the terms of two free-module
-        # counts; and on a short window the characters and their fit
+        # counts; and on a short window the fit that checks the polynomial
         ms = range(k + 1, top + 1)
         total = (
             _table_work(p, ms)
@@ -62,7 +50,6 @@ def run(args):
             * (_REPORT_NS + 2 * _TERM_NS * sum(min(a_top, m) + 1 for m in ms))
         )
         if fit:
-            total += _LEHRER_NS * sum(_lehrer_steps(p, n, k) for n in window)
             total += _fit_work(sum(p[n] for n in window), 2 * k)
         return total
 
@@ -71,7 +58,7 @@ def run(args):
     payload = {
         "k": k,
         "window": [args.n_min, args.n_max],
-        "betti": {str(n): os_model.free_betti(n, k) for n in window},
+        "betti": {str(n): os_model.betti(n, k) for n in window},
         "decompositions": {str(n): decs[n].to_mapping() for n in window},
     }
     if args.n_max > args.n_min:

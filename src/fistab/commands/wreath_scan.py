@@ -27,14 +27,14 @@ def run(args):
         raise DomainError("need 0 <= n-min <= n-max")
     _admit(args, lambda p: _series_work(dims, args.n_max, args.i))
     series = induction.wreath_invariant_series(dims, args.n_max, args.i)
-    values = {n: series[n] for n in range(args.n_min, args.n_max + 1)}
     start = max(args.n_min, 2 * args.i)
-    tail = [values[n] for n in range(start, args.n_max + 1)]
     return {
         "graded_dims": list(dims),
         "i": args.i,
         "window": [args.n_min, args.n_max],
-        "invariant_dims": {str(n): v for n, v in values.items()},
+        "invariant_dims": {str(n): series[n] for n in range(args.n_min, args.n_max + 1)},
         "expected_constant_from": 2 * args.i,
-        "constant_on_tail": len(set(tail)) <= 1,
+        "constant_on_tail": all(
+            series[n] == series[n - 1] for n in range(start + 1, args.n_max + 1)
+        ),
     }

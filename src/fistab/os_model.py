@@ -17,14 +17,13 @@ cohomology, sum_m M(W_m) (see the section above free_generator): by
 Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, so W_m is peeled off the
 tables of S_m for m <= 2k once per (m, k), and every level n is a Pieri
 sum (free_decomposition, through characters.free_module_sum, which
-induction's free modules call too), its Betti number sum_m C(n, m) dim W_m
-(free_betti), its coinvariant dimensions a sum over the W_m
-(coinvariant_report), and the character polynomial sum_m sum_{nu |- m}
-chi_{W_m}(nu) prod_l C(Z_l, m_l(nu)) on every window of at least 2k + 1
-levels, where the exact fit is unique and equal to it
-(character_polynomial).  So os-scan builds no character table of S_n for
-n > 2k.  decomposition, betti, character and invariant_dimension compute
-the same numbers from the characters of S_n and are the test oracles.
+induction's free modules call too), its coinvariant dimensions a sum over
+the W_m (coinvariant_report), and the character polynomial sum_m sum_{nu
+|- m} chi_{W_m}(nu) prod_l C(Z_l, m_l(nu)) on every window that pins it
+down (character_polynomial); its Betti number is betti's e_k(1..n-1).  So
+os-scan computes no character of S_n for n > 2k.  decomposition,
+character and invariant_dimension compute the same numbers from the
+characters of S_n and are the test oracles.
 """
 
 from __future__ import annotations
@@ -318,43 +317,48 @@ def free_decomposition(n: int, k: int) -> IrrDecomposition:
     return free_module_sum(_free_generators(n, k), n)
 
 
-def free_betti(n: int, k: int) -> int:
-    """betti(n, k), its test oracle, as the dimension of the free sum:
-    sum_m C(n, m) dim W_m, the invariants of the trivial subgroup."""
-    return _free_invariant_dimension(n, n, k)
-
-
 def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
     """The polynomial of weighted degree <= 2k that fit_char_polynomial
-    fits to the degree-k characters on the window n_min..n_max.
-
-    On a window with n_max - n_min >= 2k it is read off the W_m: the
-    trace of a permutation sigma on M(W_m)_n sums chi_{W_m}(sigma|_A) over
-    the m-sets A that sigma maps to themselves, and sigma|_A has cycle
-    type nu for prod_l C(Z_l(sigma), m_l(nu)) of them, so
+    fits to the degree-k characters on the window n_min..n_max, read off
+    the W_m: the trace of a permutation sigma on M(W_m)_n sums
+    chi_{W_m}(sigma|_A) over the m-sets A that sigma maps to themselves,
+    and sigma|_A has cycle type nu for prod_l C(Z_l(sigma), m_l(nu)) of
+    them, so
 
         chi(sigma) = sum_{m <= 2k} sum_{nu |- m} chi_{W_m}(nu) prod_l C(Z_l, m_l(nu)),
 
     a polynomial in the fit's own binomial basis, true at every level.
-    The fit is unique there, so it returns this polynomial.  Take an exponent vector nu of
-    weight w <= 2k: the class with exactly the cycles of nu lies at level
-    n = w, and at every level n >= w + 2k + 1 the class of nu plus one
-    cycle of length n - w > 2k, which no monomial of weighted degree
-    <= 2k reads, so the monomials take the same values there as on nu.
-    If w >= n_min the window holds n = w (w <= 2k < n_max); if w < n_min
-    it holds n_max >= n_min + 2k >= w + 2k + 1.  The monomial of nu is 1
-    at nu and 0 at every nu' with fewer cycles of some length, so on
-    these points the monomials form a unitriangular matrix, and the rows
-    of the fit have full column rank.
+    So the fit's system is consistent, and wherever the fit is unique it
+    returns this polynomial.
 
-    A shorter window goes to fit_char_polynomial itself, so it fails with
-    the fit's own message where the window does not determine the
-    polynomial: at (k, n_min, n_max) = (2, 4, 5), (3, 5, 7), (3, 6, 7)
-    and (3, 7, 8), for example, although n_max >= 2k + 1.
+    On a window with n_max - n_min >= 2k the fit is unique.  Take an
+    exponent vector nu of weight w <= 2k: the class with exactly the
+    cycles of nu lies at level n = w, and at every level n >= w + 2k + 1
+    the class of nu plus one cycle of length n - w > 2k, which no monomial
+    of weighted degree <= 2k reads, so the monomials take the same values
+    there as on nu.  If w >= n_min the window holds n = w (w <= 2k <
+    n_max); if w < n_min it holds n_max >= n_min + 2k >= w + 2k + 1.  The
+    monomial of nu is 1 at nu and 0 at every nu' with fewer cycles of
+    some length, so on these points the monomials form a unitriangular
+    matrix, and the rows of the fit have full column rank.
+
+    A shorter window is checked by fitting the zero sequence on its
+    classes, which takes no character.  Whether the fit is unique depends
+    on the classes and not on the values: on a consistent system the
+    elimination finds its pivots on the monomial columns alone, the same
+    for the characters as for zero.  So the check fails with the fit's
+    own message exactly where the fit of the characters does: at (k,
+    n_min, n_max) = (2, 4, 5), (3, 5, 7), (3, 6, 7) and (3, 7, 8), for
+    example, although n_max >= 2k + 1.  When n_max < 2k it always fails,
+    since a monomial of weight above n_max is 0 on every class of the
+    window, so the W_m past n_max are never needed.
     """
     if n_max - n_min < 2 * k:
-        chars = FISequence({n: character(n, k) for n in range(n_min, n_max + 1)})
-        return fit_char_polynomial(chars, 2 * k)
+        zero = {
+            n: ClassFunction._unchecked(n, dict.fromkeys(partitions(n), 0))
+            for n in range(n_min, n_max + 1)
+        }
+        fit_char_polynomial(FISequence(zero), 2 * k)
     coeffs = {}
     for m, w in _free_generators(n_max, k).items():
         for nu, value in w.character().values.items():

@@ -52,7 +52,6 @@ from fistab.os_model import (
     character_polynomial,
     coinvariant_report,
     decomposition,
-    free_betti,
     free_decomposition,
     invariant_dimension,
     nbc_basis,
@@ -241,7 +240,7 @@ def free_route_mismatches(n: int, k: int) -> list[str]:
     bad = []
     if free_decomposition(n, k) != decomposition(n, k):
         bad.append("decomposition")
-    if free_betti(n, k) != betti(n, k):
+    if _free_invariant_dimension(n, n, k) != betti(n, k):
         bad.append("betti")
     bad += [
         f"invariants a={a}" for a in range(n + 1)

@@ -18,7 +18,7 @@ from fistab.commands import WORK_BUDGET, _BYTE_NS, _strip_pairs
 from fistab.commands.character import _shapes_inside
 from fistab.commands.fit_dimpoly import _work as _fit_dim_work
 from fistab.commands.m_module import _strips
-from fistab.commands.os_scan import _lehrer_steps, _maps
+from fistab.commands.os_scan import _maps
 from fistab.partitions import (
     dimension,
     horizontal_strip_extensions,
@@ -246,13 +246,6 @@ def test_work_estimate_counts():
             for a_top in range(n_max):
                 maps = [(a, n) for a in range(a_top + 1) for n in range(max(n_min, a), n_max)]
                 assert _maps(n_min, n_max, a_top) == len(maps), (n_min, n_max, a_top)
-    # Lehrer's product: the distinct cycle lengths of every class scanned
-    # for divisors, and k + 1 terms per cycle
-    p = partition_counts(14)
-    for n in range(0, 15):
-        for k in range(0, 4):
-            steps = sum(sum(set(mu)) + (k + 1) * len(mu) for mu in partitions(n))
-            assert _lehrer_steps(p, n, k) == steps, (n, k)
     # fit-dimpoly prices a row per point at every candidate degree, an
     # upper bound on its one solve, and a report line per point: a table
     # of 10^6 points is over the budget at any degree bound, the small
@@ -603,6 +596,35 @@ def test_os_scan_builds_no_character_table_past_2k():
     )
     assert proc.returncode == 0, proc.stderr
     assert dict(json.loads(proc.stdout))["currsize"] <= 6
+
+
+def test_os_scan_computes_no_character_past_2k():
+    # a window of fewer than 2k + 1 levels checks the closed-form polynomial
+    # by fitting zeros on its classes, so no character of its S_n is taken,
+    # whether the fit pins the polynomial down or not
+    code = (
+        "import io, json, contextlib\n"
+        "from fistab import cli, os_model\n"
+        "seen = []\n"
+        "character = os_model.character\n"
+        "os_model.character = lambda n, k: seen.append(n) or character(n, k)\n"
+        "fitted = []\n"
+        "for k, lo, hi in [(2, 2, 5), (3, 5, 8), (3, 20, 22), (3, 6, 7)]:\n"
+        "    argv = ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k)]\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    assert max(seen, default=0) <= 2 * k, (k, lo, hi, seen)\n"
+        "    seen.clear()\n"
+        "    fitted.append('error' not in json.loads(out.getvalue())['character_polynomial'])\n"
+        "print(json.dumps(fitted))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, True, True, False]
 
 
 def test_unfittable_character_polynomial_is_refused_quickly():

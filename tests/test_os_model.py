@@ -565,16 +565,21 @@ def _scan_output(argv) -> str:
     return out.getvalue()
 
 
+# windows the fit cannot pin down although n_max >= 2k + 1
+_UNFITTED_WINDOWS = [(2, 4, 5), (3, 5, 7), (3, 6, 7), (3, 7, 8)]
+
+
 @pytest.mark.parametrize(
     "k,n_min,n_max",
-    # windows the fit cannot pin down although n_max >= 2k + 1
-    [(2, 4, 5), (3, 5, 7), (3, 6, 7), (3, 7, 8)]
-    # and windows of 2k + 1 levels or more, read off the W_m
+    _UNFITTED_WINDOWS
+    # shorter windows that it pins down
+    + [(2, 2, 5), (3, 5, 8)]
+    # and windows of 2k + 1 levels or more
     + [(1, 1, 3), (2, 3, 7), (3, 2, 9), (4, 1, 10)],
 )
 def test_os_scan_prints_the_bytes_of_the_table_route(k, n_min, n_max):
     payload = table_route_scan(n_min, n_max, k)
-    assert ("error" in payload["character_polynomial"]) == (n_max - n_min < 2 * k)
+    assert ("error" in payload["character_polynomial"]) == ((k, n_min, n_max) in _UNFITTED_WINDOWS)
     for fmt in ("json", "text", "csv"):
         argv = ["os-scan", "--n-min", str(n_min), "--n-max", str(n_max), "--k", str(k)]
         assert _scan_output([*argv, "--format", fmt]) == render(payload, fmt), fmt
