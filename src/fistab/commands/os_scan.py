@@ -33,14 +33,15 @@ def run(args):
     window = range(args.n_min, args.n_max + 1)
     a_top = min(args.a_max, args.n_max - 1)  # no coinvariant map starts at a >= n-max
     top = min(2 * k, args.n_max)
-    fit = 0 < args.n_max - args.n_min < 2 * k  # see os_model.character_polynomial
+    fit = args.n_max > args.n_min and os_model._needs_check(args.n_min, args.n_max, k)
 
     def work(p):
         # the tables of S_m for the W_m, k < m <= 2k, with their characters
         # and averages; the Pieri strips of their constituents at each level
         # of the peel and of the window; a report per level and per
         # coinvariant map, each map with the terms of two free-module
-        # counts; and on a short window the fit that checks the polynomial
+        # counts; and the fit that checks the polynomial where the window
+        # may leave it open (os_model.character_polynomial)
         ms = range(k + 1, top + 1)
         total = (
             _table_work(p, ms)
@@ -55,10 +56,11 @@ def run(args):
 
     _admit(args, work, args.n_max if fit else top)
     decs = {n: os_model.free_decomposition(n, k) for n in window}
+    betti = os_model.betti_series(args.n_max, k)
     payload = {
         "k": k,
         "window": [args.n_min, args.n_max],
-        "betti": {str(n): os_model.betti(n, k) for n in window},
+        "betti": {str(n): betti[n] for n in window},
         "decompositions": {str(n): decs[n].to_mapping() for n in window},
     }
     if args.n_max > args.n_min:

@@ -20,10 +20,10 @@ sum (free_decomposition, through characters.free_module_sum, which
 induction's free modules call too), its coinvariant dimensions a sum over
 the W_m (coinvariant_report), and the character polynomial sum_m sum_{nu
 |- m} chi_{W_m}(nu) prod_l C(Z_l, m_l(nu)) on every window that pins it
-down (character_polynomial); its Betti number is betti's e_k(1..n-1).  So
-os-scan computes no character of S_n for n > 2k.  decomposition,
-character and invariant_dimension compute the same numbers from the
-characters of S_n and are the test oracles.
+down (character_polynomial); the Betti numbers e_k(1..n-1) of a window
+come from one pass over its levels (betti_series).  So os-scan computes
+no character of S_n for n > 2k.  decomposition, character and invariant_dimension compute
+the same numbers from the characters of S_n and are the test oracles.
 """
 
 from __future__ import annotations
@@ -223,17 +223,25 @@ def _trace_in_degree(mu: Partition, k: int) -> int:
     return -series.get(k, 0) if k % 2 else series.get(k, 0)
 
 
-def betti(n: int, k: int) -> int:
-    """dim of the degree-k cohomology on n points: e_k(1, 2, ..., n-1),
-    the degree-k character at the identity (Lehrer's product there is
-    prod_{j < n} (1 + j t)), kept only up to degree k."""
-    if k < 0 or k > max(n - 1, 0):
-        return 0
+def betti_series(n_max: int, k: int) -> list[int]:
+    """betti(n, k) for n = 0, ..., n_max, in one pass: the degree-k
+    character at the identity is e_k(1, 2, ..., n-1), the t^k coefficient
+    of Lehrer's product there, prod_{j < n} (1 + j t), which gains one
+    factor per level and is kept only up to degree k."""
+    if k < 0:
+        return [0] * (n_max + 1)
     e = [1] + [0] * k
-    for v in range(1, n):
-        for j in range(min(k, v), 0, -1):
-            e[j] += v * e[j - 1]
-    return e[k]
+    out = []
+    for n in range(n_max + 1):
+        out.append(e[k])
+        for j in range(min(k, n), 0, -1):
+            e[j] += n * e[j - 1]
+    return out
+
+
+def betti(n: int, k: int) -> int:
+    """dim of the degree-k cohomology on n points (see betti_series)."""
+    return betti_series(max(n, 0), k)[-1]
 
 
 @lru_cache(maxsize=None)
@@ -317,6 +325,13 @@ def free_decomposition(n: int, k: int) -> IrrDecomposition:
     return free_module_sum(_free_generators(n, k), n)
 
 
+def _needs_check(n_min: int, n_max: int, k: int) -> bool:
+    """Whether the window n_min..n_max may leave the degree-k character
+    polynomial open, so that character_polynomial checks it with a fit:
+    only when n_max - n_min < 2k and n_max <= 4k (proof there)."""
+    return n_max - n_min < 2 * k and n_max <= 4 * k
+
+
 def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
     """The polynomial of weighted degree <= 2k that fit_char_polynomial
     fits to the degree-k characters on the window n_min..n_max, read off
@@ -331,29 +346,32 @@ def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
     So the fit's system is consistent, and wherever the fit is unique it
     returns this polynomial.
 
-    On a window with n_max - n_min >= 2k the fit is unique.  Take an
-    exponent vector nu of weight w <= 2k: the class with exactly the
-    cycles of nu lies at level n = w, and at every level n >= w + 2k + 1
-    the class of nu plus one cycle of length n - w > 2k, which no monomial
-    of weighted degree <= 2k reads, so the monomials take the same values
-    there as on nu.  If w >= n_min the window holds n = w (w <= 2k <
-    n_max); if w < n_min it holds n_max >= n_min + 2k >= w + 2k + 1.  The
-    monomial of nu is 1 at nu and 0 at every nu' with fewer cycles of
-    some length, so on these points the monomials form a unitriangular
-    matrix, and the rows of the fit have full column rank.
+    The fit is unique on a window with n_max - n_min >= 2k or n_max > 4k.
+    Take an exponent vector nu of weight w <= 2k: the class with exactly
+    the cycles of nu lies at level n = w, and at every level n >= w + 2k
+    + 1 the class of nu plus one cycle of length n - w > 2k, which no
+    monomial of weighted degree <= 2k reads, so the monomials take the
+    same values there as on nu.  The window holds such a level: n_max
+    itself when n_max >= 4k + 1 >= w + 2k + 1; otherwise n_max - n_min >=
+    2k, and the window holds n = w if w >= n_min (w <= 2k <= n_max) and
+    n_max >= n_min + 2k >= w + 2k + 1 if w < n_min.  The monomial of nu
+    is 1 at nu and 0 at every nu' with fewer cycles of some length, so on
+    these points the monomials form a unitriangular matrix, and the rows
+    of the fit have full column rank.
 
-    A shorter window is checked by fitting the zero sequence on its
-    classes, which takes no character.  Whether the fit is unique depends
-    on the classes and not on the values: on a consistent system the
-    elimination finds its pivots on the monomial columns alone, the same
-    for the characters as for zero.  So the check fails with the fit's
-    own message exactly where the fit of the characters does: at (k,
-    n_min, n_max) = (2, 4, 5), (3, 5, 7), (3, 6, 7) and (3, 7, 8), for
-    example, although n_max >= 2k + 1.  When n_max < 2k it always fails,
-    since a monomial of weight above n_max is 0 on every class of the
-    window, so the W_m past n_max are never needed.
+    Any other window (_needs_check) has n_max <= 4k, and is checked by
+    fitting the zero sequence on its classes, which takes no character.
+    Whether the fit is unique depends on the classes and not on the
+    values: on a consistent system the elimination finds its pivots on
+    the monomial columns alone, the same for the characters as for zero.
+    So the check fails with the fit's own message exactly where the fit
+    of the characters does: at (k, n_min, n_max) = (2, 4, 5), (3, 5, 7),
+    (3, 6, 7) and (3, 7, 8), for example, although n_max >= 2k + 1.  When
+    n_max < 2k it always fails, since a monomial of weight above n_max is
+    0 on every class of the window, so the W_m past n_max are never
+    needed.
     """
-    if n_max - n_min < 2 * k:
+    if _needs_check(n_min, n_max, k):
         zero = {
             n: ClassFunction._unchecked(n, dict.fromkeys(partitions(n), 0))
             for n in range(n_min, n_max + 1)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -263,9 +264,17 @@ def test_os_scan_degree_three(capsys):
         capsys, "os-scan", "--n-min", "4", "--n-max", "6", "--k", "3", "--a-max", "0"
     )
     assert payload["betti"] == {"4": 6, "5": 50, "6": 225}
-    # a window of fewer than 2k + 1 levels is fitted over every class of
-    # S_39 and S_40
-    code, _, err = run(capsys, "os-scan", "--n-min", "39", "--n-max", "40", "--k", "3")
+    # past level 4k a short window pins the polynomial down with no fit
+    # (os_model.character_polynomial), so it is admitted; these are the
+    # bytes it printed with --allow-large when it was still fitted over
+    # every class of S_39 and S_40
+    code, out, err = run(capsys, "os-scan", "--n-min", "39", "--n-max", "40", "--k", "3")
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2b53f1692e3784fc1de5a35ff6a4243eaa05b9be61f26c77bf9654b5f4b895f1"
+    )
+    # ten thousand levels, each with its report and coinvariant maps
+    code, _, err = run(capsys, "os-scan", "--n-min", "2", "--n-max", "10000", "--k", "3")
     assert code == 1 and "work budget" in err
 
 
@@ -600,8 +609,9 @@ def test_os_scan_builds_no_character_table_past_2k():
 
 def test_os_scan_computes_no_character_past_2k():
     # a window of fewer than 2k + 1 levels checks the closed-form polynomial
-    # by fitting zeros on its classes, so no character of its S_n is taken,
-    # whether the fit pins the polynomial down or not
+    # by fitting zeros on its classes up to level 4k, and past it needs no
+    # check, so no character of its S_n is taken, whether the window pins
+    # the polynomial down or not
     code = (
         "import io, json, contextlib\n"
         "from fistab import cli, os_model\n"
@@ -625,6 +635,43 @@ def test_os_scan_computes_no_character_past_2k():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [True, True, True, False]
+
+
+def test_os_scan_fits_only_windows_the_rule_leaves_open():
+    # a short window past level 4k pins the polynomial down by itself
+    # (os_model.character_polynomial), so it runs no fit; one at or below
+    # 4k is still checked; and the Betti numbers of a window come from one
+    # pass, not one per level.  Each request runs twice and the second run
+    # is counted, so the W_m are cached and their own Betti numbers
+    # (os_model.free_generator) do not count.
+    code = (
+        "import io, json, contextlib\n"
+        "from fistab import cli, fi_analysis, os_model\n"
+        "fits, series = [], []\n"
+        "fit = fi_analysis.fit_char_polynomial\n"
+        "def counted_fit(*a):\n"
+        "    fits.append(a)\n"
+        "    return fit(*a)\n"
+        "fi_analysis.fit_char_polynomial = os_model.fit_char_polynomial = counted_fit\n"
+        "betti_series = os_model.betti_series\n"
+        "os_model.betti_series = lambda *a: series.append(a) or betti_series(*a)\n"
+        "calls = []\n"
+        "for k, lo, hi in [(1, 42, 43), (3, 13, 14), (3, 39, 40), (2, 4, 5), (3, 7, 8)]:\n"
+        "    argv = ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k)]\n"
+        "    for _ in range(2):\n"
+        "        fits.clear()\n"
+        "        series.clear()\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert cli.main(argv) == 0\n"
+        "    calls.append([len(fits), len(series)])\n"
+        "print(json.dumps(calls))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 1], [0, 1], [0, 1], [1, 1], [1, 1]]
 
 
 def test_unfittable_character_polynomial_is_refused_quickly():

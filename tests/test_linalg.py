@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fistab.characters import ClassFunction
+from fistab.fi_analysis import FISequence, fit_char_polynomial
 from fistab.linalg import IntRowBasis, solve_exact
-from fistab.os_model import character_polynomial
-from fistab.partitions import partition_count
+from fistab.partitions import partition_count, partitions
 from linalg_helpers import (
     columns_to_dense,
     dense_echelon_rows,
@@ -226,8 +227,9 @@ def test_solve_exact_matches_fraction_elimination(kind, entries, data):
 
 
 def test_character_fit_stops_inserting_at_full_column_rank(monkeypatch):
-    # os-scan's short-window fit: 30 monomials over the p(29) + p(30)
-    # classes; rows past the 30th pivot are only checked by substitution
+    # a short-window fit of the zero sequence: 30 monomials over the
+    # p(29) + p(30) classes; rows past the 30th pivot are only checked by
+    # substitution
     inserts = []
     insert = IntRowBasis.insert
 
@@ -236,7 +238,8 @@ def test_character_fit_stops_inserting_at_full_column_rank(monkeypatch):
         return insert(self, vector)
 
     monkeypatch.setattr(IntRowBasis, "insert", counted)
-    character_polynomial(29, 30, 3)
+    zero = {n: ClassFunction(n, dict.fromkeys(partitions(n), 0)) for n in (29, 30)}
+    fit_char_polynomial(FISequence(zero), 6)
     assert inserts and all(rank < width - 1 for rank, width in inserts)
     assert len(inserts) < (partition_count(29) + partition_count(30)) // 5
 

@@ -85,6 +85,15 @@ def test_nbc_dimension_matches_poincare_product(n):
         assert len(nbc_basis.__wrapped__(n, k)) == expected
 
 
+def test_betti_series_is_the_poincare_product_at_every_level():
+    for k in range(-1, 6):
+        expected = [
+            coeffs[k] if 0 <= k < len(coeffs) else 0
+            for coeffs in map(poincare_coefficients, range(31))
+        ]
+        assert os_model.betti_series(30, k) == expected, k
+
+
 def test_nbc_monomials_have_increasing_seconds():
     for mono in nbc_basis(5, 3):
         seconds = [b for _, b in mono]
