@@ -227,8 +227,9 @@ def betti_series(n_max: int, k: int) -> list[int]:
     """betti(n, k) for n = 0, ..., n_max, in one pass: the degree-k
     character at the identity is e_k(1, 2, ..., n-1), the t^k coefficient
     of Lehrer's product there, prod_{j < n} (1 + j t), which gains one
-    factor per level and is kept only up to degree k."""
-    if k < 0:
+    factor per level and is kept only up to degree k.  Past degree
+    n_max - 1 it is zero at every level (bar degree 0 at level 0)."""
+    if k < 0 or k > max(n_max - 1, 0):
         return [0] * (n_max + 1)
     e = [1] + [0] * k
     out = []

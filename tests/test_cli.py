@@ -610,44 +610,18 @@ def test_os_scan_builds_no_character_table_past_2k():
 def test_os_scan_computes_no_character_past_2k():
     # a window of fewer than 2k + 1 levels checks the closed-form polynomial
     # by fitting zeros on its classes up to level 4k, and past it needs no
-    # check, so no character of its S_n is taken, whether the window pins
-    # the polynomial down or not
-    code = (
-        "import io, json, contextlib\n"
-        "from fistab import cli, os_model\n"
-        "seen = []\n"
-        "character = os_model.character\n"
-        "os_model.character = lambda n, k: seen.append(n) or character(n, k)\n"
-        "fitted = []\n"
-        "for k, lo, hi in [(2, 2, 5), (3, 5, 8), (3, 20, 22), (3, 6, 7)]:\n"
-        "    argv = ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k)]\n"
-        "    out = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
-        "        assert cli.main(argv) == 0\n"
-        "    assert max(seen, default=0) <= 2 * k, (k, lo, hi, seen)\n"
-        "    seen.clear()\n"
-        "    fitted.append('error' not in json.loads(out.getvalue())['character_polynomial'])\n"
-        "print(json.dumps(fitted))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [True, True, True, False]
-
-
-def test_os_scan_fits_only_windows_the_rule_leaves_open():
-    # a short window past level 4k pins the polynomial down by itself
-    # (os_model.character_polynomial), so it runs no fit; one at or below
-    # 4k is still checked; and the Betti numbers of a window come from one
-    # pass, not one per level.  Each request runs twice and the second run
-    # is counted, so the W_m are cached and their own Betti numbers
-    # (os_model.free_generator) do not count.
+    # check (os_model.character_polynomial), so no character of its S_n is
+    # taken, whether the window pins the polynomial down or not; and the
+    # Betti numbers of a window come from one pass, not one per level.
+    # Each request runs twice and the second run is counted, so the W_m
+    # are cached and their own Betti numbers (os_model.free_generator) do
+    # not count.
     code = (
         "import io, json, contextlib\n"
         "from fistab import cli, fi_analysis, os_model\n"
-        "fits, series = [], []\n"
+        "seen, fits, series = [], [], []\n"
+        "character = os_model.character\n"
+        "os_model.character = lambda n, k: seen.append(n) or character(n, k)\n"
         "fit = fi_analysis.fit_char_polynomial\n"
         "def counted_fit(*a):\n"
         "    fits.append(a)\n"
@@ -656,14 +630,19 @@ def test_os_scan_fits_only_windows_the_rule_leaves_open():
         "betti_series = os_model.betti_series\n"
         "os_model.betti_series = lambda *a: series.append(a) or betti_series(*a)\n"
         "calls = []\n"
-        "for k, lo, hi in [(1, 42, 43), (3, 13, 14), (3, 39, 40), (2, 4, 5), (3, 7, 8)]:\n"
+        "for k, lo, hi in [(2, 2, 5), (3, 5, 8), (3, 20, 22), (3, 6, 7), (1, 42, 43),\n"
+        "                  (3, 13, 14), (3, 39, 40), (2, 4, 5), (3, 7, 8)]:\n"
         "    argv = ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k)]\n"
         "    for _ in range(2):\n"
         "        fits.clear()\n"
         "        series.clear()\n"
-        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        out = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out):\n"
         "            assert cli.main(argv) == 0\n"
-        "    calls.append([len(fits), len(series)])\n"
+        "    assert max(seen, default=0) <= 2 * k, (k, lo, hi, seen)\n"
+        "    seen.clear()\n"
+        "    fitted = 'error' not in json.loads(out.getvalue())['character_polynomial']\n"
+        "    calls.append([fitted, len(fits), len(series)])\n"
         "print(json.dumps(calls))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
@@ -671,7 +650,28 @@ def test_os_scan_fits_only_windows_the_rule_leaves_open():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 1], [0, 1], [0, 1], [1, 1], [1, 1]]
+    assert json.loads(proc.stdout) == [
+        [True, 1, 1], [True, 1, 1], [True, 0, 1], [False, 1, 1], [True, 0, 1],
+        [True, 0, 1], [True, 0, 1], [False, 1, 1], [False, 1, 1],
+    ]
+
+
+def test_os_scan_past_every_degree_allocates_nothing_of_its_size():
+    # degree 10^9 on one point: no Betti number, W_m or fit may hold a
+    # list of length k, so the request runs under an address-space cap
+    # of 1 GB and prints the empty report
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", cap + "from fistab.cli import main; raise SystemExit(main())",
+         "os-scan", "--n-min", "1", "--n-max", "1", "--k", str(10**9)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "k": 10**9, "window": [1, 1], "betti": {"1": 0}, "decompositions": {"1": {}},
+        "coinvariants": {},
+    }
 
 
 def test_unfittable_character_polynomial_is_refused_quickly():

@@ -86,12 +86,13 @@ def test_nbc_dimension_matches_poincare_product(n):
 
 
 def test_betti_series_is_the_poincare_product_at_every_level():
-    for k in range(-1, 6):
-        expected = [
-            coeffs[k] if 0 <= k < len(coeffs) else 0
-            for coeffs in map(poincare_coefficients, range(31))
-        ]
-        assert os_model.betti_series(30, k) == expected, k
+    for n_max in (0, 1, 3, 30):
+        for k in range(-1, 6):
+            expected = [
+                coeffs[k] if 0 <= k < len(coeffs) else 0
+                for coeffs in map(poincare_coefficients, range(n_max + 1))
+            ]
+            assert os_model.betti_series(n_max, k) == expected, (n_max, k)
 
 
 def test_nbc_monomials_have_increasing_seconds():
