@@ -1,11 +1,12 @@
 """Exact character theory of symmetric groups over the rationals.
 
 Irreducible characters are evaluated by the Murnaghan-Nakayama rule,
-iteratively over shapes.  The class sizes and the integer character
-table of each S_n are cached; inner products and multiplicities are
-integer dot products with one exact division by n!, so integrality checks
-are meaningful.  All functions here are pure and the caches are safe to
-share across threads.
+iteratively over shapes: upwards from the empty shape for a column of
+the character table, downwards from lam for a single character.  The
+class sizes and the integer character table of each S_n are cached;
+inner products and multiplicities are integer dot products with one
+exact division by n!, so integrality checks are meaningful.  All
+functions here are pure and the caches are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,19 +36,16 @@ def _beads(lam: Partition, count: int) -> int:
     return sum(1 << (part + count - 1 - i) for i, part in enumerate(lam))
 
 
-def _mn_column(mu: Partition, within: Partition | None = None) -> dict[int, int]:
-    """chi_lam(mu) for every shape lam of |mu|, or every lam inside
-    `within`, as {_beads(lam, count): value}; count, |mu| or len(within),
-    leaves a bead for every row.
+def _mn_column(mu: Partition) -> dict[int, int]:
+    """chi_lam(mu) for every shape lam of |mu|, as {_beads(lam, |mu|):
+    value}, the character table's column at mu.
 
     The Murnaghan-Nakayama rule read upwards: from the empty shape, one
     rim hook is added per cycle, last cycle first.  Adding a hook of
     length l moves a bead b to a free b + l, with sign (-1)**(beads
-    jumped).  A shape outside `within` never grows into it, so it is
-    dropped.  A loop, not a recursion, so thousands of cycles are fine.
+    jumped).  A loop, not a recursion, so thousands of cycles are fine.
     """
-    count = sum(mu) if within is None else len(within)
-    top = None if within is None else _beads(within, count)
+    count = sum(mu)
     shapes = {(1 << count) - 1: 1}
     for length in reversed(mu):
         grown: dict[int, int] = {}
@@ -57,12 +55,6 @@ def _mn_column(mu: Partition, within: Partition | None = None) -> dict[int, int]
                 low = movable & -movable
                 movable ^= low
                 new = mask ^ low ^ (low << length)
-                # inside `within`: never more beads at or above t than it has
-                if top is not None and any(
-                    (new >> t).bit_count() > (top >> t).bit_count()
-                    for t in range(low.bit_length(), low.bit_length() + length)
-                ):
-                    continue
                 jumped = (mask & ((low << length) - (low << 1))).bit_count()
                 grown[new] = grown.get(new, 0) + (-value if jumped % 2 else value)
         shapes = {m: v for m, v in grown.items() if v}
@@ -75,12 +67,33 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 
 
 def _mn_value(lam: Partition, mu: Partition) -> int:
-    # mn_character of two checked partitions, such as parse_partition returns
+    """mn_character of two checked partitions, such as parse_partition
+    returns.
+
+    The Murnaghan-Nakayama rule read downwards: from lam's beads, one rim
+    hook is removed per cycle, longest first.  Removing a hook of length
+    l moves a bead b to a free b - l >= 0, with sign (-1)**(beads
+    jumped).  Every shape on the way lies inside lam; the value is what
+    reaches the empty shape.
+    """
     if sum(lam) != sum(mu):
         raise DomainError(
             f"shape {lam!r} and cycle type {mu!r} index different symmetric groups"
         )
-    return _mn_column(mu, lam).get(_beads(lam, len(lam)), 0)
+    count = len(lam)
+    shapes = {_beads(lam, count): 1}
+    for length in mu:
+        shrunk: dict[int, int] = {}
+        for mask, value in shapes.items():
+            free = (mask >> length) & ~mask  # free t with a bead at t + length
+            while free:
+                low = free & -free
+                free ^= low
+                new = mask ^ low ^ (low << length)
+                jumped = (mask & ((low << length) - (low << 1))).bit_count()
+                shrunk[new] = shrunk.get(new, 0) + (-value if jumped % 2 else value)
+        shapes = {m: v for m, v in shrunk.items() if v}
+    return shapes.get((1 << count) - 1, 0)
 
 
 @lru_cache(maxsize=None)
@@ -257,10 +270,8 @@ def parse_exact(v):
 @lru_cache(maxsize=None)
 def irreducible_character(lam: Partition) -> ClassFunction:
     lam = check_partition(lam)
-    n, key = sum(lam), _beads(lam, len(lam))
-    return ClassFunction._unchecked(
-        n, {mu: _mn_column(mu, lam).get(key, 0) for mu in partitions(n)}
-    )
+    n = sum(lam)
+    return ClassFunction._unchecked(n, {mu: _mn_value(lam, mu) for mu in partitions(n)})
 
 
 def trivial_character(n: int) -> ClassFunction:

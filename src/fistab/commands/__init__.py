@@ -85,6 +85,7 @@ def _graded_dims(text: str) -> tuple[int, ...]:
 # Murnaghan-Nakayama loops, in a whole character or in a character table
 # together with one decomposition against it.
 _PAIR_NS = 1200
+_WORD_NS = 30  # one 64-bit word of a bead mask, per rim hook a single character value tries
 _BYTE_NS = 60  # one byte of JSON input: read, parsed and checked by its handler
 _FIT_NS = 250  # one (row, monomial, pivot) step of a character-polynomial fit
 _FIT_ROW_NS = 20000  # one row of that fit: its monomial values and its denominators

@@ -15,6 +15,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fistab import characters
 from fistab.characters import (
     ClassFunction,
     IrrDecomposition,
@@ -94,8 +95,8 @@ def test_character_table_against_coset_oracle(n):
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_character_table_against_recursive_oracle(n):
-    # the whole-table pass and the pass restricted to shapes inside one
-    # lam both agree with the recursive rule
+    # the upward pass of the table and the downward pass from one lam
+    # both agree with the recursive rule
     table = character_table(n)
     assert list(table) == list(partitions(n))
     assert class_sizes(n) == tuple(class_size(mu) for mu in partitions(n))
@@ -122,6 +123,21 @@ def test_mn_character_at_identity_is_dimension():
         e = (1,) * n
         for lam in partitions(n):
             assert mn_character(lam, e) == dimension(lam)
+
+
+def test_single_characters_do_not_build_table_columns(monkeypatch):
+    # a single character removes rim hooks from lam; the upward column,
+    # which grows every shape of S_n, is the character table's alone
+    calls = []
+    column = characters._mn_column
+    monkeypatch.setattr(characters, "_mn_column", lambda *a: calls.append(a) or column(*a))
+    irreducible_character.cache_clear()
+    character_table.cache_clear()
+    chi = irreducible_character((7, 6, 5, 4, 3, 2, 1))
+    assert chi.dimension() == dimension((7, 6, 5, 4, 3, 2, 1))
+    assert mn_character((999, 1), (1000,)) == -1
+    assert mn_character((4, 3, 2, 1), (7, 3)) == mn((4, 3, 2, 1), (7, 3))
+    assert calls == []
 
 
 def test_sign_character_values():

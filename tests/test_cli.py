@@ -78,6 +78,21 @@ def test_character_of_a_class_with_many_cycles(capsys):
         assert json.loads(out)["value"] == value
 
 
+def test_character_of_a_long_cycle_in_a_fresh_process():
+    # one rim hook of a million boxes, removed in a fresh interpreter so
+    # that a hang fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fistab.cli", "character", "--lam", "1000000", "--mu", "1000000"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and not proc.stderr
+    assert json.loads(proc.stdout)["value"] == 1
+    assert elapsed < 2.0, elapsed
+
+
 def test_character_whole_class_function(capsys):
     payload = run_json(capsys, "character", "--lam", "2+1")
     assert payload["values"] == {"1+1+1": 2, "2+1": 0, "3": -1}
@@ -539,6 +554,8 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
         f"fit-dimpoly --input {points} --degree-bound 8",  # seconds: a row per point and degree
         f"fit-dimpoly --input {large} --degree-bound 1",  # seconds to read a table this size
         "character --lam 6+5+5+4+4+3+3+2",
+        "character --lam 200+200+200 --mu " + "+".join(["1"] * 600),
+        "character --lam 1000000000 --mu 1000000000",
         "m-module --lam 200000 --n 200000",
         "m-module --lam " + "+".join(["1"] * 50000) + " --n 50001",
     ):
