@@ -36,16 +36,16 @@ def run(args):
     fit = args.n_max > args.n_min and os_model._needs_check(args.n_min, args.n_max, k)
 
     def work(p):
-        # the tables of S_m for the W_m, k < m <= 2k, with their characters
-        # and averages; the Pieri strips of their constituents at each level
-        # of the peel and of the window; a report per level and per
-        # coinvariant map, each map with the terms of two free-module
+        # the tables of S_m that decompose the W_m, k < m <= 2k, and the
+        # averages of their characters; the Pieri strips of their
+        # constituents at each level of the window; a report per level and
+        # per coinvariant map, each map with the terms of two free-module
         # counts; and the fit that checks the polynomial where the window
         # may leave it open (os_model.character_polynomial)
         ms = range(k + 1, top + 1)
         total = (
             _table_work(p, ms)
-            + _STRIP_NS * (len(ms) + len(window)) * sum(_strip_pairs(p, m) for m in ms)
+            + _STRIP_NS * len(window) * sum(_strip_pairs(p, m) for m in ms)
             + _LEVEL_NS * len(window)
             + _maps(args.n_min, args.n_max, a_top)
             * (_REPORT_NS + 2 * _TERM_NS * sum(min(a_top, m) + 1 for m in ms))

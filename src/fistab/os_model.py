@@ -14,16 +14,14 @@ basis and the action are the explicit model they are checked against.
 
 What os-scan reports comes from the free-module decomposition of the
 cohomology, sum_m M(W_m) (see the section above free_generator): by
-Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, so W_m is peeled off the
-tables of S_m for m <= 2k once per (m, k), and every level n is a Pieri
-sum (free_decomposition, through characters.free_module_sum, which
-induction's free modules call too), its coinvariant dimensions a sum over
-the W_m (coinvariant_report), and the character polynomial sum_m sum_{nu
-|- m} chi_{W_m}(nu) prod_l C(Z_l, m_l(nu)) on every window that pins it
-down (character_polynomial); the Betti numbers e_k(1..n-1) of a window
-come from one pass over its levels (betti_series).  So os-scan computes
-no character of S_n for n > 2k.  decomposition, character and invariant_dimension compute
-the same numbers from the characters of S_n and are the test oracles.
+Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, each W_m is read off
+Lehrer's product and decomposed by the table of S_m once per (m, k), and
+every level n is a Pieri sum (free_decomposition, through
+characters.free_module_sum), its coinvariant dimensions a sum over the
+W_m (coinvariant_report), its character polynomial read off the W_m
+(character_polynomial), and the Betti numbers of a window come from one
+pass (betti_series).  So os-scan takes no character of the cohomology:
+decomposition, character and invariant_dimension are the test oracles.
 """
 
 from __future__ import annotations
@@ -201,25 +199,27 @@ def _mobius(d: int) -> int:
     return -result if d > 1 else result
 
 
+def _lehrer_partials(r: int, e: int, k: int) -> list[dict[int, int]]:
+    """g_r(0), ..., g_r(e), kept up to t^k in rising degree, where g_r(j)
+    = prod_{i < j} (sum_{d | r} mu(d) t^(r - r/d) - i r t^r) is the factor
+    that j cycles of length r contribute to Lehrer's product."""
+    # one term per divisor d of r, in rising degree r - r/d < r
+    base = {r - r // d: _mobius(d) for d in range(1, r + 1) if r % d == 0}
+    out = [{0: 1}]
+    for i in range(e):
+        out.append(dict(sorted(_poly_mul(out[-1], {**base, r: -i * r} if i else base, k).items())))
+    return out
+
+
 def _trace_in_degree(mu: Partition, k: int) -> int:
     """chi_k(g) for g of cycle type mu, where chi_k is the character on
-    the degree-k cohomology.
-
-    Lehrer's product formula (J. London Math. Soc. 1987), with m_r the
-    number of r-cycles of g:
-
-        sum_k chi_k(g) (-t)^k
-            = prod_r prod_{j < m_r} (sum_{d | r} mu(d) t^(r - r/d) - j r t^r),
-
-    expanded only up to t^k: no factor has a negative degree, so the
-    terms past t^k never reach it.
-    """
+    the degree-k cohomology, by Lehrer's product formula (J. London Math.
+    Soc. 1987) sum_k chi_k(g) (-t)^k = prod_r g_r(Z_r), Z_r the number of
+    r-cycles of g (_lehrer_partials), expanded only up to t^k: no factor
+    has a negative degree, so the terms past t^k never reach it."""
     series = {0: 1}
-    for r, m in cycle_counts(mu).items():
-        # one term per divisor d of r, in rising degree r - r/d < r
-        base = {r - r // d: _mobius(d) for d in range(1, r + 1) if r % d == 0}
-        for j in range(m):
-            series = _poly_mul(series, {**base, r: -j * r} if j else base, k)
+    for r, z in cycle_counts(mu).items():
+        series = _poly_mul(series, _lehrer_partials(r, z, k)[-1], k)
     return -series.get(k, 0) if k % 2 else series.get(k, 0)
 
 
@@ -297,21 +297,36 @@ def invariant_dimension(n: int, a: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _free_character(m: int, k: int) -> ClassFunction:
+    """The character of W_m, read off Lehrer's product (_trace_in_degree).
+    The t^s coefficient of g_r(Z) takes a non-constant term from at most s
+    factors, so it is a polynomial in Z of degree <= 2s, and by Newton's
+    forward differences g_r(Z) = sum_e C(Z, e) D_r(e), D_r(e) = Delta^e
+    g_r(0), a finite sum up to t^k.  So chi_k = sum_nu (-1)^k [t^k] prod_r
+    D_r(e_r) C(Z_r, e_r), e_r the number of r-cycles of nu; these
+    monomials are linearly independent on cycle counts, so by the
+    expansion in character_polynomial chi_{W_m}(nu) is this coefficient."""
+    diff = {}  # (r, e) -> D_r(e), in rising degree
+    for r in range(1, m + 1):
+        rows = [[g.get(s, 0) for s in range(k + 1)] for g in _lehrer_partials(r, m // r, k)]
+        for e in range(m // r + 1):  # rows[0] is D_r(e)
+            diff[r, e] = {s: c for s, c in enumerate(rows[0]) if c}
+            rows = [[y - x for x, y in zip(u, v)] for u, v in zip(rows, rows[1:])]
+    values = {}
+    for nu in partitions(m):
+        series = {0: 1}
+        for r, e in cycle_counts(nu).items():
+            series = _poly_mul(series, diff[r, e], k)
+        values[nu] = -series.get(k, 0) if k % 2 else series.get(k, 0)
+    return ClassFunction._unchecked(m, values)
+
+
+@lru_cache(maxsize=None)
 def free_generator(m: int, k: int) -> IrrDecomposition:
-    """W_m of the decomposition above: level m of the degree-k cohomology
-    less the Pieri sums of W_0, ..., W_(m-1) at level m.  A negative
-    difference would mean the cohomology is not a sum of free modules."""
+    """W_m of the decomposition above; decompose refuses a non-character."""
     if not betti(m, k):  # then every W_j with j <= m vanishes too
         return IrrDecomposition(m, {})
-    below = free_module_sum({j: free_generator(j, k) for j in range(m)}, m).mult
-    here = decomposition(m, k).mult
-    mult = {
-        lam: as_multiplicity(
-            here.get(lam, 0) - below.get(lam, 0), f"multiplicity of {lam} in W_{m} came out as"
-        )
-        for lam in {**here, **below}
-    }
-    return IrrDecomposition(m, mult)
+    return decompose(_free_character(m, k))
 
 
 def _free_generators(n: int, k: int) -> dict[int, IrrDecomposition]:
@@ -379,8 +394,8 @@ def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
         }
         fit_char_polynomial(FISequence(zero), 2 * k)
     coeffs = {}
-    for m, w in _free_generators(n_max, k).items():
-        for nu, value in w.character().values.items():
+    for m in _free_generators(n_max, k):
+        for nu, value in _free_character(m, k).values.items():
             coeffs[tuple(sorted(cycle_counts(nu).items()))] = value
     return CharPolynomial(coeffs)
 
@@ -389,7 +404,7 @@ def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
 def _free_fixed_dims(m: int, k: int) -> tuple[int, ...]:
     # entry j: dim of the vectors of W_m fixed by the subgroup permuting
     # its last m - j points
-    chi = free_generator(m, k).character()
+    chi = _free_character(m, k)
     return tuple(
         as_multiplicity(
             restrict_and_average(chi, j).dimension(), f"invariant dimension of W_{m} came out as"

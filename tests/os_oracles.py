@@ -254,7 +254,8 @@ def free_route_mismatches(n: int, k: int) -> list[str]:
 
 
 def _check_free_modules() -> int:
-    cases = [(n, k) for k in range(5) for n in range(1, (14 if k <= 3 else 11) + 1)]
+    tops = {k: 14 if k <= 3 else max(11, 2 * k + 1) for k in range(7)}
+    cases = [(n, k) for k, top in tops.items() for n in range(1, top + 1)]
     bad = [(n, k, what) for n, k in cases for what in free_route_mismatches(n, k)]
     print(f"{len(cases)} levels through the free modules, mismatches {bad}")
     return 1 if bad else 0

@@ -601,7 +601,7 @@ def test_long_os_scan_without_the_tables_of_s_n_is_admitted():
 
 
 def test_os_scan_builds_no_character_table_past_2k():
-    # every table os-scan asks for is one of S_m with m <= 2k, to peel W_m off
+    # every table os-scan asks for is one of S_m with m <= 2k, to decompose W_m
     code = (
         "import io, json, contextlib\n"
         "from fistab import characters, cli\n"
@@ -627,18 +627,21 @@ def test_os_scan_builds_no_character_table_past_2k():
 def test_os_scan_computes_no_character_past_2k():
     # a window of fewer than 2k + 1 levels checks the closed-form polynomial
     # by fitting zeros on its classes up to level 4k, and past it needs no
-    # check (os_model.character_polynomial), so no character of its S_n is
-    # taken, whether the window pins the polynomial down or not; and the
-    # Betti numbers of a window come from one pass, not one per level.
-    # Each request runs twice and the second run is counted, so the W_m
-    # are cached and their own Betti numbers (os_model.free_generator) do
-    # not count.
+    # check (os_model.character_polynomial), and the W_m are read off
+    # Lehrer's product (os_model.free_generator), so neither the character
+    # nor the decomposition of the cohomology at any level is taken, in
+    # either run of a request, whether the window pins the polynomial down
+    # or not.  The Betti numbers of a window come from one pass, not one
+    # per level: fits and passes are counted on the second run, when the
+    # W_m are cached and their own Betti numbers do not count.
     code = (
         "import io, json, contextlib\n"
         "from fistab import cli, fi_analysis, os_model\n"
         "seen, fits, series = [], [], []\n"
-        "character = os_model.character\n"
-        "os_model.character = lambda n, k: seen.append(n) or character(n, k)\n"
+        "character, decomposition = os_model.character, os_model.decomposition\n"
+        "os_model.character = lambda n, k: seen.append(('character', n)) or character(n, k)\n"
+        "os_model.decomposition = lambda n, k: (\n"
+        "    seen.append(('decomposition', n)) or decomposition(n, k))\n"
         "fit = fi_analysis.fit_char_polynomial\n"
         "def counted_fit(*a):\n"
         "    fits.append(a)\n"
@@ -656,8 +659,7 @@ def test_os_scan_computes_no_character_past_2k():
         "        out = io.StringIO()\n"
         "        with contextlib.redirect_stdout(out):\n"
         "            assert cli.main(argv) == 0\n"
-        "    assert max(seen, default=0) <= 2 * k, (k, lo, hi, seen)\n"
-        "    seen.clear()\n"
+        "    assert seen == [], (k, lo, hi, seen)\n"
         "    fitted = 'error' not in json.loads(out.getvalue())['character_polynomial']\n"
         "    calls.append([fitted, len(fits), len(series)])\n"
         "print(json.dumps(calls))\n"

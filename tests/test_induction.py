@@ -298,7 +298,7 @@ def test_kunneth_identity_counts_compositions():
 @pytest.mark.parametrize(
     "dims",
     [(1,), (1, 1), (1, 2), (1, 0, 1), (1, 0, 3), (1, 1, 1), (1, 3, 0, 2),
-     (1, 0, 0, 1), (1, 2, 1, 2, 1), (1, 1, 0, 0, 2)],
+     (1, 0, 0, 1), (1, 2, 1, 2, 1), (1, 1, 0, 0, 2), (1, 100000), (1, 0, 100000)],
 )
 def test_kunneth_decomposition_matches_decomposed_character(dims):
     # free modules induced from S_m by Pieri against the S_n character

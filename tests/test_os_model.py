@@ -549,11 +549,12 @@ def test_free_generators_live_between_k_plus_one_and_2k(k):
     assert nonzero == ([0] if k == 0 else list(range(k + 1, 2 * k + 1)))
 
 
-@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("k", range(7))
 def test_free_module_route_matches_the_character_tables(k):
     # decompositions, Betti numbers, every invariant dimension, and the
-    # polynomial of the window 1..n
-    for n in range(12):
+    # polynomial of the window 1..n; every W_m, m <= 2k, is checked at
+    # its own level
+    for n in range(max(12, 2 * k + 2)):
         assert free_route_mismatches(n, k) == [], n
     with pytest.raises(DomainError, match="need 0 <= a <= 4"):
         coinvariant_report(4, 5, k)
