@@ -1,12 +1,14 @@
 """Exact character theory of symmetric groups over the rationals.
 
-Irreducible characters are evaluated by the Murnaghan-Nakayama rule,
-iteratively over shapes: upwards from the empty shape for a column of
-the character table, downwards from lam for a single character.  The
-class sizes and the integer character table of each S_n are cached;
-inner products and multiplicities are integer dot products with one
-exact division by n!, so integrality checks are meaningful.  All
-functions here are pure and the caches are safe to share across threads.
+Irreducible characters are evaluated by one Murnaghan-Nakayama walk,
+read upwards from the empty shape for a column of the character table
+and downwards from lam for a single character.  The class sizes and the
+integer character table of each S_n are cached; inner products and
+multiplicities are integer dot products with one exact division by n!,
+so integrality checks are meaningful.  induction and os_model share the
+Pieri sum (free_module_sum) and the product over cycles (cycle_product).
+All functions here are pure and the caches are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .partitions import (
     Partition,
     centralizer_order,
     check_partition,
+    cycle_counts,
     dimension,
     format_partition,
     _strip_extensions,
@@ -36,29 +39,32 @@ def _beads(lam: Partition, count: int) -> int:
     return sum(1 << (part + count - 1 - i) for i, part in enumerate(lam))
 
 
-def _mn_column(mu: Partition) -> dict[int, int]:
-    """chi_lam(mu) for every shape lam of |mu|, as {_beads(lam, |mu|):
-    value}, the character table's column at mu.
-
-    The Murnaghan-Nakayama rule read upwards: from the empty shape, one
-    rim hook is added per cycle, last cycle first.  Adding a hook of
-    length l moves a bead b to a free b + l, with sign (-1)**(beads
-    jumped).  A loop, not a recursion, so thousands of cycles are fine.
-    """
-    count = sum(mu)
-    shapes = {(1 << count) - 1: 1}
-    for length in reversed(mu):
-        grown: dict[int, int] = {}
+def _rim_hooks(shapes: dict[int, int], cycles, grow: bool) -> dict[int, int]:
+    """The Murnaghan-Nakayama rule on bead masks: per cycle length l, each
+    shape of {mask: value} gains (grow) or loses a rim hook of length l,
+    which joins bead positions t and t + l of which one holds a bead (t
+    to add, t + l to remove); the bead moves to the other end, with sign
+    (-1)**(beads jumped).  A loop, so thousands of cycles are fine."""
+    for length in cycles:
+        moved: dict[int, int] = {}
         for mask, value in shapes.items():
-            movable = mask & ~(mask >> length)  # beads b with b + length free
-            while movable:
-                low = movable & -movable
-                movable ^= low
+            ends = (mask ^ (mask >> length)) & (mask if grow else ~mask)
+            while ends:
+                low = ends & -ends
+                ends ^= low
                 new = mask ^ low ^ (low << length)
                 jumped = (mask & ((low << length) - (low << 1))).bit_count()
-                grown[new] = grown.get(new, 0) + (-value if jumped % 2 else value)
-        shapes = {m: v for m, v in grown.items() if v}
+                moved[new] = moved.get(new, 0) + (-value if jumped % 2 else value)
+        shapes = {m: v for m, v in moved.items() if v}
     return shapes
+
+
+def _mn_column(mu: Partition) -> dict[int, int]:
+    """chi_lam(mu) for every shape lam of |mu|, as {_beads(lam, |mu|):
+    value}, the character table's column at mu: the rim hooks are added
+    upwards from the empty shape, last cycle first."""
+    count = sum(mu)
+    return _rim_hooks({(1 << count) - 1: 1}, reversed(mu), grow=True)
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -68,32 +74,15 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 
 def _mn_value(lam: Partition, mu: Partition) -> int:
     """mn_character of two checked partitions, such as parse_partition
-    returns.
-
-    The Murnaghan-Nakayama rule read downwards: from lam's beads, one rim
-    hook is removed per cycle, longest first.  Removing a hook of length
-    l moves a bead b to a free b - l >= 0, with sign (-1)**(beads
-    jumped).  Every shape on the way lies inside lam; the value is what
-    reaches the empty shape.
-    """
+    returns: the rim hooks are removed downwards from lam's beads, longest
+    first, so every shape on the way lies inside lam, and the value is
+    what reaches the empty shape."""
     if sum(lam) != sum(mu):
         raise DomainError(
             f"shape {lam!r} and cycle type {mu!r} index different symmetric groups"
         )
     count = len(lam)
-    shapes = {_beads(lam, count): 1}
-    for length in mu:
-        shrunk: dict[int, int] = {}
-        for mask, value in shapes.items():
-            free = (mask >> length) & ~mask  # free t with a bead at t + length
-            while free:
-                low = free & -free
-                free ^= low
-                new = mask ^ low ^ (low << length)
-                jumped = (mask & ((low << length) - (low << 1))).bit_count()
-                shrunk[new] = shrunk.get(new, 0) + (-value if jumped % 2 else value)
-        shapes = {m: v for m, v in shrunk.items() if v}
-    return shapes.get((1 << count) - 1, 0)
+    return _rim_hooks({_beads(lam, count): 1}, mu, grow=False).get((1 << count) - 1, 0)
 
 
 @lru_cache(maxsize=None)
@@ -311,6 +300,8 @@ class IrrDecomposition:
         # pairs, one pair at a time, then the nonzero ones become this
         # decomposition's
         self.n = n
+        if n < 0:
+            partitions(n)  # refuses a negative n, as ClassFunction does
         clean: dict[Partition, int] = {}
         for lam, m in items:
             if sum(lam) != self.n:
@@ -432,6 +423,21 @@ def _poly_mul(p: dict[int, int], q: dict[int, int], cap: int) -> dict[int, int]:
                 break
             out[a + b] = out.get(a + b, 0) + x * y
     return out
+
+
+def cycle_product(n: int, cap: int, factors) -> ClassFunction:
+    """The class function mu -> [t^cap] prod_r factors[r][z_r] of S_n, z_r
+    the number of r-cycles of mu: a trace that factors over the cycles.
+    factors[r][z] (z <= n // r) is a polynomial {degree: coefficient} in
+    rising degree with no negative degree, so terms past t^cap are
+    dropped as they arise."""
+    values = {}
+    for mu in partitions(n):
+        series = {0: 1}
+        for r, z in cycle_counts(mu).items():
+            series = _poly_mul(series, factors[r][z], cap)
+        values[mu] = series.get(cap, 0)
+    return ClassFunction._unchecked(n, values)
 
 
 def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:

@@ -56,11 +56,11 @@ def run(args):
 
     _admit(args, work, args.n_max if fit else top)
     decs = {n: os_model.free_decomposition(n, k) for n in window}
-    betti = os_model.betti_series(args.n_max, k)
     payload = {
         "k": k,
         "window": [args.n_min, args.n_max],
-        "betti": {str(n): betti[n] for n in window},
+        # sum_m C(n, m) dim W_m: the invariants of the trivial subgroup
+        "betti": {str(n): os_model._free_invariant_dimension(n, n, k) for n in window},
         "decompositions": {str(n): decs[n].to_mapping() for n in window},
     }
     if args.n_max > args.n_min:

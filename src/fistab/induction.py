@@ -27,7 +27,9 @@ with W_m the degree-i part of V_+^(x)m, Koszul signs included (Church,
 Ellenberg and Farb, *FI-modules and stability for representations of
 symmetric groups*, 2015).  kunneth_decomposition decomposes each W_m
 over S_m and induces by the Pieri rule: characters.free_module_sum, which
-m_module, m_regular and os-scan's decompositions also call.
+m_module, m_regular and os-scan's decompositions also call.  The traces
+of V^(x)n and V_+^(x)m factor over the cycles of a permutation
+(characters.cycle_product, which os_model also calls).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .characters import (
     ClassFunction,
     IrrDecomposition,
     _poly_mul,
+    cycle_product,
     decompose,
     free_module_sum,
     restrict_and_average,
@@ -106,27 +109,24 @@ def coinvariants_as_sa(V: IrrDecomposition, a: int) -> IrrDecomposition:
     return decompose(restrict_and_average(V.character(), a))
 
 
-def _class_traces(dims, n: int, i: int) -> dict[Partition, int]:
+def _class_traces(dims, n: int, i: int) -> ClassFunction:
     # The trace at each cycle type of S_n on total degree i of the n-fold
     # graded tensor power factors over the cycles.  A length-l cycle
     # rotates l tensor factors; a degree-g class contributes
     # (-1)**(g*(l-1)) d_g in degree g*l, so odd-degree classes rotated by
-    # an even-length cycle pick up the sign.
-    cycle = {
-        length: {
+    # an even-length cycle pick up the sign.  z cycles of length l give
+    # that trace to the power z.
+    powers = {}
+    for length in range(1, n + 1):
+        cycle = {
             g * length: -d if g % 2 and not length % 2 else d
             for g, d in enumerate(dims[: i // length + 1])
             if d
         }
-        for length in range(1, n + 1)
-    }
-    values = {}
-    for mu in partitions(n):
-        poly = {0: 1}
-        for length in mu:
-            poly = _poly_mul(poly, cycle[length], i)
-        values[mu] = poly.get(i, 0)
-    return values
+        powers[length] = [{0: 1}]
+        for _ in range(n // length):
+            powers[length].append(dict(sorted(_poly_mul(powers[length][-1], cycle, i).items())))
+    return cycle_product(n, i, powers)
 
 
 def _check_graded_dims(graded_dims, n: int, i: int) -> tuple[int, ...]:
@@ -151,8 +151,7 @@ def kunneth_power(graded_dims, n: int, i: int) -> ClassFunction:
     brute force with explicit Koszul signs (see the test suite) and is the
     convention used throughout this package.
     """
-    dims = _check_graded_dims(graded_dims, n, i)
-    return ClassFunction._unchecked(n, _class_traces(dims, n, i))
+    return _class_traces(_check_graded_dims(graded_dims, n, i), n, i)
 
 
 def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
@@ -166,8 +165,8 @@ def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
     generators = {}
     for m in range(min(n, i) + 1):
         w = _class_traces(positive, m, i)
-        if w[(1,) * m]:
-            generators[m] = decompose(ClassFunction._unchecked(m, w))
+        if w.dimension():
+            generators[m] = decompose(w)
     return free_module_sum(generators, n)
 
 

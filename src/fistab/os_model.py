@@ -9,18 +9,19 @@ and every product rewrites into it through the quadratic relation
     w[a,c] ^ w[b,c] = w[a,b] ^ w[b,c] - w[a,b] ^ w[a,c]      (a < b < c)
 
 together with anticommutativity and square-zero.  Symmetric groups act by
-relabeling points.  The characters come from Lehrer's closed form; the NBC
-basis and the action are the explicit model they are checked against.
+relabeling points.  The characters come from Lehrer's closed form, one
+characters.cycle_product; the NBC basis and the action are the explicit
+model they are checked against.
 
 What os-scan reports comes from the free-module decomposition of the
 cohomology, sum_m M(W_m) (see the section above free_generator): by
 Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, each W_m is read off
 Lehrer's product and decomposed by the table of S_m once per (m, k), and
 every level n is a Pieri sum (free_decomposition, through
-characters.free_module_sum), its coinvariant dimensions a sum over the
-W_m (coinvariant_report), its character polynomial read off the W_m
-(character_polynomial), and the Betti numbers of a window come from one
-pass (betti_series).  So os-scan takes no character of the cohomology:
+characters.free_module_sum), its coinvariant dimensions and its Betti
+number (a = n) sums over the W_m (coinvariant_report), its character
+polynomial read off the W_m (character_polynomial).  So os-scan takes no
+character of the cohomology and no Betti number past level 2k:
 decomposition, character and invariant_dimension are the test oracles.
 """
 
@@ -36,13 +37,14 @@ from .characters import (
     IrrDecomposition,
     _poly_mul,
     as_multiplicity,
+    cycle_product,
     decompose,
     free_module_sum,
     restrict_and_average,
 )
 from .errors import DomainError
 from .fi_analysis import CharPolynomial, FISequence, fit_char_polynomial
-from .partitions import Partition, cycle_counts, partitions
+from .partitions import cycle_counts, partitions
 
 Edge = tuple  # (a, b) with 1 <= a < b
 Monomial = tuple  # edges with strictly increasing second indices
@@ -201,54 +203,38 @@ def _mobius(d: int) -> int:
 
 def _lehrer_partials(r: int, e: int, k: int) -> list[dict[int, int]]:
     """g_r(0), ..., g_r(e), kept up to t^k in rising degree, where g_r(j)
-    = prod_{i < j} (sum_{d | r} mu(d) t^(r - r/d) - i r t^r) is the factor
-    that j cycles of length r contribute to Lehrer's product."""
+    = prod_{i < j} (sum_{d | r} mu(d) (-t)^(r - r/d) - i r (-t)^r) is the
+    factor that j cycles of length r contribute to Lehrer's product
+    (J. London Math. Soc. 1987) sum_k chi_k(g) t^k = prod_r g_r(Z_r),
+    chi_k the degree-k character and Z_r the number of r-cycles of g."""
     # one term per divisor d of r, in rising degree r - r/d < r
-    base = {r - r // d: _mobius(d) for d in range(1, r + 1) if r % d == 0}
+    base = {r - r // d: _mobius(d) * (-1) ** (r - r // d) for d in range(1, r + 1) if r % d == 0}
     out = [{0: 1}]
     for i in range(e):
-        out.append(dict(sorted(_poly_mul(out[-1], {**base, r: -i * r} if i else base, k).items())))
-    return out
-
-
-def _trace_in_degree(mu: Partition, k: int) -> int:
-    """chi_k(g) for g of cycle type mu, where chi_k is the character on
-    the degree-k cohomology, by Lehrer's product formula (J. London Math.
-    Soc. 1987) sum_k chi_k(g) (-t)^k = prod_r g_r(Z_r), Z_r the number of
-    r-cycles of g (_lehrer_partials), expanded only up to t^k: no factor
-    has a negative degree, so the terms past t^k never reach it."""
-    series = {0: 1}
-    for r, z in cycle_counts(mu).items():
-        series = _poly_mul(series, _lehrer_partials(r, z, k)[-1], k)
-    return -series.get(k, 0) if k % 2 else series.get(k, 0)
-
-
-def betti_series(n_max: int, k: int) -> list[int]:
-    """betti(n, k) for n = 0, ..., n_max, in one pass: the degree-k
-    character at the identity is e_k(1, 2, ..., n-1), the t^k coefficient
-    of Lehrer's product there, prod_{j < n} (1 + j t), which gains one
-    factor per level and is kept only up to degree k.  Past degree
-    n_max - 1 it is zero at every level (bar degree 0 at level 0)."""
-    if k < 0 or k > max(n_max - 1, 0):
-        return [0] * (n_max + 1)
-    e = [1] + [0] * k
-    out = []
-    for n in range(n_max + 1):
-        out.append(e[k])
-        for j in range(min(k, n), 0, -1):
-            e[j] += n * e[j - 1]
+        step = {**base, r: -i * r * (-1) ** r} if i else base
+        out.append(dict(sorted(_poly_mul(out[-1], step, k).items())))
     return out
 
 
 def betti(n: int, k: int) -> int:
-    """dim of the degree-k cohomology on n points (see betti_series)."""
-    return betti_series(max(n, 0), k)[-1]
+    """dim of the degree-k cohomology on n points: the degree-k character
+    at the identity, e_k(1, 2, ..., n-1), the t^k coefficient of Lehrer's
+    product there, prod_{j < n} (1 + j t), kept only up to degree k.  Past
+    degree n - 1 it is zero (bar degree 0 on no points)."""
+    if k < 0 or k > max(n - 1, 0):
+        return 0
+    e = [1] + [0] * k
+    for j in range(1, n):
+        for s in range(min(k, j), 0, -1):
+            e[s] += j * e[s - 1]
+    return e[k]
 
 
 @lru_cache(maxsize=None)
 def character(n: int, k: int) -> ClassFunction:
-    """Character of S_n on the degree-k cohomology, in closed form."""
-    return ClassFunction._unchecked(n, {mu: _trace_in_degree(mu, k) for mu in partitions(n)})
+    """Character of S_n on the degree-k cohomology, Lehrer's product
+    (_lehrer_partials) expanded only up to t^k."""
+    return cycle_product(n, k, {r: _lehrer_partials(r, n // r, k) for r in range(1, n + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -298,27 +284,22 @@ def invariant_dimension(n: int, a: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _free_character(m: int, k: int) -> ClassFunction:
-    """The character of W_m, read off Lehrer's product (_trace_in_degree).
+    """The character of W_m, read off Lehrer's product (_lehrer_partials).
     The t^s coefficient of g_r(Z) takes a non-constant term from at most s
     factors, so it is a polynomial in Z of degree <= 2s, and by Newton's
     forward differences g_r(Z) = sum_e C(Z, e) D_r(e), D_r(e) = Delta^e
-    g_r(0), a finite sum up to t^k.  So chi_k = sum_nu (-1)^k [t^k] prod_r
+    g_r(0), a finite sum up to t^k.  So chi_k = sum_nu [t^k] prod_r
     D_r(e_r) C(Z_r, e_r), e_r the number of r-cycles of nu; these
     monomials are linearly independent on cycle counts, so by the
     expansion in character_polynomial chi_{W_m}(nu) is this coefficient."""
-    diff = {}  # (r, e) -> D_r(e), in rising degree
+    diffs = {}  # r -> [D_r(0), ..., D_r(m // r)], each in rising degree
     for r in range(1, m + 1):
         rows = [[g.get(s, 0) for s in range(k + 1)] for g in _lehrer_partials(r, m // r, k)]
-        for e in range(m // r + 1):  # rows[0] is D_r(e)
-            diff[r, e] = {s: c for s, c in enumerate(rows[0]) if c}
+        diffs[r] = []
+        for _ in range(m // r + 1):  # rows[0] is the next D_r(e)
+            diffs[r].append({s: c for s, c in enumerate(rows[0]) if c})
             rows = [[y - x for x, y in zip(u, v)] for u, v in zip(rows, rows[1:])]
-    values = {}
-    for nu in partitions(m):
-        series = {0: 1}
-        for r, e in cycle_counts(nu).items():
-            series = _poly_mul(series, diff[r, e], k)
-        values[nu] = -series.get(k, 0) if k % 2 else series.get(k, 0)
-    return ClassFunction._unchecked(m, values)
+    return cycle_product(m, k, diffs)
 
 
 @lru_cache(maxsize=None)

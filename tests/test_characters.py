@@ -263,6 +263,17 @@ def test_decomposition_dimension_and_character():
     assert decompose(dec.character()) == dec
 
 
+def test_decomposition_refuses_a_negative_group():
+    # as a class function does: there is no S_n with n < 0
+    for make in (
+        lambda: IrrDecomposition(-3, {}),
+        lambda: IrrDecomposition.from_mapping(-1, {}),
+        lambda: ClassFunction(-3, {}),
+    ):
+        with pytest.raises(DomainError, match="cannot partition a negative integer"):
+            make()
+
+
 def test_symmetric_group_of_size_zero():
     assert partitions(0) == ((),)
     assert trivial_character(0).values == {(): 1}

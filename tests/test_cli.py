@@ -474,6 +474,15 @@ def test_sequence_schema_errors_exit_1(capsys):
     assert code == 1 and _one_line_error(err)
 
 
+def test_stability_scan_refuses_a_negative_level(capsys):
+    # no S_n with n < 0: the level is refused, not reported as stable
+    code, out, err = run(
+        capsys, "stability-scan", "--entries", '{"entries": {"-1": {}, "0": {}}}'
+    )
+    assert code == 1 and not out and _one_line_error(err), err
+    assert "cannot partition a negative integer: -1" in err
+
+
 def test_tables_that_give_one_key_twice_are_refused(capsys):
     # two keys that read as one partition, level or point, or one key
     # written twice in the JSON text: the last value must not silently win
@@ -631,13 +640,13 @@ def test_os_scan_computes_no_character_past_2k():
     # Lehrer's product (os_model.free_generator), so neither the character
     # nor the decomposition of the cohomology at any level is taken, in
     # either run of a request, whether the window pins the polynomial down
-    # or not.  The Betti numbers of a window come from one pass, not one
-    # per level: fits and passes are counted on the second run, when the
-    # W_m are cached and their own Betti numbers do not count.
+    # or not.  The Betti numbers of a window are sums over the W_m, so no
+    # Betti number past level 2k is taken either.  Fits are counted on the
+    # second run, when the W_m are cached.
     code = (
         "import io, json, contextlib\n"
         "from fistab import cli, fi_analysis, os_model\n"
-        "seen, fits, series = [], [], []\n"
+        "seen, fits, past = [], [], []\n"
         "character, decomposition = os_model.character, os_model.decomposition\n"
         "os_model.character = lambda n, k: seen.append(('character', n)) or character(n, k)\n"
         "os_model.decomposition = lambda n, k: (\n"
@@ -647,21 +656,20 @@ def test_os_scan_computes_no_character_past_2k():
         "    fits.append(a)\n"
         "    return fit(*a)\n"
         "fi_analysis.fit_char_polynomial = os_model.fit_char_polynomial = counted_fit\n"
-        "betti_series = os_model.betti_series\n"
-        "os_model.betti_series = lambda *a: series.append(a) or betti_series(*a)\n"
+        "betti = os_model.betti\n"
+        "os_model.betti = lambda n, k: (n > 2 * k and past.append(n)) or betti(n, k)\n"
         "calls = []\n"
         "for k, lo, hi in [(2, 2, 5), (3, 5, 8), (3, 20, 22), (3, 6, 7), (1, 42, 43),\n"
         "                  (3, 13, 14), (3, 39, 40), (2, 4, 5), (3, 7, 8)]:\n"
         "    argv = ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k)]\n"
         "    for _ in range(2):\n"
         "        fits.clear()\n"
-        "        series.clear()\n"
         "        out = io.StringIO()\n"
         "        with contextlib.redirect_stdout(out):\n"
         "            assert cli.main(argv) == 0\n"
-        "    assert seen == [], (k, lo, hi, seen)\n"
+        "    assert seen == [] and past == [], (k, lo, hi, seen, past)\n"
         "    fitted = 'error' not in json.loads(out.getvalue())['character_polynomial']\n"
-        "    calls.append([fitted, len(fits), len(series)])\n"
+        "    calls.append([fitted, len(fits)])\n"
         "print(json.dumps(calls))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
@@ -670,8 +678,8 @@ def test_os_scan_computes_no_character_past_2k():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        [True, 1, 1], [True, 1, 1], [True, 0, 1], [False, 1, 1], [True, 0, 1],
-        [True, 0, 1], [True, 0, 1], [False, 1, 1], [False, 1, 1],
+        [True, 1], [True, 1], [True, 0], [False, 1], [True, 0],
+        [True, 0], [True, 0], [False, 1], [False, 1],
     ]
 
 
@@ -690,6 +698,25 @@ def test_os_scan_past_every_degree_allocates_nothing_of_its_size():
     assert json.loads(proc.stdout) == {
         "k": 10**9, "window": [1, 1], "betti": {"1": 0}, "decompositions": {"1": {}},
         "coinvariants": {},
+    }
+
+
+def test_os_scan_far_window_walks_no_level_below_it():
+    # the Betti number of each level is a sum over the W_m, not the end of
+    # a pass through every level below the window: three levels near 10^9
+    # run under an address-space cap of 1 GB, each with the Betti number
+    # e_2(1, ..., n - 1) = (3n - 1) C(n, 3) / 4
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    lo = 10**9
+    proc = subprocess.run(
+        [sys.executable, "-c", cap + "from fistab.cli import main; raise SystemExit(main())",
+         "os-scan", "--n-min", str(lo), "--n-max", str(lo + 2), "--k", "2"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert json.loads(proc.stdout)["betti"] == {
+        str(n): (3 * n - 1) * comb(n, 3) // 4 for n in range(lo, lo + 3)
     }
 
 

@@ -1,10 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+function or class is left that nothing in the package calls.
 
-No linter ships with the test dependencies, so this is the check for
-imports that a refactor leaves behind.  It reads the package's modules
-and those of its `commands` subpackage.  The top-level package __init__
-is exempt: its imports are the public API.  So is `from m import x as x`,
-the usual spelling of a deliberate re-export.
+No linter ships with the test dependencies, so these are the checks for
+imports and helpers that a refactor leaves behind.  They read the
+package's modules and those of its `commands` subpackage.  For imports
+the top-level package __init__ is exempt: its imports are the public
+API.  So is `from m import x as x`, the usual spelling of a deliberate
+re-export.
 """
 
 import ast
@@ -47,3 +49,55 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(PACKAGE).as_posix())
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    # "module.name" of each module-level function or class whose name
+    # starts with one underscore and is read nowhere in the sources, as a
+    # name, an attribute or an imported name, outside its own definition
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+
+    def reads(node) -> list[str]:
+        out = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.append(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.append(sub.attr)
+            elif isinstance(sub, ast.alias):
+                out.append(sub.name)
+        return out
+
+    everywhere: dict[str, int] = {}
+    for tree in trees.values():
+        for name in reads(tree):
+            everywhere[name] = everywhere.get(name, 0) + 1
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and everywhere.get(node.name, 0) == reads(node).count(node.name)
+            ):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_unreferenced_private_helpers_are_found():
+    sources = {
+        "a": "def _used():\n    return 1\n\ndef _left(n):\n    return _left(n - 1)\n"
+             "class _Gone:\n    pass\n\ndef public():\n    return _used()\n",
+        "b": "from .a import _imported\nimport a\na._by_attribute()\n",
+        "c": "def _imported():\n    pass\n\ndef _by_attribute():\n    pass\n",
+    }
+    assert _unreferenced_private(sources) == ["a._Gone", "a._left"]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {
+        path.relative_to(PACKAGE).as_posix(): path.read_text()
+        for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("commands/*.py")]
+    }
+    assert _unreferenced_private(sources) == []
