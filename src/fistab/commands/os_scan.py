@@ -7,6 +7,7 @@ from .. import fi_analysis, os_model
 from ..errors import DomainError
 from . import (
     _LEVEL_NS,
+    _READ_NS,
     _REPORT_NS,
     _STRIP_NS,
     _TERM_NS,
@@ -38,29 +39,35 @@ def run(args):
     def work(p):
         # the tables of S_m that decompose the W_m, k < m <= 2k, and the
         # averages of their characters; the Pieri strips of their
-        # constituents at each level of the window; a report per level and
-        # per coinvariant map, each map with the terms of two free-module
-        # counts; and the fit that checks the polynomial where the window
-        # may leave it open (os_model.character_polynomial)
+        # constituents, once for the window, and a read of each at every
+        # level; a report per level and per coinvariant map; the terms of
+        # one free-module count per (level, a), the source of each map and
+        # the target of the last map of each a; and the fit that checks
+        # the polynomial where the window may leave it open
+        # (os_model.character_polynomial)
         ms = range(k + 1, top + 1)
+        strips = sum(_strip_pairs(p, m) for m in ms)
+        maps = _maps(args.n_min, args.n_max, a_top)
+        counts = maps + a_top + 1 if maps else 0
         total = (
             _table_work(p, ms)
-            + _STRIP_NS * len(window) * sum(_strip_pairs(p, m) for m in ms)
+            + strips * (_STRIP_NS + _READ_NS * len(window))
             + _LEVEL_NS * len(window)
-            + _maps(args.n_min, args.n_max, a_top)
-            * (_REPORT_NS + 2 * _TERM_NS * sum(min(a_top, m) + 1 for m in ms))
+            + maps * _REPORT_NS
+            + counts * _TERM_NS * sum(min(a_top, m) + 1 for m in ms)
         )
         if fit:
             total += _fit_work(sum(p[n] for n in window), 2 * k)
         return total
 
     _admit(args, work, args.n_max if fit else top)
-    decs = {n: os_model.free_decomposition(n, k) for n in window}
+    decs = os_model.free_decompositions(args.n_min, args.n_max, k)
+    # sum_m C(n, m) dim W_m: the invariants of the trivial subgroup
+    betti = {n: os_model._free_invariant_dimension(n, n, k) for n in window}
     payload = {
         "k": k,
         "window": [args.n_min, args.n_max],
-        # sum_m C(n, m) dim W_m: the invariants of the trivial subgroup
-        "betti": {str(n): os_model._free_invariant_dimension(n, n, k) for n in window},
+        "betti": {str(n): betti[n] for n in window},
         "decompositions": {str(n): decs[n].to_mapping() for n in window},
     }
     if args.n_max > args.n_min:
@@ -74,8 +81,13 @@ def run(args):
     coinv = {}
     for a in range(0, a_top + 1):
         rows = {}
+        # each map's target dimension is the next map's source; at level
+        # a the subgroup is trivial, so the source is the Betti number
+        d_src = betti.get(a)
         for n in range(max(args.n_min, a), args.n_max):
-            rows[str(n)] = os_model.coinvariant_report(n, a, k).to_mapping()
+            report = os_model.coinvariant_report(n, a, k, d_src)
+            rows[str(n)] = report.to_mapping()
+            d_src = report.dims[1]
         if rows:
             coinv[str(a)] = rows
     payload["coinvariants"] = coinv

@@ -17,12 +17,13 @@ What os-scan reports comes from the free-module decomposition of the
 cohomology, sum_m M(W_m) (see the section above free_generator): by
 Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, each W_m is read off
 Lehrer's product and decomposed by the table of S_m once per (m, k), and
-every level n is a Pieri sum (free_decomposition, through
-characters.free_module_sum), its coinvariant dimensions and its Betti
-number (a = n) sums over the W_m (coinvariant_report), its character
-polynomial read off the W_m (character_polynomial).  So os-scan takes no
-character of the cohomology and no Betti number past level 2k:
-decomposition, character and invariant_dimension are the test oracles.
+every level n is a Pieri sum (free_decompositions, one strip
+enumeration for a whole window), its coinvariant dimensions and its
+Betti number (a = n) sums over the W_m (coinvariant_report), its
+character polynomial read off the W_m (character_polynomial).  So
+os-scan takes no character of the cohomology and no Betti number past
+level 2k: decomposition, character and invariant_dimension are the test
+oracles.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from .characters import (
     as_multiplicity,
     cycle_product,
     decompose,
-    free_module_sum,
     restrict_and_average,
 )
 from .errors import DomainError
 from .fi_analysis import CharPolynomial, FISequence, fit_char_polynomial
-from .partitions import cycle_counts, partitions
+from .partitions import _strip_extensions, cycle_counts, partitions
 
 Edge = tuple  # (a, b) with 1 <= a < b
 Monomial = tuple  # edges with strictly increasing second indices
@@ -310,16 +310,57 @@ def free_generator(m: int, k: int) -> IrrDecomposition:
     return decompose(_free_character(m, k))
 
 
-def _free_generators(n: int, k: int) -> dict[int, IrrDecomposition]:
-    # the nonzero W_m that reach level n
-    gens = {m: free_generator(m, k) for m in range(min(n, 2 * k) + 1)}
+@lru_cache(maxsize=None)
+def _generators_up_to(top: int, k: int) -> dict[int, IrrDecomposition]:
+    # the nonzero W_m with m <= top; shared by every caller, never mutated
+    gens = {m: free_generator(m, k) for m in range(top + 1)}
     return {m: w for m, w in gens.items() if w}
 
 
+def _free_generators(n: int, k: int) -> dict[int, IrrDecomposition]:
+    # the nonzero W_m that reach level n: cached on min(n, 2k), never on n
+    return _generators_up_to(min(n, 2 * k), k)
+
+
+def free_decompositions(n_min: int, n_max: int, k: int) -> dict[int, IrrDecomposition]:
+    """decomposition(n, k), its test oracle, at every level n of the window
+    n_min..n_max, as the Pieri sum of the W_m: no character table of S_n,
+    only those of S_m for m <= min(n_max, 2k), and one Pieri enumeration
+    for the whole window.
+
+    In padded form lam[n]/rho is a horizontal strip iff n - |lam| >= rho_1
+    >= lam_1 >= rho_2 >= lam_2 >= ..., so the shapes lam that a
+    constituent rho of W_m reaches do not depend on n: each enters at
+    level |lam| + rho_1 and stays.  They are the strips of rho at level m
+    + rho_1, where the first row takes every box the others leave, with
+    that row dropped.  So every multiplicity of lam[n] is a step function
+    of n, and each level reads the shapes whose threshold it has passed.
+    """
+    entering: dict[int, list] = {}  # threshold -> [(|lam|, lam, multiplicity)]
+    for m, w in _free_generators(n_max, k).items():
+        for rho, c in w.mult.items():
+            first = rho[0] if rho else 0
+            for mu in _strip_extensions(rho, m + first):
+                lam = mu[1:]
+                size = sum(lam)
+                entering.setdefault(size + first, []).append((size, lam, c))
+    pending = sorted(entering.items(), reverse=True)
+    active: dict[tuple, int] = {}  # (|lam|, lam) -> multiplicity at the current level
+    out = {}
+    for n in range(n_min, n_max + 1):
+        while pending and pending[-1][0] <= n:
+            for size, lam, c in pending.pop()[1]:
+                active[size, lam] = active.get((size, lam), 0) + c
+        # n - |lam| >= rho_1 > 0 unless rho and lam are both empty
+        out[n] = IrrDecomposition._unchecked(
+            n, {((n - size,) + lam if n > size else lam): c for (size, lam), c in active.items()}
+        )
+    return out
+
+
 def free_decomposition(n: int, k: int) -> IrrDecomposition:
-    """decomposition(n, k), its test oracle, as the Pieri sum of the W_m:
-    no character table of S_n, only those of S_m for m <= min(n, 2k)."""
-    return free_module_sum(_free_generators(n, k), n)
+    """free_decompositions on the window of level n alone."""
+    return free_decompositions(n, n, k)[n]
 
 
 def _needs_check(n_min: int, n_max: int, k: int) -> bool:
@@ -327,6 +368,23 @@ def _needs_check(n_min: int, n_max: int, k: int) -> bool:
     polynomial open, so that character_polynomial checks it with a fit:
     only when n_max - n_min < 2k and n_max <= 4k (proof there)."""
     return n_max - n_min < 2 * k and n_max <= 4 * k
+
+
+@lru_cache(maxsize=None)
+def _fit_refusal(n_min: int, n_max: int, k: int) -> str | None:
+    """The message with which fit_char_polynomial refuses the zero
+    sequence on the classes of the window n_min..n_max at weighted degree
+    <= 2k, or None where it fits: character_polynomial's check, kept per
+    window as a value, since lru_cache keeps no exception."""
+    zero = {
+        n: ClassFunction._unchecked(n, dict.fromkeys(partitions(n), 0))
+        for n in range(n_min, n_max + 1)
+    }
+    try:
+        fit_char_polynomial(FISequence(zero), 2 * k)
+    except DomainError as exc:
+        return str(exc)
+    return None
 
 
 def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
@@ -357,7 +415,8 @@ def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
     of the fit have full column rank.
 
     Any other window (_needs_check) has n_max <= 4k, and is checked by
-    fitting the zero sequence on its classes, which takes no character.
+    fitting the zero sequence on its classes, which takes no character,
+    once per window in a process (_fit_refusal).
     Whether the fit is unique depends on the classes and not on the
     values: on a consistent system the elimination finds its pivots on
     the monomial columns alone, the same for the characters as for zero.
@@ -368,12 +427,8 @@ def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
     0 on every class of the window, so the W_m past n_max are never
     needed.
     """
-    if _needs_check(n_min, n_max, k):
-        zero = {
-            n: ClassFunction._unchecked(n, dict.fromkeys(partitions(n), 0))
-            for n in range(n_min, n_max + 1)
-        }
-        fit_char_polynomial(FISequence(zero), 2 * k)
+    if _needs_check(n_min, n_max, k) and (refusal := _fit_refusal(n_min, n_max, k)) is not None:
+        raise DomainError(refusal)
     coeffs = {}
     for m in _free_generators(n_max, k):
         for nu, value in _free_character(m, k).values.items():
@@ -427,7 +482,7 @@ class CoinvariantReport(NamedTuple):
         }
 
 
-def coinvariant_report(n: int, a: int, k: int) -> CoinvariantReport:
+def coinvariant_report(n: int, a: int, k: int, d_src: int | None = None) -> CoinvariantReport:
     """Verdict on the coinvariant map from level n to level n+1 with
     respect to the subgroups permuting all but the first a points.
 
@@ -438,9 +493,12 @@ def coinvariant_report(n: int, a: int, k: int) -> CoinvariantReport:
     comes from an injective map of orbit sets, so it is split injective:
     always injective, and surjective exactly when both sides have the same
     dimension.  Both dimensions are counted on the free modules M(W_m),
-    and invariant_dimension is their test oracle.
+    and invariant_dimension is their test oracle.  A caller walking up the
+    levels passes the source dimension it already has, the target of the
+    map from level n - 1.
     """
-    d_src = _free_invariant_dimension(n, a, k)  # rejects a outside 0..n
+    if d_src is None:
+        d_src = _free_invariant_dimension(n, a, k)  # rejects a outside 0..n
     d_dst = _free_invariant_dimension(n + 1, a, k)
     return CoinvariantReport(
         n=n,

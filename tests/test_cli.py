@@ -641,8 +641,9 @@ def test_os_scan_computes_no_character_past_2k():
     # nor the decomposition of the cohomology at any level is taken, in
     # either run of a request, whether the window pins the polynomial down
     # or not.  The Betti numbers of a window are sums over the W_m, so no
-    # Betti number past level 2k is taken either.  Fits are counted on the
-    # second run, when the W_m are cached.
+    # Betti number past level 2k is taken either.  Fits are counted on both
+    # runs: a checked window fits once on the first and keeps its verdict,
+    # so a refused window prints the same error on the second run.
     code = (
         "import io, json, contextlib\n"
         "from fistab import cli, fi_analysis, os_model\n"
@@ -658,29 +659,122 @@ def test_os_scan_computes_no_character_past_2k():
         "fi_analysis.fit_char_polynomial = os_model.fit_char_polynomial = counted_fit\n"
         "betti = os_model.betti\n"
         "os_model.betti = lambda n, k: (n > 2 * k and past.append(n)) or betti(n, k)\n"
-        "calls = []\n"
+        "calls, errors = [], {}\n"
         "for k, lo, hi in [(2, 2, 5), (3, 5, 8), (3, 20, 22), (3, 6, 7), (1, 42, 43),\n"
         "                  (3, 13, 14), (3, 39, 40), (2, 4, 5), (3, 7, 8)]:\n"
         "    argv = ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k)]\n"
+        "    row = []\n"
         "    for _ in range(2):\n"
         "        fits.clear()\n"
         "        out = io.StringIO()\n"
         "        with contextlib.redirect_stdout(out):\n"
         "            assert cli.main(argv) == 0\n"
+        "        poly = json.loads(out.getvalue())['character_polynomial']\n"
+        "        if 'error' in poly:\n"
+        "            errors.setdefault(f'{k},{lo},{hi}', []).append(poly['error'])\n"
+        "        row.append(len(fits))\n"
         "    assert seen == [] and past == [], (k, lo, hi, seen, past)\n"
-        "    fitted = 'error' not in json.loads(out.getvalue())['character_polynomial']\n"
-        "    calls.append([fitted, len(fits)])\n"
-        "print(json.dumps(calls))\n"
+        "    calls.append(['error' not in poly, *row])\n"
+        "print(json.dumps([calls, errors]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        [True, 1], [True, 1], [True, 0], [False, 1], [True, 0],
-        [True, 0], [True, 0], [False, 1], [False, 1],
+    calls, errors = json.loads(proc.stdout)
+    assert calls == [
+        [True, 1, 0], [True, 1, 0], [True, 0, 0], [False, 1, 0], [True, 0, 0],
+        [True, 0, 0], [True, 0, 0], [False, 1, 0], [False, 1, 0],
     ]
+    assert sorted(errors) == ["2,4,5", "3,6,7", "3,7,8"]
+    for window, (first, second) in errors.items():
+        assert first.encode() == second.encode() and "does not determine" in first, window
+
+
+def test_os_scan_bytes_do_not_depend_on_cached_state():
+    # what os-scan keeps per process (the W_m per level bound, the fit
+    # verdict per window) never changes what a request prints: one process
+    # runs a grid of windows forwards, backwards, and forwards again after
+    # every cache of os_model is cleared
+    code = (
+        "import io, json, contextlib\n"
+        "from fistab import cli, os_model\n"
+        "grid = [\n"
+        "    ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k),\n"
+        "     '--a-max', str(a)]\n"
+        "    for k in range(4) for lo in range(1, 4 * k + 2) for hi in range(lo, lo + 2 * k + 2)\n"
+        "    for a in (0, 2)\n"
+        "]\n"
+        "def run(order):\n"
+        "    outs = {}\n"
+        "    for argv in order:\n"
+        "        out, err = io.StringIO(), io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "            code = cli.main(argv)\n"
+        "        outs[' '.join(argv)] = (code, out.getvalue(), err.getvalue())\n"
+        "    return outs\n"
+        "forwards, backwards = run(grid), run(grid[::-1])\n"
+        "caches = sorted(\n"
+        "    name for name, f in vars(os_model).items()\n"
+        "    if hasattr(f, 'cache_clear') and f.__module__ == os_model.__name__\n"
+        ")\n"
+        "for name in caches:\n"
+        "    getattr(os_model, name).cache_clear()\n"
+        "again = run(grid)\n"
+        "print(json.dumps([len(grid), caches, forwards == backwards == again,\n"
+        "                  sorted({c for c, _, _ in forwards.values()})]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    size, caches, same, codes = json.loads(proc.stdout)
+    assert size == 2 * (2 + 20 + 54 + 104)
+    assert {"_fit_refusal", "_generators_up_to", "free_generator"} <= set(caches)
+    assert same and codes == [0]
+
+
+def test_os_scan_counts_each_dimension_and_each_strip_once():
+    # one free-module dimension per (level, a): a map's target is the next
+    # map's source, and at level a the source is the Betti number; and one
+    # strip enumeration per constituent of each W_m for the whole window,
+    # not one per level (os_model.free_decompositions)
+    code = (
+        "import io, json, contextlib, collections, importlib\n"
+        "from fistab import characters, cli, os_model\n"
+        "partitions = importlib.import_module('fistab.partitions')  # not the function\n"
+        "dims, strips = collections.Counter(), collections.Counter()\n"
+        "count = os_model._free_invariant_dimension\n"
+        "os_model._free_invariant_dimension = lambda n, a, k: (\n"
+        "    dims.update([(n, a)]) or count(n, a, k))\n"
+        "extend = partitions._strip_extensions\n"
+        "def counted(rho, n):\n"
+        "    strips.update([rho])\n"
+        "    return extend(rho, n)\n"
+        "for module in (partitions, characters, os_model):\n"
+        "    module._strip_extensions = counted\n"
+        "argv = ['os-scan', '--n-min', '2', '--n-max', '40', '--k', '3', '--a-max', '3']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(argv) == 0\n"
+        "gens = os_model._free_generators(40, 3).values()\n"
+        "constituents = sorted(rho for w in gens for rho in w.mult)\n"
+        "print(json.dumps([sorted(dims.items()), sorted(strips.items()), constituents]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    dims, strips, constituents = json.loads(proc.stdout)
+    pairs = {(n, n) for n in range(2, 41)} | {
+        (n, a) for a in range(4) for n in range(max(2, a), 41)
+    }
+    assert sorted(tuple(key) for key, _ in dims) == sorted(pairs)
+    assert {times for _, times in dims} == {1}
+    assert [rho for rho, _ in strips] == constituents and len(constituents) > 3
+    assert {times for _, times in strips} == {1}
 
 
 def test_os_scan_past_every_degree_allocates_nothing_of_its_size():
