@@ -6,7 +6,8 @@ and downwards from lam for a single character.  The class sizes and the
 integer character table of each S_n are cached; inner products and
 multiplicities are integer dot products with one exact division by n!,
 so integrality checks are meaningful.  induction and os_model share the
-Pieri sum (free_module_sum) and the product over cycles (cycle_product).
+Pieri sum (free_module_sum, a window of levels or one) and the product
+over cycles (cycle_product).
 All functions here are pure and the caches are safe to share across
 threads.
 """
@@ -400,16 +401,44 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
     return IrrDecomposition._unchecked(n, mult)
 
 
-def free_module_sum(generators: dict[int, IrrDecomposition], n: int) -> IrrDecomposition:
-    """Level n of the sum of free modules M(W_m) over {m: W_m}: by the
-    Pieri rule each constituent rho of W_m adds its multiplicity to every
-    horizontal-strip extension of rho with n boxes (none when n < m)."""
-    mult: dict[Partition, int] = {}
-    for w in generators.values():
+def free_module_sum(
+    generators: dict[int, IrrDecomposition], n_min: int, n_max: int
+) -> dict[int, IrrDecomposition]:
+    """Levels n_min..n_max of the sum of free modules M(W_m) over {m: W_m}:
+    by the Pieri rule each constituent rho of W_m adds its multiplicity to
+    every horizontal-strip extension of rho with n boxes (none when n < m).
+    A single level n is the window (n, n).
+
+    In padded form lam[n]/rho is a horizontal strip iff n - |lam| >= rho_1
+    >= lam_1 >= rho_2 >= lam_2 >= ..., so the shapes lam that rho reaches
+    do not depend on n: each enters at level |lam| + rho_1 and stays.  The
+    strips of rho at a level N <= m + rho_1 are the shapes that have
+    entered by N; past m + rho_1 the first row takes every extra box.  So
+    the strips of rho are enumerated once, at level min(n_max, m + rho_1),
+    with the first row dropped, and a single level, however large, costs
+    its strips alone.  Every multiplicity of lam[n] is a step function of
+    n, and each level reads the shapes whose threshold it has passed.
+    """
+    entering: dict[int, list] = {}  # threshold -> [((|lam|, lam), multiplicity)]
+    for m, w in generators.items():
         for rho, c in w.mult.items():
-            for lam in _strip_extensions(rho, n):
-                mult[lam] = mult.get(lam, 0) + c
-    return IrrDecomposition._unchecked(n, mult)
+            first = rho[0] if rho else 0
+            top = min(n_max, m + first)
+            for mu in _strip_extensions(rho, top):
+                size = top - mu[0] if mu else 0
+                entering.setdefault(size + first, []).append(((size, mu[1:]), c))
+    pending = sorted(entering.items(), reverse=True)
+    active: dict[tuple, int] = {}  # (|lam|, lam) -> multiplicity at the current level
+    out = {}
+    for n in range(n_min, n_max + 1):
+        while pending and pending[-1][0] <= n:
+            for shape, c in pending.pop()[1]:
+                active[shape] = active.get(shape, 0) + c
+        # n - |lam| >= rho_1 > 0 unless rho and lam are both empty
+        out[n] = IrrDecomposition._unchecked(
+            n, {((n - size,) + lam if n > size else lam): c for (size, lam), c in active.items()}
+        )
+    return out
 
 
 def _poly_mul(p: dict[int, int], q: dict[int, int], cap: int) -> dict[int, int]:

@@ -26,10 +26,10 @@ V_+, so degree i of V^(x)n is a sum of free modules
 with W_m the degree-i part of V_+^(x)m, Koszul signs included (Church,
 Ellenberg and Farb, *FI-modules and stability for representations of
 symmetric groups*, 2015).  kunneth_decomposition decomposes each W_m
-over S_m and induces by the Pieri rule: characters.free_module_sum, which
-m_module, m_regular and os-scan's decompositions also call.  The traces
-of V^(x)n and V_+^(x)m factor over the cycles of a permutation
-(characters.cycle_product, which os_model also calls).
+over S_m and induces by the Pieri rule: characters.free_module_sum at the
+single level n, as m_module and m_regular do; os-scan calls it once for a
+whole window.  The traces of V^(x)n and V_+^(x)m factor over the cycles
+of a permutation (characters.cycle_product, which os_model also calls).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _m_module(lam: Partition, n: int) -> IrrDecomposition:
     if n < 0:
         raise DomainError(f"level must be nonnegative, got {n}")
     m = sum(lam)
-    return free_module_sum({m: IrrDecomposition._unchecked(m, {lam: 1})}, n)
+    return free_module_sum({m: IrrDecomposition._unchecked(m, {lam: 1})}, n, n)[n]
 
 
 def m_regular(m: int, n: int) -> IrrDecomposition:
@@ -95,7 +95,7 @@ def m_regular(m: int, n: int) -> IrrDecomposition:
     if m < 0 or n < 0:
         raise DomainError("m and n must be nonnegative")
     regular = IrrDecomposition._unchecked(m, {lam: dimension(lam) for lam in partitions(m)})
-    return free_module_sum({m: regular}, n)
+    return free_module_sum({m: regular}, n, n)[n]
 
 
 def coinvariants_as_sa(V: IrrDecomposition, a: int) -> IrrDecomposition:
@@ -167,7 +167,7 @@ def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
         w = _class_traces(positive, m, i)
         if w.dimension():
             generators[m] = decompose(w)
-    return free_module_sum(generators, n)
+    return free_module_sum(generators, n, n)[n]
 
 
 def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:

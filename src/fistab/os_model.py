@@ -17,13 +17,13 @@ What os-scan reports comes from the free-module decomposition of the
 cohomology, sum_m M(W_m) (see the section above free_generator): by
 Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, each W_m is read off
 Lehrer's product and decomposed by the table of S_m once per (m, k), and
-every level n is a Pieri sum (free_decompositions, one strip
-enumeration for a whole window), its coinvariant dimensions and its
-Betti number (a = n) sums over the W_m (coinvariant_report), its
-character polynomial read off the W_m (character_polynomial).  So
-os-scan takes no character of the cohomology and no Betti number past
-level 2k: decomposition, character and invariant_dimension are the test
-oracles.
+every level n is a Pieri sum (free_decompositions, one call of
+characters.free_module_sum for a whole window), its coinvariant
+dimensions and its Betti number (a = n) sums over the W_m
+(coinvariant_report), its character polynomial read off the W_m
+(character_polynomial).  So os-scan takes no character of the cohomology
+and no Betti number past level 2k: decomposition, character and
+invariant_dimension are the test oracles.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ from .characters import (
     as_multiplicity,
     cycle_product,
     decompose,
+    free_module_sum,
     restrict_and_average,
 )
 from .errors import DomainError
 from .fi_analysis import CharPolynomial, FISequence, fit_char_polynomial
-from .partitions import _strip_extensions, cycle_counts, partitions
+from .partitions import cycle_counts, partitions
 
 Edge = tuple  # (a, b) with 1 <= a < b
 Monomial = tuple  # edges with strictly increasing second indices
@@ -324,43 +325,10 @@ def _free_generators(n: int, k: int) -> dict[int, IrrDecomposition]:
 
 def free_decompositions(n_min: int, n_max: int, k: int) -> dict[int, IrrDecomposition]:
     """decomposition(n, k), its test oracle, at every level n of the window
-    n_min..n_max, as the Pieri sum of the W_m: no character table of S_n,
-    only those of S_m for m <= min(n_max, 2k), and one Pieri enumeration
-    for the whole window.
-
-    In padded form lam[n]/rho is a horizontal strip iff n - |lam| >= rho_1
-    >= lam_1 >= rho_2 >= lam_2 >= ..., so the shapes lam that a
-    constituent rho of W_m reaches do not depend on n: each enters at
-    level |lam| + rho_1 and stays.  They are the strips of rho at level m
-    + rho_1, where the first row takes every box the others leave, with
-    that row dropped.  So every multiplicity of lam[n] is a step function
-    of n, and each level reads the shapes whose threshold it has passed.
-    """
-    entering: dict[int, list] = {}  # threshold -> [(|lam|, lam, multiplicity)]
-    for m, w in _free_generators(n_max, k).items():
-        for rho, c in w.mult.items():
-            first = rho[0] if rho else 0
-            for mu in _strip_extensions(rho, m + first):
-                lam = mu[1:]
-                size = sum(lam)
-                entering.setdefault(size + first, []).append((size, lam, c))
-    pending = sorted(entering.items(), reverse=True)
-    active: dict[tuple, int] = {}  # (|lam|, lam) -> multiplicity at the current level
-    out = {}
-    for n in range(n_min, n_max + 1):
-        while pending and pending[-1][0] <= n:
-            for size, lam, c in pending.pop()[1]:
-                active[size, lam] = active.get((size, lam), 0) + c
-        # n - |lam| >= rho_1 > 0 unless rho and lam are both empty
-        out[n] = IrrDecomposition._unchecked(
-            n, {((n - size,) + lam if n > size else lam): c for (size, lam), c in active.items()}
-        )
-    return out
-
-
-def free_decomposition(n: int, k: int) -> IrrDecomposition:
-    """free_decompositions on the window of level n alone."""
-    return free_decompositions(n, n, k)[n]
+    n_min..n_max, as the Pieri sum of the W_m (characters.free_module_sum):
+    no character table of S_n, only those of S_m for m <= min(n_max, 2k),
+    and one strip enumeration per constituent for the whole window."""
+    return free_module_sum(_free_generators(n_max, k), n_min, n_max)
 
 
 def _needs_check(n_min: int, n_max: int, k: int) -> bool:

@@ -52,7 +52,7 @@ from fistab.os_model import (
     character_polynomial,
     coinvariant_report,
     decomposition,
-    free_decomposition,
+    free_decompositions,
     invariant_dimension,
     nbc_basis,
 )
@@ -238,7 +238,7 @@ def free_route_mismatches(n: int, k: int) -> list[str]:
     invariant dimension for some a, or the polynomial of the window 1..n
     when it holds 2k + 1 levels."""
     bad = []
-    if free_decomposition(n, k) != decomposition(n, k):
+    if free_decompositions(n, n, k)[n] != decomposition(n, k):
         bad.append("decomposition")
     if _free_invariant_dimension(n, n, k) != betti(n, k):
         bad.append("betti")

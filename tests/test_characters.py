@@ -23,6 +23,7 @@ from fistab.characters import (
     character_table,
     class_sizes,
     decompose,
+    free_module_sum,
     inner_product,
     irreducible_character,
     mn_character,
@@ -32,7 +33,7 @@ from fistab.characters import (
     trivial_character,
 )
 from fistab.errors import ConsistencyError, DomainError
-from fistab.partitions import class_size, dimension, partitions
+from fistab.partitions import class_size, dimension, horizontal_strip_extensions, partitions
 from character_oracles import mn, restriction_inner_product
 
 
@@ -278,3 +279,35 @@ def test_symmetric_group_of_size_zero():
     assert partitions(0) == ((),)
     assert trivial_character(0).values == {(): 1}
     assert decompose(trivial_character(0)).to_mapping() == {"": 1}
+
+
+def _one_level_pieri(generators, n):
+    # the Pieri sum read one level at a time: each constituent rho of W_m
+    # adds its multiplicity to every horizontal-strip extension with n boxes
+    mult = {}
+    for w in generators.values():
+        for rho, c in w.mult.items():
+            for lam in horizontal_strip_extensions(rho, n):
+                mult[lam] = mult.get(lam, 0) + c
+    return IrrDecomposition(n, mult)
+
+
+def test_free_module_sum_against_one_level_pieri_loop():
+    # every W = S^rho with |rho| <= 6 (rho = () the empty generator at
+    # m = 0), and a two-generator sum; windows that start below every m
+    # or past every threshold m + rho_1, and single levels
+    cases = [{m: IrrDecomposition(m, {rho: 1})} for m in range(7) for rho in partitions(m)]
+    cases.append({0: IrrDecomposition(0, {(): 2})})
+    cases.append({
+        2: IrrDecomposition(2, {(2,): 1, (1, 1): 2}),
+        4: IrrDecomposition(4, {(3, 1): 3, (2, 2): 1, (1, 1, 1, 1): 1}),
+    })
+    for gens in cases:
+        top = max(m + (rho[0] if rho else 0) for m, w in gens.items() for rho in w.mult)
+        windows = [(0, top + 3), (top, top + 4), (top + 1, top + 2), (min(gens) + 1, top - 1)]
+        windows += [(n, n) for n in range(top + 3)] + [(10**12, 10**12)]
+        for lo, hi in windows:
+            levels = free_module_sum(gens, lo, hi)
+            assert list(levels) == list(range(lo, hi + 1)), (gens, lo, hi)
+            for n, dec in levels.items():
+                assert dec.n == n and dec == _one_level_pieri(gens, n), (gens, lo, hi, n)

@@ -814,6 +814,33 @@ def test_os_scan_far_window_walks_no_level_below_it():
     }
 
 
+def test_m_module_at_a_huge_level_reads_only_its_strips():
+    # a single level of M(W) costs the strips of W's constituents, not the
+    # levels below it: level 10^18 runs under an address-space cap of 1 GB
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    n = 10**18
+
+    def decomposition(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", cap + "from fistab.cli import main; raise SystemExit(main())",
+             "m-module", *argv, "--n", str(n)],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        return json.loads(proc.stdout)["decomposition"]
+
+    # (n - |lam|, lam) with 3 >= lam_1 >= 1 >= lam_2 >= 0
+    shapes = [(a, 1) if b else (a,) for a in (1, 2, 3) for b in (0, 1)]
+    assert decomposition("--lam", "3+1") == {
+        "+".join(map(str, (n - sum(lam), *lam))): 1 for lam in shapes
+    }
+    assert decomposition("--regular", "3") == {
+        f"{n}": 1, f"{n - 1}+1": 3, f"{n - 2}+2": 3, f"{n - 2}+1+1": 3,
+        f"{n - 3}+3": 1, f"{n - 3}+2+1": 2, f"{n - 3}+1+1+1": 1,
+    }
+
+
 def test_unfittable_character_polynomial_is_refused_quickly():
     # more monomials than class values: Σ_{d <= 50} p(d) = 1 295 971 of
     # them for the 5 values of S_2 and S_3, refused before any is built

@@ -150,7 +150,7 @@ def test_detect_stability_not_stabilized():
 def test_stability_report_is_a_mutable_record():
     report = detect_stability(FISequence({n: m_module((1,), n) for n in range(1, 7)}))
     assert repr(report) == (
-        "StabilityReport(window=(1, 6), stable_from=2, stable_table={(1,): 1, (): 1})"
+        "StabilityReport(window=(1, 6), stable_from=2, stable_table={(): 1, (1,): 1})"
     )
     assert report == StabilityReport((1, 6), 2, {(): 1, (1,): 1})
     assert report != StabilityReport((1, 6), None, {(): 1, (1,): 1})

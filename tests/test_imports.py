@@ -101,3 +101,45 @@ def test_every_private_helper_is_referenced():
         for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("commands/*.py")]
     }
     assert _unreferenced_private(sources) == []
+
+
+def _strip_callers(sources: dict[str, str]) -> list[str]:
+    # "module.function" of each top-level function or class that calls
+    # _strip_extensions, by name or as an attribute ("module" for a call
+    # outside any of them)
+    found = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = module
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = f"{module}.{node.name}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and "_strip_extensions" in (
+                    getattr(sub.func, "id", None), getattr(sub.func, "attr", None)
+                ):
+                    found.add(owner)
+    return sorted(found)
+
+
+def test_strip_callers_are_found():
+    sources = {
+        "a": "from .p import _strip_extensions\n"
+             "def f(r, n):\n    return _strip_extensions(r, n)\n",
+        "b": "from . import p\n"
+             "class C:\n    def g(self):\n        return p._strip_extensions((), 0)\n"
+             "p._strip_extensions((1,), 2)\n"
+             "def h():\n    return p._strip_extensions\n",
+    }
+    assert _strip_callers(sources) == ["a.f", "b", "b.C"]
+
+
+def test_one_pieri_kernel():
+    # the Pieri sum of free modules is written once, in
+    # characters.free_module_sum: every level or window of it goes there
+    sources = {
+        path.relative_to(PACKAGE).with_suffix("").as_posix(): path.read_text()
+        for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("commands/*.py")]
+    }
+    assert _strip_callers(sources) == [
+        "characters.free_module_sum", "partitions.horizontal_strip_extensions",
+    ]

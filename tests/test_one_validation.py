@@ -57,8 +57,8 @@ def test_free_decomposition_checks_no_partition():
         if getattr(f, "__module__", "") == os_model.__name__ and hasattr(f, "cache_clear"):
             f.cache_clear()
     with check_partition_calls() as calls:
-        os_model.free_decomposition(9, 3)
-        os_model.free_decomposition(9, 3)
+        os_model.free_decompositions(9, 9, 3)[9]
+        os_model.free_decompositions(9, 9, 3)[9]
         os_model.character_polynomial(2, 9, 3).as_class_function(9)
     assert calls == []
 
