@@ -188,59 +188,6 @@ def _fraction(text: str):
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each runs fistab.commands.<name>, imported on its
-# first call, so a process compiles the handler of its own subcommand alone
-
-
-def _run(name: str, args):
-    return import_module(f"{__package__}.commands.{name}").run(args)
-
-
-def cmd_character(args):
-    return _run("character", args)
-
-
-def cmd_decompose(args):
-    return _run("decompose", args)
-
-
-def cmd_m_module(args):
-    return _run("m_module", args)
-
-
-def cmd_stability_scan(args):
-    return _run("stability_scan", args)
-
-
-def cmd_fit_charpoly(args):
-    return _run("fit_charpoly", args)
-
-
-def cmd_fit_dimpoly(args):
-    return _run("fit_dimpoly", args)
-
-
-def cmd_bounds(args):
-    return _run("bounds", args)
-
-
-def cmd_table1(args):
-    return _run("table1", args)
-
-
-def cmd_os_scan(args):
-    return _run("os_scan", args)
-
-
-def cmd_wreath_scan(args):
-    return _run("wreath_scan", args)
-
-
-def cmd_kunneth(args):
-    return _run("kunneth", args)
-
-
-# --------------------------------------------------------------------------
 # parser assembly
 
 
@@ -334,6 +281,20 @@ SUBCOMMANDS = {
 }
 
 
+def _handler(module: str):
+    # runs fistab.commands.<module>, imported on its first call, so a
+    # process compiles the handler of its own subcommand alone
+    def handler(args):
+        return import_module(f"{__package__}.commands.{module}").run(args)
+
+    handler.__name__ = handler.__qualname__ = f"cmd_{module}"
+    return handler
+
+
+# the subcommand handlers, cmd_<name> with "-" as "_"
+globals().update({f"cmd_{m}": _handler(m) for m in (n.replace("-", "_") for n in SUBCOMMANDS)})
+
+
 @lru_cache(maxsize=None)
 def build_parser(command: str | None = None) -> _Parser:
     """The argument parser: with a subcommand name, that subcommand's
@@ -343,9 +304,10 @@ def build_parser(command: str | None = None) -> _Parser:
     Each is built on the first call and shared by every later one:
     callers must not mutate it.  Reuse is safe because `parse_args`
     returns a fresh namespace and no argument has a mutable default.
-    Subcommands carry no handler: `main` looks `cmd_<name>` up on every
-    call, so a handler rebound after the first call (a profiler, a
-    tracer) still takes effect."""
+    Subcommands carry no handler: the `cmd_<name>` handlers are
+    generated from SUBCOMMANDS, and `main` looks `cmd_<name>` up on
+    every call, so a handler rebound after the first call (a profiler,
+    a tracer) still takes effect."""
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument(

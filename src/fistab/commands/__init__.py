@@ -40,13 +40,11 @@ def _unique_object(pairs) -> dict:
 
 
 def _load_json(args, inline_attr: str):
+    # an empty --input (a config file's bare "input=") names no file
     inline = getattr(args, inline_attr, None)
-    if inline is not None:
-        size = len(inline)
-    elif getattr(args, "input", None):
-        size = os.stat(args.input).st_size
-    else:
-        raise DomainError(f"provide --{inline_attr.replace('_', '-')} or --input")
+    if (inline is None) == (not args.input):
+        raise DomainError(f"give exactly one of --{inline_attr} or --input")
+    size = len(inline) if inline is not None else os.stat(args.input).st_size
     if hasattr(args, "allow_large"):  # stability-scan has no override, so no budget
         _admit(args, lambda p: size * _BYTE_NS)
     text = inline if inline is not None else _read_text(args.input)

@@ -440,14 +440,7 @@ class CoinvariantReport(NamedTuple):
     dims: tuple[int, int]
 
     def to_mapping(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "degree": self.degree,
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "dims": list(self.dims),
-        }
+        return {**self._asdict(), "dims": list(self.dims)}
 
 
 def coinvariant_report(n: int, a: int, k: int, d_src: int | None = None) -> CoinvariantReport:

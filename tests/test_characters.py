@@ -178,6 +178,14 @@ def test_restrict_and_average_against_restriction_oracle(n):
         restrict_and_average(trivial_character(n), n + 1)
 
 
+def test_restrict_and_average_of_a_class_function_can_be_a_fraction():
+    # the indicator of the identity of S_3 is no character: its averages
+    # over S_2 and over S_3 are 1/2! and 1/3!
+    delta = ClassFunction(3, {mu: int(mu == (1, 1, 1)) for mu in partitions(3)})
+    assert restrict_and_average(delta, 1).values == {(1,): Fraction(1, 2)}
+    assert restrict_and_average(delta, 0).values == {(): Fraction(1, 6)}
+
+
 def test_as_multiplicity_accepts_only_nonnegative_integers():
     assert as_multiplicity(Fraction(3), "dimension came out as") == 3
     assert as_multiplicity(Fraction(0), "dimension came out as") == 0

@@ -351,6 +351,31 @@ def test_domain_error_exits_1(capsys):
     assert "nonnegative" in err
 
 
+def test_inline_table_and_input_are_refused_together(capsys, monkeypatch, tmp_path):
+    # an inline table never silently wins over --input: both at once, like
+    # neither, is refused before any file is read or any budget priced
+    missing = str(tmp_path / "missing.json")
+    touched = []
+    real_open, real_stat = open, os.stat
+    monkeypatch.setattr("builtins.open", lambda path, *a, **kw: (
+        touched.append(path) or real_open(path, *a, **kw)))
+    monkeypatch.setattr(os, "stat", lambda path, *a, **kw: (
+        touched.append(path) or real_stat(path, *a, **kw)))
+    cases = [
+        (["decompose", "--n", "100000", "--values", '{"1+1+1": 3, "2+1": 1, "3": 0}'], "values"),
+        (["stability-scan", "--entries", "[]"], "entries"),
+        (["fit-charpoly", "--entries", "[]", "--degree-bound", "1"], "entries"),
+        (["fit-dimpoly", "--dims", '{"2": 1}', "--degree-bound", "1"], "dims"),
+    ]
+    for argv, flag in cases:
+        at = argv.index(f"--{flag}")
+        for request in ([*argv, "--input", missing], argv[:at] + argv[at + 2:]):
+            code, out, err = run(capsys, *request)
+            assert code == 1 and not out and _one_line_error(err), (request, err)
+            assert err == f"fistab: give exactly one of --{flag} or --input\n"
+    assert missing not in touched
+
+
 def test_bad_user_input_exits_1(capsys):
     code, _, err = run(capsys, "character", "--lam", "2+x")
     assert code == 1 and "partition" in err
@@ -753,7 +778,7 @@ def test_os_scan_counts_each_dimension_and_each_strip_once():
         "def counted(rho, n):\n"
         "    strips.update([rho])\n"
         "    return extend(rho, n)\n"
-        "for module in (partitions, characters, os_model):\n"
+        "for module in (partitions, characters):\n"
         "    module._strip_extensions = counted\n"
         "argv = ['os-scan', '--n-min', '2', '--n-max', '40', '--k', '3', '--a-max', '3']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -210,6 +210,15 @@ def test_fit_reproduces_every_window_value():
     assert poly.weighted_degree <= 1
 
 
+def test_fit_reads_a_window_of_decompositions_through_their_characters():
+    # M(S^(1)) at level n is the permutation representation on n points
+    entries = {n: m_module((1,), n) for n in range(2, 7)}
+    assert all(isinstance(entry, IrrDecomposition) for entry in entries.values())
+    characters = {n: entry.character() for n, entry in entries.items()}
+    poly = fit_char_polynomial(FISequence(entries), 2)
+    assert poly == CharPolynomial({((1, 1),): 1}) == fit_char_polynomial(FISequence(characters), 2)
+
+
 def test_fit_reports_inconsistent_degree_bound():
     seq = FISequence({n: m_module((2,), n).character() for n in range(4, 8)})
     with pytest.raises(DomainError, match="no character polynomial"):

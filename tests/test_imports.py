@@ -6,7 +6,8 @@ imports and helpers that a refactor leaves behind.  They read the
 package's modules and those of its `commands` subpackage.  For imports
 the top-level package __init__ is exempt: its imports are the public
 API.  So is `from m import x as x`, the usual spelling of a deliberate
-re-export.
+re-export.  Two more checks keep a concept written once: the Pieri sum
+of free modules, and the CLI's list of subcommands.
 """
 
 import ast
@@ -143,3 +144,19 @@ def test_one_pieri_kernel():
     assert _strip_callers(sources) == [
         "characters.free_module_sum", "partitions.horizontal_strip_extensions",
     ]
+
+
+def test_cli_handlers_come_from_the_subcommand_table():
+    # the subcommands are listed once, in cli.SUBCOMMANDS: no cmd_<name>
+    # handler is written by hand, and one is generated for every name
+    from fistab import cli
+
+    written = [
+        node.name
+        for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("cmd_")
+    ]
+    assert written == []
+    handlers = {name for name in vars(cli) if name.startswith("cmd_")}
+    assert handlers == {f"cmd_{name.replace('-', '_')}" for name in cli.SUBCOMMANDS}
