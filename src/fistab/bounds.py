@@ -46,7 +46,9 @@ class BoundParams:
         object.__setattr__(self, "alpha", Fraction(alpha))
         object.__setattr__(self, "beta", Fraction(beta))
         if self.alpha < 0 or self.beta < 0:
-            raise DomainError(f"constants must be nonnegative: {self}")
+            raise DomainError(
+                f"constants must be nonnegative, got alpha={self.alpha}, beta={self.beta}"
+            )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -137,7 +137,11 @@ def render(payload, fmt: str) -> str:
     it, aligned text, or one CSV row per scalar or list of scalars, keyed
     by its dotted path."""
     if fmt == "json":
-        from json.encoder import encode_basestring_ascii
+        # the C function json.encoder re-exports, without loading json
+        try:
+            from _json import encode_basestring_ascii
+        except ImportError:
+            from json.encoder import encode_basestring_ascii
 
         out: list[str] = []
         _json(payload, "", out, encode_basestring_ascii)
@@ -362,16 +366,63 @@ def _apply_config(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
+def _read_plain(parser: _Parser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace parser.parse_known_args(argv) returns with no extras,
+    read straight off the parser's actions, where argv is plain: each
+    token an exact option string, each store option followed by a value
+    that does not start with "-" (argparse has its own rules for negative
+    numbers there) and that passes its type and choices, and every
+    required flag given.  None for any other argv, which argparse then
+    parses itself, so it alone prints help and usage errors."""
+    given = {}
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            action = parser._option_string_actions.get(token)
+            if type(action) is argparse._StoreTrueAction:
+                given[action] = True
+            elif type(action) is argparse._StoreAction and action.nargs is None:
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+                value = text if action.type is None else action.type(text)
+                if action.choices is not None and value not in action.choices:
+                    return None
+                given[action] = value
+            else:
+                return None
+        args = argparse.Namespace()
+        for action in parser._actions:
+            if action in given:
+                value = given[action]
+            elif action.required:
+                return None
+            elif action.default is argparse.SUPPRESS:
+                continue
+            elif isinstance(action.default, str) and action.type is not None:
+                value = action.type(action.default)
+            else:
+                value = action.default
+            setattr(args, action.dest, value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv as parsed by the full parser, which hands everything after
     the subcommand name to that subcommand's parser and refuses what it
     leaves over.  An argv that starts with a name goes straight to that
-    parser, so it is parsed once; the rest (help, no or an unknown name,
-    a leading flag) goes through the full parser."""
+    parser: a plain one (`_read_plain`) is read off its actions without
+    a parse, any other is parsed once.  The rest (help, no or an unknown
+    name, a leading flag) goes through the full parser."""
     if argv and argv[0] in SUBCOMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-        if extras:
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        parser = build_parser(argv[0])
+        args = _read_plain(parser, argv[1:])
+        if args is None:
+            args, extras = parser.parse_known_args(argv[1:])
+            if extras:
+                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
         return args
     parser = build_parser()

@@ -2,11 +2,13 @@
 and the report renderers as first written.
 
 `main` hands an argv that starts with a subcommand name straight to that
-subcommand's own parser, so argparse parses it once.  The full parser,
+subcommand's own parser: a plain one (exact `--flag value` tokens) is
+read off that parser's actions by `cli._read_plain` without a parse, and
+any other is parsed once by argparse.  The full parser,
 `build_parser()`, scans the argv at the top and then passes everything
 after the name to the subcommand's parser, which parses it again;
-`parse_twice` is that route.  The tests run `main` both ways and compare
-the exit code, stdout and stderr.
+`parse_twice` is that route, argparse alone.  The tests run `main` both
+ways and compare the exit code, stdout and stderr.
 
 `render_text` and `flatten` are the recursive text and CSV walks that
 `cli.render` once made, each returning its lines or rows; the render
@@ -39,18 +41,18 @@ def parsed_twice():
 
 
 @contextmanager
-def parse_args_calls():
-    """Within the block, the prog of every parser whose parse_args runs,
-    in order: "fistab" for the top of a parser, "fistab <name>" for a
-    subcommand's own."""
+def parse_args_calls(method: str = "parse_args"):
+    """Within the block, the prog of every parser whose `method` (of
+    `cli._Parser`) runs, in order: "fistab" for the top of a parser,
+    "fistab <name>" for a subcommand's own."""
     progs = []
-    parse_args = cli._Parser.parse_args
+    parse = getattr(cli._Parser, method)
 
     def recorded(parser, *args, **kwargs):
         progs.append(parser.prog)
-        return parse_args(parser, *args, **kwargs)
+        return parse(parser, *args, **kwargs)
 
-    with mock.patch.object(cli._Parser, "parse_args", recorded):
+    with mock.patch.object(cli._Parser, method, recorded):
         yield progs
 
 

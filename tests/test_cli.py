@@ -351,6 +351,13 @@ def test_domain_error_exits_1(capsys):
     assert "nonnegative" in err
 
 
+def test_negative_bound_constants_name_their_values(capsys):
+    code, out, err = run(capsys, "bounds", "--alpha", "-1", "--beta", "1", "--i", "2")
+    assert (code, out) == (1, "")
+    assert err == "fistab: constants must be nonnegative, got alpha=-1, beta=1\n"
+    assert "Fraction(" not in err and "BoundParams(" not in err
+
+
 def test_inline_table_and_input_are_refused_together(capsys, monkeypatch, tmp_path):
     # an inline table never silently wins over --input: both at once, like
     # neither, is refused before any file is read or any budget priced

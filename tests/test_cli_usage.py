@@ -7,6 +7,9 @@ followed by a stray argument.  The usage errors are compared as text;
 a help screen is compared by the sha256 of its stdout.  Lines wrap at
 COLUMNS=80.  These calls, and the valid call of every subcommand, give
 the same bytes when the full parser parses them (`cli_oracle.parse_twice`).
+A valid call is read off its subcommand's actions (`cli._read_plain`)
+without argparse's parse, and a property test compares that reader with
+`parse_known_args` on argv drawn from each subcommand's own flags.
 A deliberate change of the help screens updates the table; print the
 current digests with
 
@@ -20,8 +23,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from cli_oracle import parse_args_calls, parsed_twice
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fistab.cli import SUBCOMMANDS, main
+from fistab.cli import SUBCOMMANDS, _read_plain, build_parser, main
 
 USAGE = (
     "usage: fistab [-h]\n"
@@ -125,7 +130,8 @@ def test_help_bytes(argv):
     assert (code, err, _digest(out)) == (0, "", HELP[argv])
 
 
-ROUTED = [(sub, *argv) for sub, argv in VALID.items()] + list(ERRORS) + list(HELP)
+PLAIN = [(sub, *argv) for sub, argv in VALID.items()]
+ROUTED = PLAIN + list(ERRORS) + list(HELP)
 
 
 @pytest.mark.parametrize("argv", ROUTED, ids=lambda argv: " ".join(argv) or "(none)")
@@ -139,6 +145,83 @@ def test_one_parse_matches_the_old_route(argv):
         assert "fistab" not in progs
     else:
         assert progs == ["fistab"]
+
+
+@pytest.mark.parametrize("argv", ROUTED, ids=lambda argv: " ".join(argv) or "(none)")
+def test_a_plain_argv_runs_no_parse(argv):
+    # a valid call is read off its subcommand's actions; argparse parses
+    # every usage error and help request itself
+    with parse_args_calls("parse_known_args") as progs:
+        _run(argv)
+    if argv in PLAIN:
+        assert progs == []
+    else:
+        assert progs
+
+
+# tokens the reader leaves to argparse, and values of every kind: negative,
+# empty or leading "-", bad ints, fractions and choices next to good ones
+ODD_TOKENS = st.sampled_from(("-h", "--help", "--", "-", "stray", "", "--i=2", "--format=json"))
+VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from((
+        "", "-", "-x", "-1/2", " -1", "- 1", "--", "-h", "1/0", "2/0", "x", "1/x", "1/2",
+        "1.5", "2+1", "1+1+1", "1,2", "moduli", "nope", "json", "xml", "{}", "[]",
+    )),
+)
+
+
+@st.composite
+def subcommand_argv(draw):
+    """(name, argv after the name): the pairs of the name's valid call,
+    some dropped, among flags drawn from its own option strings, each
+    exact, cut short or joined to its value by "=", with or without a
+    value, and odd tokens."""
+    name = draw(st.sampled_from(tuple(SUBCOMMANDS)))
+    valid = VALID[name]
+    pieces = [valid[i : i + 2] for i in range(0, len(valid), 2) if draw(st.integers(0, 9))]
+    option = st.sampled_from(sorted(build_parser(name)._option_string_actions))
+    piece = st.one_of(
+        st.tuples(option, VALUES).map(list),
+        option.map(lambda o: [o]),
+        st.tuples(option, st.integers(1, 4)).map(lambda oc: [oc[0][: -oc[1]]]),
+        st.tuples(option, VALUES).map(lambda ov: ["=".join(ov)]),
+        ODD_TOKENS.map(lambda t: [t]),
+    )
+    pieces += draw(st.lists(piece, max_size=3))
+    return name, [token for p in draw(st.permutations(pieces)) for token in p]
+
+
+def _parsed(name, argv):
+    # argparse's namespace and extras, or its exit code
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return build_parser(name).parse_known_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_the_reader_agrees_with_argparse():
+    # the reader's namespace is argparse's wherever it gives one; it
+    # gives one for every valid call, so the fast path cannot go dead
+    for name, argv in VALID.items():
+        args = _read_plain(build_parser(name), argv)
+        assert args is not None, name
+        assert _parsed(name, argv) == (args, []), name
+    outcomes = set()
+
+    @settings(max_examples=600, derandomize=True, database=None)
+    @given(request=subcommand_argv())
+    def check(request):
+        name, argv = request
+        args = _read_plain(build_parser(name), argv)
+        outcomes.add(args is None)
+        if args is not None:
+            parsed = _parsed(name, argv)
+            assert parsed == (args, []), (name, argv, parsed)
+
+    check()
+    assert outcomes == {True, False}
 
 
 if __name__ == "__main__":

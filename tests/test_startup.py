@@ -97,8 +97,9 @@ def test_kunneth_and_wreath_scan_load_only_their_layers():
     for runs in ([KUNNETH], [WREATH], [KUNNETH, WREATH]):
         loaded = _loaded_after(*runs)
         assert "fistab.induction" in loaded, runs
-        # json only for a JSON report, and kunneth's --format is json by default
-        assert not {*UNUSED_LAYERS, *WATCHED} - {"json"} & set(loaded), (runs, loaded)
+        # json only to read JSON input, which neither takes: a JSON report,
+        # kunneth's default format, is written without it
+        assert not {*UNUSED_LAYERS, *WATCHED} & set(loaded), (runs, loaded)
     assert _handlers(_loaded_after(KUNNETH)) == ["fistab.commands.kunneth"]
 
 
@@ -116,10 +117,18 @@ def test_os_scan_loads_neither_bounds_nor_dataclasses():
 def test_a_text_os_scan_loads_only_its_own_code():
     # a window of 2k + 1 levels: integer characters and averages, so no
     # fractions (nor decimal, which fractions imports); json is loaded only
-    # to read or write JSON; os_model reads the Pieri sums off characters
+    # to read JSON input; os_model reads the Pieri sums off characters
     loaded = _loaded_after([*OS_SCAN, "--format", "text"])
     assert not {"fractions", "decimal", "json", "fistab.induction"} & set(loaded), loaded
     assert _handlers(loaded) == ["fistab.commands.os_scan"]
+
+
+def test_a_json_report_loads_no_json():
+    # the report's strings are quoted by the C encoder json.encoder
+    # re-exports, taken without the json package
+    for argv in (OS_SCAN, OS_SCAN_SHORT, KUNNETH):
+        loaded = _loaded_after([*argv, "--format", "json"])
+        assert "json" not in loaded, (argv, loaded)
 
 
 def test_a_short_text_os_scan_fits_in_integers():
