@@ -7,6 +7,12 @@ through later pages to the abutment, exactly, with a final ceiling to
 integer degree bounds.  Negative intermediate values are clamped to zero
 since degrees are nonnegative by definition.
 
+The arithmetic is on integers: BoundParams holds alpha and beta as
+integer numerators a and b over one common denominator d, so a bound
+such as alpha*p + beta*q is the int a*p + b*q over d, and its ceiling one
+floor division, -(-x // d).  Fraction is used only to read alpha and beta
+and to print them.
+
 Every bound is the page-entry bound of page_stability.  The filtration
 quotient at p_filt in total degree i has frozen by page i + 2, where it is
 the entry (p_filt, i - p_filt).  With 2*alpha <= beta both of its bounds
@@ -16,9 +22,9 @@ quotient at p_filt = 0 is the worst one and bounds the abutment.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -38,17 +44,21 @@ class StabilityType(NamedTuple):
 class BoundParams:
     """The page-level constants: injectivity degree <= beta*q and
     surjectivity degree <= alpha*p + beta*q on the starting page.
-    Immutable; equal and hashed by (alpha, beta)."""
+    Immutable; equal and hashed by (alpha, beta).  The bounds read the
+    integers _a, _b and _d: alpha = _a/_d and beta = _b/_d."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ("alpha", "beta", "_a", "_b", "_d")
 
     def __init__(self, alpha, beta):
-        object.__setattr__(self, "alpha", Fraction(alpha))
-        object.__setattr__(self, "beta", Fraction(beta))
-        if self.alpha < 0 or self.beta < 0:
-            raise DomainError(
-                f"constants must be nonnegative, got alpha={self.alpha}, beta={self.beta}"
-            )
+        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+        beta = beta if type(beta) is Fraction else Fraction(beta)
+        if alpha.numerator < 0 or beta.numerator < 0:
+            raise DomainError(f"constants must be nonnegative, got alpha={alpha}, beta={beta}")
+        d = lcm(alpha.denominator, beta.denominator)
+        a = alpha.numerator * (d // alpha.denominator)
+        b = beta.numerator * (d // beta.denominator)
+        for name, value in (("alpha", alpha), ("beta", beta), ("_a", a), ("_b", b), ("_d", d)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,7 +79,7 @@ class BoundParams:
 
     def require_ratio(self) -> None:
         # The page-propagation argument needs 2*alpha <= beta.
-        if 2 * self.alpha > self.beta:
+        if 2 * self._a > self._b:
             raise DomainError(
                 f"page propagation requires 2*alpha <= beta, got "
                 f"alpha={self.alpha}, beta={self.beta}"
@@ -77,21 +87,19 @@ class BoundParams:
 
     def require_weak_ratio(self) -> None:
         # The generation-degree variant only needs alpha <= beta.
-        if self.alpha > self.beta:
+        if self._a > self._b:
             raise DomainError(
                 f"generation-degree bound requires alpha <= beta, got "
                 f"alpha={self.alpha}, beta={self.beta}"
             )
 
 
-def _clamp_ceil(x) -> int:
-    return max(0, math.ceil(x))
-
-
 def _entry_bound(params: BoundParams, p: int, q: int, r: int) -> StabilityType:
-    a, b = params.alpha, params.beta
+    # the bounds over the denominator d, each ceiling -(-x // d), then clamped
+    a, b, d = params._a, params._b, params._d
     surj = a * p + b * q
-    return StabilityType(_clamp_ceil(surj + (b - a) * r + (a - 2 * b)), _clamp_ceil(surj))
+    inj = surj + (b - a) * r + (a - 2 * b)
+    return StabilityType(max(0, -(-inj // d)), max(0, -(-surj // d)))
 
 
 def page_stability(params: BoundParams, pq: tuple[int, int], r: int) -> StabilityType:
@@ -141,7 +149,7 @@ def fisharp_degree(params: BoundParams, i: int) -> int:
     params.require_weak_ratio()
     if i < 0:
         raise DomainError(f"cohomological degree must be nonnegative, got {i}")
-    return _clamp_ceil(params.beta * i)
+    return max(0, -(-params._b * i // params._d))
 
 
 # ---------------------------------------------------------------------------

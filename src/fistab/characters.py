@@ -131,9 +131,8 @@ class ClassFunction:
             partitions(self.n)  # refuses a negative n
         # count the classes before enumerating them: a table of the wrong
         # size is refused without building p(n) partitions
-        if (
-            partition_count(self.n, cap=len(vals)) != len(vals)
-            or set(vals) != set(partitions(self.n))
+        if partition_count(self.n, cap=len(vals)) != len(vals) or not all(
+            map(vals.__contains__, partitions(self.n))
         ):
             # the message counts the classes only up to a cap: the exact
             # p(n) of a large n costs seconds and has hundreds of digits
@@ -219,17 +218,26 @@ def exact_obj(v):
     return p if q == 1 else f"{p}/{q}"
 
 
-def unique_keys(triples, what: str) -> dict:
-    """{key: value} from (raw key, key, value) triples, refusing two raw
-    keys that read as one key ("1+2" and "2+1", or "2" and "02"): with a
-    plain dict the last value would silently win."""
-    table, raw_of = {}, {}
-    for raw, key, value in triples:
+def unique_keys(triples: list, what: str) -> dict:
+    """{key: value} from a list of (raw key, key, value) triples, refusing
+    two raw keys that read as one key ("1+2" and "2+1", or "2" and "02"):
+    with a plain dict the last value would silently win.  The dict is
+    built first; only one that came out short is walked key by key."""
+    table = {key: value for _, key, value in triples}
+    if len(table) < len(triples):
+        _refuse_first(triples, what)
+    return table
+
+
+def _refuse_first(triples, what: str) -> None:
+    # the first raw key that reads as an earlier one, walking (raw key,
+    # key, value) triples in order as they are made, so a triple that
+    # cannot be made raises only if no repeat comes before it
+    raw_of = {}
+    for raw, key, _ in triples:
         if key in raw_of:
             raise DomainError(f"{what} gives one key twice: {raw_of[key]!r} and {raw!r}")
         raw_of[key] = raw
-        table[key] = value
-    return table
 
 
 def _parse_table(mapping, what: str) -> dict:
@@ -237,9 +245,15 @@ def _parse_table(mapping, what: str) -> dict:
         raise DomainError(
             f"a {what} must be a {{partition: value}} table, not {type(mapping).__name__}"
         )
-    return unique_keys(
-        ((k, parse_partition(k), parse_exact(v)) for k, v in mapping.items()), what
-    )
+    try:
+        table = {parse_partition(k): parse_exact(v) for k, v in mapping.items()}
+    except DomainError:
+        table = {}
+    if len(table) < len(mapping):
+        # a bad or a repeated key: read again one entry at a time, so
+        # the first fault is the one refused
+        _refuse_first(((k, parse_partition(k), parse_exact(v)) for k, v in mapping.items()), what)
+    return table
 
 
 def parse_exact(v):

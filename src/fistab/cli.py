@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 from functools import lru_cache
 from importlib import import_module
@@ -162,10 +163,15 @@ def render(payload, fmt: str) -> str:
     raise DomainError(f"unknown format {fmt!r}")
 
 
+def _digit_cap() -> int:
+    # the interpreter's cap on int-to-str conversion (CPython 3.10.7+), 0 for none
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 def _emit(payload, args) -> None:
-    # a reported integer may have any number of digits; the interpreter's
-    # cap on int-to-str conversion (CPython 3.10.7+) is meant for parsed input
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # a reported integer may have any number of digits; the cap is meant
+    # for parsed input
+    cap = _digit_cap()
     if cap:
         sys.set_int_max_str_digits(0)
     try:
@@ -180,15 +186,44 @@ def _emit(payload, args) -> None:
         sys.stdout.write(report)
 
 
+# the exponent of a decimal literal, as Fraction's grammar writes it; a
+# pattern string, compiled on first use (re caches it), so that only a
+# process that reads a fraction compiles it
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
+
+
 def _fraction(text: str):
-    # argparse turns only TypeError/ValueError into a usage error, and
-    # Fraction("1/0") raises ZeroDivisionError
+    """text as a Fraction, or argparse's usage error: for a literal that
+    Fraction refuses, and for one whose numerator or denominator in lowest
+    terms has more digits than the interpreter's int-to-str cap, as it
+    could not be printed.  Fraction expands an exponent into a power of
+    ten, seconds for a long one, so a literal whose exponent is over three
+    caps is judged from its text: its mantissa has at most two caps of
+    digits (int() refuses more), so it is zero or over the cap, and the
+    mantissa read with exponent 0 tells which."""
     from fractions import Fraction
 
+    cap = _digit_cap()
+    exp = re.search(_EXPONENT, text) if cap else None
+    # argparse turns only TypeError/ValueError into a usage error, and
+    # Fraction("1/0") raises ZeroDivisionError
     try:
-        return Fraction(text)
+        if exp and abs(int(exp[1])) > 3 * cap:
+            value = Fraction(text[: exp.start(1)] + "0")
+            over = value != 0
+        else:
+            value = Fraction(text)
+            top = max(abs(value.numerator), value.denominator)
+            # more than 3 * cap bits first: 8**cap < 10**cap
+            over = cap and top.bit_length() > 3 * cap and top >= 10**cap
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+    if over:
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r} (its numerator or denominator "
+            f"has more than {cap} digits)"
+        )
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -287,9 +322,15 @@ SUBCOMMANDS = {
 
 def _handler(module: str):
     # runs fistab.commands.<module>, imported on its first call, so a
-    # process compiles the handler of its own subcommand alone
+    # process compiles the handler of its own subcommand alone; later
+    # calls reuse the run that call found
+    run = None
+
     def handler(args):
-        return import_module(f"{__package__}.commands.{module}").run(args)
+        nonlocal run
+        if run is None:
+            run = import_module(f"{__package__}.commands.{module}").run
+        return run(args)
 
     handler.__name__ = handler.__qualname__ = f"cmd_{module}"
     return handler

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import lru_cache
 from operator import mul
 
 from ..characters import unique_keys
@@ -35,8 +36,19 @@ def _read_text(path: str) -> str:
             raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _unique_object(pairs) -> dict:
-    return unique_keys(((k, k, v) for k, v in pairs), "JSON object")
+def _unique_object(pairs: list) -> dict:
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        unique_keys([(k, k, v) for k, v in pairs], "JSON object")  # refuses the first repeat
+    return table
+
+
+@lru_cache(maxsize=None)
+def _json_decoder():
+    # json.loads(text, object_pairs_hook=...) builds a decoder per call
+    import json
+
+    return json.JSONDecoder(object_pairs_hook=_unique_object)
 
 
 def _load_json(args, inline_attr: str):
@@ -51,7 +63,9 @@ def _load_json(args, inline_attr: str):
     import json
 
     try:
-        return json.loads(text, object_pairs_hook=_unique_object)
+        if text.startswith("\ufeff"):
+            json.loads(text)  # refuses a leading byte-order mark, which decode() reads as bad JSON
+        return _json_decoder().decode(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON input: {exc}") from exc
     except RecursionError:

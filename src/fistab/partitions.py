@@ -8,6 +8,7 @@ computed on demand.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import comb, factorial
 
@@ -27,20 +28,28 @@ def check_partition(parts) -> Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse a '3+2+1' style partition string; '' and '()' both denote the
-    empty partition."""
-    if text.strip() in ("", "()"):
-        return ()
+    """Parse a '3+2+1' style partition string, in any order; '' and '()'
+    both denote the empty partition, and empty parts ('3++1') are skipped.
+    The parts are read, sorted and checked in one pass, as check_partition
+    would check them."""
     try:
-        parts = [int(s) for s in text.split("+") if s.strip() != ""]
-    except ValueError as exc:
-        raise DomainError(f"bad partition string {text!r}") from exc
-    parts.sort(reverse=True)
-    return check_partition(parts)
+        parts = sorted(map(int, text.split("+")), reverse=True)
+    except ValueError:
+        # a blank part or a bad one
+        if text.strip() in ("", "()"):
+            return ()
+        try:
+            parts = sorted((int(s) for s in text.split("+") if s.strip()), reverse=True)
+        except ValueError as exc:
+            raise DomainError(f"bad partition string {text!r}") from exc
+    p = tuple(parts)
+    if p and p[-1] <= 0:
+        raise DomainError(f"partition parts must be positive: {p!r}")
+    return p
 
 
 def format_partition(p: Partition) -> str:
-    return "+".join(str(x) for x in p)
+    return "+".join(map(str, p))
 
 
 def pad(lam: Partition, n: int) -> Partition:
@@ -112,6 +121,11 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(sorted(gen(n, n)))
 
 
+# p(0), p(1), ... as far as any call has needed them: a tuple, replaced
+# whole when it grows, so a reader never sees it half extended
+_COUNTS = (1,)
+
+
 def partition_counts(n: int, cap: int | None = None) -> list[int]:
     """[p(0), p(1), ..., p(n)], the numbers of partitions (the numbers of
     conjugacy classes of S_m), by Euler's pentagonal number recurrence
@@ -119,21 +133,33 @@ def partition_counts(n: int, cap: int | None = None) -> list[int]:
         p(m) = sum_{j >= 1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)).
 
     With a cap, the list ends at the first m <= n with p(m) > cap; p is
-    nondecreasing, so every later count is above the cap too.
+    nondecreasing, so every later count is above the cap too.  p(0) is
+    always listed and never compared with the cap.  The counts are
+    computed once per process and extended as far as a call needs them,
+    which with a cap is no further than the first count past it.
     """
-    p = [1] if n >= 0 else []
-    for m in range(1, n + 1):
-        total, j = 0, 1
-        while j * (3 * j - 1) // 2 <= m:
-            term = p[m - j * (3 * j - 1) // 2]
-            if j * (3 * j + 1) // 2 <= m:
-                term += p[m - j * (3 * j + 1) // 2]
-            total += term if j % 2 else -term
-            j += 1
-        p.append(total)
-        if cap is not None and total > cap:
-            break
-    return p
+    global _COUNTS
+    if n < 0:
+        return []
+    p = _COUNTS
+    # the first m >= 1 with p(m) > cap among the counts known so far
+    stop = n if cap is None else min(n, bisect_right(p, cap, 1))
+    if stop >= len(p):
+        p = list(p)
+        for m in range(len(p), n + 1):
+            total, j = 0, 1
+            while j * (3 * j - 1) // 2 <= m:
+                term = p[m - j * (3 * j - 1) // 2]
+                if j * (3 * j + 1) // 2 <= m:
+                    term += p[m - j * (3 * j + 1) // 2]
+                total += term if j % 2 else -term
+                j += 1
+            p.append(total)
+            if cap is not None and total > cap:
+                break
+        stop = len(p) - 1
+        _COUNTS = p = tuple(p)
+    return list(p[: stop + 1])
 
 
 def partition_count(n: int, cap: int | None = None) -> int:

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from fistab.bounds import (
     TABLE1_ROWS,
@@ -207,3 +210,84 @@ def test_table1_unknown_row():
         table1_row("mystery", 1)
     with pytest.raises(DomainError):
         table1_row("moduli", -1)
+
+
+# ---------------------------------------------------------------------------
+# The bounds work on integer numerators over a common denominator.  The
+# Fraction formulas they replaced are the oracle: every bound and every
+# refusal must agree with them exactly.
+
+
+def _ceil0(x) -> int:
+    return max(0, math.ceil(x))
+
+
+def _entry(alpha, beta, p, q, r) -> StabilityType:
+    surj = alpha * p + beta * q
+    return StabilityType(_ceil0(surj + (beta - alpha) * r + (alpha - 2 * beta)), _ceil0(surj))
+
+
+def _refusal(call) -> str:
+    with pytest.raises(DomainError) as exc:
+        call()
+    return str(exc.value)
+
+
+CONSTANTS = strategies.fractions(min_value=0, max_value=10**4, max_denominator=10**6)
+DEGREES = strategies.integers(0, 10**4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONSTANTS, CONSTANTS, DEGREES, DEGREES, strategies.integers(3, 10**4), DEGREES)
+def test_integer_bounds_agree_with_the_fraction_formulas(alpha, beta, p, q, r, i):
+    # beta as drawn, and beta + 2*alpha, which meets the page ratio
+    for beta in (beta, beta + 2 * alpha):
+        params = BoundParams(alpha, beta)
+        assert (params.alpha, params.beta) == (alpha, beta)
+        assert Fraction(params._a, params._d) == alpha and Fraction(params._b, params._d) == beta
+        if 2 * alpha <= beta:
+            assert page_stability(params, (p, q), r) == _entry(alpha, beta, p, q, r)
+            assert abutment_stability(params, i) == _entry(alpha, beta, 0, i, i + 2)
+            assert abutment_stability(params, i, degenerates_at=r) == _entry(alpha, beta, 0, i, r)
+        else:
+            want = f"page propagation requires 2*alpha <= beta, got alpha={alpha}, beta={beta}"
+            assert _refusal(lambda: page_stability(params, (p, q), r)) == want
+            assert _refusal(lambda: abutment_stability(params, i)) == want
+        p_filt = min(p, i)
+        assert einfty_stability(params, i, p_filt) == _entry(alpha, beta, p_filt, i - p_filt, i + 2)
+        if alpha <= beta:
+            assert fisharp_degree(params, i) == _ceil0(beta * i)
+        else:
+            assert _refusal(lambda: fisharp_degree(params, i)) == (
+                f"generation-degree bound requires alpha <= beta, got alpha={alpha}, beta={beta}"
+            )
+
+
+# row -> (N per degree, weight per degree, alpha, beta, bound): "fisharp",
+# or the abutment bound at the degeneration page (None: page i + 2)
+TABLE1_ORACLE = {
+    "config_surface_closed": (5, 2, 1, 2, 3),
+    "config_surface_boundary": (4, 2, 1, 2, "fisharp"),
+    "config_surface_open": (5, 2, 1, 2, None),
+    "moduli": (6, 2, 0, 2, None),
+    "pmod_surface_boundary": (4, 2, 0, 2, "fisharp"),
+    "pmod_highdim": (3, 1, 0, 1, None),
+    "pmod_highdim_boundary": (2, 1, 0, 1, "fisharp"),
+    "bpdiff": (3, 1, 0, 1, None),
+}
+
+
+def test_table1_rows_agree_with_the_fraction_formulas():
+    assert tuple(TABLE1_ORACLE) == TABLE1_ROWS
+    for row, (n_per_degree, weight_per_degree, alpha, beta, bound) in TABLE1_ORACLE.items():
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        for i in range(51):
+            if bound == "fisharp":
+                stype = StabilityType(0, _ceil0(beta * i))
+            else:
+                stype = _entry(alpha, beta, 0, i, bound or i + 2)
+            weight = weight_per_degree * i
+            assert table1_row(row, i) == (
+                row, i, n_per_degree * i, weight + 1, weight, weight, stype,
+                weight + max(stype),
+            ), (row, i)

@@ -19,7 +19,11 @@ current digests with
 import hashlib
 import io
 import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from cli_oracle import parse_args_calls, parsed_twice
@@ -222,6 +226,69 @@ def test_the_reader_agrees_with_argparse():
 
     check()
     assert outcomes == {True, False}
+
+
+# Fraction literals whose numerator or denominator has more digits than the
+# interpreter's int-to-str cap (4300 by default): once a traceback from
+# printing them, or seconds spent expanding the exponent
+OVER_CAP = ("1e-10000", "1e4400", "1.5e-13000", "1e-10000000", "2E+99999999")
+
+
+@pytest.mark.parametrize("alpha", OVER_CAP)
+def test_a_fraction_past_the_digit_cap_is_a_usage_error(alpha):
+    code, out, err = _run(["bounds", "--alpha", alpha, "--beta", "1", "--i", "1"])
+    assert (code, out) == (64, "")
+    assert err.startswith("usage: fistab bounds")
+    assert err.splitlines()[-1] == (
+        f"fistab bounds: error: argument --alpha: invalid Fraction value: {alpha!r} "
+        f"(its numerator or denominator has more than {sys.get_int_max_str_digits()} digits)"
+    )
+
+
+def test_a_fraction_at_the_digit_cap_still_runs():
+    cap = sys.get_int_max_str_digits()
+    # 10^(cap-1) has cap digits; 5e-cap is 1/(2 * 10^(cap-1)) in lowest terms
+    code, out, err = _run(["bounds", "--alpha", "0", "--beta", f"1e{cap - 1}", "--i", "0"])
+    assert (code, err) == (0, "")
+    assert f'"beta": "1{"0" * (cap - 1)}"' in out
+    code, out, err = _run(["bounds", "--alpha", f"5e-{cap}", "--beta", "1", "--i", "1"])
+    assert (code, err) == (0, "")
+    assert f'"alpha": "1/2{"0" * (cap - 1)}"' in out
+    # a zero mantissa is zero under any exponent
+    code, out, err = _run(["bounds", "--alpha", "0.0e-10000000", "--beta", "1", "--i", "1"])
+    assert (code, err) == (0, "")
+    assert '"alpha": "0"' in out
+    for bad in ("1/2e99999", "xe99999", "1e99999x", "1/0"):
+        code, out, err = _run(["bounds", "--alpha", bad, "--beta", "1", "--i", "1"])
+        assert (code, out) == (64, "")
+        assert err.endswith(f"invalid Fraction value: {bad!r}\n")
+
+
+def test_without_a_digit_cap_every_fraction_is_read():
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = _run(["bounds", "--alpha", "0", "--beta", "1e4400", "--i", "0"])
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert (code, err) == (0, "")
+    assert f'"beta": "1{"0" * 4400}"' in out
+
+
+def test_a_long_exponent_is_refused_at_once():
+    # Fraction("1e-10000000") alone takes about 12 s; a fresh process,
+    # interpreter start included, refuses it in well under a second
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = ["bounds", "--alpha", "1e-10000000", "--beta", "1", "--i", "1"]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fistab.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert "has more than" in proc.stderr.splitlines()[-1]
+    assert elapsed < 1.0, elapsed
 
 
 if __name__ == "__main__":

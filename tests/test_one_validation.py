@@ -24,22 +24,33 @@ PARTITIONS = importlib.import_module("fistab.partitions")  # fistab.partitions i
 
 @contextmanager
 def check_partition_calls():
-    """Within the block, the argument of every check_partition call."""
+    """Within the block, every partition checked: the argument of each
+    check_partition call, and the parts of each parse_partition call,
+    which reads and checks them in one pass."""
     calls = []
-    check_partition = PARTITIONS.check_partition
+    check_partition, parse_partition = PARTITIONS.check_partition, PARTITIONS.parse_partition
 
     def counted(parts):
         calls.append(parts)
         return check_partition(parts)
 
-    modules = [
-        module for name, module in sorted(sys.modules.items())
-        if name.startswith("fistab.") and getattr(module, "check_partition", None) is check_partition
-    ]
-    assert {PARTITIONS, characters, fi_analysis, induction} <= set(modules)
+    def counted_parse(text):
+        parts = parse_partition(text)
+        calls.append(list(parts))
+        return parts
+
+    patches = []
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("fistab."):
+            if getattr(module, "check_partition", None) is check_partition:
+                patches.append((module, "check_partition", counted))
+            if getattr(module, "parse_partition", None) is parse_partition:
+                patches.append((module, "parse_partition", counted_parse))
+    modules = {module for module, _, _ in patches}
+    assert {PARTITIONS, characters, fi_analysis, induction} <= modules
     with ExitStack() as stack:
-        for module in modules:
-            stack.enter_context(mock.patch.object(module, "check_partition", counted))
+        for module, attr, fake in patches:
+            stack.enter_context(mock.patch.object(module, attr, fake))
         yield calls
 
 
@@ -74,7 +85,7 @@ def test_decompose_of_a_table_built_character_checks_no_partition():
 
 
 def test_input_tables_are_checked_once():
-    # parse_partition checks each key; the constructor does not again
+    # parse_partition checks each key, and nothing checks it again
     values = {"1+1+1": 3, "2+1": 1, "3": 0}
     with check_partition_calls() as calls:
         f = ClassFunction.from_mapping(3, values)

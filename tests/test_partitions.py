@@ -1,9 +1,12 @@
+import importlib
 import itertools
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fistab.commands import WORK_BUDGET
 from fistab.errors import DomainError
 from fistab.partitions import (
     binomial,
@@ -55,6 +58,46 @@ def test_partition_count_by_pentagonal_recurrence():
     assert partition_counts(25) == [len(partitions(n)) for n in range(26)]
     assert partition_counts(-1) == []
     assert partition_counts(10**12, cap=10) == [1, 1, 2, 3, 5, 7, 11]
+
+
+def _recurrence(n, cap=None):
+    # partition_counts as it was before the counts were kept: the whole
+    # recurrence on every call
+    p = [1] if n >= 0 else []
+    for m in range(1, n + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            term = p[m - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= m:
+                term += p[m - j * (3 * j + 1) // 2]
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+        if cap is not None and total > cap:
+            break
+    return p
+
+
+def test_partition_counts_are_kept_and_agree_with_the_recurrence(monkeypatch):
+    # from a process that has counted nothing yet, in shuffled order, so
+    # the kept counts are read, extended and stopped at caps in any order
+    monkeypatch.setattr(importlib.import_module("fistab.partitions"), "_COUNTS", (1,))
+    caps = (None, 0, 1, 2, 10**9, WORK_BUDGET)
+    calls = [(n, cap) for n in range(301) for cap in caps]
+    random.Random(29).shuffle(calls)
+    for n, cap in calls[: len(calls) // 2]:
+        assert partition_counts(n, cap) == _recurrence(n, cap), (n, cap)
+    # p(0) is always listed and never compared with the cap
+    assert partition_counts(5, cap=0) == [1, 1] and partition_counts(0, cap=0) == [1]
+    assert partition_counts(-1) == [] and partition_counts(-4, cap=3) == []
+    huge = partition_counts(10**9, cap=WORK_BUDGET)
+    assert huge == _recurrence(10**9, cap=WORK_BUDGET)
+    assert huge[-2] <= WORK_BUDGET < huge[-1]
+    for n, cap in calls[len(calls) // 2 :]:
+        assert partition_counts(n, cap) == _recurrence(n, cap), (n, cap)
+    # each call gets a list of its own
+    partition_counts(5).append(0)
+    assert partition_counts(5) == [1, 1, 2, 3, 5, 7]
 
 
 def test_partitions_are_sorted_lexicographically():
