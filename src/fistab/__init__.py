@@ -89,22 +89,8 @@ _EXPORTS = {
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("bounds", "characters", "fi_analysis", "induction", "linalg", "os_model")
 
-__all__ = sorted(
-    [
-        "ConsistencyError",
-        "DomainError",
-        "Partition",
-        "class_size",
-        "dimension",
-        "errors",
-        "format_partition",
-        "pad",
-        "parse_partition",
-        "partitions",
-        *_SOURCE,
-        *_SUBMODULES,
-    ]
-)
+# the names bound above, and those imported on first use
+__all__ = sorted({*(name for name in globals() if name[0] != "_"), *_SOURCE, *_SUBMODULES})
 
 
 def __getattr__(name: str):

@@ -14,8 +14,9 @@ threads.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
-from math import factorial
+from math import factorial, log10
 from operator import mul
 
 from .errors import ConsistencyError, DomainError
@@ -109,10 +110,22 @@ def character_table(n: int) -> dict[Partition, tuple[int, ...]]:
 def as_multiplicity(value, what: str) -> int:
     """value, an int or a Fraction, as a nonnegative int.  Anything else
     means an averaged function was not the character of a representation,
-    an upstream bug, reported as ConsistencyError("<what> <value>")."""
+    an upstream bug, reported as ConsistencyError("<what> <value>"), with
+    a numerator or denominator past the int-to-str cap shown by its
+    number of digits."""
     if value.denominator != 1 or value < 0:
-        raise ConsistencyError(f"{what} {value}")
+        terms = (value.numerator, value.denominator)[: 1 + (value.denominator != 1)]
+        raise ConsistencyError(f"{what} {'/'.join(map(_shown, terms))}")
     return int(value)
+
+
+def _shown(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the int-to-str cap
+        digits = int(log10(abs(n)))  # floor(log10 |n|), or one off near a power of ten
+        digits += (abs(n) >= 10 ** (digits + 1)) - (abs(n) < 10**digits)
+        return f"{'-' * (n < 0)}<{digits + 1} digits>"
 
 
 class ClassFunction:
@@ -246,29 +259,57 @@ def _parse_table(mapping, what: str) -> dict:
             f"a {what} must be a {{partition: value}} table, not {type(mapping).__name__}"
         )
     try:
-        table = {parse_partition(k): parse_exact(v) for k, v in mapping.items()}
+        table = {parse_partition(k): parse_exact(v, k) for k, v in mapping.items()}
     except DomainError:
         table = {}
     if len(table) < len(mapping):
         # a bad or a repeated key: read again one entry at a time, so
         # the first fault is the one refused
-        _refuse_first(((k, parse_partition(k), parse_exact(v)) for k, v in mapping.items()), what)
+        _refuse_first(
+            ((k, parse_partition(k), parse_exact(v, k)) for k, v in mapping.items()), what
+        )
     return table
 
 
-def parse_exact(v):
+def parse_exact(v, key):
+    # the JSON value v, given at key, as an int or a Fraction
     if type(v) is int:
         return v
     if isinstance(v, bool):  # JSON true/false, which Fraction reads as 1/0
         raise DomainError(f"not an exact rational: {v!r}")
-    from fractions import Fraction
-
     try:
-        f = Fraction(v)
+        f = read_exact(v)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         # OverflowError: JSON Infinity and 1e999 read as an infinite float
         raise DomainError(f"not an exact rational: {v!r}") from exc
+    if f is None:
+        raise DomainError(
+            f"the value at {key!r} has a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        )
     return int(f) if f.denominator == 1 else f
+
+
+def read_exact(v):
+    """v, a number or its text, as a Fraction, raising what Fraction
+    raises; None where its numerator or denominator in lowest terms is
+    past the int-to-str cap (0 for none), as it could not be printed.  An
+    exponent over three caps is judged from its text, as Fraction would
+    spend seconds expanding it: the mantissa has at most two caps of
+    digits (int() refuses more), so the value is zero or past the cap."""
+    import re
+    from fractions import Fraction
+
+    cap = sys.get_int_max_str_digits()
+    # the exponent of a decimal literal, as Fraction's grammar writes it
+    exp = cap and isinstance(v, str) and re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", v)
+    if exp and abs(int(exp[1])) > 3 * cap:
+        value = Fraction(v[: exp.start(1)] + "0")  # the mantissa alone
+        return value if value == 0 else None
+    value = Fraction(v)
+    top = max(abs(value.numerator), value.denominator)
+    # more than 3 * cap bits first: 8**cap < 10**cap
+    return None if cap and top.bit_length() > 3 * cap and top >= 10**cap else value
 
 
 @lru_cache(maxsize=None)

@@ -10,22 +10,17 @@ Exit codes: 0 success, 1 domain error, 2 internal-consistency failure,
 
 from __future__ import annotations
 
-import argparse
 import io
-import re
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from importlib import import_module
+from types import SimpleNamespace
 
 from .characters import decompose as decompose  # bound here for the benchmark's tracer
+from .characters import read_exact
 from .commands import WORK_BUDGET, UsageError, _read_text
 from .errors import ConsistencyError, DomainError
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(64, f"{self.prog}: error: {message}\n")
 
 
 def _scalar(v) -> str:
@@ -163,22 +158,15 @@ def render(payload, fmt: str) -> str:
     raise DomainError(f"unknown format {fmt!r}")
 
 
-def _digit_cap() -> int:
-    # the interpreter's cap on int-to-str conversion (CPython 3.10.7+), 0 for none
-    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-
-
 def _emit(payload, args) -> None:
     # a reported integer may have any number of digits; the cap is meant
     # for parsed input
-    cap = _digit_cap()
-    if cap:
-        sys.set_int_max_str_digits(0)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         report = render(payload, args.format)
     finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
+        sys.set_int_max_str_digits(cap)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report)
@@ -186,151 +174,113 @@ def _emit(payload, args) -> None:
         sys.stdout.write(report)
 
 
-# the exponent of a decimal literal, as Fraction's grammar writes it; a
-# pattern string, compiled on first use (re caches it), so that only a
-# process that reads a fraction compiles it
-_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
-
-
 def _fraction(text: str):
-    """text as a Fraction, or argparse's usage error: for a literal that
-    Fraction refuses, and for one whose numerator or denominator in lowest
-    terms has more digits than the interpreter's int-to-str cap, as it
-    could not be printed.  Fraction expands an exponent into a power of
-    ten, seconds for a long one, so a literal whose exponent is over three
-    caps is judged from its text: its mantissa has at most two caps of
-    digits (int() refuses more), so it is zero or over the cap, and the
-    mantissa read with exponent 0 tells which."""
-    from fractions import Fraction
-
-    cap = _digit_cap()
-    exp = re.search(_EXPONENT, text) if cap else None
-    # argparse turns only TypeError/ValueError into a usage error, and
-    # Fraction("1/0") raises ZeroDivisionError
+    """text as a Fraction (`characters.read_exact`), or argparse's usage
+    error, imported on that path alone: argparse turns only TypeError and
+    ValueError into one, and Fraction("1/0") raises ZeroDivisionError."""
     try:
-        if exp and abs(int(exp[1])) > 3 * cap:
-            value = Fraction(text[: exp.start(1)] + "0")
-            over = value != 0
-        else:
-            value = Fraction(text)
-            top = max(abs(value.numerator), value.denominator)
-            # more than 3 * cap bits first: 8**cap < 10**cap
-            over = cap and top.bit_length() > 3 * cap and top >= 10**cap
+        value = read_exact(text)
+        if value is not None:
+            return value
+        cap = sys.get_int_max_str_digits()
+        note = f" (its numerator or denominator has more than {cap} digits)"
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
-    if over:
-        raise argparse.ArgumentTypeError(
-            f"invalid Fraction value: {text!r} (its numerator or denominator "
-            f"has more than {cap} digits)"
-        )
-    return value
+        note = ""
+    import argparse
+
+    raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}{note}")
 
 
 # --------------------------------------------------------------------------
-# parser assembly
+# the flags: each subcommand's are written here alone, and argparse, the
+# plain reader and the tests all read them here
+
+# option string; type of the value, None for a string and bool for a
+# switch, which takes no value; the values it may take, or a function that
+# returns them, so that their module is imported only where they are needed
+Flag = namedtuple(
+    "Flag", "option type required choices default help", defaults=(None, False, None, None, None)
+)
 
 
-def _character_flags(p):
-    p.add_argument("--lam", required=True, help="shape, e.g. 3+2")
-    p.add_argument("--mu", help="cycle type; omit for the whole class function")
-
-
-def _decompose_flags(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--values", help="inline JSON {cycle type: value}")
-    p.add_argument("--input", help="path to the JSON class function")
-
-
-def _m_module_flags(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lam", help="inducing shape, e.g. 2+1")
-    p.add_argument("--regular", type=int, help="induce from the full group algebra of S_m")
-
-
-def _stability_scan_flags(p):
-    p.add_argument("--entries", help="inline JSON sequence of decompositions")
-    p.add_argument("--input", help="path to the JSON sequence")
-
-
-def _fit_charpoly_flags(p):
-    p.add_argument("--entries", help="inline JSON sequence of class functions")
-    p.add_argument("--input", help="path to the JSON sequence")
-    p.add_argument("--degree-bound", type=int, required=True)
-
-
-def _fit_dimpoly_flags(p):
-    p.add_argument("--dims", help="inline JSON {n: dimension}")
-    p.add_argument("--input", help="path to the JSON dimensions")
-    p.add_argument("--degree-bound", type=int, required=True)
-
-
-def _bounds_flags(p):
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--beta", type=_fraction, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--page", type=int, help="page number r >= 3 for entry bounds")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--fisharp", action="store_true", help="generation-degree variant")
-    p.add_argument("--degenerates-at", type=int, help="known degeneration page")
-
-
-def _table1_flags(p):
-    from .bounds import TABLE1_ROWS
-
-    p.add_argument("--row", required=True, choices=TABLE1_ROWS)
-    p.add_argument("--i", type=int, required=True)
-
-
-def _os_scan_flags(p):
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a-max", type=int, default=3)
-
-
-def _wreath_scan_flags(p):
-    p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--n-max", type=int, required=True)
-
-
-def _kunneth_flags(p):
-    p.add_argument("--graded-dims", required=True, help="comma list, e.g. 1,2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--decompose", action="store_true")
-
-
-# name -> (help, whether it takes --allow-large, adds its own flags), in
-# the order the help lists them
+# the two groups of flags that subcommands share
+OUTPUT = (
+    Flag("--out", help="write the report to this path instead of stdout"),
+    Flag("--format", choices=("json", "text", "csv"), default="json", help="report format"),
+)
+LARGE = (Flag("--allow-large", bool, help=(
+    f"run past the work budget ({WORK_BUDGET / 10**9:g} s of estimated work)"
+)),)
+# name -> (help, flags), in the order the help lists them
 SUBCOMMANDS = {
-    "character": ("irreducible character values", True, _character_flags),
-    "decompose": ("decompose a class function", True, _decompose_flags),
-    "m-module": ("free-module level decomposition", True, _m_module_flags),
-    "stability-scan": ("detect uniform stability", False, _stability_scan_flags),
-    "fit-charpoly": ("fit a character polynomial", True, _fit_charpoly_flags),
-    "fit-dimpoly": ("fit a dimension polynomial", True, _fit_dimpoly_flags),
-    "bounds": ("stability-bound arithmetic", False, _bounds_flags),
-    "table1": ("headline bounds per example family", False, _table1_flags),
-    "os-scan": ("configuration-space model scan", True, _os_scan_flags),
-    "wreath-scan": ("wreath-product Betti scan", True, _wreath_scan_flags),
-    "kunneth": ("graded tensor-power character", True, _kunneth_flags),
+    "character": ("irreducible character values", (*OUTPUT, *LARGE,
+        Flag("--lam", required=True, help="shape, e.g. 3+2"),
+        Flag("--mu", help="cycle type; omit for the whole class function"))),
+    "decompose": ("decompose a class function", (*OUTPUT, *LARGE,
+        Flag("--n", int, required=True),
+        Flag("--values", help="inline JSON {cycle type: value}"),
+        Flag("--input", help="path to the JSON class function"))),
+    "m-module": ("free-module level decomposition", (*OUTPUT, *LARGE,
+        Flag("--n", int, required=True),
+        Flag("--lam", help="inducing shape, e.g. 2+1"),
+        Flag("--regular", int, help="induce from the full group algebra of S_m"))),
+    "stability-scan": ("detect uniform stability", (*OUTPUT,
+        Flag("--entries", help="inline JSON sequence of decompositions"),
+        Flag("--input", help="path to the JSON sequence"))),
+    "fit-charpoly": ("fit a character polynomial", (*OUTPUT, *LARGE,
+        Flag("--entries", help="inline JSON sequence of class functions"),
+        Flag("--input", help="path to the JSON sequence"),
+        Flag("--degree-bound", int, required=True))),
+    "fit-dimpoly": ("fit a dimension polynomial", (*OUTPUT, *LARGE,
+        Flag("--dims", help="inline JSON {n: dimension}"),
+        Flag("--input", help="path to the JSON dimensions"),
+        Flag("--degree-bound", int, required=True))),
+    "bounds": ("stability-bound arithmetic", (*OUTPUT,
+        Flag("--alpha", _fraction, required=True), Flag("--beta", _fraction, required=True),
+        Flag("--i", int, required=True),
+        Flag("--page", int, help="page number r >= 3 for entry bounds"),
+        Flag("--p", int), Flag("--q", int),
+        Flag("--fisharp", bool, help="generation-degree variant"),
+        Flag("--degenerates-at", int, help="known degeneration page"))),
+    "table1": ("headline bounds per example family", (*OUTPUT,
+        Flag("--row", required=True,
+             choices=lambda: import_module(f"{__package__}.bounds").TABLE1_ROWS),
+        Flag("--i", int, required=True))),
+    "os-scan": ("configuration-space model scan", (*OUTPUT, *LARGE,
+        Flag("--n-min", int, required=True), Flag("--n-max", int, required=True),
+        Flag("--k", int, required=True), Flag("--a-max", int, default=3))),
+    "wreath-scan": ("wreath-product Betti scan", (*OUTPUT, *LARGE,
+        Flag("--graded-dims", required=True, help="comma list, e.g. 1,2"),
+        Flag("--i", int, required=True), Flag("--n-min", int, default=0),
+        Flag("--n-max", int, required=True))),
+    "kunneth": ("graded tensor-power character", (*OUTPUT, *LARGE,
+        Flag("--graded-dims", required=True, help="comma list, e.g. 1,2"),
+        Flag("--n", int, required=True), Flag("--i", int, required=True),
+        Flag("--decompose", bool))),
 }
+
+
+def choices(flag: Flag):
+    return flag.choices() if callable(flag.choices) else flag.choices
+
+
+def _plain(flags) -> tuple:
+    # a subcommand's flags as the parsers and _read_plain read them, worked
+    # out once: by option string, each with its namespace attribute as
+    # argparse names it; the namespace of its defaults; its required options
+    by_option = {flag.option: (flag, flag.option[2:].replace("-", "_")) for flag in flags}
+    defaults = {dest: False if f.type is bool else f.default for f, dest in by_option.values()}
+    return by_option, defaults, {flag.option for flag in flags if flag.required}
+
+
+_PLAIN = {name: _plain(flags) for name, (_, flags) in SUBCOMMANDS.items()}
 
 
 def _handler(module: str):
     # runs fistab.commands.<module>, imported on its first call, so a
-    # process compiles the handler of its own subcommand alone; later
-    # calls reuse the run that call found
-    run = None
-
+    # process compiles the handler of its own subcommand alone
     def handler(args):
-        nonlocal run
-        if run is None:
-            run = import_module(f"{__package__}.commands.{module}").run
-        return run(args)
+        return import_module(f"{__package__}.commands.{module}").run(args)
 
     handler.__name__ = handler.__qualname__ = f"cmd_{module}"
     return handler
@@ -340,42 +290,72 @@ def _handler(module: str):
 globals().update({f"cmd_{m}": _handler(m) for m in (n.replace("-", "_") for n in SUBCOMMANDS)})
 
 
-@lru_cache(maxsize=None)
-def build_parser(command: str | None = None) -> _Parser:
-    """The argument parser: with a subcommand name, that subcommand's
-    own parser (prog `fistab <name>`), which is all `main` needs for an
-    argv that starts with the name; without one, the parser with every
-    subcommand, for help, unknown names and callers that want it whole.
-    Each is built on the first call and shared by every later one:
-    callers must not mutate it.  Reuse is safe because `parse_args`
-    returns a fresh namespace and no argument has a mutable default.
-    Subcommands carry no handler: the `cmd_<name>` handlers are
-    generated from SUBCOMMANDS, and `main` looks `cmd_<name>` up on
-    every call, so a handler rebound after the first call (a profiler,
-    a tracer) still takes effect."""
-    common = _Parser(add_help=False)
-    common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument(
-        "--format", choices=("json", "text", "csv"), default="json", help="report format"
-    )
-    large = _Parser(add_help=False)
-    large.add_argument(
-        "--allow-large",
-        action="store_true",
-        help=f"run past the work budget ({WORK_BUDGET / 10**9:g} s of estimated work)",
-    )
+def _usage(prog: str, options: list[str]) -> str:
+    """The usage line of prog, less its "usage: ", wrapped at 80 columns as
+    CPython 3.11's argparse wraps it (later ones keep a flag and its value
+    together): each line filled in turn, the next under the first option."""
+    lines = [prog]
+    for part in options:
+        if len(lines[-1]) + len(part) >= 78 - len("usage: ") * (len(lines) == 1):
+            lines.append(" " * (len(prog) + 7))
+        lines[-1] += " " + part
+    return "\n".join(lines)
 
-    def parents(name):
-        return [common, large] if SUBCOMMANDS[name][1] else [common]
+
+@lru_cache(maxsize=None)
+def build_parser(command: str | None = None):
+    """The argparse parser, built from SUBCOMMANDS, and argparse imported
+    here alone: with a subcommand name, that subcommand's own parser (prog
+    `fistab <name>`), all `main` needs for an argv that starts with the
+    name; without one, the parser with every subcommand, for help, unknown
+    names and callers that want it whole.  Each is built on the first call
+    and shared by every later one, so callers must not mutate it; reuse is
+    safe as `parse_args` returns a fresh namespace and no default is
+    mutable.  Help is 80 columns wide whatever the terminal, and fistab
+    writes the usage lines, so help and usage errors have the same bytes
+    on every interpreter.  Subcommands carry no handler: `main` looks
+    `cmd_<name>` up on every call, so a handler rebound after the first
+    call (a profiler, a tracer) still takes effect."""
+    import argparse
+    from functools import partial
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(64, f"{self.prog}: error: {message}\n")
+
+    # argparse keeps two of the 80 columns as a margin
+    formatter = partial(argparse.HelpFormatter, width=78)
+
+    def fill(parser, name):
+        options = ["[-h]"]
+        for flag, dest in _PLAIN[name][0].values():
+            values = choices(flag)
+            kind = {"action": "store_true"} if flag.type is bool else dict(
+                type=flag.type, required=flag.required, choices=values, default=flag.default
+            )
+            parser.add_argument(flag.option, help=flag.help, **kind)
+            # in the usage line, a required flag splits from its value
+            shown = [flag.option] if flag.type is bool else [
+                flag.option, "{%s}" % ",".join(values) if values else dest.upper()
+            ]
+            options += shown if flag.required else [f"[{' '.join(shown)}]"]
+        parser.usage = _usage(parser.prog, options)
+        return parser
 
     if command is not None:
-        parser = _Parser(prog=f"fistab {command}", parents=parents(command))
-        SUBCOMMANDS[command][2](parser)
-        return parser
-    parser = _Parser(prog="fistab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, (help_text, _, add_flags) in SUBCOMMANDS.items():
-        add_flags(sub.add_parser(name, parents=parents(name), help=help_text))
+        return fill(_Parser(prog=f"fistab {command}", formatter_class=formatter), command)
+    # too long for one line, so 3.11 puts the positionals on lines of their own
+    pad = "\n" + " " * len("usage: fistab ")
+    parser = _Parser(
+        prog="fistab",
+        usage=f"fistab [-h]{pad}{{{','.join(SUBCOMMANDS)}}}{pad}...",
+        description=__doc__,
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, prog="fistab")
+    for name, (help_text, _) in SUBCOMMANDS.items():
+        fill(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
 
 
@@ -407,61 +387,50 @@ def _apply_config(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
-def _read_plain(parser: _Parser, argv: list[str]) -> argparse.Namespace | None:
-    """The namespace parser.parse_known_args(argv) returns with no extras,
-    read straight off the parser's actions, where argv is plain: each
-    token an exact option string, each store option followed by a value
-    that does not start with "-" (argparse has its own rules for negative
-    numbers there) and that passes its type and choices, and every
-    required flag given.  None for any other argv, which argparse then
-    parses itself, so it alone prints help and usage errors."""
-    given = {}
+def _read_plain(command: str, argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the parser of command gives for argv, read off its
+    flags in SUBCOMMANDS without argparse, where argv is plain: each token
+    an exact option string, each value passing its type and choices and
+    not starting with "-" (argparse has its own rules for negative numbers
+    there), and every required flag given.  None for any other argv, which
+    argparse then parses itself, so it alone prints help and errors."""
+    flags, defaults, required = _PLAIN[command]
+    args, given = dict(defaults), set()
     tokens = iter(argv)
-    try:
-        for token in tokens:
-            action = parser._option_string_actions.get(token)
-            if type(action) is argparse._StoreTrueAction:
-                given[action] = True
-            elif type(action) is argparse._StoreAction and action.nargs is None:
-                text = next(tokens, "-")
-                if text.startswith("-"):
-                    return None
-                value = text if action.type is None else action.type(text)
-                if action.choices is not None and value not in action.choices:
-                    return None
-                given[action] = value
-            else:
-                return None
-        args = argparse.Namespace()
-        for action in parser._actions:
-            if action in given:
-                value = given[action]
-            elif action.required:
-                return None
-            elif action.default is argparse.SUPPRESS:
-                continue
-            elif isinstance(action.default, str) and action.type is not None:
-                value = action.type(action.default)
-            else:
-                value = action.default
-            setattr(args, action.dest, value)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        return None
-    return args
+    for token in tokens:
+        flag, dest = flags.get(token, (None, None))
+        if flag is None:
+            return None
+        given.add(token)
+        if flag.type is bool:
+            args[dest] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if flag.type is None else flag.type(text)
+        # its ValueError, or _fraction's ArgumentTypeError, which only
+        # argparse can name: argparse runs the type again and reports it
+        except Exception:
+            return None
+        if flag.choices is not None and value not in choices(flag):
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args) if required <= given else None
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]):
     """argv as parsed by the full parser, which hands everything after
     the subcommand name to that subcommand's parser and refuses what it
     leaves over.  An argv that starts with a name goes straight to that
-    parser: a plain one (`_read_plain`) is read off its actions without
-    a parse, any other is parsed once.  The rest (help, no or an unknown
-    name, a leading flag) goes through the full parser."""
+    parser: a plain one (`_read_plain`) is read off the flag table
+    without argparse, any other is parsed once.  The rest (help, no or an
+    unknown name, a leading flag) goes through the full parser."""
     if argv and argv[0] in SUBCOMMANDS:
-        parser = build_parser(argv[0])
-        args = _read_plain(parser, argv[1:])
+        args = _read_plain(argv[0], argv[1:])
         if args is None:
-            args, extras = parser.parse_known_args(argv[1:])
+            args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
             if extras:
                 build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]

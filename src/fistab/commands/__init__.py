@@ -2,10 +2,12 @@
 what they share: the work budget and the readers of their inputs.
 
 `fistab.cli` imports a handler module only when its subcommand runs, so
-a process compiles the code of its own subcommand alone.  A handler
-module never imports `fistab.cli`, and it calls the layers through their
-modules (`characters.decompose(...)`), so a function rebound on its
-module after the import (a profiler, a tracer) still takes effect.
+a process compiles the code of its own subcommand alone; `run(args)`
+reads its flags, rows of `cli.SUBCOMMANDS`, as attributes of `args`.  A
+handler module never imports `fistab.cli`, and it calls the layers
+through their modules (`characters.decompose(...)`), so a function
+rebound on its module after the import (a profiler, a tracer) still
+takes effect.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@ and the report renderers as first written.
 
 `main` hands an argv that starts with a subcommand name straight to that
 subcommand's own parser: a plain one (exact `--flag value` tokens) is
-read off that parser's actions by `cli._read_plain` without a parse, and
-any other is parsed once by argparse.  The full parser,
+read off the subcommand's flags in `cli.SUBCOMMANDS` by `cli._read_plain`
+without argparse, and any other is parsed once by argparse.  The full parser,
 `build_parser()`, scans the argv at the top and then passes everything
 after the name to the subcommand's parser, which parses it again;
 `parse_twice` is that route, argparse alone.  The tests run `main` both
@@ -16,6 +16,7 @@ tests compare `cli.render` with them, and the JSON report with
 `json.dumps(payload, indent=2)`.
 """
 
+import argparse
 from contextlib import contextmanager
 from unittest import mock
 
@@ -43,16 +44,16 @@ def parsed_twice():
 @contextmanager
 def parse_args_calls(method: str = "parse_args"):
     """Within the block, the prog of every parser whose `method` (of
-    `cli._Parser`) runs, in order: "fistab" for the top of a parser,
-    "fistab <name>" for a subcommand's own."""
+    `argparse.ArgumentParser`) runs, in order: "fistab" for the top of a
+    parser, "fistab <name>" for a subcommand's own."""
     progs = []
-    parse = getattr(cli._Parser, method)
+    parse = getattr(argparse.ArgumentParser, method)
 
     def recorded(parser, *args, **kwargs):
         progs.append(parser.prog)
         return parse(parser, *args, **kwargs)
 
-    with mock.patch.object(cli._Parser, method, recorded):
+    with mock.patch.object(argparse.ArgumentParser, method, recorded):
         yield progs
 
 

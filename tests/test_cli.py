@@ -483,6 +483,64 @@ def test_unreadable_numbers_and_files_exit_1(capsys, tmp_path):
         assert phrase in err, (argv, err)
 
 
+def _fresh_decompose(n, values, **env):
+    # (exit code, stdout, stderr, seconds) of decompose in a fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]), **env)
+    argv = ["decompose", "--n", str(n), "--values", json.dumps(values)]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fistab.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.monotonic() - start
+
+
+@pytest.mark.parametrize("value", ["1e-5000", "1e5000", "1e-10000000", "2E+99999999"])
+def test_a_json_value_past_the_digit_cap_is_refused_at_once(value):
+    # once a traceback from printing it, or seconds spent in Fraction
+    # expanding its exponent: now one line that names its key
+    code, out, err, seconds = _fresh_decompose(1, {"1": value})
+    assert (code, out) == (1, "")
+    assert err == (
+        f"fistab: the value at '1' has a numerator or denominator of more than "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+    assert seconds < 1.0, seconds
+
+
+def test_a_multiplicity_past_the_digit_cap_shows_its_digit_count():
+    # two values under the cap whose sum is past it: its denominator,
+    # 2 * 7^4000 * 10^4000, is shown by its number of digits, 7381
+    values = {"2": f"1/{7**4000}", "1+1": "1e-4000"}
+    code, out, err, seconds = _fresh_decompose(2, values)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) and err.endswith("/<7381 digits>\n"), err[-80:]
+    assert err.startswith(
+        "fistab: internal consistency failure: not a representation character: "
+        "multiplicity of 1+1 is -"
+    )
+    assert seconds < 1.0, seconds
+
+
+def test_a_multiplicity_under_the_digit_cap_keeps_its_bytes():
+    code, out, err, seconds = _fresh_decompose(1, {"1": "1e-4000"})
+    assert (code, out) == (2, "")
+    assert err == (
+        "fistab: internal consistency failure: not a representation character: "
+        f"multiplicity of 1 is 1/1{'0' * 4000}\n"
+    )
+    assert seconds < 1.0, seconds
+
+
+def test_without_a_digit_cap_every_json_value_is_read():
+    code, out, err, _ = _fresh_decompose(1, {"1": "1e-5000"}, PYTHONINTMAXSTRDIGITS="0")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"multiplicity of 1 is 1/1{'0' * 5000}\n")
+    code, out, err, _ = _fresh_decompose(1, {"1": "1e5000"}, PYTHONINTMAXSTRDIGITS="0")
+    assert (code, err) == (0, "")
+    assert f'"decomposition": {{\n    "1": 1{"0" * 5000}\n  }}' in out
+
+
 def test_sequence_schema_errors_exit_1(capsys):
     bad = [
         "[]",
@@ -934,10 +992,9 @@ def test_parser_is_built_once():
         assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions), name
 
 
-def test_reused_parser_forgets_the_previous_request(tmp_path, monkeypatch):
+def test_reused_parser_forgets_the_previous_request(tmp_path):
     # each request omits flags the one before it set; in one process it
     # must print what it prints in a fresh interpreter
-    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
     report = tmp_path / "report.json"
     bounds = ["bounds", "--alpha", "1", "--beta", "2", "--i", "3"]
     scan = ["os-scan", "--n-min", "2", "--n-max", "4", "--k", "1"]

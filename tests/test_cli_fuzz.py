@@ -7,25 +7,25 @@ is told to (here: inside the test's temporary directory, which is also
 the working directory).  It must answer every request with the same bytes
 when the full parser parses it (`cli_oracle.parse_twice`), and parse a
 request that starts with a subcommand with that subcommand's parser
-alone.  JSON values include infinities, 1e999 and an
-integer literal past the interpreter's 4300-digit cap, and one of the
-files it may read is not UTF-8.  Integers reach 10^6, so many requests
-are over the work budget and must be refused at once; a request that
-passes --allow-large (on the command line or in its config file) keeps
-them <= 6, so that it stays small.
+alone.  JSON values include infinities, 1e999, an integer literal past
+the interpreter's 4300-digit cap and decimal strings past it or with
+long exponents, and one of the files it may read is not UTF-8.
+Integers reach 10^6, so many requests are over the work budget and must
+be refused at once; a request that passes --allow-large (on the command
+line or in its config file) keeps them <= 6, so that it stays small.
 """
 
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from cli_oracle import parse_args_calls, parsed_twice
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fistab.bounds import TABLE1_ROWS
-from fistab.cli import main
+from fistab.cli import OUTPUT, SUBCOMMANDS, Flag, _fraction, choices, main
 
 SMALL_INTEGERS = st.one_of(st.integers(0, 6), st.integers(1, 4), st.integers(-2, 6)).map(str)
 WIDE_INTEGERS = st.one_of(SMALL_INTEGERS, st.integers(7, 10**6).map(str))
@@ -36,6 +36,8 @@ FRACTIONS = st.one_of(
     st.tuples(st.integers(-1, 6), st.integers(1, 3)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
     st.integers(-1, 6).map(lambda p: f"{p}/0"),
     st.sampled_from(("0", "1", "x", "1/x", "1e3", "1.5", "-1")),
+    # past the int-to-str cap, or an exponent too long to expand
+    st.sampled_from(("1e-5000", "1e4400", "1e-10000000", "2E+99999999", "0.0e-99999")),
 )
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 6),
@@ -59,18 +61,21 @@ KNOWN_JSON = st.sampled_from((
     '{"window": [2, 3], "entries": {"2": {"2": 1}}}',
     "", "not json", "{", "[1, 2", '{"2": 1,}', "NaN", "1e999",
 ))
-# values json.dumps cannot write, set into near-valid tables as literal text
-LITERALS = st.sampled_from(("Infinity", "-Infinity", "NaN", "1e999", "7" * 5000))
+# values json.dumps cannot write, set into near-valid tables as literal
+# text: among them strings past the int-to-str cap, or with an exponent
+# that would take seconds to expand
+LITERALS = (
+    "Infinity", "-Infinity", "NaN", "1e999", "7" * 5000,
+    '"1e-5000"', '"1e-10000000"', '"1e-4000"',
+)
+LITERAL_TABLES = (
+    '{"1+1": VALUE, "2": 0}',
+    '{"entries": {"2": {"2": VALUE}}}',
+    '{"entries": {"2": {"1+1": 1, "2": VALUE}}}',
+    '{"2": VALUE, "3": 3, "4": 6}',
+)
 LITERAL_JSON = st.builds(
-    str.replace,
-    st.sampled_from((
-        '{"1+1": VALUE, "2": 0}',
-        '{"entries": {"2": {"2": VALUE}}}',
-        '{"entries": {"2": {"1+1": 1, "2": VALUE}}}',
-        '{"2": VALUE, "3": 3, "4": 6}',
-    )),
-    st.just("VALUE"),
-    LITERALS,
+    str.replace, st.sampled_from(LITERAL_TABLES), st.just("VALUE"), st.sampled_from(LITERALS)
 )
 JSON_TEXT = st.one_of(KNOWN_JSON, JSON_VALUES.map(json.dumps), LITERAL_JSON)
 GRADED_DIMS = st.sampled_from(("1", "1,2", "1,1,1", "0", "1,x", "", ",", "-1,2", "2,0,1"))
@@ -80,45 +85,26 @@ PATHS = st.one_of(
     st.sampled_from(("missing/report.txt", ".")),
 )
 
-INTEGER_FLAGS = (
-    "--n", "--regular", "--degree-bound", "--i", "--page", "--p", "--q",
-    "--degenerates-at", "--n-min", "--n-max", "--k", "--a-max",
-)
-FLAG_VALUES = {
-    "--format": st.sampled_from(("json", "text", "csv", "xml")),
+# values of the string flags that take no choices, by option string; any
+# other flag of cli.SUBCOMMANDS draws values of its type or choices, or
+# any token at all
+STRING_VALUES = {
     "--lam": PARTITIONS,
     "--mu": PARTITIONS,
     "--values": JSON_TEXT,
     "--entries": JSON_TEXT,
     "--dims": JSON_TEXT,
-    "--alpha": FRACTIONS,
-    "--beta": FRACTIONS,
-    "--row": st.sampled_from(TABLE1_ROWS + ("nope",)),
     "--graded-dims": GRADED_DIMS,
     "--out": PATHS,
     "--input": PATHS,
     "--config": PATHS,
 }
 LARGE = "--allow-large"
-SWITCHES = ("--fisharp", LARGE, "--decompose")
-# subcommand -> (required flags, optional groups of flags given together);
-# switches take no value
-FLAGS = {
-    "character": (("--lam",), (("--mu",), (LARGE,))),
-    "decompose": (("--n",), (("--values",), ("--input",), (LARGE,))),
-    "m-module": (("--n",), (("--lam",), ("--regular",), (LARGE,))),
-    "stability-scan": ((), (("--entries",), ("--input",))),
-    "fit-charpoly": (("--degree-bound",), (("--entries",), ("--input",), (LARGE,))),
-    "fit-dimpoly": (("--degree-bound",), (("--dims",), ("--input",), (LARGE,))),
-    "bounds": (("--alpha", "--beta", "--i"),
-               (("--page", "--p", "--q"), ("--fisharp",), ("--degenerates-at",))),
-    "table1": (("--row", "--i"), ()),
-    "os-scan": (("--n-min", "--n-max", "--k"), (("--a-max",), (LARGE,))),
-    "wreath-scan": (("--graded-dims", "--i", "--n-max"), (("--n-min",), (LARGE,))),
-    "kunneth": (("--graded-dims", "--n", "--i"), (("--decompose",), (LARGE,))),
-}
-SUBCOMMANDS = tuple(FLAGS)
-COMMON = ("--out", "--format", "--config")
+# --config is read by main, not by a parser
+COMMON = (*OUTPUT, Flag("--config"))
+OPTIONS = tuple(sorted(
+    {flag.option for _, flags in SUBCOMMANDS.values() for flag in flags} | {"--config"}
+))
 
 
 @st.composite
@@ -126,35 +112,41 @@ def requests(draw):
     """(argv, config lines).  Mostly well-formed requests: a subcommand,
     most of its required flags, some optional ones, values of roughly the
     right kind; now and then a value of the wrong kind or a stray token.
+    The flags are those of cli.SUBCOMMANDS, so a new one is fuzzed too.
     One request in four may pass --allow-large and draws integers <= 6;
     the others never pass it and draw integers up to 10^6."""
     large = draw(st.integers(0, 3)) == 0
     integers = SMALL_INTEGERS if large else WIDE_INTEGERS
-    switches = SWITCHES if large else tuple(s for s in SWITCHES if s != LARGE)
-    values = {**FLAG_VALUES, **dict.fromkeys(INTEGER_FLAGS, integers)}
+    options = tuple(o for o in OPTIONS if large or o != LARGE)
     any_token = st.one_of(
-        st.sampled_from(SUBCOMMANDS + tuple(values) + switches + ("--help", "--")),
+        st.sampled_from(tuple(SUBCOMMANDS) + options + ("--help", "--")),
         integers, PARTITIONS, FRACTIONS, JSON_TEXT, PATHS,
     )
-    command = draw(st.sampled_from(SUBCOMMANDS))
-    required, optional = FLAGS[command]
-    flags = [f for f in required if draw(st.integers(0, 9))]
-    flags += [
-        f for group in optional
-        if (large or LARGE not in group) and draw(st.integers(0, 2)) == 0
-        for f in group
-    ]
+
+    def values(flag):
+        if flag.type is int:
+            return integers
+        if flag.type is _fraction:
+            return FRACTIONS
+        if choices(flag):
+            return st.sampled_from((*choices(flag), "nope"))
+        return STRING_VALUES.get(flag.option, any_token)
+
+    command = draw(st.sampled_from(tuple(SUBCOMMANDS)))
+    own = [f for f in SUBCOMMANDS[command][1] if f not in OUTPUT and (large or f.option != LARGE)]
+    flags = [f for f in own if f.required and draw(st.integers(0, 9))]
+    keep = draw(st.integers(1, 2))  # each optional flag given with chance 1/3 or 2/3
+    flags += [f for f in own if not f.required and draw(st.integers(0, 2)) < keep]
     flags += [f for f in COMMON if draw(st.integers(0, 5)) == 0]
-    flags = draw(st.permutations(flags))
     argv = [command]
-    for flag in flags:
-        argv.append(flag)
-        if flag not in SWITCHES:
-            argv.append(draw(any_token if draw(st.integers(0, 19)) == 0 else values[flag]))
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag.option)
+        if flag.type is not bool:
+            argv.append(draw(any_token if draw(st.integers(0, 19)) == 0 else values(flag)))
     if draw(st.integers(0, 4)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(any_token))
     config_lines = st.one_of(
-        st.tuples(st.sampled_from([f[2:] for f in (*values, *switches)]),
+        st.tuples(st.sampled_from([o[2:] for o in options]),
                   st.one_of(integers, PARTITIONS, FRACTIONS,
                             st.sampled_from(("true", "false", ""))))
         .map("=".join),
@@ -208,3 +200,26 @@ def test_main_survives_random_requests(tmp_path, monkeypatch):
 
     fuzz()
     assert {p: _listing(p) for p in outside} == outside
+
+
+# each reader of a JSON table, called so that it reads the table
+TABLE_READERS = (
+    ["decompose", "--n", "2", "--values"],
+    ["stability-scan", "--entries"],
+    ["fit-charpoly", "--degree-bound", "0", "--entries"],
+    ["fit-dimpoly", "--degree-bound", "0", "--dims"],
+)
+
+
+def test_every_literal_in_every_table_is_answered_at_once(tmp_path, monkeypatch):
+    # the random requests above reach a given literal in a table its
+    # reader parses too rarely to be sure of it; here each one is, within
+    # the fuzzer's deadline
+    monkeypatch.chdir(tmp_path)
+    for reader in TABLE_READERS:
+        for table in LITERAL_TABLES:
+            for value in LITERALS:
+                argv = [*reader, table.replace("VALUE", value)]
+                start = time.monotonic()
+                check_main(argv, [], "", tmp_path)
+                assert time.monotonic() - start < 2.0, argv

@@ -4,12 +4,14 @@ Exit code, stdout and stderr of the calls argparse answers itself: no
 subcommand, an unknown one, a flag before the subcommand, `-h` at the
 top and on every subcommand, and a valid call of every subcommand
 followed by a stray argument.  The usage errors are compared as text;
-a help screen is compared by the sha256 of its stdout.  Lines wrap at
-COLUMNS=80.  These calls, and the valid call of every subcommand, give
-the same bytes when the full parser parses them (`cli_oracle.parse_twice`).
-A valid call is read off its subcommand's actions (`cli._read_plain`)
-without argparse's parse, and a property test compares that reader with
-`parse_known_args` on argv drawn from each subcommand's own flags.
+a help screen is compared by the sha256 of its stdout.  Help is 80
+columns wide whatever the terminal: both are checked with COLUMNS unset,
+40, 80 and 200.  These calls, and the valid call of every subcommand,
+give the same bytes when the full parser parses them
+(`cli_oracle.parse_twice`).  A valid call is read off its subcommand's
+flags in `cli.SUBCOMMANDS` (`cli._read_plain`) without argparse, and a
+property test compares that reader with `parse_known_args` on argv drawn
+from each subcommand's flags there.
 A deliberate change of the help screens updates the table; print the
 current digests with
 
@@ -114,9 +116,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.fixture(autouse=True)
-def _columns(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+@pytest.fixture(params=[None, "40", "80", "200"], ids=lambda c: f"COLUMNS={c or 'unset'}")
+def columns(request, monkeypatch):
+    if request.param is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", request.param)
 
 
 def test_every_subcommand_is_covered():
@@ -124,12 +129,12 @@ def test_every_subcommand_is_covered():
 
 
 @pytest.mark.parametrize("argv", ERRORS, ids=lambda argv: " ".join(argv) or "(none)")
-def test_usage_error_bytes(argv):
+def test_usage_error_bytes(argv, columns):
     assert _run(argv) == ERRORS[argv]
 
 
 @pytest.mark.parametrize("argv", HELP, ids=" ".join)
-def test_help_bytes(argv):
+def test_help_bytes(argv, columns):
     code, out, err = _run(argv)
     assert (code, err, _digest(out)) == (0, "", HELP[argv])
 
@@ -153,7 +158,7 @@ def test_one_parse_matches_the_old_route(argv):
 
 @pytest.mark.parametrize("argv", ROUTED, ids=lambda argv: " ".join(argv) or "(none)")
 def test_a_plain_argv_runs_no_parse(argv):
-    # a valid call is read off its subcommand's actions; argparse parses
+    # a valid call is read off its subcommand's flags; argparse parses
     # every usage error and help request itself
     with parse_args_calls("parse_known_args") as progs:
         _run(argv)
@@ -184,7 +189,7 @@ def subcommand_argv(draw):
     name = draw(st.sampled_from(tuple(SUBCOMMANDS)))
     valid = VALID[name]
     pieces = [valid[i : i + 2] for i in range(0, len(valid), 2) if draw(st.integers(0, 9))]
-    option = st.sampled_from(sorted(build_parser(name)._option_string_actions))
+    option = st.sampled_from(["-h", "--help", *(flag.option for flag in SUBCOMMANDS[name][1])])
     piece = st.one_of(
         st.tuples(option, VALUES).map(list),
         option.map(lambda o: [o]),
@@ -197,32 +202,33 @@ def subcommand_argv(draw):
 
 
 def _parsed(name, argv):
-    # argparse's namespace and extras, or its exit code
+    # argparse's namespace, as a dict, and extras, or its exit code
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
-            return build_parser(name).parse_known_args(argv)
+            args, extras = build_parser(name).parse_known_args(argv)
         except SystemExit as exc:
             return exc.code
+    return vars(args), extras
 
 
 def test_the_reader_agrees_with_argparse():
     # the reader's namespace is argparse's wherever it gives one; it
     # gives one for every valid call, so the fast path cannot go dead
     for name, argv in VALID.items():
-        args = _read_plain(build_parser(name), argv)
+        args = _read_plain(name, argv)
         assert args is not None, name
-        assert _parsed(name, argv) == (args, []), name
+        assert _parsed(name, argv) == (vars(args), []), name
     outcomes = set()
 
     @settings(max_examples=600, derandomize=True, database=None)
     @given(request=subcommand_argv())
     def check(request):
         name, argv = request
-        args = _read_plain(build_parser(name), argv)
+        args = _read_plain(name, argv)
         outcomes.add(args is None)
         if args is not None:
             parsed = _parsed(name, argv)
-            assert parsed == (args, []), (name, argv, parsed)
+            assert parsed == (vars(args), []), (name, argv, parsed)
 
     check()
     assert outcomes == {True, False}
@@ -292,7 +298,6 @@ def test_a_long_exponent_is_refused_at_once():
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = "80"
     print("HELP = {")
     for argv in [("-h",), *((sub, "-h") for sub in VALID)]:
         print(f"    {argv!r}:\n        {_digest(_run(argv)[1])!r},")

@@ -6,8 +6,10 @@ imports and helpers that a refactor leaves behind.  They read the
 package's modules and those of its `commands` subpackage.  For imports
 the top-level package __init__ is exempt: its imports are the public
 API.  So is `from m import x as x`, the usual spelling of a deliberate
-re-export.  Two more checks keep a concept written once: the Pieri sum
-of free modules, and the CLI's list of subcommands.
+re-export.  More checks keep a concept written once: the Pieri sum of
+free modules, the CLI's list of subcommands, and their flags, which
+argparse gets from that table and which no code reads back off
+argparse's private names.
 """
 
 import ast
@@ -160,3 +162,50 @@ def test_cli_handlers_come_from_the_subcommand_table():
     assert written == []
     handlers = {name for name in vars(cli) if name.startswith("cmd_")}
     assert handlers == {f"cmd_{name.replace('-', '_')}" for name in cli.SUBCOMMANDS}
+
+
+def _argparse_privates(source: str) -> list[str]:
+    # private names taken from argparse or read off a parser, and flags
+    # given to add_argument as literals rather than from the flag table
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "argparse":
+            found += [f"argparse.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and (node.value.id == "argparse" or "parser" in node.value.id.lower())
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            found.append(f"add_argument({node.args[0].value!r})")
+    return found
+
+
+def test_argparse_privates_are_found():
+    source = (
+        "import argparse\nfrom argparse import _StoreAction, Namespace\n"
+        "def f(parser, sub_parser, p):\n"
+        "    p.add_argument('--n', type=int)\n"
+        "    p.add_argument(flag.option)\n"
+        "    return (argparse._StoreTrueAction, parser._actions,\n"
+        "            sub_parser._option_string_actions, argparse.SUPPRESS, parser.prog)\n"
+    )
+    assert _argparse_privates(source) == [
+        "argparse._StoreAction", "add_argument('--n')", "argparse._StoreTrueAction",
+        "parser._actions", "sub_parser._option_string_actions",
+    ]
+
+
+def test_flags_are_written_once_and_read_off_no_argparse_private():
+    # each subcommand's flags are the rows of cli.SUBCOMMANDS: the parsers
+    # are built from them and the plain reader reads them, not argparse
+    for path in [PACKAGE / "__init__.py", *MODULES]:
+        assert _argparse_privates(path.read_text()) == [], path.name

@@ -49,7 +49,7 @@ def _oracle_unique_keys(triples, what: str) -> dict:
 
 def _oracle_parse_table(mapping: dict, what: str) -> dict:
     return _oracle_unique_keys(
-        ((k, _oracle_parse_partition(k), parse_exact(v)) for k, v in mapping.items()), what
+        ((k, _oracle_parse_partition(k), parse_exact(v, k)) for k, v in mapping.items()), what
     )
 
 

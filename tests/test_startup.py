@@ -1,7 +1,8 @@
 """What a fresh interpreter imports to run each subcommand.
 
 Each subcommand imports only its own handler module, the layers and the
-standard modules it calls, builds the parser of that subcommand alone,
+standard modules it calls; a plain argv is read off the flag table
+without argparse, any other builds the parser of that subcommand alone;
 and the package resolves its exports on first use.  These tests look at `sys.modules` in
 a fresh `sys.executable` after each step; they time nothing.
 """
@@ -18,11 +19,14 @@ SRC = str(Path(fistab.__file__).parents[1])
 # what the character, kunneth and wreath paths never need
 UNUSED_LAYERS = ("fistab.os_model", "fistab.fi_analysis", "fistab.linalg", "fistab.bounds")
 # standard modules listed with the package's: only some subcommands load them
-WATCHED = ("csv", "dataclasses", "decimal", "fractions", "json")
+WATCHED = ("argparse", "csv", "dataclasses", "decimal", "fractions", "gettext", "json", "locale")
+# what a plain argv, read off the flag table, never loads
+PARSING = {"argparse", "gettext", "locale"}
 KUNNETH = ["kunneth", "--graded-dims", "1,2", "--n", "6", "--i", "3", "--decompose"]
 WREATH = ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-max", "10"]
 OS_SCAN = ["os-scan", "--n-min", "2", "--n-max", "4", "--k", "1"]
 OS_SCAN_SHORT = ["os-scan", "--n-min", "2", "--n-max", "5", "--k", "2"]
+BOUNDS = ["bounds", "--alpha", "1/2", "--beta", "1", "--i", "3"]
 # the names `import fistab` made public when it imported every submodule
 PUBLIC_NAMES = [
     "BoundParams", "CharPolynomial", "ClassFunction", "CoinvariantReport",
@@ -88,9 +92,37 @@ def test_building_the_parser_loads_no_computation_layer():
     # the choices of table1 --row are the rows of the bounds module; no
     # handler module is loaded
     assert _loaded_after(full_parser=True) == [
-        "decimal", "fistab", "fistab.bounds", "fistab.characters", "fistab.cli",
-        "fistab.commands", "fistab.errors", "fistab.partitions", "fractions",
+        "argparse", "decimal", "fistab", "fistab.bounds", "fistab.characters", "fistab.cli",
+        "fistab.commands", "fistab.errors", "fistab.partitions", "fractions", "gettext",
+        "locale",
     ]
+
+
+def test_a_plain_argv_loads_no_argparse():
+    # a plain argv is read off the flag table; argparse, and the gettext
+    # and locale it loads, come in only for help and usage errors
+    for argv in (OS_SCAN, KUNNETH, WREATH, BOUNDS):
+        loaded = _loaded_after(argv)
+        assert not PARSING & set(loaded), (argv, loaded)
+    assert PARSING <= set(_loaded_after([*BOUNDS, "--alpha=1/2"]))
+
+
+def test_help_and_usage_errors_keep_their_bytes_in_a_fresh_process():
+    # argparse, imported on the way, still prints them, at any width
+    from test_cli_usage import ERRORS, HELP, _digest
+
+    for columns in ("40", "200"):
+        env = dict(os.environ, PYTHONPATH=SRC, COLUMNS=columns)
+        for argv, expected in [*HELP.items(), *ERRORS.items()][::5]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fistab.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            got = (proc.returncode, proc.stdout, proc.stderr)
+            if argv in HELP:
+                got = (proc.returncode, proc.stderr, _digest(proc.stdout))
+                expected = (0, "", expected)
+            assert got == expected, (columns, argv)
 
 
 def test_kunneth_and_wreath_scan_load_only_their_layers():
