@@ -15,6 +15,8 @@ threads.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
+from collections.abc import Mapping
 from functools import lru_cache
 from math import factorial, log10
 from operator import mul
@@ -297,15 +299,17 @@ def read_exact(v):
     exponent over three caps is judged from its text, as Fraction would
     spend seconds expanding it: the mantissa has at most two caps of
     digits (int() refuses more), so the value is zero or past the cap."""
-    import re
     from fractions import Fraction
 
     cap = sys.get_int_max_str_digits()
-    # the exponent of a decimal literal, as Fraction's grammar writes it
-    exp = cap and isinstance(v, str) and re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", v)
-    if exp and abs(int(exp[1])) > 3 * cap:
-        value = Fraction(v[: exp.start(1)] + "0")  # the mantissa alone
-        return value if value == 0 else None
+    if cap and isinstance(v, str) and ("e" in v or "E" in v):
+        import re
+
+        # the exponent of a decimal literal, as Fraction's grammar writes it
+        exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", v)
+        if exp and abs(int(exp[1])) > 3 * cap:
+            value = Fraction(v[: exp.start(1)] + "0")  # the mantissa alone
+            return value if value == 0 else None
     value = Fraction(v)
     top = max(abs(value.numerator), value.denominator)
     # more than 3 * cap bits first: 8**cap < 10**cap
@@ -458,7 +462,7 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
 
 def free_module_sum(
     generators: dict[int, IrrDecomposition], n_min: int, n_max: int
-) -> dict[int, IrrDecomposition]:
+) -> "FreeLevels":
     """Levels n_min..n_max of the sum of free modules M(W_m) over {m: W_m}:
     by the Pieri rule each constituent rho of W_m adds its multiplicity to
     every horizontal-strip extension of rho with n boxes (none when n < m).
@@ -473,6 +477,15 @@ def free_module_sum(
     with the first row dropped, and a single level, however large, costs
     its strips alone.  Every multiplicity of lam[n] is a step function of
     n, and each level reads the shapes whose threshold it has passed.
+
+    The levels are a read-only mapping kept as those thresholds
+    (FreeLevels), and a window is written from them.  A padded shape
+    lam[n] sorts by (-|lam|, lam) at every level, so the shapes are
+    sorted once per window; a report key is the first row n - |lam|
+    followed by a "+..." suffix formatted once per shape; and since each
+    threshold adds to the unpadded table {lam: multiplicity} and nothing
+    takes from it, the table is fixed from the last threshold in (n_min,
+    n_max] on: the stability verdict.
     """
     entering: dict[int, list] = {}  # threshold -> [((|lam|, lam), multiplicity)]
     for m, w in generators.items():
@@ -482,18 +495,77 @@ def free_module_sum(
             for mu in _strip_extensions(rho, top):
                 size = top - mu[0] if mu else 0
                 entering.setdefault(size + first, []).append(((size, mu[1:]), c))
-    pending = sorted(entering.items(), reverse=True)
-    active: dict[tuple, int] = {}  # (|lam|, lam) -> multiplicity at the current level
-    out = {}
-    for n in range(n_min, n_max + 1):
-        while pending and pending[-1][0] <= n:
-            for shape, c in pending.pop()[1]:
+    return FreeLevels(n_min, n_max, entering)
+
+
+class FreeLevels(Mapping):
+    """The read-only mapping {n: IrrDecomposition} of free_module_sum over
+    n_min..n_max, kept as its thresholds: the levels between two
+    thresholds hold the same shapes lam with the same multiplicities, as
+    lam[n] = (n - |lam|, lam).  to_mapping(n) writes a level's report
+    and stability() the window's verdict, as free_module_sum says."""
+
+    __slots__ = ("n_min", "n_max", "_starts", "_tables", "_rows")
+
+    def __init__(self, n_min: int, n_max: int, entering: dict[int, list]):
+        self.n_min, self.n_max = n_min, n_max
+        # one segment per threshold in (n_min, n_max], and one at n_min
+        # for those at or below it: its first level, and its table
+        # {(|lam|, lam): multiplicity}
+        self._starts, self._tables = [n_min], []
+        self._rows: list[list[tuple]] | None = None  # written on first use
+        active: dict[tuple, int] = {}
+        for threshold, adds in sorted(entering.items()):
+            if threshold > self._starts[-1]:
+                self._tables.append(active)
+                self._starts.append(threshold)
+                active = dict(active)
+            for shape, c in adds:
                 active[shape] = active.get(shape, 0) + c
+        self._tables.append(active)
+
+    def _segment(self, n: int) -> int:
+        if not (type(n) is int and self.n_min <= n <= self.n_max):
+            raise KeyError(n)
+        return bisect_right(self._starts, n) - 1
+
+    def __getitem__(self, n: int) -> IrrDecomposition:
+        table = self._tables[self._segment(n)]
         # n - |lam| >= rho_1 > 0 unless rho and lam are both empty
-        out[n] = IrrDecomposition._unchecked(
-            n, {((n - size,) + lam if n > size else lam): c for (size, lam), c in active.items()}
+        return IrrDecomposition._unchecked(
+            n, {((n - size,) + lam if n > size else lam): c for (size, lam), c in table.items()}
         )
-    return out
+
+    def __iter__(self):
+        return iter(range(self.n_min, self.n_max + 1))
+
+    def __len__(self) -> int:
+        return max(0, self.n_max - self.n_min + 1)
+
+    def to_mapping(self, n: int) -> dict[str, int]:
+        """self[n].to_mapping(), without a sort or a format_partition."""
+        i = self._segment(n)
+        if not n:  # the empty shape at level 0 has no first row to write
+            return self[n].to_mapping()
+        if self._rows is None:
+            # every shape of the window is active at n_max
+            order = sorted(self._tables[-1], key=lambda shape: (-shape[0], shape[1]))
+            suffix = {shape: "".join(f"+{part}" for part in shape[1]) for shape in order}
+            self._rows = [
+                [(shape[0], suffix[shape], table[shape]) for shape in order if shape in table]
+                for table in self._tables
+            ]
+        return {f"{n - size}{tail}": c for size, tail, c in self._rows[i]}
+
+    def stability(self) -> tuple[int | None, dict[Partition, int]]:
+        """The stable_from and stable_table of fi_analysis.detect_stability
+        on the window, which must hold two levels or more: the last
+        threshold in (n_min, n_max], or n_min if there is none, and None
+        where it is n_max, since the last two levels then differ; and the
+        unpadded table at n_max."""
+        last = self._starts[-1]
+        table = {lam: c for (_, lam), c in self._tables[-1].items()}
+        return (None if last == self.n_max else last), table
 
 
 def _poly_mul(p: dict[int, int], q: dict[int, int], cap: int) -> dict[int, int]:

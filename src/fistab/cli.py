@@ -41,25 +41,27 @@ def _is_scalar_list(v) -> bool:
 
 
 def _text(payload, pad: str, lines: list[str]) -> None:
-    # ints, most of a report's leaves, skip the type tests of the rest
-    if isinstance(payload, dict):
-        keys = [_key(k) for k in payload]
+    # one type dispatch per value; ints, most of a report's leaves, first
+    kind = type(payload)
+    if kind is dict:
+        keys = ["()" if k == "" else k for k in payload]  # _key of a str key
         width = max(map(len, keys), default=0)
         inner = pad + "  "
         for key, v in zip(keys, payload.values()):
-            if type(v) is int:
-                lines.append(f"{pad}{key:<{width}}  {v}")
-            elif isinstance(v, dict) or (isinstance(v, list) and not _is_scalar_list(v)):
+            kind = type(v)
+            if kind is int:
+                lines.append(f"{pad}{key.ljust(width)}  {v}")
+            elif kind is dict or (kind is list and not _is_scalar_list(v)):
                 lines.append(f"{pad}{key}:")
                 _text(v, inner, lines)
-            elif isinstance(v, list):
-                lines.append(f"{pad}{key:<{width}}  {' '.join(map(_scalar, v))}")
+            elif kind is list:
+                lines.append(f"{pad}{key.ljust(width)}  {' '.join(map(_scalar, v))}")
             else:
-                lines.append(f"{pad}{key:<{width}}  {_scalar(v)}")
-    elif isinstance(payload, list):
+                lines.append(f"{pad}{key.ljust(width)}  {_scalar(v)}")
+    elif kind is list:
         inner = pad + "  "
         for item in payload:
-            if isinstance(item, (dict, list)):
+            if type(item) in (dict, list):
                 lines.append(f"{pad}-")
                 _text(item, inner, lines)
             else:

@@ -68,11 +68,12 @@ def run(args):
         "k": k,
         "window": [args.n_min, args.n_max],
         "betti": {str(n): betti[n] for n in window},
-        "decompositions": {str(n): decs[n].to_mapping() for n in window},
+        "decompositions": {str(n): decs.to_mapping(n) for n in window},
     }
     if args.n_max > args.n_min:
-        seq = fi_analysis.FISequence(decs)
-        payload["stability"] = fi_analysis.detect_stability(seq).to_mapping()
+        # detect_stability's report, read off the thresholds
+        stability = fi_analysis.StabilityReport((args.n_min, args.n_max), *decs.stability())
+        payload["stability"] = stability.to_mapping()
         try:
             poly = os_model.character_polynomial(args.n_min, args.n_max, k)
             payload["character_polynomial"] = poly.to_mapping()

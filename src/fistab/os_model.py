@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 from .characters import (
     ClassFunction,
+    FreeLevels,
     IrrDecomposition,
     _poly_mul,
     as_multiplicity,
@@ -323,7 +324,7 @@ def _free_generators(n: int, k: int) -> dict[int, IrrDecomposition]:
     return _generators_up_to(min(n, 2 * k), k)
 
 
-def free_decompositions(n_min: int, n_max: int, k: int) -> dict[int, IrrDecomposition]:
+def free_decompositions(n_min: int, n_max: int, k: int) -> FreeLevels:
     """decomposition(n, k), its test oracle, at every level n of the window
     n_min..n_max, as the Pieri sum of the W_m (characters.free_module_sum):
     no character table of S_n, only those of S_m for m <= min(n_max, 2k),
@@ -424,11 +425,12 @@ def _free_invariant_dimension(n: int, a: int, k: int) -> int:
     # stabilizer of A permutes its other m - j points.
     if not 0 <= a <= n:
         raise DomainError(f"need 0 <= a <= {n}, got a={a}")
-    return sum(
-        comb(a, j) * _free_fixed_dims(m, k)[j]
-        for m in _free_generators(n, k)
-        for j in range(max(0, m - n + a), min(a, m) + 1)
-    )
+    total = 0
+    for m in _free_generators(n, k):
+        fixed = _free_fixed_dims(m, k)
+        for j in range(max(0, m - n + a), min(a, m) + 1):
+            total += comb(a, j) * fixed[j]
+    return total
 
 
 class CoinvariantReport(NamedTuple):
@@ -440,7 +442,14 @@ class CoinvariantReport(NamedTuple):
     dims: tuple[int, int]
 
     def to_mapping(self) -> dict:
-        return {**self._asdict(), "dims": list(self.dims)}
+        return {
+            "n": self.n,
+            "a": self.a,
+            "degree": self.degree,
+            "injective": self.injective,
+            "surjective": self.surjective,
+            "dims": list(self.dims),
+        }
 
 
 def coinvariant_report(n: int, a: int, k: int, d_src: int | None = None) -> CoinvariantReport:
@@ -461,11 +470,4 @@ def coinvariant_report(n: int, a: int, k: int, d_src: int | None = None) -> Coin
     if d_src is None:
         d_src = _free_invariant_dimension(n, a, k)  # rejects a outside 0..n
     d_dst = _free_invariant_dimension(n + 1, a, k)
-    return CoinvariantReport(
-        n=n,
-        a=a,
-        degree=k,
-        injective=True,
-        surjective=d_src == d_dst,
-        dims=(d_src, d_dst),
-    )
+    return CoinvariantReport(n, a, k, True, d_src == d_dst, (d_src, d_dst))

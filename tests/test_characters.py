@@ -319,3 +319,5 @@ def test_free_module_sum_against_one_level_pieri_loop():
             assert list(levels) == list(range(lo, hi + 1)), (gens, lo, hi)
             for n, dec in levels.items():
                 assert dec.n == n and dec == _one_level_pieri(gens, n), (gens, lo, hi, n)
+                written = list(levels.to_mapping(n).items())
+                assert written == list(dec.to_mapping().items()), (gens, lo, hi, n)

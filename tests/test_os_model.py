@@ -11,6 +11,7 @@ representation axiom for the action matrices.
 import contextlib
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from fistab.cli import main, render
 from fistab.errors import ConsistencyError, DomainError
 from fistab.fi_analysis import (
     FISequence,
+    detect_stability,
     fit_char_polynomial,
     length_of,
     quotient_betti,
@@ -43,7 +45,8 @@ from fistab.os_model import (
     normalize_edge,
     straighten,
 )
-from fistab.partitions import partitions
+from fistab.characters import IrrDecomposition
+from fistab.partitions import horizontal_strip_extensions, partitions
 from linalg_helpers import mat_mul_columns
 from os_oracles import (
     class_representative,
@@ -592,3 +595,61 @@ def test_os_scan_prints_the_bytes_of_the_table_route(k, n_min, n_max):
     for fmt in ("json", "text", "csv"):
         argv = ["os-scan", "--n-min", str(n_min), "--n-max", str(n_max), "--k", str(k)]
         assert _scan_output([*argv, "--format", fmt]) == render(payload, fmt), fmt
+
+
+def _pieri_level(n: int, k: int) -> IrrDecomposition:
+    # level n of the free modules, one level at a time, as os-scan once
+    # read every level
+    mult = {}
+    for w in os_model._free_generators(n, k).values():
+        for rho, c in w.mult.items():
+            for lam in horizontal_strip_extensions(rho, n):
+                mult[lam] = mult.get(lam, 0) + c
+    return IrrDecomposition(n, mult)
+
+
+def _old_coinvariant_row(report) -> dict:
+    # CoinvariantReport.to_mapping as NamedTuple._asdict wrote it
+    return {**report._asdict(), "dims": list(report.dims)}
+
+
+def test_os_scan_window_is_written_from_its_thresholds():
+    # every k <= 4, 1 <= n_min <= 4k + 1 and 1..2k + 2 levels: each
+    # level's keys in IrrDecomposition.to_mapping() order, the stability
+    # verdict of detect_stability, and the coinvariant rows of one
+    # coinvariant_report per map, against the per-level route
+    verdicts = set()
+    for k in range(5):
+        for n_min in range(1, 4 * k + 2):
+            for n_max in range(n_min, n_min + 2 * k + 2):
+                levels = os_model.free_decompositions(n_min, n_max, k)
+                old = {n: _pieri_level(n, k) for n in range(n_min, n_max + 1)}
+                argv = ["os-scan", "--n-min", str(n_min), "--n-max", str(n_max), "--k", str(k)]
+                payload = json.loads(_scan_output([*argv, "--format", "json"]))
+                window = (k, n_min, n_max)
+                for n, dec in old.items():
+                    assert levels[n] == dec, (window, n)
+                    want = list(dec.to_mapping().items())
+                    assert list(levels.to_mapping(n).items()) == want, (window, n)
+                    assert list(payload["decompositions"][str(n)].items()) == want, (window, n)
+                if n_max > n_min:
+                    report = detect_stability(FISequence(old))
+                    assert payload["stability"] == report.to_mapping(), window
+                    assert levels.stability() == (report.stable_from, report.stable_table)
+                    verdicts.add(report.stabilized)
+                else:
+                    assert "stability" not in payload
+                rows = {
+                    str(a): {
+                        str(n): _old_coinvariant_row(coinvariant_report(n, a, k))
+                        for n in range(max(n_min, a), n_max)
+                    }
+                    for a in range(min(3, n_max - 1) + 1)
+                    if max(n_min, a) < n_max
+                }
+                assert payload["coinvariants"] == rows, window
+                for by_level in payload["coinvariants"].values():
+                    for row in by_level.values():
+                        assert list(row) == ["n", "a", "degree", "injective", "surjective", "dims"]
+    # windows that stabilize and windows whose last threshold is n_max
+    assert verdicts == {True, False}
