@@ -11,11 +11,31 @@ says why.  Print the current digests with
 
     PYTHONPATH=src python tests/byte_grids.py
 
-Grids:
+and one line per request of a grid, its argv and the SHA-256 of its exit
+code, stdout and stderr, with
+
+    PYTHONPATH=src python tests/byte_grids.py --requests NAME
+
+so that diffing the listings of two checkouts names the requests whose
+bytes changed.
+
+Grids, each request in json, text and csv unless said otherwise:
 - os-scan: every window with k <= 4, 1 <= n_min <= 11 and 1..2k + 2
-  levels, with --a-max 2, in json, text and csv;
+  levels, with --a-max 2;
 - request_mix: the benchmark's seeded request lists (perfbench/mix.py),
-  seeds 1-3, 1000 requests each.
+  seeds 1-3, 1000 requests each, as they are;
+- m-module: every --lam with |lam| <= 6 and every --regular m <= 6, at
+  each level n from |lam| (or m) to 13;
+- kunneth: --decompose on five graded-dimension vectors, n <= 9, i <= 7;
+- wreath-scan: the same five vectors, i <= 4, n_max <= 12, and one
+  window with n_min > 0;
+- character: every whole irreducible character of S_n, n <= 10, and the
+  decomposition of each, its values given by `character_oracles.mn`;
+- refusals: for each subcommand with a work budget, a request just under
+  the budget and one just over it (decompose has only the one over: its
+  last admitted size, S_24, takes seconds to run); then, once each and in
+  json alone, usage errors: a missing required flag, an unknown flag, a
+  bad choice and a bad int, where the subcommand has such a flag.
 """
 
 from __future__ import annotations
@@ -24,18 +44,47 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("byte_grids.json")
+FORMATS = ("json", "text", "csv")
+# the graded dimensions of the kunneth and wreath-scan grids
+VECTORS = ("1,2", "1,1,1", "1,2,1", "1,0,3,1", "1,3,2")
+
+
+def _partitions(n: int, largest: int | None = None):
+    """The partitions of n with parts <= largest, parts in decreasing
+    order, in reverse lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _shape(lam) -> str:
+    return "+".join(map(str, lam)) or "()"
+
+
+def _table(values: dict) -> str:
+    return json.dumps(values, separators=(",", ":"))
+
+
+def _in_each_format(argvs):
+    for argv in argvs:
+        for fmt in FORMATS:
+            yield [*argv, "--format", fmt]
 
 
 def os_scan_grid():
     for k in range(5):
         for n_min in range(1, 12):
             for n_max in range(n_min, n_min + 2 * k + 2):
-                for fmt in ("json", "text", "csv"):
+                for fmt in FORMATS:
                     yield [
                         "os-scan", "--n-min", str(n_min), "--n-max", str(n_max),
                         "--k", str(k), "--a-max", "2", "--format", fmt,
@@ -53,20 +102,159 @@ def request_mix_grid():
             yield list(req.argv)
 
 
-GRIDS = {"os-scan": os_scan_grid, "request_mix": request_mix_grid}
+def m_module_grid():
+    def argvs():
+        for size in range(7):
+            for lam in _partitions(size):
+                for n in range(size, 14):
+                    yield ["m-module", "--lam", _shape(lam), "--n", str(n)]
+        for m in range(7):
+            for n in range(m, 14):
+                yield ["m-module", "--regular", str(m), "--n", str(n)]
+
+    return _in_each_format(argvs())
+
+
+def kunneth_grid():
+    return _in_each_format(
+        ["kunneth", "--graded-dims", dims, "--n", str(n), "--i", str(i), "--decompose"]
+        for dims in VECTORS
+        for n in range(10)
+        for i in range(8)
+    )
+
+
+def wreath_scan_grid():
+    def argvs():
+        for dims in VECTORS:
+            for i in range(5):
+                for n_max in range(13):
+                    yield ["wreath-scan", "--graded-dims", dims, "--i", str(i), "--n-max", str(n_max)]
+        yield ["wreath-scan", "--graded-dims", "1,3,2", "--i", "3", "--n-min", "5", "--n-max", "12"]
+
+    return _in_each_format(argvs())
+
+
+def character_grid():
+    from character_oracles import mn
+
+    def argvs():
+        for n in range(11):
+            for lam in _partitions(n):
+                yield ["character", "--lam", _shape(lam)]
+        for n in range(11):
+            for lam in _partitions(n):
+                values = {"+".join(map(str, mu)): mn(lam, mu) for mu in _partitions(n)}
+                yield ["decompose", "--n", str(n), "--values", _table(values)]
+
+    return _in_each_format(argvs())
+
+
+# a valid argv of each subcommand, its required flag left out for the
+# missing-flag request (None: it has none), its int flag given "x" for the
+# bad-int request (None: it has none), and a choice flag with a bad value
+USAGE = {
+    "character": (["--lam", "2+1", "--mu", "1+1+1"], "--lam", None, "--format"),
+    "decompose": (["--n", "3", "--values", '{"1+1+1": 3, "2+1": 1, "3": 0}'], "--n", "--n", "--format"),
+    "m-module": (["--lam", "2", "--n", "4"], "--n", "--n", "--format"),
+    "stability-scan": (["--entries", '{"entries": {"2": {"2": 1}}}'], None, None, "--format"),
+    "fit-charpoly": (
+        ["--entries", '{"entries": {"2": {"1+1": 1, "2": 1}}}', "--degree-bound", "0"],
+        "--degree-bound", "--degree-bound", "--format",
+    ),
+    "fit-dimpoly": (["--dims", '{"2": 1, "3": 1}', "--degree-bound", "0"], "--degree-bound",
+                    "--degree-bound", "--format"),
+    "bounds": (["--alpha", "1", "--beta", "2", "--i", "3"], "--alpha", "--i", "--format"),
+    "table1": (["--row", "moduli", "--i", "2"], "--row", "--i", "--row"),
+    "os-scan": (["--n-min", "2", "--n-max", "4", "--k", "1"], "--k", "--n-max", "--format"),
+    "wreath-scan": (["--graded-dims", "1,2", "--i", "1", "--n-max", "4"], "--graded-dims", "--i",
+                    "--format"),
+    "kunneth": (["--graded-dims", "1,2", "--n", "3", "--i", "1"], "--i", "--n", "--format"),
+}
+
+
+def _without(argv: list[str], flag: str) -> list[str]:
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2 :]
+
+
+def _with_value(argv: list[str], flag: str, value: str) -> list[str]:
+    if flag not in argv:
+        return [*argv, flag, value]
+    at = argv.index(flag)
+    return [*argv[: at + 1], value, *argv[at + 2 :]]
+
+
+def refusals_grid():
+    def levels(ns, value):
+        # {"entries": {n: {every class of n: value}}}
+        return _table({"entries": {
+            str(n): {"+".join(map(str, mu)): value for mu in _partitions(n)} for n in ns
+        }})
+
+    def dims(points):
+        return _table({str(n): 1 for n in range(points)})
+
+    zeros_25 = _table({"+".join(map(str, mu)): 0 for mu in _partitions(25)})
+    gap = ",".join(["1", *["0"] * 20, "1"])  # dims 1 and 1 in degrees 0 and 21
+    wider_gap = ",".join(["1", *["0"] * 21, "1"])
+    # (just under the budget, just over it): each is the last admitted and
+    # the first refused request along one flag
+    edges = [
+        (["character", "--lam", "1578+1578", "--mu", "3156"],
+         ["character", "--lam", "1579+1579", "--mu", "3158"]),
+        (None, ["decompose", "--n", "25", "--values", zeros_25]),
+        (["m-module", "--regular", "31", "--n", "31"], ["m-module", "--regular", "32", "--n", "32"]),
+        (["fit-charpoly", "--entries", levels(range(1, 13), 1), "--degree-bound", "11"],
+         ["fit-charpoly", "--entries", levels(range(1, 14), 1), "--degree-bound", "11"]),
+        (["fit-dimpoly", "--dims", dims(146), "--degree-bound", "103"],
+         ["fit-dimpoly", "--dims", dims(147), "--degree-bound", "103"]),
+        (["os-scan", "--n-min", "10", "--n-max", "15", "--k", "5", "--a-max", "0"],
+         ["os-scan", "--n-min", "9", "--n-max", "15", "--k", "5", "--a-max", "0"]),
+        (["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "1499998", "--n-max", "1499998"],
+         ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "1499999", "--n-max", "1499999"]),
+        (["kunneth", "--graded-dims", gap, "--n", "21", "--i", "21", "--decompose"],
+         ["kunneth", "--graded-dims", wider_gap, "--n", "22", "--i", "22", "--decompose"]),
+    ]
+    yield from _in_each_format(argv for pair in edges for argv in pair if argv is not None)
+    yield []
+    yield ["no-such-command"]
+    for name, (argv, required, int_flag, choice) in USAGE.items():
+        if required is not None:
+            yield [name, *_without(argv, required)]
+        yield [name, *argv, "--no-such-flag", "1"]
+        yield [name, *_with_value(argv, choice, "xml")]
+        if int_flag is not None:
+            yield [name, *_with_value(argv, int_flag, "x")]
+
+
+GRIDS = {
+    "os-scan": os_scan_grid,
+    "request_mix": request_mix_grid,
+    "m-module": m_module_grid,
+    "kunneth": kunneth_grid,
+    "wreath-scan": wreath_scan_grid,
+    "character": character_grid,
+    "refusals": refusals_grid,
+}
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one request, run in process."""
+    from fistab.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def digest(argvs) -> str:
     """SHA-256 over (argv, exit code, stdout, stderr) of each request,
     each written as one line of JSON."""
-    from fistab.cli import main
-
     sha = hashlib.sha256()
     for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-        line = json.dumps([argv, code, out.getvalue(), err.getvalue()], ensure_ascii=False)
+        line = json.dumps([argv, *run(argv)], ensure_ascii=False)
         sha.update(line.encode() + b"\n")
     return sha.hexdigest()
 
@@ -75,5 +263,22 @@ def digests() -> dict[str, str]:
     return {name: digest(grid()) for name, grid in GRIDS.items()}
 
 
+def requests(name: str) -> None:
+    """Print each request of the grid: its argv, a tab, and the SHA-256 of
+    its exit code, stdout and stderr as one line of JSON."""
+    for argv in GRIDS[name]():
+        line = json.dumps(list(run(argv)), ensure_ascii=False)
+        print(f"{shlex.join(argv)}\t{hashlib.sha256(line.encode()).hexdigest()}")
+
+
 if __name__ == "__main__":
-    print(json.dumps(digests(), indent=2))
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Print the digests of the byte-identity grids.")
+    parser.add_argument("--requests", choices=GRIDS, metavar="NAME",
+                        help=f"list one grid request by request instead ({', '.join(GRIDS)})")
+    args = parser.parse_args()
+    if args.requests:
+        requests(args.requests)
+    else:
+        print(json.dumps(digests(), indent=2))

@@ -23,4 +23,11 @@ def test_byte_grids_keep_their_digests():
     )
     assert proc.returncode == 0, proc.stderr
     recorded = json.loads(GRIDS.with_suffix(".json").read_text())
-    assert json.loads(proc.stdout) == recorded
+    current = json.loads(proc.stdout)
+    changed = sorted(name for name in current.keys() | recorded.keys()
+                     if current.get(name) != recorded.get(name))
+    assert not changed, (
+        f"grids whose bytes changed: {changed}; to name the requests, diff the listings of "
+        f"`PYTHONPATH=src python tests/byte_grids.py --requests NAME` in this checkout and in "
+        f"one that keeps the recorded digests"
+    )
