@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 domain error, 2 internal-consistency failure,
 
 from __future__ import annotations
 
-import io
 import sys
 from collections import namedtuple
 from functools import lru_cache
@@ -31,109 +30,114 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def _key(k) -> str:
-    # the empty partition serializes as ""; show it as () in human output
-    return "()" if k == "" else str(k)
-
-
 def _is_scalar_list(v) -> bool:
     return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
 
 
-def _text(payload, pad: str, lines: list[str]) -> None:
+# Each walk hands out(piece) the finished pieces of the report in order:
+# JSON tokens, text lines with their "\n", CSV rows as csv.writer writes
+# them.  A report holds dicts with str keys, lists, strs, ints, bools and
+# None, each of exactly that type, so the walks dispatch on type().
+
+
+def _text(payload, pad: str, out) -> None:
     # one type dispatch per value; ints, most of a report's leaves, first
     kind = type(payload)
     if kind is dict:
-        keys = ["()" if k == "" else k for k in payload]  # _key of a str key
+        keys = ["()" if k == "" else k for k in payload]  # the empty partition
         width = max(map(len, keys), default=0)
         inner = pad + "  "
         for key, v in zip(keys, payload.values()):
             kind = type(v)
             if kind is int:
-                lines.append(f"{pad}{key.ljust(width)}  {v}")
+                out(f"{pad}{key.ljust(width)}  {v}\n")
             elif kind is dict or (kind is list and not _is_scalar_list(v)):
-                lines.append(f"{pad}{key}:")
-                _text(v, inner, lines)
+                out(f"{pad}{key}:\n")
+                _text(v, inner, out)
             elif kind is list:
-                lines.append(f"{pad}{key.ljust(width)}  {' '.join(map(_scalar, v))}")
+                out(f"{pad}{key.ljust(width)}  {' '.join(map(_scalar, v))}\n")
             else:
-                lines.append(f"{pad}{key.ljust(width)}  {_scalar(v)}")
+                out(f"{pad}{key.ljust(width)}  {_scalar(v)}\n")
     elif kind is list:
         inner = pad + "  "
         for item in payload:
             if type(item) in (dict, list):
-                lines.append(f"{pad}-")
-                _text(item, inner, lines)
+                out(f"{pad}-\n")
+                _text(item, inner, out)
             else:
-                lines.append(f"{pad}- {_scalar(item)}")
+                out(f"{pad}- {_scalar(item)}\n")
     else:
-        lines.append(f"{pad}{_scalar(payload)}")
+        out(f"{pad}{_scalar(payload)}\n")
 
 
-def _csv_rows(payload, prefix: str, rows: list[tuple[str, str]]) -> None:
-    # prefix is "" at the top and ends with "." below it
-    if isinstance(payload, dict):
+def _csv(payload, prefix: str, row) -> None:
+    # row(fields) writes one CSV row; prefix is "" at the top and ends
+    # with "." below it
+    kind = type(payload)
+    if kind is dict:
         for k, v in payload.items():
+            key = f"{prefix}{'()' if k == '' else k}"
             if type(v) is int:
-                rows.append((f"{prefix}{_key(k)}", str(v)))
+                row((key, v))
             else:
-                _csv_rows(v, f"{prefix}{_key(k)}.", rows)
-    elif isinstance(payload, list) and not _is_scalar_list(payload):
+                _csv(v, f"{key}.", row)
+    elif kind is list and not _is_scalar_list(payload):
         for idx, v in enumerate(payload):
-            _csv_rows(v, f"{prefix}{idx}.", rows)
+            _csv(v, f"{prefix}{idx}.", row)
     else:
-        value = " ".join(map(_scalar, payload)) if isinstance(payload, list) else _scalar(payload)
-        rows.append((prefix[:-1], value))
+        row((prefix[:-1], " ".join(map(_scalar, payload)) if kind is list else _scalar(payload)))
 
 
-def _json(payload, pad: str, out: list[str], quote) -> None:
+def _json(payload, pad: str, out, quote) -> None:
     # json.dumps(payload, indent=2) for the types a report holds
-    if isinstance(payload, str):
-        out.append(quote(payload))
-    elif payload is None:
-        out.append("null")
-    elif payload is True:
-        out.append("true")
-    elif payload is False:
-        out.append("false")
-    elif isinstance(payload, int):
-        out.append(int.__repr__(payload))
-    elif isinstance(payload, dict):
+    kind = type(payload)
+    if kind is str:
+        out(quote(payload))
+    elif kind is int:
+        out(str(payload))
+    elif kind is dict:
         if not payload:
-            out.append("{}")
+            out("{}")
             return
         inner = pad + "  "
         sep = "{\n" + inner
         for k, v in payload.items():
             if type(v) is int:
-                out.append(f"{sep}{quote(k)}: {v}")
+                out(f"{sep}{quote(k)}: {v}")
             else:
-                out.append(f"{sep}{quote(k)}: ")
+                out(f"{sep}{quote(k)}: ")
                 _json(v, inner, out, quote)
             sep = ",\n" + inner
-        out.append(f"\n{pad}}}")
-    elif isinstance(payload, list):
+        out(f"\n{pad}}}")
+    elif kind is list:
         if not payload:
-            out.append("[]")
+            out("[]")
             return
         inner = pad + "  "
         sep = "[\n" + inner
         for v in payload:
             if type(v) is int:
-                out.append(f"{sep}{v}")
+                out(f"{sep}{v}")
             else:
-                out.append(sep)
+                out(sep)
                 _json(v, inner, out, quote)
             sep = ",\n" + inner
-        out.append(f"\n{pad}]")
+        out(f"\n{pad}]")
+    elif kind is bool:
+        out("true" if payload else "false")
+    elif payload is None:
+        out("null")
     else:
-        raise TypeError(f"Object of type {type(payload).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def render(payload, fmt: str) -> str:
     """The report in fmt: JSON as json.dumps(payload, indent=2) writes
     it, aligned text, or one CSV row per scalar or list of scalars, keyed
-    by its dotted path."""
+    by its dotted path.  The format's walk appends the report's pieces to
+    one list, joined once: where a report is held is decided here alone."""
+    pieces: list[str] = []
+    out = pieces.append
     if fmt == "json":
         # the C function json.encoder re-exports, without loading json
         try:
@@ -141,23 +145,19 @@ def render(payload, fmt: str) -> str:
         except ImportError:
             from json.encoder import encode_basestring_ascii
 
-        out: list[str] = []
         _json(payload, "", out, encode_basestring_ascii)
-        out.append("\n")
-        return "".join(out)
-    if fmt == "text":
-        lines: list[str] = []
-        _text(payload, "", lines)
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
+        out("\n")
+    elif fmt == "text":
+        _text(payload, "", out)
+        if not pieces:  # an empty report is one empty line
+            out("\n")
+    elif fmt == "csv":
         import csv
 
-        rows: list[tuple[str, str]] = []
-        _csv_rows(payload, "", rows)
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        return buf.getvalue()
-    raise DomainError(f"unknown format {fmt!r}")
+        _csv(payload, "", csv.writer(SimpleNamespace(write=out), lineterminator="\n").writerow)
+    else:
+        raise DomainError(f"unknown format {fmt!r}")
+    return "".join(pieces)
 
 
 def _emit(payload, args) -> None:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import lcm
+from typing import NamedTuple
 
 from .characters import ClassFunction, IrrDecomposition, exact_obj, unique_keys
 from .errors import DomainError
@@ -114,31 +115,12 @@ class FISequence:
         return cls({n: ClassFunction.from_mapping(n, t) for n, t in tables.items()})
 
 
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Where a window's unpadded multiplicity tables stop changing."""
 
-    __slots__ = ("window", "stable_from", "stable_table")
-    __hash__ = None  # mutable
-
-    def __init__(
-        self, window: tuple[int, int], stable_from: int | None, stable_table: dict[Partition, int]
-    ):
-        self.window = window
-        self.stable_from = stable_from
-        self.stable_table = stable_table
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.window, self.stable_from, self.stable_table) == (
-            other.window, other.stable_from, other.stable_table
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(window={self.window!r}, stable_from={self.stable_from!r}, "
-            f"stable_table={self.stable_table!r})"
-        )
+    window: tuple[int, int]
+    stable_from: int | None
+    stable_table: dict[Partition, int]
 
     @property
     def stabilized(self) -> bool:

@@ -186,10 +186,10 @@ def _with_value(argv: list[str], flag: str, value: str) -> list[str]:
 
 
 def refusals_grid():
-    def levels(ns, value):
-        # {"entries": {n: {every class of n: value}}}
+    def trivial(ns):
+        # the trivial character of S_n at each n in ns
         return _table({"entries": {
-            str(n): {"+".join(map(str, mu)): value for mu in _partitions(n)} for n in ns
+            str(n): {"+".join(map(str, mu)): 1 for mu in _partitions(n)} for n in ns
         }})
 
     def dims(points):
@@ -205,8 +205,8 @@ def refusals_grid():
          ["character", "--lam", "1579+1579", "--mu", "3158"]),
         (None, ["decompose", "--n", "25", "--values", zeros_25]),
         (["m-module", "--regular", "31", "--n", "31"], ["m-module", "--regular", "32", "--n", "32"]),
-        (["fit-charpoly", "--entries", levels(range(1, 13), 1), "--degree-bound", "11"],
-         ["fit-charpoly", "--entries", levels(range(1, 14), 1), "--degree-bound", "11"]),
+        (["fit-charpoly", "--entries", trivial(range(1, 13)), "--degree-bound", "11"],
+         ["fit-charpoly", "--entries", trivial(range(1, 14)), "--degree-bound", "11"]),
         (["fit-dimpoly", "--dims", dims(146), "--degree-bound", "103"],
          ["fit-dimpoly", "--dims", dims(147), "--degree-bound", "103"]),
         (["os-scan", "--n-min", "10", "--n-max", "15", "--k", "5", "--a-max", "0"],

@@ -105,11 +105,12 @@ def test_decompose_inline(capsys):
     assert payload["dimension"] == 3
 
 
-def test_decompose_non_representation_exits_2(capsys):
+def test_decompose_non_representation_exits_1(capsys):
+    # the table is the user's input, so a domain error, not an internal one
     values = json.dumps({"1+1+1": 1, "2+1": 1, "3": 0})
     code, out, err = run(capsys, "decompose", "--n", "3", "--values", values)
-    assert code == 2
-    assert "consistency" in err
+    assert (code, out) == (1, "")
+    assert err == "fistab: not a representation character: multiplicity of 1+1+1 is -1/3\n"
 
 
 def test_m_module(capsys):
@@ -513,28 +514,22 @@ def test_a_multiplicity_past_the_digit_cap_shows_its_digit_count():
     # 2 * 7^4000 * 10^4000, is shown by its number of digits, 7381
     values = {"2": f"1/{7**4000}", "1+1": "1e-4000"}
     code, out, err, seconds = _fresh_decompose(2, values)
-    assert (code, out) == (2, "")
+    assert (code, out) == (1, "")
     assert _one_line_error(err) and err.endswith("/<7381 digits>\n"), err[-80:]
-    assert err.startswith(
-        "fistab: internal consistency failure: not a representation character: "
-        "multiplicity of 1+1 is -"
-    )
+    assert err.startswith("fistab: not a representation character: multiplicity of 1+1 is -")
     assert seconds < 1.0, seconds
 
 
 def test_a_multiplicity_under_the_digit_cap_keeps_its_bytes():
     code, out, err, seconds = _fresh_decompose(1, {"1": "1e-4000"})
-    assert (code, out) == (2, "")
-    assert err == (
-        "fistab: internal consistency failure: not a representation character: "
-        f"multiplicity of 1 is 1/1{'0' * 4000}\n"
-    )
+    assert (code, out) == (1, "")
+    assert err == f"fistab: not a representation character: multiplicity of 1 is 1/1{'0' * 4000}\n"
     assert seconds < 1.0, seconds
 
 
 def test_without_a_digit_cap_every_json_value_is_read():
     code, out, err, _ = _fresh_decompose(1, {"1": "1e-5000"}, PYTHONINTMAXSTRDIGITS="0")
-    assert (code, out) == (2, "")
+    assert (code, out) == (1, "")
     assert err.endswith(f"multiplicity of 1 is 1/1{'0' * 5000}\n")
     code, out, err, _ = _fresh_decompose(1, {"1": "1e5000"}, PYTHONINTMAXSTRDIGITS="0")
     assert (code, err) == (0, "")
@@ -929,6 +924,31 @@ def test_m_module_at_a_huge_level_reads_only_its_strips():
         f"{n}": 1, f"{n - 1}+1": 3, f"{n - 2}+2": 3, f"{n - 2}+1+1": 3,
         f"{n - 3}+3": 1, f"{n - 3}+2+1": 2, f"{n - 3}+1+1+1": 1,
     }
+
+
+def test_a_long_csv_report_peaks_no_higher_than_its_json():
+    # csv rows go into the one list of pieces that json and text use too,
+    # not through a row list and a buffer copied into a string: each
+    # format in a fresh interpreter, 300001 levels of wreath-scan peak
+    # within 15% of each other (the parent read 117 MB in csv, 71 in json)
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    script = (
+        "import resource, sys\nfrom fistab.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+
+    def peak(fmt: str) -> int:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "wreath-scan", "--graded-dims", "1,2", "--i", "2",
+             "--n-max", "300000", "--format", fmt, "--out", os.devnull],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, rss = proc.stdout.split()
+        assert code == "0" and not proc.stderr, proc.stderr
+        return int(rss)
+
+    csv_peak, json_peak = peak("csv"), peak("json")
+    assert csv_peak <= 1.15 * json_peak, (csv_peak, json_peak)
 
 
 def test_unfittable_character_polynomial_is_refused_quickly():

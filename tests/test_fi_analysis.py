@@ -147,16 +147,17 @@ def test_detect_stability_not_stabilized():
     assert report.to_mapping()["note"] == "not stabilized in window"
 
 
-def test_stability_report_is_a_mutable_record():
+def test_stability_report_is_an_immutable_record():
     report = detect_stability(FISequence({n: m_module((1,), n) for n in range(1, 7)}))
     assert repr(report) == (
         "StabilityReport(window=(1, 6), stable_from=2, stable_table={(): 1, (1,): 1})"
     )
     assert report == StabilityReport((1, 6), 2, {(): 1, (1,): 1})
     assert report != StabilityReport((1, 6), None, {(): 1, (1,): 1})
-    report.stable_from = None
-    assert not report.stabilized
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError):
+        report.stable_from = None
+    assert report._replace(stable_from=None).stabilized is False
+    with pytest.raises(TypeError):  # its table is a dict
         hash(report)
 
 
