@@ -16,10 +16,23 @@ from functools import lru_cache
 from importlib import import_module
 from types import SimpleNamespace
 
-from .characters import decompose as decompose  # bound here for the benchmark's tracer
-from .characters import read_exact
+# The docstring above is the description `fistab -h` prints.  This module
+# and fistab.commands import no computation layer: each handler imports
+# the layers it calls when its subcommand runs, so help, usage errors,
+# `bounds`, `table1` and `wreath-scan` never compile `characters`.
 from .commands import WORK_BUDGET, UsageError, _read_text
 from .errors import ConsistencyError, DomainError
+from .partitions import read_exact
+
+
+def __getattr__(name: str):
+    # cli.decompose is characters.decompose as that module binds it now,
+    # wrapped or not: the benchmark's tracer looks for it here.  It is
+    # looked up on each access and never stored (PEP 562), so importing the
+    # CLI compiles no characters, and a wrapper leaves nothing behind.
+    if name == "decompose":
+        return import_module(f"{__package__}.characters").decompose
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _scalar(v) -> str:
@@ -75,12 +88,19 @@ def _csv(payload, prefix: str, row) -> None:
     # with "." below it
     kind = type(payload)
     if kind is dict:
+        # one type dispatch per value, as in _text: a scalar leaf is a row
+        # at once, and only dicts and lists of non-scalars recurse
         for k, v in payload.items():
             key = f"{prefix}{'()' if k == '' else k}"
-            if type(v) is int:
+            kind = type(v)
+            if kind is int or kind is str:
                 row((key, v))
-            else:
+            elif kind is dict or (kind is list and not _is_scalar_list(v)):
                 _csv(v, f"{key}.", row)
+            elif kind is list:
+                row((key, " ".join(map(_scalar, v))))
+            else:
+                row((key, _scalar(v)))
     elif kind is list and not _is_scalar_list(payload):
         for idx, v in enumerate(payload):
             _csv(v, f"{prefix}{idx}.", row)
@@ -177,7 +197,7 @@ def _emit(payload, args) -> None:
 
 
 def _fraction(text: str):
-    """text as a Fraction (`characters.read_exact`), or argparse's usage
+    """text as a Fraction (`partitions.read_exact`), or argparse's usage
     error, imported on that path alone: argparse turns only TypeError and
     ValueError into one, and Fraction("1/0") raises ZeroDivisionError."""
     try:

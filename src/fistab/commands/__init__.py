@@ -7,7 +7,8 @@ reads its flags, rows of `cli.SUBCOMMANDS`, as attributes of `args`.  A
 handler module never imports `fistab.cli`, and it calls the layers
 through their modules (`characters.decompose(...)`), so a function
 rebound on its module after the import (a profiler, a tracer) still
-takes effect.
+takes effect.  This module imports no computation layer, as
+`import fistab.cli` loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 from functools import lru_cache
 from operator import mul
 
-from ..characters import unique_keys
 from ..errors import DomainError
 from ..partitions import partition_counts
 
@@ -41,6 +41,9 @@ def _read_text(path: str) -> str:
 def _unique_object(pairs: list) -> dict:
     table = dict(pairs)
     if len(table) < len(pairs):
+        # a repeated key: the one check of keys, imported on this path alone
+        from ..characters import unique_keys
+
         unique_keys([(k, k, v) for k, v in pairs], "JSON object")  # refuses the first repeat
     return table
 
@@ -120,7 +123,14 @@ _ENTRY_NS = 2000  # one reported value of a wreath scan
 
 
 def _seconds(ns: int) -> str:
-    return "more than 1000 s" if ns > 10**12 else f"about {ns / 10**9:.3g} s"
+    # three significant digits, or the fewest past them at which an
+    # estimate over the budget reads as over it: "3.0004 s", not "3 s"
+    if ns > 10**12:
+        return "more than 1000 s"
+    digits = 3
+    while ns > WORK_BUDGET >= float(f"{ns / 10**9:.{digits}g}") * 10**9:
+        digits += 1
+    return f"about {ns / 10**9:.{digits}g} s"
 
 
 def _admit(args, estimate, n: int = 0, alternative: str = "") -> None:

@@ -1,8 +1,9 @@
-"""`fistab wreath-scan`: wreath-product Betti numbers over a window."""
+"""`fistab wreath-scan`: wreath-product Betti numbers over a window, from
+the graded-symmetric power series of fistab.wreath, with no character."""
 
 from __future__ import annotations
 
-from .. import induction
+from .. import wreath
 from ..errors import DomainError
 from . import _ENTRY_NS, _FOLD_NS, _admit, _graded_dims
 
@@ -26,7 +27,7 @@ def run(args):
     if args.n_min < 0 or args.n_max < args.n_min:
         raise DomainError("need 0 <= n-min <= n-max")
     _admit(args, lambda p: _series_work(dims, args.n_max, args.i))
-    series = induction.wreath_invariant_series(dims, args.n_max, args.i)
+    series = wreath.wreath_invariant_series(dims, args.n_max, args.i)
     start = max(args.n_min, 2 * args.i)
     return {
         "graded_dims": list(dims),

@@ -2,19 +2,11 @@
 coinvariants, and graded Kunneth powers for product spaces and wreath
 products with symmetric quotient.
 
-The wreath-product Betti numbers need no characters.  S_n permutes the
-tensor factors of the n-fold graded tensor power with the Koszul sign
-rule: even-degree classes commute and odd-degree classes anticommute.
-The invariants are therefore the graded-symmetric power, spanned by
-multisets of even classes times sets of odd classes, and with d_g the
-g-th Betti number their dimensions are the coefficients of x^n t^i in
-
-    prod_{g even} (1 - x t^g)^(-d_g) * prod_{g odd} (1 + x t^g)^(d_g)
-
-(Macdonald, *The Poincare polynomial of a symmetric product*, 1962).
-That series gives wreath_invariant_dim for every n at once; the twisted
-multiplicities of wreath_twisted_dim are read off kunneth_decomposition
-below.
+The wreath-product Betti numbers need no characters: they are counts of
+graded-symmetric powers (Macdonald 1962), computed in fistab.wreath,
+whose series is re-exported here and gives wreath_invariant_dim.  The
+twisted multiplicities of wreath_twisted_dim are read off
+kunneth_decomposition below.
 
 The irreducible decomposition of the tensor power needs no character
 table of S_n either.  Splitting V = 1 + V_+ into degree 0 and positive
@@ -34,9 +26,6 @@ of a permutation (characters.cycle_product, which os_model also calls).
 
 from __future__ import annotations
 
-from itertools import accumulate
-from math import comb
-
 from .characters import (
     ClassFunction,
     IrrDecomposition,
@@ -55,6 +44,8 @@ from .partitions import (
     pad,
     partitions,
 )
+from .wreath import _check_graded_dims, _graded_symmetric_counts
+from .wreath import wreath_invariant_series as wreath_invariant_series
 
 
 def induced_character(f: ClassFunction, g: ClassFunction) -> ClassFunction:
@@ -129,19 +120,6 @@ def _class_traces(dims, n: int, i: int) -> ClassFunction:
     return cycle_product(n, i, powers)
 
 
-def _check_graded_dims(graded_dims, n: int, i: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in graded_dims)
-    if not dims or dims[0] != 1:
-        raise DomainError(
-            f"graded dimensions must start with 1 (connected space), got {dims!r}"
-        )
-    if any(d < 0 for d in dims):
-        raise DomainError(f"graded dimensions must be nonnegative: {dims!r}")
-    if n < 0 or i < 0:
-        raise DomainError("n and i must be nonnegative")
-    return dims
-
-
 def kunneth_power(graded_dims, n: int, i: int) -> ClassFunction:
     """Character of S_n on total degree i of the n-fold graded tensor
     power of a space with the given Betti numbers.
@@ -168,45 +146,6 @@ def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
         if w.dimension():
             generators[m] = decompose(w)
     return free_module_sum(generators, n, n)[n]
-
-
-def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:
-    # Entry s: dimension of the span of the products of s classes of
-    # positive degree in total degree i, for s <= min(n, i) (a product of
-    # more than i such classes has degree above i).  Each degree g is
-    # folded into the table c[s][t] in one step: j of its d_g classes add
-    # x^j t^(g j) in C(d_g, j) ways when g is odd (sets) and in
-    # C(d_g + j - 1, j) ways when g is even (multisets).
-    dims = _check_graded_dims(graded_dims, n, i)
-    s_max = min(n, i)
-    c = [[0] * (i + 1) for _ in range(s_max + 1)]
-    c[0][0] = 1
-    for g in range(1, min(len(dims) - 1, i) + 1):
-        d = dims[g]
-        if not d:
-            continue
-        top = min(s_max, i // g, d if g % 2 else s_max)  # C(d, j) = 0 for j > d
-        ways = [comb(d, j) if g % 2 else comb(d + j - 1, j) for j in range(top + 1)]
-        folded = [[0] * (i + 1) for _ in range(s_max + 1)]
-        for s, row in enumerate(c):
-            for t, x in enumerate(row):
-                if x:
-                    for j, w in enumerate(ways):
-                        if s + j > s_max or t + g * j > i:
-                            break
-                        folded[s + j][t + g * j] += x * w
-        c = folded
-    return [row[i] for row in c]
-
-
-def wreath_invariant_series(graded_dims, n_max: int, i: int) -> list[int]:
-    """wreath_invariant_dim(graded_dims, n, i) for n = 0..n_max, from one
-    pass over the graded-symmetric power series (see the module
-    docstring).  The single degree-0 class contributes 1/(1 - x), so
-    entry n is the running sum of the products of at most n classes of
-    positive degree; it is constant from n = i on."""
-    head = list(accumulate(_graded_symmetric_counts(graded_dims, n_max, i)))
-    return head + head[-1:] * (n_max + 1 - len(head))
 
 
 def wreath_invariant_dim(graded_dims, n: int, i: int) -> int:

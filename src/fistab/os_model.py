@@ -398,8 +398,15 @@ def character_polynomial(n_min: int, n_max: int, k: int) -> CharPolynomial:
     """
     if _needs_check(n_min, n_max, k) and (refusal := _fit_refusal(n_min, n_max, k)) is not None:
         raise DomainError(refusal)
+    return _polynomial_up_to(min(n_max, 2 * k), k)
+
+
+@lru_cache(maxsize=None)
+def _polynomial_up_to(top: int, k: int) -> CharPolynomial:
+    # character_polynomial read off the W_m with m <= top; cached like
+    # _generators_up_to, shared by every caller, never mutated
     coeffs = {}
-    for m in _free_generators(n_max, k):
+    for m in _generators_up_to(top, k):
         for nu, value in _free_character(m, k).values.items():
             coeffs[tuple(sorted(cycle_counts(nu).items()))] = value
     return CharPolynomial(coeffs)

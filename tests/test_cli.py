@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import pytest
 import fistab
 from fistab import os_model
 from fistab.cli import SUBCOMMANDS, build_parser, main
-from fistab.commands import WORK_BUDGET, _BYTE_NS, _strip_pairs
+from fistab.commands import WORK_BUDGET, _BYTE_NS, _seconds, _strip_pairs
 from fistab.commands.character import _shapes_inside
 from fistab.commands.fit_dimpoly import _work as _fit_dim_work
 from fistab.commands.m_module import _strips
@@ -662,6 +663,27 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
         assert proc.returncode == 1 and not proc.stdout, argv
         assert _one_line_error(proc.stderr) and "--allow-large" in proc.stderr, argv
         assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_a_refusal_just_over_the_budget_reads_as_over_it(capsys):
+    # each is estimated a little over 3 s, which three significant digits
+    # print as the budget itself; the fewest digits that read as over it
+    # are shown instead, and never fewer than three
+    dims = json.dumps({str(n): 1 for n in range(147)}, separators=(",", ":"))
+    for argv in (
+        ["wreath-scan", "--graded-dims", "1,2", "--i", "2",
+         "--n-min", "1499999", "--n-max", "1499999"],
+        ["character", "--lam", "1579+1579", "--mu", "3158"],
+        ["fit-dimpoly", "--dims", dims, "--degree-bound", "103"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and _one_line_error(err), argv
+        shown = re.search(r"estimated work about (\S+) s, over the work budget of 3 s;", err)
+        assert shown and float(shown[1]) * 10**9 > WORK_BUDGET, err
+    assert _seconds(3_000_400_000) == "about 3.0004 s"
+    assert _seconds(3_004_000_000) == "about 3.004 s"
+    assert _seconds(12_345_678_901) == "about 12.3 s"
+    assert _seconds(2_000_000_000) == "about 2 s"
 
 
 def test_kunneth_decomposition_without_the_table_of_s_n_is_admitted():

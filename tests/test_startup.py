@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fistab
 
 SRC = str(Path(fistab.__file__).parents[1])
@@ -81,20 +83,59 @@ def _handlers(loaded) -> list[str]:
     return [m for m in loaded if m.startswith("fistab.commands.")]
 
 
+def _package_after(argv) -> list[str]:
+    """The package modules in sys.modules after main(argv) has run in a
+    fresh interpreter, its output and exit code discarded."""
+    return _fresh(
+        "import contextlib, io, sys\n"
+        "import fistab.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        f"    fistab.cli.main({list(argv)!r})\n"
+        "import json\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fistab'))))\n"
+    )
+
+
+# what `import fistab.cli` loads: the front end, and no computation layer
+CLI = ["fistab", "fistab.cli", "fistab.commands", "fistab.errors", "fistab.partitions"]
+# argv -> the package modules a fresh interpreter holds after main(argv),
+# beyond CLI: only the subcommands that compute characters load
+# characters, and help loads bounds alone, for the choices of table1 --row
+LOADS = {
+    ("-h",): ["fistab.bounds"],
+    ("bounds", "--alpha"): [],  # a usage error
+    tuple(BOUNDS): ["fistab.bounds", "fistab.commands.bounds"],
+    ("table1", "--row", "moduli", "--i", "2"): ["fistab.bounds", "fistab.commands.table1"],
+    tuple(WREATH): ["fistab.commands.wreath_scan", "fistab.wreath"],
+    tuple(OS_SCAN): [
+        "fistab.characters", "fistab.commands.os_scan", "fistab.fi_analysis", "fistab.os_model",
+    ],
+    tuple(OS_SCAN_SHORT): [
+        "fistab.characters", "fistab.commands.os_scan", "fistab.fi_analysis", "fistab.linalg",
+        "fistab.os_model",
+    ],
+    tuple(KUNNETH): [
+        "fistab.characters", "fistab.commands.kunneth", "fistab.induction", "fistab.wreath",
+    ],
+}
+
+
 def test_importing_the_cli_loads_no_computation_layer():
-    assert _loaded_after() == [
-        "fistab", "fistab.characters", "fistab.cli", "fistab.commands", "fistab.errors",
-        "fistab.partitions",
-    ]
+    assert _loaded_after() == CLI
+
+
+@pytest.mark.parametrize("argv", list(LOADS), ids=" ".join)
+def test_each_subcommand_loads_only_its_own_modules(argv):
+    assert _package_after(argv) == sorted([*CLI, *LOADS[argv]])
 
 
 def test_building_the_parser_loads_no_computation_layer():
     # the choices of table1 --row are the rows of the bounds module; no
     # handler module is loaded
     assert _loaded_after(full_parser=True) == [
-        "argparse", "decimal", "fistab", "fistab.bounds", "fistab.characters", "fistab.cli",
-        "fistab.commands", "fistab.errors", "fistab.partitions", "fractions", "gettext",
-        "locale",
+        "argparse", "decimal", "fistab", "fistab.bounds", "fistab.cli", "fistab.commands",
+        "fistab.errors", "fistab.partitions", "fractions", "gettext", "locale",
     ]
 
 
@@ -128,7 +169,7 @@ def test_help_and_usage_errors_keep_their_bytes_in_a_fresh_process():
 def test_kunneth_and_wreath_scan_load_only_their_layers():
     for runs in ([KUNNETH], [WREATH], [KUNNETH, WREATH]):
         loaded = _loaded_after(*runs)
-        assert "fistab.induction" in loaded, runs
+        assert "fistab.wreath" in loaded, runs
         # json only to read JSON input, which neither takes: a JSON report,
         # kunneth's default format, is written without it
         assert not {*UNUSED_LAYERS, *WATCHED} & set(loaded), (runs, loaded)
