@@ -106,3 +106,18 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _forward(owner: str, module: str, names):
+    """The module-level __getattr__ (PEP 562) of the module owner, under
+    which each of names is fistab.<module>'s, imported on first use and
+    looked up on every access but never stored in owner: a process that
+    never asks for one compiles no <module>, and a function rebound there
+    (a tracer's wrapper, a test's patch) is what owner gives."""
+
+    def __getattr__(name: str):
+        if name in names:
+            return getattr(_import_module(f".{module}", __name__), name)
+        raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+
+    return __getattr__

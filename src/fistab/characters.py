@@ -14,13 +14,13 @@ threads.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from functools import lru_cache
 from math import factorial, log10
 from operator import mul
 
+from . import _forward
 from .errors import ConsistencyError, DomainError
 from .partitions import (
     Partition,
@@ -30,11 +30,16 @@ from .partitions import (
     dimension,
     format_partition,
     _strip_extensions,
-    parse_partition,
     partition_count,
     partitions,
-    read_exact,
 )
+
+# characters by name, single values and inner products, which no
+# subcommand computes: named_characters', looked up there on each access
+__getattr__ = _forward(__name__, "named_characters", (
+    "mn_character", "trivial_character", "sign_character", "regular_character",
+    "inner_product",
+))
 
 
 def _beads(lam: Partition, count: int) -> int:
@@ -70,11 +75,6 @@ def _mn_column(mu: Partition) -> dict[int, int]:
     upwards from the empty shape, last cycle first."""
     count = sum(mu)
     return _rim_hooks({(1 << count) - 1: 1}, reversed(mu), grow=True)
-
-
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """Character value of the irreducible indexed by lam at the class mu."""
-    return _mn_value(check_partition(lam), check_partition(mu))
 
 
 def _mn_value(lam: Partition, mu: Partition) -> int:
@@ -220,10 +220,9 @@ class ClassFunction:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict) -> "ClassFunction":
-        vals = _parse_table(mapping, "class function")  # parse_partition checked the keys
-        f = object.__new__(cls)
-        f._take(int(n), vals)
-        return f
+        from .tables import class_function  # only JSON input reads a table
+
+        return class_function(n, mapping)
 
 
 def exact_obj(v):
@@ -234,94 +233,11 @@ def exact_obj(v):
     return p if q == 1 else f"{p}/{q}"
 
 
-def unique_keys(triples: list, what: str) -> dict:
-    """{key: value} from a list of (raw key, key, value) triples, refusing
-    two raw keys that read as one key ("1+2" and "2+1", or "2" and "02"):
-    with a plain dict the last value would silently win.  The dict is
-    built first; only one that came out short is walked key by key."""
-    table = {key: value for _, key, value in triples}
-    if len(table) < len(triples):
-        _refuse_first(triples, what)
-    return table
-
-
-def _refuse_first(triples, what: str) -> None:
-    # the first raw key that reads as an earlier one, walking (raw key,
-    # key, value) triples in order as they are made, so a triple that
-    # cannot be made raises only if no repeat comes before it
-    raw_of = {}
-    for raw, key, _ in triples:
-        if key in raw_of:
-            raise DomainError(f"{what} gives one key twice: {raw_of[key]!r} and {raw!r}")
-        raw_of[key] = raw
-
-
-def _parse_table(mapping, what: str) -> dict:
-    if not isinstance(mapping, dict):
-        raise DomainError(
-            f"a {what} must be a {{partition: value}} table, not {type(mapping).__name__}"
-        )
-    try:
-        table = {parse_partition(k): parse_exact(v, k) for k, v in mapping.items()}
-    except DomainError:
-        table = {}
-    if len(table) < len(mapping):
-        # a bad or a repeated key: read again one entry at a time, so
-        # the first fault is the one refused
-        _refuse_first(
-            ((k, parse_partition(k), parse_exact(v, k)) for k, v in mapping.items()), what
-        )
-    return table
-
-
-def parse_exact(v, key):
-    # the JSON value v, given at key, as an int or a Fraction
-    if type(v) is int:
-        return v
-    if isinstance(v, bool):  # JSON true/false, which Fraction reads as 1/0
-        raise DomainError(f"not an exact rational: {v!r}")
-    try:
-        f = read_exact(v)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        # OverflowError: JSON Infinity and 1e999 read as an infinite float
-        raise DomainError(f"not an exact rational: {v!r}") from exc
-    if f is None:
-        raise DomainError(
-            f"the value at {key!r} has a numerator or denominator of more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        )
-    return int(f) if f.denominator == 1 else f
-
-
 @lru_cache(maxsize=None)
 def irreducible_character(lam: Partition) -> ClassFunction:
     lam = check_partition(lam)
     n = sum(lam)
     return ClassFunction._unchecked(n, {mu: _mn_value(lam, mu) for mu in partitions(n)})
-
-
-def trivial_character(n: int) -> ClassFunction:
-    return irreducible_character((n,) if n else ())
-
-
-def sign_character(n: int) -> ClassFunction:
-    return irreducible_character((1,) * n if n else ())
-
-
-def inner_product(f: ClassFunction, g: ClassFunction):
-    """Standard character inner product (1/n!) sum class_size * f * g, as
-    a Fraction."""
-    if f.n != g.n:
-        raise DomainError(
-            f"inner product needs matching groups, got S_{f.n} and S_{g.n}"
-        )
-    fv, gv = f.values, g.values
-    total = sum(
-        size * fv[mu] * gv[mu] for size, mu in zip(class_sizes(f.n), partitions(f.n))
-    )
-    from fractions import Fraction
-
-    return Fraction(total, factorial(f.n))
 
 
 class IrrDecomposition:
@@ -405,10 +321,9 @@ class IrrDecomposition:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict) -> "IrrDecomposition":
-        mult = _parse_table(mapping, "decomposition")  # parse_partition checked the keys
-        d = object.__new__(cls)
-        d._take(int(n), mult.items())
-        return d
+        from .tables import decomposition  # only JSON input reads a table
+
+        return decomposition(n, mapping)
 
 
 def decompose(f: ClassFunction) -> IrrDecomposition:
@@ -599,10 +514,3 @@ def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
             value = Fraction(total, order)
         values[nu] = value
     return ClassFunction._unchecked(a, values)
-
-
-def regular_character(n: int) -> ClassFunction:
-    """Character of the regular representation: n! at the identity."""
-    values = {mu: 0 for mu in partitions(n)}
-    values[(1,) * n if n else ()] = factorial(n)
-    return ClassFunction._unchecked(n, values)

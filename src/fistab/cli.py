@@ -20,92 +20,21 @@ from types import SimpleNamespace
 # and fistab.commands import no computation layer: each handler imports
 # the layers it calls when its subcommand runs, so help, usage errors,
 # `bounds`, `table1` and `wreath-scan` never compile `characters`.
-from .commands import WORK_BUDGET, UsageError, _read_text
+from . import _forward
+from .commands import WORK_BUDGET, UsageError
 from .errors import ConsistencyError, DomainError
-from .partitions import read_exact
+
+# cli.decompose is characters.decompose as that module binds it now,
+# wrapped or not: the benchmark's tracer looks for it here.  It is looked
+# up on each access and never stored, so importing the CLI compiles no
+# characters, and a wrapper leaves nothing behind.
+__getattr__ = _forward(__name__, "characters", ("decompose",))
 
 
-def __getattr__(name: str):
-    # cli.decompose is characters.decompose as that module binds it now,
-    # wrapped or not: the benchmark's tracer looks for it here.  It is
-    # looked up on each access and never stored (PEP 562), so importing the
-    # CLI compiles no characters, and a wrapper leaves nothing behind.
-    if name == "decompose":
-        return import_module(f"{__package__}.characters").decompose
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "-"
-    return str(v)
-
-
-def _is_scalar_list(v) -> bool:
-    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
-
-
-# Each walk hands out(piece) the finished pieces of the report in order:
-# JSON tokens, text lines with their "\n", CSV rows as csv.writer writes
-# them.  A report holds dicts with str keys, lists, strs, ints, bools and
-# None, each of exactly that type, so the walks dispatch on type().
-
-
-def _text(payload, pad: str, out) -> None:
-    # one type dispatch per value; ints, most of a report's leaves, first
-    kind = type(payload)
-    if kind is dict:
-        keys = ["()" if k == "" else k for k in payload]  # the empty partition
-        width = max(map(len, keys), default=0)
-        inner = pad + "  "
-        for key, v in zip(keys, payload.values()):
-            kind = type(v)
-            if kind is int:
-                out(f"{pad}{key.ljust(width)}  {v}\n")
-            elif kind is dict or (kind is list and not _is_scalar_list(v)):
-                out(f"{pad}{key}:\n")
-                _text(v, inner, out)
-            elif kind is list:
-                out(f"{pad}{key.ljust(width)}  {' '.join(map(_scalar, v))}\n")
-            else:
-                out(f"{pad}{key.ljust(width)}  {_scalar(v)}\n")
-    elif kind is list:
-        inner = pad + "  "
-        for item in payload:
-            if type(item) in (dict, list):
-                out(f"{pad}-\n")
-                _text(item, inner, out)
-            else:
-                out(f"{pad}- {_scalar(item)}\n")
-    else:
-        out(f"{pad}{_scalar(payload)}\n")
-
-
-def _csv(payload, prefix: str, row) -> None:
-    # row(fields) writes one CSV row; prefix is "" at the top and ends
-    # with "." below it
-    kind = type(payload)
-    if kind is dict:
-        # one type dispatch per value, as in _text: a scalar leaf is a row
-        # at once, and only dicts and lists of non-scalars recurse
-        for k, v in payload.items():
-            key = f"{prefix}{'()' if k == '' else k}"
-            kind = type(v)
-            if kind is int or kind is str:
-                row((key, v))
-            elif kind is dict or (kind is list and not _is_scalar_list(v)):
-                _csv(v, f"{key}.", row)
-            elif kind is list:
-                row((key, " ".join(map(_scalar, v))))
-            else:
-                row((key, _scalar(v)))
-    elif kind is list and not _is_scalar_list(payload):
-        for idx, v in enumerate(payload):
-            _csv(v, f"{prefix}{idx}.", row)
-    else:
-        row((prefix[:-1], " ".join(map(_scalar, payload)) if kind is list else _scalar(payload)))
+# The JSON walk hands out(piece) the report's tokens in order.  A report
+# holds dicts with str keys, lists, strs, ints, bools and None, each of
+# exactly that type, so the walks here and in fistab.writers dispatch on
+# type().
 
 
 def _json(payload, pad: str, out, quote) -> None:
@@ -151,11 +80,20 @@ def _json(payload, pad: str, out, quote) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+@lru_cache(maxsize=None)
+def _module(name: str):
+    # fistab.<name>, imported on its first use and kept: a process compiles
+    # the report writers (writers.text, writers.csv) and the reader of
+    # exact numbers (exact) only if its request uses them
+    return import_module(f"{__package__}.{name}")
+
+
 def render(payload, fmt: str) -> str:
     """The report in fmt: JSON as json.dumps(payload, indent=2) writes
     it, aligned text, or one CSV row per scalar or list of scalars, keyed
-    by its dotted path.  The format's walk appends the report's pieces to
-    one list, joined once: where a report is held is decided here alone."""
+    by its dotted path (fistab.writers).  The format's walk appends the
+    report's pieces to one list, joined once: where a report is held is
+    decided here alone."""
     pieces: list[str] = []
     out = pieces.append
     if fmt == "json":
@@ -167,14 +105,8 @@ def render(payload, fmt: str) -> str:
 
         _json(payload, "", out, encode_basestring_ascii)
         out("\n")
-    elif fmt == "text":
-        _text(payload, "", out)
-        if not pieces:  # an empty report is one empty line
-            out("\n")
-    elif fmt == "csv":
-        import csv
-
-        _csv(payload, "", csv.writer(SimpleNamespace(write=out), lineterminator="\n").writerow)
+    elif fmt in ("text", "csv"):
+        _module(f"writers.{fmt}").write(payload, out)
     else:
         raise DomainError(f"unknown format {fmt!r}")
     return "".join(pieces)
@@ -197,11 +129,11 @@ def _emit(payload, args) -> None:
 
 
 def _fraction(text: str):
-    """text as a Fraction (`partitions.read_exact`), or argparse's usage
+    """text as a Fraction (`exact.read_exact`), or argparse's usage
     error, imported on that path alone: argparse turns only TypeError and
     ValueError into one, and Fraction("1/0") raises ZeroDivisionError."""
     try:
-        value = read_exact(text)
+        value = _module("exact").read_exact(text)
         if value is not None:
             return value
         cap = sys.get_int_max_str_digits()
@@ -312,101 +244,14 @@ def _handler(module: str):
 globals().update({f"cmd_{m}": _handler(m) for m in (n.replace("-", "_") for n in SUBCOMMANDS)})
 
 
-def _usage(prog: str, options: list[str]) -> str:
-    """The usage line of prog, less its "usage: ", wrapped at 80 columns as
-    CPython 3.11's argparse wraps it (later ones keep a flag and its value
-    together): each line filled in turn, the next under the first option."""
-    lines = [prog]
-    for part in options:
-        if len(lines[-1]) + len(part) >= 78 - len("usage: ") * (len(lines) == 1):
-            lines.append(" " * (len(prog) + 7))
-        lines[-1] += " " + part
-    return "\n".join(lines)
-
-
 @lru_cache(maxsize=None)
 def build_parser(command: str | None = None):
-    """The argparse parser, built from SUBCOMMANDS, and argparse imported
-    here alone: with a subcommand name, that subcommand's own parser (prog
-    `fistab <name>`), all `main` needs for an argv that starts with the
-    name; without one, the parser with every subcommand, for help, unknown
-    names and callers that want it whole.  Each is built on the first call
-    and shared by every later one, so callers must not mutate it; reuse is
-    safe as `parse_args` returns a fresh namespace and no default is
-    mutable.  Help is 80 columns wide whatever the terminal, and fistab
-    writes the usage lines, so help and usage errors have the same bytes
-    on every interpreter.  Subcommands carry no handler: `main` looks
-    `cmd_<name>` up on every call, so a handler rebound after the first
-    call (a profiler, a tracer) still takes effect."""
-    import argparse
-    from functools import partial
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(64, f"{self.prog}: error: {message}\n")
-
-    # argparse keeps two of the 80 columns as a margin
-    formatter = partial(argparse.HelpFormatter, width=78)
-
-    def fill(parser, name):
-        options = ["[-h]"]
-        for flag, dest in _PLAIN[name][0].values():
-            values = choices(flag)
-            kind = {"action": "store_true"} if flag.type is bool else dict(
-                type=flag.type, required=flag.required, choices=values, default=flag.default
-            )
-            parser.add_argument(flag.option, help=flag.help, **kind)
-            # in the usage line, a required flag splits from its value
-            shown = [flag.option] if flag.type is bool else [
-                flag.option, "{%s}" % ",".join(values) if values else dest.upper()
-            ]
-            options += shown if flag.required else [f"[{' '.join(shown)}]"]
-        parser.usage = _usage(parser.prog, options)
-        return parser
-
-    if command is not None:
-        return fill(_Parser(prog=f"fistab {command}", formatter_class=formatter), command)
-    # too long for one line, so 3.11 puts the positionals on lines of their own
-    pad = "\n" + " " * len("usage: fistab ")
-    parser = _Parser(
-        prog="fistab",
-        usage=f"fistab [-h]{pad}{{{','.join(SUBCOMMANDS)}}}{pad}...",
-        description=__doc__,
-        formatter_class=formatter,
-    )
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser, prog="fistab")
-    for name, (help_text, _) in SUBCOMMANDS.items():
-        fill(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
-    return parser
-
-
-def _apply_config(argv: list[str]) -> list[str]:
-    """Pull --config out of argv and splice the file's key=value pairs in
-    as flags right after the subcommand, so explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise DomainError("--config needs a path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2 :]
-    flags: list[str] = []
-    for raw in _read_text(path).split("\n"):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DomainError(f"bad config line (want key=value): {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                flags.append(f"--{key}")
-        else:
-            flags.extend((f"--{key}", value))
-    if not rest:
-        raise DomainError("--config given without a subcommand")
-    return rest[:1] + flags + rest[1:]
+    """The argparse parser of command, or with every subcommand when
+    command is None, built from SUBCOMMANDS by fistab.parsing, where
+    argparse is imported, so a plain argv compiles neither.  Each is built
+    on the first call and shared by every later one, so callers must not
+    mutate it."""
+    return import_module(f"{__package__}.parsing").build(command, sys.modules[__name__])
 
 
 def _read_plain(command: str, argv: list[str]) -> SimpleNamespace | None:
@@ -467,7 +312,8 @@ def _parse(argv: list[str]):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
+        if "--config" in argv:  # the file's flags, spliced in by fistab.parsing
+            argv = import_module(f"{__package__}.parsing").apply_config(argv)
         args = _parse(argv)
         handler = globals()["cmd_" + args.command.replace("-", "_")]
         payload = handler(args)

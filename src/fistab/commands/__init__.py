@@ -1,5 +1,6 @@
 """The subcommand handlers of the CLI, one module per subcommand, and
-what they share: the work budget and the readers of their inputs.
+what they share: the work budget, and the readers of their input files
+and JSON (inputs, which only the requests that read them import).
 
 `fistab.cli` imports a handler module only when its subcommand runs, so
 a process compiles the code of its own subcommand alone; `run(args)`
@@ -13,9 +14,6 @@ takes effect.  This module imports no computation layer, as
 
 from __future__ import annotations
 
-import os
-import sys
-from functools import lru_cache
 from operator import mul
 
 from ..errors import DomainError
@@ -28,68 +26,6 @@ WORK_BUDGET = 3 * 10**9
 
 class UsageError(Exception):
     """Flags that parse but cannot be used together (exit 64)."""
-
-
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def _unique_object(pairs: list) -> dict:
-    table = dict(pairs)
-    if len(table) < len(pairs):
-        # a repeated key: the one check of keys, imported on this path alone
-        from ..characters import unique_keys
-
-        unique_keys([(k, k, v) for k, v in pairs], "JSON object")  # refuses the first repeat
-    return table
-
-
-@lru_cache(maxsize=None)
-def _json_decoder():
-    # json.loads(text, object_pairs_hook=...) builds a decoder per call
-    import json
-
-    return json.JSONDecoder(object_pairs_hook=_unique_object)
-
-
-def _load_json(args, inline_attr: str):
-    # an empty --input (a config file's bare "input=") names no file
-    inline = getattr(args, inline_attr, None)
-    if (inline is None) == (not args.input):
-        raise DomainError(f"give exactly one of --{inline_attr} or --input")
-    size = len(inline) if inline is not None else os.stat(args.input).st_size
-    if hasattr(args, "allow_large"):  # stability-scan has no override, so no budget
-        _admit(args, lambda p: size * _BYTE_NS)
-    text = inline if inline is not None else _read_text(args.input)
-    import json
-
-    try:
-        if text.startswith("\ufeff"):
-            json.loads(text)  # refuses a leading byte-order mark, which decode() reads as bad JSON
-        return _json_decoder().decode(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed JSON input: {exc}") from exc
-    except RecursionError:
-        raise DomainError("malformed JSON input: nested too deeply") from None
-    except DomainError:
-        raise
-    except ValueError:
-        # the interpreter's cap on int-from-str conversion (CPython 3.10.7+)
-        # bounds parse time; it is kept, and a longer literal refused
-        raise DomainError(
-            f"JSON input has an integer of more than {sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
-def _graded_dims(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"bad graded dimension list {text!r}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -124,13 +60,16 @@ _ENTRY_NS = 2000  # one reported value of a wreath scan
 
 def _seconds(ns: int) -> str:
     # three significant digits, or the fewest past them at which an
-    # estimate over the budget reads as over it: "3.0004 s", not "3 s"
+    # estimate over the budget reads as over it: "3.0004 s", not "3 s".
+    # The rounded value is at most 1000, so printed with four or more
+    # digits :g keeps its digits and never takes exponent form ("1e+03")
     if ns > 10**12:
         return "more than 1000 s"
     digits = 3
     while ns > WORK_BUDGET >= float(f"{ns / 10**9:.{digits}g}") * 10**9:
         digits += 1
-    return f"about {ns / 10**9:.{digits}g} s"
+    rounded = float(f"{ns / 10**9:.{digits}g}")
+    return f"about {rounded:.{max(digits, 4)}g} s"
 
 
 def _admit(args, estimate, n: int = 0, alternative: str = "") -> None:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from .. import characters
+from .. import characters, tables
 from ..errors import ConsistencyError, DomainError
-from . import _admit, _load_json, _table_work
+from . import _admit, _table_work
+from .inputs import load_json
 
 
 def run(args):
-    payload = _load_json(args, "values")
-    chi = characters.ClassFunction.from_mapping(args.n, payload)
+    chi = tables.class_function(args.n, load_json(args, "values"))
     _admit(args, lambda p: _table_work(p, [args.n]), args.n)
     try:
         dec = characters.decompose(chi)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from .. import fi_analysis
-from . import _admit, _fit_work, _load_json
+from .. import fi_analysis, tables
+from . import _admit, _fit_work
+from .inputs import load_json
 
 
 def run(args):
-    payload = _load_json(args, "entries")
-    seq = fi_analysis.FISequence.characters_from_mapping(payload)
+    entries = tables.sequence(load_json(args, "entries"), tables.class_function)
+    seq = fi_analysis.FISequence(entries)
     rows = sum(len(seq[n].values) for n in seq)
     _admit(args, lambda p: _fit_work(rows, args.degree_bound))
     poly = fi_analysis.fit_char_polynomial(seq, args.degree_bound)

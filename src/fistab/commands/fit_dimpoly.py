@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from .. import fi_analysis
-from ..characters import unique_keys
 from ..errors import DomainError
-from . import _DIM_COL_NS, _DIM_ROW_NS, _POINT_NS, _SOLVE_NS, _admit, _load_json
+from ..tables import unique_keys
+from . import _DIM_COL_NS, _DIM_ROW_NS, _POINT_NS, _SOLVE_NS, _admit
+from .inputs import load_json
 
 
 def run(args):
-    payload = _load_json(args, "dims")
+    payload = load_json(args, "dims")
     try:
         points = [(k, int(k), v) for k, v in payload.items()]
     except (ValueError, TypeError, AttributeError) as exc:

@@ -4,11 +4,12 @@ decomposition."""
 from __future__ import annotations
 
 from .. import induction
-from . import _CYCLE_NS, _STRIP_NS, _admit, _graded_dims, _strip_pairs, _table_work
+from ..graded import read_graded_dims
+from . import _CYCLE_NS, _STRIP_NS, _admit, _strip_pairs, _table_work
 
 
 def run(args):
-    dims = _graded_dims(args.graded_dims)
+    dims = read_graded_dims(args.graded_dims)
     n, i = args.n, args.i
 
     # the nonzero graded dimensions up to degree i: after j cycles the

@@ -3,7 +3,7 @@ from its free-module decomposition (see fistab.os_model)."""
 
 from __future__ import annotations
 
-from .. import fi_analysis, os_model
+from .. import fi_reports, os_model
 from ..errors import DomainError
 from . import (
     _LEVEL_NS,
@@ -72,7 +72,7 @@ def run(args):
     }
     if args.n_max > args.n_min:
         # detect_stability's report, read off the thresholds
-        stability = fi_analysis.StabilityReport((args.n_min, args.n_max), *decs.stability())
+        stability = fi_reports.StabilityReport((args.n_min, args.n_max), *decs.stability())
         payload["stability"] = stability.to_mapping()
         try:
             poly = os_model.character_polynomial(args.n_min, args.n_max, k)

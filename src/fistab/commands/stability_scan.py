@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from .. import fi_analysis
-from . import _load_json
+from .. import fi_analysis, tables
+from .inputs import load_json
 
 
 def run(args):
-    payload = _load_json(args, "entries")
-    seq = fi_analysis.FISequence.decompositions_from_mapping(payload)
+    entries = tables.sequence(load_json(args, "entries"), tables.decomposition)
+    seq = fi_analysis.FISequence(entries)
     report = fi_analysis.detect_stability(seq)
     return report.to_mapping()

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from .. import wreath
 from ..errors import DomainError
-from . import _ENTRY_NS, _FOLD_NS, _admit, _graded_dims
+from ..graded import read_graded_dims
+from . import _ENTRY_NS, _FOLD_NS, _admit
 
 
 def _series_work(dims, n_max: int, i: int) -> int:
@@ -23,7 +24,7 @@ def _series_work(dims, n_max: int, i: int) -> int:
 
 
 def run(args):
-    dims = _graded_dims(args.graded_dims)
+    dims = read_graded_dims(args.graded_dims)
     if args.n_min < 0 or args.n_max < args.n_min:
         raise DomainError("need 0 <= n-min <= n-max")
     _admit(args, lambda p: _series_work(dims, args.n_max, args.i))

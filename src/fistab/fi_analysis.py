@@ -1,22 +1,29 @@
 """Analysis of sequences of S_n-representations: unpadding, weight and
 length statistics of padded partitions, uniform-stability detection over
 a window, character polynomials in cycle-count statistics, and
-integer-valued dimension polynomials."""
+integer-valued dimension polynomials.  The stability report and the
+character polynomial themselves live in fistab.fi_reports, which os-scan
+reads without these fits, and are re-exported here."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import lcm
-from typing import NamedTuple
 
-from .characters import ClassFunction, IrrDecomposition, exact_obj, unique_keys
+from .characters import ClassFunction, IrrDecomposition, exact_obj
 from .errors import DomainError
+from .fi_reports import (
+    CharPolynomial as CharPolynomial,  # re-exported, as is StabilityReport
+    StabilityReport as StabilityReport,
+    _monomial_key,
+    _monomial_value,
+    monomial_label,
+)
 from .partitions import (
     Partition,
     binomial,
     check_partition,
     cycle_counts,
-    format_partition,
     pad as pad,  # re-exported as fistab.fi_analysis.pad
     partition_count,
     partition_counts,
@@ -92,54 +99,17 @@ class FISequence:
             "entries": {str(n): self.entries[n].to_mapping() for n in self},
         }
 
-    @staticmethod
-    def _tables(payload) -> dict:
-        """The {n: table} part of a JSON sequence {"entries": {n: table}}."""
-        entries = payload.get("entries") if isinstance(payload, dict) else None
-        if not isinstance(entries, dict):
-            raise DomainError('a sequence must be a mapping {"entries": {"<n>": table}}')
-        try:
-            levels = [(n, int(n), table) for n, table in entries.items()]
-        except ValueError as exc:
-            raise DomainError(f"sequence levels must be integers: {exc}") from exc
-        return unique_keys(levels, "sequence")
-
     @classmethod
     def decompositions_from_mapping(cls, payload: dict) -> "FISequence":
-        tables = cls._tables(payload)
-        return cls({n: IrrDecomposition.from_mapping(n, t) for n, t in tables.items()})
+        from .tables import decomposition, sequence  # only JSON input reads a table
+
+        return cls(sequence(payload, decomposition))
 
     @classmethod
     def characters_from_mapping(cls, payload: dict) -> "FISequence":
-        tables = cls._tables(payload)
-        return cls({n: ClassFunction.from_mapping(n, t) for n, t in tables.items()})
+        from .tables import class_function, sequence
 
-
-class StabilityReport(NamedTuple):
-    """Where a window's unpadded multiplicity tables stop changing."""
-
-    window: tuple[int, int]
-    stable_from: int | None
-    stable_table: dict[Partition, int]
-
-    @property
-    def stabilized(self) -> bool:
-        return self.stable_from is not None
-
-    def to_mapping(self) -> dict:
-        return {
-            "window": list(self.window),
-            "stabilized": self.stabilized,
-            "stable_from": self.stable_from,
-            "note": (
-                f"consistent with N = {self.stable_from}"
-                if self.stabilized
-                else "not stabilized in window"
-            ),
-            "stable_table": {
-                format_partition(root): m for root, m in sorted(self.stable_table.items())
-            },
-        }
+        return cls(sequence(payload, class_function))
 
 
 def detect_stability(seq: FISequence) -> StabilityReport:
@@ -169,14 +139,8 @@ def detect_stability(seq: FISequence) -> StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Character polynomials: exact polynomials in the cycle-count statistics
-# Z_l, expressed in the basis prod_l C(Z_l, m_l).  The weighted degree of a
-# monomial is sum l*m_l.
-
-
-def _monomial_key(mono) -> tuple:
-    # weighted degree, then lexicographic
-    return (sum(l * e for l, e in mono), mono)
+# The fit of a character polynomial (fi_reports.CharPolynomial), one
+# column per monomial of weighted degree at most the bound.
 
 
 def _monomials(degree_bound: int) -> list[tuple[tuple[int, int], ...]]:
@@ -192,102 +156,6 @@ def _monomial_count(degree_bound: int, cap: int) -> int:
     # counting stops at the first p(d) > cap, so a result above cap is
     # only a lower bound
     return sum(partition_counts(degree_bound, cap=cap))
-
-
-def monomial_label(mono: tuple[tuple[int, int], ...]) -> str:
-    if not mono:
-        return "1"
-    factors = []
-    for length, exp in mono:
-        if exp == 1:
-            factors.append(f"Z{length}")
-        else:
-            factors.append(f"C(Z{length},{exp})")
-    return "*".join(factors)
-
-
-def _monomial_value(mono, counts: dict[int, int]) -> int:
-    val = 1
-    for length, exp in mono:
-        val *= binomial(counts.get(length, 0), exp)
-        if val == 0:
-            return 0
-    return val
-
-
-def _exact(c):
-    # an int stays an int, so a polynomial with integer coefficients, such
-    # as every os-scan character polynomial, never loads fractions
-    if type(c) is int:
-        return c
-    from fractions import Fraction
-
-    return Fraction(c)
-
-
-class CharPolynomial:
-    """A polynomial in the statistics Z_l = number of l-cycles, stored in
-    the integer-valued basis prod_l C(Z_l, m_l); integer coefficients stay
-    ints, any other is a Fraction."""
-
-    def __init__(self, coeffs: dict):
-        exact = {mono: _exact(c) for mono, c in coeffs.items()}
-        self.coeffs = {mono: c for mono, c in exact.items() if c != 0}
-
-    @property
-    def weighted_degree(self) -> int:
-        """Degree with each Z_l counted with weight l."""
-        if not self.coeffs:
-            return 0
-        return max(sum(l * e for l, e in mono) for mono in self.coeffs)
-
-    @property
-    def max_cycle_length(self) -> int:
-        """Largest cycle length the polynomial actually reads; characters
-        agreeing with it depend only on cycles up to this length."""
-        if not any(self.coeffs):
-            return 0
-        return max((l for mono in self.coeffs for l, _ in mono), default=0)
-
-    def evaluate(self, mu: Partition):
-        """The value at the class mu: an int, or a Fraction when a
-        coefficient is one."""
-        return self._value(cycle_counts(check_partition(mu)))
-
-    def _value(self, counts: dict[int, int]):
-        return sum(c * _monomial_value(mono, counts) for mono, c in self.coeffs.items())
-
-    def as_class_function(self, n: int) -> ClassFunction:
-        return ClassFunction._unchecked(
-            n, {mu: self._value(cycle_counts(mu)) for mu in partitions(n)}
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CharPolynomial) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "CharPolynomial(0)"
-        body = " + ".join(
-            f"{c}*{monomial_label(m)}" if c != 1 or not m else monomial_label(m)
-            for m, c in sorted(self.coeffs.items(), key=lambda kv: _monomial_key(kv[0]))
-        )
-        return f"CharPolynomial({body})"
-
-    def to_mapping(self) -> dict:
-        terms = [
-            {
-                "monomial": monomial_label(mono),
-                "exponents": {str(l): e for l, e in mono},
-                "coefficient": exact_obj(c),
-            }
-            for mono, c in sorted(self.coeffs.items(), key=lambda kv: _monomial_key(kv[0]))
-        ]
-        return {
-            "terms": terms,
-            "weighted_degree": self.weighted_degree,
-            "max_cycle_length": self.max_cycle_length,
-        }
 
 
 def fit_char_polynomial(seq: FISequence, degree_bound: int) -> CharPolynomial:

@@ -4,8 +4,9 @@ products with symmetric quotient.
 
 The wreath-product Betti numbers need no characters: they are counts of
 graded-symmetric powers (Macdonald 1962), computed in fistab.wreath,
-whose series is re-exported here and gives wreath_invariant_dim.  The
-twisted multiplicities of wreath_twisted_dim are read off
+whose series is re-exported here and gives wreath_invariant_dim.  Both
+import that module when used, so a kunneth process never compiles it.
+The twisted multiplicities of wreath_twisted_dim are read off
 kunneth_decomposition below.
 
 The irreducible decomposition of the tensor power needs no character
@@ -26,6 +27,7 @@ of a permutation (characters.cycle_product, which os_model also calls).
 
 from __future__ import annotations
 
+from . import _forward
 from .characters import (
     ClassFunction,
     IrrDecomposition,
@@ -44,8 +46,11 @@ from .partitions import (
     pad,
     partitions,
 )
-from .wreath import _check_graded_dims, _graded_symmetric_counts
-from .wreath import wreath_invariant_series as wreath_invariant_series
+from .graded import _check_graded_dims
+
+# the series is fistab.wreath's, looked up there on each access, so the
+# kunneth path never compiles wreath
+__getattr__ = _forward(__name__, "wreath", ("wreath_invariant_series",))
 
 
 def induced_character(f: ClassFunction, g: ClassFunction) -> ClassFunction:
@@ -158,6 +163,8 @@ def wreath_invariant_dim(graded_dims, n: int, i: int) -> int:
     is the coefficient of x^n t^i in prod_{g even} (1 - x t^g)^(-d_g) *
     prod_{g odd} (1 + x t^g)^(d_g), d_g the g-th graded dimension
     (Macdonald 1962): entry n of wreath_invariant_series."""
+    from .wreath import _graded_symmetric_counts
+
     return sum(_graded_symmetric_counts(graded_dims, n, i))
 
 

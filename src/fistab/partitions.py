@@ -3,14 +3,13 @@
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the unique partition of 0.  Cycle types of conjugacy
 classes reuse the same representation, with cycle-count statistics
-computed on demand.  The readers of text input live here too:
-parse_partition for a partition and read_exact for an exact number, so
-that the CLI reads its flags without the character layer.
+computed on demand.  The reader of a partition's text, parse_partition,
+lives here too (fistab.exact reads exact numbers), so that the CLI reads
+its flags without the character layer.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from functools import lru_cache
 from math import comb, factorial
@@ -49,30 +48,6 @@ def parse_partition(text: str) -> Partition:
     if p and p[-1] <= 0:
         raise DomainError(f"partition parts must be positive: {p!r}")
     return p
-
-
-def read_exact(v):
-    """v, a number or its text, as a Fraction, raising what Fraction
-    raises; None where its numerator or denominator in lowest terms is
-    past the int-to-str cap (0 for none), as it could not be printed.  An
-    exponent over three caps is judged from its text, as Fraction would
-    spend seconds expanding it: the mantissa has at most two caps of
-    digits (int() refuses more), so the value is zero or past the cap."""
-    from fractions import Fraction
-
-    cap = sys.get_int_max_str_digits()
-    if cap and isinstance(v, str) and ("e" in v or "E" in v):
-        import re
-
-        # the exponent of a decimal literal, as Fraction's grammar writes it
-        exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", v)
-        if exp and abs(int(exp[1])) > 3 * cap:
-            value = Fraction(v[: exp.start(1)] + "0")  # the mantissa alone
-            return value if value == 0 else None
-    value = Fraction(v)
-    top = max(abs(value.numerator), value.denominator)
-    # more than 3 * cap bits first: 8**cap < 10**cap
-    return None if cap and top.bit_length() > 3 * cap and top >= 10**cap else value
 
 
 def format_partition(p: Partition) -> str:

@@ -1,5 +1,4 @@
-"""Betti numbers of wreath products with symmetric quotient, and the
-check of graded dimensions that the graded tensor powers share.
+"""Betti numbers of wreath products with symmetric quotient.
 
 The wreath-product Betti numbers need no characters.  S_n permutes the
 tensor factors of the n-fold graded tensor power with the Koszul sign
@@ -23,20 +22,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 
-from .errors import DomainError
-
-
-def _check_graded_dims(graded_dims, n: int, i: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in graded_dims)
-    if not dims or dims[0] != 1:
-        raise DomainError(
-            f"graded dimensions must start with 1 (connected space), got {dims!r}"
-        )
-    if any(d < 0 for d in dims):
-        raise DomainError(f"graded dimensions must be nonnegative: {dims!r}")
-    if n < 0 or i < 0:
-        raise DomainError("n and i must be nonnegative")
-    return dims
+from .graded import _check_graded_dims
 
 
 def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:

@@ -45,7 +45,6 @@ from fistab.fi_analysis import FISequence, detect_stability, fit_char_polynomial
 from fistab.linalg import IntRowBasis
 from fistab.os_model import (
     _free_invariant_dimension,
-    _straighten,
     action_columns,
     betti,
     character,
@@ -56,6 +55,7 @@ from fistab.os_model import (
     invariant_dimension,
     nbc_basis,
 )
+from fistab.os_reference import _straighten
 from fistab.partitions import Partition, partitions
 
 

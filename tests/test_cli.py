@@ -686,6 +686,16 @@ def test_a_refusal_just_over_the_budget_reads_as_over_it(capsys):
     assert _seconds(2_000_000_000) == "about 2 s"
 
 
+def test_a_refusal_near_1000_s_reads_in_plain_digits():
+    # three significant digits round 999.5 s and more up to 1000, which :g
+    # alone would print as "1e+03"
+    assert _seconds(999_400_000_000) == "about 999 s"
+    assert _seconds(999_500_000_000) == "about 1000 s"
+    assert _seconds(999_999_999_999) == "about 1000 s"
+    assert _seconds(10**12) == "about 1000 s"
+    assert _seconds(10**12 + 1) == "more than 1000 s"
+
+
 def test_kunneth_decomposition_without_the_table_of_s_n_is_admitted():
     # refused before the free-module route: p(40)^2 = 1.4e9 MN pairs
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))

@@ -3,9 +3,9 @@ function or class is left that nothing in the package calls.
 
 No linter ships with the test dependencies, so these are the checks for
 imports and helpers that a refactor leaves behind.  They read the
-package's modules and those of its `commands` subpackage.  For imports
-the top-level package __init__ is exempt: its imports are the public
-API.  So is `from m import x as x`, the usual spelling of a deliberate
+package's modules and those of its subpackages (`commands`,
+`writers`).  For imports the top-level package __init__ is exempt: its
+imports are the public API.  So is `from m import x as x`, the usual spelling of a deliberate
 re-export.  More checks keep a concept written once: the Pieri sum of
 free modules, the CLI's list of subcommands, and their flags, which
 argparse gets from that table and which no code reads back off
@@ -22,7 +22,7 @@ import fistab
 PACKAGE = Path(fistab.__file__).parent
 MODULES = sorted(
     path
-    for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("commands/*.py")]
+    for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")]
     if path != PACKAGE / "__init__.py"
 )
 
@@ -101,7 +101,7 @@ def test_unreferenced_private_helpers_are_found():
 def test_every_private_helper_is_referenced():
     sources = {
         path.relative_to(PACKAGE).as_posix(): path.read_text()
-        for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("commands/*.py")]
+        for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")]
     }
     assert _unreferenced_private(sources) == []
 
@@ -141,7 +141,7 @@ def test_one_pieri_kernel():
     # characters.free_module_sum: every level or window of it goes there
     sources = {
         path.relative_to(PACKAGE).with_suffix("").as_posix(): path.read_text()
-        for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("commands/*.py")]
+        for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")]
     }
     assert _strip_callers(sources) == [
         "characters.free_module_sum", "partitions.horizontal_strip_extensions",

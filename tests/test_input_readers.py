@@ -13,14 +13,9 @@ import importlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fistab.characters import (
-    ClassFunction,
-    IrrDecomposition,
-    _parse_table,
-    parse_exact,
-    unique_keys,
-)
-from fistab.commands import _unique_object
+from fistab.characters import ClassFunction, IrrDecomposition
+from fistab.commands.inputs import _unique_object
+from fistab.tables import _parse_table, parse_exact, unique_keys
 from fistab.errors import DomainError
 
 PARTITIONS = importlib.import_module("fistab.partitions")  # fistab.partitions is the function

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from fistab import os_model
+from fistab import os_model, os_reference
 from fistab.characters import trivial_character
 from fistab.cli import main, render
 from fistab.errors import ConsistencyError, DomainError
@@ -383,7 +383,7 @@ def test_invariant_dimension_examples():
 def test_invariant_dimension_rejects_a_negative_average(monkeypatch):
     # a broken character whose invariants come out as -1 is an internal
     # failure, not a dimension
-    monkeypatch.setattr(os_model, "character", lambda n, k: -1 * trivial_character(n))
+    monkeypatch.setattr(os_reference, "character", lambda n, k: -1 * trivial_character(n))
     with pytest.raises(ConsistencyError, match="invariant dimension came out as -1"):
         invariant_dimension(4, 1, 1)
 

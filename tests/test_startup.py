@@ -101,23 +101,41 @@ def _package_after(argv) -> list[str]:
 CLI = ["fistab", "fistab.cli", "fistab.commands", "fistab.errors", "fistab.partitions"]
 # argv -> the package modules a fresh interpreter holds after main(argv),
 # beyond CLI: only the subcommands that compute characters load
-# characters, and help loads bounds alone, for the choices of table1 --row
+# characters; help and usage errors load the argparse parsers (parsing),
+# and help bounds, for the choices of table1 --row; an os-scan that runs
+# no fit loads the stability report and character polynomial
+# (fi_reports) but not the fits (fi_analysis); a text or CSV report loads
+# its own writer alone; kunneth loads no wreath series, and wreath-scan no
+# characters
+OS_SCAN_CORE = [
+    "fistab.characters", "fistab.commands.os_scan", "fistab.fi_reports", "fistab.os_model",
+]
 LOADS = {
-    ("-h",): ["fistab.bounds"],
-    ("bounds", "--alpha"): [],  # a usage error
-    tuple(BOUNDS): ["fistab.bounds", "fistab.commands.bounds"],
+    ("-h",): ["fistab.bounds", "fistab.parsing"],
+    ("bounds", "--alpha"): ["fistab.parsing"],  # a usage error
+    tuple(BOUNDS): ["fistab.bounds", "fistab.commands.bounds", "fistab.exact"],
     ("table1", "--row", "moduli", "--i", "2"): ["fistab.bounds", "fistab.commands.table1"],
-    tuple(WREATH): ["fistab.commands.wreath_scan", "fistab.wreath"],
-    tuple(OS_SCAN): [
-        "fistab.characters", "fistab.commands.os_scan", "fistab.fi_analysis", "fistab.os_model",
-    ],
-    tuple(OS_SCAN_SHORT): [
-        "fistab.characters", "fistab.commands.os_scan", "fistab.fi_analysis", "fistab.linalg",
-        "fistab.os_model",
-    ],
+    tuple(WREATH): ["fistab.commands.wreath_scan", "fistab.graded", "fistab.wreath"],
+    tuple(OS_SCAN): OS_SCAN_CORE,
+    (*OS_SCAN, "--format", "text"): [*OS_SCAN_CORE, "fistab.writers", "fistab.writers.text"],
+    (*OS_SCAN, "--format", "csv"): [*OS_SCAN_CORE, "fistab.writers", "fistab.writers.csv"],
+    tuple(OS_SCAN_SHORT): [*OS_SCAN_CORE, "fistab.fi_analysis", "fistab.linalg"],
     tuple(KUNNETH): [
-        "fistab.characters", "fistab.commands.kunneth", "fistab.induction", "fistab.wreath",
+        "fistab.characters", "fistab.commands.kunneth", "fistab.graded", "fistab.induction",
     ],
+    ("decompose", "--n", "2", "--values", '{"1+1": 1, "2": 1}'): [
+        "fistab.characters", "fistab.commands.decompose", "fistab.commands.inputs",
+        "fistab.exact", "fistab.tables",
+    ],
+}
+# argv -> the most lines of package source a fresh process may load for
+# it.  Each bound sits between what the request runs and what it loaded
+# while test oracles, fits, JSON readers, the text and CSV writers and the
+# argparse parsers rode along (2,635 and 1,939 lines), so such code
+# drifting back into these chains fails here.
+SOURCE_LINES = {
+    ("os-scan", "--n-min", "2", "--n-max", "9", "--k", "3", "--a-max", "3", "--allow-large"): 1900,
+    ("kunneth", "--graded-dims", "1,2", "--n", "18", "--i", "3", "--decompose"): 1700,
 }
 
 
@@ -130,12 +148,25 @@ def test_each_subcommand_loads_only_its_own_modules(argv):
     assert _package_after(argv) == sorted([*CLI, *LOADS[argv]])
 
 
+@pytest.mark.parametrize("argv", list(SOURCE_LINES), ids=" ".join)
+def test_a_request_loads_a_bounded_amount_of_package_source(argv):
+    lines = _fresh(
+        "import os, sys\n"
+        "import fistab.cli\n"
+        f"assert fistab.cli.main([*{list(argv)!r}, '--out', os.devnull]) == 0\n"
+        "files = [m.__file__ for n, m in list(sys.modules.items()) if n.startswith('fistab')]\n"
+        "import json\n"
+        "print(json.dumps(sum(open(f, encoding='utf-8').read().count('\\n') for f in files)))\n"
+    )
+    assert lines <= SOURCE_LINES[argv]
+
+
 def test_building_the_parser_loads_no_computation_layer():
     # the choices of table1 --row are the rows of the bounds module; no
     # handler module is loaded
     assert _loaded_after(full_parser=True) == [
         "argparse", "decimal", "fistab", "fistab.bounds", "fistab.cli", "fistab.commands",
-        "fistab.errors", "fistab.partitions", "fractions", "gettext", "locale",
+        "fistab.errors", "fistab.parsing", "fistab.partitions", "fractions", "gettext", "locale",
     ]
 
 
@@ -167,9 +198,12 @@ def test_help_and_usage_errors_keep_their_bytes_in_a_fresh_process():
 
 
 def test_kunneth_and_wreath_scan_load_only_their_layers():
+    # kunneth compiles no wreath series, and wreath-scan no character layer
+    assert "fistab.wreath" not in _loaded_after(KUNNETH)
+    assert not {"fistab.characters", "fistab.induction"} & set(_loaded_after(WREATH))
     for runs in ([KUNNETH], [WREATH], [KUNNETH, WREATH]):
         loaded = _loaded_after(*runs)
-        assert "fistab.wreath" in loaded, runs
+        assert "fistab.graded" in loaded, runs
         # json only to read JSON input, which neither takes: a JSON report,
         # kunneth's default format, is written without it
         assert not {*UNUSED_LAYERS, *WATCHED} & set(loaded), (runs, loaded)
@@ -178,12 +212,13 @@ def test_kunneth_and_wreath_scan_load_only_their_layers():
 
 def test_os_scan_loads_neither_bounds_nor_dataclasses():
     # a window of 2k + 1 levels or more reads its character polynomial off
-    # the free modules, so only a shorter one loads linalg for the exact fit
+    # the free modules, so only a shorter one loads the fits and linalg
     loaded = _loaded_after(OS_SCAN)
-    assert {"fistab.os_model", "fistab.fi_analysis"} <= set(loaded)
-    assert not {"fistab.linalg", "fistab.bounds", "dataclasses"} & set(loaded)
+    assert {"fistab.os_model", "fistab.fi_reports"} <= set(loaded)
+    unused = {"fistab.fi_analysis", "fistab.linalg", "fistab.bounds", "dataclasses"}
+    assert not unused & set(loaded)
     loaded = _loaded_after(OS_SCAN_SHORT)
-    assert "fistab.linalg" in loaded
+    assert {"fistab.fi_analysis", "fistab.linalg"} <= set(loaded)
     assert not {"fistab.bounds", "dataclasses"} & set(loaded)
 
 
