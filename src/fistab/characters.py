@@ -34,12 +34,9 @@ from .partitions import (
     partitions,
 )
 
-# characters by name, single values and inner products, which no
-# subcommand computes: named_characters', looked up there on each access
-__getattr__ = _forward(__name__, "named_characters", (
-    "mn_character", "trivial_character", "sign_character", "regular_character",
-    "inner_product",
-))
+# named_characters' inner product, looked up there on each access: the
+# benchmark's tracer times it under this name
+__getattr__ = _forward(__name__, "named_characters", ("inner_product",))
 
 
 def _beads(lam: Partition, count: int) -> int:
@@ -189,25 +186,6 @@ class ClassFunction:
         )
         return f"ClassFunction(S_{self.n}, {{{vals}}})"
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.n != other.n:
-            raise DomainError("cannot add class functions on different groups")
-        return ClassFunction._unchecked(
-            self.n, {mu: self.values[mu] + other.values[mu] for mu in self.values}
-        )
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.n != other.n:
-            raise DomainError("cannot subtract class functions on different groups")
-        return ClassFunction._unchecked(
-            self.n, {mu: self.values[mu] - other.values[mu] for mu in self.values}
-        )
-
-    def __rmul__(self, scalar) -> "ClassFunction":
-        return ClassFunction._unchecked(
-            self.n, {mu: scalar * v for mu, v in self.values.items()}
-        )
-
     def dimension(self):
         """Value at the identity class."""
         return self.values[(1,) * self.n if self.n else ()]
@@ -287,14 +265,6 @@ class IrrDecomposition:
             f"{format_partition(lam) or '()'}: {m}" for lam, m in self.items()
         )
         return f"IrrDecomposition(S_{self.n}, {{{body}}})"
-
-    def __add__(self, other: "IrrDecomposition") -> "IrrDecomposition":
-        if self.n != other.n:
-            raise DomainError("cannot add decompositions over different groups")
-        merged = dict(self.mult)
-        for lam, m in other.mult.items():
-            merged[lam] = merged.get(lam, 0) + m
-        return IrrDecomposition._unchecked(self.n, merged)
 
     def __bool__(self) -> bool:
         return bool(self.mult)

@@ -25,9 +25,9 @@ from .commands import WORK_BUDGET, UsageError
 from .errors import ConsistencyError, DomainError
 
 # cli.decompose is characters.decompose as that module binds it now,
-# wrapped or not: the benchmark's tracer looks for it here.  It is looked
-# up on each access and never stored, so importing the CLI compiles no
-# characters, and a wrapper leaves nothing behind.
+# wrapped or not: the benchmark's self-test looks for it here.  It is
+# looked up on each access and never stored, so importing the CLI compiles
+# no characters, and a wrapper leaves nothing behind.
 __getattr__ = _forward(__name__, "characters", ("decompose",))
 
 
@@ -83,8 +83,9 @@ def _json(payload, pad: str, out, quote) -> None:
 @lru_cache(maxsize=None)
 def _module(name: str):
     # fistab.<name>, imported on its first use and kept: a process compiles
-    # the report writers (writers.text, writers.csv) and the reader of
-    # exact numbers (exact) only if its request uses them
+    # the subcommand handlers (commands.<name>), the report writers
+    # (writers.text, writers.csv) and the reader of exact numbers (exact)
+    # only if its request uses them
     return import_module(f"{__package__}.{name}")
 
 
@@ -197,8 +198,7 @@ SUBCOMMANDS = {
         Flag("--fisharp", bool, help="generation-degree variant"),
         Flag("--degenerates-at", int, help="known degeneration page"))),
     "table1": ("headline bounds per example family", (*OUTPUT,
-        Flag("--row", required=True,
-             choices=lambda: import_module(f"{__package__}.bounds").TABLE1_ROWS),
+        Flag("--row", required=True, choices=lambda: _module("bounds").TABLE1_ROWS),
         Flag("--i", int, required=True))),
     "os-scan": ("configuration-space model scan", (*OUTPUT, *LARGE,
         Flag("--n-min", int, required=True), Flag("--n-max", int, required=True),
@@ -231,10 +231,10 @@ _PLAIN = {name: _plain(flags) for name, (_, flags) in SUBCOMMANDS.items()}
 
 
 def _handler(module: str):
-    # runs fistab.commands.<module>, imported on its first call, so a
-    # process compiles the handler of its own subcommand alone
+    # runs fistab.commands.<module>, imported on its first call (_module),
+    # so a process compiles the handler of its own subcommand alone
     def handler(args):
-        return import_module(f"{__package__}.commands.{module}").run(args)
+        return _module(f"commands.{module}").run(args)
 
     handler.__name__ = handler.__qualname__ = f"cmd_{module}"
     return handler
@@ -251,7 +251,7 @@ def build_parser(command: str | None = None):
     argparse is imported, so a plain argv compiles neither.  Each is built
     on the first call and shared by every later one, so callers must not
     mutate it."""
-    return import_module(f"{__package__}.parsing").build(command, sys.modules[__name__])
+    return _module("parsing").build(command, sys.modules[__name__])
 
 
 def _read_plain(command: str, argv: list[str]) -> SimpleNamespace | None:
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if "--config" in argv:  # the file's flags, spliced in by fistab.parsing
-            argv = import_module(f"{__package__}.parsing").apply_config(argv)
+            argv = _module("parsing").apply_config(argv)
         args = _parse(argv)
         handler = globals()["cmd_" + args.command.replace("-", "_")]
         payload = handler(args)

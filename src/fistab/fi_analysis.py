@@ -3,7 +3,7 @@ length statistics of padded partitions, uniform-stability detection over
 a window, character polynomials in cycle-count statistics, and
 integer-valued dimension polynomials.  The stability report and the
 character polynomial themselves live in fistab.fi_reports, which os-scan
-reads without these fits, and are re-exported here."""
+reads without these fits."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from math import lcm
 from .characters import ClassFunction, IrrDecomposition, exact_obj
 from .errors import DomainError
 from .fi_reports import (
-    CharPolynomial as CharPolynomial,  # re-exported, as is StabilityReport
-    StabilityReport as StabilityReport,
+    CharPolynomial,
+    StabilityReport,
     _monomial_key,
     _monomial_value,
     monomial_label,
@@ -24,7 +24,6 @@ from .partitions import (
     binomial,
     check_partition,
     cycle_counts,
-    pad as pad,  # re-exported as fistab.fi_analysis.pad
     partition_count,
     partition_counts,
     partitions,

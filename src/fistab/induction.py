@@ -1,13 +1,11 @@
-"""Induction products, the free building-block modules M(lam) and M(m),
-coinvariants, and graded Kunneth powers for product spaces and wreath
-products with symmetric quotient.
+"""The free building-block modules M(lam) and M(m), and graded Kunneth
+powers for product spaces and wreath products with symmetric quotient.
 
 The wreath-product Betti numbers need no characters: they are counts of
-graded-symmetric powers (Macdonald 1962), computed in fistab.wreath,
-whose series is re-exported here and gives wreath_invariant_dim.  Both
-import that module when used, so a kunneth process never compiles it.
-The twisted multiplicities of wreath_twisted_dim are read off
-kunneth_decomposition below.
+graded-symmetric powers (Macdonald 1962), computed in fistab.wreath, whose
+series gives wreath_invariant_dim; it imports that module when called, so
+a kunneth process never compiles it.  The twisted multiplicities of
+wreath_twisted_dim are read off kunneth_decomposition below.
 
 The irreducible decomposition of the tensor power needs no character
 table of S_n either.  Splitting V = 1 + V_+ into degree 0 and positive
@@ -27,7 +25,6 @@ of a permutation (characters.cycle_product, which os_model also calls).
 
 from __future__ import annotations
 
-from . import _forward
 from .characters import (
     ClassFunction,
     IrrDecomposition,
@@ -35,39 +32,10 @@ from .characters import (
     cycle_product,
     decompose,
     free_module_sum,
-    restrict_and_average,
 )
 from .errors import DomainError
-from .partitions import (
-    Partition,
-    centralizer_order,
-    check_partition,
-    dimension,
-    pad,
-    partitions,
-)
 from .graded import _check_graded_dims
-
-# the series is fistab.wreath's, looked up there on each access, so the
-# kunneth path never compiles wreath
-__getattr__ = _forward(__name__, "wreath", ("wreath_invariant_series",))
-
-
-def induced_character(f: ClassFunction, g: ClassFunction) -> ClassFunction:
-    """Character of Ind from S_a x S_b to S_{a+b} of f (x) g.
-
-    The class mu meets S_a x S_b in the classes (mu1, mu2) that split its
-    cycles between the two factors; each adds f(mu1) g(mu2) weighted by
-    z_mu / (z_mu1 z_mu2), the number of ways to pick which cycles of one
-    permutation of type mu go to the first factor.
-    """
-    values = dict.fromkeys(partitions(f.n + g.n), 0)
-    for mu1 in partitions(f.n):
-        for mu2 in partitions(g.n):
-            mu = tuple(sorted(mu1 + mu2, reverse=True))
-            weight = centralizer_order(mu) // (centralizer_order(mu1) * centralizer_order(mu2))
-            values[mu] += weight * f.values[mu1] * g.values[mu2]
-    return ClassFunction._unchecked(f.n + g.n, values)
+from .partitions import Partition, check_partition, dimension, pad, partitions
 
 
 def m_module(lam: Partition, n: int) -> IrrDecomposition:
@@ -92,17 +60,6 @@ def m_regular(m: int, n: int) -> IrrDecomposition:
         raise DomainError("m and n must be nonnegative")
     regular = IrrDecomposition._unchecked(m, {lam: dimension(lam) for lam in partitions(m)})
     return free_module_sum({m: regular}, n, n)[n]
-
-
-def coinvariants_as_sa(V: IrrDecomposition, a: int) -> IrrDecomposition:
-    """The S_a-module of coinvariants of V under the subgroup permuting
-    the last n-a points.
-
-    Over the rationals coinvariants agree with invariants, so the
-    character is the average of V's character over that subgroup; the
-    result is decomposed as an S_a-representation.
-    """
-    return decompose(restrict_and_average(V.character(), a))
 
 
 def _class_traces(dims, n: int, i: int) -> ClassFunction:
@@ -162,7 +119,7 @@ def wreath_invariant_dim(graded_dims, n: int, i: int) -> int:
     anticommute) the invariants are the graded-symmetric power, so this
     is the coefficient of x^n t^i in prod_{g even} (1 - x t^g)^(-d_g) *
     prod_{g odd} (1 + x t^g)^(d_g), d_g the g-th graded dimension
-    (Macdonald 1962): entry n of wreath_invariant_series."""
+    (Macdonald 1962): entry n of wreath.wreath_invariant_series."""
     from .wreath import _graded_symmetric_counts
 
     return sum(_graded_symmetric_counts(graded_dims, n, i))

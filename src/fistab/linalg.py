@@ -37,17 +37,6 @@ class IntRowBasis:
     def rank(self) -> int:
         return len(self.sparse_rows)
 
-    @property
-    def rows(self) -> list[list[int]]:
-        """The stored rows as dense lists."""
-        dense = []
-        for row in self.sparse_rows:
-            out = [0] * self.width
-            for c, x in row.items():
-                out[c] = x
-            dense.append(out)
-        return dense
-
     def _as_sparse(self, vector) -> dict[int, int]:
         if isinstance(vector, Mapping):
             v = {c: int(x) for c, x in vector.items() if x}

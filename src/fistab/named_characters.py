@@ -1,9 +1,10 @@
 """Characters of S_n by name (trivial, sign and regular), one
 irreducible character value by the Murnaghan-Nakayama rule, and the
 character inner product: library conveniences and the tests' oracles of
-decompose, which no subcommand computes.  fistab.characters resolves
-these names (PEP 562), so a process that only computes tables and
-decompositions never compiles them.
+decompose, which no subcommand computes, so a process that only computes
+tables and decompositions never compiles them.  fistab.characters
+resolves inner_product, which the benchmark's tracer times there, on
+each access (PEP 562).
 """
 
 from __future__ import annotations

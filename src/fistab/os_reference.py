@@ -13,8 +13,9 @@ relabeling points.  The table route takes the character of the whole
 cohomology at a level (character, from Lehrer's closed form), decomposes
 it against the character table of S_n (decomposition) and averages it
 (invariant_dimension).  os-scan runs on the free-module route of
-os_model and calls none of this: os_model resolves these names on each
-access (PEP 562), so a process that only scans never compiles them.
+os_model and calls none of this, so a process that only scans never
+compiles it; os_model resolves the five names the benchmark's tracer
+times there on each access (PEP 562).
 """
 
 from __future__ import annotations

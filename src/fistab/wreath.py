@@ -12,9 +12,9 @@ g-th Betti number their dimensions are the coefficients of x^n t^i in
 (Macdonald, *The Poincare polynomial of a symmetric product*, 1962).
 That series gives every n at once (wreath_invariant_series), so this
 module imports no character layer and `fistab wreath-scan` runs on it
-alone.  induction re-exports the series and defines wreath_invariant_dim
-on it; the twisted multiplicities, which need characters, are read off
-its Kunneth decomposition.
+alone.  induction defines wreath_invariant_dim on it; the twisted
+multiplicities, which need characters, are read off its Kunneth
+decomposition.
 """
 
 from __future__ import annotations

@@ -3,12 +3,16 @@
 `mn` is the recursive form of the Murnaghan-Nakayama rule (strip a rim
 hook for the first cycle, recurse on the rest), written independently of
 the iterative form in `fistab.characters`; `restriction_inner_product` is
-the direct formula for inner products over a Young subgroup S_a x S_b.
+the direct formula for inner products over a Young subgroup S_a x S_b;
+`induced_character` and `coinvariants_as_sa` are the induction and the
+coinvariants that the Pieri sums of `fistab.characters.free_module_sum`
+and the averages of `restrict_and_average` are checked against.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from fistab.characters import ClassFunction, decompose, restrict_and_average
 from fistab.errors import DomainError
 from fistab.partitions import Partition, centralizer_order, partitions
 
@@ -76,3 +80,31 @@ def restriction_inner_product(f, g, h) -> Fraction:
             weight = Fraction(1, centralizer_order(mu1) * centralizer_order(mu2))
             total += weight * Fraction(f.values[merged]) * g.values[mu1] * h.values[mu2]
     return total
+
+
+def induced_character(f, g) -> ClassFunction:
+    """Character of Ind from S_a x S_b to S_{a+b} of f (x) g.
+
+    The class mu meets S_a x S_b in the classes (mu1, mu2) that split its
+    cycles between the two factors; each adds f(mu1) g(mu2) weighted by
+    z_mu / (z_mu1 z_mu2), the number of ways to pick which cycles of one
+    permutation of type mu go to the first factor.
+    """
+    values = dict.fromkeys(partitions(f.n + g.n), 0)
+    for mu1 in partitions(f.n):
+        for mu2 in partitions(g.n):
+            mu = tuple(sorted(mu1 + mu2, reverse=True))
+            weight = centralizer_order(mu) // (centralizer_order(mu1) * centralizer_order(mu2))
+            values[mu] += weight * f.values[mu1] * g.values[mu2]
+    return ClassFunction(f.n + g.n, values)
+
+
+def coinvariants_as_sa(V, a: int):
+    """The S_a-module of coinvariants of the decomposition V under the
+    subgroup permuting the last n-a points.
+
+    Over the rationals coinvariants agree with invariants, so the
+    character is the average of V's character over that subgroup; the
+    result is decomposed as an S_a-representation.
+    """
+    return decompose(restrict_and_average(V.character(), a))

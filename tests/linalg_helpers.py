@@ -1,5 +1,6 @@
 """Matrix helpers used only by the tests: rank of a dense integer
-matrix, a dense reference for IntRowBasis, composition and
+matrix, the stored rows of an IntRowBasis as dense lists
+(`dense_rows`) and a dense reference for them, composition and
 densification of sparse column maps ({row index: coefficient} per
 column), and the Fraction elimination solve_exact is checked against."""
 
@@ -17,6 +18,17 @@ def int_rank(rows) -> int:
             basis = IntRowBasis(len(row))
         basis.insert(row)
     return 0 if basis is None else basis.rank
+
+
+def dense_rows(basis: IntRowBasis) -> list[list[int]]:
+    """The rows basis stores, as dense lists."""
+    dense = []
+    for row in basis.sparse_rows:
+        out = [0] * basis.width
+        for c, x in row.items():
+            out[c] = x
+        dense.append(out)
+    return dense
 
 
 def dense_echelon_rows(rows) -> list[list[int]]:

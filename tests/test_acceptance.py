@@ -10,7 +10,7 @@ import time
 from math import factorial
 
 from fistab.bounds import BoundParams, StabilityType, abutment_stability, table1_row
-from fistab.characters import decompose, inner_product, irreducible_character, trivial_character
+from fistab.characters import decompose, irreducible_character
 from fistab.fi_analysis import (
     FISequence,
     detect_stability,
@@ -20,9 +20,12 @@ from fistab.fi_analysis import (
     unpadded_table,
     weight_of,
 )
-from fistab.induction import induced_character, m_module, wreath_invariant_dim
-from fistab.os_model import action_columns, betti, character, coinvariant_report, decomposition
+from fistab.induction import m_module, wreath_invariant_dim
+from fistab.named_characters import inner_product, trivial_character
+from fistab.os_model import betti, coinvariant_report
+from fistab.os_reference import action_columns, character, decomposition
 from fistab.partitions import dimension, partitions
+from character_oracles import induced_character
 from linalg_helpers import mat_mul_columns
 
 

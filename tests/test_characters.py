@@ -24,15 +24,17 @@ from fistab.characters import (
     class_sizes,
     decompose,
     free_module_sum,
-    inner_product,
     irreducible_character,
+    restrict_and_average,
+)
+from fistab.errors import ConsistencyError, DomainError
+from fistab.named_characters import (
+    inner_product,
     mn_character,
     regular_character,
-    restrict_and_average,
     sign_character,
     trivial_character,
 )
-from fistab.errors import ConsistencyError, DomainError
 from fistab.partitions import class_size, dimension, horizontal_strip_extensions, partitions
 from character_oracles import mn, restriction_inner_product
 
@@ -87,7 +89,9 @@ def test_character_table_against_coset_oracle(n):
         for lam, known in recovered.items():
             mult = inner_product(chi, known)
             assert mult.denominator == 1 and mult >= 0
-            chi = chi - int(mult) * known
+            chi = ClassFunction(n, {
+                nu: value - int(mult) * known.values[nu] for nu, value in chi.values.items()
+            })
         recovered[mu] = chi
     for lam, chi in recovered.items():
         for mu in partitions(n):
@@ -215,6 +219,24 @@ def test_decompose_trivial_and_regular():
     assert reg.to_mapping() == {"1+1+1": 1, "2+1": 2, "3": 1}
 
 
+def test_class_functions_and_decompositions_print_their_tables():
+    chi = trivial_character(3)
+    assert chi((2, 1)) == 1
+    with pytest.raises(DomainError):
+        chi((2, 2))
+    assert repr(chi) == "ClassFunction(S_3, {1+1+1: 1, 2+1: 1, 3: 1})"
+    regular = decompose(regular_character(3))
+    assert repr(regular) == "IrrDecomposition(S_3, {1+1+1: 1, 2+1: 2, 3: 1})"
+    assert repr(IrrDecomposition(0, {(): 1})) == "IrrDecomposition(S_0, {(): 1})"
+
+
+def test_free_module_sum_is_a_mapping_of_its_window():
+    levels = free_module_sum({1: IrrDecomposition(1, {(1,): 1})}, 2, 5)
+    assert list(levels) == [2, 3, 4, 5] and len(levels) == 4
+    assert levels[4] == IrrDecomposition(4, {(3, 1): 1, (4,): 1})
+    assert 6 not in levels
+
+
 def test_decompose_natural_permutation_character():
     # fixed points of the action on 3 letters: values 3, 1, 0
     chi = ClassFunction(3, {(1, 1, 1): 3, (2, 1): 1, (3,): 0})
@@ -225,8 +247,8 @@ def test_decompose_rejects_non_representation():
     bad = ClassFunction(3, {(1, 1, 1): 1, (2, 1): Fraction(1, 2), (3,): 0})
     with pytest.raises(ConsistencyError):
         decompose(bad)
-    with pytest.raises(ConsistencyError):
-        decompose(trivial_character(3) - 2 * sign_character(3))
+    with pytest.raises(ConsistencyError):  # the trivial character less twice the sign
+        decompose(ClassFunction(3, {(1, 1, 1): -1, (2, 1): 3, (3,): -1}))
 
 
 @st.composite
@@ -243,8 +265,10 @@ def small_decomposition(draw):
 def test_decompose_is_additive(u, v):
     if u.n != v.n:
         return
-    total = decompose(u.character() + v.character())
-    assert total == u + v
+    f, g = u.character(), v.character()
+    total = decompose(ClassFunction(u.n, {mu: f.values[mu] + g.values[mu] for mu in f.values}))
+    lams = partitions(u.n)
+    assert total == IrrDecomposition(u.n, {lam: u.multiplicity(lam) + v.multiplicity(lam) for lam in lams})
 
 
 def test_class_function_validates_domain():

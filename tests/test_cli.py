@@ -42,6 +42,24 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def test_a_second_request_of_a_subcommand_imports_nothing(capsys, monkeypatch):
+    # cli._module imports a handler module, a writer or the reader of
+    # exact numbers on its first use and keeps it for the process
+    from fistab import cli
+
+    requests = [
+        ["bounds", "--alpha", "1/2", "--beta", "1", "--i", "3"],
+        ["os-scan", "--n-min", "2", "--n-max", "4", "--k", "1", "--format", "text"],
+    ]
+    for argv in requests:
+        assert run(capsys, *argv)[0] == 0
+    imported = []
+    monkeypatch.setattr(cli, "import_module", imported.append)
+    for argv in requests:
+        assert run(capsys, *argv)[0] == 0
+    assert imported == []
+
+
 def test_table1_moduli(capsys):
     payload = run_json(capsys, "table1", "--row", "moduli", "--i", "2")
     assert payload["N"] == 12
@@ -189,7 +207,7 @@ def test_fit_dimpoly(capsys):
 
 def test_fit_charpoly(capsys):
     entries = {"window": [4, 6], "entries": {}}
-    from fistab.os_model import character
+    from fistab.os_reference import character
 
     for n in (4, 5, 6):
         entries["entries"][str(n)] = character(n, 1).to_mapping()
@@ -763,11 +781,11 @@ def test_os_scan_computes_no_character_past_2k():
     # so a refused window prints the same error on the second run.
     code = (
         "import io, json, contextlib\n"
-        "from fistab import cli, fi_analysis, os_model\n"
+        "from fistab import cli, fi_analysis, os_model, os_reference\n"
         "seen, fits, past = [], [], []\n"
-        "character, decomposition = os_model.character, os_model.decomposition\n"
-        "os_model.character = lambda n, k: seen.append(('character', n)) or character(n, k)\n"
-        "os_model.decomposition = lambda n, k: (\n"
+        "character, decomposition = os_reference.character, os_reference.decomposition\n"
+        "os_reference.character = lambda n, k: seen.append(('character', n)) or character(n, k)\n"
+        "os_reference.decomposition = lambda n, k: (\n"
         "    seen.append(('decomposition', n)) or decomposition(n, k))\n"
         "fit = fi_analysis.fit_char_polynomial\n"
         "def counted_fit(*a):\n"

@@ -4,18 +4,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from fistab.characters import ClassFunction, IrrDecomposition, trivial_character
+from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.errors import DomainError
 from fistab.fi_analysis import (
-    CharPolynomial,
     FISequence,
     IntPolynomial,
-    StabilityReport,
     detect_stability,
     fit_char_polynomial,
     fit_dim_polynomial,
     length_of,
-    pad,
     quotient_betti,
     unpad,
     unpadded_table,
@@ -23,8 +20,10 @@ from fistab.fi_analysis import (
     _monomial_count,
     _monomials,
 )
+from fistab.fi_reports import CharPolynomial, StabilityReport
 from fistab.induction import m_module
-from fistab.partitions import binomial, partitions
+from fistab.named_characters import trivial_character
+from fistab.partitions import binomial, pad, partitions
 from linalg_helpers import fraction_solve
 
 
@@ -103,6 +102,21 @@ def test_fisequence_validation():
         FISequence({2: m_module((1,), 3)})  # n mismatch
     with pytest.raises(DomainError):
         FISequence({})
+
+
+def test_fisequence_character_mapping_round_trip():
+    seq = FISequence({n: trivial_character(n) for n in (2, 3, 4)})
+    again = FISequence.characters_from_mapping(seq.to_mapping())
+    assert again.window == seq.window
+    assert all(again[n] == seq[n] for n in seq)
+
+
+def test_polynomials_print_their_terms():
+    assert repr(CharPolynomial({((1, 2),): 1, ((2, 1),): -1})) == "CharPolynomial(C(Z1,2) + -1*Z2)"
+    assert repr(CharPolynomial({(): 3})) == "CharPolynomial(3*1)"
+    assert repr(CharPolynomial({})) == "CharPolynomial(0)"
+    dims = {n: 1 + n * (n - 1) for n in range(2, 6)}
+    assert repr(fit_dim_polynomial(dims, 2)) == "IntPolynomial(C(T,0) + 2*C(T,2))"
 
 
 def test_fisequence_mapping_round_trip():

@@ -5,8 +5,9 @@ No linter ships with the test dependencies, so these are the checks for
 imports and helpers that a refactor leaves behind.  They read the
 package's modules and those of its subpackages (`commands`,
 `writers`).  For imports the top-level package __init__ is exempt: its
-imports are the public API.  So is `from m import x as x`, the usual spelling of a deliberate
-re-export.  More checks keep a concept written once: the Pieri sum of
+imports are the public API.  No module re-exports a name with `from m
+import x as x`: each name has one home, and the public API is
+`fistab.<name>`.  More checks keep a concept written once: the Pieri sum of
 free modules, the CLI's list of subcommands, and their flags, which
 argparse gets from that table and which no code reads back off
 argparse's private names.
@@ -34,7 +35,7 @@ def _unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(a.asname or a.name for a in node.names if a.asname != a.name)
+            imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
 
@@ -46,12 +47,24 @@ def test_unused_imports_are_found():
         "import os.path\nimport sys as system\nfrom math import comb, perm, pi as pi\n"
         "comb(system.maxsize, 2)\n"
     )
-    assert _unused_imports(source) == ["os", "perm"]
+    assert _unused_imports(source) == ["os", "perm", "pi"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(PACKAGE).as_posix())
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_no_module_spells_a_re_export():
+    for path in [PACKAGE / "__init__.py", *MODULES]:
+        spelled = [
+            a.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+            if a.asname == a.name
+        ]
+        assert spelled == [], path.relative_to(PACKAGE).as_posix()
 
 
 def _unreferenced_private(sources: dict[str, str]) -> list[str]:

@@ -17,26 +17,21 @@ from fistab.characters import (
     ClassFunction,
     IrrDecomposition,
     decompose,
-    inner_product,
     irreducible_character,
-    sign_character,
-    trivial_character,
 )
 from fistab.errors import DomainError
-from fistab.fi_analysis import pad
 from fistab.induction import (
-    coinvariants_as_sa,
-    induced_character,
     kunneth_decomposition,
     kunneth_power,
     m_module,
     m_regular,
     wreath_invariant_dim,
-    wreath_invariant_series,
     wreath_twisted_dim,
 )
-from fistab.partitions import dimension, horizontal_strip_extensions, partitions
-from character_oracles import restriction_inner_product
+from fistab.named_characters import inner_product, sign_character, trivial_character
+from fistab.partitions import horizontal_strip_extensions, pad, partitions
+from fistab.wreath import wreath_invariant_series
+from character_oracles import coinvariants_as_sa, induced_character, restriction_inner_product
 
 
 def _cycle_type(perm):

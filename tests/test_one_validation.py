@@ -76,8 +76,13 @@ def test_free_decomposition_checks_no_partition():
 
 def test_decompose_of_a_table_built_character_checks_no_partition():
     rep = IrrDecomposition(6, {(3, 2, 1): 1, (4, 2): 2, (1,) * 6: 1})
+    # rep plus the regular representation, each irreducible as often as
+    # its dimension
+    both = IrrDecomposition(6, {
+        lam: rep.multiplicity(lam) + PARTITIONS.dimension(lam) for lam in PARTITIONS.partitions(6)
+    })
     with check_partition_calls() as calls:
-        chi = rep.character() + characters.regular_character(6)
+        chi = both.character()
         result = characters.decompose(characters.restrict_and_average(chi, 4))
         fi_analysis.unpadded_table(result)
     assert calls == []

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from fistab import os_model, os_reference
-from fistab.characters import trivial_character
 from fistab.cli import main, render
 from fistab.errors import ConsistencyError, DomainError
 from fistab.fi_analysis import (
@@ -30,22 +29,19 @@ from fistab.fi_analysis import (
     weight_of,
 )
 from fistab.linalg import IntRowBasis
-from fistab.os_model import (
+from fistab.os_model import betti, character_polynomial, coinvariant_report, free_generator
+from fistab.os_reference import (
     action_columns,
     action_matrix,
-    betti,
     character,
-    character_polynomial,
-    coinvariant_report,
     decomposition,
     fi_map,
-    free_generator,
     invariant_dimension,
     nbc_basis,
     normalize_edge,
     straighten,
 )
-from fistab.characters import IrrDecomposition
+from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.partitions import horizontal_strip_extensions, partitions
 from linalg_helpers import mat_mul_columns
 from os_oracles import (
@@ -383,7 +379,8 @@ def test_invariant_dimension_examples():
 def test_invariant_dimension_rejects_a_negative_average(monkeypatch):
     # a broken character whose invariants come out as -1 is an internal
     # failure, not a dimension
-    monkeypatch.setattr(os_reference, "character", lambda n, k: -1 * trivial_character(n))
+    minus_trivial = lambda n, k: ClassFunction(n, dict.fromkeys(partitions(n), -1))
+    monkeypatch.setattr(os_reference, "character", minus_trivial)
     with pytest.raises(ConsistencyError, match="invariant dimension came out as -1"):
         invariant_dimension(4, 1, 1)
 

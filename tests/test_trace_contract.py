@@ -5,7 +5,9 @@ module that binds them, and `perfbench/selftest.py` checks that
 `decompose` is wrapped in characters, induction, os_model and cli.  A
 refactor that renames or moves one of them breaks the benchmark, so the
 table is read here (parsed, not imported) and checked against the
-package.
+package.  A name the tracer reads in a module other than its home is
+forwarded there (`fistab._forward`, a module-level `__getattr__`), and
+no other name is.
 """
 
 import ast
@@ -13,6 +15,7 @@ import importlib
 from pathlib import Path
 
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fistab"
 
 
 def _constant(name: str):
@@ -52,3 +55,42 @@ def test_cli_has_subcommand_handlers():
     cli = _module("cli")
     handlers = {name for name in vars(cli) if name.startswith("cmd_")}
     assert handlers == {f"cmd_{name.replace('-', '_')}" for name in cli.SUBCOMMANDS}
+
+
+def _top_level(short: str) -> tuple[set[str], set[str]]:
+    """The names fistab.<short> binds at module level, and those its
+    `__getattr__ = _forward(__name__, home, names)` forwards; a module
+    __getattr__ written any other way fails here."""
+    tree = ast.parse((PACKAGE / f"{short.replace('.', '/')}.py").read_text())
+    bound, forwarded = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            assert node.name != "__getattr__", short
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if "__getattr__" in targets:
+                call = node.value
+                assert isinstance(call, ast.Call) and call.func.id == "_forward", short
+                forwarded.update(ast.literal_eval(call.args[2]))
+            bound |= targets
+    return bound, forwarded
+
+
+def test_only_the_names_the_tracer_reads_are_forwarded():
+    # the LAYERS names a module does not define, and cli.decompose, which
+    # the self-test reads there
+    wanted = {("cli", "decompose")}
+    for short, names in _constant("LAYERS").items():
+        bound, _ = _top_level(short)
+        wanted |= {(short, name) for name in names if name not in bound}
+    forwarded = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path != PACKAGE / "__init__.py":
+            short = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+            forwarded |= {(short, name) for name in _top_level(short)[1]}
+    assert forwarded == wanted
+    for short, name in forwarded:
+        assert callable(getattr(_module(short), name)), (short, name)
