@@ -46,6 +46,82 @@ CHOICES = (
     "'kunneth')"
 )
 
+# the usage lines of each subcommand's errors
+USAGES = {
+    "character": (
+        "usage: fistab character [-h] [--out OUT] [--format {json,text,csv}]\n"
+        "                        [--allow-large] --lam LAM [--mu MU]\n"
+    ),
+    "decompose": (
+        "usage: fistab decompose [-h] [--out OUT] [--format {json,text,csv}]\n"
+        "                        [--allow-large] --n N [--values VALUES]\n"
+        "                        [--input INPUT]\n"
+    ),
+    "m-module": (
+        "usage: fistab m-module [-h] [--out OUT] [--format {json,text,csv}]\n"
+        "                       [--allow-large] --n N [--lam LAM] [--regular REGULAR]\n"
+    ),
+    "fit-charpoly": (
+        "usage: fistab fit-charpoly [-h] [--out OUT] [--format {json,text,csv}]\n"
+        "                           [--allow-large] [--entries ENTRIES] [--input INPUT]\n"
+        "                           --degree-bound DEGREE_BOUND\n"
+    ),
+    "fit-dimpoly": (
+        "usage: fistab fit-dimpoly [-h] [--out OUT] [--format {json,text,csv}]\n"
+        "                          [--allow-large] [--dims DIMS] [--input INPUT]\n"
+        "                          --degree-bound DEGREE_BOUND\n"
+    ),
+    "bounds": (
+        "usage: fistab bounds [-h] [--out OUT] [--format {json,text,csv}] --alpha ALPHA\n"
+        "                     --beta BETA --i I [--page PAGE] [--p P] [--q Q]\n"
+        "                     [--fisharp] [--degenerates-at DEGENERATES_AT]\n"
+    ),
+    "table1": (
+        "usage: fistab table1 [-h] [--out OUT] [--format {json,text,csv}] --row\n"
+        "                     {config_surface_closed,config_surface_boundary,"
+        "config_surface_open,moduli,pmod_surface_boundary,pmod_highdim,"
+        "pmod_highdim_boundary,bpdiff}\n"
+        "                     --i I\n"
+    ),
+    "os-scan": (
+        "usage: fistab os-scan [-h] [--out OUT] [--format {json,text,csv}]\n"
+        "                      [--allow-large] --n-min N_MIN --n-max N_MAX --k K\n"
+        "                      [--a-max A_MAX]\n"
+    ),
+    "wreath-scan": (
+        "usage: fistab wreath-scan [-h] [--out OUT] [--format {json,text,csv}]\n"
+        "                          [--allow-large] --graded-dims GRADED_DIMS --i I\n"
+        "                          [--n-min N_MIN] --n-max N_MAX\n"
+    ),
+    "kunneth": (
+        "usage: fistab kunneth [-h] [--out OUT] [--format {json,text,csv}]\n"
+        "                      [--allow-large] --graded-dims GRADED_DIMS --n N --i I\n"
+        "                      [--decompose]\n"
+    ),
+}
+# each subcommand's required flags, as its usage error names them; a bare
+# stability-scan requires none, and is refused by its handler
+REQUIRED = {
+    "character": "--lam",
+    "decompose": "--n",
+    "m-module": "--n",
+    "fit-charpoly": "--degree-bound",
+    "fit-dimpoly": "--degree-bound",
+    "bounds": "--alpha, --beta, --i",
+    "table1": "--row, --i",
+    "os-scan": "--n-min, --n-max, --k",
+    "wreath-scan": "--graded-dims, --i, --n-max",
+    "kunneth": "--graded-dims, --n, --i",
+}
+
+
+def _refused(name, message):
+    # (exit code, stdout, stderr) of a usage error: the usage lines and
+    # message of the subcommand's own parser, or of the top one
+    usage = USAGE if name is None else USAGES[name]
+    return 64, "", f"{usage}fistab{'' if name is None else ' ' + name}: error: {message}\n"
+
+
 # a valid call of each subcommand
 VALID = {
     "character": ["--lam", "2+1", "--mu", "1+1+1"],
@@ -74,7 +150,44 @@ ERRORS = {
         (sub, *argv, "stray"): (64, "", USAGE + "fistab: error: unrecognized arguments: stray\n")
         for sub, argv in VALID.items()
     },
+    # one of each usage error a subcommand's flags give
+    ("os-scan", "--n-min", "2", "--n-max", "4", "--k"):
+        _refused("os-scan", "argument --k: expected one argument"),
+    ("m-module", "--lam", "--n", "4"): _refused("m-module", "argument --lam: expected one argument"),
+    ("os-scan", "--allow-large=1"):
+        _refused("os-scan", "argument --allow-large: ignored explicit argument '1'"),
+    ("os-scan", "--help=x"): _refused("os-scan", "argument -h/--help: ignored explicit argument 'x'"),
+    ("os-scan", "--n-min", "x", "--n-max", "4", "--k", "1"):
+        _refused("os-scan", "argument --n-min: invalid int value: 'x'"),
+    ("bounds", "--alpha", "x", "--beta", "1", "--i", "1"):
+        _refused("bounds", "argument --alpha: invalid Fraction value: 'x'"),
+    ("os-scan", *VALID["os-scan"], "--format", "xml"): _refused(
+        "os-scan", "argument --format: invalid choice: 'xml' (choose from 'json', 'text', 'csv')"
+    ),
+    ("table1", "--row", "x", "--i", "2"): _refused(
+        "table1",
+        "argument --row: invalid choice: 'x' (choose from 'config_surface_closed', "
+        "'config_surface_boundary', 'config_surface_open', 'moduli', 'pmod_surface_boundary', "
+        "'pmod_highdim', 'pmod_highdim_boundary', 'bpdiff')",
+    ),
+    **{
+        (sub,): _refused(sub, f"the following arguments are required: {flags}")
+        for sub, flags in REQUIRED.items()
+    },
+    ("os-scan", *VALID["os-scan"], "--bogus"): _refused(None, "unrecognized arguments: --bogus"),
+    ("os-scan", *VALID["os-scan"], "--", "x"): _refused(None, "unrecognized arguments: -- x"),
+    ("--bogus",): _refused(None, "unrecognized arguments: --bogus"),
 }
+# one argv of each kind of usage error, for the tests that run each in a
+# fresh process
+KINDS = (
+    (), ("bogus",), ("--bogus",), ("os-scan", *VALID["os-scan"], "stray"),
+    ("os-scan", *VALID["os-scan"], "--", "x"), ("os-scan", "--n-min", "2", "--n-max", "4", "--k"),
+    ("m-module", "--lam", "--n", "4"), ("os-scan", "--allow-large=1"), ("os-scan", "--help=x"),
+    ("os-scan", "--n-min", "x", "--n-max", "4", "--k", "1"),
+    ("bounds", "--alpha", "x", "--beta", "1", "--i", "1"), ("table1", "--row", "x", "--i", "2"),
+    ("kunneth",),
+)
 
 # argv -> sha256 of the help screen on stdout (exit 0, nothing on stderr)
 HELP = {

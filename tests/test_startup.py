@@ -182,12 +182,14 @@ def test_a_plain_argv_loads_no_argparse():
 
 
 def test_help_and_usage_errors_keep_their_bytes_in_a_fresh_process():
-    # argparse, imported on the way, still prints them, at any width
-    from test_cli_usage import ERRORS, HELP, _digest
+    # `python -m fistab.cli` runs the CLI as __main__: some help screens
+    # and every kind of usage error, at any width
+    from test_cli_usage import ERRORS, HELP, KINDS, _digest
 
+    cases = [*list(HELP.items())[::5], *((argv, ERRORS[argv]) for argv in KINDS)]
     for columns in ("40", "200"):
         env = dict(os.environ, PYTHONPATH=SRC, COLUMNS=columns)
-        for argv, expected in [*HELP.items(), *ERRORS.items()][::5]:
+        for argv, expected in cases:
             proc = subprocess.run(
                 [sys.executable, "-m", "fistab.cli", *argv],
                 capture_output=True, text=True, env=env, timeout=60,
