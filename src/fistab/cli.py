@@ -130,25 +130,12 @@ def _emit(payload, args) -> None:
 
 
 def _fraction(text: str):
-    """text as a Fraction (`exact.read_exact`), or argparse's usage
-    error, imported on that path alone: argparse turns only TypeError and
-    ValueError into one, and Fraction("1/0") raises ZeroDivisionError."""
-    try:
-        value = _module("exact").read_exact(text)
-        if value is not None:
-            return value
-        cap = sys.get_int_max_str_digits()
-        note = f" (its numerator or denominator has more than {cap} digits)"
-    except (ValueError, ZeroDivisionError):
-        note = ""
-    import argparse
-
-    raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}{note}")
+    return _module("exact").fraction(text)
 
 
 # --------------------------------------------------------------------------
-# the flags: each subcommand's are written here alone, and argparse, the
-# plain reader and the tests all read them here
+# the flags: each subcommand's are written here alone, and the reader, the
+# help screens, the usage errors and the tests all read them here
 
 # option string; type of the value, None for a string and bool for a
 # switch, which takes no value; the values it may take, or a function that
@@ -166,6 +153,8 @@ OUTPUT = (
 LARGE = (Flag("--allow-large", bool, help=(
     f"run past the work budget ({WORK_BUDGET / 10**9:g} s of estimated work)"
 )),)
+# -h and --help, which every parser reads
+HELP = Flag("-h/--help", bool, help="show this help message and exit")
 # name -> (help, flags), in the order the help lists them
 SUBCOMMANDS = {
     "character": ("irreducible character values", (*OUTPUT, *LARGE,
@@ -219,12 +208,12 @@ def choices(flag: Flag):
 
 
 def _plain(flags) -> tuple:
-    # a subcommand's flags as the parsers and _read_plain read them, worked
-    # out once: by option string, each with its namespace attribute as
-    # argparse names it; the namespace of its defaults; its required options
-    by_option = {flag.option: (flag, flag.option[2:].replace("-", "_")) for flag in flags}
-    defaults = {dest: False if f.type is bool else f.default for f, dest in by_option.values()}
-    return by_option, defaults, {flag.option for flag in flags if flag.required}
+    # a subcommand's flags by option string, each with the attribute that
+    # holds its value; the attributes' defaults; its required options
+    by_option = {"-h": (HELP, None), "--help": (HELP, None)}
+    by_option.update((flag.option, (flag, flag.option[2:].replace("-", "_"))) for flag in flags)
+    defaults = {d: False if f.type is bool else f.default for f, d in by_option.values() if d}
+    return by_option, defaults, tuple(flag.option for flag in flags if flag.required)
 
 
 _PLAIN = {name: _plain(flags) for name, (_, flags) in SUBCOMMANDS.items()}
@@ -244,81 +233,90 @@ def _handler(module: str):
 globals().update({f"cmd_{m}": _handler(m) for m in (n.replace("-", "_") for n in SUBCOMMANDS)})
 
 
-@lru_cache(maxsize=None)
 def build_parser(command: str | None = None):
-    """The argparse parser of command, or with every subcommand when
-    command is None, built from SUBCOMMANDS by fistab.parsing, where
-    argparse is imported, so a plain argv compiles neither.  Each is built
-    on the first call and shared by every later one, so callers must not
-    mutate it."""
-    return _module("parsing").build(command, sys.modules[__name__])
+    """The flag lookups of command (`_plain`), or of every subcommand by name."""
+    return _PLAIN if command is None else _PLAIN[command]
 
 
-def _read_plain(command: str, argv: list[str]) -> SimpleNamespace | None:
-    """The namespace the parser of command gives for argv, read off its
-    flags in SUBCOMMANDS without argparse, where argv is plain: each token
-    an exact option string, each value passing its type and choices and
-    not starting with "-" (argparse has its own rules for negative numbers
-    there), and every required flag given.  None for any other argv, which
-    argparse then parses itself, so it alone prints help and errors."""
+class _Usage(Exception):
+    """_Usage(command, message): the usage error of the parser of command
+    (None: the top one), or its help if message is None (fistab.parsing)."""
+
+
+def _choice(value, values) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, values))})"
+
+
+def _read(command: str, tokens, over: list[str]) -> SimpleNamespace:
+    """command's request, read off its flags from tokens, the argv after its
+    name, by the grammar README's "CLI" states; over: tokens left before it."""
     flags, defaults, required = _PLAIN[command]
     args, given = dict(defaults), set()
+    for token in tokens:
+        entry, text = flags.get(token), None
+        if entry is None and token[:2] == "--" and "=" in token:
+            option, text = token.split("=", 1)
+            entry = flags.get(option)
+        if entry is None:  # -- leaves itself and all that follows
+            over += [token, *tokens] if token == "--" else [token]
+            continue
+        flag, dest = entry
+        if flag.type is bool:
+            if text is not None:
+                raise _Usage(command, f"argument {flag.option}: ignored explicit argument {text!r}")
+            if flag is HELP:
+                raise _Usage(command, None)
+            args[dest] = True
+        else:
+            if text is None and ((text := next(tokens, "--")) == "-h" or text[:2] == "--"):
+                raise _Usage(command, f"argument {flag.option}: expected one argument")
+            try:
+                value = text if flag.type is None else flag.type(text)
+            except ValueError as exc:  # _fraction's reason is the usage error's own
+                reason = str(exc) if flag.type is _fraction else f"invalid int value: {text!r}"
+                raise _Usage(command, f"argument {flag.option}: {reason}") from None
+            if flag.choices is not None and value not in choices(flag):
+                raise _Usage(command, f"argument {flag.option}: {_choice(value, choices(flag))}")
+            args[dest] = value
+        given.add(flag.option)
+    if not given.issuperset(required):
+        missing = ", ".join(option for option in required if option not in given)
+        raise _Usage(command, f"the following arguments are required: {missing}")
+    if over:
+        raise _Usage(None, f"unrecognized arguments: {' '.join(over)}")
+    return SimpleNamespace(**args, command=command)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argv's request: before the subcommand's name, -h and --help ask for
+    help and any other token that starts with - is left over, -- with all
+    that follows; the first that does not must be the name (`_read`)."""
+    over: list[str] = []
     tokens = iter(argv)
     for token in tokens:
-        flag, dest = flags.get(token, (None, None))
-        if flag is None:
-            return None
-        given.add(token)
-        if flag.type is bool:
-            args[dest] = True
-            continue
-        text = next(tokens, "-")
-        if text.startswith("-"):
-            return None
-        try:
-            value = text if flag.type is None else flag.type(text)
-        # its ValueError, or _fraction's ArgumentTypeError, which only
-        # argparse can name: argparse runs the type again and reports it
-        except Exception:
-            return None
-        if flag.choices is not None and value not in choices(flag):
-            return None
-        args[dest] = value
-    return SimpleNamespace(**args) if required <= given else None
-
-
-def _parse(argv: list[str]):
-    """argv as parsed by the full parser, which hands everything after
-    the subcommand name to that subcommand's parser and refuses what it
-    leaves over.  An argv that starts with a name goes straight to that
-    parser: a plain one (`_read_plain`) is read off the flag table
-    without argparse, any other is parsed once.  The rest (help, no or an
-    unknown name, a leading flag) goes through the full parser."""
-    if argv and argv[0] in SUBCOMMANDS:
-        args = _read_plain(argv[0], argv[1:])
-        if args is None:
-            args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-            if extras:
-                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
-        return args
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.error("a subcommand is required")
-    return args
+        if token in SUBCOMMANDS:
+            return _read(token, tokens, over)
+        if token in ("-h", "--help"):
+            raise _Usage(None, None)
+        if token[:1] != "-":
+            raise _Usage(None, f"argument command: {_choice(token, SUBCOMMANDS)}")
+        over += [token, *tokens] if token == "--" else [token]
+    message = f"unrecognized arguments: {' '.join(over)}" if over else "a subcommand is required"
+    raise _Usage(None, message)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if "--config" in argv:  # the file's flags, spliced in by fistab.parsing
+        if "--config" in "\0".join(argv):  # --config PATH or --config=PATH: fistab.parsing
             argv = _module("parsing").apply_config(argv)
         args = _parse(argv)
         handler = globals()["cmd_" + args.command.replace("-", "_")]
         payload = handler(args)
         _emit(payload, args)
         return 0
+    except _Usage as exc:
+        return _module("parsing").answer(sys.modules[__name__], *exc.args)
     except (DomainError, OSError) as exc:
         print(f"fistab: {exc}", file=sys.stderr)
         return 1
@@ -328,8 +326,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"fistab: error: {exc}", file=sys.stderr)
         return 64
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 64
 
 
 if __name__ == "__main__":

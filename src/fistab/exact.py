@@ -1,5 +1,5 @@
 """The one reader of exact numbers from text: the --alpha and --beta of
-`fistab bounds` (cli._fraction) and the values of JSON tables
+`fistab bounds` (`fraction`) and the values of JSON tables
 (tables.parse_exact).  Only those paths import it.
 """
 
@@ -30,3 +30,17 @@ def read_exact(v):
     top = max(abs(value.numerator), value.denominator)
     # more than 3 * cap bits first: 8**cap < 10**cap
     return None if cap and top.bit_length() > 3 * cap and top >= 10**cap else value
+
+
+def fraction(text: str):
+    """text, the value of --alpha or --beta, as a Fraction, or ValueError
+    with the usage error's reason; Fraction("1/0") is a bad value too."""
+    try:
+        value = read_exact(text)
+        cap = sys.get_int_max_str_digits()
+        note = f" (its numerator or denominator has more than {cap} digits)"
+    except (ValueError, ZeroDivisionError):
+        value, note = None, ""
+    if value is None:
+        raise ValueError(f"invalid Fraction value: {text!r}{note}")
+    return value

@@ -1,19 +1,21 @@
-"""What reading argv takes beyond a plain one (cli._read_plain): the
-argparse parsers, for help, usage errors and any other argv, and the
-flags of a --config file.  cli imports this module only for those, so a
-plain request compiles none of it, nor argparse.
+"""The help screens and usage errors, written from cli.SUBCOMMANDS, and
+the flags of a --config file: cli imports this module for those alone.
 """
 
 from __future__ import annotations
 
 import sys
+import textwrap
 
 from .errors import DomainError
 
 
 def apply_config(argv: list[str]) -> list[str]:
-    """Pull --config out of argv and splice the file's key=value pairs in
-    as flags right after the subcommand, so explicit flags win."""
+    """Pull --config PATH or --config=PATH out of argv and splice the file's
+    key=value pairs in as flags right after the subcommand: explicit flags win."""
+    argv = [p for t in argv for p in (t.split("=", 1) if t.startswith("--config=") else [t])]
+    if "--config" not in argv:  # a token that only holds it
+        return argv
     from .commands.inputs import _read_text  # help and usage errors read no file
 
     idx = argv.index("--config")
@@ -39,70 +41,54 @@ def apply_config(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
-def _usage(prog: str, options: list[str]) -> str:
-    """The usage line of prog, less its "usage: ", wrapped at 80 columns as
-    CPython 3.11's argparse wraps it (later ones keep a flag and its value
-    together): each line filled in turn, the next under the first option."""
-    lines = [prog]
-    for part in options:
-        if len(lines[-1]) + len(part) >= 78 - len("usage: ") * (len(lines) == 1):
-            lines.append(" " * (len(prog) + 7))
-        lines[-1] += " " + part
-    return "\n".join(lines)
+def _row(indent: int, invocation: str, text: str | None) -> str:
+    # a help entry: its help in columns 24 to 78, under the invocation if that is long
+    row = " " * indent + invocation
+    if text:
+        row = row.ljust(24) if len(row) <= 22 else row + "\n" + " " * 24
+        row += ("\n" + " " * 24).join(textwrap.wrap(" ".join(text.split()), 54))
+    return row + "\n"
 
 
-def build(command: str | None, cli):
-    """cli.build_parser: the argparse parser, built from cli.SUBCOMMANDS.
-    With a subcommand name, that subcommand's own parser (prog `fistab
-    <name>`), all `main` needs for an argv that starts with the name;
-    without one, the parser with every subcommand, for help, unknown names
-    and callers that want it whole.  cli.build_parser shares each parser
-    with every later caller; reuse is safe as `parse_args` returns a fresh
-    namespace and no default is mutable.  Help is 80 columns wide whatever
-    the terminal, and fistab writes the usage lines, so help and usage
-    errors have the same bytes on every interpreter.  Subcommands carry no
-    handler: `main` looks `cmd_<name>` up on every call, so a handler
-    rebound after the first call (a profiler, a tracer) still takes
-    effect.  cli is the front end's module, passed in rather than
-    imported, as `python -m fistab.cli` runs it as __main__."""
-    import argparse
-    from functools import partial
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(64, f"{self.prog}: error: {message}\n")
-
-    # argparse keeps two of the 80 columns as a margin
-    formatter = partial(argparse.HelpFormatter, width=78)
-
-    def fill(parser, name):
-        options = ["[-h]"]
-        for flag, dest in cli._PLAIN[name][0].values():
+def answer(cli, command: str | None, message: str | None) -> int:
+    """The help of the parser of command (None: the top one) on stdout and
+    exit code 0 if message is None, else its usage error on stderr and 64,
+    with the bytes CPython 3.11's standard parser gives at 80 columns.
+    cli is the front end's module, passed in as `python -m fistab.cli`
+    runs it as __main__."""
+    short, long = cli.HELP.option.split("/")
+    if command is None:
+        prog, names = "fistab", "{%s}" % ",".join(cli.SUBCOMMANDS)
+        # too long for one line, so 3.11 puts the positionals on lines of their own
+        pad = "\n" + " " * len("usage: fistab ")
+        usage = f"fistab [{short}]{pad}{names}{pad}..."
+    else:
+        prog, shown = f"fistab {command}", []
+        lines = [f"{prog} [{short}]"]  # the usage line
+        for flag, dest in cli._PLAIN[command][0].values():
+            if flag is cli.HELP:
+                continue
             values = cli.choices(flag)
-            kind = {"action": "store_true"} if flag.type is bool else dict(
-                type=flag.type, required=flag.required, choices=values, default=flag.default
-            )
-            parser.add_argument(flag.option, help=flag.help, **kind)
-            # in the usage line, a required flag splits from its value
-            shown = [flag.option] if flag.type is bool else [
-                flag.option, "{%s}" % ",".join(values) if values else dest.upper()
-            ]
-            options += shown if flag.required else [f"[{' '.join(shown)}]"]
-        parser.usage = _usage(parser.prog, options)
-        return parser
-
-    if command is not None:
-        return fill(_Parser(prog=f"fistab {command}", formatter_class=formatter), command)
-    # too long for one line, so 3.11 puts the positionals on lines of their own
-    pad = "\n" + " " * len("usage: fistab ")
-    parser = _Parser(
-        prog="fistab",
-        usage=f"fistab [-h]{pad}{{{','.join(cli.SUBCOMMANDS)}}}{pad}...",
-        description=cli.__doc__,
-        formatter_class=formatter,
-    )
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser, prog="fistab")
-    for name, (help_text, _) in cli.SUBCOMMANDS.items():
-        fill(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
-    return parser
+            meta = "{%s}" % ",".join(values) if values else dest.upper()
+            parts = [flag.option] if flag.type is bool else [flag.option, meta]
+            shown.append((" ".join(parts), flag.help))
+            # wrapped as CPython 3.11 wraps it (later ones keep a flag and its
+            # value together): a required flag splits from its value, and each
+            # line is filled in turn, the next under the first option
+            for part in parts if flag.required else [f"[{' '.join(parts)}]"]:
+                if len(lines[-1]) + len(part) >= 78 - len("usage: ") * (len(lines) == 1):
+                    lines.append(" " * (len(prog) + 7))
+                lines[-1] += " " + part
+        usage = "\n".join(lines)
+    if message is not None:
+        sys.stderr.write(f"usage: {usage}\n{prog}: error: {message}\n")
+        return 64
+    rows = _row(2, f"{short}, {long}", cli.HELP.help)
+    if command is None:
+        subcommands = "".join(_row(4, name, text) for name, (text, _) in cli.SUBCOMMANDS.items())
+        description = textwrap.fill(" ".join(cli.__doc__.split()), 78)
+        page = f"{description}\n\npositional arguments:\n  {names}\n{subcommands}\noptions:\n{rows}"
+    else:
+        page = "options:\n" + rows + "".join(_row(2, *row) for row in shown)
+    sys.stdout.write(f"usage: {usage}\n\n{page}")
+    return 0

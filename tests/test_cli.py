@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import io
 import json
@@ -355,7 +354,7 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64
     code, _, err = run(capsys)
     assert code == 64
-    # Fraction("2/0") raises ZeroDivisionError, which argparse does not catch
+    # Fraction("2/0") raises ZeroDivisionError, which _fraction reads as a bad value
     for alpha, beta, bad in (("x", "2", "--alpha"), ("1/0", "2", "--alpha"),
                              ("1", "x", "--beta"), ("1", "2/0", "--beta")):
         code, out, err = run(capsys, "bounds", "--alpha", alpha, "--beta", beta, "--i", "3")
@@ -458,6 +457,17 @@ def test_config_file_defaults_and_flag_precedence(capsys, tmp_path):
     # explicit flags beat the config
     payload = run_json(capsys, "table1", "--config", str(cfg), "--i", "2")
     assert payload["N"] == 12
+
+
+def test_config_joined_to_its_path_is_spliced_too(capsys, tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("row=moduli\ni=1\n")
+    joined = run_json(capsys, "table1", f"--config={cfg}")
+    assert joined == run_json(capsys, "table1", "--config", str(cfg))
+    assert run_json(capsys, "table1", "--i", "2", f"--config={cfg}")["N"] == 12
+    # a flag that only starts like it is left over, as any unknown flag
+    code, out, err = run(capsys, "table1", "--row", "moduli", "--i", "1", f"--configx={cfg}")
+    assert (code, out) == (64, "") and err.endswith(f"unrecognized arguments: --configx={cfg}\n")
 
 
 def test_config_file_boolean(capsys, tmp_path):
@@ -1054,12 +1064,11 @@ def test_wreath_scan_reaches_far_past_the_class_sums():
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
-    assert build_parser("kunneth") is build_parser("kunneth") is not build_parser()
-    # a subcommand's parser is its own, not the top of a parser
-    for name in SUBCOMMANDS:
-        parser = build_parser(name)
-        assert parser.prog == f"fistab {name}", name
-        assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions), name
+    assert build_parser("kunneth") is build_parser("kunneth") is build_parser()["kunneth"]
+    # a subcommand's lookups are its own flags, with -h and --help
+    for name, (_, flags) in SUBCOMMANDS.items():
+        by_option = build_parser(name)[0]
+        assert set(by_option) == {"-h", "--help", *(flag.option for flag in flags)}, name
 
 
 def test_reused_parser_forgets_the_previous_request(tmp_path):

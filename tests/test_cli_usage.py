@@ -1,17 +1,17 @@
 """Byte-identical usage errors and help.
 
-Exit code, stdout and stderr of the calls argparse answers itself: no
+Exit code, stdout and stderr of the calls that run nothing: no
 subcommand, an unknown one, a flag before the subcommand, `-h` at the
-top and on every subcommand, and a valid call of every subcommand
-followed by a stray argument.  The usage errors are compared as text;
-a help screen is compared by the sha256 of its stdout.  Help is 80
-columns wide whatever the terminal: both are checked with COLUMNS unset,
-40, 80 and 200.  These calls, and the valid call of every subcommand,
-give the same bytes when the full parser parses them
-(`cli_oracle.parse_twice`).  A valid call is read off its subcommand's
-flags in `cli.SUBCOMMANDS` (`cli._read_plain`) without argparse, and a
-property test compares that reader with `parse_known_args` on argv drawn
-from each subcommand's flags there.
+top and on every subcommand, a valid call of every subcommand followed
+by a stray argument, and one of each usage error a subcommand's flags
+give.  The usage errors are compared as text; a help screen is compared
+by the sha256 of its stdout.  Help is 80 columns wide whatever the
+terminal: both are checked with COLUMNS unset, 40, 80 and 200.  Every
+argv is read off the flag table `cli.SUBCOMMANDS` (`cli._parse`,
+`cli._read`); argparse, built from the same table in `cli_oracle`, reads
+each of these calls alike and gives the same bytes, and a property test
+compares the two readers on argv drawn from each subcommand's flags
+wherever `cli_oracle.alike` says they agree.
 A deliberate change of the help screens updates the table; print the
 current digests with
 
@@ -28,11 +28,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from cli_oracle import parse_args_calls, parsed_twice
+from cli_oracle import alike, parse_twice, parsed_twice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fistab.cli import SUBCOMMANDS, _read_plain, build_parser, main
+from fistab.cli import SUBCOMMANDS, _parse, _Usage, main
 
 USAGE = (
     "usage: fistab [-h]\n"
@@ -153,10 +153,12 @@ ERRORS = {
     # one of each usage error a subcommand's flags give
     ("os-scan", "--n-min", "2", "--n-max", "4", "--k"):
         _refused("os-scan", "argument --k: expected one argument"),
-    ("m-module", "--lam", "--n", "4"): _refused("m-module", "argument --lam: expected one argument"),
+    ("m-module", "--lam", "--n", "4"):
+        _refused("m-module", "argument --lam: expected one argument"),
     ("os-scan", "--allow-large=1"):
         _refused("os-scan", "argument --allow-large: ignored explicit argument '1'"),
-    ("os-scan", "--help=x"): _refused("os-scan", "argument -h/--help: ignored explicit argument 'x'"),
+    ("os-scan", "--help=x"):
+        _refused("os-scan", "argument -h/--help: ignored explicit argument 'x'"),
     ("os-scan", "--n-min", "x", "--n-max", "4", "--k", "1"):
         _refused("os-scan", "argument --n-min: invalid int value: 'x'"),
     ("bounds", "--alpha", "x", "--beta", "1", "--i", "1"):
@@ -177,6 +179,7 @@ ERRORS = {
     ("os-scan", *VALID["os-scan"], "--bogus"): _refused(None, "unrecognized arguments: --bogus"),
     ("os-scan", *VALID["os-scan"], "--", "x"): _refused(None, "unrecognized arguments: -- x"),
     ("--bogus",): _refused(None, "unrecognized arguments: --bogus"),
+    ("-x", "os-scan", *VALID["os-scan"]): _refused(None, "unrecognized arguments: -x"),
 }
 # one argv of each kind of usage error, for the tests that run each in a
 # fresh process
@@ -239,6 +242,7 @@ def columns(request, monkeypatch):
 
 def test_every_subcommand_is_covered():
     assert {argv[0] for argv in HELP if argv[0] != "-h"} == set(VALID) == set(SUBCOMMANDS)
+    assert set(KINDS) <= set(ERRORS)
 
 
 @pytest.mark.parametrize("argv", ERRORS, ids=lambda argv: " ".join(argv) or "(none)")
@@ -257,48 +261,85 @@ ROUTED = PLAIN + list(ERRORS) + list(HELP)
 
 
 @pytest.mark.parametrize("argv", ROUTED, ids=lambda argv: " ".join(argv) or "(none)")
-def test_one_parse_matches_the_old_route(argv):
-    with parse_args_calls() as progs:
-        once = _run(argv)
-    with parsed_twice():
+def test_argparse_reads_each_pinned_argv_alike(argv):
+    # each valid call, usage error and help request above is one both
+    # grammars read alike, and argparse's decision gives the same bytes
+    once = _run(argv)
+    with parsed_twice() as seen:
         assert _run(argv) == once
-    if argv and argv[0] in SUBCOMMANDS:
-        # the subcommand's own parser alone, never the top of a parser
-        assert "fistab" not in progs
-    else:
-        assert progs == ["fistab"]
+    assert seen == [True]
 
 
-@pytest.mark.parametrize("argv", ROUTED, ids=lambda argv: " ".join(argv) or "(none)")
-def test_a_plain_argv_runs_no_parse(argv):
-    # a valid call is read off its subcommand's flags; argparse parses
-    # every usage error and help request itself
-    with parse_args_calls("parse_known_args") as progs:
-        _run(argv)
-    if argv in PLAIN:
-        assert progs == []
-    else:
-        assert progs
+# where the reader parts from argparse: an abbreviation, -h with more in
+# its token, and -- before the name with all that follows are left over
+CHANGED = {
+    ("fit-dimpoly", *VALID["fit-dimpoly"], "--deg", "3"):
+        _refused(None, "unrecognized arguments: --deg 3"),
+    ("os-scan", *VALID["os-scan"], "--n-m", "3"): _refused(None, "unrecognized arguments: --n-m 3"),
+    ("os-scan", *VALID["os-scan"], "-hx"): _refused(None, "unrecognized arguments: -hx"),
+    ("os-scan", "-h=x", *VALID["os-scan"]): _refused(None, "unrecognized arguments: -h=x"),
+    ("--", "table1", "--row", "moduli", "--i", "2"):
+        _refused(None, "unrecognized arguments: -- table1 --row moduli --i 2"),
+}
 
 
-# tokens the reader leaves to argparse, and values of every kind: negative,
-# empty or leading "-", bad ints, fractions and choices next to good ones
-ODD_TOKENS = st.sampled_from(("-h", "--help", "--", "-", "stray", "", "--i=2", "--format=json"))
+@pytest.mark.parametrize("argv", CHANGED, ids=" ".join)
+def test_abbreviations_and_joined_short_help_are_left_over(argv):
+    assert not alike(argv)
+    assert _run(argv) == CHANGED[argv]
+
+
+def test_a_negative_fraction_is_read_as_a_separate_value():
+    joined = _run(["bounds", "--alpha=-1/2", "--beta", "1", "--i", "1"])
+    assert joined[:2] == (1, "") and len(joined[2].splitlines()) == 1
+    assert _run(["bounds", "--alpha", "-1/2", "--beta", "1", "--i", "1"]) == joined
+
+
+VALUE_FLAGS = [
+    (sub, flag.option) for sub, (_, flags) in SUBCOMMANDS.items() for flag in flags
+    if flag.type is not bool and flag.option != "--out"
+]
+
+
+@pytest.mark.parametrize("sub, option", VALUE_FLAGS, ids="{0[0]} {0[1]}=--".format)
+def test_a_flag_joined_to_two_dashes_is_refused_in_one_line(sub, option):
+    # argparse read --flag=-- as a value of no tokens, and failed on it
+    code, out, err = _run([sub, *VALID[sub], f"{option}=--"])
+    assert code in (1, 64) and out == "" and "Traceback" not in err, err
+    messages = [line for line in err.splitlines() if line.startswith("fistab")]
+    assert messages == err.splitlines()[-1:], err
+
+
+def test_out_joined_to_two_dashes_names_a_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["os-scan", *VALID["os-scan"], "--out=--"]) == (0, "", "")
+    assert (tmp_path / "--").read_text() == _run(["os-scan", *VALID["os-scan"]])[1]
+
+
+# tokens the reader leaves over or refuses, and values of every kind:
+# negative, empty or leading "-", bad ints, fractions and choices next to
+# good ones
+ODD_TOKENS = st.sampled_from((
+    "-h", "--help", "--", "-", "stray", "", "--i=2", "--format=json", "-hx", "-h=x", "--help=x",
+    "-x", "-1",
+))
 VALUES = st.one_of(
     st.integers(-3, 12).map(str),
     st.sampled_from((
-        "", "-", "-x", "-1/2", " -1", "- 1", "--", "-h", "1/0", "2/0", "x", "1/x", "1/2",
-        "1.5", "2+1", "1+1+1", "1,2", "moduli", "nope", "json", "xml", "{}", "[]",
+        "", "-", "-x", "-1/2", " -1", "- 1", "--", "-h", "-hx", "--x", "-- x", "1/0", "2/0", "x",
+        "1/x", "1/2", "-.5", "1.5", "2+1", "1+1+1", "1,2", "moduli", "nope", "json", "xml", "{}",
+        "[]",
     )),
 )
 
 
 @st.composite
 def subcommand_argv(draw):
-    """(name, argv after the name): the pairs of the name's valid call,
-    some dropped, among flags drawn from its own option strings, each
-    exact, cut short or joined to its value by "=", with or without a
-    value, and odd tokens."""
+    """A subcommand's name, now and then after an odd token, and the pairs
+    of its valid call, some dropped, among flags drawn from its own option
+    strings, each exact, cut short or joined to its value by "=", with or
+    without a value, and odd tokens."""
+    before = draw(st.lists(ODD_TOKENS, max_size=1))
     name = draw(st.sampled_from(tuple(SUBCOMMANDS)))
     valid = VALID[name]
     pieces = [valid[i : i + 2] for i in range(0, len(valid), 2) if draw(st.integers(0, 9))]
@@ -311,40 +352,38 @@ def subcommand_argv(draw):
         ODD_TOKENS.map(lambda t: [t]),
     )
     pieces += draw(st.lists(piece, max_size=3))
-    return name, [token for p in draw(st.permutations(pieces)) for token in p]
+    return [*before, name, *(token for p in draw(st.permutations(pieces)) for token in p)]
 
 
-def _parsed(name, argv):
-    # argparse's namespace, as a dict, and extras, or its exit code
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        try:
-            args, extras = build_parser(name).parse_known_args(argv)
-        except SystemExit as exc:
-            return exc.code
-    return vars(args), extras
+def _decision(parse, argv):
+    # the namespace parse reads argv into, as a dict, or the parser and
+    # message of its help request (None) or usage error
+    try:
+        return vars(parse(argv))
+    except _Usage as exc:
+        return exc.args
 
 
 def test_the_reader_agrees_with_argparse():
-    # the reader's namespace is argparse's wherever it gives one; it
-    # gives one for every valid call, so the fast path cannot go dead
+    # wherever the grammars read an argv alike, the reader decides as
+    # argparse does: the same namespace, help request or usage error, each
+    # of which is drawn
     for name, argv in VALID.items():
-        args = _read_plain(name, argv)
-        assert args is not None, name
-        assert _parsed(name, argv) == (vars(args), []), name
+        assert _decision(_parse, [name, *argv]) == _decision(parse_twice, [name, *argv]), name
     outcomes = set()
 
     @settings(max_examples=600, derandomize=True, database=None)
-    @given(request=subcommand_argv())
-    def check(request):
-        name, argv = request
-        args = _read_plain(name, argv)
-        outcomes.add(args is None)
-        if args is not None:
-            parsed = _parsed(name, argv)
-            assert parsed == (vars(args), []), (name, argv, parsed)
+    @given(argv=subcommand_argv())
+    def check(argv):
+        decided = _decision(_parse, argv)
+        if alike(argv):
+            assert decided == _decision(parse_twice, argv), argv
+            outcomes.add(type(decided) is dict or decided[1] is None)
+        else:
+            outcomes.add("apart")
 
     check()
-    assert outcomes == {True, False}
+    assert outcomes == {True, False, "apart"}
 
 
 # Fraction literals whose numerator or denominator has more digits than the

@@ -8,9 +8,8 @@ package's modules and those of its subpackages (`commands`,
 imports are the public API.  No module re-exports a name with `from m
 import x as x`: each name has one home, and the public API is
 `fistab.<name>`.  More checks keep a concept written once: the Pieri sum of
-free modules, the CLI's list of subcommands, and their flags, which
-argparse gets from that table and which no code reads back off
-argparse's private names.
+free modules, the CLI's list of subcommands, and the grammar of its
+argv, which one reader reads off that table: no module imports argparse.
 """
 
 import ast
@@ -177,48 +176,27 @@ def test_cli_handlers_come_from_the_subcommand_table():
     assert handlers == {f"cmd_{name.replace('-', '_')}" for name in cli.SUBCOMMANDS}
 
 
-def _argparse_privates(source: str) -> list[str]:
-    # private names taken from argparse or read off a parser, and flags
-    # given to add_argument as literals rather than from the flag table
-    found = []
+def _imported(source: str) -> set[str]:
+    # the top-level names of every module the source imports, at any depth
+    found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module == "argparse":
-            found += [f"argparse.{a.name}" for a in node.names if a.name.startswith("_")]
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr.startswith("_")
-            and isinstance(node.value, ast.Name)
-            and (node.value.id == "argparse" or "parser" in node.value.id.lower())
-        ):
-            found.append(f"{node.value.id}.{node.attr}")
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_argument"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-        ):
-            found.append(f"add_argument({node.args[0].value!r})")
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
     return found
 
 
-def test_argparse_privates_are_found():
+def test_imports_are_found():
     source = (
-        "import argparse\nfrom argparse import _StoreAction, Namespace\n"
-        "def f(parser, sub_parser, p):\n"
-        "    p.add_argument('--n', type=int)\n"
-        "    p.add_argument(flag.option)\n"
-        "    return (argparse._StoreTrueAction, parser._actions,\n"
-        "            sub_parser._option_string_actions, argparse.SUPPRESS, parser.prog)\n"
+        "import os.path, re\nfrom . import cli\nfrom .writers import text\n"
+        "def f():\n    import argparse\n    from json.decoder import JSONDecoder\n"
     )
-    assert _argparse_privates(source) == [
-        "argparse._StoreAction", "add_argument('--n')", "argparse._StoreTrueAction",
-        "parser._actions", "sub_parser._option_string_actions",
-    ]
+    assert _imported(source) == {"os", "re", "argparse", "json"}
 
 
-def test_flags_are_written_once_and_read_off_no_argparse_private():
-    # each subcommand's flags are the rows of cli.SUBCOMMANDS: the parsers
-    # are built from them and the plain reader reads them, not argparse
+def test_no_module_imports_argparse():
+    # every argv is read off cli.SUBCOMMANDS by cli._read, and fistab.parsing
+    # writes help and usage errors from the same rows
     for path in [PACKAGE / "__init__.py", *MODULES]:
-        assert _argparse_privates(path.read_text()) == [], path.name
+        assert "argparse" not in _imported(path.read_text()), path.name

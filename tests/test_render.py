@@ -9,12 +9,12 @@ containers, and ints past the interpreter's default cap on int-to-str
 digits.
 """
 
-import argparse
 import csv
 import io
 import json
 import sys
 from contextlib import contextmanager, redirect_stdout
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -65,7 +65,7 @@ def _oracle(payload, fmt: str) -> str:
 def _emitted(payload, fmt: str) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
-        cli._emit(payload, argparse.Namespace(format=fmt, out=None))
+        cli._emit(payload, SimpleNamespace(format=fmt, out=None))
     return out.getvalue()
 
 

@@ -1,9 +1,9 @@
 """What a fresh interpreter imports to run each subcommand.
 
 Each subcommand imports only its own handler module, the layers and the
-standard modules it calls; a plain argv is read off the flag table
-without argparse, any other builds the parser of that subcommand alone;
-and the package resolves its exports on first use.  These tests look at `sys.modules` in
+standard modules it calls; every argv is read off the flag table, and no
+request loads argparse; and the package resolves its exports on first
+use.  These tests look at `sys.modules` in
 a fresh `sys.executable` after each step; they time nothing.
 """
 
@@ -23,7 +23,7 @@ SRC = str(Path(fistab.__file__).parents[1])
 UNUSED_LAYERS = ("fistab.os_model", "fistab.fi_analysis", "fistab.linalg", "fistab.bounds")
 # standard modules listed with the package's: only some subcommands load them
 WATCHED = ("argparse", "csv", "dataclasses", "decimal", "fractions", "gettext", "json", "locale")
-# what a plain argv, read off the flag table, never loads
+# what no request loads, help and usage errors included
 PARSING = {"argparse", "gettext", "locale"}
 KUNNETH = ["kunneth", "--graded-dims", "1,2", "--n", "6", "--i", "3", "--decompose"]
 WREATH = ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-max", "10"]
@@ -65,8 +65,8 @@ def _fresh(code: str):
 
 def _loaded_after(*runs, full_parser=False) -> list[str]:
     """The package modules and the WATCHED ones in sys.modules after
-    `fistab.cli` is imported, the parser of every subcommand is built if
-    `full_parser`, and each argv in `runs` has run through main."""
+    `fistab.cli` is imported, the flag lookups of every subcommand are
+    fetched if `full_parser`, and each argv in `runs` has run through main."""
     return _fresh(
         "import os, sys\n"
         "import fistab.cli\n"
@@ -103,8 +103,8 @@ def _package_after(argv) -> list[str]:
 CLI = ["fistab", "fistab.cli", "fistab.commands", "fistab.errors", "fistab.partitions"]
 # argv -> the package modules a fresh interpreter holds after main(argv),
 # beyond CLI: only the subcommands that compute characters load
-# characters; help and usage errors load the argparse parsers (parsing),
-# and help bounds, for the choices of table1 --row; an os-scan that runs
+# characters; help and usage errors load their writer (parsing), and
+# those of table1 bounds, for the choices of --row; an os-scan that runs
 # no fit loads the stability report and character polynomial
 # (fi_reports) but not the fits (fi_analysis); a text or CSV report loads
 # its own writer alone; kunneth loads no wreath series, and wreath-scan no
@@ -113,7 +113,8 @@ OS_SCAN_CORE = [
     "fistab.characters", "fistab.commands.os_scan", "fistab.fi_reports", "fistab.os_model",
 ]
 LOADS = {
-    ("-h",): ["fistab.bounds", "fistab.parsing"],
+    ("-h",): ["fistab.parsing"],
+    ("table1", "-h"): ["fistab.bounds", "fistab.parsing"],
     ("bounds", "--alpha"): ["fistab.parsing"],  # a usage error
     tuple(BOUNDS): ["fistab.bounds", "fistab.commands.bounds", "fistab.exact"],
     ("table1", "--row", "moduli", "--i", "2"): ["fistab.bounds", "fistab.commands.table1"],
@@ -163,22 +164,32 @@ def test_a_request_loads_a_bounded_amount_of_package_source(argv):
     assert lines <= SOURCE_LINES[argv]
 
 
-def test_building_the_parser_loads_no_computation_layer():
-    # the choices of table1 --row are the rows of the bounds module; no
-    # handler module is loaded
-    assert _loaded_after(full_parser=True) == [
-        "argparse", "decimal", "fistab", "fistab.bounds", "fistab.cli", "fistab.commands",
-        "fistab.errors", "fistab.parsing", "fistab.partitions", "fractions", "gettext", "locale",
-    ]
+def test_building_the_parser_loads_nothing():
+    # the flag lookups are built with the CLI module
+    assert _loaded_after(full_parser=True) == CLI
 
 
-def test_a_plain_argv_loads_no_argparse():
-    # a plain argv is read off the flag table; argparse, and the gettext
-    # and locale it loads, come in only for help and usage errors
-    for argv in (OS_SCAN, KUNNETH, WREATH, BOUNDS):
+def test_no_request_loads_argparse():
+    # every argv is read off the flag table, and fistab.parsing writes
+    # help and usage errors without argparse, or the gettext and locale
+    # it loads
+    for argv in (OS_SCAN, KUNNETH, WREATH, BOUNDS, [*BOUNDS, "--alpha=1/2"]):
         loaded = _loaded_after(argv)
         assert not PARSING & set(loaded), (argv, loaded)
-    assert PARSING <= set(_loaded_after([*BOUNDS, "--alpha=1/2"]))
+    from test_cli_usage import HELP, KINDS
+
+    loaded = _fresh(
+        "import contextlib, io, sys\n"
+        "import fistab.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        f"    codes = {{fistab.cli.main(list(argv)) for argv in {[*HELP, *KINDS]!r}}}\n"
+        "assert codes == {0, 64}, codes\n"
+        f"loaded = sorted(m for m in sys.modules if m in {WATCHED!r})\n"
+        "import json\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert not PARSING & set(loaded), loaded
 
 
 def test_help_and_usage_errors_keep_their_bytes_in_a_fresh_process():
