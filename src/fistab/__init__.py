@@ -66,7 +66,6 @@ _EXPORTS = {
         "m_module",
         "m_regular",
         "wreath_invariant_dim",
-        "wreath_twisted_dim",
     ),
     "wreath": ("wreath_invariant_series",),
     "os_model": ("CoinvariantReport", "betti", "coinvariant_report"),

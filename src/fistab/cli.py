@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if "--config" in "\0".join(argv):  # --config PATH or --config=PATH: fistab.parsing
-            argv = _module("parsing").apply_config(argv)
+            argv = _module("parsing").apply_config(argv, _PLAIN)
         args = _parse(argv)
         handler = globals()["cmd_" + args.command.replace("-", "_")]
         payload = handler(args)

@@ -32,11 +32,12 @@ def run(args):
 def _work(points: int, d: int) -> int:
     """The estimated ns of fitting a table of `points` points with degree
     bound d and reporting it: a solve at every candidate degree e <= d,
-    each reading every point, an upper bound on the fit, which solves
-    once on the first e + 1 levels and checks every other point at the
-    fitted degree.  A solve of degree e builds and checks a row of e + 1
-    binomials per point, and takes (e + 1)^3 pivot steps at most.  A
-    negative d, or fewer than d + 2 points, is refused before any solve."""
+    each reading every point, an upper bound on the fit, which is one
+    solve of degree d: the first d + 1 levels fix it and every other point
+    is checked against it by substitution.  A solve of degree e builds
+    and checks a row of e + 1 binomials per point, and takes (e + 1)^3
+    pivot steps at most.  A negative d, or fewer than d + 2 points, is
+    refused before any solve."""
     if d < 0 or points < d + 2:
         return 0
     columns = (d + 1) * (d + 2) // 2  # e + 1 summed over the degrees e <= d

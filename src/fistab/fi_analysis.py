@@ -7,9 +7,6 @@ reads without these fits."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from math import lcm
-
 from .characters import ClassFunction, IrrDecomposition, exact_obj
 from .errors import DomainError
 from .fi_reports import (
@@ -243,13 +240,14 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
     """Least-degree polynomial in the binomial basis matching every given
     dimension exactly.
 
-    The fit is of degree e, the bound or one less than the number of
-    distinct levels if smaller: one exact solve over the points of the
-    first e + 1 distinct levels fixes it, and the least-degree fit is its
-    solution, zero top coefficients dropped.  Every later point is
-    checked against that solution at its own degree, in integers.  At
-    least degree_bound + 2 points are required, so one is always left
-    over to check at the top degree.
+    One exact solve over every point, in level order, one column per
+    binomial C(T, j) with j <= degree_bound: the points of the first
+    degree_bound + 1 distinct levels fix the solution (with free columns
+    at zero where a level is given twice, as 2 and "2"), whose zero top
+    coefficients leave the least degree, and solve_exact checks every
+    later point against it by substitution, in integers.  At least
+    degree_bound + 2 points are required, so one is always left over to
+    check at the top degree.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
@@ -261,21 +259,10 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
             f"need at least {degree_bound + 2} points to fit and validate "
             f"degree <= {degree_bound}, got {len(points)}"
         )
-    levels = sorted({n for n, _ in points})
-    e = min(degree_bound, len(levels) - 1)
-    split = bisect_left(points, (levels[e + 1],)) if e + 1 < len(levels) else len(points)
-    head = points[:split]
-    rows = ([binomial(n, j) for j in range(e + 1)] for n, _ in head)
-    solution, _, consistent = solve_exact(rows, [v for _, v in head])
-    if consistent:
-        top = max((j for j, c in enumerate(solution) if c), default=-1)
-        den = lcm(*(c.denominator for c in solution[: top + 1]))
-        nums = [c.numerator * (den // c.denominator) for c in solution[: top + 1]]
-        if all(
-            sum(c * binomial(n, j) for j, c in enumerate(nums)) == den * v
-            for n, v in points[split:]
-        ):
-            return IntPolynomial(dict(enumerate(solution)))
-    raise DomainError(
-        f"no integer-valued polynomial of degree <= {degree_bound} fits the data"
-    )
+    rows = ([binomial(n, j) for j in range(degree_bound + 1)] for n, _ in points)
+    solution, _, consistent = solve_exact(rows, [v for _, v in points])
+    if not consistent:
+        raise DomainError(
+            f"no integer-valued polynomial of degree <= {degree_bound} fits the data"
+        )
+    return IntPolynomial(dict(enumerate(solution)))

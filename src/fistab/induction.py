@@ -4,8 +4,7 @@ powers for product spaces and wreath products with symmetric quotient.
 The wreath-product Betti numbers need no characters: they are counts of
 graded-symmetric powers (Macdonald 1962), computed in fistab.wreath, whose
 series gives wreath_invariant_dim; it imports that module when called, so
-a kunneth process never compiles it.  The twisted multiplicities of
-wreath_twisted_dim are read off kunneth_decomposition below.
+a kunneth process never compiles it.
 
 The irreducible decomposition of the tensor power needs no character
 table of S_n either.  Splitting V = 1 + V_+ into degree 0 and positive
@@ -35,7 +34,7 @@ from .characters import (
 )
 from .errors import DomainError
 from .graded import _check_graded_dims
-from .partitions import Partition, check_partition, dimension, pad, partitions
+from .partitions import Partition, check_partition, dimension, partitions
 
 
 def m_module(lam: Partition, n: int) -> IrrDecomposition:
@@ -124,13 +123,3 @@ def wreath_invariant_dim(graded_dims, n: int, i: int) -> int:
 
     return sum(_graded_symmetric_counts(graded_dims, n, i))
 
-
-def wreath_twisted_dim(graded_dims, lam: Partition, n: int, i: int) -> int:
-    """Multiplicity of the irreducible with padded shape lam[n] in total
-    degree i of the n-fold graded tensor power; by transfer this is the
-    dimension of the wreath-product cohomology with coefficients twisted
-    by that irreducible, read off kunneth_decomposition.  lam = ()
-    recovers wreath_invariant_dim through the free modules rather than the
-    series, and is its test oracle."""
-    mu = pad(lam, n)  # first: a shape too large for n is refused before the dimensions
-    return kunneth_decomposition(graded_dims, n, i).multiplicity(mu)

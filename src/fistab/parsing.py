@@ -10,9 +10,12 @@ import textwrap
 from .errors import DomainError
 
 
-def apply_config(argv: list[str]) -> list[str]:
-    """Pull --config PATH or --config=PATH out of argv and splice the file's
-    key=value pairs in as flags right after the subcommand: explicit flags win."""
+def apply_config(argv: list[str], plain: dict) -> list[str]:
+    """Pull --config PATH or --config=PATH out of argv and splice each of
+    the file's key=value lines in right after the subcommand, as the token
+    --key=value that cli._read reads: explicit flags win.  Where plain
+    (cli._PLAIN) gives --key of the subcommand as a switch, true adds the
+    bare flag and false leaves it out."""
     argv = [p for t in argv for p in (t.split("=", 1) if t.startswith("--config=") else [t])]
     if "--config" not in argv:  # a token that only holds it
         return argv
@@ -23,6 +26,7 @@ def apply_config(argv: list[str]) -> list[str]:
         raise DomainError("--config needs a path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2 :]
+    own = plain[rest[0]][0] if rest and rest[0] in plain else {}
     flags: list[str] = []
     for raw in _read_text(path).split("\n"):
         line = raw.strip()
@@ -31,11 +35,11 @@ def apply_config(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise DomainError(f"bad config line (want key=value): {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                flags.append(f"--{key}")
+        option = f"--{key}"
+        if option in own and own[option][0].type is bool and value.lower() in ("true", "false"):
+            flags += [option] if value.lower() == "true" else []
         else:
-            flags.extend((f"--{key}", value))
+            flags.append(f"{option}={value}")
     if not rest:
         raise DomainError("--config given without a subcommand")
     return rest[:1] + flags + rest[1:]

@@ -6,7 +6,9 @@ the iterative form in `fistab.characters`; `restriction_inner_product` is
 the direct formula for inner products over a Young subgroup S_a x S_b;
 `induced_character` and `coinvariants_as_sa` are the induction and the
 coinvariants that the Pieri sums of `fistab.characters.free_module_sum`
-and the averages of `restrict_and_average` are checked against.
+and the averages of `restrict_and_average` are checked against;
+`wreath_twisted_dim`, read off the free-module decomposition, is the
+oracle of the wreath-product series.
 """
 
 from fractions import Fraction
@@ -14,7 +16,8 @@ from functools import lru_cache
 
 from fistab.characters import ClassFunction, decompose, restrict_and_average
 from fistab.errors import DomainError
-from fistab.partitions import Partition, centralizer_order, partitions
+from fistab.induction import kunneth_decomposition
+from fistab.partitions import Partition, centralizer_order, pad, partitions
 
 
 def _beta_set(lam: Partition) -> tuple[int, ...]:
@@ -108,3 +111,14 @@ def coinvariants_as_sa(V, a: int):
     result is decomposed as an S_a-representation.
     """
     return decompose(restrict_and_average(V.character(), a))
+
+
+def wreath_twisted_dim(graded_dims, lam: Partition, n: int, i: int) -> int:
+    """Multiplicity of the irreducible with padded shape lam[n] in total
+    degree i of the n-fold graded tensor power; by transfer this is the
+    dimension of the wreath-product cohomology with coefficients twisted
+    by that irreducible, read off kunneth_decomposition.  lam = ()
+    recovers wreath_invariant_dim through the free modules rather than the
+    series."""
+    mu = pad(lam, n)  # first: a shape too large for n is refused before the dimensions
+    return kunneth_decomposition(graded_dims, n, i).multiplicity(mu)

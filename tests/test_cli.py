@@ -477,6 +477,68 @@ def test_config_file_boolean(capsys, tmp_path):
     assert payload["invariant_dims"] == {"0": 1, "1": 1, "2": 1, "3": 1}
 
 
+# a small request of each subcommand that runs, so that the flag under
+# test is what decides the answer
+CONFIG_BASE = {
+    "character": {"--lam": "2+1"},
+    "decompose": {"--n": "2", "--values": '{"1+1": 1, "2": 1}'},
+    "m-module": {"--n": "3", "--lam": "1"},
+    "stability-scan": {"--entries": '{"entries": {"2": {"2": 1}, "3": {"3": 1}}}'},
+    "fit-charpoly": {
+        "--entries": '{"entries": {"2": {"1+1": 1, "2": 1}, "3": {"1+1+1": 1, "2+1": 1, "3": 1}}}',
+        "--degree-bound": "0",
+    },
+    "fit-dimpoly": {"--dims": '{"2": 1, "3": 2, "4": 3}', "--degree-bound": "1"},
+    "bounds": {"--alpha": "1", "--beta": "2", "--i": "3"},
+    "table1": {"--row": "moduli", "--i": "1"},
+    "os-scan": {"--n-min": "2", "--n-max": "3", "--k": "1"},
+    "wreath-scan": {"--graded-dims": "1,1", "--i": "1", "--n-max": "3"},
+    "kunneth": {"--graded-dims": "1,1", "--n": "2", "--i": "1"},
+}
+CONFIG_VALUES = ("--x", "-h", "true", "false", "TRUE", "1", "")
+
+
+def _config_token(flag, value):
+    # the argv a config line stands for: --key=value, but a switch given
+    # true or false is the bare flag or nothing
+    if flag.type is bool and value.lower() in ("true", "false"):
+        return [flag.option] if value.lower() == "true" else []
+    return [f"{flag.option}={value}"]
+
+
+def test_a_config_line_is_its_argv_token(capsys, tmp_path, monkeypatch):
+    # every flag of every subcommand, written once as a config line and
+    # once as its token on the command line, in the same place: right
+    # after the subcommand's name
+    monkeypatch.chdir(tmp_path)  # --out=1 and its like write here
+    assert set(CONFIG_BASE) == set(SUBCOMMANDS)
+    cfg = tmp_path / "line.cfg"
+    for command, (_, flags) in SUBCOMMANDS.items():
+        for flag in flags:
+            base = [t for o, v in CONFIG_BASE[command].items() if o != flag.option for t in (o, v)]
+            for value in CONFIG_VALUES:
+                cfg.write_text(f"{flag.option[2:]}={value}\n")
+                spliced = run(capsys, command, "--config", str(cfg), *base)
+                given = run(capsys, command, *_config_token(flag, value), *base)
+                assert spliced == given, (command, flag.option, value)
+
+
+def test_config_values_that_the_two_token_splice_misread(capsys, tmp_path):
+    # a value the command line takes after "=" is taken from a config line
+    # too, and true/false are read so only for a switch
+    cases = [
+        ("mu=false", ["--lam", "2+1"], 1, "fistab: bad partition string 'false'\n"),
+        ("lam=--x", [], 1, "fistab: bad partition string '--x'\n"),
+        ("allow-large=1", ["--lam", "2+1"], 64,
+         "argument --allow-large: ignored explicit argument '1'\n"),
+    ]
+    cfg = tmp_path / "one.cfg"
+    for line, argv, code, tail in cases:
+        cfg.write_text(line + "\n")
+        got, out, err = run(capsys, "character", "--config", str(cfg), *argv)
+        assert (got, out) == (code, "") and err.endswith(tail), (line, err)
+
+
 def _one_line_error(err):
     lines = err.strip().splitlines()
     return len(lines) == 1 and lines[0].startswith("fistab: ") and "Traceback" not in err

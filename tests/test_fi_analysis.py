@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.errors import DomainError
@@ -337,6 +338,66 @@ def test_fit_dim_matches_held_out_fit():
             assert "no integer-valued polynomial" in str(exc)
             poly = None
         assert poly == _held_out_fit(dims, degree_bound), (dims, degree_bound)
+
+
+def _interpolated(points, degree_bound):
+    # the oracle: Lagrange interpolation over Fraction through the points
+    # of the first degree_bound + 1 levels; None if another point is off
+    # that polynomial
+    head = points[: degree_bound + 1]
+
+    def value(t):
+        total = Fraction(0)
+        for n, v in head:
+            term = Fraction(v)
+            for m, _ in head:
+                if m != n:
+                    term *= Fraction(t - m, n - m)
+            total += term
+        return total
+
+    return value if all(value(n) == v for n, v in points) else None
+
+
+@st.composite
+def dimension_tables(draw):
+    """(dims, degree_bound): a polynomial at distinct levels n = r + s*k
+    in -3..12, spaced by s = 1, 2 or 3, with integer coefficients in the
+    binomial basis C(k, j) of k, so that it is integral on the levels and
+    has rational coefficients in n once s > 1; of degree up to one past
+    the bound, with some points moved off it."""
+    degree_bound = draw(st.integers(0, 4))
+    stride, start = draw(st.integers(1, 3)), draw(st.integers(-3, -1))
+    grid = range(start, 13, stride)
+    levels = draw(st.permutations(grid))[: draw(st.integers(degree_bound + 1, len(grid)))]
+    degree = draw(st.integers(0, degree_bound + 1))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=degree + 1, max_size=degree + 1))
+    dims = {
+        n: sum(c * binomial((n - start) // stride, j) for j, c in enumerate(coeffs))
+        for n in levels
+    }
+    for n in draw(st.lists(st.sampled_from(levels), max_size=2)):
+        dims[n] += draw(st.sampled_from((-2, -1, 1, 3)))
+    return dims, degree_bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(dimension_tables())
+def test_fit_dim_matches_interpolation_oracle(table):
+    dims, degree_bound = table
+    points = sorted(dims.items())
+    if len(points) < degree_bound + 2:
+        with pytest.raises(DomainError, match="^need at least"):
+            fit_dim_polynomial(dims, degree_bound)
+        return
+    expected = _interpolated(points, degree_bound)
+    if expected is None:
+        with pytest.raises(DomainError, match="^no integer-valued polynomial"):
+            fit_dim_polynomial(dims, degree_bound)
+        return
+    poly = fit_dim_polynomial(dims, degree_bound)
+    # two polynomials of degree <= 4 that agree at 16 points are one
+    assert all(poly.evaluate(t) == expected(t) for t in range(-3, 13)), (dims, degree_bound)
 
 
 def test_fit_dim_is_one_solve():

@@ -26,12 +26,16 @@ from fistab.induction import (
     m_module,
     m_regular,
     wreath_invariant_dim,
-    wreath_twisted_dim,
 )
 from fistab.named_characters import inner_product, sign_character, trivial_character
 from fistab.partitions import horizontal_strip_extensions, pad, partitions
 from fistab.wreath import wreath_invariant_series
-from character_oracles import coinvariants_as_sa, induced_character, restriction_inner_product
+from character_oracles import (
+    coinvariants_as_sa,
+    induced_character,
+    restriction_inner_product,
+    wreath_twisted_dim,
+)
 
 
 def _cycle_type(perm):

@@ -31,7 +31,7 @@ OS_SCAN = ["os-scan", "--n-min", "2", "--n-max", "4", "--k", "1"]
 OS_SCAN_SHORT = ["os-scan", "--n-min", "2", "--n-max", "5", "--k", "2"]
 BOUNDS = ["bounds", "--alpha", "1/2", "--beta", "1", "--i", "3"]
 # the names `import fistab` made public when it imported every submodule,
-# less the two test oracles that moved to tests/character_oracles.py
+# less the three test oracles that moved to tests/character_oracles.py
 PUBLIC_NAMES = [
     "BoundParams", "CharPolynomial", "ClassFunction", "CoinvariantReport",
     "ConsistencyError", "DomainError", "FISequence", "IntPolynomial",
@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "partitions", "quotient_betti", "regular_character", "sign_character",
     "straighten", "table1_row", "trivial_character", "unpad", "unpadded_table",
     "weight_of", "wreath_invariant_dim", "wreath_invariant_series",
-    "wreath_twisted_dim",
 ]
 
 
