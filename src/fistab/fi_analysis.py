@@ -7,6 +7,8 @@ reads without these fits."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .characters import ClassFunction, IrrDecomposition, exact_obj
 from .errors import DomainError
 from .fi_reports import (
@@ -139,12 +141,25 @@ def detect_stability(seq: FISequence) -> StabilityReport:
 # column per monomial of weighted degree at most the bound.
 
 
-def _monomials(degree_bound: int) -> list[tuple[tuple[int, int], ...]]:
+@lru_cache(maxsize=None)
+def _monomials(degree_bound: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # Exponent vectors as sorted tuples of (cycle length, exponent): the
     # cycle counts of one partition of each weighted degree d <= degree_bound.
     degrees = range(degree_bound + 1)
     monos = (tuple(sorted(cycle_counts(mu).items())) for d in degrees for mu in partitions(d))
-    return sorted(monos, key=_monomial_key)
+    return tuple(sorted(monos, key=_monomial_key))
+
+
+@lru_cache(maxsize=None)
+def _class_rows(n: int, degree_bound: int) -> tuple[tuple[int, ...], ...]:
+    # the values of _monomials(degree_bound) on the classes of S_n, one
+    # row per class in partitions(n) order; cached like
+    # characters.class_sizes, shared by every fit, never mutated
+    monos = _monomials(degree_bound)
+    return tuple(
+        tuple(_monomial_value(mono, counts) for mono in monos)
+        for counts in map(cycle_counts, partitions(n))
+    )
 
 
 def _monomial_count(degree_bound: int, cap: int) -> int:
@@ -160,7 +175,10 @@ def fit_char_polynomial(seq: FISequence, degree_bound: int) -> CharPolynomial:
 
     The fit is an exact linear solve; an inconsistent system means no such
     polynomial exists, and an underdetermined one is reported with the
-    monomials the window fails to pin down.
+    monomials the window fails to pin down.  The system's rows depend
+    only on the classes of the window and the degree bound, so each level
+    reads them from _class_rows, built once per process; only the
+    right-hand side is the sequence's.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
@@ -179,10 +197,8 @@ def fit_char_polynomial(seq: FISequence, degree_bound: int) -> CharPolynomial:
         entry = seq[n]
         if not isinstance(entry, ClassFunction):
             entry = entry.character()
-        for mu in partitions(n):
-            counts = cycle_counts(mu)
-            rows.append([_monomial_value(mono, counts) for mono in monos])
-            rhs.append(entry.values[mu])
+        rows += _class_rows(n, degree_bound)
+        rhs += map(entry.values.__getitem__, partitions(n))
     solution, free, consistent = solve_exact(rows, rhs)
     if not consistent:
         raise DomainError(

@@ -14,23 +14,29 @@ def write(payload, out) -> None:
 
 
 def _text(payload, pad: str, out) -> None:
-    # one type dispatch per value; ints, most of a report's leaves, first
+    # one type dispatch per value; ints, most of a report's leaves, and
+    # strs first, and bools written inline, as cli._json writes them
     kind = type(payload)
     if kind is dict:
-        keys = ["()" if k == "" else k for k in payload]  # the empty partition
-        width = max(map(len, keys), default=0)
+        width = max(map(len, payload), default=0)
+        if width < 2 and "" in payload:
+            width = 2  # the empty partition, written as ()
         inner = pad + "  "
-        for key, v in zip(keys, payload.values()):
+        for key, v in payload.items():
+            if not key:
+                key = "()"
             kind = type(v)
-            if kind is int:
+            if kind is int or kind is str:
                 out(f"{pad}{key.ljust(width)}  {v}\n")
             elif kind is dict or (kind is list and not _is_scalar_list(v)):
                 out(f"{pad}{key}:\n")
                 _text(v, inner, out)
             elif kind is list:
                 out(f"{pad}{key.ljust(width)}  {' '.join(map(_scalar, v))}\n")
+            elif kind is bool:
+                out(f"{pad}{key.ljust(width)}  {'true' if v else 'false'}\n")
             else:
-                out(f"{pad}{key.ljust(width)}  {_scalar(v)}\n")
+                out(f"{pad}{key.ljust(width)}  -\n")
     elif kind is list:
         inner = pad + "  "
         for item in payload:

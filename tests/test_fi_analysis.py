@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fistab
 from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.errors import DomainError
 from fistab.fi_analysis import (
@@ -18,13 +23,14 @@ from fistab.fi_analysis import (
     unpad,
     unpadded_table,
     weight_of,
+    _class_rows,
     _monomial_count,
     _monomials,
 )
-from fistab.fi_reports import CharPolynomial, StabilityReport
+from fistab.fi_reports import CharPolynomial, StabilityReport, _monomial_value
 from fistab.induction import m_module
 from fistab.named_characters import trivial_character
-from fistab.partitions import binomial, pad, partitions
+from fistab.partitions import binomial, cycle_counts, pad, partitions
 from linalg_helpers import fraction_solve
 
 
@@ -255,9 +261,95 @@ def test_monomials_are_counted_without_enumerating_them():
     for bound in range(13):
         monos = _monomials(bound)
         assert len(set(monos)) == len(monos) == _monomial_count(bound, cap=10**6)
-        assert monos == sorted(monos, key=lambda m: (sum(l * e for l, e in m), m))
+        assert list(monos) == sorted(monos, key=lambda m: (sum(l * e for l, e in m), m))
         assert all(sum(l * e for l, e in m) <= bound for m in monos)
     assert _monomial_count(10**9, cap=100) > 100
+
+
+def test_class_rows_are_the_monomial_values_on_the_classes():
+    for n in range(11):
+        for bound in range(7):
+            rows = _class_rows(n, bound)
+            assert rows == tuple(
+                tuple(_monomial_value(mono, cycle_counts(mu)) for mono in _monomials(bound))
+                for mu in partitions(n)
+            )
+            # shared by every fit: no caller can change them
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert type(_monomials(6)) is tuple
+
+
+def _fit_or_message(values: dict, bound: int):
+    seq = FISequence({n: ClassFunction(n, table) for n, table in values.items()})
+    try:
+        return fit_char_polynomial(seq, bound)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _fresh_fit_caches():
+    # the fit's caches as a fresh process holds them
+    _class_rows.cache_clear()
+    _monomials.cache_clear()
+
+
+@st.composite
+def fits_on_one_window(draw):
+    # two value tables on the classes of one window, each of them the
+    # values of a polynomial (as fit-charpoly's requests in the
+    # benchmark's mix are) or arbitrary integers
+    lo = draw(st.integers(1, 4))
+    window = range(lo, lo + draw(st.integers(1, 4)))
+    bound = draw(st.integers(0, 3))
+    small = st.integers(-3, 3)
+    tables = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            poly = CharPolynomial({mono: draw(small) for mono in _monomials(bound)})
+            tables.append({n: poly.as_class_function(n).values for n in window})
+        else:
+            tables.append({n: {mu: draw(small) for mu in partitions(n)} for n in window})
+    return tables, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(fits_on_one_window())
+def test_a_fit_is_the_same_after_another_on_its_window(case):
+    tables, bound = case
+    fresh = []
+    for values in tables:
+        _fresh_fit_caches()
+        fresh.append(_fit_or_message(values, bound))
+    for order in ((0, 1), (1, 0)):
+        _fresh_fit_caches()
+        assert [_fit_or_message(tables[i], bound) for i in order] == [fresh[i] for i in order]
+
+
+def test_a_fit_after_others_is_the_fit_of_a_fresh_process():
+    window = (2, 3, 4)
+    constant = {n: {mu: 1 for mu in partitions(n)} for n in window}
+    fixed_points = {n: {mu: mu.count(1) for mu in partitions(n)} for n in window}
+    noise = {n: {mu: i for i, mu in enumerate(partitions(n))} for n in window}
+    cases = [(constant, 2), (fixed_points, 2), (noise, 2), (fixed_points, 1), (noise, 0)]
+    code = (
+        "from fistab.characters import ClassFunction\n"
+        "from fistab.errors import DomainError\n"
+        "from fistab.fi_analysis import FISequence, fit_char_polynomial\n"
+        "seq = FISequence({{n: ClassFunction(n, t) for n, t in {values!r}.items()}})\n"
+        "try:\n"
+        "    print(repr(fit_char_polynomial(seq, {bound!r})))\n"
+        "except DomainError as exc:\n"
+        "    print(repr(str(exc)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fistab.__file__).parents[1])}
+    warm = [repr(_fit_or_message(values, bound)) for values, bound in cases]
+    for (values, bound), got in zip(cases, warm):
+        proc = subprocess.run(
+            [sys.executable, "-c", code.format(values=values, bound=bound)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == got + "\n"
 
 
 def test_char_polynomial_metadata():

@@ -6,7 +6,9 @@ of `json.dumps(payload, indent=2)` and the text and CSV reports those of
 the recursive walks kept in `cli_oracle`, for every tree: empty keys and
 strings, non-ASCII and control characters, empty and nested empty
 containers, and ints past the interpreter's default cap on int-to-str
-digits.
+digits.  The CSV oracle is `csv.writer` held to one quoting rule on
+every CPython: a field is quoted iff it holds a comma, a double quote, a
+line feed or a carriage return.
 """
 
 import csv
@@ -21,7 +23,9 @@ from hypothesis import example, given, settings, strategies as st
 import cli_oracle
 from fistab import cli
 
-ODD_STRINGS = st.sampled_from(["", "()", "\x00", "\t\n\r", '"', "\\", "é", " ", "😀", "a.b"])
+ODD_STRINGS = st.sampled_from([
+    "", "()", "\x00", "\t\n\r", '"', "\\", "é", " ", "😀", "a.b", "a,b", "\r", '"x"',
+])
 STRINGS = st.one_of(ODD_STRINGS, st.text(max_size=6))
 # more digits than the 4300 that CPython converts by default
 HUGE_INTS = st.builds(
@@ -55,11 +59,19 @@ def _oracle(payload, fmt: str) -> str:
             return json.dumps(payload, indent=2) + "\n"
         if fmt == "text":
             return "\n".join(cli_oracle.render_text(payload)) + "\n"
+        # csv.writer quotes a field that holds a character of its line
+        # terminator, so under "\r\n" every CPython quotes a field iff it
+        # holds ",", '"', "\n" or "\r" (3.13 quotes "\n" and "\r" under any
+        # terminator); each row's own "\r\n" is then written as "\n"
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\r\n")
+        rows = []
         for key, value in cli_oracle.flatten(payload):
             writer.writerow([key, value])
-        return buf.getvalue()
+            rows.append(buf.getvalue().removesuffix("\r\n") + "\n")
+            buf.seek(0)
+            buf.truncate()
+        return "".join(rows)
 
 
 def _emitted(payload, fmt: str) -> str:
