@@ -12,9 +12,11 @@ from . import _ENTRY_NS, _FOLD_NS, _admit
 def _series_work(dims, n_max: int, i: int) -> int:
     # the series folds each degree g <= i with d_g > 0 into a table of
     # min(n_max, i) + 1 rows by i + 1 columns, one binomial weight per class
-    # count j <= min(n_max, i // g) (and j <= d_g for odd g); then it
-    # reports n_max + 1 values
+    # count j <= min(n_max, i // g) (and j <= d_g for odd g), unless no
+    # product of classes reaches degree i; then it reports n_max + 1 values
     s_max = min(n_max, i)
+    if wreath._top_degree(dims, s_max, i) < i:
+        return _ENTRY_NS * (n_max + 1)
     weights = sum(
         min(s_max, i // g, d if g % 2 else s_max) + 1
         for g, d in enumerate(dims[1 : i + 1], 1)

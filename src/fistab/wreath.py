@@ -25,15 +25,24 @@ from math import comb
 from .graded import _check_graded_dims
 
 
+def _top_degree(dims, s_max: int, i: int) -> int:
+    # the highest degree that a product of at most s_max classes of degree
+    # 1..i reaches: s_max times the largest such degree g with d_g > 0
+    return s_max * max((g for g, d in enumerate(dims[1 : i + 1], 1) if d > 0), default=0)
+
+
 def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:
     # Entry s: dimension of the span of the products of s classes of
     # positive degree in total degree i, for s <= min(n, i) (a product of
-    # more than i such classes has degree above i).  Each degree g is
+    # more than i such classes has degree above i), all zero when no
+    # such product reaches degree i (_top_degree).  Each degree g is
     # folded into the table c[s][t] in one step: j of its d_g classes add
     # x^j t^(g j) in C(d_g, j) ways when g is odd (sets) and in
     # C(d_g + j - 1, j) ways when g is even (multisets).
     dims = _check_graded_dims(graded_dims, n, i)
     s_max = min(n, i)
+    if _top_degree(dims, s_max, i) < i:
+        return [0] * (s_max + 1)
     c = [[0] * (i + 1) for _ in range(s_max + 1)]
     c[0][0] = 1
     for g in range(1, min(len(dims) - 1, i) + 1):

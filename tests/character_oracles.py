@@ -8,11 +8,15 @@ the direct formula for inner products over a Young subgroup S_a x S_b;
 coinvariants that the Pieri sums of `fistab.characters.free_module_sum`
 and the averages of `restrict_and_average` are checked against;
 `wreath_twisted_dim`, read off the free-module decomposition, is the
-oracle of the wreath-product series.
+oracle of the wreath-product series; `graded_symmetric_counts`, the
+series' fold over a full table of degrees 0..i, is the oracle of the
+fold in `fistab.wreath`, which builds no table when no product of
+classes reaches degree i.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from fistab.characters import ClassFunction, decompose, restrict_and_average
 from fistab.errors import DomainError
@@ -122,3 +126,30 @@ def wreath_twisted_dim(graded_dims, lam: Partition, n: int, i: int) -> int:
     series."""
     mu = pad(lam, n)  # first: a shape too large for n is refused before the dimensions
     return kunneth_decomposition(graded_dims, n, i).multiplicity(mu)
+
+
+def graded_symmetric_counts(dims, n: int, i: int) -> list[int]:
+    """Entry s: the dimension of the span of the products of s classes of
+    positive degree in total degree i, for s <= min(n, i), folded one
+    degree g at a time into a table c[s][t] of every degree t <= i: j of
+    the d_g classes add x^j t^(g j) in C(d_g, j) ways when g is odd and
+    in C(d_g + j - 1, j) ways when g is even."""
+    s_max = min(n, i)
+    c = [[0] * (i + 1) for _ in range(s_max + 1)]
+    c[0][0] = 1
+    for g in range(1, min(len(dims) - 1, i) + 1):
+        d = dims[g]
+        if not d:
+            continue
+        top = min(s_max, i // g, d if g % 2 else s_max)
+        ways = [comb(d, j) if g % 2 else comb(d + j - 1, j) for j in range(top + 1)]
+        folded = [[0] * (i + 1) for _ in range(s_max + 1)]
+        for s, row in enumerate(c):
+            for t, x in enumerate(row):
+                if x:
+                    for j, w in enumerate(ways):
+                        if s + j > s_max or t + g * j > i:
+                            break
+                        folded[s + j][t + g * j] += x * w
+        c = folded
+    return [row[i] for row in c]

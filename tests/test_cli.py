@@ -949,9 +949,8 @@ def test_os_scan_counts_each_dimension_and_each_strip_once():
     # strip enumeration per constituent of each W_m for the whole window,
     # not one per level (os_model.free_decompositions)
     code = (
-        "import io, json, contextlib, collections, importlib\n"
-        "from fistab import characters, cli, os_model\n"
-        "partitions = importlib.import_module('fistab.partitions')  # not the function\n"
+        "import io, json, contextlib, collections\n"
+        "from fistab import characters, cli, os_model, partitions\n"
         "dims, strips = collections.Counter(), collections.Counter()\n"
         "count = os_model._free_invariant_dimension\n"
         "os_model._free_invariant_dimension = lambda n, a, k: (\n"
@@ -1122,6 +1121,31 @@ def test_wreath_scan_reaches_far_past_the_class_sums():
         assert proc.returncode == 0 and not proc.stderr, dims
         report = json.loads(proc.stdout)
         assert report["invariant_dims"][str(n_max)] == stable and report["constant_on_tail"]
+
+
+def test_wreath_scan_past_every_product_degree_builds_no_table():
+    # with n_max = 3, products of degree-one classes reach degree 3 at
+    # most, so the four zeros need no table of 4 x (i + 1) cells; each
+    # request runs in a fresh interpreter that is the only child of a
+    # fresh parent, whose RUSAGE_CHILDREN peak is then that request's
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    script = (
+        "import json, resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'fistab.cli', *sys.argv[1:]],\n"
+        "                      capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))\n"
+    )
+    for i in ("4900000", "5000000"):
+        argv = ["wreath-scan", "--graded-dims", "1,2", "--i", i, "--n-max", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        code, out, err, peak_kb = json.loads(proc.stdout)
+        assert code == 0 and not err, (i, err)
+        assert json.loads(out)["invariant_dims"] == {"0": 0, "1": 0, "2": 0, "3": 0}
+        assert peak_kb < 50 * 1024, (i, peak_kb)
 
 
 def test_parser_is_built_once():

@@ -4,12 +4,12 @@ function or class is left that nothing in the package calls.
 No linter ships with the test dependencies, so these are the checks for
 imports and helpers that a refactor leaves behind.  They read the
 package's modules and those of its subpackages (`commands`,
-`writers`).  For imports the top-level package __init__ is exempt: its
-imports are the public API.  No module re-exports a name with `from m
-import x as x`: each name has one home, and the public API is
-`fistab.<name>`.  More checks keep a concept written once: the Pieri sum of
-free modules, the CLI's list of subcommands, and the grammar of its
-argv, which one reader reads off that table: no module imports argparse.
+`writers`), the package's __init__ among them.  No module re-exports a
+name with `from m import x as x`: each name has one home, and is reached
+there, as `fistab.<module>.<name>`.  More checks keep a
+concept written once: the Pieri sum of free modules, the CLI's list of
+subcommands, and the grammar of its argv, which one reader reads off
+that table: no module imports argparse.
 """
 
 import ast
@@ -20,11 +20,7 @@ import pytest
 import fistab
 
 PACKAGE = Path(fistab.__file__).parent
-MODULES = sorted(
-    path
-    for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")]
-    if path != PACKAGE / "__init__.py"
-)
+MODULES = sorted([*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")])
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -41,7 +37,9 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_unused_imports_are_found():
     names = {path.relative_to(PACKAGE).as_posix() for path in MODULES}
-    assert names >= {"bounds.py", "cli.py", "commands/__init__.py", "commands/os_scan.py"}
+    assert names >= {
+        "__init__.py", "bounds.py", "cli.py", "commands/__init__.py", "commands/os_scan.py",
+    }
     source = (
         "import os.path\nimport sys as system\nfrom math import comb, perm, pi as pi\n"
         "comb(system.maxsize, 2)\n"
@@ -55,7 +53,7 @@ def test_module_uses_every_name_it_imports(path):
 
 
 def test_no_module_spells_a_re_export():
-    for path in [PACKAGE / "__init__.py", *MODULES]:
+    for path in MODULES:
         spelled = [
             a.name
             for node in ast.walk(ast.parse(path.read_text()))
@@ -113,7 +111,7 @@ def test_unreferenced_private_helpers_are_found():
 def test_every_private_helper_is_referenced():
     sources = {
         path.relative_to(PACKAGE).as_posix(): path.read_text()
-        for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")]
+        for path in MODULES
     }
     assert _unreferenced_private(sources) == []
 
@@ -198,5 +196,5 @@ def test_imports_are_found():
 def test_no_module_imports_argparse():
     # every argv is read off cli.SUBCOMMANDS by cli._read, and fistab.parsing
     # writes help and usage errors from the same rows
-    for path in [PACKAGE / "__init__.py", *MODULES]:
+    for path in MODULES:
         assert "argparse" not in _imported(path.read_text()), path.name

@@ -8,6 +8,7 @@ That brute force is what froze the sign convention in the implementation.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -29,9 +30,10 @@ from fistab.induction import (
 )
 from fistab.named_characters import inner_product, sign_character, trivial_character
 from fistab.partitions import horizontal_strip_extensions, pad, partitions
-from fistab.wreath import wreath_invariant_series
+from fistab.wreath import _graded_symmetric_counts, _top_degree, wreath_invariant_series
 from character_oracles import (
     coinvariants_as_sa,
+    graded_symmetric_counts,
     induced_character,
     restriction_inner_product,
     wreath_twisted_dim,
@@ -393,6 +395,21 @@ def test_wreath_series_binomial_fold_at_large_multiplicity():
     big = 10**6
     assert wreath_invariant_series((1, big), 5, 3) == [0, 0, 0] + [comb(big, 3)] * 3
     assert wreath_invariant_series((1, 0, big), 3, 4) == [0, 0, comb(big + 1, 2), comb(big + 1, 2)]
+
+
+def test_wreath_counts_past_every_product_degree_agree_with_the_full_table():
+    # when no product of at most min(n, i) classes reaches degree i, the
+    # fold builds no table and the counts are zeros: random graded
+    # dimensions of up to 6 positive degrees, 0-7 classes each
+    rng = random.Random(41)
+    skipped = 0
+    for _ in range(3000):
+        dims = (1, *(rng.choice((0, 0, *range(8))) for _ in range(rng.randint(0, 6))))
+        n, i = rng.randint(0, 12), rng.randint(0, 30)
+        oracle = graded_symmetric_counts(dims, n, i)
+        assert _graded_symmetric_counts(dims, n, i) == oracle, (dims, n, i)
+        skipped += _top_degree(dims, min(n, i), i) < i
+    assert 300 < skipped < 2700, skipped
 
 
 def test_wreath_series_domain_errors():

@@ -8,17 +8,14 @@ oracles: every input gives the same result, or a DomainError with the
 same message.
 """
 
-import importlib
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fistab import partitions as PARTITIONS
 from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.commands.inputs import _unique_object
 from fistab.tables import _parse_table, parse_exact, unique_keys
 from fistab.errors import DomainError
-
-PARTITIONS = importlib.import_module("fistab.partitions")  # fistab.partitions is the function
 
 
 def _oracle_parse_partition(text: str):

@@ -8,7 +8,6 @@ results, Pieri sums) goes through `ClassFunction._unchecked` and
 again.  The count covers every module namespace that binds it.
 """
 
-import importlib
 import sys
 from contextlib import ExitStack, contextmanager
 from unittest import mock
@@ -16,10 +15,9 @@ from unittest import mock
 import pytest
 
 from fistab import characters, fi_analysis, induction, os_model
+from fistab import partitions as PARTITIONS
 from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.errors import DomainError
-
-PARTITIONS = importlib.import_module("fistab.partitions")  # fistab.partitions is the function
 
 
 @contextmanager

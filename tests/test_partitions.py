@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 from math import factorial
@@ -6,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from fistab import partitions as partitions_module
 from fistab.commands import WORK_BUDGET
 from fistab.errors import DomainError
 from fistab.partitions import (
@@ -81,7 +81,7 @@ def _recurrence(n, cap=None):
 def test_partition_counts_are_kept_and_agree_with_the_recurrence(monkeypatch):
     # from a process that has counted nothing yet, in shuffled order, so
     # the kept counts are read, extended and stopped at caps in any order
-    monkeypatch.setattr(importlib.import_module("fistab.partitions"), "_COUNTS", (1,))
+    monkeypatch.setattr(partitions_module, "_COUNTS", (1,))
     caps = (None, 0, 1, 2, 10**9, WORK_BUDGET)
     calls = [(n, cap) for n in range(301) for cap in caps]
     random.Random(29).shuffle(calls)

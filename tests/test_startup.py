@@ -2,9 +2,10 @@
 
 Each subcommand imports only its own handler module, the layers and the
 standard modules it calls; every argv is read off the flag table, and no
-request loads argparse; and the package resolves its exports on first
-use.  These tests look at `sys.modules` in
-a fresh `sys.executable` after each step; they time nothing.
+request loads argparse; and `import fistab` loads no submodule.  These
+tests look at `sys.modules` in a fresh `sys.executable` after each step;
+they time nothing.  The library names that README lists are checked
+against their home modules here too.
 """
 
 import importlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import fistab
+import reach
 
 SRC = str(Path(fistab.__file__).parents[1])
 # what the character, kunneth and wreath paths never need
@@ -30,25 +32,11 @@ WREATH = ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-max", "10"]
 OS_SCAN = ["os-scan", "--n-min", "2", "--n-max", "4", "--k", "1"]
 OS_SCAN_SHORT = ["os-scan", "--n-min", "2", "--n-max", "5", "--k", "2"]
 BOUNDS = ["bounds", "--alpha", "1/2", "--beta", "1", "--i", "3"]
-# the names `import fistab` made public when it imported every submodule,
-# less the three test oracles that moved to tests/character_oracles.py
-PUBLIC_NAMES = [
-    "BoundParams", "CharPolynomial", "ClassFunction", "CoinvariantReport",
-    "ConsistencyError", "DomainError", "FISequence", "IntPolynomial",
-    "IrrDecomposition", "Partition", "StabilityReport", "StabilityType",
-    "Table1Row", "abutment_stability", "action_matrix", "betti", "bounds",
-    "character", "characters", "class_size", "coinvariant_report",
-    "decompose", "decomposition", "detect_stability",
-    "dimension", "einfty_stability", "errors", "fi_analysis", "fi_map",
-    "fisharp_degree", "fit_char_polynomial", "fit_dim_polynomial",
-    "format_partition", "induction", "inner_product",
-    "irreducible_character", "kunneth_decomposition", "kunneth_power",
-    "length_of", "linalg", "m_module", "m_regular", "mn_character",
-    "nbc_basis", "os_model", "pad", "page_stability", "parse_partition",
-    "partitions", "quotient_betti", "regular_character", "sign_character",
-    "straighten", "table1_row", "trivial_character", "unpad", "unpadded_table",
-    "weight_of", "wreath_invariant_dim", "wreath_invariant_series",
-]
+# README's library section, read by tests/reach.py: the home modules (a
+# module named as `fistab.<module>.*` too), and the names they define
+LIBRARY = reach.library_names()
+LIBRARY_HOMES = sorted(n.removesuffix(".*") for n in LIBRARY if n.startswith("fistab."))
+LIBRARY_NAMES = sorted(n for n in LIBRARY if not n.startswith("fistab."))
 
 
 def _fresh(code: str):
@@ -284,43 +272,28 @@ def test_no_report_loads_csv():
     assert "csv" not in _loaded_after(*runs)
 
 
-def test_partitions_stays_the_function_after_a_cli_run():
-    kinds = _fresh(
-        "import json, os, fistab, fistab.cli\n"
-        "before = type(fistab.partitions).__name__\n"
-        f"fistab.cli.main([*{KUNNETH!r}, '--out', os.devnull])\n"
-        f"fistab.cli.main([*{OS_SCAN!r}, '--out', os.devnull])\n"
-        "print(json.dumps([before, type(fistab.partitions).__name__, fistab.partitions(3)]))\n"
+def test_importing_the_package_loads_no_submodule():
+    # a submodule is bound on the package by its own import, and only then
+    loaded, bound = _fresh(
+        "import json, sys, fistab\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('fistab.'))\n"
+        "import fistab.partitions\n"
+        "print(json.dumps([loaded, fistab.partitions is sys.modules['fistab.partitions']]))\n"
     )
-    assert kinds == ["_lru_cache_wrapper", "_lru_cache_wrapper", [[1, 1, 1], [2, 1], [3]]]
+    assert loaded == [] and bound
 
 
-def test_public_names_are_unchanged():
-    names = _fresh(
-        "import json, fistab\n"
-        "public = sorted(n for n in dir(fistab) if not n.startswith('_'))\n"
-        "star = {}\n"
-        "exec('from fistab import *', star)\n"
-        "print(json.dumps([public, sorted(n for n in star if not n.startswith('_'))]))\n"
-    )
-    assert names == [PUBLIC_NAMES, PUBLIC_NAMES]
-
-
-EXPORTS = [(module, name) for module, names in fistab._EXPORTS.items() for name in names]
-
-
-@pytest.mark.parametrize("module, name", EXPORTS, ids=[".".join(e) for e in EXPORTS])
-def test_exports_are_the_objects_of_their_modules(module, name):
-    # each export is fistab.<name> and defined in its home module alone
-    home = importlib.import_module(f"fistab.{module}")
-    value = getattr(fistab, name)
-    assert value is vars(home)[name]
-    assert getattr(value, "__module__", home.__name__) == home.__name__
-
-
-def test_partitions_and_submodules_are_the_objects_of_their_modules():
-    partitions_module = sys.modules["fistab.partitions"]
-    assert fistab.pad is partitions_module.pad
-    assert fistab.partitions is partitions_module.partitions
-    for name in fistab._SUBMODULES:
-        assert getattr(fistab, name) is importlib.import_module(f"fistab.{name}")
+@pytest.mark.parametrize("name", LIBRARY_NAMES)
+def test_each_library_name_is_defined_in_one_listed_home(name):
+    # README's library section lists home modules and the names each
+    # defines, a class member after its class: the name is vars(home)[name],
+    # with home as its __module__, in exactly one of them
+    first, *members = name.split(".")
+    homes = [
+        home for home in map(importlib.import_module, LIBRARY_HOMES)
+        if getattr(vars(home).get(first), "__module__", None) == home.__name__
+    ]
+    assert len(homes) == 1, (name, homes)
+    value = vars(homes[0])[first]
+    for member in members:
+        value = vars(value)[member]  # the class's own, not inherited
