@@ -11,15 +11,17 @@ table of S_n either.  Splitting V = 1 + V_+ into degree 0 and positive
 degrees, a pure tensor of V^(x)n is a choice of the m factors that lie in
 V_+, so degree i of V^(x)n is a sum of free modules
 
-    sum_{m <= min(n, i)} Ind_{S_m x S_{n-m}}^{S_n} (W_m (x) 1) = sum M(W_m)_n
+    sum_m Ind_{S_m x S_{n-m}}^{S_n} (W_m (x) 1) = sum M(W_m)_n
 
 with W_m the degree-i part of V_+^(x)m, Koszul signs included (Church,
 Ellenberg and Farb, *FI-modules and stability for representations of
-symmetric groups*, 2015).  kunneth_decomposition decomposes each W_m
-over S_m and induces by the Pieri rule: characters.free_module_sum at the
-single level n, as m_module and m_regular do; os-scan calls it once for a
-whole window.  The traces of V^(x)n and V_+^(x)m factor over the cycles
-of a permutation (characters.cycle_product, which os_model also calls).
+symmetric groups*, 2015), zero unless m positive degrees with a class sum
+to i: the m of _generator_sizes, which alone kunneth builds and prices.
+kunneth_decomposition decomposes each W_m over S_m and induces by the
+Pieri rule: characters.free_module_sum at the single level n, as m_module
+and m_regular do; os-scan calls it once for a whole window.  The traces
+of V^(x)n and V_+^(x)m factor over the cycles of a permutation
+(characters.cycle_product, which os_model also calls).
 """
 
 from __future__ import annotations
@@ -93,6 +95,14 @@ def kunneth_power(graded_dims, n: int, i: int) -> ClassFunction:
     return _class_traces(_check_graded_dims(graded_dims, n, i), n, i)
 
 
+def _generator_sizes(dims, n: int, i: int) -> range:
+    # the m <= n for which W_m can be nonzero: m classes, of degrees from
+    # the least to the greatest degree <= i that has a class (i + 1 if none
+    # has), reach degree i only if m g_min <= i <= m G
+    degrees = [g for g, d in enumerate(dims[1 : i + 1], 1) if d > 0] or [i + 1]
+    return range(-(-i // degrees[-1]), min(n, i // degrees[0]) + 1)
+
+
 def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
     """Irreducible decomposition of total degree i of the n-fold graded
     tensor power: the free modules M(W_m) of the module docstring, each
@@ -102,7 +112,7 @@ def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
     dims = _check_graded_dims(graded_dims, n, i)
     positive = (0, *dims[1:])
     generators = {}
-    for m in range(min(n, i) + 1):
+    for m in _generator_sizes(dims, n, i):
         w = _class_traces(positive, m, i)
         if w.dimension():
             generators[m] = decompose(w)

@@ -14,7 +14,8 @@ That series gives every n at once (wreath_invariant_series), so this
 module imports no character layer and `fistab wreath-scan` runs on it
 alone.  induction defines wreath_invariant_dim on it; the twisted
 multiplicities, which need characters, are read off its Kunneth
-decomposition.
+decomposition.  The fold, its reach test and wreath-scan's estimate read
+one plan (_plan); wreath-scan builds only the series' head, up to n = i.
 """
 
 from __future__ import annotations
@@ -25,32 +26,41 @@ from math import comb
 from .graded import _check_graded_dims
 
 
-def _top_degree(dims, s_max: int, i: int) -> int:
-    # the highest degree that a product of at most s_max classes of degree
-    # 1..i reaches: s_max times the largest such degree g with d_g > 0
-    return s_max * max((g for g, d in enumerate(dims[1 : i + 1], 1) if d > 0), default=0)
+def _plan(dims, s_max: int, i: int) -> list[tuple[int, int, int]]:
+    # (g, d_g, most) for each degree 1 <= g <= i with d_g > 0: a product of
+    # at most s_max classes in degree <= i holds at most `most` classes of
+    # degree g, and at most d_g when g is odd, as an odd class squares to 0
+    return [(g, d, min(s_max, i // g, d if g % 2 else s_max))
+            for g, d in enumerate(dims[1 : i + 1], 1) if d > 0]
+
+
+def _reach(plan, s_max: int) -> int:
+    # the highest degree a product of at most s_max classes of the plan
+    # reaches: the highest degrees first, each as often as it may appear
+    reach = 0
+    for g, _, most in reversed(plan):
+        take = min(most, s_max)
+        reach, s_max = reach + g * take, s_max - take
+    return reach
 
 
 def _graded_symmetric_counts(graded_dims, n: int, i: int) -> list[int]:
     # Entry s: dimension of the span of the products of s classes of
     # positive degree in total degree i, for s <= min(n, i) (a product of
     # more than i such classes has degree above i), all zero when no
-    # such product reaches degree i (_top_degree).  Each degree g is
-    # folded into the table c[s][t] in one step: j of its d_g classes add
-    # x^j t^(g j) in C(d_g, j) ways when g is odd (sets) and in
+    # such product reaches degree i (_reach).  Each degree g of the plan
+    # is folded into the table c[s][t] in one step: j of its d_g classes
+    # add x^j t^(g j) in C(d_g, j) ways when g is odd (sets) and in
     # C(d_g + j - 1, j) ways when g is even (multisets).
     dims = _check_graded_dims(graded_dims, n, i)
     s_max = min(n, i)
-    if _top_degree(dims, s_max, i) < i:
+    plan = _plan(dims, s_max, i)
+    if _reach(plan, s_max) < i:
         return [0] * (s_max + 1)
     c = [[0] * (i + 1) for _ in range(s_max + 1)]
     c[0][0] = 1
-    for g in range(1, min(len(dims) - 1, i) + 1):
-        d = dims[g]
-        if not d:
-            continue
-        top = min(s_max, i // g, d if g % 2 else s_max)  # C(d, j) = 0 for j > d
-        ways = [comb(d, j) if g % 2 else comb(d + j - 1, j) for j in range(top + 1)]
+    for g, d, most in plan:
+        ways = [comb(d, j) if g % 2 else comb(d + j - 1, j) for j in range(most + 1)]
         folded = [[0] * (i + 1) for _ in range(s_max + 1)]
         for s, row in enumerate(c):
             for t, x in enumerate(row):

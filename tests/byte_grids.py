@@ -17,7 +17,14 @@ code, stdout and stderr, with
     PYTHONPATH=src python tests/byte_grids.py --requests NAME
 
 so that diffing the listings of two checkouts names the requests whose
-bytes changed.
+bytes changed.  With
+
+    PYTHONPATH=src python tests/byte_grids.py --edges
+
+each request of the refusals grid that is just under the work budget runs
+in a fresh process, and one JSON line each gives its work estimate, wall
+time and peak RSS; the exit status is 1 if one of them fails or takes
+more than 4 x the budget.
 
 Grids, each request in json, text and csv unless said otherwise:
 - os-scan: every window with k <= 4, 1 <= n_min <= 11 and 1..2k + 2
@@ -185,38 +192,43 @@ def _with_value(argv: list[str], flag: str, value: str) -> list[str]:
     return [*argv[: at + 1], value, *argv[at + 2 :]]
 
 
-def refusals_grid():
-    def trivial(ns):
-        # the trivial character of S_n at each n in ns
-        return _table({"entries": {
-            str(n): {"+".join(map(str, mu)): 1 for mu in _partitions(n)} for n in ns
-        }})
+def _trivial(ns) -> str:
+    # the trivial character of S_n at each n in ns
+    return _table({"entries": {
+        str(n): {"+".join(map(str, mu)): 1 for mu in _partitions(n)} for n in ns
+    }})
 
-    def dims(points):
-        return _table({str(n): 1 for n in range(points)})
 
+def _dims(points: int) -> str:
+    return _table({str(n): 1 for n in range(points)})
+
+
+def budget_edges():
+    """(just under the budget, just over it) for each subcommand with a
+    work budget: the last admitted and the first refused request along
+    one flag (decompose has only the one over: its last admitted size,
+    S_24, takes seconds to run)."""
     zeros_25 = _table({"+".join(map(str, mu)): 0 for mu in _partitions(25)})
-    gap = ",".join(["1", *["0"] * 20, "1"])  # dims 1 and 1 in degrees 0 and 21
-    wider_gap = ",".join(["1", *["0"] * 21, "1"])
-    # (just under the budget, just over it): each is the last admitted and
-    # the first refused request along one flag
-    edges = [
+    return [
         (["character", "--lam", "1578+1578", "--mu", "3156"],
          ["character", "--lam", "1579+1579", "--mu", "3158"]),
         (None, ["decompose", "--n", "25", "--values", zeros_25]),
         (["m-module", "--regular", "31", "--n", "31"], ["m-module", "--regular", "32", "--n", "32"]),
-        (["fit-charpoly", "--entries", trivial(range(1, 13)), "--degree-bound", "11"],
-         ["fit-charpoly", "--entries", trivial(range(1, 14)), "--degree-bound", "11"]),
-        (["fit-dimpoly", "--dims", dims(146), "--degree-bound", "103"],
-         ["fit-dimpoly", "--dims", dims(147), "--degree-bound", "103"]),
+        (["fit-charpoly", "--entries", _trivial(range(1, 13)), "--degree-bound", "11"],
+         ["fit-charpoly", "--entries", _trivial(range(1, 14)), "--degree-bound", "11"]),
+        (["fit-dimpoly", "--dims", _dims(146), "--degree-bound", "103"],
+         ["fit-dimpoly", "--dims", _dims(147), "--degree-bound", "103"]),
         (["os-scan", "--n-min", "10", "--n-max", "15", "--k", "5", "--a-max", "0"],
          ["os-scan", "--n-min", "9", "--n-max", "15", "--k", "5", "--a-max", "0"]),
-        (["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "1499998", "--n-max", "1499998"],
-         ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "1499999", "--n-max", "1499999"]),
-        (["kunneth", "--graded-dims", gap, "--n", "21", "--i", "21", "--decompose"],
-         ["kunneth", "--graded-dims", wider_gap, "--n", "22", "--i", "22", "--decompose"]),
+        (["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "0", "--n-max", "1499998"],
+         ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "0", "--n-max", "1499999"]),
+        (["kunneth", "--graded-dims", "1,1,1", "--n", "20", "--i", "20", "--decompose"],
+         ["kunneth", "--graded-dims", "1,1,1", "--n", "21", "--i", "21", "--decompose"]),
     ]
-    yield from _in_each_format(argv for pair in edges for argv in pair if argv is not None)
+
+
+def refusals_grid():
+    yield from _in_each_format(argv for pair in budget_edges() for argv in pair if argv is not None)
     yield []
     yield ["no-such-command"]
     for name, (argv, required, int_flag, choice) in USAGE.items():
@@ -249,6 +261,66 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# run as `python -c _PROBE ARGV...`: the request ARGV in a fresh process,
+# each work estimate it is admitted on written to stderr.  A fresh process
+# has imported no handler module, so each binds the recording _admit.
+_PROBE = """\
+import sys
+from fistab import cli, commands
+from fistab.partitions import partition_counts
+
+admit = commands._admit
+
+
+def recorded(args, estimate, n=0, alternative=""):
+    admit(args, estimate, n, alternative)
+    print(estimate(partition_counts(n)), file=sys.stderr)
+
+
+commands._admit = recorded
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def edges() -> bool:
+    """Run each just-under request of budget_edges() in a fresh process
+    and print, one JSON line each, its largest work estimate, its wall
+    time and its peak RSS; True when each was admitted and ran within
+    4 x WORK_BUDGET."""
+    import os
+    import tempfile
+    import time
+
+    from fistab.commands import WORK_BUDGET
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    ok = True
+    for argv, _ in budget_edges():
+        if argv is None:
+            continue
+        with tempfile.TemporaryFile() as err:
+            start = time.perf_counter()
+            pid = os.posix_spawn(
+                sys.executable, [sys.executable, "-c", _PROBE, *argv], env,
+                file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                              (os.POSIX_SPAWN_DUP2, err.fileno(), 2)],
+            )
+            _, status, usage = os.wait4(pid, 0)
+            wall = time.perf_counter() - start
+            err.seek(0)
+            estimates = [int(line) for line in err.read().split()]
+        code = os.waitstatus_to_exitcode(status)
+        ok &= code == 0 and wall * 10**9 <= 4 * WORK_BUDGET
+        print(json.dumps({
+            "command": argv[0],
+            "exit": code,
+            "estimate_s": max(estimates, default=0) / 10**9,
+            "wall_s": round(wall, 3),
+            "peak_mb": round(usage.ru_maxrss / 1024, 1),
+        }))
+    return ok
+
+
 def digest(argvs) -> str:
     """SHA-256 over (argv, exit code, stdout, stderr) of each request,
     each written as one line of JSON."""
@@ -277,8 +349,12 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print the digests of the byte-identity grids.")
     parser.add_argument("--requests", choices=GRIDS, metavar="NAME",
                         help=f"list one grid request by request instead ({', '.join(GRIDS)})")
+    parser.add_argument("--edges", action="store_true",
+                        help="time each request just under the work budget in a fresh process")
     args = parser.parse_args()
-    if args.requests:
+    if args.edges:
+        sys.exit(not edges())
+    elif args.requests:
         requests(args.requests)
     else:
         print(json.dumps(digests(), indent=2))

@@ -762,7 +762,7 @@ def test_a_refusal_just_over_the_budget_reads_as_over_it(capsys):
     dims = json.dumps({str(n): 1 for n in range(147)}, separators=(",", ":"))
     for argv in (
         ["wreath-scan", "--graded-dims", "1,2", "--i", "2",
-         "--n-min", "1499999", "--n-max", "1499999"],
+         "--n-min", "0", "--n-max", "1499999"],
         ["character", "--lam", "1579+1579", "--mu", "3158"],
         ["fit-dimpoly", "--dims", dims, "--degree-bound", "103"],
     ):
@@ -1123,12 +1123,10 @@ def test_wreath_scan_reaches_far_past_the_class_sums():
         assert report["invariant_dims"][str(n_max)] == stable and report["constant_on_tail"]
 
 
-def test_wreath_scan_past_every_product_degree_builds_no_table():
-    # with n_max = 3, products of degree-one classes reach degree 3 at
-    # most, so the four zeros need no table of 4 x (i + 1) cells; each
-    # request runs in a fresh interpreter that is the only child of a
-    # fresh parent, whose RUSAGE_CHILDREN peak is then that request's
-    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+def _fresh_peak(env, argv):
+    # exit code, stdout, stderr and peak RSS in KB of one request, run in a
+    # fresh interpreter that is the only child of a fresh parent, whose
+    # RUSAGE_CHILDREN peak is then that request's
     script = (
         "import json, resource, subprocess, sys\n"
         "proc = subprocess.run([sys.executable, '-m', 'fistab.cli', *sys.argv[1:]],\n"
@@ -1136,16 +1134,50 @@ def test_wreath_scan_past_every_product_degree_builds_no_table():
         "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
         "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))\n"
     )
-    for i in ("4900000", "5000000"):
-        argv = ["wreath-scan", "--graded-dims", "1,2", "--i", i, "--n-max", "3"]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
-            timeout=60,
-        )
-        code, out, err, peak_kb = json.loads(proc.stdout)
-        assert code == 0 and not err, (i, err)
-        assert json.loads(out)["invariant_dims"] == {"0": 0, "1": 0, "2": 0, "3": 0}
-        assert peak_kb < 50 * 1024, (i, peak_kb)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_wreath_scan_past_every_product_degree_builds_no_table():
+    # with n_max = 3, products of degree-one classes reach degree 3 at
+    # most, and a product holds each odd class at most once, so one or
+    # three classes of degree one reach degree 1 or 3: the zeros need no
+    # table of (min(n_max, i) + 1) x (i + 1) cells
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    for dims, i, n_max in (("1,2", 4900000, 3), ("1,2", 5000000, 3), ("1,1", 4000, 4000),
+                           ("1,3", 3000, 3000)):
+        argv = ["wreath-scan", "--graded-dims", dims, "--i", str(i), "--n-max", str(n_max)]
+        code, out, err, peak_kb = _fresh_peak(env, argv)
+        assert code == 0 and not err, (argv, err)
+        assert json.loads(out)["invariant_dims"] == {str(n): 0 for n in range(n_max + 1)}
+        assert peak_kb < 50 * 1024, (argv, peak_kb)
+
+
+def test_wreath_scan_reads_only_the_head_of_the_series():
+    # the series is constant from n = i on, so a window far past i reads
+    # the head of i + 1 values and builds no list up to n_max
+    env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
+    code, out, err, peak_kb = _fresh_peak(env, [
+        "wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "1499999",
+        "--n-max", "1499999",
+    ])
+    assert code == 0 and not err, err
+    report = json.loads(out)
+    assert report["invariant_dims"] == {"1499999": 1} and report["constant_on_tail"]
+    assert peak_kb < 50 * 1024, peak_kb
+
+
+def test_kunneth_gap_past_the_old_edge_is_admitted(capsys):
+    # one class in degree 22: only W_1 is nonzero, so the table, traces and
+    # strips of W_2..W_22 are neither built nor priced; degree 22 of the
+    # 22-fold power is the permutation module on the 22 factors
+    gap = ",".join(["1", *["0"] * 21, "1"])
+    report = run_json(capsys, "kunneth", "--graded-dims", gap, "--n", "22", "--i", "22",
+                      "--decompose")
+    assert report["decomposition"] == {"22": 1, "21+1": 1}
 
 
 def test_parser_is_built_once():

@@ -30,7 +30,8 @@ from fistab.induction import (
 )
 from fistab.named_characters import inner_product, sign_character, trivial_character
 from fistab.partitions import horizontal_strip_extensions, pad, partitions
-from fistab.wreath import _graded_symmetric_counts, _top_degree, wreath_invariant_series
+from fistab import induction
+from fistab.wreath import _graded_symmetric_counts, _plan, _reach, wreath_invariant_series
 from character_oracles import (
     coinvariants_as_sa,
     graded_symmetric_counts,
@@ -310,6 +311,29 @@ def test_kunneth_decomposition_matches_decomposed_character(dims):
             assert kunneth_decomposition(dims, n, i) == oracle, (dims, n, i)
 
 
+def test_kunneth_decomposition_traces_only_the_generator_sizes(monkeypatch):
+    # W_m is zero unless m positive degrees with a class sum to i, so the
+    # traces of V_+^(x)m are taken for the m of _generator_sizes alone, and
+    # every W_m outside them is zero
+    traced = []
+    class_traces = induction._class_traces
+    monkeypatch.setattr(induction, "_class_traces",
+                        lambda dims, m, i: traced.append(m) or class_traces(dims, m, i))
+    gap = (1, *[0] * 20, 1)
+    for dims in ((1, 2), (1, 1, 1), (1, 0, 3, 1), (1, 0, 0, 2), (1, 3, 0, 0, 1), gap):
+        for n in range(9):
+            for i in range(25):
+                sizes = induction._generator_sizes(dims, n, i)
+                traced.clear()
+                kunneth_decomposition(dims, n, i)
+                assert traced == list(sizes), (dims, n, i)
+                positive = (0, *dims[1:])
+                for m in set(range(min(n, i) + 1)) - set(sizes):
+                    assert class_traces(positive, m, i).dimension() == 0, (dims, m, i)
+    assert list(induction._generator_sizes(gap, 21, 21)) == [1]
+    assert list(induction._generator_sizes((1, 2), 5, 0)) == [0]
+
+
 def test_kunneth_rejects_disconnected_input():
     for f in (kunneth_power, kunneth_decomposition):
         for dims, n, i in (
@@ -400,16 +424,47 @@ def test_wreath_series_binomial_fold_at_large_multiplicity():
 def test_wreath_counts_past_every_product_degree_agree_with_the_full_table():
     # when no product of at most min(n, i) classes reaches degree i, the
     # fold builds no table and the counts are zeros: random graded
-    # dimensions of up to 6 positive degrees, 0-7 classes each
+    # dimensions of up to 6 positive degrees, 0-7 classes each, and
+    # odd-heavy vectors, whose products stop at few classes of each odd
+    # degree however large n and i are
     rng = random.Random(41)
+    cases = [
+        ((1, *(rng.choice((0, 0, *range(8))) for _ in range(rng.randint(0, 6)))),
+         rng.randint(0, 12), rng.randint(0, 30))
+        for _ in range(3000)
+    ]
+    cases += [
+        (dims, n, i)
+        for dims in ((1, 1), (1, 3), (1, 0, 0, 5))
+        for n in range(13)
+        for i in range(31)
+    ]
     skipped = 0
-    for _ in range(3000):
-        dims = (1, *(rng.choice((0, 0, *range(8))) for _ in range(rng.randint(0, 6))))
-        n, i = rng.randint(0, 12), rng.randint(0, 30)
+    for dims, n, i in cases:
         oracle = graded_symmetric_counts(dims, n, i)
         assert _graded_symmetric_counts(dims, n, i) == oracle, (dims, n, i)
-        skipped += _top_degree(dims, min(n, i), i) < i
-    assert 300 < skipped < 2700, skipped
+        s_max = min(n, i)
+        skipped += _reach(_plan(dims, s_max, i), s_max) < i
+    assert 1000 < skipped < len(cases) - 1000, skipped
+
+
+def test_wreath_reach_is_the_highest_degree_of_a_product():
+    # the greedy reach of a plan against the maximum over every multiset of
+    # at most s_max classes with at most `most` of each degree
+    rng = random.Random(42)
+    for _ in range(3000):
+        dims = (1, *(rng.choice((0, 0, *range(5))) for _ in range(rng.randint(0, 5))))
+        s_max, i = rng.randint(0, 8), rng.randint(0, 20)
+        plan = _plan(dims, s_max, i)
+        best = max(
+            (sum(g * j for (g, _, _), j in zip(plan, counts))
+             for counts in itertools.product(*(range(most + 1) for _, _, most in plan))
+             if sum(counts) <= s_max),
+            default=0,
+        )
+        assert _reach(plan, s_max) == best, (dims, s_max, i)
+        for g, d, most in plan:
+            assert most <= (d if g % 2 else s_max) and g * most <= i, (dims, s_max, i)
 
 
 def test_wreath_series_domain_errors():
