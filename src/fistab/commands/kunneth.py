@@ -4,17 +4,17 @@ decomposition."""
 from __future__ import annotations
 
 from .. import induction
-from ..graded import read_graded_dims
+from ..graded import _check_graded_dims, _degrees, read_graded_dims
 from . import _CYCLE_NS, _STRIP_NS, _admit, _strip_pairs, _table_work
 
 
 def run(args):
-    dims = read_graded_dims(args.graded_dims)
     n, i = args.n, args.i
+    dims = _check_graded_dims(read_graded_dims(args.graded_dims), n, i)
 
     # the nonzero graded dimensions up to degree i: after j cycles the
     # trace polynomial of a class stores at most min(i + 1, terms^j) degrees
-    terms = sum(1 for d in dims[: i + 1] if d)
+    terms = 1 + len(_degrees(dims, i))
 
     def traces(p, m):
         # the trace polynomial of each cycle length, then per class of S_m

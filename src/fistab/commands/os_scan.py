@@ -37,15 +37,16 @@ def run(args):
     fit = args.n_max > args.n_min and os_model._needs_check(args.n_min, args.n_max, k)
 
     def work(p):
-        # the tables of S_m that decompose the W_m, k < m <= 2k, and the
-        # averages of their characters; the Pieri strips of their
-        # constituents, once for the window, and a read of each at every
-        # level; a report per level and per coinvariant map; the terms of
-        # one free-module count per (level, a), the source of each map and
-        # the target of the last map of each a; and the fit that checks
-        # the polynomial where the window may leave it open
-        # (os_model.character_polynomial)
-        ms = range(k + 1, top + 1)
+        # the tables of S_m that decompose the nonzero W_m, and the averages
+        # of their characters; the Pieri strips of their constituents, once
+        # for the window, and a read of each at every level; a report per
+        # level and per coinvariant map; the terms of one free-module count
+        # per (level, a), the source of each map and the target of the last
+        # map of each a; and the fit that checks the polynomial where the
+        # window may leave it open (os_model.character_polynomial).  W_0, of
+        # k = 0, goes unpriced: the level terms already price those windows
+        # at several times their cost
+        ms = [m for m in os_model._generator_sizes(args.n_max, k) if m]
         strips = sum(_strip_pairs(p, m) for m in ms)
         maps = _maps(args.n_min, args.n_max, a_top)
         counts = maps + a_top + 1 if maps else 0

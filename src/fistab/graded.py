@@ -1,8 +1,8 @@
 """Graded dimensions (d_0, d_1, ...): the Betti numbers of a connected
 space, whose graded tensor powers kunneth and induction take and whose
 wreath products wreath-scan and fistab.wreath count.  Read from the CLI's
-comma list and checked here once, for both, so that neither loads the
-other.
+comma list, checked and listed by degree (_degrees) here once, for both,
+so that neither loads the other.
 """
 
 from __future__ import annotations
@@ -28,3 +28,7 @@ def _check_graded_dims(graded_dims, n: int, i: int) -> tuple[int, ...]:
     if n < 0 or i < 0:
         raise DomainError("n and i must be nonnegative")
     return dims
+
+
+def _degrees(dims, i: int) -> list[int]:  # the positive degrees <= i with a class
+    return [g for g, d in enumerate(dims[1 : i + 1], 1) if d > 0]

@@ -35,7 +35,7 @@ from .characters import (
     free_module_sum,
 )
 from .errors import DomainError
-from .graded import _check_graded_dims
+from .graded import _check_graded_dims, _degrees
 from .partitions import Partition, check_partition, dimension, partitions
 
 
@@ -99,7 +99,7 @@ def _generator_sizes(dims, n: int, i: int) -> range:
     # the m <= n for which W_m can be nonzero: m classes, of degrees from
     # the least to the greatest degree <= i that has a class (i + 1 if none
     # has), reach degree i only if m g_min <= i <= m G
-    degrees = [g for g, d in enumerate(dims[1 : i + 1], 1) if d > 0] or [i + 1]
+    degrees = _degrees(dims, i) or [i + 1]
     return range(-(-i // degrees[-1]), min(n, i // degrees[0]) + 1)
 
 

@@ -7,7 +7,7 @@ Lehrer's closed form, one characters.cycle_product; the no-broken-circuit
 model they are checked against.
 
 What os-scan reports comes from the free-module decomposition of the
-cohomology, sum_m M(W_m) (see the section above free_generator): by
+cohomology, sum_m M(W_m) (see the section above _generator_sizes): by
 Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, each W_m is read off
 Lehrer's product and decomposed by the table of S_m once per (m, k), and
 every level n is a Pieri sum (free_decompositions, one call of
@@ -107,6 +107,12 @@ def betti(n: int, k: int) -> int:
 # from the c cycles of length >= 2, which cover m = k + c points with
 # 1 <= c <= k: W_m = 0 unless k + 1 <= m <= 2k (only W_0 for k = 0), and
 # everything os-scan reports comes from the tables of S_m for m <= 2k.
+# Each such m has a nonzero summand: _generator_sizes lists the nonzero W_m.
+
+
+def _generator_sizes(n: int, k: int) -> range:
+    # the m <= n of Lehrer-Solomon's range, none when k < 0
+    return range(k + 1 if k else 0, min(n, 2 * k) + 1)
 
 
 @lru_cache(maxsize=None)
@@ -132,16 +138,13 @@ def _free_character(m: int, k: int) -> ClassFunction:
 @lru_cache(maxsize=None)
 def free_generator(m: int, k: int) -> IrrDecomposition:
     """W_m of the decomposition above; decompose refuses a non-character."""
-    if not betti(m, k):  # then every W_j with j <= m vanishes too
-        return IrrDecomposition(m, {})
     return decompose(_free_character(m, k))
 
 
 @lru_cache(maxsize=None)
 def _generators_up_to(top: int, k: int) -> dict[int, IrrDecomposition]:
     # the nonzero W_m with m <= top; shared by every caller, never mutated
-    gens = {m: free_generator(m, k) for m in range(top + 1)}
-    return {m: w for m, w in gens.items() if w}
+    return {m: free_generator(m, k) for m in _generator_sizes(top, k)}
 
 
 def _free_generators(n: int, k: int) -> dict[int, IrrDecomposition]:

@@ -23,15 +23,15 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 
-from .graded import _check_graded_dims
+from .graded import _check_graded_dims, _degrees
 
 
 def _plan(dims, s_max: int, i: int) -> list[tuple[int, int, int]]:
     # (g, d_g, most) for each degree 1 <= g <= i with d_g > 0: a product of
     # at most s_max classes in degree <= i holds at most `most` classes of
     # degree g, and at most d_g when g is odd, as an odd class squares to 0
-    return [(g, d, min(s_max, i // g, d if g % 2 else s_max))
-            for g, d in enumerate(dims[1 : i + 1], 1) if d > 0]
+    return [(g, dims[g], min(s_max, i // g, dims[g] if g % 2 else s_max))
+            for g in _degrees(dims, i)]
 
 
 def _reach(plan, s_max: int) -> int:

@@ -1180,6 +1180,21 @@ def test_kunneth_gap_past_the_old_edge_is_admitted(capsys):
     assert report["decomposition"] == {"22": 1, "21+1": 1}
 
 
+def test_kunneth_checks_its_graded_dimensions_before_the_estimate(capsys):
+    # an invalid vector, n or i meets the check's error whatever it would
+    # be priced at: a negative i prices no W_m from negative slices, and a
+    # disconnected vector far over the budget is not refused by the budget
+    disconnected = "graded dimensions must start with 1 (connected space), got (2, 1, 1)"
+    for argv, message in (
+        (["1,2", "--n", "3", "--i", "-1"], "n and i must be nonnegative"),
+        (["1,0,1,0", "--n", "40", "--i", "-2"], "n and i must be nonnegative"),
+        (["2,1,1", "--n", "40", "--i", "40"], disconnected),
+    ):
+        for extra in ([], ["--decompose"]):
+            code, out, err = run(capsys, "kunneth", "--graded-dims", *argv, *extra)
+            assert (code, out, err) == (1, "", f"fistab: {message}\n"), (argv, extra)
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
     assert build_parser("kunneth") is build_parser("kunneth") is build_parser()["kunneth"]

@@ -13,11 +13,13 @@ import io
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from fistab import os_model, os_reference
 from fistab.cli import main, render
+from fistab.commands import os_scan
 from fistab.errors import ConsistencyError, DomainError
 from fistab.fi_analysis import (
     FISequence,
@@ -42,7 +44,7 @@ from fistab.os_reference import (
     straighten,
 )
 from fistab.characters import ClassFunction, IrrDecomposition
-from fistab.partitions import horizontal_strip_extensions, partitions
+from fistab.partitions import horizontal_strip_extensions, partition_counts, partitions
 from linalg_helpers import mat_mul_columns
 from os_oracles import (
     class_representative,
@@ -545,6 +547,35 @@ def test_free_generators_live_between_k_plus_one_and_2k(k):
     # n - k cycles carry W_m, so k + 1 <= m <= 2k (only W_0 when k = 0)
     nonzero = [m for m in range(12) if free_generator(m, k)]
     assert nonzero == ([0] if k == 0 else list(range(k + 1, 2 * k + 1)))
+
+
+def test_os_scan_reads_and_prices_the_w_m_of_the_generator_sizes(monkeypatch):
+    # Lehrer-Solomon's range, written once, is the set of nonzero W_m that a
+    # Betti test per m and a nonzero filter found
+    for k in range(9):
+        for n in range(21):
+            guarded = [m for m in range(min(n, 2 * k) + 1) if betti(m, k) and free_generator(m, k)]
+            assert list(os_model._generator_sizes(n, k)) == guarded, (n, k)
+
+    # patched to leave W_(k+1) out, it leaves it out of both the W_m that
+    # os-scan reads and the tables of S_m that its estimate prices
+    class Priced(Exception):
+        pass
+
+    def admit(args, estimate, n=0, alternative=""):
+        estimate(partition_counts(n))
+        raise Priced
+
+    priced = []
+    monkeypatch.setattr(os_scan, "_admit", admit)
+    monkeypatch.setattr(os_scan, "_table_work", lambda p, levels: priced.append(list(levels)) or 0)
+    monkeypatch.setattr(os_model, "_generator_sizes", lambda n, k: range(k + 2, min(n, 2 * k) + 1))
+    for k, n_max in ((2, 5), (3, 9), (4, 30)):
+        priced.clear()
+        with pytest.raises(Priced):
+            os_scan.run(SimpleNamespace(k=k, a_max=2, n_min=1, n_max=n_max))
+        assert priced == [list(range(k + 2, min(n_max, 2 * k) + 1))], (k, n_max)
+        assert list(os_model._generators_up_to.__wrapped__(min(n_max, 2 * k), k)) == priced[0]
 
 
 @pytest.mark.parametrize("k", range(7))
