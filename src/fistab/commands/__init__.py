@@ -40,11 +40,8 @@ class UsageError(Exception):
 _PAIR_NS = 1200
 _WORD_NS = 30  # one 64-bit word of a bead mask, per rim hook a single character value tries
 _BYTE_NS = 60  # one byte of JSON input: read, parsed and checked by its handler
-_FIT_NS = 250  # one (row, monomial, pivot) step of a character-polynomial fit
-_FIT_ROW_NS = 20000  # one row of that fit: its monomial values and its denominators
-_SOLVE_NS = 80  # one (row, column, pivot) step of the fit-dimpoly solves
-_DIM_ROW_NS = 3500  # one point in one fit-dimpoly solve: its row of binomials and its check
-_DIM_COL_NS = 700  # one (point, column) entry of such a row
+_CELL_NS = 150  # one 64-bit word of an entry of a solve's row: built, read and checked
+_PIVOT_NS = 21  # one 64-bit word of a pivot row's entry, applied to a row the solve inserts
 _POINT_NS = 4000  # one point of a fit-dimpoly table: read, checked and reported
 _CYCLE_NS = 150  # one (class, cycle, stored degree, graded dimension) step of kunneth
 _STRIP_NS = 3000  # one horizontal strip (one constituent) of a Pieri sum
@@ -97,15 +94,17 @@ def _admit(args, estimate, n: int = 0, alternative: str = "") -> None:
     )
 
 
-def _fit_work(rows: int, degree_bound: int) -> int:
-    # building the rows, then a dense Gauss-Jordan elimination, a pivot per
-    # monomial clearing every row: an upper bound on solve_exact, which
-    # stops at full column rank; a fit with more monomials than rows is
-    # refused before it starts
-    from ..fi_analysis import _monomial_count
-
-    monomials = _monomial_count(degree_bound, cap=rows)
-    return 0 if monomials > rows else rows * (_FIT_NS * monomials**2 + _FIT_ROW_NS)
+def _solve_work(rows: int, cols: int, inserted: int, level: int, degree: int, rhs=0, den=0) -> int:
+    """The estimated ns of linalg.solve_exact on `rows` rows of `cols`
+    unknowns, at most `inserted` rows reduced against at most `cols` pivot
+    rows and every other checked (none if cols > rows: the fit refuses).
+    An unknown's entry, binomials C(a, e) with sum a <= level and sum e <=
+    degree, is under 2^level and (e level / s)^s, s = min(degree, level),
+    times a denominator of `den` bits; a right-hand side has `rhs` bits."""
+    s = min(max(degree, 0), level)
+    bits = min(level, s * (level.bit_length() - s.bit_length() + 3)) + den
+    words = cols * (1 + bits // 64) + 1 + rhs // 64  # of a row
+    return 0 if cols > rows else words * (rows * _CELL_NS + inserted * cols * _PIVOT_NS)
 
 
 def _table_work(p, levels) -> int:

@@ -12,7 +12,7 @@ from . import (
     _STRIP_NS,
     _TERM_NS,
     _admit,
-    _fit_work,
+    _solve_work,
     _strip_pairs,
     _table_work,
 )
@@ -57,8 +57,9 @@ def run(args):
             + maps * _REPORT_NS
             + counts * _TERM_NS * sum(min(a_top, m) + 1 for m in ms)
         )
-        if fit:
-            total += _fit_work(sum(p[n] for n in window), 2 * k)
+        if fit:  # zero on the window's classes; M is cut at p(n_max) only where M > R
+            rows = sum(p[n] for n in window)
+            total += _solve_work(rows, sum(p[: 2 * k + 1]), rows, args.n_max, 2 * k)
         return total
 
     _admit(args, work, args.n_max if fit else top)

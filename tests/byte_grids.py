@@ -23,8 +23,9 @@ bytes changed.  With
 
 each request of the refusals grid that is just under the work budget runs
 in a fresh process, and one JSON line each gives its work estimate, wall
-time and peak RSS; the exit status is 1 if one of them fails or takes
-more than 4 x its own estimate (so more than 4 x the budget).
+time, the ratio of the two and peak RSS; the exit status is 1 if one of
+them fails or takes more than 4 x its own estimate (so more than 4 x the
+budget).
 
 Grids, each request in json, text and csv unless said otherwise:
 - os-scan: every window with k <= 4, 1 <= n_min <= 11 and 1..2k + 2
@@ -214,12 +215,12 @@ def budget_edges():
          ["character", "--lam", "1579+1579", "--mu", "3158"]),
         (None, ["decompose", "--n", "25", "--values", zeros_25]),
         (["m-module", "--regular", "31", "--n", "31"], ["m-module", "--regular", "32", "--n", "32"]),
-        (["fit-charpoly", "--entries", _trivial(range(1, 13)), "--degree-bound", "11"],
-         ["fit-charpoly", "--entries", _trivial(range(1, 14)), "--degree-bound", "11"]),
-        (["fit-dimpoly", "--dims", _dims(146), "--degree-bound", "103"],
-         ["fit-dimpoly", "--dims", _dims(147), "--degree-bound", "103"]),
-        (["os-scan", "--n-min", "10", "--n-max", "15", "--k", "5", "--a-max", "0"],
-         ["os-scan", "--n-min", "9", "--n-max", "15", "--k", "5", "--a-max", "0"]),
+        (["fit-charpoly", "--entries", _trivial(range(1, 22)), "--degree-bound", "11"],
+         ["fit-charpoly", "--entries", _trivial(range(1, 23)), "--degree-bound", "11"]),
+        (["fit-dimpoly", "--dims", _dims(9646), "--degree-bound", "103"],
+         ["fit-dimpoly", "--dims", _dims(9647), "--degree-bound", "103"]),
+        (["os-scan", "--n-min", "17", "--n-max", "20", "--k", "6", "--a-max", "0"],
+         ["os-scan", "--n-min", "17", "--n-max", "21", "--k", "6", "--a-max", "0"]),
         (["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "0", "--n-max", "1499998"],
          ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "0", "--n-max", "1499999"]),
         (["kunneth", "--graded-dims", "1,1,1", "--n", "20", "--i", "20", "--decompose"],
@@ -285,8 +286,9 @@ sys.exit(cli.main(sys.argv[1:]))
 def edges() -> bool:
     """Run each just-under request of budget_edges() in a fresh process
     and print, one JSON line each, its largest work estimate, its wall
-    time and its peak RSS; True when each was admitted and ran within
-    4 x its estimate, which admission holds under the work budget."""
+    time, the ratio of the two and its peak RSS; True when each was
+    admitted and ran within 4 x its estimate, which admission holds under
+    the work budget."""
     import os
     import tempfile
     import time
@@ -315,6 +317,7 @@ def edges() -> bool:
             "exit": code,
             "estimate_s": estimate / 10**9,
             "wall_s": round(wall, 3),
+            "run_over_estimate": round(wall * 10**9 / estimate, 3) if estimate else None,
             "peak_mb": round(usage.ru_maxrss / 1024, 1),
         }))
     return ok

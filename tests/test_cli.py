@@ -13,11 +13,10 @@ from pathlib import Path
 import pytest
 
 import fistab
-from fistab import os_model
+from fistab import fi_analysis, os_model
 from fistab.cli import SUBCOMMANDS, build_parser, main
-from fistab.commands import WORK_BUDGET, _BYTE_NS, _seconds, _strip_pairs
+from fistab.commands import WORK_BUDGET, _BYTE_NS, _CELL_NS, _seconds, _solve_work, _strip_pairs
 from fistab.commands.character import _shapes_inside
-from fistab.commands.fit_dimpoly import _work as _fit_dim_work
 from fistab.commands.m_module import _strips
 from fistab.commands.os_scan import _maps
 from fistab.partitions import (
@@ -228,9 +227,9 @@ def test_os_scan_small_window(capsys):
 
 
 def test_os_scan_respects_the_work_budget(capsys, monkeypatch):
-    # the fit of 272 monomials over the 371 classes of S_2..S_13 is
+    # the fit of 272 monomials over the 2042 classes of S_8..S_19 is
     # estimated over the budget; --allow-large runs it
-    scan = ("os-scan", "--n-min", "2", "--n-max", "13", "--k", "6", "--a-max", "0")
+    scan = ("os-scan", "--n-min", "8", "--n-max", "19", "--k", "6", "--a-max", "0")
     monkeypatch.setenv("FISTAB_MAX_N", "100")  # no longer read
     code, out, err = run(capsys, *scan)
     assert code == 1 and not out and _one_line_error(err)
@@ -281,16 +280,22 @@ def test_work_estimate_counts():
             for a_top in range(n_max):
                 maps = [(a, n) for a in range(a_top + 1) for n in range(max(n_min, a), n_max)]
                 assert _maps(n_min, n_max, a_top) == len(maps), (n_min, n_max, a_top)
-    # fit-dimpoly prices a row per point at every candidate degree, an
-    # upper bound on its one solve, and a report line per point: a table
-    # of 10^6 points is over the budget at any degree bound, the small
-    # tables of the examples are far under it, and a table too short to
-    # fit is refused before any solve
-    for d in range(9):
-        assert _fit_dim_work(10**6, d) > WORK_BUDGET, d
-        assert _fit_dim_work(2 * 10**5, d) > _fit_dim_work(10**5, d) > 0, d
-        assert _fit_dim_work(d + 4, d) < WORK_BUDGET // 1000, d
-        assert _fit_dim_work(d + 1, d) == 0, d
+    # the exact solve prices each entry of a row by its 64-bit words; they
+    # bound every binomial C(n, j) with |n| <= level, j <= degree (those of
+    # fit-dimpoly, whose rows at n < 0 are +-C(j - n - 1, j)), and every
+    # monomial on the classes of S_n, n <= level (those of the class fits).
+    # One row of one unknown, inserted nowhere, costs its entry's words and
+    # one word of right-hand side, each _CELL_NS
+    for level in (*range(12), 63, 64, 65, 70, 200):
+        for degree in (*range(min(level, 9) + 1), level // 2, level, level + 5):
+            words = _solve_work(1, 1, 0, level, degree) // _CELL_NS - 1
+            top = max(comb(n, j) for n in range(level + 1) for j in range(degree + 1))
+            assert top.bit_length() <= 64 * words, (level, degree)
+            if level <= 11:
+                top = max(map(max, fi_analysis._class_rows(level, degree)))
+                assert top.bit_length() <= 64 * words, (level, degree)
+    # a fit with more unknowns than rows is refused before its solve
+    assert _solve_work(5, 6, 5, 10, 3) == 0 < _solve_work(6, 6, 6, 10, 3)
 
 
 def test_os_scan_degree_three(capsys):
@@ -720,11 +725,11 @@ def test_whole_character_of_a_huge_group_is_refused_quickly():
 
 
 def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
-    # each of these ran for more than 10 s, or never returned, before the
+    # each of these runs for seconds or more, or never returned before the
     # work budget; each is refused in a fresh interpreter within 1 s
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
     dims = tmp_path / "dims.json"
-    dims.write_text(json.dumps({str(n): factorial(n) for n in range(120)}))
+    dims.write_text(json.dumps({str(n): factorial(n) for n in range(1000)}))
     points = tmp_path / "points.json"
     points.write_text(json.dumps({str(n): comb(n + 8, 8) for n in range(10**5)}))
     large = tmp_path / "large.json"
@@ -735,8 +740,8 @@ def test_requests_over_the_work_budget_are_refused_quickly(tmp_path):
         "wreath-scan --graded-dims 1,2 --i 2 --n-max 10000000",
         "m-module --regular 40 --n 80",
         "os-scan --n-min 2 --n-max 40 --k 12",
-        f"fit-dimpoly --input {dims} --degree-bound 118",
-        f"fit-dimpoly --input {points} --degree-bound 8",  # seconds: a row per point and degree
+        f"fit-dimpoly --input {dims} --degree-bound 998",  # 7 s: rhs of up to 134 words
+        f"fit-dimpoly --input {points} --degree-bound 100",  # 28 s: 101 binomials per point
         f"fit-dimpoly --input {large} --degree-bound 1",  # seconds to read a table this size
         "character --lam 6+5+5+4+4+3+3+2",
         "character --lam 200+200+200 --mu " + "+".join(["1"] * 600),
@@ -759,7 +764,7 @@ def test_a_refusal_just_over_the_budget_reads_as_over_it(capsys):
     # each is estimated a little over 3 s, which three significant digits
     # print as the budget itself; the fewest digits that read as over it
     # are shown instead, and never fewer than three
-    dims = json.dumps({str(n): 1 for n in range(147)}, separators=(",", ":"))
+    dims = json.dumps({str(n): 1 for n in range(9647)}, separators=(",", ":"))
     for argv in (
         ["wreath-scan", "--graded-dims", "1,2", "--i", "2",
          "--n-min", "0", "--n-max", "1499999"],
