@@ -45,14 +45,11 @@ _PIVOT_NS = 21  # one 64-bit word of a pivot row's entry, applied to a row the s
 _POINT_NS = 4000  # one point of a fit-dimpoly table: read, checked and reported
 _CYCLE_NS = 150  # one (class, cycle, stored degree, graded dimension) step of kunneth
 _STRIP_NS = 3000  # one horizontal strip (one constituent) of a Pieri sum
-_LEVEL_NS = 60000  # one level of an os-scan report: Betti number, stability, rendering
-_READ_NS = 1000  # one shape of an os-scan level read off the window's strips, rendering included
-_REPORT_NS = 30000  # one coinvariant verdict of os-scan, rendering included
 _TERM_NS = 2000  # one (W_m, j) term of a free-module invariant dimension
 _ROW_NS = 500  # one row of lam per strip of m-module --lam
 _HOOK_NS = 3  # one of the (|lam| + 1)^2 steps of the hook-length dimension of lam
 _FOLD_NS = 50  # one (cell, binomial weight) step of the wreath series
-_ENTRY_NS = 2000  # one reported value of a wreath scan
+_ENTRY_NS = 2000  # one reported value of a wreath scan or an os-scan
 
 
 def _seconds(ns: int) -> str:

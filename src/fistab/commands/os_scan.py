@@ -3,12 +3,12 @@ from its free-module decomposition (see fistab.os_model)."""
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .. import fi_reports, os_model
 from ..errors import DomainError
 from . import (
-    _LEVEL_NS,
-    _READ_NS,
-    _REPORT_NS,
+    _ENTRY_NS,
     _STRIP_NS,
     _TERM_NS,
     _admit,
@@ -25,6 +25,20 @@ def _maps(n_min: int, n_max: int, a_top: int) -> int:
     return (c * (c + 1) - n_min * (n_min + 1)) // 2 + (n_max - c) * (a_top + 1)
 
 
+def _entries(p, levels: int, top: int, maps: int) -> int:
+    """At most the values os-scan reports: k and the window; per level a
+    Betti number and the shapes lam[n], |lam| <= top = min(2k, n_max) as
+    the W_m have m <= 2k, so at most S = p(0) + ... + p(top) of them; 7
+    per coinvariant map (1 for none); and on two levels or more 7, and for
+    each of at most S shapes and monomials of weight <= top, a stable
+    multiplicity, a label, a coefficient and the exponents: at most d
+    cycle lengths, d(d + 1)/2 <= top, or an empty map."""
+    shapes = sum(p[: top + 1])
+    total = 3 + levels * (1 + shapes) + max(1, 7 * maps)
+    lengths = (isqrt(8 * top + 1) - 1) // 2
+    return total + (7 + shapes * (4 + lengths) if levels > 1 else 0)
+
+
 def run(args):
     k = args.k
     if k < 0 or args.a_max < 0:
@@ -39,22 +53,18 @@ def run(args):
     def work(p):
         # the tables of S_m that decompose the nonzero W_m, and the averages
         # of their characters; the Pieri strips of their constituents, once
-        # for the window, and a read of each at every level; a report per
-        # level and per coinvariant map; the terms of one free-module count
-        # per (level, a), the source of each map and the target of the last
-        # map of each a; and the fit that checks the polynomial where the
-        # window may leave it open (os_model.character_polynomial).  W_0, of
-        # k = 0, goes unpriced: the level terms already price those windows
-        # at several times their cost
-        ms = [m for m in os_model._generator_sizes(args.n_max, k) if m]
-        strips = sum(_strip_pairs(p, m) for m in ms)
+        # for the window; the entries of the report, as wreath-scan prices
+        # its own; the terms of one free-module count per (level, a), the
+        # source of each map and the target of the last map of each a; and
+        # the fit that checks the polynomial where the window may leave it
+        # open (os_model.character_polynomial)
+        ms = os_model._generator_sizes(args.n_max, k)
         maps = _maps(args.n_min, args.n_max, a_top)
         counts = maps + a_top + 1 if maps else 0
         total = (
             _table_work(p, ms)
-            + strips * (_STRIP_NS + _READ_NS * len(window))
-            + _LEVEL_NS * len(window)
-            + maps * _REPORT_NS
+            + _STRIP_NS * sum(_strip_pairs(p, m) for m in ms)
+            + _ENTRY_NS * _entries(p, len(window), top, maps)
             + counts * _TERM_NS * sum(min(a_top, m) + 1 for m in ms)
         )
         if fit:  # zero on the window's classes; M is cut at p(n_max) only where M > R

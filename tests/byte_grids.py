@@ -41,7 +41,9 @@ Grids, each request in json, text and csv unless said otherwise:
   decomposition of each, its values given by `character_oracles.mn`;
 - refusals: for each subcommand with a work budget, a request just under
   the budget and one just over it (decompose has only the one over: its
-  last admitted size, S_24, takes seconds to run); then, once each and in
+  last admitted size, S_24, takes seconds to run; os-scan has a short
+  window priced mostly by its check and a long one priced by its
+  report); then, once each and in
   json alone, usage errors: a missing required flag, an unknown flag, a
   bad choice and a bad int, where the subcommand has such a flag.
 """
@@ -208,7 +210,8 @@ def budget_edges():
     """(just under the budget, just over it) for each subcommand with a
     work budget: the last admitted and the first refused request along
     one flag (decompose has only the one over: its last admitted size,
-    S_24, takes seconds to run)."""
+    S_24, takes seconds to run; os-scan has two pairs, one along
+    --n-max of a short window and one of a long window)."""
     zeros_25 = _table({"+".join(map(str, mu)): 0 for mu in _partitions(25)})
     return [
         (["character", "--lam", "1578+1578", "--mu", "3156"],
@@ -221,6 +224,8 @@ def budget_edges():
          ["fit-dimpoly", "--dims", _dims(9647), "--degree-bound", "103"]),
         (["os-scan", "--n-min", "17", "--n-max", "20", "--k", "6", "--a-max", "0"],
          ["os-scan", "--n-min", "17", "--n-max", "21", "--k", "6", "--a-max", "0"]),
+        (["os-scan", "--n-min", "2", "--n-max", "1299", "--k", "8"],
+         ["os-scan", "--n-min", "2", "--n-max", "1300", "--k", "8"]),
         (["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "0", "--n-max", "1499998"],
          ["wreath-scan", "--graded-dims", "1,2", "--i", "2", "--n-min", "0", "--n-max", "1499999"]),
         (["kunneth", "--graded-dims", "1,1,1", "--n", "20", "--i", "20", "--decompose"],
@@ -283,6 +288,23 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+# run as `python -S -c _WRAPPER PROGRAM ARGS...`: PROGRAM ARGS as a child,
+# its stdout to /dev/null and its stderr this process's, and its exit
+# code, its wall time from spawn to exit and its peak RSS in KB written
+# to stdout as one JSON list.  A spawned child's ru_maxrss starts at its
+# spawner's peak RSS, so the spawner is this small interpreter, not the
+# process that imported the grids.
+_WRAPPER = """\
+import json, os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - start
+print(json.dumps([os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss]))
+"""
+
+
 def edges() -> bool:
     """Run each just-under request of budget_edges() in a fresh process
     and print, one JSON line each, its largest work estimate, its wall
@@ -290,27 +312,19 @@ def edges() -> bool:
     admitted and ran within 4 x its estimate, which admission holds under
     the work budget."""
     import os
-    import tempfile
-    import time
+    import subprocess
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     ok = True
     for argv, _ in budget_edges():
         if argv is None:
             continue
-        with tempfile.TemporaryFile() as err:
-            start = time.perf_counter()
-            pid = os.posix_spawn(
-                sys.executable, [sys.executable, "-c", _PROBE, *argv], env,
-                file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
-                              (os.POSIX_SPAWN_DUP2, err.fileno(), 2)],
-            )
-            _, status, usage = os.wait4(pid, 0)
-            wall = time.perf_counter() - start
-            err.seek(0)
-            estimates = [int(line) for line in err.read().split()]
-        code = os.waitstatus_to_exitcode(status)
-        estimate = max(estimates, default=0)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _WRAPPER, sys.executable, "-c", _PROBE, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, wall, peak_kb = json.loads(proc.stdout)
+        estimate = max(map(int, proc.stderr.split()), default=0)
         ok &= code == 0 and wall * 10**9 <= 4 * estimate
         print(json.dumps({
             "command": argv[0],
@@ -318,7 +332,7 @@ def edges() -> bool:
             "estimate_s": estimate / 10**9,
             "wall_s": round(wall, 3),
             "run_over_estimate": round(wall * 10**9 / estimate, 3) if estimate else None,
-            "peak_mb": round(usage.ru_maxrss / 1024, 1),
+            "peak_mb": round(peak_kb / 1024, 1),
         }))
     return ok
 

@@ -312,8 +312,8 @@ def test_os_scan_degree_three(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2b53f1692e3784fc1de5a35ff6a4243eaa05b9be61f26c77bf9654b5f4b895f1"
     )
-    # ten thousand levels, each with its report and coinvariant maps
-    code, _, err = run(capsys, "os-scan", "--n-min", "2", "--n-max", "10000", "--k", "3")
+    # twenty thousand levels, each with its report and coinvariant maps
+    code, _, err = run(capsys, "os-scan", "--n-min", "2", "--n-max", "20000", "--k", "3")
     assert code == 1 and "work budget" in err
 
 

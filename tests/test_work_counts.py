@@ -1,4 +1,5 @@
-"""The exact solve does no more work than its price counts.
+"""The exact solve, and the reports of os-scan and wreath-scan, do no
+more work than their prices count.
 
 fit-charpoly, fit-dimpoly and os-scan's window check price their one
 `linalg.solve_exact` with `commands._solve_work(rows, cols, inserted,
@@ -6,8 +7,12 @@ level, degree, rhs, den)`.  Each request below runs in process, under the
 work budget, and the test records what it priced and counts what the
 solve did: the rows it built, the rows `IntRowBasis.insert` received, the
 pivot rows `IntRowBasis.reduce` applied to each and their entries, and the
-bits of every entry.  No count may exceed the priced one.  Nothing is
-timed, so nothing can flake.
+bits of every entry.  No count may exceed the priced one.
+
+os-scan and wreath-scan price their reports at `commands._ENTRY_NS` a
+reported value: the scalars of an os-scan payload number at most
+`os_scan._entries(...)`, and wreath-scan prices exactly its
+`invariant_dims` entries.  Nothing is timed, so nothing can flake.
 """
 
 import json
@@ -16,9 +21,10 @@ from math import factorial
 import pytest
 
 from byte_grids import _trivial
-from fistab import commands, linalg, os_model
+from fistab import cli, commands, linalg, os_model
 from fistab.cli import main
-from fistab.commands import fit_charpoly, fit_dimpoly, os_scan
+from fistab.commands import fit_charpoly, fit_dimpoly, os_scan, wreath_scan
+from fistab.partitions import partition_counts
 
 
 def _dims(table) -> str:
@@ -116,3 +122,53 @@ def test_a_table_too_short_to_fit_gets_the_fits_own_refusal(capsys):
     dims = _dims({n: 1 for n in range(10)})
     assert main(["fit-dimpoly", "--dims", dims, "--degree-bound", "1000000"]) == 1
     assert "need at least 1000002 points" in capsys.readouterr().err
+
+
+def _scalars(node) -> int:
+    # the values a report writes, an empty section counted as one
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return sum(map(_scalars, node)) or 1
+    return 1
+
+
+# (n_min, n_max) at each k: one level, two levels that the check must
+# fit for k >= 1, and a long window past level 4k that pins it down
+OS_WINDOWS = [
+    (k, n_min, n_max)
+    for k in range(10)
+    for n_min, n_max in ((2 * k + 1, 2 * k + 1), (2 * k + 1, 2 * k + 2), (1, 4 * k + 12))
+]
+
+
+@pytest.mark.parametrize("k, n_min, n_max", OS_WINDOWS)
+def test_an_os_scan_report_writes_no_more_entries_than_it_was_priced_for(k, n_min, n_max):
+    top = min(2 * k, n_max)
+    for a_max in range(4):
+        argv = ["os-scan", "--n-min", str(n_min), "--n-max", str(n_max), "--k", str(k),
+                "--a-max", str(a_max)]
+        payload = os_scan.run(cli._parse(argv))
+        maps = os_scan._maps(n_min, n_max, min(a_max, n_max - 1))
+        priced = os_scan._entries(partition_counts(top), n_max - n_min + 1, top, maps)
+        assert _scalars(payload) <= priced, (argv, _scalars(payload), priced)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--graded-dims", "1,2", "--i", "3", "--n-max", "12"],
+    ["--graded-dims", "1,3,2", "--i", "3", "--n-min", "5", "--n-max", "12"],
+    ["--graded-dims", "1,0,3,1", "--i", "4", "--n-min", "7", "--n-max", "7"],
+    # one odd class: nothing past degree 1, so no table is built
+    ["--graded-dims", "1,1", "--i", "40", "--n-max", "40"],
+])
+def test_wreath_scan_prices_each_value_it_reports(argv, monkeypatch):
+    priced = []
+
+    def record(args, estimate, n=0, alternative=""):
+        priced.append(estimate(partition_counts(n)))
+
+    monkeypatch.setattr(wreath_scan, "_admit", record)
+    monkeypatch.setattr(wreath_scan, "_ENTRY_NS", 1)
+    monkeypatch.setattr(wreath_scan, "_FOLD_NS", 0)
+    payload = wreath_scan.run(cli._parse(["wreath-scan", *argv]))
+    assert priced == [len(payload["invariant_dims"])]
