@@ -115,14 +115,6 @@ def page_stability(params: BoundParams, pq: tuple[int, int], r: int) -> Stabilit
     return _entry_bound(params, p, q, r)
 
 
-def einfty_stability(params: BoundParams, i: int, p_filt: int) -> StabilityType:
-    """Stability type of the filtration quotient in total degree i at
-    filtration p_filt, read off the page where the entry freezes."""
-    if not 0 <= p_filt <= i:
-        raise DomainError(f"need 0 <= p_filt <= {i}, got {p_filt}")
-    return _entry_bound(params, p_filt, i - p_filt, i + 2)
-
-
 def abutment_stability(
     params: BoundParams, i: int, degenerates_at: int | None = None
 ) -> StabilityType:

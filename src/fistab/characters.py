@@ -166,12 +166,6 @@ class ClassFunction:
         f.n, f.values = n, values
         return f
 
-    def __call__(self, mu):
-        mu = check_partition(mu)
-        if mu not in self.values:
-            raise DomainError(f"{mu!r} is not a cycle type of S_{self.n}")
-        return self.values[mu]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ClassFunction)
@@ -195,12 +189,6 @@ class ClassFunction:
             format_partition(mu): exact_obj(self.values[mu])
             for mu in partitions(self.n)
         }
-
-    @classmethod
-    def from_mapping(cls, n: int, mapping: dict) -> "ClassFunction":
-        from .tables import class_function  # only JSON input reads a table
-
-        return class_function(n, mapping)
 
 
 def exact_obj(v):
@@ -266,34 +254,15 @@ class IrrDecomposition:
         )
         return f"IrrDecomposition(S_{self.n}, {{{body}}})"
 
-    def __bool__(self) -> bool:
-        return bool(self.mult)
-
     def items(self):
         """Constituents in lexicographic partition order."""
         return sorted(self.mult.items())
 
-    def multiplicity(self, lam) -> int:
-        return self.mult.get(check_partition(lam), 0)
-
     def dimension(self) -> int:
         return sum(m * dimension(lam) for lam, m in self.mult.items())
 
-    def character(self) -> ClassFunction:
-        table = character_table(self.n)
-        values = [0] * len(partitions(self.n))
-        for lam, m in self.mult.items():
-            values = [v + m * x for v, x in zip(values, table[lam])]
-        return ClassFunction._unchecked(self.n, dict(zip(partitions(self.n), values)))
-
     def to_mapping(self) -> dict[str, int]:
         return {format_partition(lam): m for lam, m in self.items()}
-
-    @classmethod
-    def from_mapping(cls, n: int, mapping: dict) -> "IrrDecomposition":
-        from .tables import decomposition  # only JSON input reads a table
-
-        return decomposition(n, mapping)
 
 
 def decompose(f: ClassFunction) -> IrrDecomposition:

@@ -34,7 +34,7 @@ def run(args):
             lambda p: _strips(lam, args.n) * (_STRIP_NS + _ROW_NS * len(lam))
             + _HOOK_NS * (sum(lam) + 1) ** 2,
         )
-        dec = induction._m_module(lam, args.n)
+        dec = induction.m_module(lam, args.n)
         head = {"lam": list(lam)}
         # the hook-length dimension, read off the module that binds it
         dim = comb(args.n, sum(lam)) * induction.dimension(lam)

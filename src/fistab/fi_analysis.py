@@ -1,6 +1,6 @@
-"""Analysis of sequences of S_n-representations: unpadding, weight and
-length statistics of padded partitions, uniform-stability detection over
-a window, character polynomials in cycle-count statistics, and
+"""Analysis of sequences of S_n-representations: the unpadded
+multiplicity tables, uniform-stability detection over a window, and the
+exact fits of character polynomials in cycle-count statistics and of
 integer-valued dimension polynomials.  The stability report and the
 character polynomial themselves live in fistab.fi_reports, which os-scan
 reads without these fits."""
@@ -20,8 +20,6 @@ from .fi_reports import (
 )
 from .partitions import (
     Partition,
-    binomial,
-    check_partition,
     cycle_counts,
     partition_count,
     partition_counts,
@@ -29,36 +27,11 @@ from .partitions import (
 )
 
 
-def unpad(mu: Partition) -> Partition:
-    """Drop the first part; inverse of pad wherever pad is defined."""
-    return check_partition(mu)[1:]
-
-
-def weight_of(V: IrrDecomposition) -> int:
-    """Largest |unpad(mu)| over the constituents; 0 for the zero module."""
-    if not V.mult:
-        return 0
-    return max(V.n - mu[0] for mu in V.mult)
-
-
-def length_of(V: IrrDecomposition) -> int:
-    """Largest number of parts among the constituents."""
-    if not V.mult:
-        raise DomainError("the zero decomposition has no length")
-    return max(len(mu) for mu in V.mult)
-
-
-def quotient_betti(V: IrrDecomposition) -> int:
-    """Multiplicity of the trivial representation; by transfer, the Betti
-    number of the quotient by the symmetric-group action."""
-    return V.mult.get((V.n,) if V.n else (), 0)
-
-
 def unpadded_table(V: IrrDecomposition) -> dict[Partition, int]:
     """Multiplicities keyed by the unpadded root of each constituent."""
     table: dict[Partition, int] = {}
     for mu, m in V.mult.items():
-        root = mu[1:]  # unpad(mu) of a constituent, a partition already
+        root = mu[1:]  # drop the first row
         table[root] = table.get(root, 0) + m
     return table
 
@@ -90,24 +63,6 @@ class FISequence:
 
     def __iter__(self):
         return iter(range(self.n_min, self.n_max + 1))
-
-    def to_mapping(self) -> dict:
-        return {
-            "window": [self.n_min, self.n_max],
-            "entries": {str(n): self.entries[n].to_mapping() for n in self},
-        }
-
-    @classmethod
-    def decompositions_from_mapping(cls, payload: dict) -> "FISequence":
-        from .tables import decomposition, sequence  # only JSON input reads a table
-
-        return cls(sequence(payload, decomposition))
-
-    @classmethod
-    def characters_from_mapping(cls, payload: dict) -> "FISequence":
-        from .tables import class_function, sequence
-
-        return cls(sequence(payload, class_function))
 
 
 def detect_stability(seq: FISequence) -> StabilityReport:
@@ -196,7 +151,7 @@ def fit_char_polynomial(seq: FISequence, degree_bound: int) -> CharPolynomial:
     for n in seq:
         entry = seq[n]
         if not isinstance(entry, ClassFunction):
-            entry = entry.character()
+            raise DomainError("character polynomial fitting needs characters, not decompositions")
         rows += _class_rows(n, degree_bound)
         rhs += map(entry.values.__getitem__, partitions(n))
     solution, free, consistent = solve_exact(rows, rhs)
@@ -225,14 +180,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def evaluate(self, t: int):
-        """The value at t, as a Fraction."""
-        from fractions import Fraction
-
-        return sum(
-            (c * binomial(t, j) for j, c in self.coeffs.items()), Fraction(0)
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -250,6 +197,15 @@ class IntPolynomial:
             "binomial_coeffs": {str(j): exact_obj(c) for j, c in sorted(self.coeffs.items())},
             "degree": self.degree,
         }
+
+
+def _binomial_row(n: int, degree_bound: int) -> list[int]:
+    # [C(n, 0), ..., C(n, degree_bound)] by C(n, j + 1) = C(n, j) (n - j) /
+    # (j + 1): the division is exact for every integer n, negative included
+    row = [1]
+    for j in range(degree_bound):
+        row.append(row[j] * (n - j) // (j + 1))
+    return row
 
 
 def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial:
@@ -275,7 +231,7 @@ def fit_dim_polynomial(dims: dict[int, int], degree_bound: int) -> IntPolynomial
             f"need at least {degree_bound + 2} points to fit and validate "
             f"degree <= {degree_bound}, got {len(points)}"
         )
-    rows = ([binomial(n, j) for j in range(degree_bound + 1)] for n, _ in points)
+    rows = (_binomial_row(n, degree_bound) for n, _ in points)
     solution, _, consistent = solve_exact(rows, [v for _, v in points])
     if not consistent:
         raise DomainError(

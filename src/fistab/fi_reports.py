@@ -8,17 +8,11 @@ them off the free modules, so they import this module and not the fits.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
-from .characters import ClassFunction, exact_obj
-from .partitions import (
-    Partition,
-    binomial,
-    check_partition,
-    cycle_counts,
-    format_partition,
-    partitions,
-)
+from .characters import exact_obj
+from .partitions import Partition, format_partition
 
 
 class StabilityReport(NamedTuple):
@@ -72,9 +66,10 @@ def monomial_label(mono: tuple[tuple[int, int], ...]) -> str:
 
 
 def _monomial_value(mono, counts: dict[int, int]) -> int:
+    # prod_l C(Z_l, m_l) at the cycle counts Z_l, never negative
     val = 1
     for length, exp in mono:
-        val *= binomial(counts.get(length, 0), exp)
+        val *= comb(counts.get(length, 0), exp)
         if val == 0:
             return 0
     return val
@@ -113,19 +108,6 @@ class CharPolynomial:
         if not any(self.coeffs):
             return 0
         return max((l for mono in self.coeffs for l, _ in mono), default=0)
-
-    def evaluate(self, mu: Partition):
-        """The value at the class mu: an int, or a Fraction when a
-        coefficient is one."""
-        return self._value(cycle_counts(check_partition(mu)))
-
-    def _value(self, counts: dict[int, int]):
-        return sum(c * _monomial_value(mono, counts) for mono, c in self.coeffs.items())
-
-    def as_class_function(self, n: int) -> ClassFunction:
-        return ClassFunction._unchecked(
-            n, {mu: self._value(cycle_counts(mu)) for mu in partitions(n)}
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CharPolynomial) and self.coeffs == other.coeffs

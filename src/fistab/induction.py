@@ -43,11 +43,7 @@ def m_module(lam: Partition, n: int) -> IrrDecomposition:
     """Level n of the free module induced from the irreducible of shape
     lam: zero below |lam|, and by the Pieri rule one copy of each
     horizontal-strip extension of lam above."""
-    return _m_module(check_partition(lam), n)
-
-
-def _m_module(lam: Partition, n: int) -> IrrDecomposition:
-    # m_module of a checked partition, such as parse_partition returns
+    lam = check_partition(lam)
     if n < 0:
         raise DomainError(f"level must be nonnegative, got {n}")
     m = sum(lam)

@@ -76,20 +76,6 @@ def _lehrer_partials(r: int, e: int, k: int) -> list[dict[int, int]]:
     return out
 
 
-def betti(n: int, k: int) -> int:
-    """dim of the degree-k cohomology on n points: the degree-k character
-    at the identity, e_k(1, 2, ..., n-1), the t^k coefficient of Lehrer's
-    product there, prod_{j < n} (1 + j t), kept only up to degree k.  Past
-    degree n - 1 it is zero (bar degree 0 on no points)."""
-    if k < 0 or k > max(n - 1, 0):
-        return 0
-    e = [1] + [0] * k
-    for j in range(1, n):
-        for s in range(min(k, j), 0, -1):
-            e[s] += j * e[s - 1]
-    return e[k]
-
-
 # ---------------------------------------------------------------------------
 # The free-module decomposition.  The cohomology of the configuration
 # spaces of an open manifold, here C, is an FI#-module, hence at every

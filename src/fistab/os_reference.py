@@ -33,7 +33,7 @@ from .characters import (
     restrict_and_average,
 )
 from .errors import DomainError
-from .os_model import _lehrer_partials, betti
+from .os_model import _lehrer_partials
 
 Edge = tuple  # (a, b) with 1 <= a < b
 Monomial = tuple  # edges with strictly increasing second indices
@@ -170,7 +170,7 @@ def action_columns(perm, k: int) -> list[dict[int, int]]:
 def action_matrix(perm, k: int):
     """Dense matrix of the permutation acting on the degree-k basis."""
     perm = check_permutation(perm)
-    dim = betti(len(perm), k)
+    dim = len(nbc_basis(len(perm), k))
     mat = [[0] * dim for _ in range(dim)]
     for j, col in enumerate(action_columns(perm, k)):
         for i, v in col.items():
@@ -197,7 +197,7 @@ def fi_map(n: int, k: int):
     n+1: each NBC monomial goes to the same monomial one level up."""
     src = nbc_basis(n, k)
     index = _basis_index(n + 1, k)
-    mat = [[0] * len(src) for _ in range(betti(n + 1, k))]
+    mat = [[0] * len(src) for _ in range(len(nbc_basis(n + 1, k)))]
     for j, mono in enumerate(src):
         mat[index[mono]][j] = 1
     return mat

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .errors import DomainError
 
@@ -54,28 +54,11 @@ def format_partition(p: Partition) -> str:
     return "+".join(map(str, p))
 
 
-def pad(lam: Partition, n: int) -> Partition:
-    """The partition (n - |lam|, lam_1, ..., lam_l) of n."""
-    lam = check_partition(lam)
-    size = sum(lam)
-    first = lam[0] if lam else 0
-    if n < size + first:
-        raise DomainError(f"cannot pad {lam!r} to {n}: need n >= {size + first}")
-    if n == 0:
-        return ()
-    return (n - size,) + lam
-
-
-def horizontal_strip_extensions(lam: Partition, n: int) -> list[Partition]:
+def _strip_extensions(lam: Partition, n: int) -> list[Partition]:
     """Partitions mu of n with mu containing lam and mu/lam a horizontal
     strip (at most one added box per column), i.e. the interlacing
-    condition mu_1 >= lam_1 >= mu_2 >= lam_2 >= ..."""
-    return _strip_extensions(check_partition(lam), n)
-
-
-def _strip_extensions(lam: Partition, n: int) -> list[Partition]:
-    # horizontal_strip_extensions of a lam that is already a partition
-    # tuple, such as a constituent of a decomposition
+    condition mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...; lam is a partition
+    tuple already, such as a constituent of a decomposition."""
     boxes = n - sum(lam)
     if boxes < 0:
         return []
@@ -211,12 +194,3 @@ def dimension(lam: Partition) -> int:
             num //= row - j + conj[j] - i - 1
     return num
 
-
-def binomial(n: int, k: int) -> int:
-    """comb() extended to negative upper argument, so that binomial
-    polynomials can be evaluated anywhere on the integers."""
-    if k < 0:
-        return 0
-    if n < 0:
-        return (-1) ** k * comb(-n + k - 1, k)
-    return comb(n, k)

@@ -2,8 +2,7 @@
 value} tables of class functions and decompositions, the sequences of
 them that stability-scan and fit-charpoly take, and the keys of every
 table, none of which may be given twice.  Only the subcommands that read
-JSON input import this module (ClassFunction.from_mapping and the other
-library readers import it when called), so no other process compiles it.
+JSON input import this module, so no other process compiles it.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ def parse_exact(v, key):
 
 
 def class_function(n: int, mapping) -> ClassFunction:
-    """ClassFunction.from_mapping: a {cycle type: value} table on S_n."""
+    """The ClassFunction of a {cycle type: value} table on S_n."""
     vals = _parse_table(mapping, "class function")  # parse_partition checked the keys
     f = object.__new__(ClassFunction)
     f._take(int(n), vals)
@@ -70,7 +69,7 @@ def class_function(n: int, mapping) -> ClassFunction:
 
 
 def decomposition(n: int, mapping) -> IrrDecomposition:
-    """IrrDecomposition.from_mapping: a {shape: multiplicity} table on S_n."""
+    """The IrrDecomposition of a {shape: multiplicity} table on S_n."""
     mult = _parse_table(mapping, "decomposition")  # parse_partition checked the keys
     d = object.__new__(IrrDecomposition)
     d._take(int(n), mult.items())
@@ -80,7 +79,7 @@ def decomposition(n: int, mapping) -> IrrDecomposition:
 def sequence(payload, read) -> dict:
     """{n: read(n, table)} of a JSON sequence {"entries": {"<n>": table}},
     read by class_function or decomposition: the entries of an
-    fi_analysis.FISequence."""
+    fi_analysis.FISequence, as FISequence(sequence(payload, read))."""
     entries = payload.get("entries") if isinstance(payload, dict) else None
     if not isinstance(entries, dict):
         raise DomainError('a sequence must be a mapping {"entries": {"<n>": table}}')

@@ -1,12 +1,16 @@
-"""Reference implementations the character-table core is checked against.
+"""Reference implementations the character-table core is checked against,
+and the named characters and partition helpers that no subcommand needs.
 
 `mn` is the recursive form of the Murnaghan-Nakayama rule (strip a rim
 hook for the first cycle, recurse on the rest), written independently of
-the iterative form in `fistab.characters`; `restriction_inner_product` is
+the iterative form in `fistab.characters`, whose downward walk
+`mn_character` calls on one value; `restriction_inner_product` is
 the direct formula for inner products over a Young subgroup S_a x S_b;
 `induced_character` and `coinvariants_as_sa` are the induction and the
 coinvariants that the Pieri sums of `fistab.characters.free_module_sum`
 and the averages of `restrict_and_average` are checked against;
+`character_of` sums the character table's rows of a decomposition;
+`horizontal_strip_extensions` and `pad` take any tuple of parts, checked;
 `wreath_twisted_dim`, read off the free-module decomposition, is the
 oracle of the wreath-product series; `graded_symmetric_counts`, the
 series' fold over a full table of degrees 0..i, is the oracle of the
@@ -16,12 +20,74 @@ classes reaches degree i.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
-from fistab.characters import ClassFunction, decompose, restrict_and_average
+from fistab.characters import (
+    ClassFunction,
+    _mn_value,
+    character_table,
+    decompose,
+    irreducible_character,
+    restrict_and_average,
+)
 from fistab.errors import DomainError
 from fistab.induction import kunneth_decomposition
-from fistab.partitions import Partition, centralizer_order, pad, partitions
+from fistab.partitions import (
+    Partition,
+    _strip_extensions,
+    centralizer_order,
+    check_partition,
+    partitions,
+)
+
+
+def mn_character(lam: Partition, mu: Partition) -> int:
+    """Character value of the irreducible indexed by lam at the class mu."""
+    return _mn_value(check_partition(lam), check_partition(mu))
+
+
+def trivial_character(n: int) -> ClassFunction:
+    return irreducible_character((n,) if n else ())
+
+
+def sign_character(n: int) -> ClassFunction:
+    return irreducible_character((1,) * n if n else ())
+
+
+def regular_character(n: int) -> ClassFunction:
+    """Character of the regular representation: n! at the identity."""
+    values = dict.fromkeys(partitions(n), 0)
+    values[(1,) * n if n else ()] = factorial(n)
+    return ClassFunction(n, values)
+
+
+def character_of(V) -> ClassFunction:
+    """The character of the decomposition V: the character table's rows
+    of its constituents, each as often as its multiplicity."""
+    table = character_table(V.n)
+    values = [0] * len(partitions(V.n))
+    for lam, m in V.mult.items():
+        values = [v + m * x for v, x in zip(values, table[lam])]
+    return ClassFunction(V.n, dict(zip(partitions(V.n), values)))
+
+
+def pad(lam: Partition, n: int) -> Partition:
+    """The partition (n - |lam|, lam_1, ..., lam_l) of n."""
+    lam = check_partition(lam)
+    size = sum(lam)
+    first = lam[0] if lam else 0
+    if n < size + first:
+        raise DomainError(f"cannot pad {lam!r} to {n}: need n >= {size + first}")
+    if n == 0:
+        return ()
+    return (n - size,) + lam
+
+
+def horizontal_strip_extensions(lam: Partition, n: int) -> list[Partition]:
+    """Partitions mu of n with mu containing lam and mu/lam a horizontal
+    strip (at most one added box per column), i.e. the interlacing
+    condition mu_1 >= lam_1 >= mu_2 >= lam_2 >= ..."""
+    return _strip_extensions(check_partition(lam), n)
 
 
 def _beta_set(lam: Partition) -> tuple[int, ...]:
@@ -114,7 +180,7 @@ def coinvariants_as_sa(V, a: int):
     character is the average of V's character over that subgroup; the
     result is decomposed as an S_a-representation.
     """
-    return decompose(restrict_and_average(V.character(), a))
+    return decompose(restrict_and_average(character_of(V), a))
 
 
 def wreath_twisted_dim(graded_dims, lam: Partition, n: int, i: int) -> int:
@@ -125,7 +191,7 @@ def wreath_twisted_dim(graded_dims, lam: Partition, n: int, i: int) -> int:
     recovers wreath_invariant_dim through the free modules rather than the
     series."""
     mu = pad(lam, n)  # first: a shape too large for n is refused before the dimensions
-    return kunneth_decomposition(graded_dims, n, i).multiplicity(mu)
+    return kunneth_decomposition(graded_dims, n, i).mult.get(mu, 0)
 
 
 def graded_symmetric_counts(dims, n: int, i: int) -> list[int]:

@@ -10,6 +10,9 @@ rewrites three edges on the same three points, so straightening keeps the
 flat.  `nbc_trace` takes the basis to trace over, so the tests check the
 restriction to stable flats against the whole basis.
 
+`betti` is the dimension of the degree-k cohomology, e_k(1, ..., n-1),
+the oracle of the Betti numbers that os-scan sums over the W_m.
+
 `quotient_coinvariant_report` decides the coinvariant maps from the
 definition of coinvariants as a quotient, by integer rank on the NBC basis.
 
@@ -46,7 +49,6 @@ from fistab.linalg import IntRowBasis
 from fistab.os_model import (
     _free_invariant_dimension,
     action_columns,
-    betti,
     character,
     character_polynomial,
     coinvariant_report,
@@ -57,6 +59,20 @@ from fistab.os_model import (
 )
 from fistab.os_reference import _straighten
 from fistab.partitions import Partition, partitions
+
+
+def betti(n: int, k: int) -> int:
+    """dim of the degree-k cohomology on n points: the degree-k character
+    at the identity, e_k(1, 2, ..., n-1), the t^k coefficient of Lehrer's
+    product there, prod_{j < n} (1 + j t), kept only up to degree k.  Past
+    degree n - 1 it is zero (bar degree 0 on no points)."""
+    if k < 0 or k > max(n - 1, 0):
+        return 0
+    e = [1] + [0] * k
+    for j in range(1, n):
+        for s in range(min(k, j), 0, -1):
+            e[s] += j * e[s - 1]
+    return e[k]
 
 
 def class_representative(mu: Partition) -> tuple[int, ...]:

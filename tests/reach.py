@@ -9,8 +9,9 @@ request in process under a call hook, then prints each `def` under
 
 With --check it exits 1 if one of them is not named in the library
 section of README.md (the "## Library" heading up to the next "## "):
-by its name, its qualified name, the def or class it is nested in (a
-method counts as named when its class is), or `<module>.*`.  Standard
+by its qualified name (a method with its class, `ClassFunction.__eq__`),
+that name after its module, or `<module>.*`; naming a class does not
+name its methods.  Standard
 library only; it takes about as long as the byte grids, so it is not a
 tier-1 test.
 """
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
     named = library_names() if args.check else set()
     missing = []
     for module, name, _, _, lines in rows:
-        listed = {name, name.split(".")[0], f"{module}.{name}", f"{module}.*"} & named
+        listed = {name, f"{module}.{name}", f"{module}.*"} & named
         flag = "" if not args.check or listed else "  (not in README's library section)"
         if args.check and not listed:
             missing.append(f"{module}.{name}")

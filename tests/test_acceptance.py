@@ -5,28 +5,32 @@ stated runtime budgets are asserted as well.
 Run: pytest tests/test_acceptance.py -v -s
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from math import factorial
 
 from fistab.bounds import BoundParams, StabilityType, abutment_stability, table1_row
 from fistab.characters import decompose, irreducible_character
+from fistab.cli import main
 from fistab.fi_analysis import (
     FISequence,
     detect_stability,
     fit_char_polynomial,
     fit_dim_polynomial,
-    length_of,
     unpadded_table,
-    weight_of,
 )
 from fistab.induction import m_module, wreath_invariant_dim
-from fistab.named_characters import inner_product, trivial_character
-from fistab.os_model import betti, coinvariant_report
+from fistab.named_characters import inner_product
+from fistab.os_model import coinvariant_report
 from fistab.os_reference import action_columns, character, decomposition
 from fistab.partitions import dimension, partitions
-from character_oracles import induced_character
+from character_oracles import induced_character, trivial_character
+from fi_oracles import char_class_function, dim_value, length_of, weight_of
 from linalg_helpers import mat_mul_columns
+from os_oracles import betti
 
 
 def _check(label, budget_seconds, body):
@@ -94,11 +98,11 @@ def test_criterion_3_betti_polynomiality():
         assert betti(4, 2) == 11 and betti(5, 2) == 35
         poly1 = fit_dim_polynomial({n: betti(n, 1) for n in range(2, 11)}, 2)
         assert poly1.degree == 2
-        assert all(poly1.evaluate(n) == betti(n, 1) for n in range(2, 13))
+        assert all(dim_value(poly1, n) == betti(n, 1) for n in range(2, 13))
         poly2 = fit_dim_polynomial({n: betti(n, 2) for n in range(2, 11)}, 4)
         assert poly2.degree == 4
-        assert poly2.evaluate(11) == _e2(11)
-        assert poly2.evaluate(12) == _e2(12)
+        assert dim_value(poly2, 11) == _e2(11)
+        assert dim_value(poly2, 12) == _e2(12)
 
     _check("criterion 3: Betti numbers and dimension polynomials", 10.0, body)
 
@@ -129,7 +133,7 @@ def test_criterion_5_character_polynomial():
         seq = FISequence({n: character(n, 1) for n in range(4, 9)})
         poly = fit_char_polynomial(seq, 2)
         assert poly.coeffs == {((1, 2),): 1, ((2, 1),): 1}  # C(Z1,2) + Z2
-        assert poly.as_class_function(9) == character(9, 1)
+        assert char_class_function(poly, 9) == character(9, 1)
 
     _check("criterion 5: character polynomial C(Z1,2) + Z2 predicts n=9", 30.0, body)
 
@@ -153,7 +157,7 @@ def test_criterion_7_weight_and_length_bounds():
         for k, window in windows.items():
             for n in window:
                 dec = decomposition(n, k)
-                if dec:
+                if dec.mult:
                     assert weight_of(dec) <= 2 * k, (n, k)
                     assert length_of(dec) <= 2 * k + 1, (n, k)
 
@@ -213,3 +217,35 @@ def test_criterion_9_kernel_property_suites():
                     ) == action_columns(composed, k)
 
     _check("criterion 9: orthogonality, dim identity, Pieri, representation axiom", 300.0, body)
+
+
+def _report(*argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return json.loads(out.getvalue())
+
+
+def test_criterion_10_table1_bounds_hold_on_the_exact_model():
+    # Conf_n(C) is the one Table 1 family computed exactly: os-scan's
+    # window 1..4k+4 stabilizes by the derived range, which the printed N
+    # bounds, and its character polynomial and its shapes lam[n] keep to
+    # the row's char-degree bound and weight (onset 3k + 1, derived N
+    # 5k - 1, printed N 5k, weight and weighted degree 2k for k <= 7)
+    def body():
+        for k in range(1, 8):
+            row = _report("table1", "--row", "config_surface_open", "--i", str(k))
+            scan = _report(
+                "os-scan", "--n-min", "1", "--n-max", str(4 * k + 4), "--k", str(k),
+                "--a-max", "0",
+            )
+            stable_from = scan["stability"]["stable_from"]
+            assert stable_from is not None and stable_from <= row["derived"]["N"] <= row["N"], k
+            poly = scan["character_polynomial"]
+            assert poly["weighted_degree"] <= row["char_degree"], k
+            for n, level in scan["decompositions"].items():
+                for shape in level:
+                    size = int(n) - int(shape.split("+")[0])
+                    assert size <= row["derived"]["weight"], (k, n, shape)
+
+    _check("criterion 10: Table 1's open-surface bounds on os-scan, k in [1,7]", 2.0, body)

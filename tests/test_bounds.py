@@ -10,12 +10,12 @@ from fistab.bounds import (
     BoundParams,
     StabilityType,
     abutment_stability,
-    einfty_stability,
     fisharp_degree,
     page_stability,
     table1_row,
 )
 from fistab.errors import DomainError
+from fi_oracles import einfty_stability
 
 
 def test_bound_params_validation():

@@ -13,19 +13,15 @@ from pathlib import Path
 import pytest
 
 import fistab
-from fistab import fi_analysis, os_model
+from fistab import fi_analysis
 from fistab.cli import SUBCOMMANDS, build_parser, main
 from fistab.commands import WORK_BUDGET, _BYTE_NS, _CELL_NS, _seconds, _solve_work, _strip_pairs
 from fistab.commands.character import _shapes_inside
 from fistab.commands.m_module import _strips
 from fistab.commands.os_scan import _maps
-from fistab.partitions import (
-    dimension,
-    horizontal_strip_extensions,
-    parse_partition,
-    partition_counts,
-    partitions,
-)
+from fistab.partitions import dimension, parse_partition, partition_counts, partitions
+from character_oracles import horizontal_strip_extensions
+from os_oracles import betti
 
 
 def run(capsys, *argv):
@@ -815,7 +811,7 @@ def test_long_os_scan_without_the_tables_of_s_n_is_admitted():
     )
     assert proc.returncode == 0 and not proc.stderr
     report = json.loads(proc.stdout)
-    assert report["betti"]["200"] == os_model.betti(200, 3)
+    assert report["betti"]["200"] == betti(200, 3)
     assert report["stability"]["stable_from"] <= 12
     assert report["character_polynomial"]["weighted_degree"] == 6
     assert report["coinvariants"]["3"]["199"]["surjective"] is True
@@ -852,14 +848,14 @@ def test_os_scan_computes_no_character_past_2k():
     # Lehrer's product (os_model.free_generator), so neither the character
     # nor the decomposition of the cohomology at any level is taken, in
     # either run of a request, whether the window pins the polynomial down
-    # or not.  The Betti numbers of a window are sums over the W_m, so no
-    # Betti number past level 2k is taken either.  Fits are counted on both
+    # or not.  The Betti numbers of a window are sums over the W_m too, and
+    # no W_m is built past m = min(n_max, 2k).  Fits are counted on both
     # runs: a checked window fits once on the first and keeps its verdict,
     # so a refused window prints the same error on the second run.
     code = (
         "import io, json, contextlib\n"
         "from fistab import cli, fi_analysis, os_model, os_reference\n"
-        "seen, fits, past = [], [], []\n"
+        "seen, fits, built, builds = [], [], [], []\n"
         "character, decomposition = os_reference.character, os_reference.decomposition\n"
         "os_reference.character = lambda n, k: seen.append(('character', n)) or character(n, k)\n"
         "os_reference.decomposition = lambda n, k: (\n"
@@ -869,8 +865,8 @@ def test_os_scan_computes_no_character_past_2k():
         "    fits.append(a)\n"
         "    return fit(*a)\n"
         "fi_analysis.fit_char_polynomial = os_model.fit_char_polynomial = counted_fit\n"
-        "betti = os_model.betti\n"
-        "os_model.betti = lambda n, k: (n > 2 * k and past.append(n)) or betti(n, k)\n"
+        "generator = os_model.free_generator\n"
+        "os_model.free_generator = lambda m, k: built.append(m) or generator(m, k)\n"
         "calls, errors = [], {}\n"
         "for k, lo, hi in [(2, 2, 5), (3, 5, 8), (3, 20, 22), (3, 6, 7), (1, 42, 43),\n"
         "                  (3, 13, 14), (3, 39, 40), (2, 4, 5), (3, 7, 8)]:\n"
@@ -885,16 +881,20 @@ def test_os_scan_computes_no_character_past_2k():
         "        if 'error' in poly:\n"
         "            errors.setdefault(f'{k},{lo},{hi}', []).append(poly['error'])\n"
         "        row.append(len(fits))\n"
-        "    assert seen == [] and past == [], (k, lo, hi, seen, past)\n"
+        "    assert seen == [], (k, lo, hi, seen)\n"
+        "    assert max(built, default=0) <= min(hi, 2 * k), (k, lo, hi, built)\n"
+        "    builds += built\n"
+        "    built.clear()\n"
         "    calls.append(['error' not in poly, *row])\n"
-        "print(json.dumps([calls, errors]))\n"
+        "print(json.dumps([calls, errors, builds]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    calls, errors = json.loads(proc.stdout)
+    calls, errors, builds = json.loads(proc.stdout)
+    assert builds  # the wrapped free_generator is the one os-scan calls
     assert calls == [
         [True, 1, 0], [True, 1, 0], [True, 0, 0], [False, 1, 0], [True, 0, 0],
         [True, 0, 0], [True, 0, 0], [False, 1, 0], [False, 1, 0],

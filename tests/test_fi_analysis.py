@@ -18,19 +18,27 @@ from fistab.fi_analysis import (
     detect_stability,
     fit_char_polynomial,
     fit_dim_polynomial,
-    length_of,
-    quotient_betti,
-    unpad,
     unpadded_table,
-    weight_of,
+    _binomial_row,
     _class_rows,
     _monomial_count,
     _monomials,
 )
 from fistab.fi_reports import CharPolynomial, StabilityReport, _monomial_value
 from fistab.induction import m_module
-from fistab.named_characters import trivial_character
-from fistab.partitions import binomial, cycle_counts, pad, partitions
+from fistab.partitions import cycle_counts, partitions
+from fistab.tables import class_function, decomposition, sequence
+from character_oracles import character_of, pad, trivial_character
+from fi_oracles import (
+    binomial,
+    char_class_function,
+    dim_value,
+    length_of,
+    quotient_betti,
+    sequence_mapping,
+    unpad,
+    weight_of,
+)
 from linalg_helpers import fraction_solve
 
 
@@ -113,7 +121,7 @@ def test_fisequence_validation():
 
 def test_fisequence_character_mapping_round_trip():
     seq = FISequence({n: trivial_character(n) for n in (2, 3, 4)})
-    again = FISequence.characters_from_mapping(seq.to_mapping())
+    again = FISequence(sequence(sequence_mapping(seq), class_function))
     assert again.window == seq.window
     assert all(again[n] == seq[n] for n in seq)
 
@@ -128,8 +136,7 @@ def test_polynomials_print_their_terms():
 
 def test_fisequence_mapping_round_trip():
     seq = FISequence({n: m_module((1,), n) for n in (2, 3, 4)})
-    payload = seq.to_mapping()
-    again = FISequence.decompositions_from_mapping(payload)
+    again = FISequence(sequence(sequence_mapping(seq), decomposition))
     assert again.window == seq.window
     assert all(again[n] == seq[n] for n in seq)
 
@@ -219,30 +226,31 @@ def test_fit_fixed_pair_counting():
     assert poly == CharPolynomial({((1, 2),): 1, ((2, 1),): 1})
     assert poly.weighted_degree == 2
     # exact prediction outside the window
-    predicted = poly.as_class_function(9)
+    predicted = char_class_function(poly, 9)
     assert predicted == pair_character(9)
 
 
 def test_fit_reproduces_every_window_value():
-    seq = FISequence({n: m_module((1,), n).character() for n in range(3, 7)})
+    seq = FISequence({n: character_of(m_module((1,), n)) for n in range(3, 7)})
     poly = fit_char_polynomial(seq, 1)
     for n in seq:
-        assert poly.as_class_function(n) == seq[n]
+        assert char_class_function(poly, n) == seq[n]
     # the fitted degree never exceeds the weight of the sequence
     assert poly.weighted_degree <= 1
 
 
-def test_fit_reads_a_window_of_decompositions_through_their_characters():
-    # M(S^(1)) at level n is the permutation representation on n points
+def test_fit_refuses_a_window_of_decompositions():
+    # M(S^(1)) at level n is the permutation representation on n points:
+    # its characters fit C(Z1, 1), its decompositions are refused
     entries = {n: m_module((1,), n) for n in range(2, 7)}
-    assert all(isinstance(entry, IrrDecomposition) for entry in entries.values())
-    characters = {n: entry.character() for n, entry in entries.items()}
-    poly = fit_char_polynomial(FISequence(entries), 2)
-    assert poly == CharPolynomial({((1, 1),): 1}) == fit_char_polynomial(FISequence(characters), 2)
+    characters = {n: character_of(entry) for n, entry in entries.items()}
+    assert fit_char_polynomial(FISequence(characters), 2) == CharPolynomial({((1, 1),): 1})
+    with pytest.raises(DomainError, match="needs characters, not decompositions"):
+        fit_char_polynomial(FISequence(entries), 2)
 
 
 def test_fit_reports_inconsistent_degree_bound():
-    seq = FISequence({n: m_module((2,), n).character() for n in range(4, 8)})
+    seq = FISequence({n: character_of(m_module((2,), n)) for n in range(4, 8)})
     with pytest.raises(DomainError, match="no character polynomial"):
         fit_char_polynomial(seq, 1)
 
@@ -306,7 +314,7 @@ def fits_on_one_window(draw):
     for _ in range(2):
         if draw(st.booleans()):
             poly = CharPolynomial({mono: draw(small) for mono in _monomials(bound)})
-            tables.append({n: poly.as_class_function(n).values for n in window})
+            tables.append({n: char_class_function(poly, n).values for n in window})
         else:
             tables.append({n: {mu: draw(small) for mu in partitions(n)} for n in window})
     return tables, bound
@@ -374,7 +382,7 @@ def test_fit_dim_binomial():
     dims = {n: n * (n - 1) // 2 for n in range(2, 8)}
     poly = fit_dim_polynomial(dims, 3)
     assert poly == IntPolynomial({2: 1})
-    assert poly.evaluate(12) == 66
+    assert dim_value(poly, 12) == 66
 
 
 def test_fit_dim_degree_four():
@@ -385,9 +393,9 @@ def test_fit_dim_degree_four():
     assert dims[4] == 11 and dims[5] == 35
     poly = fit_dim_polynomial(dims, 4)
     assert poly.degree == 4
-    assert poly.evaluate(10) == e2(10)
+    assert dim_value(poly, 10) == e2(10)
     for n, v in dims.items():
-        assert poly.evaluate(n) == v
+        assert dim_value(poly, n) == v
 
 
 def _held_out_fit(dims, degree_bound):
@@ -402,7 +410,7 @@ def _held_out_fit(dims, degree_bound):
         if not consistent or free:
             continue
         poly = IntPolynomial(dict(enumerate(solution)))
-        if all(poly.evaluate(n) == v for n, v in points):
+        if all(dim_value(poly, n) == v for n, v in points):
             return poly
     return None
 
@@ -489,7 +497,7 @@ def test_fit_dim_matches_interpolation_oracle(table):
         return
     poly = fit_dim_polynomial(dims, degree_bound)
     # two polynomials of degree <= 4 that agree at 16 points are one
-    assert all(poly.evaluate(t) == expected(t) for t in range(-3, 13)), (dims, degree_bound)
+    assert all(dim_value(poly, t) == expected(t) for t in range(-3, 13)), (dims, degree_bound)
 
 
 def test_fit_dim_is_one_solve():
@@ -512,6 +520,18 @@ def test_fit_dim_is_one_solve():
         assert solve.call_count == 1, (dims, degree_bound)
 
 
+def test_binomial_rows_follow_the_binomial_oracle():
+    # fit_dim_polynomial's rows, built by the recurrence C(n, j + 1) =
+    # C(n, j) (n - j) / (j + 1), on negative levels too
+    rng = random.Random(26)
+    cases = [(n, d) for n in (-2, -1, 0, 1, 2) for d in range(6)]
+    cases += [(rng.randint(-300, 300), rng.randint(0, 40)) for _ in range(2000)]
+    for n, degree_bound in cases:
+        assert _binomial_row(n, degree_bound) == [
+            binomial(n, j) for j in range(degree_bound + 1)
+        ], (n, degree_bound)
+
+
 def test_fit_dim_needs_enough_points():
     with pytest.raises(DomainError, match="at least"):
         fit_dim_polynomial({2: 1, 3: 2, 4: 4}, 2)
@@ -527,4 +547,4 @@ def test_int_polynomial_integrality_on_window():
     dims = {n: binomial(n, 3) + n for n in range(1, 9)}
     poly = fit_dim_polynomial(dims, 4)
     for t in range(-3, 15):
-        assert poly.evaluate(t).denominator == 1
+        assert dim_value(poly, t).denominator == 1

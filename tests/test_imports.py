@@ -153,9 +153,7 @@ def test_one_pieri_kernel():
         path.relative_to(PACKAGE).with_suffix("").as_posix(): path.read_text()
         for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")]
     }
-    assert _strip_callers(sources) == [
-        "characters.free_module_sum", "partitions.horizontal_strip_extensions",
-    ]
+    assert _strip_callers(sources) == ["characters.free_module_sum"]
 
 
 def test_cli_handlers_come_from_the_subcommand_table():

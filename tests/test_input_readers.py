@@ -1,9 +1,9 @@
 """The readers of input tables against the per-key versions they replaced.
 
 `parse_partition` reads, sorts and checks the parts of a key in one pass;
-`unique_keys`, the tables of `from_mapping` and the JSON object hook
-build their dict first and look for a key given twice only when it came
-out short.  The versions that checked key by key are kept here as
+`unique_keys`, the tables of `class_function` and `decomposition` and the
+JSON object hook build their dict first and look for a key given twice
+only when it came out short.  The versions that checked key by key are kept here as
 oracles: every input gives the same result, or a DomainError with the
 same message.
 """
@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fistab import partitions as PARTITIONS
-from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.commands.inputs import _unique_object
-from fistab.tables import _parse_table, parse_exact, unique_keys
+from fistab.tables import _parse_table, class_function, decomposition, parse_exact, unique_keys
 from fistab.errors import DomainError
 
 
@@ -121,13 +120,13 @@ def test_unique_keys_and_the_json_hook_agree_with_the_per_key_loop(pairs):
 
 def test_a_table_needs_every_class_of_its_group():
     # the right count of classes is not enough: each must be a class of S_n
-    assert ClassFunction.from_mapping(3, {"1+1+1": 1, "2+1": 1, "3": 1}).n == 3
+    assert class_function(3, {"1+1+1": 1, "2+1": 1, "3": 1}).n == 3
     for values in ({"1+1+1": 1, "2+1": 1, "4": 1}, {"1+1+1": 1, "2+1": 1}, {"3": 1}):
-        assert _outcome(ClassFunction.from_mapping, 3, values) == (
+        assert _outcome(class_function, 3, values) == (
             "refused",
             "class function on S_3 must be defined on exactly the 3 cycle types",
         )
-    assert _outcome(IrrDecomposition.from_mapping, 3, {"2+1": 1, "1+2": 1}) == (
+    assert _outcome(decomposition, 3, {"2+1": 1, "1+2": 1}) == (
         "refused",
         "decomposition gives one key twice: '2+1' and '1+2'",
     )

@@ -1,11 +1,12 @@
 """Partitions are checked once, where they enter the package.
 
-The public constructors, `from_mapping`, `parse_partition` and the public
-functions check what they are given.  What the package builds itself
-(tables keyed by `partitions(n)`, character-table rows, `decompose`
-results, Pieri sums) goes through `ClassFunction._unchecked` and
-`IrrDecomposition._unchecked` and never reaches `check_partition`
-again.  The count covers every module namespace that binds it.
+The public constructors, the table readers of `fistab.tables`,
+`parse_partition` and the public functions check what they are given.
+What the package builds itself (tables keyed by `partitions(n)`,
+character-table rows, `decompose` results, Pieri sums) goes through
+`ClassFunction._unchecked` and `IrrDecomposition._unchecked` and never
+reaches `check_partition` again.  The count covers every module
+namespace that binds it.
 """
 
 import sys
@@ -18,6 +19,10 @@ from fistab import characters, fi_analysis, induction, os_model
 from fistab import partitions as PARTITIONS
 from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.errors import DomainError
+from fistab.tables import class_function, decomposition
+from character_oracles import character_of
+from fi_oracles import char_class_function
+from os_oracles import betti
 
 
 @contextmanager
@@ -45,7 +50,7 @@ def check_partition_calls():
             if getattr(module, "parse_partition", None) is parse_partition:
                 patches.append((module, "parse_partition", counted_parse))
     modules = {module for module, _, _ in patches}
-    assert {PARTITIONS, characters, fi_analysis, induction} <= modules
+    assert {PARTITIONS, characters, induction} <= modules
     with ExitStack() as stack:
         for module, attr, fake in patches:
             stack.enter_context(mock.patch.object(module, attr, fake))
@@ -68,8 +73,9 @@ def test_free_decomposition_checks_no_partition():
     with check_partition_calls() as calls:
         os_model.free_decompositions(9, 9, 3)[9]
         os_model.free_decompositions(9, 9, 3)[9]
-        os_model.character_polynomial(2, 9, 3).as_class_function(9)
+        poly = os_model.character_polynomial(2, 9, 3)
     assert calls == []
+    assert char_class_function(poly, 9).dimension() == betti(9, 3)
 
 
 def test_decompose_of_a_table_built_character_checks_no_partition():
@@ -77,28 +83,28 @@ def test_decompose_of_a_table_built_character_checks_no_partition():
     # rep plus the regular representation, each irreducible as often as
     # its dimension
     both = IrrDecomposition(6, {
-        lam: rep.multiplicity(lam) + PARTITIONS.dimension(lam) for lam in PARTITIONS.partitions(6)
+        lam: rep.mult.get(lam, 0) + PARTITIONS.dimension(lam) for lam in PARTITIONS.partitions(6)
     })
+    chi = character_of(both)
     with check_partition_calls() as calls:
-        chi = both.character()
         result = characters.decompose(characters.restrict_and_average(chi, 4))
         fi_analysis.unpadded_table(result)
     assert calls == []
-    assert characters.decompose(rep.character()) == rep
+    assert characters.decompose(character_of(rep)) == rep
 
 
 def test_input_tables_are_checked_once():
     # parse_partition checks each key, and nothing checks it again
     values = {"1+1+1": 3, "2+1": 1, "3": 0}
     with check_partition_calls() as calls:
-        f = ClassFunction.from_mapping(3, values)
-        d = IrrDecomposition.from_mapping(3, {"2+1": 1, "3": 2})
+        f = class_function(3, values)
+        d = decomposition(3, {"2+1": 1, "3": 2})
     assert sorted(calls) == [[1, 1, 1], [2, 1], [2, 1], [3], [3]]
     assert f == ClassFunction(3, {(1, 1, 1): 3, (2, 1): 1, (3,): 0})
     assert d == IrrDecomposition(3, {(2, 1): 1, (3,): 2})
     with pytest.raises(DomainError, match="must be defined on exactly the 3 cycle types"):
-        ClassFunction.from_mapping(3, {"3": 1})
+        class_function(3, {"3": 1})
     with pytest.raises(DomainError, match="is not a partition of 3"):
-        IrrDecomposition.from_mapping(3, {"2": 1})
+        decomposition(3, {"2": 1})
     with pytest.raises(DomainError, match="nonnegative integer"):
-        IrrDecomposition.from_mapping(3, {"3": "1/2"})
+        decomposition(3, {"3": "1/2"})

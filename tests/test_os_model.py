@@ -25,13 +25,10 @@ from fistab.fi_analysis import (
     FISequence,
     detect_stability,
     fit_char_polynomial,
-    length_of,
-    quotient_betti,
     unpadded_table,
-    weight_of,
 )
 from fistab.linalg import IntRowBasis
-from fistab.os_model import betti, character_polynomial, coinvariant_report, free_generator
+from fistab.os_model import character_polynomial, coinvariant_report, free_generator
 from fistab.os_reference import (
     action_columns,
     action_matrix,
@@ -44,9 +41,12 @@ from fistab.os_reference import (
     straighten,
 )
 from fistab.characters import ClassFunction, IrrDecomposition
-from fistab.partitions import horizontal_strip_extensions, partition_counts, partitions
+from fistab.partitions import partition_counts, partitions
+from character_oracles import horizontal_strip_extensions
+from fi_oracles import length_of, quotient_betti, weight_of
 from linalg_helpers import mat_mul_columns
 from os_oracles import (
+    betti,
     class_representative,
     coinvariant_cases,
     free_route_mismatches,
@@ -91,7 +91,7 @@ def test_betti_is_the_poincare_product_at_every_level():
         coeffs = poincare_coefficients(max(n, 0))
         for k in range(-1, 6):
             expected = coeffs[k] if 0 <= k < len(coeffs) else 0
-            assert os_model.betti(n, k) == expected, (n, k)
+            assert betti(n, k) == expected, (n, k)
 
 
 def test_nbc_monomials_have_increasing_seconds():
@@ -312,7 +312,7 @@ def test_decompositions_are_genuine_representations(n):
 def test_weight_and_length_bounds(n):
     for k in (1, 2):
         dec = decomposition(n, k)
-        if dec:
+        if dec.mult:
             assert weight_of(dec) <= 2 * k
             assert length_of(dec) <= 2 * k + 1
 
@@ -545,7 +545,7 @@ def test_coinvariant_report_matches_quotient_definition(n, a, k):
 def test_free_generators_live_between_k_plus_one_and_2k(k):
     # Lehrer-Solomon: only the cycles of length >= 2 of a permutation with
     # n - k cycles carry W_m, so k + 1 <= m <= 2k (only W_0 when k = 0)
-    nonzero = [m for m in range(12) if free_generator(m, k)]
+    nonzero = [m for m in range(12) if free_generator(m, k).mult]
     assert nonzero == ([0] if k == 0 else list(range(k + 1, 2 * k + 1)))
 
 
@@ -554,7 +554,7 @@ def test_os_scan_reads_and_prices_the_w_m_of_the_generator_sizes(monkeypatch):
     # Betti test per m and a nonzero filter found
     for k in range(9):
         for n in range(21):
-            guarded = [m for m in range(min(n, 2 * k) + 1) if betti(m, k) and free_generator(m, k)]
+            guarded = [m for m in range(min(n, 2 * k) + 1) if betti(m, k) and free_generator(m, k).mult]
             assert list(os_model._generator_sizes(n, k)) == guarded, (n, k)
 
     # patched to leave W_(k+1) out, it leaves it out of both the W_m that

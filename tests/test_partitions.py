@@ -9,7 +9,6 @@ from fistab import partitions as partitions_module
 from fistab.commands import WORK_BUDGET
 from fistab.errors import DomainError
 from fistab.partitions import (
-    binomial,
     centralizer_order,
     check_partition,
     class_size,
@@ -22,6 +21,7 @@ from fistab.partitions import (
     partition_counts,
     partitions,
 )
+from fi_oracles import binomial
 
 
 @st.composite
