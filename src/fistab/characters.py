@@ -5,7 +5,8 @@ read upwards from the empty shape for a column of the character table
 and downwards from lam for a single character.  The class sizes and the
 integer character table of each S_n are cached; inner products and
 multiplicities are integer dot products with one exact division by n!,
-so integrality checks are meaningful.  induction and os_model share the
+so integrality checks are meaningful.  exact_quotient is the package's
+one such division: an int where it is exact, else a Fraction.  induction and os_model share the
 Pieri sum (free_module_sum, a window of levels or one) and the product
 over cycles (cycle_product).
 All functions here are pure and the caches are safe to share across
@@ -199,6 +200,21 @@ def exact_obj(v):
     return p if q == 1 else f"{p}/{q}"
 
 
+def exact_quotient(num, den: int = 1):
+    """num / den, num anything Fraction() reads and den a nonzero int: an
+    int where the division is exact, else the Fraction in lowest terms.
+    The package's one spelling of that rule; fractions is imported on the
+    Fraction path alone."""
+    if type(num) is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    from fractions import Fraction
+
+    value = Fraction(num) / den
+    return value.numerator if value.denominator == 1 else value
+
+
 @lru_cache(maxsize=None)
 def irreducible_character(lam: Partition) -> ClassFunction:
     lam = check_partition(lam)
@@ -276,13 +292,10 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
     weighted = [size * f.values[mu] for size, mu in zip(class_sizes(n), partitions(n))]
     mult = {}
     for lam, row in character_table(n).items():
-        total = sum(map(mul, weighted, row))
-        m, rest = divmod(total, order)
-        if rest or m < 0:  # refused, with the exact value in the message
-            from fractions import Fraction
-
+        m = exact_quotient(sum(map(mul, weighted, row)), order)
+        if type(m) is not int or m < 0:  # refused, with the exact value in the message
             as_multiplicity(
-                Fraction(total, order),
+                m,
                 f"not a representation character: multiplicity of "
                 f"{format_partition(lam) or '()'} is",
             )
@@ -446,10 +459,5 @@ def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
             size * f.values[tuple(sorted(nu + mu2, reverse=True))]
             for size, mu2 in zip(class_sizes(b), partitions(b))
         )
-        value, rest = divmod(total, order)
-        if rest:  # only a class function that is not a character gets here
-            from fractions import Fraction
-
-            value = Fraction(total, order)
-        values[nu] = value
+        values[nu] = exact_quotient(total, order)
     return ClassFunction._unchecked(a, values)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .characters import ClassFunction, IrrDecomposition, exact_obj
+from .characters import ClassFunction, IrrDecomposition, exact_obj, exact_quotient
 from .errors import DomainError
 from .fi_reports import (
     CharPolynomial,
@@ -169,12 +169,12 @@ def fit_char_polynomial(seq: FISequence, degree_bound: int) -> CharPolynomial:
 
 
 class IntPolynomial:
-    """Integer-valued polynomial stored in the binomial basis C(T, j)."""
+    """Integer-valued polynomial stored in the binomial basis C(T, j);
+    an integral coefficient is an int (characters.exact_quotient)."""
 
     def __init__(self, coeffs: dict):
-        from fractions import Fraction
-
-        self.coeffs = {int(j): Fraction(c) for j, c in coeffs.items() if Fraction(c) != 0}
+        exact = {int(j): exact_quotient(c) for j, c in coeffs.items()}
+        self.coeffs = {j: c for j, c in exact.items() if c != 0}
 
     @property
     def degree(self) -> int:

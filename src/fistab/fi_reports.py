@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .characters import exact_obj
+from .characters import exact_obj, exact_quotient
 from .partitions import Partition, format_partition
 
 
@@ -75,23 +75,14 @@ def _monomial_value(mono, counts: dict[int, int]) -> int:
     return val
 
 
-def _exact(c):
-    # an int stays an int, so a polynomial with integer coefficients, such
-    # as every os-scan character polynomial, never loads fractions
-    if type(c) is int:
-        return c
-    from fractions import Fraction
-
-    return Fraction(c)
-
-
 class CharPolynomial:
     """A polynomial in the statistics Z_l = number of l-cycles, stored in
-    the integer-valued basis prod_l C(Z_l, m_l); integer coefficients stay
-    ints, any other is a Fraction."""
+    the integer-valued basis prod_l C(Z_l, m_l); integral coefficients are
+    ints (characters.exact_quotient), so an os-scan character polynomial
+    never loads fractions."""
 
     def __init__(self, coeffs: dict):
-        exact = {mono: _exact(c) for mono, c in coeffs.items()}
+        exact = {mono: exact_quotient(c) for mono, c in coeffs.items()}
         self.coeffs = {mono: c for mono, c in exact.items() if c != 0}
 
     @property

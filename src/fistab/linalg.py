@@ -14,6 +14,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
+from .characters import exact_quotient
+
 
 class IntRowBasis:
     """Incremental echelon basis for integer row vectors.
@@ -160,14 +162,5 @@ def solve_exact(rows, rhs):
         if sum(map(mul, v, weights)):
             return None, [], False
     pivots = set(basis.pivots)
-    return [_quotient(x, den) for x in num], [c for c in range(ncols) if c not in pivots], True
-
-
-def _quotient(x: int, den: int):
-    # x / den: an int when it divides, else the one Fraction it takes
-    q, r = divmod(x, den)
-    if not r:
-        return q
-    from fractions import Fraction
-
-    return Fraction(x, den)
+    solution = [exact_quotient(x, den) for x in num]
+    return solution, [c for c in range(ncols) if c not in pivots], True

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from math import factorial
 
-from .characters import ClassFunction, class_sizes
+from .characters import ClassFunction, class_sizes, exact_quotient
 from .errors import DomainError
 from .partitions import partitions
 
 
 def inner_product(f: ClassFunction, g: ClassFunction):
-    """Standard character inner product (1/n!) sum class_size * f * g, as
-    a Fraction."""
+    """Standard character inner product (1/n!) sum class_size * f * g: an
+    int where it is integral, else a Fraction."""
     if f.n != g.n:
         raise DomainError(
             f"inner product needs matching groups, got S_{f.n} and S_{g.n}"
@@ -25,6 +25,4 @@ def inner_product(f: ClassFunction, g: ClassFunction):
     total = sum(
         size * fv[mu] * gv[mu] for size, mu in zip(class_sizes(f.n), partitions(f.n))
     )
-    from fractions import Fraction
-
-    return Fraction(total, factorial(f.n))
+    return exact_quotient(total, factorial(f.n))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from .characters import ClassFunction, IrrDecomposition
+from .characters import ClassFunction, IrrDecomposition, exact_quotient
 from .errors import DomainError
 from .exact import read_exact
 from .partitions import parse_partition
@@ -57,7 +57,7 @@ def parse_exact(v, key):
             f"the value at {key!r} has a numerator or denominator of more than "
             f"{sys.get_int_max_str_digits()} digits"
         )
-    return int(f) if f.denominator == 1 else f
+    return exact_quotient(f)
 
 
 def class_function(n: int, mapping) -> ClassFunction:

@@ -27,6 +27,8 @@ from fistab.named_characters import inner_product
 from fistab.os_model import coinvariant_report
 from fistab.os_reference import action_columns, character, decomposition
 from fistab.partitions import dimension, partitions
+from fistab.wreath import wreath_invariant_series
+from byte_grids import VECTORS
 from character_oracles import induced_character, trivial_character
 from fi_oracles import char_class_function, dim_value, length_of, weight_of
 from linalg_helpers import mat_mul_columns
@@ -249,3 +251,22 @@ def test_criterion_10_table1_bounds_hold_on_the_exact_model():
                     assert size <= row["derived"]["weight"], (k, n, shape)
 
     _check("criterion 10: Table 1's open-surface bounds on os-scan, k in [1,7]", 2.0, body)
+
+
+def test_wreath_scans_reported_bound_is_never_below_the_exact_constancy_point():
+    # wreath-scan reports its series constant from expected_constant_from =
+    # 2i on; the series itself is constant from the least N with equal
+    # entries from N to 3i + 3, and N <= i on every vector here (N = i on
+    # 16 of these 72 cases), so the reported bound is never below it
+    exact_at_i = 0
+    for dims in (*VECTORS, "1,0,0,0,1", "1,0,2", "1,0,0,7"):
+        for i in range(9):
+            series = wreath_invariant_series(tuple(map(int, dims.split(","))), 3 * i + 3, i)
+            exact = min(n for n in range(len(series)) if len(set(series[n:])) == 1)
+            report = _report(
+                "wreath-scan", "--graded-dims", dims, "--i", str(i), "--n-max", str(3 * i + 3)
+            )
+            assert report["invariant_dims"] == {str(n): v for n, v in enumerate(series)}
+            assert exact <= i <= report["expected_constant_from"] == 2 * i, (dims, i, exact)
+            exact_at_i += exact == i
+    assert exact_at_i == 16

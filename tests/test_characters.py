@@ -23,6 +23,7 @@ from fistab.characters import (
     character_table,
     class_sizes,
     decompose,
+    exact_quotient,
     free_module_sum,
     irreducible_character,
     restrict_and_average,
@@ -201,6 +202,24 @@ def test_as_multiplicity_accepts_only_nonnegative_integers():
         as_multiplicity(Fraction(-1), "dimension came out as")
     with pytest.raises(ConsistencyError, match="^dimension came out as 1/2$"):
         as_multiplicity(Fraction(1, 2), "dimension came out as")
+
+
+@pytest.mark.parametrize("num, den, expected", [
+    (12, 4, 3),  # an exact int division
+    (7, 4, Fraction(7, 4)),  # an inexact one, in lowest terms
+    (6, 4, Fraction(3, 2)),
+    (-12, 4, -3),  # a negative numerator
+    (-7, 2, Fraction(-7, 2)),
+    (Fraction(6, 2), 1, 3),  # an integral Fraction
+    (Fraction(3, 4), 1, Fraction(3, 4)),  # a non-integral one
+    (Fraction(3, 4), 3, Fraction(1, 4)),
+    ("-10/4", 1, Fraction(-5, 2)),  # a string, as Fraction() reads it
+    ("8/4", 2, 1),
+    (10**40, 10**20, 10**20),
+])
+def test_exact_quotient_is_an_int_exactly_where_the_division_is_exact(num, den, expected):
+    q = exact_quotient(num, den)
+    assert q == expected and type(q) is type(expected), (num, den, q)
 
 
 def test_inner_product_requires_matching_group():

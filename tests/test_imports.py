@@ -7,7 +7,8 @@ package's modules and those of its subpackages (`commands`,
 `writers`), the package's __init__ among them.  No module re-exports a
 name with `from m import x as x`: each name has one home, and is reached
 there, as `fistab.<module>.<name>`.  More checks keep a
-concept written once: the Pieri sum of free modules, the CLI's list of
+concept written once: the Pieri sum of free modules, the exact quotient
+(an int where a division is exact, else a Fraction), the CLI's list of
 subcommands, and the grammar of its argv, which one reader reads off
 that table: no module imports argparse.
 """
@@ -154,6 +155,42 @@ def test_one_pieri_kernel():
         for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")]
     }
     assert _strip_callers(sources) == ["characters.free_module_sum"]
+
+
+def _exact_quotients(sources: dict[str, str]) -> list[str]:
+    # "module.function" of each def, at any depth, that both calls divmod
+    # and names Fraction: a spelling of the rule that a value stays an int
+    # where the division is exact and is a Fraction only where it is not
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+                names |= {sub.name for sub in ast.walk(node) if isinstance(sub, ast.alias)}
+                if {"divmod", "Fraction"} <= names:
+                    found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_exact_quotients_are_found():
+    sources = {
+        "a": "def q(x, d):\n    r, s = divmod(x, d)\n    if s:\n"
+             "        from fractions import Fraction\n        return Fraction(x, d)\n    return r\n",
+        "b": "from fractions import Fraction\n"
+             "class C:\n    def f(self, x):\n        return divmod(x, 2), Fraction(x)\n"
+             "def g(x):\n    return divmod(x, 3)\n",
+    }
+    assert _exact_quotients(sources) == ["a.q", "b.f"]
+
+
+def test_one_exact_quotient():
+    # the rule is written once, in characters.exact_quotient: every other
+    # division whose result may not be integral calls it
+    sources = {
+        path.relative_to(PACKAGE).with_suffix("").as_posix(): path.read_text()
+        for path in MODULES
+    }
+    assert _exact_quotients(sources) == ["characters.exact_quotient"]
 
 
 def test_cli_handlers_come_from_the_subcommand_table():

@@ -250,6 +250,16 @@ def test_a_short_text_os_scan_fits_in_integers():
     assert not {"fractions", "decimal", "json"} & set(loaded), loaded
 
 
+def test_an_integral_dimension_fit_loads_no_fractions():
+    # README's fit-dimpoly example fits C(T, 2): its coefficients are ints
+    # (characters.exact_quotient), so neither fractions nor the decimal it
+    # imports is loaded; a table that fits C(T, 1) / 2 still loads fractions
+    fit = ["fit-dimpoly", "--degree-bound", "2", "--dims"]
+    loaded = _loaded_after([*fit, '{"2":1,"3":3,"4":6,"5":10,"6":15}'])
+    assert not {"fractions", "decimal"} & set(loaded), loaded
+    assert "fractions" in _loaded_after([*fit, '{"0":0,"2":1,"4":2,"6":3}'])
+
+
 def test_running_the_cli_as_a_script_compiles_it_once():
     # `python -m fistab.cli` runs the module as __main__; a handler module
     # that imported fistab.cli would compile and load it a second time

@@ -12,7 +12,15 @@ bits of every entry.  No count may exceed the priced one.
 os-scan and wreath-scan price their reports at `commands._ENTRY_NS` a
 reported value: the scalars of an os-scan payload number at most
 `os_scan._entries(...)`, and wreath-scan prices exactly its
-`invariant_dims` entries.  Nothing is timed, so nothing can flake.
+`invariant_dims` entries.
+
+kunneth, m-module, decompose and character are priced by the steps of
+their kernels: the term pairs `characters._poly_mul` visits, the
+(class, shape) pairs of a decomposition, the horizontal strips of a
+Pieri sum and the shapes and rim hooks of a Murnaghan-Nakayama walk.
+Each test counts those steps and reads what the handler priced for each
+kind with that kind's unit cost at 1 and every other at 0.  Nothing is
+timed, so nothing can flake.
 """
 
 import json
@@ -20,11 +28,20 @@ from math import factorial
 
 import pytest
 
-from byte_grids import _trivial
-from fistab import cli, commands, linalg, os_model
+from byte_grids import VECTORS, _trivial
+from fistab import characters, cli, commands, induction, linalg, os_model
 from fistab.cli import main
-from fistab.commands import fit_charpoly, fit_dimpoly, os_scan, wreath_scan
-from fistab.partitions import partition_counts
+from fistab.commands import (
+    character,
+    decompose,
+    fit_charpoly,
+    fit_dimpoly,
+    kunneth,
+    m_module,
+    os_scan,
+    wreath_scan,
+)
+from fistab.partitions import format_partition, partition_counts, partitions
 
 
 def _dims(table) -> str:
@@ -172,3 +189,192 @@ def test_wreath_scan_prices_each_value_it_reports(argv, monkeypatch):
     monkeypatch.setattr(wreath_scan, "_FOLD_NS", 0)
     payload = wreath_scan.run(cli._parse(["wreath-scan", *argv]))
     assert priced == [len(payload["invariant_dims"])]
+
+
+class _Priced(Exception):
+    pass
+
+
+def _price(handler, argv, monkeypatch, **units) -> int:
+    """What handler.run prices argv at, each unit cost named in `units`
+    set as given there, on the handler module and on fistab.commands
+    (whose _table_work reads _PAIR_NS): its estimate, read at its
+    _admit, which then stops the request before any kernel runs."""
+
+    def admit(args, estimate, n=0, alternative=""):
+        raise _Priced(estimate(partition_counts(n)))
+
+    with monkeypatch.context() as patch:
+        for name, value in units.items():
+            for module in (handler, commands):
+                if hasattr(module, name):
+                    patch.setattr(module, name, value)
+        patch.setattr(handler, "_admit", admit)
+        with pytest.raises(_Priced) as priced:
+            handler.run(cli._parse(argv))
+    return priced.value.args[0]
+
+
+def _pairs_visited(p: dict, q: dict, cap: int) -> int:
+    # the (term of p, term of q) pairs _poly_mul's loops visit: for each
+    # term of p, q's terms in rising degree, up to the first past cap
+    return sum(min(len(q), sum(a + b <= cap for b in q) + 1) for a in p)
+
+
+def _count_strips(monkeypatch) -> list[int]:
+    # the horizontal strips each call of _strip_extensions returns
+    strips, extensions = [], characters._strip_extensions
+
+    def counted(lam, n):
+        out = extensions(lam, n)
+        strips.append(len(out))
+        return out
+
+    monkeypatch.setattr(characters, "_strip_extensions", counted)
+    return strips
+
+
+def _count_table_pairs(monkeypatch) -> list[int]:
+    # decompose's (class, shape) pairs: it multiplies each class's
+    # weighted value by the shape's character value with characters.mul
+    pairs, mul = [0], characters.mul
+
+    def counted(x, y):
+        pairs[0] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(characters, "mul", counted)
+    return pairs
+
+
+# kunneth: the byte grid's vectors; three whose degrees with a class
+# have a gcd above 1, so each class stores few of the degrees its trace
+# term prices; and one with a gap
+KUNNETH_VECTORS = [*VECTORS, "1,0,0,0,1", "1,0,2", "1,0,0,7", "1,1,0,1"]
+
+
+@pytest.mark.parametrize("dims", KUNNETH_VECTORS)
+def test_kunneth_visits_no_more_term_pairs_than_it_was_priced_for(dims, monkeypatch):
+    graded = tuple(map(int, dims.split(",")))
+    traces, decomposed = [], []  # [m, pairs visited] per trace; m per decomposition
+    poly_mul, class_traces = characters._poly_mul, induction._class_traces
+
+    def counted_mul(p, q, cap):
+        traces[-1][1] += _pairs_visited(p, q, cap)
+        return poly_mul(p, q, cap)
+
+    def counted_traces(dims, m, i):
+        traces.append([m, 0])
+        return class_traces(dims, m, i)
+
+    def counted_decompose(w):
+        decomposed.append(w.n)
+        return characters.decompose(w)
+
+    monkeypatch.setattr(characters, "_poly_mul", counted_mul)
+    monkeypatch.setattr(induction, "_poly_mul", counted_mul)
+    monkeypatch.setattr(induction, "_class_traces", counted_traces)
+    monkeypatch.setattr(induction, "decompose", counted_decompose)
+    strips, table_pairs = _count_strips(monkeypatch), _count_table_pairs(monkeypatch)
+    steps = {"_CYCLE_NS": 0, "_PAIR_NS": 0, "_STRIP_NS": 0}
+    for n in range(11):
+        for i in range(16):
+            plain = ["kunneth", "--graded-dims", dims, "--i", str(i), "--n"]
+            argv = [*plain, str(n), "--decompose"]
+            traces.clear()
+            decomposed.clear()
+            strips.clear()
+            table_pairs[0] = 0
+            kunneth.run(cli._parse(argv))
+            # the traces of V^(x)n, then those of each V_+^(x)m: each at
+            # most what traces(p, m) counts, the price of kunneth at n = m
+            assert [m for m, _ in traces[1:]] == list(induction._generator_sizes(graded, n, i))
+            for m, visited in traces:
+                priced = _price(kunneth, [*plain, str(m)], monkeypatch, **{**steps, "_CYCLE_NS": 1})
+                assert visited <= priced, (argv, m, visited, priced)
+            assert set(decomposed) <= {m for m, _ in traces[1:]}, argv
+            priced = _price(kunneth, argv, monkeypatch, **{**steps, "_PAIR_NS": 1})
+            assert table_pairs[0] <= priced, (argv, table_pairs[0], priced)
+            priced = _price(kunneth, argv, monkeypatch, **{**steps, "_STRIP_NS": 1})
+            assert sum(strips) <= priced, (argv, sum(strips), priced)
+
+
+def test_m_module_returns_no_more_strips_than_it_was_priced_for(monkeypatch):
+    strips = _count_strips(monkeypatch)
+    steps = {"_STRIP_NS": 1, "_ROW_NS": 0, "_HOOK_NS": 0}
+    for size in range(7):
+        for lam in partitions(size):
+            for n in range(max(size - 1, 0), size + 9):
+                argv = ["m-module", "--n", str(n), "--lam", format_partition(lam) or "()"]
+                strips.clear()
+                m_module.run(cli._parse(argv))
+                assert sum(strips) <= m_module._strips(lam, n), (argv, strips)
+                assert sum(strips) <= _price(m_module, argv, monkeypatch, **steps), argv
+    for m in range(8):
+        p = partition_counts(m)
+        for n in range(m + 10):
+            argv = ["m-module", "--n", str(n), "--regular", str(m)]
+            strips.clear()
+            m_module.run(cli._parse(argv))
+            assert sum(strips) <= commands._strip_pairs(p, m), (argv, strips)
+            assert sum(strips) <= _price(m_module, argv, monkeypatch, **steps), argv
+
+
+def test_decompose_runs_exactly_the_class_shape_pairs_it_was_priced_for(monkeypatch):
+    pairs = _count_table_pairs(monkeypatch)
+    for n in range(11):
+        for dims, i in (("1,2", n), ("1,0,3,1", 3), ("1,3,2", 2)):
+            # a representation's character: degree i of a Kunneth power
+            values = induction.kunneth_power(tuple(map(int, dims.split(","))), n, i)
+            argv = ["decompose", "--n", str(n), "--values", json.dumps(values.to_mapping())]
+            pairs[0] = 0
+            decompose.run(cli._parse(argv))
+            p = partition_counts(n)
+            priced = _price(decompose, argv, monkeypatch, _PAIR_NS=1)
+            assert pairs[0] == p[n] ** 2 == priced, (argv, pairs[0], priced)
+
+
+def _removable(mask: int, length: int) -> int:
+    # the rim hooks of `length` boxes that the shape of a bead mask can
+    # lose: one per bead at b >= length with no bead at b - length
+    beads = [b for b in range(length, mask.bit_length()) if mask >> b & 1]
+    return sum(not mask >> (b - length) & 1 for b in beads)
+
+
+def test_character_meets_no_more_shapes_and_hooks_than_it_was_priced_for(monkeypatch):
+    walks = []  # per value: [shapes met, rim hooks tried]
+    rim_hooks = characters._rim_hooks
+
+    def counted(shapes, cycles, grow):
+        # the downward walk one cycle at a time: the shapes it holds
+        # before each cycle and after the last, and the hooks they try
+        assert not grow
+        walks.append([0, 0])
+        for length in cycles:
+            walks[-1][0] += len(shapes)
+            walks[-1][1] += sum(_removable(mask, length) for mask in shapes)
+            shapes = rim_hooks(shapes, [length], grow)
+        walks[-1][0] += len(shapes)
+        return shapes
+
+    monkeypatch.setattr(characters, "_rim_hooks", counted)
+    steps = {"_PAIR_NS": 1, "_WORD_NS": 0}
+    for n in range(9):
+        for lam in partitions(n):
+            inside, shape = character._shapes_inside(lam), format_partition(lam) or "()"
+            for mu in partitions(n):
+                argv = ["character", "--lam", shape, "--mu", format_partition(mu) or "()"]
+                walks.clear()
+                character.run(cli._parse(argv))
+                [(met, hooks)] = walks
+                assert met <= inside and hooks <= len(lam) * met, (argv, met, hooks)
+                assert hooks <= _price(character, argv, monkeypatch, **steps), argv
+            argv = ["character", "--lam", shape]
+            characters.irreducible_character.cache_clear()
+            walks.clear()
+            character.run(cli._parse(argv))
+            # one walk per value, p(n) of them
+            assert len(walks) == len(partitions(n)), argv
+            assert all(met <= inside for met, _ in walks), argv
+            priced = _price(character, argv, monkeypatch, **steps)
+            assert sum(met for met, _ in walks) <= priced, (argv, walks, priced)
