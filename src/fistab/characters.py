@@ -440,24 +440,14 @@ def cycle_product(n: int, cap: int, factors) -> ClassFunction:
     return ClassFunction._unchecked(n, values)
 
 
-def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
-    """Restrict f from S_n to S_a x S_b, the second factor permuting the
-    last b = n - a points, and average over S_b.
-
-    For a character this is the character of the S_b-invariants as an
-    S_a-representation; a = 0 gives the S_n-invariants and reads only the
-    class sizes of S_n.
-    """
+def fixed_dimension(f: ClassFunction, a: int):
+    """The average of f over the S_b that permutes the last b = n - a
+    points, at the identity of S_a: sum over mu of b of |C_mu| f(mu + 1^a),
+    divided by b!.  For a character, the dimension of the vectors that
+    S_b fixes; a = 0 averages over the whole of S_n."""
     n = f.n
     if not 0 <= a <= n:
         raise DomainError(f"need 0 <= a <= {n}, got a={a}")
-    b = n - a
-    order = factorial(b)
-    values = {}
-    for nu in partitions(a):
-        total = sum(
-            size * f.values[tuple(sorted(nu + mu2, reverse=True))]
-            for size, mu2 in zip(class_sizes(b), partitions(b))
-        )
-        values[nu] = exact_quotient(total, order)
-    return ClassFunction._unchecked(a, values)
+    b, ones = n - a, (1,) * a
+    total = sum(size * f.values[mu + ones] for size, mu in zip(class_sizes(b), partitions(b)))
+    return exact_quotient(total, factorial(b))

@@ -99,10 +99,7 @@ def render(payload, fmt: str) -> str:
     out = pieces.append
     if fmt == "json":
         # the C function json.encoder re-exports, without loading json
-        try:
-            from _json import encode_basestring_ascii
-        except ImportError:
-            from json.encoder import encode_basestring_ascii
+        from _json import encode_basestring_ascii
 
         _json(payload, "", out, encode_basestring_ascii)
         out("\n")

@@ -35,8 +35,8 @@ from .characters import (
     as_multiplicity,
     cycle_product,
     decompose,
+    fixed_dimension,
     free_module_sum,
-    restrict_and_average,
 )
 from .errors import DomainError
 from .fi_reports import CharPolynomial
@@ -234,9 +234,7 @@ def _free_fixed_dims(m: int, k: int) -> tuple[int, ...]:
     # its last m - j points
     chi = _free_character(m, k)
     return tuple(
-        as_multiplicity(
-            restrict_and_average(chi, j).dimension(), f"invariant dimension of W_{m} came out as"
-        )
+        as_multiplicity(fixed_dimension(chi, j), f"invariant dimension of W_{m} came out as")
         for j in range(m + 1)
     )
 

@@ -12,7 +12,8 @@ together with anticommutativity and square-zero.  Symmetric groups act by
 relabeling points.  The table route takes the character of the whole
 cohomology at a level (character, from Lehrer's closed form), decomposes
 it against the character table of S_n (decomposition) and averages it
-(invariant_dimension).  os-scan runs on the free-module route of
+over the subgroup that permutes the last points (invariant_dimension,
+by characters.fixed_dimension).  os-scan runs on the free-module route of
 os_model and calls none of this, so a process that only scans never
 compiles it; os_model resolves the five names the benchmark's tracer
 times there on each access (PEP 562).
@@ -30,7 +31,7 @@ from .characters import (
     as_multiplicity,
     cycle_product,
     decompose,
-    restrict_and_average,
+    fixed_dimension,
 )
 from .errors import DomainError
 from .os_model import _lehrer_partials
@@ -205,8 +206,8 @@ def fi_map(n: int, k: int):
 
 def invariant_dimension(n: int, a: int, k: int) -> int:
     """dim of the subspace fixed by the subgroup permuting the last n-a
-    points, by averaging the character over that subgroup; the test
-    oracle of the free-module count that os_model.coinvariant_report
-    uses."""
-    d = restrict_and_average(character(n, k), a).dimension()
+    points: the character of the whole level averaged over that subgroup
+    (characters.fixed_dimension); the test oracle of the free-module
+    count that os_model.coinvariant_report uses."""
+    d = fixed_dimension(character(n, k), a)
     return as_multiplicity(d, "invariant dimension came out as")

@@ -4,10 +4,13 @@ pinned by one SHA-256 per grid.
 "Same bytes" for a change that must not alter output is one command: each
 grid below is a list of argvs, every one run in process through
 `fistab.cli.main`, and its digest is taken over (argv, exit code, stdout,
-stderr) of each request in order.  `tests/byte_grids.json` keeps the
-digests; `tests/test_byte_grids.py` checks them.  A deliberate change of
-a report updates the file, with a CHANGES line that names the grid and
-says why.  Print the current digests with
+stderr) of each request in order.  Consecutive requests that differ only
+in --format run their handler once and render its payload in each format
+(`one_run_for_the_formats`); a handler that refuses runs every time.
+`tests/byte_grids.json` keeps the digests; `tests/test_byte_grids.py`
+checks them.  A deliberate change of a report updates the file, with a
+CHANGES line that names the grid and says why.  Print the current
+digests with
 
     PYTHONPATH=src python tests/byte_grids.py
 
@@ -257,6 +260,39 @@ GRIDS = {
 }
 
 
+@contextlib.contextmanager
+def one_run_for_the_formats():
+    """Within the block, a request whose flags but --format are those of
+    the last request a handler (`cli.cmd_<name>`) returned from renders
+    that payload again, without running the handler: the json, text and
+    csv of one request run its kernel once.  A handler that raises keeps
+    nothing, so each refusal runs in full in every format."""
+    from fistab import cli
+
+    last: list = []  # [(flags but --format, payload)], one entry at most
+
+    def once(handler):
+        def run(args):
+            flags = {k: v for k, v in vars(args).items() if k != "format"}
+            if last and last[0][0] == flags:
+                return last[0][1]
+            last.clear()
+            payload = handler(args)
+            last.append((flags, payload))
+            return payload
+
+        return run
+
+    handlers = {name: h for name, h in vars(cli).items() if name.startswith("cmd_")}
+    try:
+        for name, handler in handlers.items():
+            setattr(cli, name, once(handler))
+        yield
+    finally:
+        for name, handler in handlers.items():
+            setattr(cli, name, handler)
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one request, run in process."""
     from fistab.cli import main
@@ -341,9 +377,10 @@ def digest(argvs) -> str:
     """SHA-256 over (argv, exit code, stdout, stderr) of each request,
     each written as one line of JSON."""
     sha = hashlib.sha256()
-    for argv in argvs:
-        line = json.dumps([argv, *run(argv)], ensure_ascii=False)
-        sha.update(line.encode() + b"\n")
+    with one_run_for_the_formats():
+        for argv in argvs:
+            line = json.dumps([argv, *run(argv)], ensure_ascii=False)
+            sha.update(line.encode() + b"\n")
     return sha.hexdigest()
 
 
@@ -354,9 +391,10 @@ def digests() -> dict[str, str]:
 def requests(name: str) -> None:
     """Print each request of the grid: its argv, a tab, and the SHA-256 of
     its exit code, stdout and stderr as one line of JSON."""
-    for argv in GRIDS[name]():
-        line = json.dumps(list(run(argv)), ensure_ascii=False)
-        print(f"{shlex.join(argv)}\t{hashlib.sha256(line.encode()).hexdigest()}")
+    with one_run_for_the_formats():
+        for argv in GRIDS[name]():
+            line = json.dumps(list(run(argv)), ensure_ascii=False)
+            print(f"{shlex.join(argv)}\t{hashlib.sha256(line.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":

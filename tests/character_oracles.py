@@ -6,9 +6,12 @@ hook for the first cycle, recurse on the rest), written independently of
 the iterative form in `fistab.characters`, whose downward walk
 `mn_character` calls on one value; `restriction_inner_product` is
 the direct formula for inner products over a Young subgroup S_a x S_b;
-`induced_character` and `coinvariants_as_sa` are the induction and the
-coinvariants that the Pieri sums of `fistab.characters.free_module_sum`
-and the averages of `restrict_and_average` are checked against;
+`restrict_and_average` is the whole S_b-average of a class function, a
+class function of S_a: the oracle of `fistab.characters.fixed_dimension`,
+its value at the identity, and, decomposed by `coinvariants_as_sa`, the
+coinvariants that the branching rule checks; `induced_character` is the
+induction that the Pieri sums of `fistab.characters.free_module_sum` are
+checked against;
 `character_of` sums the character table's rows of a decomposition;
 `horizontal_strip_extensions` and `pad` take any tuple of parts, checked;
 `wreath_twisted_dim`, read off the free-module decomposition, is the
@@ -26,9 +29,10 @@ from fistab.characters import (
     ClassFunction,
     _mn_value,
     character_table,
+    class_sizes,
     decompose,
+    exact_quotient,
     irreducible_character,
-    restrict_and_average,
 )
 from fistab.errors import DomainError
 from fistab.induction import kunneth_decomposition
@@ -153,6 +157,29 @@ def restriction_inner_product(f, g, h) -> Fraction:
             weight = Fraction(1, centralizer_order(mu1) * centralizer_order(mu2))
             total += weight * Fraction(f.values[merged]) * g.values[mu1] * h.values[mu2]
     return total
+
+
+def restrict_and_average(f: ClassFunction, a: int) -> ClassFunction:
+    """Restrict f from S_n to S_a x S_b, the second factor permuting the
+    last b = n - a points, and average over S_b.
+
+    For a character this is the character of the S_b-invariants as an
+    S_a-representation; a = 0 gives the S_n-invariants and reads only the
+    class sizes of S_n.
+    """
+    n = f.n
+    if not 0 <= a <= n:
+        raise DomainError(f"need 0 <= a <= {n}, got a={a}")
+    b = n - a
+    order = factorial(b)
+    values = {}
+    for nu in partitions(a):
+        total = sum(
+            size * f.values[tuple(sorted(nu + mu2, reverse=True))]
+            for size, mu2 in zip(class_sizes(b), partitions(b))
+        )
+        values[nu] = exact_quotient(total, order)
+    return ClassFunction._unchecked(a, values)
 
 
 def induced_character(f, g) -> ClassFunction:

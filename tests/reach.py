@@ -27,6 +27,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+# a sibling: this file's directory is on sys.path, whether it runs as a
+# script or the tests import it
+import byte_grids
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fistab"
 README = ROOT / "README.md"
@@ -35,9 +39,6 @@ README = ROOT / "README.md"
 def requests(scratch: Path):
     """The argvs run under the hook: every byte-grid request, then what
     no grid requests."""
-    sys.path.insert(0, str(Path(__file__).parent))
-    import byte_grids
-
     for grid in byte_grids.GRIDS.values():
         yield from grid()
     yield ["-h"]
@@ -69,11 +70,14 @@ def reached_code() -> set[tuple[str, int]]:
         try:
             from fistab.cli import main
 
-            for argv in requests(Path(scratch)):
-                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                    main(list(argv))
-                sink.seek(0)
-                sink.truncate()
+            # as the grids run them: the formats of one request share
+            # its handler's run, which reaches the same code
+            with byte_grids.one_run_for_the_formats():
+                for argv in requests(Path(scratch)):
+                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                        main(list(argv))
+                    sink.seek(0)
+                    sink.truncate()
         finally:
             sys.settrace(None)
     return {(code.co_filename, code.co_firstlineno) for code in seen}

@@ -24,9 +24,9 @@ from fistab.characters import (
     class_sizes,
     decompose,
     exact_quotient,
+    fixed_dimension,
     free_module_sum,
     irreducible_character,
-    restrict_and_average,
 )
 from fistab.errors import ConsistencyError, DomainError
 from fistab.named_characters import inner_product
@@ -38,6 +38,7 @@ from character_oracles import (
     mn,
     mn_character,
     regular_character,
+    restrict_and_average,
     restriction_inner_product,
     sign_character,
     trivial_character,
@@ -193,6 +194,36 @@ def test_restrict_and_average_of_a_class_function_can_be_a_fraction():
     delta = ClassFunction(3, {mu: int(mu == (1, 1, 1)) for mu in partitions(3)})
     assert restrict_and_average(delta, 1).values == {(1,): Fraction(1, 2)}
     assert restrict_and_average(delta, 0).values == {(): Fraction(1, 6)}
+
+
+def _same_number(x, y) -> bool:
+    # equal, and an int on both sides or a Fraction on both
+    return x == y and type(x) is type(y)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_fixed_dimension_is_the_whole_average_at_the_identity(n):
+    for lam in partitions(n):
+        chi = irreducible_character(lam)
+        for a in range(0, n + 1):
+            expected = restrict_and_average(chi, a).dimension()
+            assert _same_number(fixed_dimension(chi, a), expected), (lam, a)
+    for a in (n + 1, -1):
+        with pytest.raises(DomainError, match=rf"^need 0 <= a <= {n}, got a={a}$"):
+            fixed_dimension(trivial_character(n), a)
+
+
+def test_fixed_dimension_of_a_class_function_can_be_a_fraction():
+    # a value per class that no character takes, so the averages are
+    # Fractions: at the identity of S_a each is the oracle's
+    f = ClassFunction(6, {mu: Fraction(len(mu), mu[0] + 4) for mu in partitions(6)})
+    found = [fixed_dimension(f, a) for a in range(7)]
+    assert all(map(_same_number, found, (restrict_and_average(f, a).dimension() for a in range(7))))
+    assert {type(v) for v in found} == {Fraction}
+    delta = ClassFunction(3, {mu: int(mu == (1, 1, 1)) for mu in partitions(3)})
+    assert [fixed_dimension(delta, a) for a in range(4)] == [
+        Fraction(1, 6), Fraction(1, 2), 1, 1,
+    ]
 
 
 def test_as_multiplicity_accepts_only_nonnegative_integers():

@@ -20,7 +20,7 @@ from fistab import partitions as PARTITIONS
 from fistab.characters import ClassFunction, IrrDecomposition
 from fistab.errors import DomainError
 from fistab.tables import class_function, decomposition
-from character_oracles import character_of
+from character_oracles import character_of, restrict_and_average
 from fi_oracles import char_class_function
 from os_oracles import betti
 
@@ -87,7 +87,7 @@ def test_decompose_of_a_table_built_character_checks_no_partition():
     })
     chi = character_of(both)
     with check_partition_calls() as calls:
-        result = characters.decompose(characters.restrict_and_average(chi, 4))
+        result = characters.decompose(restrict_and_average(chi, 4))
         fi_analysis.unpadded_table(result)
     assert calls == []
     assert characters.decompose(character_of(rep)) == rep

@@ -40,9 +40,9 @@ from fistab.os_reference import (
     normalize_edge,
     straighten,
 )
-from fistab.characters import ClassFunction, IrrDecomposition
+from fistab.characters import ClassFunction, IrrDecomposition, fixed_dimension
 from fistab.partitions import partition_counts, partitions
-from character_oracles import horizontal_strip_extensions
+from character_oracles import horizontal_strip_extensions, restrict_and_average
 from fi_oracles import length_of, quotient_betti, weight_of
 from linalg_helpers import mat_mul_columns
 from os_oracles import (
@@ -366,6 +366,16 @@ def test_fi_equivariance(n, k):
         lhs = mat_mul_columns(fi_cols, action_columns(sigma, k))
         rhs = mat_mul_columns(action_columns(extended, k), fi_cols)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_fixed_dimensions_of_each_w_m_are_the_whole_averages_at_the_identity(k):
+    # every W_m up to the weight bound 2k, the zero ones below k + 1 too
+    for m in range(2 * k + 1):
+        chi = os_model._free_character(m, k)
+        expected = tuple(restrict_and_average(chi, j).dimension() for j in range(m + 1))
+        assert tuple(fixed_dimension(chi, j) for j in range(m + 1)) == expected, (m, k)
+        assert os_model._free_fixed_dims(m, k) == expected, (m, k)
 
 
 def test_invariant_dimension_examples():
