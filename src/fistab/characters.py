@@ -8,7 +8,7 @@ multiplicities are integer dot products with one exact division by n!,
 so integrality checks are meaningful.  exact_quotient is the package's
 one such division: an int where it is exact, else a Fraction.  induction and os_model share the
 Pieri sum (free_module_sum, a window of levels or one) and the product
-over cycles (cycle_product).
+over cycles (cycle_product) of running products (partial_products).
 All functions here are pure and the caches are safe to share across
 threads.
 """
@@ -425,11 +425,22 @@ def _poly_mul(p: dict[int, int], q: dict[int, int], cap: int) -> dict[int, int]:
     return out
 
 
+def partial_products(steps, cap: int) -> list[dict[int, int]]:
+    """[1, s_1, s_1 s_2, ...] for the polynomials {degree: coefficient}
+    that steps yields, each in rising degree, none negative.  Each product
+    is cut at t^cap and kept in rising degree, as _poly_mul and
+    cycle_product read their factors."""
+    out = [{0: 1}]
+    for step in steps:
+        out.append(dict(sorted(_poly_mul(out[-1], step, cap).items())))
+    return out
+
+
 def cycle_product(n: int, cap: int, factors) -> ClassFunction:
     """The class function mu -> [t^cap] prod_r factors[r][z_r] of S_n, z_r
     the number of r-cycles of mu: a trace that factors over the cycles.
-    factors[r][z] (z <= n // r) is a polynomial {degree: coefficient} in
-    rising degree with no negative degree, so terms past t^cap are
+    factors[r][z] (z <= n // r) is a polynomial {degree: coefficient}, in
+    rising degree as partial_products keeps it, so terms past t^cap are
     dropped as they arise."""
     values = {}
     for mu in partitions(n):

@@ -14,6 +14,7 @@ from .errors import DomainError
 from .fi_reports import (
     CharPolynomial,
     StabilityReport,
+    _monomial,
     _monomial_key,
     _monomial_value,
     monomial_label,
@@ -98,10 +99,10 @@ def detect_stability(seq: FISequence) -> StabilityReport:
 
 @lru_cache(maxsize=None)
 def _monomials(degree_bound: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Exponent vectors as sorted tuples of (cycle length, exponent): the
-    # cycle counts of one partition of each weighted degree d <= degree_bound.
+    # the monomials of the cycle types of each weighted degree
+    # d <= degree_bound, one per partition of d
     degrees = range(degree_bound + 1)
-    monos = (tuple(sorted(cycle_counts(mu).items())) for d in degrees for mu in partitions(d))
+    monos = (_monomial(mu) for d in degrees for mu in partitions(d))
     return tuple(sorted(monos, key=_monomial_key))
 
 

@@ -12,7 +12,7 @@ from math import comb
 from typing import NamedTuple
 
 from .characters import exact_obj, exact_quotient
-from .partitions import Partition, format_partition
+from .partitions import Partition, cycle_counts, format_partition
 
 
 class StabilityReport(NamedTuple):
@@ -46,6 +46,11 @@ class StabilityReport(NamedTuple):
 # Character polynomials: exact polynomials in the cycle-count statistics
 # Z_l, expressed in the basis prod_l C(Z_l, m_l).  The weighted degree of a
 # monomial is sum l*m_l.
+
+
+def _monomial(mu: Partition) -> tuple[tuple[int, int], ...]:
+    # prod_l C(Z_l, m_l), m_l the number of l-cycles of mu, as sorted (l, m_l)
+    return tuple(sorted(cycle_counts(mu).items()))
 
 
 def _monomial_key(mono) -> tuple:

@@ -21,7 +21,7 @@ kunneth_decomposition decomposes each W_m over S_m and induces by the
 Pieri rule: characters.free_module_sum at the single level n, as m_module
 and m_regular do; os-scan calls it once for a whole window.  The traces
 of V^(x)n and V_+^(x)m factor over the cycles of a permutation
-(characters.cycle_product, which os_model also calls).
+(characters.cycle_product of partial_products, which os_model calls too).
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from __future__ import annotations
 from .characters import (
     ClassFunction,
     IrrDecomposition,
-    _poly_mul,
     cycle_product,
     decompose,
     free_module_sum,
+    partial_products,
 )
 from .errors import DomainError
 from .graded import _check_graded_dims, _degrees
@@ -73,9 +73,7 @@ def _class_traces(dims, n: int, i: int) -> ClassFunction:
             for g, d in enumerate(dims[: i // length + 1])
             if d
         }
-        powers[length] = [{0: 1}]
-        for _ in range(n // length):
-            powers[length].append(dict(sorted(_poly_mul(powers[length][-1], cycle, i).items())))
+        powers[length] = partial_products([cycle] * (n // length), i)
     return cycle_product(n, i, powers)
 
 

@@ -31,16 +31,16 @@ from .characters import (
     ClassFunction,
     FreeLevels,
     IrrDecomposition,
-    _poly_mul,
     as_multiplicity,
     cycle_product,
     decompose,
     fixed_dimension,
     free_module_sum,
+    partial_products,
 )
 from .errors import DomainError
-from .fi_reports import CharPolynomial
-from .partitions import cycle_counts, partitions
+from .fi_reports import CharPolynomial, _monomial
+from .partitions import partitions
 
 # the oracles the benchmark's tracer times under these names: os_reference's,
 # looked up there on each access
@@ -69,11 +69,8 @@ def _lehrer_partials(r: int, e: int, k: int) -> list[dict[int, int]]:
     chi_k the degree-k character and Z_r the number of r-cycles of g."""
     # one term per divisor d of r, in rising degree r - r/d < r
     base = {r - r // d: _mobius(d) * (-1) ** (r - r // d) for d in range(1, r + 1) if r % d == 0}
-    out = [{0: 1}]
-    for i in range(e):
-        step = {**base, r: -i * r * (-1) ** r} if i else base
-        out.append(dict(sorted(_poly_mul(out[-1], step, k).items())))
-    return out
+    steps = ({**base, r: -i * r * (-1) ** r} if i else base for i in range(e))
+    return partial_products(steps, k)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ def _polynomial_up_to(top: int, k: int) -> CharPolynomial:
     coeffs = {}
     for m in _generators_up_to(top, k):
         for nu, value in _free_character(m, k).values.items():
-            coeffs[tuple(sorted(cycle_counts(nu).items()))] = value
+            coeffs[_monomial(nu)] = value
     return CharPolynomial(coeffs)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fistab import characters
 from fistab.characters import (
@@ -27,6 +27,7 @@ from fistab.characters import (
     fixed_dimension,
     free_module_sum,
     irreducible_character,
+    partial_products,
 )
 from fistab.errors import ConsistencyError, DomainError
 from fistab.named_characters import inner_product
@@ -396,3 +397,29 @@ def test_free_module_sum_against_one_level_pieri_loop():
                 assert dec.n == n and dec == _one_level_pieri(gens, n), (gens, lo, hi, n)
                 written = list(levels.to_mapping(n).items())
                 assert written == list(dec.to_mapping().items()), (gens, lo, hi, n)
+
+
+# sparse polynomials {degree: coefficient} in rising degree, from degree 0
+_polynomials = st.dictionaries(
+    st.integers(0, 6), st.integers(-3, 3).filter(bool), max_size=4
+).map(lambda p: dict(sorted(p.items())))
+
+
+@given(st.lists(_polynomials, max_size=5), st.integers(0, 12))
+@example([{0: 1, 2: 1}, {0: 1, 3: 1}], 5)  # 1 + t^2 + t^3 + t^5, first seen unsorted
+@settings(max_examples=60, deadline=None)
+def test_partial_products_are_the_running_products_cut_at_cap(steps, cap):
+    # each running product, against the full product expanded by
+    # brute force: the same terms up to t^cap, listed in rising degree
+    full = {0: 1}
+    products = partial_products(steps, cap)
+    assert len(products) == len(steps) + 1
+    for j, product in enumerate(products):
+        if j:
+            expanded = {}
+            for (a, x), (b, y) in itertools.product(full.items(), steps[j - 1].items()):
+                expanded[a + b] = expanded.get(a + b, 0) + x * y
+            full = expanded
+        assert list(product) == sorted(product)
+        kept = {d: c for d, c in product.items() if c}
+        assert kept == {d: c for d, c in full.items() if c and d <= cap}

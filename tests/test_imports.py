@@ -7,10 +7,11 @@ package's modules and those of its subpackages (`commands`,
 `writers`), the package's __init__ among them.  No module re-exports a
 name with `from m import x as x`: each name has one home, and is reached
 there, as `fistab.<module>.<name>`.  More checks keep a
-concept written once: the Pieri sum of free modules, the exact quotient
-(an int where a division is exact, else a Fraction), the CLI's list of
-subcommands, and the grammar of its argv, which one reader reads off
-that table: no module imports argparse.
+concept written once: the Pieri sum of free modules, the truncated
+product of polynomials in t, the monomial of a cycle type, the exact
+quotient (an int where a division is exact, else a Fraction), the CLI's
+list of subcommands, and the grammar of its argv, which one reader reads
+off that table: no module imports argparse.
 """
 
 import ast
@@ -22,6 +23,14 @@ import fistab
 
 PACKAGE = Path(fistab.__file__).parent
 MODULES = sorted([*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")])
+
+
+def _package_sources() -> dict[str, str]:
+    # {"module" or "subpackage/module": source} of every module
+    return {
+        path.relative_to(PACKAGE).with_suffix("").as_posix(): path.read_text()
+        for path in MODULES
+    }
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -117,10 +126,10 @@ def test_every_private_helper_is_referenced():
     assert _unreferenced_private(sources) == []
 
 
-def _strip_callers(sources: dict[str, str]) -> list[str]:
+def _callers(sources: dict[str, str], name: str) -> list[str]:
     # "module.function" of each top-level function or class that calls
-    # _strip_extensions, by name or as an attribute ("module" for a call
-    # outside any of them)
+    # name, by name or as an attribute ("module" for a call outside any
+    # of them)
     found = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -128,7 +137,7 @@ def _strip_callers(sources: dict[str, str]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = f"{module}.{node.name}"
             for sub in ast.walk(node):
-                if isinstance(sub, ast.Call) and "_strip_extensions" in (
+                if isinstance(sub, ast.Call) and name in (
                     getattr(sub.func, "id", None), getattr(sub.func, "attr", None)
                 ):
                     found.add(owner)
@@ -144,17 +153,54 @@ def test_strip_callers_are_found():
              "p._strip_extensions((1,), 2)\n"
              "def h():\n    return p._strip_extensions\n",
     }
-    assert _strip_callers(sources) == ["a.f", "b", "b.C"]
+    assert _callers(sources, "_strip_extensions") == ["a.f", "b", "b.C"]
 
 
 def test_one_pieri_kernel():
     # the Pieri sum of free modules is written once, in
     # characters.free_module_sum: every level or window of it goes there
+    assert _callers(_package_sources(), "_strip_extensions") == ["characters.free_module_sum"]
+
+
+def test_one_truncated_product():
+    # the product of two polynomials cut at t^cap is taken by the cycle
+    # product and by the partial product that builds its factors, and by
+    # nothing else
+    assert _callers(_package_sources(), "_poly_mul") == [
+        "characters.cycle_product", "characters.partial_products",
+    ]
+
+
+def _monomial_spellings(sources: dict[str, str]) -> list[str]:
+    # "module.function" of each top-level def that sorts the items of a
+    # cycle_counts call: a spelling of the monomial of a cycle type
+    found = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Call)
+                    and getattr(sub.func, "id", None) == "sorted"
+                    and "cycle_counts(" in ast.unparse(sub)
+                    and ".items()" in ast.unparse(sub)
+                ):
+                    found.add(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_monomial_spellings_are_found():
     sources = {
-        path.relative_to(PACKAGE).with_suffix("").as_posix(): path.read_text()
-        for path in [*PACKAGE.glob("*.py"), *PACKAGE.glob("*/*.py")]
+        "a": "def m(mu):\n    return tuple(sorted(cycle_counts(mu).items()))\n",
+        "b": "def f(mu):\n    return sorted(p.cycle_counts(mu).items(), key=len)\n"
+             "def g(mu):\n    return sorted(cycle_counts(mu))\n",
     }
-    assert _strip_callers(sources) == ["characters.free_module_sum"]
+    assert _monomial_spellings(sources) == ["a.m", "b.f"]
+
+
+def test_one_monomial_of_a_cycle_type():
+    # the monomial prod_l C(Z_l, m_l) of a cycle type, which keys every
+    # character polynomial, is spelled once, in fi_reports._monomial
+    assert _monomial_spellings(_package_sources()) == ["fi_reports._monomial"]
 
 
 def _exact_quotients(sources: dict[str, str]) -> list[str]:
@@ -186,11 +232,7 @@ def test_exact_quotients_are_found():
 def test_one_exact_quotient():
     # the rule is written once, in characters.exact_quotient: every other
     # division whose result may not be integral calls it
-    sources = {
-        path.relative_to(PACKAGE).with_suffix("").as_posix(): path.read_text()
-        for path in MODULES
-    }
-    assert _exact_quotients(sources) == ["characters.exact_quotient"]
+    assert _exact_quotients(_package_sources()) == ["characters.exact_quotient"]
 
 
 def test_cli_handlers_come_from_the_subcommand_table():

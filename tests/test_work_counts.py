@@ -272,7 +272,6 @@ def test_kunneth_visits_no_more_term_pairs_than_it_was_priced_for(dims, monkeypa
         return characters.decompose(w)
 
     monkeypatch.setattr(characters, "_poly_mul", counted_mul)
-    monkeypatch.setattr(induction, "_poly_mul", counted_mul)
     monkeypatch.setattr(induction, "_class_traces", counted_traces)
     monkeypatch.setattr(induction, "decompose", counted_decompose)
     strips, table_pairs = _count_strips(monkeypatch), _count_table_pairs(monkeypatch)
