@@ -1,16 +1,16 @@
 """Exact character theory of symmetric groups over the rationals.
 
 Irreducible characters are evaluated by one Murnaghan-Nakayama walk,
-read upwards from the empty shape for a column of the character table
-and downwards from lam for a single character.  The class sizes and the
-integer character table of each S_n are cached; inner products and
-multiplicities are integer dot products with one exact division by n!,
-so integrality checks are meaningful.  exact_quotient is the package's
-one such division: an int where it is exact, else a Fraction.  induction and os_model share the
-Pieri sum (free_module_sum, a window of levels or one) and the product
-over cycles (cycle_product) of running products (partial_products).
-All functions here are pure and the caches are safe to share across
-threads.
+read upwards from the empty shape, depth-first over the classes, for
+the character table, kept by columns, and downwards from lam for a
+single character.  The class sizes and tables of each S_n are cached;
+multiplicities are integer sums with one exact division by n!, so
+integrality checks are meaningful.  exact_quotient is the package's one
+such division: an int where it is exact, else a Fraction.  induction
+and os_model share the Pieri sum (free_module_sum, a window of levels
+or one) and the product over cycles (cycle_product) of running products
+(partial_products).  All functions here are pure and the caches are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from functools import lru_cache
 from math import factorial, log10
-from operator import mul
 
 from . import _forward
 from .errors import ConsistencyError, DomainError
@@ -67,14 +66,6 @@ def _rim_hooks(shapes: dict[int, int], cycles, grow: bool) -> dict[int, int]:
     return shapes
 
 
-def _mn_column(mu: Partition) -> dict[int, int]:
-    """chi_lam(mu) for every shape lam of |mu|, as {_beads(lam, |mu|):
-    value}, the character table's column at mu: the rim hooks are added
-    upwards from the empty shape, last cycle first."""
-    count = sum(mu)
-    return _rim_hooks({(1 << count) - 1: 1}, reversed(mu), grow=True)
-
-
 def _mn_value(lam: Partition, mu: Partition) -> int:
     """mn_character of two checked partitions, such as parse_partition
     returns: the rim hooks are removed downwards from lam's beads, longest
@@ -96,16 +87,26 @@ def class_sizes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def character_table(n: int) -> dict[Partition, tuple[int, ...]]:
-    """Integer character table of S_n: each irreducible's values on the
-    classes in partitions(n) order, one Murnaghan-Nakayama pass per class.
-    The dict is shared by every caller and must not be mutated."""
-    columns = [_mn_column(mu) for mu in partitions(n)]
-    table = {}
-    for lam in partitions(n):
-        key = _beads(lam, n)
-        table[lam] = tuple(col.get(key, 0) for col in columns)
-    return table
+def character_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Integer character table of S_n by columns, one per class mu in
+    partitions(n) order: (shapes, values), the indices in partitions(n)
+    of the shapes lam with chi_lam(mu) != 0, and those values.  One
+    depth-first walk adds the parts of each mu smallest first, a rim hook
+    each, upwards from the empty shape: classes that share their smallest
+    parts share that stretch, and only the open path is held."""
+    index = {_beads(lam, n): i for i, lam in enumerate(partitions(n))}
+    columns = {}
+
+    def walk(shapes: dict[int, int], parts: Partition, rest: int) -> None:
+        # rest boxes are left to add, in parts no smaller than parts[-1]
+        if not rest:
+            columns[parts[::-1]] = (tuple(map(index.__getitem__, shapes)), tuple(shapes.values()))
+            return
+        for part in (*range(parts[-1] if parts else 1, rest // 2 + 1), rest):
+            walk(_rim_hooks(shapes, (part,), grow=True), parts + (part,), rest - part)
+
+    walk({(1 << n) - 1: 1}, (), n)
+    return tuple(columns[mu] for mu in partitions(n))
 
 
 def as_multiplicity(value, what: str) -> int:
@@ -134,13 +135,11 @@ class ClassFunction:
 
     __slots__ = ("n", "values")
 
-    def __init__(self, n: int, values: dict):
-        self._take(int(n), {check_partition(k): v for k, v in values.items()})
-
-    def _take(self, n: int, vals: dict) -> None:
-        # the constructor's checks on a table whose keys are partition
-        # tuples already, then the table becomes this function's
-        self.n = n
+    def __init__(self, n: int, values: dict, *, keys_checked: bool = False):
+        # keys_checked: the keys are partition tuples already, such as
+        # parse_partition returns; the dict then becomes this table
+        self.n = int(n)
+        vals = values if keys_checked else {check_partition(k): v for k, v in values.items()}
         if self.n < 0:
             partitions(self.n)  # refuses a negative n
         # count the classes before enumerating them: a table of the wrong
@@ -227,18 +226,14 @@ class IrrDecomposition:
 
     __slots__ = ("n", "mult")
 
-    def __init__(self, n: int, mult: dict | None = None):
-        self._take(int(n), ((check_partition(lam), m) for lam, m in (mult or {}).items()))
-
-    def _take(self, n: int, items) -> None:
-        # the constructor's checks on (partition tuple, multiplicity)
-        # pairs, one pair at a time, then the nonzero ones become this
-        # decomposition's
-        self.n = n
-        if n < 0:
-            partitions(n)  # refuses a negative n, as ClassFunction does
+    def __init__(self, n: int, mult: dict | None = None, *, keys_checked: bool = False):
+        # keys_checked as for ClassFunction; the pairs are checked in turn
+        self.n = int(n)
+        if self.n < 0:
+            partitions(self.n)  # refuses a negative n, as ClassFunction does
         clean: dict[Partition, int] = {}
-        for lam, m in items:
+        for lam, m in (mult or {}).items():
+            lam = lam if keys_checked else check_partition(lam)
             if sum(lam) != self.n:
                 raise DomainError(f"{lam!r} is not a partition of {self.n}")
             if m != int(m) or m < 0:
@@ -289,10 +284,15 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
     of an actual representation and signals an upstream bug.
     """
     n, order = f.n, factorial(f.n)
-    weighted = [size * f.values[mu] for size, mu in zip(class_sizes(n), partitions(n))]
+    totals = [0] * len(class_sizes(n))  # one per shape, in partitions(n) order
+    for size, mu, (shapes, values) in zip(class_sizes(n), partitions(n), character_table(n)):
+        weight = size * f.values[mu]
+        if weight:
+            for i, x in zip(shapes, values):
+                totals[i] += weight * x
     mult = {}
-    for lam, row in character_table(n).items():
-        m = exact_quotient(sum(map(mul, weighted, row)), order)
+    for lam, total in zip(partitions(n), totals):
+        m = exact_quotient(total, order)
         if type(m) is not int or m < 0:  # refused, with the exact value in the message
             as_multiplicity(
                 m,

@@ -63,17 +63,13 @@ def parse_exact(v, key):
 def class_function(n: int, mapping) -> ClassFunction:
     """The ClassFunction of a {cycle type: value} table on S_n."""
     vals = _parse_table(mapping, "class function")  # parse_partition checked the keys
-    f = object.__new__(ClassFunction)
-    f._take(int(n), vals)
-    return f
+    return ClassFunction(n, vals, keys_checked=True)
 
 
 def decomposition(n: int, mapping) -> IrrDecomposition:
     """The IrrDecomposition of a {shape: multiplicity} table on S_n."""
     mult = _parse_table(mapping, "decomposition")  # parse_partition checked the keys
-    d = object.__new__(IrrDecomposition)
-    d._take(int(n), mult.items())
-    return d
+    return IrrDecomposition(n, mult, keys_checked=True)
 
 
 def sequence(payload, read) -> dict:

@@ -12,7 +12,11 @@ its value at the identity, and, decomposed by `coinvariants_as_sa`, the
 coinvariants that the branching rule checks; `induced_character` is the
 induction that the Pieri sums of `fistab.characters.free_module_sum` are
 checked against;
-`character_of` sums the character table's rows of a decomposition;
+`_mn_column` is the character table's column at one class, walked from
+the empty shape for that class alone, and `table_columns` and
+`table_rows` are the whole table so built, read by columns as
+`fistab.characters.character_table` keeps it and by rows;
+`character_of` sums the rows of a decomposition;
 `horizontal_strip_extensions` and `pad` take any tuple of parts, checked;
 `wreath_twisted_dim`, read off the free-module decomposition, is the
 oracle of the wreath-product series; `graded_symmetric_counts`, the
@@ -27,8 +31,9 @@ from math import comb, factorial
 
 from fistab.characters import (
     ClassFunction,
+    _beads,
     _mn_value,
-    character_table,
+    _rim_hooks,
     class_sizes,
     decompose,
     exact_quotient,
@@ -65,10 +70,38 @@ def regular_character(n: int) -> ClassFunction:
     return ClassFunction(n, values)
 
 
+def _mn_column(mu: Partition) -> dict[int, int]:
+    """chi_lam(mu) for every shape lam of |mu|, as {_beads(lam, |mu|):
+    value}, the character table's column at mu: the rim hooks are added
+    upwards from the empty shape, last cycle first."""
+    count = sum(mu)
+    return _rim_hooks({(1 << count) - 1: 1}, reversed(mu), grow=True)
+
+
+def table_columns(n: int) -> list[dict[int, int]]:
+    """The character table of S_n as one {shape index: nonzero value}
+    per class, both in partitions(n) order, each class walked alone."""
+    index = {_beads(lam, n): i for i, lam in enumerate(partitions(n))}
+    return [
+        {index[mask]: value for mask, value in _mn_column(mu).items()} for mu in partitions(n)
+    ]
+
+
+@lru_cache(maxsize=None)
+def table_rows(n: int) -> dict[Partition, tuple[int, ...]]:
+    """The character table of S_n by rows: each irreducible's values on
+    the classes in partitions(n) order, the transpose of table_columns."""
+    columns = table_columns(n)
+    return {
+        lam: tuple(column.get(i, 0) for column in columns)
+        for i, lam in enumerate(partitions(n))
+    }
+
+
 def character_of(V) -> ClassFunction:
     """The character of the decomposition V: the character table's rows
     of its constituents, each as often as its multiplicity."""
-    table = character_table(V.n)
+    table = table_rows(V.n)
     values = [0] * len(partitions(V.n))
     for lam, m in V.mult.items():
         values = [v + m * x for v, x in zip(values, table[lam])]

@@ -5,7 +5,8 @@ The heavyweight oracle here rebuilds the full character table of S_n
 coset actions are counted by brute force, and irreducible characters are
 peeled off top-down in lexicographic order, which refines dominance.  Up
 to n = 12 the table is also checked against the recursive form of the
-rule kept in character_oracles.py.
+rule kept in character_oracles.py, and up to n = 14 and at n = 18 the
+one depth-first walk of the table against each class walked alone.
 """
 
 import itertools
@@ -42,6 +43,8 @@ from character_oracles import (
     restrict_and_average,
     restriction_inner_product,
     sign_character,
+    table_columns,
+    table_rows,
     trivial_character,
 )
 
@@ -107,9 +110,9 @@ def test_character_table_against_coset_oracle(n):
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_character_table_against_recursive_oracle(n):
-    # the upward pass of the table and the downward pass from one lam
+    # the upward pass of each class and the downward pass from one lam
     # both agree with the recursive rule
-    table = character_table(n)
+    table = table_rows(n)
     assert list(table) == list(partitions(n))
     assert class_sizes(n) == tuple(class_size(mu) for mu in partitions(n))
     for lam, row in table.items():
@@ -137,12 +140,29 @@ def test_mn_character_at_identity_is_dimension():
             assert mn_character(lam, e) == dimension(lam)
 
 
+@pytest.mark.parametrize("n", [*range(0, 15), 18])
+def test_one_walk_builds_the_columns_of_each_class_walked_alone(n):
+    # the depth-first walk shares the classes' smallest parts; each
+    # column holds exactly the nonzero values of its class
+    table = character_table(n)
+    assert type(table) is tuple and len(table) == len(partitions(n))
+    for (shapes, values), column in zip(table, table_columns(n)):
+        assert len(shapes) == len(values) == len(column)
+        assert dict(zip(shapes, values)) == column
+
+
 def test_single_characters_do_not_build_table_columns(monkeypatch):
-    # a single character removes rim hooks from lam; the upward column,
+    # a single character removes rim hooks from lam; the upward walk,
     # which grows every shape of S_n, is the character table's alone
     calls = []
-    column = characters._mn_column
-    monkeypatch.setattr(characters, "_mn_column", lambda *a: calls.append(a) or column(*a))
+    rim_hooks = characters._rim_hooks
+
+    def counted(shapes, cycles, grow):
+        if grow:
+            calls.append(cycles)
+        return rim_hooks(shapes, cycles, grow)
+
+    monkeypatch.setattr(characters, "_rim_hooks", counted)
     irreducible_character.cache_clear()
     character_table.cache_clear()
     chi = irreducible_character((7, 6, 5, 4, 3, 2, 1))
@@ -162,7 +182,7 @@ def test_sign_character_values():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_row_orthogonality(n):
-    sizes, table = class_sizes(n), character_table(n)
+    sizes, table = class_sizes(n), table_rows(n)
     chars = {lam: irreducible_character(lam) for lam in partitions(n)}
     for lam, chi_a in chars.items():
         for nu, chi_b in chars.items():

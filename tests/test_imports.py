@@ -162,6 +162,26 @@ def test_one_pieri_kernel():
     assert _callers(_package_sources(), "_strip_extensions") == ["characters.free_module_sum"]
 
 
+def test_rim_hook_callers_are_found():
+    # a call from a def nested in a top-level def is that def's
+    sources = {
+        "a": "def table(n):\n    def walk(s):\n        return _rim_hooks(s, (1,), grow=True)\n"
+             "    return walk({})\n"
+             "def value(lam):\n    return _rim_hooks({}, lam, grow=False)\n",
+        "b": "def column(mu):\n    return _rim_hooks\n",
+    }
+    assert _callers(sources, "_rim_hooks") == ["a.table", "a.value"]
+
+
+def test_one_murnaghan_nakayama_walk():
+    # rim hooks are added by the one depth-first walk that builds a
+    # character table, and removed for a single value: no other def
+    # walks them, such as a column of one class walked alone
+    assert _callers(_package_sources(), "_rim_hooks") == [
+        "characters._mn_value", "characters.character_table",
+    ]
+
+
 def test_one_truncated_product():
     # the product of two polynomials cut at t^cap is taken by the cycle
     # product and by the partial product that builds its factors, and by

@@ -24,11 +24,13 @@ timed, so nothing can flake.
 """
 
 import json
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
 from byte_grids import VECTORS, _trivial
+from character_oracles import table_columns
 from fistab import characters, cli, commands, induction, linalg, os_model
 from fistab.cli import main
 from fistab.commands import (
@@ -235,16 +237,31 @@ def _count_strips(monkeypatch) -> list[int]:
 
 
 def _count_table_pairs(monkeypatch) -> list[int]:
-    # decompose's (class, shape) pairs: it multiplies each class's
-    # weighted value by the shape's character value with characters.mul
-    pairs, mul = [0], characters.mul
+    # decompose's (class, shape) pairs: each multiplies a class's weighted
+    # value by a value the character table stores, which counts the
+    # products it enters, zeros too, had the table stored any
+    pairs, table = [0], characters.character_table
 
-    def counted(x, y):
-        pairs[0] += 1
-        return mul(x, y)
+    class Counted(int):
+        def __mul__(self, other):
+            pairs[0] += 1
+            return int(self) * other
 
-    monkeypatch.setattr(characters, "mul", counted)
+        __rmul__ = __mul__
+
+    counted = lru_cache(maxsize=None)(
+        lambda n: tuple((shapes, tuple(map(Counted, values))) for shapes, values in table(n))
+    )
+    monkeypatch.setattr(characters, "character_table", counted)
     return pairs
+
+
+def _nonzero_pairs(f) -> int:
+    # the pairs decompose(f) must visit: the nonzero values of the
+    # column of each class where f is nonzero, each class walked alone
+    return sum(
+        len(column) for mu, column in zip(partitions(f.n), table_columns(f.n)) if f.values[mu]
+    )
 
 
 # kunneth: the byte grid's vectors; three whose degrees with a class
@@ -257,6 +274,7 @@ KUNNETH_VECTORS = [*VECTORS, "1,0,0,0,1", "1,0,2", "1,0,0,7", "1,1,0,1"]
 def test_kunneth_visits_no_more_term_pairs_than_it_was_priced_for(dims, monkeypatch):
     graded = tuple(map(int, dims.split(",")))
     traces, decomposed = [], []  # [m, pairs visited] per trace; m per decomposition
+    visits = [0]  # the (class, shape) pairs the decompositions must visit
     poly_mul, class_traces = characters._poly_mul, induction._class_traces
 
     def counted_mul(p, q, cap):
@@ -269,6 +287,7 @@ def test_kunneth_visits_no_more_term_pairs_than_it_was_priced_for(dims, monkeypa
 
     def counted_decompose(w):
         decomposed.append(w.n)
+        visits[0] += _nonzero_pairs(w)
         return characters.decompose(w)
 
     monkeypatch.setattr(characters, "_poly_mul", counted_mul)
@@ -283,7 +302,7 @@ def test_kunneth_visits_no_more_term_pairs_than_it_was_priced_for(dims, monkeypa
             traces.clear()
             decomposed.clear()
             strips.clear()
-            table_pairs[0] = 0
+            table_pairs[0] = visits[0] = 0
             kunneth.run(cli._parse(argv))
             # the traces of V^(x)n, then those of each V_+^(x)m: each at
             # most what traces(p, m) counts, the price of kunneth at n = m
@@ -293,7 +312,7 @@ def test_kunneth_visits_no_more_term_pairs_than_it_was_priced_for(dims, monkeypa
                 assert visited <= priced, (argv, m, visited, priced)
             assert set(decomposed) <= {m for m, _ in traces[1:]}, argv
             priced = _price(kunneth, argv, monkeypatch, **{**steps, "_PAIR_NS": 1})
-            assert table_pairs[0] <= priced, (argv, table_pairs[0], priced)
+            assert table_pairs[0] == visits[0] <= priced, (argv, table_pairs[0], priced)
             priced = _price(kunneth, argv, monkeypatch, **{**steps, "_STRIP_NS": 1})
             assert sum(strips) <= priced, (argv, sum(strips), priced)
 
@@ -319,7 +338,7 @@ def test_m_module_returns_no_more_strips_than_it_was_priced_for(monkeypatch):
             assert sum(strips) <= _price(m_module, argv, monkeypatch, **steps), argv
 
 
-def test_decompose_runs_exactly_the_class_shape_pairs_it_was_priced_for(monkeypatch):
+def test_decompose_visits_the_nonzero_class_shape_pairs_it_was_priced_for(monkeypatch):
     pairs = _count_table_pairs(monkeypatch)
     for n in range(11):
         for dims, i in (("1,2", n), ("1,0,3,1", 3), ("1,3,2", 2)):
@@ -330,7 +349,7 @@ def test_decompose_runs_exactly_the_class_shape_pairs_it_was_priced_for(monkeypa
             decompose.run(cli._parse(argv))
             p = partition_counts(n)
             priced = _price(decompose, argv, monkeypatch, _PAIR_NS=1)
-            assert pairs[0] == p[n] ** 2 == priced, (argv, pairs[0], priced)
+            assert pairs[0] == _nonzero_pairs(values) <= p[n] ** 2 == priced, (argv, pairs[0])
 
 
 def _removable(mask: int, length: int) -> int:
