@@ -135,11 +135,13 @@ class ClassFunction:
 
     __slots__ = ("n", "values")
 
-    def __init__(self, n: int, values: dict, *, keys_checked: bool = False):
-        # keys_checked: the keys are partition tuples already, such as
-        # parse_partition returns; the dict then becomes this table
-        self.n = int(n)
-        vals = values if keys_checked else {check_partition(k): v for k, v in values.items()}
+    def __init__(self, n: int, values: dict):
+        self._take(int(n), {check_partition(k): v for k, v in values.items()})
+
+    def _take(self, n: int, vals: dict) -> None:
+        # the constructor's checks on a table whose keys are partition
+        # tuples already, then the table becomes this function's
+        self.n = n
         if self.n < 0:
             partitions(self.n)  # refuses a negative n
         # count the classes before enumerating them: a table of the wrong
@@ -167,11 +169,7 @@ class ClassFunction:
         return f
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ClassFunction)
-            and self.n == other.n
-            and self.values == other.values
-        )
+        return isinstance(other, ClassFunction) and (self.n, self.values) == (other.n, other.values)
 
     def __repr__(self) -> str:
         vals = ", ".join(
@@ -226,14 +224,17 @@ class IrrDecomposition:
 
     __slots__ = ("n", "mult")
 
-    def __init__(self, n: int, mult: dict | None = None, *, keys_checked: bool = False):
-        # keys_checked as for ClassFunction; the pairs are checked in turn
-        self.n = int(n)
-        if self.n < 0:
-            partitions(self.n)  # refuses a negative n, as ClassFunction does
+    def __init__(self, n: int, mult: dict | None = None):
+        self._take(int(n), ((check_partition(lam), m) for lam, m in (mult or {}).items()))
+
+    def _take(self, n: int, items) -> None:
+        # the constructor's checks on (partition tuple, multiplicity) pairs,
+        # one at a time, then the nonzero ones become this decomposition's
+        self.n = n
+        if n < 0:
+            partitions(n)  # refuses a negative n, as ClassFunction does
         clean: dict[Partition, int] = {}
-        for lam, m in (mult or {}).items():
-            lam = lam if keys_checked else check_partition(lam)
+        for lam, m in items:
             if sum(lam) != self.n:
                 raise DomainError(f"{lam!r} is not a partition of {self.n}")
             if m != int(m) or m < 0:
@@ -253,11 +254,7 @@ class IrrDecomposition:
         return d
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IrrDecomposition)
-            and self.n == other.n
-            and self.mult == other.mult
-        )
+        return isinstance(other, IrrDecomposition) and (self.n, self.mult) == (other.n, other.mult)
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -63,13 +63,17 @@ def parse_exact(v, key):
 def class_function(n: int, mapping) -> ClassFunction:
     """The ClassFunction of a {cycle type: value} table on S_n."""
     vals = _parse_table(mapping, "class function")  # parse_partition checked the keys
-    return ClassFunction(n, vals, keys_checked=True)
+    f = object.__new__(ClassFunction)
+    f._take(int(n), vals)
+    return f
 
 
 def decomposition(n: int, mapping) -> IrrDecomposition:
     """The IrrDecomposition of a {shape: multiplicity} table on S_n."""
     mult = _parse_table(mapping, "decomposition")  # parse_partition checked the keys
-    return IrrDecomposition(n, mult, keys_checked=True)
+    d = object.__new__(IrrDecomposition)
+    d._take(int(n), mult.items())
+    return d
 
 
 def sequence(payload, read) -> dict:
