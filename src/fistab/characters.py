@@ -1,16 +1,14 @@
 """Exact character theory of symmetric groups over the rationals.
 
-Irreducible characters are evaluated by one Murnaghan-Nakayama walk,
-read upwards from the empty shape, depth-first over the classes, for
-the character table, kept by columns, and downwards from lam for a
-single character.  The class sizes and tables of each S_n are cached;
-multiplicities are integer sums with one exact division by n!, so
-integrality checks are meaningful.  exact_quotient is the package's one
-such division: an int where it is exact, else a Fraction.  induction
-and os_model share the Pieri sum (free_module_sum, a window of levels
-or one) and the product over cycles (cycle_product) of running products
-(partial_products).  All functions here are pure and the caches are
-safe to share across threads.
+Irreducible characters are evaluated by one Murnaghan-Nakayama walk on bead
+masks, downwards from lam for one character, and upwards, a rim hook per
+power sum, to grow the Schur expansions of decompose and of
+induction.kunneth_decomposition: no character table is kept.  Each
+multiplicity is an integer sum with one exact division, exact_quotient: an
+int where it is exact, else a Fraction.  induction and os_model share the
+Pieri sum (free_module_sum, a window of levels or one) and the product over
+cycles (cycle_product) of running products (partial_products).  All
+functions here are pure and the caches are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -72,9 +70,7 @@ def _mn_value(lam: Partition, mu: Partition) -> int:
     first, so every shape on the way lies inside lam, and the value is
     what reaches the empty shape."""
     if sum(lam) != sum(mu):
-        raise DomainError(
-            f"shape {lam!r} and cycle type {mu!r} index different symmetric groups"
-        )
+        raise DomainError(f"shape {lam!r} and cycle type {mu!r} index different symmetric groups")
     count = len(lam)
     return _rim_hooks({_beads(lam, count): 1}, mu, grow=False).get((1 << count) - 1, 0)
 
@@ -84,29 +80,6 @@ def class_sizes(n: int) -> tuple[int, ...]:
     """Sizes of the conjugacy classes of S_n, in partitions(n) order."""
     order = factorial(n)
     return tuple(order // centralizer_order(mu) for mu in partitions(n))
-
-
-@lru_cache(maxsize=None)
-def character_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Integer character table of S_n by columns, one per class mu in
-    partitions(n) order: (shapes, values), the indices in partitions(n)
-    of the shapes lam with chi_lam(mu) != 0, and those values.  One
-    depth-first walk adds the parts of each mu smallest first, a rim hook
-    each, upwards from the empty shape: classes that share their smallest
-    parts share that stretch, and only the open path is held."""
-    index = {_beads(lam, n): i for i, lam in enumerate(partitions(n))}
-    columns = {}
-
-    def walk(shapes: dict[int, int], parts: Partition, rest: int) -> None:
-        # rest boxes are left to add, in parts no smaller than parts[-1]
-        if not rest:
-            columns[parts[::-1]] = (tuple(map(index.__getitem__, shapes)), tuple(shapes.values()))
-            return
-        for part in (*range(parts[-1] if parts else 1, rest // 2 + 1), rest):
-            walk(_rim_hooks(shapes, (part,), grow=True), parts + (part,), rest - part)
-
-    walk({(1 << n) - 1: 1}, (), n)
-    return tuple(columns[mu] for mu in partitions(n))
 
 
 def as_multiplicity(value, what: str) -> int:
@@ -183,10 +156,7 @@ class ClassFunction:
         return self.values[(1,) * self.n if self.n else ()]
 
     def to_mapping(self) -> dict[str, object]:
-        return {
-            format_partition(mu): exact_obj(self.values[mu])
-            for mu in partitions(self.n)
-        }
+        return {format_partition(mu): exact_obj(self.values[mu]) for mu in partitions(self.n)}
 
 
 def exact_obj(v):
@@ -257,9 +227,7 @@ class IrrDecomposition:
         return isinstance(other, IrrDecomposition) and (self.n, self.mult) == (other.n, other.mult)
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{format_partition(lam) or '()'}: {m}" for lam, m in self.items()
-        )
+        body = ", ".join(f"{format_partition(lam) or '()'}: {m}" for lam, m in self.items())
         return f"IrrDecomposition(S_{self.n}, {{{body}}})"
 
     def items(self):
@@ -274,30 +242,40 @@ class IrrDecomposition:
 
 
 def decompose(f: ClassFunction) -> IrrDecomposition:
-    """Decompose the character of a representation into irreducibles.
-
-    Multiplicities are the inner products with the irreducible characters;
-    a negative or non-integer multiplicity means f was not the character
-    of an actual representation and signals an upstream bug.
+    """Decompose the character of a representation into irreducibles: the
+    Schur coefficients of sum_mu |C_mu| f(mu) p_mu over n!, summed by
+    Horner's rule on the trie of classes, parts smallest first (a node
+    holds sum_part p_part times its child's sum, a leaf |C_mu| f(mu)).  A
+    negative or non-integer multiplicity means f was not the character of
+    an actual representation and signals an upstream bug.
     """
-    n, order = f.n, factorial(f.n)
-    totals = [0] * len(class_sizes(n))  # one per shape, in partitions(n) order
-    for size, mu, (shapes, values) in zip(class_sizes(n), partitions(n), character_table(n)):
-        weight = size * f.values[mu]
-        if weight:
-            for i, x in zip(shapes, values):
-                totals[i] += weight * x
-    mult = {}
-    for lam, total in zip(partitions(n), totals):
-        m = exact_quotient(total, order)
+    n, values, sizes = f.n, f.values, dict(zip(partitions(f.n), class_sizes(f.n)))
+
+    def node(parts: Partition, rest: int) -> dict:
+        # rest boxes are left to add, in parts no smaller than parts[-1]
+        if not rest:
+            weight = sizes[parts[::-1]] * values[parts[::-1]]
+            return {(1 << n) - 1: weight} if weight else {}
+        total: dict = {}
+        for part in (*range(parts[-1] if parts else 1, rest // 2 + 1), rest):
+            grown = _rim_hooks(node(parts + (part,), rest - part), (part,), grow=True)
+            if not total:
+                total = grown
+                continue
+            for mask, value in grown.items():
+                total[mask] = total.get(mask, 0) + value
+        return total
+
+    totals, order, mult = node((), n), factorial(n), {}
+    # bead masks on n beads sort as their shapes do: in partitions(n) order
+    for mask in sorted(mask for mask, total in totals.items() if total):
+        beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+        lam = tuple(b - j for j, b in enumerate(beads) if b > j)[::-1]
+        m = exact_quotient(totals[mask], order)
         if type(m) is not int or m < 0:  # refused, with the exact value in the message
-            as_multiplicity(
-                m,
-                f"not a representation character: multiplicity of "
-                f"{format_partition(lam) or '()'} is",
-            )
-        if m:
-            mult[lam] = m
+            shape = format_partition(lam) or "()"
+            as_multiplicity(m, f"not a representation character: multiplicity of {shape} is")
+        mult[lam] = m
     return IrrDecomposition._unchecked(n, mult)
 
 

@@ -36,7 +36,7 @@ class UsageError(Exception):
 # to start.  An estimate is a sum of counts, each times the measured cost
 # of one of its units, in ns.  _PAIR_NS is one (class, shape) pair of the
 # Murnaghan-Nakayama loops, in a whole character or in a character table
-# together with one decomposition against it.
+# with one decomposition against it (decompose's price, an upper bound).
 _PAIR_NS = 1200
 _WORD_NS = 30  # one 64-bit word of a bead mask, per rim hook a single character value tries
 _BYTE_NS = 60  # one byte of JSON input: read, parsed and checked by its handler

@@ -24,8 +24,8 @@ def run(args):
     def work(p):
         if not args.decompose:
             return traces(p, n)
-        # the degree-i part of V_+^m for each m kunneth_decomposition builds:
-        # its traces, the table of S_m, and the Pieri strips of its constituents
+        # the degree-i part of V_+^m for each m kunneth_decomposition reads: its
+        # traces and the table of S_m (an upper bound), and the Pieri strips
         small = induction._generator_sizes(dims, n, i)
         return traces(p, n) + _table_work(p, small) + sum(
             traces(p, m) + _STRIP_NS * _strip_pairs(p, m) for m in small

@@ -51,7 +51,7 @@ def run(args):
     fit = args.n_max > args.n_min and os_model._needs_check(args.n_min, args.n_max, k)
 
     def work(p):
-        # the tables of S_m that decompose the nonzero W_m, and the averages
+        # the tables of S_m, decompose's price, for the nonzero W_m, and the averages
         # of their characters; the Pieri strips of their constituents, once
         # for the window; the entries of the report, as wreath-scan prices
         # its own; the terms of one free-module count per (level, a), the

@@ -6,37 +6,44 @@ graded-symmetric powers (Macdonald 1962), computed in fistab.wreath, whose
 series gives wreath_invariant_dim; it imports that module when called, so
 a kunneth process never compiles it.
 
-The irreducible decomposition of the tensor power needs no character
-table of S_n either.  Splitting V = 1 + V_+ into degree 0 and positive
-degrees, a pure tensor of V^(x)n is a choice of the m factors that lie in
-V_+, so degree i of V^(x)n is a sum of free modules
+Splitting V = 1 + V_+ into degree 0 and positive degrees, a pure tensor
+of V^(x)n is a choice of the m factors that lie in V_+, so degree i of
+V^(x)n is a sum of free modules
 
     sum_m Ind_{S_m x S_{n-m}}^{S_n} (W_m (x) 1) = sum M(W_m)_n
 
 with W_m the degree-i part of V_+^(x)m, Koszul signs included (Church,
 Ellenberg and Farb, *FI-modules and stability for representations of
 symmetric groups*, 2015), zero unless m positive degrees with a class sum
-to i: the m of _generator_sizes, which alone kunneth builds and prices.
-kunneth_decomposition decomposes each W_m over S_m and induces by the
-Pieri rule: characters.free_module_sum at the single level n, as m_module
-and m_regular do; os-scan calls it once for a whole window.  The traces
-of V^(x)n and V_+^(x)m factor over the cycles of a permutation
-(characters.cycle_product of partial_products, which os_model calls too).
+to i: the m of _generator_sizes, which alone kunneth reads and prices.
+kunneth_decomposition builds all the W_m at once, with no class function
+of any S_m, and induces them by the Pieri rule: characters.free_module_sum
+at the single level n, as m_module and m_regular do; os-scan calls it
+once for a whole window.  The trace of V^(x)n factors over the cycles of
+a permutation (characters.cycle_product of partial_products, which
+os_model calls too).
 """
 
 from __future__ import annotations
 
+from . import _forward
 from .characters import (
     ClassFunction,
     IrrDecomposition,
+    _beads,
+    _rim_hooks,
+    as_multiplicity,
     cycle_product,
-    decompose,
+    exact_quotient,
     free_module_sum,
     partial_products,
 )
 from .errors import DomainError
 from .graded import _check_graded_dims, _degrees
 from .partitions import Partition, check_partition, dimension, partitions
+
+# characters.decompose, looked up there on each access: the benchmark's self-test reads it here
+__getattr__ = _forward(__name__, "characters", ("decompose",))
 
 
 def m_module(lam: Partition, n: int) -> IrrDecomposition:
@@ -59,22 +66,19 @@ def m_regular(m: int, n: int) -> IrrDecomposition:
     return free_module_sum({m: regular}, n, n)[n]
 
 
+def _cycle_trace(dims, length: int, i: int) -> dict[int, int]:
+    # The trace of a length-l cycle, which rotates l tensor factors, in
+    # rising degree up to i: a degree-g class contributes (-1)**(g*(l-1))
+    # d_g in degree g*l, the sign of odd classes rotated by an even cycle.
+    signed = [-d if g % 2 and not length % 2 else d for g, d in enumerate(dims[: i // length + 1])]
+    return {g * length: d for g, d in enumerate(signed) if d}
+
+
 def _class_traces(dims, n: int, i: int) -> ClassFunction:
-    # The trace at each cycle type of S_n on total degree i of the n-fold
-    # graded tensor power factors over the cycles.  A length-l cycle
-    # rotates l tensor factors; a degree-g class contributes
-    # (-1)**(g*(l-1)) d_g in degree g*l, so odd-degree classes rotated by
-    # an even-length cycle pick up the sign.  z cycles of length l give
-    # that trace to the power z.
-    powers = {}
-    for length in range(1, n + 1):
-        cycle = {
-            g * length: -d if g % 2 and not length % 2 else d
-            for g, d in enumerate(dims[: i // length + 1])
-            if d
-        }
-        powers[length] = partial_products([cycle] * (n // length), i)
-    return cycle_product(n, i, powers)
+    # The trace of each cycle type of S_n on total degree i of the n-fold
+    # graded tensor power: z cycles of length l give _cycle_trace**z.
+    steps = {l: [_cycle_trace(dims, l, i)] * (n // l) for l in range(1, n + 1)}
+    return cycle_product(n, i, {l: partial_products(step, i) for l, step in steps.items()})
 
 
 def kunneth_power(graded_dims, n: int, i: int) -> ClassFunction:
@@ -98,18 +102,36 @@ def _generator_sizes(dims, n: int, i: int) -> range:
 
 
 def kunneth_decomposition(graded_dims, n: int, i: int) -> IrrDecomposition:
-    """Irreducible decomposition of total degree i of the n-fold graded
-    tensor power: the free modules M(W_m) of the module docstring, each
-    W_m decomposed over S_m and induced up to S_n by the Pieri rule.
-    Equal to decompose(kunneth_power(graded_dims, n, i)), its test
-    oracle, without the character table of S_n."""
+    """Irreducible decomposition of total degree i of the n-fold graded tensor
+    power, sum_m M(W_m), equal to its oracle decompose(kunneth_power(...)).  By
+    Newton's identity (Macdonald I.2) the Frobenius images of the V_+^(x)m are
+    H_0 = 1 and m H_m = sum_l phi_l p_l H_(m-l), phi_l = _cycle_trace(V_+, l),
+    cut at t^i: each {degree: {bead mask: Schur coefficient}}."""
     dims = _check_graded_dims(graded_dims, n, i)
-    positive = (0, *dims[1:])
-    generators = {}
-    for m in _generator_sizes(dims, n, i):
-        w = _class_traces(positive, m, i)
-        if w.dimension():
-            generators[m] = decompose(w)
+    sizes = _generator_sizes(dims, n, i)
+    beads = max(sizes, default=0)  # enough for every shape of the H_m read
+    phi = {length: _cycle_trace((0, *dims[1:]), length, i) for length in range(1, beads + 1)}
+    series = [{0: {(1 << beads) - 1: 1}}]
+    for m in range(1, beads + 1):
+        sums: dict[int, dict[int, int]] = {}
+        for length in range(1, m + 1):
+            for degree, h in series[m - length].items():
+                terms = [(degree + s, c) for s, c in phi[length].items() if degree + s <= i]
+                grown = _rim_hooks(h, (length,), grow=True) if terms else {}
+                for at, c in terms:
+                    into = sums.setdefault(at, {})
+                    for mask, value in grown.items():
+                        into[mask] = into.get(mask, 0) + c * value
+        what = f"a multiplicity of W_{m} came out as"
+        series.append({
+            e: {mask: as_multiplicity(exact_quotient(v, m), what) for mask, v in h.items() if v}
+            for e, h in sums.items()
+        })
+    shapes = {_beads(lam, beads): lam for m in sizes for lam in partitions(m)}
+    generators = {
+        m: IrrDecomposition._unchecked(m, {shapes[b]: c for b, c in series[m].get(i, {}).items()})
+        for m in sizes
+    }
     return free_module_sum(generators, n, n)[n]
 
 

@@ -1,8 +1,8 @@
 """The character inner product, which no subcommand computes: decompose
-reads multiplicities off the integer character table instead.  The
+reads multiplicities off the Frobenius map by Horner's rule instead.  The
 benchmark's tracer times it as characters.inner_product, which
 fistab.characters resolves here on each access (PEP 562), so a process
-that only computes tables and decompositions never compiles it.
+that only computes characters and decompositions never compiles it.
 """
 
 from __future__ import annotations

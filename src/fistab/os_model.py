@@ -9,7 +9,7 @@ model they are checked against.
 What os-scan reports comes from the free-module decomposition of the
 cohomology, sum_m M(W_m) (see the section above _generator_sizes): by
 Lehrer-Solomon W_m = 0 unless k + 1 <= m <= 2k, each W_m is read off
-Lehrer's product and decomposed by the table of S_m once per (m, k), and
+Lehrer's product and decomposed (characters.decompose) once per (m, k), and
 every level n is a Pieri sum (free_decompositions, one call of
 characters.free_module_sum for a whole window), its coinvariant
 dimensions and its Betti number (a = n) sums over the W_m
@@ -89,7 +89,7 @@ def _lehrer_partials(r: int, e: int, k: int) -> list[dict[int, int]]:
 # permutations of the fixed points.  So each summand is free, induced
 # from the c cycles of length >= 2, which cover m = k + c points with
 # 1 <= c <= k: W_m = 0 unless k + 1 <= m <= 2k (only W_0 for k = 0), and
-# everything os-scan reports comes from the tables of S_m for m <= 2k.
+# everything os-scan reports comes from decompositions over S_m, m <= 2k.
 # Each such m has a nonzero summand: _generator_sizes lists the nonzero W_m.
 
 
@@ -138,7 +138,7 @@ def _free_generators(n: int, k: int) -> dict[int, IrrDecomposition]:
 def free_decompositions(n_min: int, n_max: int, k: int) -> FreeLevels:
     """decomposition(n, k), its test oracle, at every level n of the window
     n_min..n_max, as the Pieri sum of the W_m (characters.free_module_sum):
-    no character table of S_n, only those of S_m for m <= min(n_max, 2k),
+    no character of S_n, only decompositions over S_m, m <= min(n_max, 2k),
     and one strip enumeration per constituent for the whole window."""
     return free_module_sum(_free_generators(n_max, k), n_min, n_max)
 

@@ -11,7 +11,7 @@ and every product rewrites into it through the quadratic relation
 together with anticommutativity and square-zero.  Symmetric groups act by
 relabeling points.  The table route takes the character of the whole
 cohomology at a level (character, from Lehrer's closed form), decomposes
-it against the character table of S_n (decomposition) and averages it
+it over S_n (decomposition, by characters.decompose) and averages it
 over the subgroup that permutes the last points (invariant_dimension,
 by characters.fixed_dimension).  os-scan runs on the free-module route of
 os_model and calls none of this, so a process that only scans never

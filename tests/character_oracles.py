@@ -14,9 +14,10 @@ induction that the Pieri sums of `fistab.characters.free_module_sum` are
 checked against;
 `_mn_column` is the character table's column at one class, walked from
 the empty shape for that class alone, and `table_columns` and
-`table_rows` are the whole table so built, read by columns as
-`fistab.characters.character_table` keeps it and by rows;
-`character_of` sums the rows of a decomposition;
+`table_rows` are the whole table so built, read by columns and by rows
+(the package keeps no character table); `decompose_by_table` is the
+oracle of `fistab.characters.decompose`, the inner products with the
+table's rows; `character_of` sums the rows of a decomposition;
 `horizontal_strip_extensions` and `pad` take any tuple of parts, checked;
 `wreath_twisted_dim`, read off the free-module decomposition, is the
 oracle of the wreath-product series; `graded_symmetric_counts`, the
@@ -31,6 +32,7 @@ from math import comb, factorial
 
 from fistab.characters import (
     ClassFunction,
+    IrrDecomposition,
     _beads,
     _mn_value,
     _rim_hooks,
@@ -39,13 +41,14 @@ from fistab.characters import (
     exact_quotient,
     irreducible_character,
 )
-from fistab.errors import DomainError
+from fistab.errors import ConsistencyError, DomainError
 from fistab.induction import kunneth_decomposition
 from fistab.partitions import (
     Partition,
     _strip_extensions,
     centralizer_order,
     check_partition,
+    format_partition,
     partitions,
 )
 
@@ -78,13 +81,14 @@ def _mn_column(mu: Partition) -> dict[int, int]:
     return _rim_hooks({(1 << count) - 1: 1}, reversed(mu), grow=True)
 
 
-def table_columns(n: int) -> list[dict[int, int]]:
+@lru_cache(maxsize=None)
+def table_columns(n: int) -> tuple[dict[int, int], ...]:
     """The character table of S_n as one {shape index: nonzero value}
     per class, both in partitions(n) order, each class walked alone."""
     index = {_beads(lam, n): i for i, lam in enumerate(partitions(n))}
-    return [
+    return tuple(
         {index[mask]: value for mask, value in _mn_column(mu).items()} for mu in partitions(n)
-    ]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -96,6 +100,29 @@ def table_rows(n: int) -> dict[Partition, tuple[int, ...]]:
         lam: tuple(column.get(i, 0) for column in columns)
         for i, lam in enumerate(partitions(n))
     }
+
+
+def decompose_by_table(f: ClassFunction) -> IrrDecomposition:
+    """The multiplicity of each irreducible in f, the integer sum over the
+    classes mu of |C_mu| f(mu) chi_lam(mu) divided by n!, refused as
+    decompose refuses it: at the first shape in partitions(n) order whose
+    multiplicity is not a nonnegative integer."""
+    n = f.n
+    totals = [0] * len(partitions(n))
+    for size, mu, column in zip(class_sizes(n), partitions(n), table_columns(n)):
+        weight = size * f.values[mu]
+        for i, x in column.items():
+            totals[i] += weight * x
+    mult = {}
+    for lam, total in zip(partitions(n), totals):
+        m = Fraction(total, factorial(n))
+        if m.denominator != 1 or m < 0:
+            raise ConsistencyError(
+                f"not a representation character: multiplicity of {format_partition(lam) or '()'} is {m}"
+            )
+        if m:
+            mult[lam] = int(m)
+    return IrrDecomposition(n, mult)
 
 
 def character_of(V) -> ClassFunction:

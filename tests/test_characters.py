@@ -5,11 +5,13 @@ The heavyweight oracle here rebuilds the full character table of S_n
 coset actions are counted by brute force, and irreducible characters are
 peeled off top-down in lexicographic order, which refines dominance.  Up
 to n = 12 the table is also checked against the recursive form of the
-rule kept in character_oracles.py, and up to n = 14 and at n = 18 the
-one depth-first walk of the table against each class walked alone.
+rule kept in character_oracles.py, and up to n = 14 and at n = 18 that
+oracle's table against one depth-first walk of the class trie, and
+decompose's Horner walk against the inner products with its rows.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -20,8 +22,9 @@ from fistab import characters
 from fistab.characters import (
     ClassFunction,
     IrrDecomposition,
+    _beads,
+    _rim_hooks,
     as_multiplicity,
-    character_table,
     class_sizes,
     decompose,
     exact_quotient,
@@ -36,6 +39,7 @@ from fistab.partitions import class_size, dimension, partitions
 from fistab.tables import class_function, decomposition
 from character_oracles import (
     character_of,
+    decompose_by_table,
     horizontal_strip_extensions,
     mn,
     mn_character,
@@ -140,20 +144,75 @@ def test_mn_character_at_identity_is_dimension():
             assert mn_character(lam, e) == dimension(lam)
 
 
+def _table_by_one_walk(n):
+    # the character table of S_n by columns, {shape index: nonzero value}
+    # per class in partitions(n) order, from one depth-first walk that
+    # adds the parts of each class smallest first, a rim hook each, so
+    # classes that share their smallest parts share that stretch
+    index = {_beads(lam, n): i for i, lam in enumerate(partitions(n))}
+    columns = {}
+
+    def walk(shapes, parts, rest):
+        if not rest:
+            columns[parts[::-1]] = {index[mask]: value for mask, value in shapes.items()}
+            return
+        for part in (*range(parts[-1] if parts else 1, rest // 2 + 1), rest):
+            walk(_rim_hooks(shapes, (part,), grow=True), parts + (part,), rest - part)
+
+    walk({(1 << n) - 1: 1}, (), n)
+    return tuple(columns[mu] for mu in partitions(n))
+
+
 @pytest.mark.parametrize("n", [*range(0, 15), 18])
-def test_one_walk_builds_the_columns_of_each_class_walked_alone(n):
-    # the depth-first walk shares the classes' smallest parts; each
-    # column holds exactly the nonzero values of its class
-    table = character_table(n)
-    assert type(table) is tuple and len(table) == len(partitions(n))
-    for (shapes, values), column in zip(table, table_columns(n)):
-        assert len(shapes) == len(values) == len(column)
-        assert dict(zip(shapes, values)) == column
+def test_the_table_oracle_equals_one_walk_over_the_class_trie(n):
+    # a self-check of the oracle: each class walked alone and all of them
+    # in one walk give the same columns, each exactly the nonzero values
+    columns = table_columns(n)
+    assert len(columns) == len(partitions(n))
+    assert columns == _table_by_one_walk(n)
+    assert all(all(column.values()) for column in columns)
+
+
+def _outcome(decomposer, f):
+    try:
+        return decomposer(f)
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [*range(0, 15), 18])
+def test_decompose_equals_the_table_oracle(n):
+    # Horner's rule on the class trie against the table: every irreducible
+    # alone (n <= 14) decomposes to itself, as the rows' orthogonality
+    # says, and 20 random combinations of all of them, with int and
+    # Fraction coefficients, some negative, decompose as the inner
+    # products with the rows do, a non-character refused with the
+    # oracle's message at the oracle's first shape.  decompose's totals
+    # are linear in f, so the combinations check the row of every
+    # irreducible at S_18 too, where decomposing the 385 of them alone
+    # would take about 9 s
+    rng, rows = random.Random(n), table_rows(n)
+    if n <= 14:
+        for lam, row in rows.items():
+            assert decompose(ClassFunction(n, dict(zip(partitions(n), row)))).mult == {lam: 1}
+    columns, refused = table_columns(n), 0
+    for k in range(20):
+        low, den = (0, -2, 0, -1)[k % 4], (1, 1, 1, 2)[k % 4]
+        coefficients = [rng.randint(low, 3) for _ in rows]
+        values = {
+            mu: exact_quotient(sum(coefficients[i] * x for i, x in column.items()), den)
+            for mu, column in zip(partitions(n), columns)
+        }
+        f = ClassFunction(n, values)
+        found = _outcome(decompose, f)
+        assert found == _outcome(decompose_by_table, f), (n, coefficients, den)
+        refused += type(found) is str
+    assert n < 2 or 0 < refused < 20
 
 
 def test_single_characters_do_not_build_table_columns(monkeypatch):
     # a single character removes rim hooks from lam; the upward walk,
-    # which grows every shape of S_n, is the character table's alone
+    # which grows every shape of S_n, is decompose's alone
     calls = []
     rim_hooks = characters._rim_hooks
 
@@ -164,7 +223,6 @@ def test_single_characters_do_not_build_table_columns(monkeypatch):
 
     monkeypatch.setattr(characters, "_rim_hooks", counted)
     irreducible_character.cache_clear()
-    character_table.cache_clear()
     chi = irreducible_character((7, 6, 5, 4, 3, 2, 1))
     assert chi.dimension() == dimension((7, 6, 5, 4, 3, 2, 1))
     assert mn_character((999, 1), (1000,)) == -1

@@ -817,28 +817,30 @@ def test_long_os_scan_without_the_tables_of_s_n_is_admitted():
     assert report["coinvariants"]["3"]["199"]["surjective"] is True
 
 
-def test_os_scan_builds_no_character_table_past_2k():
-    # every table os-scan asks for is one of S_m with m <= 2k, to decompose W_m
+def test_os_scan_decomposes_nothing_past_2k():
+    # every decomposition os-scan takes is one of W_m, over S_m with
+    # m <= 2k, whichever module it is called through
     code = (
         "import io, json, contextlib\n"
-        "from fistab import characters, cli\n"
-        "seen = []\n"
-        "table = characters.character_table\n"
-        "characters.character_table = lambda n: seen.append(n) or table(n)\n"
+        "from fistab import characters, cli, os_model\n"
+        "seen, every = [], set()\n"
+        "decompose = characters.decompose\n"
+        "characters.decompose = os_model.decompose = lambda f: seen.append(f.n) or decompose(f)\n"
         "for k, lo, hi in [(1, 2, 12), (2, 2, 15), (3, 2, 21), (3, 2, 7), (2, 9, 11)]:\n"
         "    argv = ['os-scan', '--n-min', str(lo), '--n-max', str(hi), '--k', str(k)]\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "    assert max(seen, default=0) <= 2 * k, (k, seen)\n"
+        "    every.update(seen)\n"
         "    seen.clear()\n"
-        "print(json.dumps(sorted(table.cache_info()._asdict().items())))\n"
+        "print(json.dumps(sorted(every)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fistab.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert dict(json.loads(proc.stdout))["currsize"] <= 6
+    assert json.loads(proc.stdout) == [2, 3, 4, 5, 6]  # the k + 1 <= m <= 2k of k = 1, 2, 3
 
 
 def test_os_scan_computes_no_character_past_2k():

@@ -174,11 +174,12 @@ def test_rim_hook_callers_are_found():
 
 
 def test_one_murnaghan_nakayama_walk():
-    # rim hooks are added by the one depth-first walk that builds a
-    # character table, and removed for a single value: no other def
-    # walks them, such as a column of one class walked alone
+    # rim hooks are removed for a single value, and added to Schur
+    # expansions by decompose's Horner walk over the class trie and by
+    # the Newton identity of the Kunneth generators: no other def walks
+    # them, such as a character table or a column of one class
     assert _callers(_package_sources(), "_rim_hooks") == [
-        "characters._mn_value", "characters.character_table",
+        "characters._mn_value", "characters.decompose", "induction.kunneth_decomposition",
     ]
 
 

@@ -30,7 +30,7 @@ from fistab.induction import (
 )
 from fistab.named_characters import inner_product
 from fistab.partitions import partitions
-from fistab import induction
+from fistab import characters, induction
 from fistab.wreath import _graded_symmetric_counts, _plan, _reach, wreath_invariant_series
 from character_oracles import (
     coinvariants_as_sa,
@@ -316,21 +316,23 @@ def test_kunneth_decomposition_matches_decomposed_character(dims):
 
 
 def test_kunneth_decomposition_traces_only_the_generator_sizes(monkeypatch):
-    # W_m is zero unless m positive degrees with a class sum to i, so the
-    # traces of V_+^(x)m are taken for the m of _generator_sizes alone, and
-    # every W_m outside them is zero
-    traced = []
-    class_traces = induction._class_traces
-    monkeypatch.setattr(induction, "_class_traces",
-                        lambda dims, m, i: traced.append(m) or class_traces(dims, m, i))
+    # W_m is zero unless m positive degrees with a class sum to i, so
+    # Newton's identity runs up to the largest m of _generator_sizes, every
+    # W_m outside them is zero, and no class function of any S_m is traced
+    # or decomposed on the way
+    calls = []
+    class_traces, decompose = induction._class_traces, characters.decompose
+    monkeypatch.setattr(induction, "_class_traces", lambda *a: calls.append(a) or class_traces(*a))
+    # induction binds no decompose of its own: it forwards to characters'
+    assert "decompose" not in vars(induction)
+    monkeypatch.setattr(characters, "decompose", lambda f: calls.append(f) or decompose(f))
     gap = (1, *[0] * 20, 1)
     for dims in ((1, 2), (1, 1, 1), (1, 0, 3, 1), (1, 0, 0, 2), (1, 3, 0, 0, 1), gap):
         for n in range(9):
             for i in range(25):
                 sizes = induction._generator_sizes(dims, n, i)
-                traced.clear()
                 kunneth_decomposition(dims, n, i)
-                assert traced == list(sizes), (dims, n, i)
+                assert calls == [], (dims, n, i)
                 positive = (0, *dims[1:])
                 for m in set(range(min(n, i) + 1)) - set(sizes):
                     assert class_traces(positive, m, i).dimension() == 0, (dims, m, i)

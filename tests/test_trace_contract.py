@@ -80,9 +80,9 @@ def _top_level(short: str) -> tuple[set[str], set[str]]:
 
 
 def test_only_the_names_the_tracer_reads_are_forwarded():
-    # the LAYERS names a module does not define, and cli.decompose, which
-    # the self-test reads there
-    wanted = {("cli", "decompose")}
+    # the LAYERS names a module does not define, and the decompose of cli
+    # and of induction, which the self-test reads there
+    wanted = {("cli", "decompose"), ("induction", "decompose")}
     for short, names in _constant("LAYERS").items():
         bound, _ = _top_level(short)
         wanted |= {(short, name) for name in names if name not in bound}

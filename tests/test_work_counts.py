@@ -19,18 +19,20 @@ their kernels: the term pairs `characters._poly_mul` visits, the
 (class, shape) pairs of a decomposition, the horizontal strips of a
 Pieri sum and the shapes and rim hooks of a Murnaghan-Nakayama walk.
 Each test counts those steps and reads what the handler priced for each
-kind with that kind's unit cost at 1 and every other at 0.  Nothing is
+kind with that kind's unit cost at 1 and every other at 0.  decompose
+and kunneth's W_m grow Schur expansions instead (Horner's rule on the
+class trie, Newton's identity) and are still priced by the (class,
+shape) pairs of a character table: the states they grow are counted
+and held to that price, or to a closed bound of their own.  Nothing is
 timed, so nothing can flake.
 """
 
 import json
-from functools import lru_cache
 from math import factorial
 
 import pytest
 
 from byte_grids import VECTORS, _trivial
-from character_oracles import table_columns
 from fistab import characters, cli, commands, induction, linalg, os_model
 from fistab.cli import main
 from fistab.commands import (
@@ -43,6 +45,7 @@ from fistab.commands import (
     os_scan,
     wreath_scan,
 )
+from fistab.errors import ConsistencyError
 from fistab.partitions import format_partition, partition_counts, partitions
 
 
@@ -236,32 +239,19 @@ def _count_strips(monkeypatch) -> list[int]:
     return strips
 
 
-def _count_table_pairs(monkeypatch) -> list[int]:
-    # decompose's (class, shape) pairs: each multiplies a class's weighted
-    # value by a value the character table stores, which counts the
-    # products it enters, zeros too, had the table stored any
-    pairs, table = [0], characters.character_table
+def _count_grown_states(monkeypatch) -> list[int]:
+    # the shapes each Murnaghan-Nakayama grow starts from, summed: the
+    # states of decompose's Horner walk and of kunneth's Newton identity
+    states, rim_hooks = [0], characters._rim_hooks
 
-    class Counted(int):
-        def __mul__(self, other):
-            pairs[0] += 1
-            return int(self) * other
+    def counted(shapes, cycles, grow):
+        if grow:
+            states[0] += len(shapes)
+        return rim_hooks(shapes, cycles, grow)
 
-        __rmul__ = __mul__
-
-    counted = lru_cache(maxsize=None)(
-        lambda n: tuple((shapes, tuple(map(Counted, values))) for shapes, values in table(n))
-    )
-    monkeypatch.setattr(characters, "character_table", counted)
-    return pairs
-
-
-def _nonzero_pairs(f) -> int:
-    # the pairs decompose(f) must visit: the nonzero values of the
-    # column of each class where f is nonzero, each class walked alone
-    return sum(
-        len(column) for mu, column in zip(partitions(f.n), table_columns(f.n)) if f.values[mu]
-    )
+    for module in (characters, induction):
+        monkeypatch.setattr(module, "_rim_hooks", counted)
+    return states
 
 
 # kunneth: the byte grid's vectors; three whose degrees with a class
@@ -273,46 +263,41 @@ KUNNETH_VECTORS = [*VECTORS, "1,0,0,0,1", "1,0,2", "1,0,0,7", "1,1,0,1"]
 @pytest.mark.parametrize("dims", KUNNETH_VECTORS)
 def test_kunneth_visits_no_more_term_pairs_than_it_was_priced_for(dims, monkeypatch):
     graded = tuple(map(int, dims.split(",")))
-    traces, decomposed = [], []  # [m, pairs visited] per trace; m per decomposition
-    visits = [0]  # the (class, shape) pairs the decompositions must visit
-    poly_mul, class_traces = characters._poly_mul, induction._class_traces
+    traces, decomposed = [], []  # [n, pairs visited] per trace; n per decomposition
+    poly_mul, class_traces, decompose = characters._poly_mul, induction._class_traces, characters.decompose
 
     def counted_mul(p, q, cap):
         traces[-1][1] += _pairs_visited(p, q, cap)
         return poly_mul(p, q, cap)
 
-    def counted_traces(dims, m, i):
-        traces.append([m, 0])
-        return class_traces(dims, m, i)
-
-    def counted_decompose(w):
-        decomposed.append(w.n)
-        visits[0] += _nonzero_pairs(w)
-        return characters.decompose(w)
+    def counted_traces(dims, n, i):
+        traces.append([n, 0])
+        return class_traces(dims, n, i)
 
     monkeypatch.setattr(characters, "_poly_mul", counted_mul)
     monkeypatch.setattr(induction, "_class_traces", counted_traces)
-    monkeypatch.setattr(induction, "decompose", counted_decompose)
-    strips, table_pairs = _count_strips(monkeypatch), _count_table_pairs(monkeypatch)
+    monkeypatch.setattr(characters, "decompose", lambda f: decomposed.append(f.n) or decompose(f))
+    strips, states = _count_strips(monkeypatch), _count_grown_states(monkeypatch)
     steps = {"_CYCLE_NS": 0, "_PAIR_NS": 0, "_STRIP_NS": 0}
     for n in range(11):
+        p = partition_counts(n)
         for i in range(16):
-            plain = ["kunneth", "--graded-dims", dims, "--i", str(i), "--n"]
-            argv = [*plain, str(n), "--decompose"]
+            argv = ["kunneth", "--graded-dims", dims, "--i", str(i), "--n", str(n), "--decompose"]
             traces.clear()
             decomposed.clear()
             strips.clear()
-            table_pairs[0] = visits[0] = 0
+            states[0] = 0
             kunneth.run(cli._parse(argv))
-            # the traces of V^(x)n, then those of each V_+^(x)m: each at
-            # most what traces(p, m) counts, the price of kunneth at n = m
-            assert [m for m, _ in traces[1:]] == list(induction._generator_sizes(graded, n, i))
-            for m, visited in traces:
-                priced = _price(kunneth, [*plain, str(m)], monkeypatch, **{**steps, "_CYCLE_NS": 1})
-                assert visited <= priced, (argv, m, visited, priced)
-            assert set(decomposed) <= {m for m, _ in traces[1:]}, argv
-            priced = _price(kunneth, argv, monkeypatch, **{**steps, "_PAIR_NS": 1})
-            assert table_pairs[0] == visits[0] <= priced, (argv, table_pairs[0], priced)
+            # the traces of V^(x)n alone, within their price; the W_m come
+            # from Newton's identity, with no class function to decompose
+            assert [m for m, _ in traces] == [n] and decomposed == [], argv
+            priced = _price(kunneth, argv[:-1], monkeypatch, **{**steps, "_CYCLE_NS": 1})
+            assert traces[0][1] <= priced, (argv, traces[0][1], priced)
+            # H_m for m up to the largest generator size M: m grows, one per
+            # l, of H_(m-l), at most p(m - l) shapes in each of i + 1 degrees
+            top = max(induction._generator_sizes(graded, n, i), default=0)
+            bound = (i + 1) * sum(p[m - l] for m in range(1, top + 1) for l in range(1, m + 1))
+            assert states[0] <= bound, (argv, states[0], bound)
             priced = _price(kunneth, argv, monkeypatch, **{**steps, "_STRIP_NS": 1})
             assert sum(strips) <= priced, (argv, sum(strips), priced)
 
@@ -338,18 +323,40 @@ def test_m_module_returns_no_more_strips_than_it_was_priced_for(monkeypatch):
             assert sum(strips) <= _price(m_module, argv, monkeypatch, **steps), argv
 
 
-def test_decompose_visits_the_nonzero_class_shape_pairs_it_was_priced_for(monkeypatch):
-    pairs = _count_table_pairs(monkeypatch)
+def test_decompose_grows_no_more_states_than_it_was_priced_for(monkeypatch):
+    states = _count_grown_states(monkeypatch)
     for n in range(11):
         for dims, i in (("1,2", n), ("1,0,3,1", 3), ("1,3,2", 2)):
             # a representation's character: degree i of a Kunneth power
             values = induction.kunneth_power(tuple(map(int, dims.split(","))), n, i)
             argv = ["decompose", "--n", str(n), "--values", json.dumps(values.to_mapping())]
-            pairs[0] = 0
+            states[0] = 0
             decompose.run(cli._parse(argv))
+            # a trie node whose prefix is a partition of s holds at most
+            # p(n - s) shapes: at most sum_s p(s) p(n - s) states in all
             p = partition_counts(n)
             priced = _price(decompose, argv, monkeypatch, _PAIR_NS=1)
-            assert pairs[0] == _nonzero_pairs(values) <= p[n] ** 2 == priced, (argv, pairs[0])
+            assert states[0] <= min(commands._strip_pairs(p, n), p[n] ** 2), (argv, states[0])
+            assert p[n] ** 2 == priced, argv
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_decompose_grows_only_the_classes_where_the_function_is_nonzero(n, monkeypatch):
+    # a subtree of the class trie with no class where f is nonzero grows
+    # nothing: the zero function grows no state, and one nonzero on the
+    # class mu alone grows mu's own walk, its parts largest first from
+    # the empty shape, whatever its decomposition turns out to be
+    states = _count_grown_states(monkeypatch)
+    characters.decompose(characters.ClassFunction(n, dict.fromkeys(partitions(n), 0)))
+    assert states[0] == 0
+    for mu in partitions(n):
+        walk = [len(characters._rim_hooks({(1 << n) - 1: 1}, mu[:k], True)) for k in range(len(mu))]
+        states[0] = 0
+        try:
+            characters.decompose(characters.ClassFunction(n, {nu: int(nu == mu) for nu in partitions(n)}))
+        except ConsistencyError:  # not a character: the totals are grown first
+            pass
+        assert states[0] == sum(walk), (mu, states[0], walk)
 
 
 def _removable(mask: int, length: int) -> int:
